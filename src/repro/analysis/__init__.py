@@ -5,8 +5,8 @@ Two complementary layers live here:
 * :mod:`repro.analysis.linter` + :mod:`repro.analysis.rules` — a custom
   AST lint framework enforcing *project* invariants that generic linters
   cannot know about: all randomness flows through
-  :class:`~repro.utils.rng.RngStreams` (GT001), the fast-kernel hot
-  paths stay allocation-free (GT002), the deterministic core never reads
+  :class:`~repro.utils.rng.RngStreams` (GT001), the gossip step-loop
+  hot paths stay allocation-free (GT002), the deterministic core never reads
   the wall clock (GT003), and numeric modules never compare floats with
   bare ``==`` (GT004).  Run via ``tools/analyze.py`` or ``make analyze``.
 * :mod:`repro.analysis.sanitizer` — an opt-in runtime sanitizer

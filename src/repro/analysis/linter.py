@@ -2,7 +2,7 @@
 
 Generic linters cannot know that *this* codebase promises bit-identical
 runs under a seeded :class:`~repro.utils.rng.RngStreams`, or that the
-fast gossip kernels are allocation-free by contract.  This module is the
+gossip step loops are allocation-free by contract.  This module is the
 small framework those project rules plug into:
 
 * :class:`SourceFile` — one parsed file: AST, raw lines, and the

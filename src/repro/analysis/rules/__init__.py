@@ -5,7 +5,7 @@
            ``utils.rng`` (:class:`~repro.utils.rng.RngStreams`,
            :func:`~repro.utils.rng.as_generator`).
 ``GT002``  No array allocations inside ``# hot:``-marked regions of the
-           fast-kernel paths (the allocation-free contract of PR 2).
+           gossip step loops (their allocation-free contract).
 ``GT003``  No wall-clock reads in the deterministic core
            (``core/``, ``gossip/``, ``sim/``, ``trust/``, ``service/``,
            ``experiments/``).

@@ -1,6 +1,6 @@
 """GT002 — no array allocations inside ``# hot:``-marked regions.
 
-PR 2's fast-kernel contract: the per-step gossip loops run over
+The step-loop contract: the per-step gossip loops run over
 *preallocated* workspace buffers and allocate nothing per step.  That
 property is easy to lose in review — a well-meaning ``X.copy()`` or
 ``np.zeros`` in the step loop reintroduces per-step page traffic and
@@ -16,7 +16,7 @@ rule flags:
 * any ``.copy()`` method call.
 
 Everything outside a marked region — including the one-time
-:class:`~repro.gossip.engine.Workspace` construction those loops rely
+:class:`~repro.gossip.engine.SparseWorkspace` construction those loops rely
 on — is untouched.  The rule is self-scoping: files without a
 ``# hot:`` marker produce no findings, so it runs everywhere.
 """
@@ -129,5 +129,5 @@ class NoHotAllocRule(Rule):
                         src,
                         node,
                         f"np.{func.attr} allocates inside hot region "
-                        f"'{where}' — preallocate in the Workspace",
+                        f"'{where}' — preallocate in the workspace",
                     )

@@ -11,7 +11,7 @@ breach raises a structured :class:`~repro.errors.InvariantViolation`
 naming the engine, aggregation cycle, gossip step, and (when known) the
 offending node.
 
-A second, orthogonal sanitizer guards the *parallel* sparse kernel:
+A second, orthogonal sanitizer guards *parallel* shard stepping:
 :class:`ShardOwnershipGuard` shadows every shared-workspace pool slot
 with a per-slot ownership epoch (allocated on the same attachable
 backend as the pools), so overlapping writes across shard tasks — the

@@ -88,13 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(shorthand for --set workers=N; 1 = serial)",
     )
     run_p.add_argument(
-        "--kernel",
-        default=None,
-        choices=["fast", "sparse", "legacy"],
-        help="sync-engine step-loop kernel (shorthand for "
-        "--set kernel=NAME; 'sparse' is the memory-bounded large-n path)",
-    )
-    run_p.add_argument(
         "--dtype",
         default=None,
         choices=["float64", "float32"],
@@ -106,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="sparse-kernel column shard count (shorthand for "
+        help="sync-engine column shard count (shorthand for "
         "--set shards=K; results are shard-count invariant)",
     )
     run_p.add_argument(
@@ -114,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes stepping sparse-kernel shards "
+        help="worker processes stepping sync-engine shards "
         "(shorthand for --set shard_workers=N; needs "
         "--set workspace_backend=shared or =memmap)",
     )
@@ -216,8 +209,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             overrides["engine"] = args.engine
         if args.workers is not None:
             overrides["workers"] = args.workers
-        if args.kernel is not None:
-            overrides["kernel"] = args.kernel
         if args.dtype is not None:
             overrides["dtype"] = args.dtype
         if args.shards is not None:

@@ -54,29 +54,23 @@ class GossipTrustConfig:
     check_every:
         Convergence-check cadence of the vectorized engine: the O(n*p)
         estimate/residual pass runs every ``check_every`` gossip steps.
-    densify_threshold:
-        Density fraction at which the vectorized engine's fast kernel
-        switches its state from CSR to dense buffers (0 = immediately).
     kernel:
-        Step-loop kernel of the vectorized engine: ``"fast"`` (dense
-        segment-sum, the default), ``"sparse"`` (the memory-bounded
-        pooled-SpGEMM path for large n), or ``"legacy"`` (the reference
-        implementation).
+        Step-loop kernel of the vectorized engine.  ``"sparse"`` (CSR
+        warm start, then sort-free dense steps) is the only kernel;
+        the field stays so configs that name it keep working.
     dtype:
         Vectorized-engine buffer precision, ``"float64"`` (default) or
         ``"float32"`` (halves workspace memory; scores agree to
         ~steps * eps32 relative — see the engine docs).
-    block_rows:
-        Tile height of the sparse kernel's blocked estimate/residual
-        pass; 0 (default) uses the ~1 MiB cache-block formula.
     shards:
-        Column shard count of the sparse kernel: the probe columns
-        split into this many independently stepped CSR pool triples.
-        Results are shard-count invariant; the engine auto-raises the
-        count when ``n * probe_columns`` would overflow the pools'
-        int32 index guard.  Only meaningful with ``kernel="sparse"``.
+        Column shard count of the vectorized engine: the columns split
+        into this many independently stepped CSR pool triples.  Results
+        are shard-count invariant; the engine auto-raises the count
+        when ``n * probe_columns`` would overflow the pools' int32
+        index guard.
     shard_workers:
-        Worker processes stepping sparse-kernel shards concurrently.
+        Worker processes stepping the vectorized engine's shards
+        concurrently.
         ``> 1`` requires a ``"shared"`` or ``"memmap"``
         ``workspace_backend`` (workers attach the pools by manifest).
         Results are identical to serial stepping.
@@ -123,10 +117,8 @@ class GossipTrustConfig:
     engine_mode: str = "auto"
     probe_columns: int = 64
     check_every: int = 8
-    densify_threshold: float = 0.25
-    kernel: str = "fast"
+    kernel: str = "sparse"
     dtype: str = "float64"
-    block_rows: int = 0
     shards: int = 1
     shard_workers: int = 1
     workspace_backend: str = "private"
@@ -178,30 +170,17 @@ class GossipTrustConfig:
             raise ConfigurationError(
                 f"check_every must be >= 1, got {self.check_every}"
             )
-        if not 0.0 <= self.densify_threshold <= 1.0:
+        if self.kernel != "sparse":
             raise ConfigurationError(
-                f"densify_threshold must be in [0, 1], got {self.densify_threshold}"
+                f"unknown kernel {self.kernel!r}; the only kernel is 'sparse'"
             )
-        if self.kernel not in ("fast", "sparse", "legacy"):
-            raise ConfigurationError(f"unknown kernel {self.kernel!r}")
         if self.dtype not in ("float64", "float32"):
             raise ConfigurationError(f"unknown dtype {self.dtype!r}")
-        if self.kernel == "legacy" and self.dtype != "float64":
-            raise ConfigurationError("kernel='legacy' supports only dtype='float64'")
-        if self.block_rows < 0:
-            raise ConfigurationError(
-                f"block_rows must be >= 0, got {self.block_rows}"
-            )
         if self.shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
         if self.shard_workers < 1:
             raise ConfigurationError(
                 f"shard_workers must be >= 1, got {self.shard_workers}"
-            )
-        if self.kernel != "sparse" and (self.shards != 1 or self.shard_workers != 1):
-            raise ConfigurationError(
-                "shards/shard_workers apply only to kernel='sparse' "
-                f"(got kernel={self.kernel!r})"
             )
         if self.workspace_backend not in ("private", "shared", "memmap"):
             raise ConfigurationError(

@@ -45,7 +45,6 @@ def _fig3_point(
     epsilon: float,
     cycles_per_point: int = 3,
     engine: str = "sync",
-    kernel: str = "fast",
     dtype: str = "float64",
     shards: int = 1,
     shard_workers: int = 1,
@@ -55,10 +54,10 @@ def _fig3_point(
 
     Module-level and seed-pure so :func:`~repro.experiments.runner.run_sweep`
     can ship it to worker processes; returns the measurement plus the
-    point's per-cycle telemetry records.  ``kernel``/``dtype`` select
-    the sync engine's step-loop kernel and buffer precision, and
-    ``shards``/``shard_workers``/``workspace_backend`` its sparse-kernel
-    sharding (all ignored by engines that do not take them).
+    point's per-cycle telemetry records.  ``dtype`` selects the sync
+    engine's buffer precision, and ``shards``/``shard_workers``/
+    ``workspace_backend`` its column sharding (all ignored by engines
+    that do not take them).
     """
     streams = RngStreams(seed)
     S = synthetic_trust_matrix(n, rng=streams.get("matrix"))
@@ -70,7 +69,6 @@ def _fig3_point(
         mode="probe",
         probe_columns=64,
         max_steps=20_000,
-        kernel=kernel,
         dtype=dtype,
         shards=shards,
         shard_workers=shard_workers,
@@ -93,7 +91,6 @@ def run_fig3(
     repeats: int = 3,
     cycles_per_point: int = 3,
     engine: str = "sync",
-    kernel: str = "fast",
     dtype: str = "float64",
     shards: int = 1,
     shard_workers: int = 1,
@@ -126,7 +123,6 @@ def run_fig3(
                 "epsilon": eps,
                 "cycles_per_point": cycles_per_point,
                 "engine": engine,
-                "kernel": kernel,
                 "dtype": dtype,
                 "shards": shards,
                 "shard_workers": shard_workers,

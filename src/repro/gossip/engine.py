@@ -14,56 +14,52 @@ row-scatter-add — no Python loops.
 
 Two memory modes:
 
-* ``full`` — X and W are dense (n, n); exact per the protocol.  Default
-  for n <= 1500 (Table 3's n = 1000 runs here).
+* ``full`` — X and W are (n, n); exact per the protocol.  Default for
+  n <= 1500 (Table 3's n = 1000 runs here).
 * ``probe`` — only ``p`` probe columns of X and W are tracked, (n, p)
   arrays.  Because all columns share the mixing matrix, step counts and
   gossip-error samples measured on the probes are representative; the
   next-cycle vector is then computed exactly (documented substitution —
-  used for the Fig. 3 sweeps at n = 4000, where full mode would need
-  hundreds of MB).
+  used for the Fig. 3 sweeps at n = 4000 and the large-n tiers, where
+  full mode would need hundreds of MB or more).
 
-Three kernels execute the step loop:
+One step loop serves both modes, in two phases per cycle:
 
-* ``fast`` (default) — allocation-free segment-sum over preallocated
-  X/W/scratch buffers.  Partner draws are batched (`check_every` steps
-  per RNG call), the per-step mixing matrix ``M = 0.5*(I + A)`` is laid
-  out directly in CSR form with O(n) integer ops (bincount + stable
-  argsort) and applied with scipy's C ``csr_matvecs`` segment-sum into
-  a reused scratch buffer, the O(n*p) estimate/residual convergence
-  pass runs only every ``check_every`` steps, and X/W stay in CSR form
-  for the first few steps until their density crosses
-  ``densify_threshold`` (X0 = diag(v)@S inherits the trust matrix's
-  sparsity, so early steps are O(nnz) instead of O(n*p)).
-* ``sparse`` — the memory-bounded large-n path: X and W start the
-  cycle in CSR form, held in three rotating
-  :class:`~repro.gossip.memory.CsrPool` buffers (current X, current W,
-  SpGEMM output) whose capacity grows geometrically and never per
-  step.  Each step is two C-level SpGEMMs (``csr_matmat``) of the
-  pooled mixing matrix against the pooled state.  Serial private-
-  backend runs *hand off* to dense stepping per column shard once its
-  occupancy crosses ``densify_threshold``: the CSR values are gathered
-  into three reusable dense slot arrays, the pool arrays are released,
-  and the remaining steps run as SpMMs (``csr_matvecs``) — bitwise
-  identical values (same accumulation order, and absent CSR entries
-  become exact dense zeros) at 8 bytes/entry instead of CSR's 12,
-  with no per-step pattern recomputation.  The estimate/residual pass
-  reads cache-blocked dense tiles (``block_rows``) against a single
-  persistent ``prev`` estimate buffer either way.  With probe-mode
-  column selection the working set is (n, p) with
-  ``p = probe_columns`` regardless of n — at n = 10^5, p = 64,
-  float64 the whole cycle fits ~0.5 GiB; ``dtype="float32"`` nearly
-  halves it again for the n = 10^6 tier.
-* ``legacy`` — the reference implementation: per-step scatter matrix
-  construction and ``0.5*(X + A@X)`` allocation chain.  Kept so the
-  contract suite can assert the fast path is protocol-identical and so
-  the benchmark trajectory records the speedup.
+1. **CSR warm start.**  X0 inherits the trust matrix's sparsity, so X
+   and W start the cycle in CSR form, held in three rotating
+   :class:`~repro.gossip.memory.CsrPool` buffers (current X, current W,
+   SpGEMM output) whose capacity grows geometrically and never per
+   step.  A step lays ``M = 0.5*(I + A)`` out in CSR
+   (:func:`~repro.gossip.shard_exec.fill_mixing`: per row the diagonal
+   first, then the senders in ascending order) and runs two C-level
+   SpGEMMs (``csr_matmat``) of it against the pooled state.
+2. **Dense handoff.**  Serial private-backend runs hand each column
+   shard off to dense stepping once its occupancy crosses
+   ``_DENSIFY_THRESHOLD``: the CSR values are gathered into three
+   reusable dense slot arrays and the pool arrays are released.  From
+   then on a step is sort-free.  The output starts as the halved kept
+   share (``np.multiply(X, 0.5, out=Y)``), then ``csc_matvecs`` scatters
+   every sender's half into its target's row, with ``A`` in CSC form as
+   ``(arange(n + 1), targets)`` — one entry per sender column, so there
+   is no sort, no ``indptr`` and no mixing layout at all.  Senders are
+   visited in ascending order, so each receiver sums its kept half and
+   then its inbound halves in exactly the order the diagonal-first CSR
+   layout sums them: the handoff is bitwise-invisible at any handoff
+   point, at 8 bytes per state entry instead of CSR's 12.
 
-All kernels consume the identical partner-choice RNG stream (a
-Generator fills a ``(k, n)`` block in the same element order as ``k``
-successive size-``n`` draws), so with the same seed and ``check_every``
-they walk the same mixing-matrix sequence — fast and sparse runs stop
-on the same step and agree to accumulation-order rounding.
+Shared/memmap serial runs and shard-worker runs stay in CSR for the
+whole cycle (their segments cannot shrink, and released arrays would
+dangle the workers' manifests).  The estimate/residual pass reads
+cache-blocked tiles of ``_TILE_ELEMENTS / p`` rows against one
+persistent ``prev`` estimate buffer.  With probe-mode column selection
+the working set is (n, p) regardless of n — at n = 10^5, p = 64,
+float64 the whole cycle fits ~0.5 GiB; ``dtype="float32"`` nearly
+halves it again for the n = 10^6 tier.
+
+Partner draws come from one RNG stream (a Generator fills a ``(k, n)``
+block in the same element order as ``k`` successive size-``n`` draws),
+so every shard count, worker count, backend and handoff point walks the
+same mixing-matrix sequence and stops on the same step.
 """
 
 from __future__ import annotations
@@ -94,22 +90,18 @@ from repro.metrics.telemetry import Stopwatch
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_in_range, check_vector
 
-try:  # the C segment-sum kernel behind scipy's own csr @ dense
-    from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
-except ImportError:  # pragma: no cover - very old scipy
-    _csr_matvecs = None
-
-try:  # the C SpGEMM / row-gather kernels behind scipy's csr @ csr
+try:  # the C kernels behind scipy's sparse products and densification
+    from scipy.sparse._sparsetools import csc_matvecs as _csc_matvecs
     from scipy.sparse._sparsetools import csr_matmat as _csr_matmat
     from scipy.sparse._sparsetools import csr_todense as _csr_todense
 except ImportError:  # pragma: no cover - very old scipy
+    _csc_matvecs = None
     _csr_matmat = None
     _csr_todense = None
 
 __all__ = [
     "GossipCycleResult",
     "SynchronousGossipEngine",
-    "Workspace",
     "SparseWorkspace",
 ]
 
@@ -123,12 +115,20 @@ _FULL_MODE_LIMIT = 1500
 _REL_FLOOR = 1e-12
 
 #: once a coarse check sees a residual below _FINE_FACTOR * epsilon the
-#: fast kernel switches to per-step checks (Algorithm 1's granularity)
+#: step loop switches to per-step checks (Algorithm 1's granularity)
 _FINE_FACTOR = 8.0
 
 #: above this many B elements, run_cycle's column statistics go blocked
 #: (no (n, p)-sized temporaries) instead of one-shot nan-reductions
 _BLOCKED_STATS_LIMIT = 1 << 24
+
+#: occupancy fraction at which a CSR column shard hands off to dense
+#: stepping (results do not depend on it; only the cost split does)
+_DENSIFY_THRESHOLD = 0.25
+
+#: elements per estimate/residual tile (~1 MiB of float64): the tile
+#: height is ``_TILE_ELEMENTS // p`` rows (results do not depend on it)
+_TILE_ELEMENTS = 1 << 17
 
 
 class _TargetStream:
@@ -138,7 +138,7 @@ class _TargetStream:
     without changing the consumed stream: a Generator fills a C-ordered
     block in the same element order as ``batch`` successive size-``n``
     draws, so the per-step target sequence is invariant in the batch
-    size (and identical to the legacy kernel's per-step draws).
+    size.
     """
 
     __slots__ = ("_rng", "_n", "_batch", "_ids", "_block", "_row")
@@ -162,89 +162,8 @@ class _TargetStream:
         return row
 
 
-class Workspace:
-    """Preallocated dense-phase buffers of the fast kernel, one shape.
-
-    Everything the dense step loop writes — the X/W state pair, their
-    scratch twins, the estimate/prev pair, the blocked residual tiles,
-    and the constant ``half``/``indptr``/``ids`` integer arrays — lives
-    here, keyed on the ``(n, p)`` shape it serves.  The engine keeps one
-    instance and reuses it across cycles of a run *and* across runs of
-    the same shape, so a multi-cycle ``GossipTrust.run`` pays the ~10
-    array allocations once instead of once per cycle (at n = 1000 full
-    mode that is ~64 MiB of fresh pages per cycle avoided).
-
-    Reuse is sound because every buffer is write-before-read within a
-    cycle: X/W are filled by ``toarray(out=...)``, ``est`` by a full
-    ``np.divide``, ``prev`` only read after ``have_prev`` is set within
-    the same cycle, and the residual tiles are overwritten per chunk.
-    Call :meth:`invalidate` (or
-    :meth:`SynchronousGossipEngine.invalidate_workspace`) to drop the
-    buffers, e.g. to release memory between differently-shaped sweeps.
-    """
-
-    __slots__ = (
-        "n", "p", "dtype", "backend", "X", "W", "sX", "sW", "est", "prev",
-        "num", "den", "blk", "half", "indptr", "ids", "valid",
-    )
-
-    def __init__(
-        self,
-        n: int,
-        p: int,
-        dtype: "np.dtype | type" = np.float64,
-        backend: Optional[BufferBackend] = None,
-    ) -> None:
-        self.n = int(n)
-        self.p = int(p)
-        self.dtype = np.dtype(dtype)
-        self.backend = backend if backend is not None else make_backend(None)
-        be = self.backend
-        self.X = be.empty((n, p), self.dtype, "X")
-        self.W = be.empty((n, p), self.dtype, "W")
-        self.sX = be.empty((n, p), self.dtype, "sX")
-        self.sW = be.empty((n, p), self.dtype, "sW")
-        self.est = be.empty((n, p), self.dtype, "est")
-        self.prev = be.empty((n, p), self.dtype, "prev")
-        self.blk = max(1, min(n, (1 << 17) // max(p, 1)))  # ~1 MiB residual chunks
-        self.num = be.empty((self.blk, p), self.dtype, "num")
-        self.den = be.empty((self.blk, p), self.dtype, "den")
-        self.half = be.empty(n, self.dtype, "half")
-        self.half.fill(0.5)
-        self.indptr = be.empty(n + 1, np.int32, "indptr")
-        self.indptr[0] = 0
-        self.ids = be.empty(n, np.int64, "ids")
-        self.ids[:] = np.arange(n)
-        self.valid = True
-
-    def matches(self, n: int, p: int, dtype: "np.dtype | type" = np.float64) -> bool:
-        """Whether these buffers serve shape/(dtype) ``(n, p)`` and are live."""
-        return self.valid and self.n == n and self.p == p and self.dtype == np.dtype(dtype)
-
-    def invalidate(self) -> None:
-        """Mark the buffers unusable; the next cycle allocates fresh ones.
-
-        With a non-private backend the buffer references are dropped and
-        the backend closed (shared-memory segments unlink, spill files
-        delete) — segment handles cannot close while ndarray views are
-        still exported, so the views go first.
-        """
-        self.valid = False
-        if self.backend.name == "private":
-            return
-        for name in (
-            "X", "W", "sX", "sW", "est", "prev",
-            "num", "den", "half", "indptr", "ids",
-        ):
-            setattr(self, name, None)
-        self.backend.close()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Workspace(n={self.n}, p={self.p}, valid={self.valid})"
-
-
 class SparseWorkspace:
-    """Pooled CSR buffers of the sparse kernel, one ``(n, p, dtype)`` shape.
+    """Pooled CSR buffers and dense slots of the engine, one shape.
 
     The ``p`` probe columns are split into ``shards`` contiguous,
     near-equal column ranges (``bounds[i] : bounds[i + 1]``), each
@@ -260,7 +179,9 @@ class SparseWorkspace:
     ``M = 0.5*(I + A)`` has exactly ``2n`` entries every step, so its
     ``m_indptr``/``m_indices``/``m_data`` arrays are fixed-size and
     ``m_data`` is the constant 0.5 vector, filled once; all shards of a
-    step share it.
+    step share it.  Its first ``n`` entries (``half``) double as the
+    values of ``A`` in the dense step, whose CSC column pointer is the
+    constant ``cptr = arange(n + 1)``.
 
     With ``shard_workers > 1`` the pools are preallocated at the full
     ``n * p_shard`` occupancy ceiling (worker-side growth would
@@ -271,8 +192,8 @@ class SparseWorkspace:
     :mod:`~repro.gossip.shard_exec`).
 
     Serial private-backend cycles additionally carry the ``dense`` /
-    ``dense_on`` handoff state: once a shard's occupancy crosses the
-    engine's ``densify_threshold`` its CSR values move into three
+    ``dense_on`` handoff state: once a shard's occupancy crosses
+    ``_DENSIFY_THRESHOLD`` its CSR values move into three
     ``(n, p_shard)`` dense slot arrays (kept for reuse across cycles)
     and the pool arrays are released, so the steady state costs
     ``3 * n * p`` elements flat instead of CSR's values + int32
@@ -280,19 +201,18 @@ class SparseWorkspace:
     ``prev``, the persistent previous estimate of the convergence
     check; the check itself runs over ``blk``-row tiles
     (``xt``/``wt``/``num``/``den``, plus the ``bp`` offset-adjusted
-    indptr) gathered from the pools or copied from the dense slots, so
-    peak memory is bounded by ``3 * state + (n, p) + O(blk * p)``
-    regardless of how long the cycle runs.  ``blk`` derives from the *full* probe width ``p`` whatever
-    the shard count, so residual scans of every shard count walk
-    identical row tiles.  ``block_rows`` overrides the tile height
-    (0 = the fast kernel's ~1 MiB cache-block formula).
+    indptr), so peak memory is bounded by
+    ``3 * state + (n, p) + O(blk * p)`` regardless of how long the
+    cycle runs.  ``blk`` derives from the *full* probe width ``p``
+    whatever the shard count, so residual scans of every shard count
+    walk identical row tiles.
     """
 
     __slots__ = (
-        "n", "p", "dtype", "backend", "block_rows", "shards",
+        "n", "p", "dtype", "backend", "shards",
         "shard_workers", "bounds", "shard_pools", "physical", "pools", "targets",
-        "dense", "dense_on", "m_indptr", "m_indices", "m_data", "prev",
-        "xt", "wt", "num", "den", "bp", "blk", "ids", "valid",
+        "dense", "dense_on", "m_indptr", "m_indices", "m_data", "half", "prev",
+        "xt", "wt", "num", "den", "bp", "blk", "cptr", "ids", "valid",
         "ownership", "guard",
     )
 
@@ -302,7 +222,6 @@ class SparseWorkspace:
         p: int,
         dtype: "np.dtype | type" = np.float64,
         backend: Optional[BufferBackend] = None,
-        block_rows: int = 0,
         shards: int = 1,
         shard_workers: int = 1,
         target_rows: int = 1,
@@ -312,7 +231,6 @@ class SparseWorkspace:
         self.p = int(p)
         self.dtype = np.dtype(dtype)
         self.backend = backend if backend is not None else make_backend(None)
-        self.block_rows = int(block_rows)
         self.shards = max(1, min(int(shards), self.p))
         self.shard_workers = max(1, int(shard_workers))
         be = self.backend
@@ -343,7 +261,7 @@ class SparseWorkspace:
         #: shard 0's pool triple (the whole state when ``shards == 1``)
         self.pools = self.shard_pools[0]
         #: per-shard dense slot arrays [X, W, out], allocated lazily at
-        #: the serial kernel's dense handoff and reused across cycles
+        #: the dense handoff and reused across cycles
         self.dense: List[Optional[List[np.ndarray]]] = [None] * self.shards
         #: per-cycle flags: shard ``si`` stepped dense since its load
         self.dense_on: List[bool] = [False] * self.shards
@@ -370,18 +288,17 @@ class SparseWorkspace:
         self.m_indices = be.empty(2 * n, np.int32, "m-indices")
         self.m_data = be.empty(2 * n, self.dtype, "m-data")
         self.m_data.fill(0.5)
+        self.half = self.m_data[:n]
         self.prev = be.empty((n, p), self.dtype, "prev")
-        blk = self.block_rows if self.block_rows > 0 else (
-            max(1, (1 << 17) // max(p, 1))  # fast kernel's ~1 MiB chunks
-        )
-        self.blk = max(1, min(n, blk))
+        self.blk = max(1, min(n, _TILE_ELEMENTS // max(p, 1)))
         self.xt = be.empty((self.blk, p), self.dtype, "xt")
         self.wt = be.empty((self.blk, p), self.dtype, "wt")
         self.num = be.empty((self.blk, p), self.dtype, "num")
         self.den = be.empty((self.blk, p), self.dtype, "den")
         self.bp = be.empty(self.blk + 1, np.int32, "bp")
-        self.ids = be.empty(n, np.int64, "ids")
-        self.ids[:] = np.arange(n)
+        self.cptr = be.empty(n + 1, np.int64, "cptr")
+        self.cptr[:] = np.arange(n + 1)
+        self.ids = self.cptr[:n]
         self.valid = True
 
     def matches(
@@ -389,7 +306,6 @@ class SparseWorkspace:
         n: int,
         p: int,
         dtype: "np.dtype | type",
-        block_rows: int,
         shards: int = 1,
         shard_workers: int = 1,
         sanitize: bool = False,
@@ -400,7 +316,6 @@ class SparseWorkspace:
             and self.n == n
             and self.p == p
             and self.dtype == np.dtype(dtype)
-            and self.block_rows == int(block_rows)
             and self.shards == max(1, min(int(shards), self.p))
             and self.shard_workers == max(1, int(shard_workers))
             and (self.guard is not None)
@@ -418,8 +333,8 @@ class SparseWorkspace:
         self.physical = ()
         self.pools = []
         for name in (
-            "m_indptr", "m_indices", "m_data", "prev", "targets",
-            "xt", "wt", "num", "den", "bp", "ids", "ownership", "guard",
+            "m_indptr", "m_indices", "m_data", "half", "prev", "targets",
+            "xt", "wt", "num", "den", "bp", "cptr", "ids", "ownership", "guard",
         ):
             setattr(self, name, None)
         self.backend.close()
@@ -442,7 +357,7 @@ class SynchronousGossipEngine(CycleEngine):
     epsilon:
         Gossip error threshold (Algorithm 1 line 14; Table 2: 1e-4).
     mode:
-        ``"full"``, ``"probe"``, or ``"auto"`` (size-based).
+        ``"full"``, ``"probe"``, or ``"auto"`` (probe iff n > 1500).
     probe_columns:
         Number of probe columns in probe mode.
     max_steps:
@@ -457,26 +372,10 @@ class SynchronousGossipEngine(CycleEngine):
         steps — a *stricter* reading of the epsilon criterion — so the
         result is invariant modulo step-count granularity while the
         per-step cost drops by nearly the full estimate-pass share.
-        The fast kernel additionally drops to per-step checks once a
-        residual lands within ``_FINE_FACTOR`` of epsilon, so the
-        finish line is resolved at Algorithm 1's per-step granularity
-        and the cadence never overshoots the stop step by more than
-        the coarse phase.
-    densify_threshold:
-        Keep X/W in CSR form until either's density crosses this
-        fraction; ``0`` densifies immediately.  The fast kernel uses
-        it for its sparse warm start; the sparse kernel's serial
-        private-backend path uses it per column shard as the dense
-        handoff point (CSR pools released, stepping continues as
-        bitwise-identical SpMMs over dense slot arrays — see the
-        module docstring).  In both kernels convergence cannot fire
-        while W is stored sparse (the criterion needs ``W > 0``
-        everywhere), so the CSR phase is pure O(nnz) mixing.
-    kernel:
-        ``"fast"`` (in-place scatter-add kernel), ``"sparse"`` (the
-        memory-bounded pooled-SpGEMM path for large n), or ``"legacy"``
-        (the reference per-step matrix construction).
-        Protocol-identical; see the module docstring.
+        Once a residual lands within ``_FINE_FACTOR`` of epsilon the
+        loop drops to per-step checks, so the finish line is resolved
+        at Algorithm 1's per-step granularity and the cadence never
+        overshoots the stop step by more than the coarse phase.
     dtype:
         Buffer precision, ``"float64"`` (default) or ``"float32"``.
         float32 halves every workspace buffer; because each step only
@@ -485,28 +384,21 @@ class SynchronousGossipEngine(CycleEngine):
         float64 to roughly ``steps * eps32`` relative (~1e-5 at typical
         step counts — measured in the parity tests).  With an armed
         sanitizer the conservation tolerance is widened to 1e-4 for the
-        same reason.  The legacy kernel is float64-only.
-    block_rows:
-        Tile height of the sparse kernel's blocked estimate/residual
-        gather pass.  0 (default) uses the fast kernel's ~1 MiB
-        cache-block formula ``min(n, 2^17 / p)`` — which the fast
-        kernel itself always uses, so residual scans of the two kernels
-        walk identical tiles.
+        same reason.
     shards:
-        Column shard count of the sparse kernel: the ``p`` probe
-        columns split into this many contiguous ranges, each stepped in
-        its own CSR pool triple.  Results are invariant in the shard
-        count (column subsets of a row-acting SpGEMM are bitwise the
-        same values).  Auto-raised when ``n * p`` would overflow the
-        pools' int32 index guard, so the large-n path works at any
-        ``(n, p)`` without tuning.  Only the sparse kernel shards.
+        Column shard count: the ``p`` columns split into this many
+        contiguous ranges, each stepped in its own CSR pool triple.
+        Results are invariant in the shard count (column subsets of a
+        row-acting SpGEMM are bitwise the same values).  Auto-raised
+        when ``n * p`` would overflow the pools' int32 index guard, so
+        the large-n path works at any ``(n, p)`` without tuning.
     shard_workers:
-        Worker *processes* stepping shards concurrently (sparse kernel
-        only).  ``1`` (default) steps every shard inline.  ``> 1``
-        requires a ``"shared"`` or ``"memmap"`` workspace backend: the
-        workers attach the shard pools by manifest (no n-sized state is
-        copied or rebuilt per task) and each check window fans one task
-        per shard over a ``ProcessPoolExecutor`` — see
+        Worker *processes* stepping shards concurrently.  ``1``
+        (default) steps every shard inline.  ``> 1`` requires a
+        ``"shared"`` or ``"memmap"`` workspace backend: the workers
+        attach the shard pools by manifest (no n-sized state is copied
+        or rebuilt per task) and each check window fans one task per
+        shard over a ``ProcessPoolExecutor`` — see
         :mod:`~repro.gossip.shard_exec`.  Results are identical to
         ``shard_workers=1``.
     workspace_backend:
@@ -516,15 +408,6 @@ class SynchronousGossipEngine(CycleEngine):
         can attach), or ``"memmap"`` (file-backed maps the OS can
         evict).  A preconstructed
         :class:`~repro.gossip.memory.BufferBackend` is also accepted.
-        Non-private backends require ``reuse_workspace=True`` (the
-        engine must own the buffers to release them).
-    reuse_workspace:
-        Keep the kernel buffers (:class:`Workspace` /
-        :class:`SparseWorkspace`) alive between ``run_cycle`` calls of
-        the same shape instead of reallocating them per cycle (default
-        True; results are identical either way — the buffers are
-        write-before-read).  ``False`` restores the per-cycle-allocation
-        behaviour, kept as the benchmark baseline.
     rng:
         Partner-choice randomness.
     """
@@ -541,34 +424,24 @@ class SynchronousGossipEngine(CycleEngine):
         max_steps: int = 5_000,
         min_steps: int = 2,
         check_every: int = 8,
-        densify_threshold: float = 0.25,
-        kernel: str = "fast",
         dtype: str = "float64",
-        block_rows: int = 0,
         shards: int = 1,
         shard_workers: int = 1,
         workspace_backend: "str | BufferBackend" = "private",
-        reuse_workspace: bool = True,
         rng: SeedLike = None,
     ) -> None:
         if n < 2:
             raise ValidationError(f"gossip needs n >= 2 nodes, got {n}")
         if mode not in ("auto", "full", "probe"):
             raise ValidationError(f"unknown mode {mode!r}")
-        if kernel not in ("fast", "legacy", "sparse"):
-            raise ValidationError(f"unknown kernel {kernel!r}")
         if dtype not in DTYPE_NAMES:
             raise ValidationError(
                 f"unknown dtype {dtype!r}; known: {', '.join(DTYPE_NAMES)}"
             )
-        if kernel == "legacy" and dtype != "float64":
-            raise ValidationError(
-                "kernel='legacy' is the float64 reference implementation; "
-                "use kernel='fast' or 'sparse' for float32 buffers"
-            )
-        if kernel == "sparse" and (_csr_matmat is None or _csr_todense is None):
+        if _csr_matmat is None:
             raise ValidationError(  # pragma: no cover - very old scipy
-                "kernel='sparse' needs scipy's csr_matmat/csr_todense kernels"
+                "the sync engine needs scipy's csr_matmat/csr_todense/"
+                "csc_matvecs kernels"
             )
         check_in_range("epsilon", epsilon, low=0.0, low_inclusive=False)
         if probe_columns < 1:
@@ -577,20 +450,12 @@ class SynchronousGossipEngine(CycleEngine):
             raise ValidationError(f"max_steps must be >= 1, got {max_steps}")
         if check_every < 1:
             raise ValidationError(f"check_every must be >= 1, got {check_every}")
-        if block_rows < 0:
-            raise ValidationError(f"block_rows must be >= 0, got {block_rows}")
         if shards < 1:
             raise ValidationError(f"shards must be >= 1, got {shards}")
         if shard_workers < 1:
             raise ValidationError(
                 f"shard_workers must be >= 1, got {shard_workers}"
             )
-        if kernel != "sparse" and (shards != 1 or shard_workers != 1):
-            raise ValidationError(
-                "shards/shard_workers apply only to kernel='sparse' "
-                f"(got kernel={kernel!r})"
-            )
-        check_in_range("densify_threshold", densify_threshold, low=0.0, high=1.0)
         backend_name = (
             workspace_backend
             if isinstance(workspace_backend, str)
@@ -600,12 +465,6 @@ class SynchronousGossipEngine(CycleEngine):
             raise ValidationError(
                 f"unknown workspace backend {backend_name!r}; "
                 f"known: {', '.join(BACKEND_NAMES)}"
-            )
-        if backend_name != "private" and not reuse_workspace:
-            raise ValidationError(
-                "a shared/memmap workspace backend requires "
-                "reuse_workspace=True (the engine must own the buffers "
-                "to release them)"
             )
         if shard_workers > 1 and backend_name == "private":
             raise ValidationError(
@@ -617,29 +476,17 @@ class SynchronousGossipEngine(CycleEngine):
         if mode != "auto":
             self.mode = mode
         else:
-            # The sparse kernel exists to keep the working set (n, p);
-            # auto therefore always probes it.  Dense kernels stay full
-            # up to the historical size limit.
-            self.mode = (
-                "probe"
-                if kernel == "sparse" or n > _FULL_MODE_LIMIT
-                else "full"
-            )
+            self.mode = "probe" if n > _FULL_MODE_LIMIT else "full"
         self.probe_columns = int(min(probe_columns, n))
         self.max_steps = int(max_steps)
         self.min_steps = int(min_steps)
         self.check_every = int(check_every)
-        self.densify_threshold = float(densify_threshold)
-        self.kernel = kernel
         self.dtype = dtype
         self._dtype = np.dtype(dtype)
-        self.block_rows = int(block_rows)
         self.shards = int(shards)
         self.shard_workers = int(shard_workers)
         self.workspace_backend = workspace_backend
-        self.reuse_workspace = bool(reuse_workspace)
         self._rng = as_generator(rng)
-        self._workspace: Workspace | None = None
         self._sparse_workspace: SparseWorkspace | None = None
         self._shard_executor: Executor | None = None
         self._shard_executor_ws: SparseWorkspace | None = None
@@ -692,28 +539,14 @@ class SynchronousGossipEngine(CycleEngine):
             W0 = W0.astype(self._dtype)
         phases["setup"] += watch.restart()
 
-        B = None
-        if self.kernel == "legacy":
-            X, W, steps, converged = self._gossip_until_epsilon(
-                np.asarray(X0.todense(), dtype=np.float64),
-                np.asarray(W0.todense(), dtype=np.float64),
-                raise_on_budget=raise_on_budget,
-            )
-        elif self.kernel == "sparse":
-            steps, converged, B = self._gossip_sparse(
-                X0, W0, raise_on_budget=raise_on_budget, phases=phases
-            )
-        else:
-            X, W, steps, converged, B = self._gossip_fast(
-                X0, W0, raise_on_budget=raise_on_budget, phases=phases
-            )
-        # The dispatch interval covers workspace acquisition too; the
-        # kernels report that share separately as the "alloc" phase.
+        steps, converged, B = self._gossip(
+            X0, W0, raise_on_budget=raise_on_budget, phases=phases
+        )
+        # The interval covers workspace acquisition too; the step loop
+        # reports that share separately as the "alloc" phase.
         phases["kernel"] = max(0.0, watch.restart() - phases.get("alloc", 0.0))
         self.cycle_steps.append(steps)
 
-        if B is None:
-            B = self._estimates(X, W)
         col_means, disagreement = self._column_stats(B)
 
         if self.mode == "full":
@@ -740,21 +573,13 @@ class SynchronousGossipEngine(CycleEngine):
         self.cycle_steps = []
 
     @property
-    def workspace(self) -> "Workspace | None":
-        """The live :class:`Workspace`, if a fast cycle has run."""
-        return self._workspace
-
-    @property
     def sparse_workspace(self) -> "SparseWorkspace | None":
-        """The live :class:`SparseWorkspace`, if a sparse cycle has run."""
+        """The live :class:`SparseWorkspace`, if a cycle has run."""
         return self._sparse_workspace
 
     def invalidate_workspace(self) -> None:
-        """Drop the cached kernel buffers (next cycle allocates fresh)."""
+        """Drop the cached buffers (the next cycle allocates fresh)."""
         self._release_shard_executor()
-        if self._workspace is not None:
-            self._workspace.invalidate()
-        self._workspace = None
         if self._sparse_workspace is not None:
             self._sparse_workspace.invalidate()
         self._sparse_workspace = None
@@ -774,28 +599,6 @@ class SynchronousGossipEngine(CycleEngine):
             sanitizer = InvariantSanitizer(rel_tol=1e-4)
         return super().arm_sanitizer(sanitizer)
 
-    def _acquire_workspace(self, p: int) -> Workspace:
-        """The reusable buffer set for shape ``(n, p)``.
-
-        With ``reuse_workspace=False`` (or after a shape change /
-        explicit invalidation) a fresh :class:`Workspace` is built —
-        the per-cycle-allocation baseline the benchmarks compare
-        against.
-        """
-        ws = self._workspace
-        if (
-            not self.reuse_workspace
-            or ws is None
-            or not ws.matches(self.n, p, self._dtype)
-        ):
-            if ws is not None:
-                ws.invalidate()
-            ws = Workspace(
-                self.n, p, self._dtype, make_backend(self.workspace_backend)
-            )
-            self._workspace = ws if self.reuse_workspace else None
-        return ws
-
     def _effective_shards(self, p: int) -> int:
         """The shard count actually used for probe width ``p``.
 
@@ -807,7 +610,12 @@ class SynchronousGossipEngine(CycleEngine):
         return min(p, max(self.shards, min_shards_for(self.n, p)))
 
     def _acquire_sparse_workspace(self, p: int) -> SparseWorkspace:
-        """The reusable CSR pool set for shape ``(n, p)`` (sparse kernel)."""
+        """The reusable buffer set for shape ``(n, p)``.
+
+        Kept alive across cycles of the same shape: every buffer is
+        write-before-read within a cycle, so reuse never shows in the
+        results and a multi-cycle run pays the allocations once.
+        """
         shards = self._effective_shards(p)
         # Shadow-ownership guarding follows the process-wide sanitizer
         # switch or an armed engine; only parallel runs carry the map.
@@ -815,13 +623,8 @@ class SynchronousGossipEngine(CycleEngine):
             self.sanitizer is not None or sanitize_enabled()
         )
         ws = self._sparse_workspace
-        if (
-            not self.reuse_workspace
-            or ws is None
-            or not ws.matches(
-                self.n, p, self._dtype, self.block_rows,
-                shards, self.shard_workers, sanitize,
-            )
+        if ws is None or not ws.matches(
+            self.n, p, self._dtype, shards, self.shard_workers, sanitize
         ):
             if ws is not None:
                 self._release_shard_executor()
@@ -831,13 +634,12 @@ class SynchronousGossipEngine(CycleEngine):
                 p,
                 self._dtype,
                 make_backend(self.workspace_backend),
-                self.block_rows,
                 shards,
                 self.shard_workers,
                 self.check_every,
                 sanitize,
             )
-            self._sparse_workspace = ws if self.reuse_workspace else None
+            self._sparse_workspace = ws
         return ws
 
     def _acquire_shard_executor(self, ws: SparseWorkspace) -> Executor:
@@ -894,11 +696,6 @@ class SynchronousGossipEngine(CycleEngine):
         return np.sort(np.asarray(cols, dtype=np.int64))
 
     @staticmethod
-    def _estimates(X: np.ndarray, W: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(W > 0, X / np.where(W > 0, W, 1.0), np.nan)
-
-    @staticmethod
     def _column_stats(B: np.ndarray) -> Tuple[np.ndarray, float]:
         """Per-column mean of the finite estimates, plus node disagreement.
 
@@ -946,191 +743,9 @@ class SynchronousGossipEngine(CycleEngine):
         spread = col_max[seen] - col_min[seen]
         return col_means, float(spread.max())
 
-    # -- fast kernel -------------------------------------------------------
+    # -- step loop ---------------------------------------------------------
 
-    @staticmethod
-    def _mixing_matrix(
-        targets: np.ndarray,
-        n: int,
-        ids: np.ndarray,
-        dtype: "np.dtype | type" = np.float64,
-    ) -> sparse.csr_matrix:
-        """Assemble ``M = 0.5 * (I + A)`` directly in CSR form.
-
-        Row ``r`` stores the sender columns ``{i : targets[i] == r}`` in
-        ascending order followed by the diagonal entry ``r``.  Built
-        from a bincount + stable argsort — O(n) integer work, no
-        COO -> CSR conversion, no duplicate summing.  Used for the
-        sparse warm-start phase, where one spmm per step beats
-        densifying early.
-        """
-        counts = np.bincount(targets, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(counts + 1, out=indptr[1:])
-        order = np.argsort(targets, kind="stable")
-        sorted_t = targets[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sorted_t[1:] != sorted_t[:-1]))
-        )
-        seg_origin = np.repeat(starts, np.diff(np.append(starts, n)))
-        indices = np.empty(2 * n, dtype=np.int32)
-        indices[indptr[sorted_t] + (ids - seg_origin)] = order
-        indices[indptr[1:] - 1] = ids
-        data = np.full(2 * n, 0.5, dtype=dtype)
-        return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
-
-    def _gossip_fast(
-        self,
-        Xs: sparse.csr_matrix,
-        Ws: sparse.csr_matrix,
-        *,
-        raise_on_budget: bool,
-        phases: Optional[Dict[str, float]] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, int, bool, Optional[np.ndarray]]:
-        """Step loop over preallocated buffers — no per-step allocations.
-
-        One dense step is two C-level segment-sums: the half-step
-        matrix ``M = 0.5*(I + A)`` is laid out directly in CSR form
-        (O(n) integer ops) and applied with scipy's ``csr_matvecs``
-        kernel into reused X/W scratch buffers, then the buffers swap.
-        The O(n*p) estimate/residual pass runs every ``check_every``
-        steps — dropping to every step once a residual comes within
-        ``_FINE_FACTOR`` of epsilon — and never before ``W`` is
-        positive everywhere (before that the residual cannot be
-        finite).  All dense buffers come from the persistent
-        :class:`Workspace`, so consecutive cycles of the same shape
-        allocate nothing here.
-        """
-        n = self.n
-        p = Xs.shape[1]
-        k = self.check_every
-        alloc_watch = Stopwatch()
-        ws = self._acquire_workspace(p)
-        if phases is not None:
-            phases["alloc"] = phases.get("alloc", 0.0) + alloc_watch.elapsed()
-        stream = _TargetStream(self._rng, n, k)
-        ids = ws.ids
-        step = 0
-        converged = False
-        san = self.sanitizer
-        # Push-sum conservation references: column sums of X and W are
-        # invariant under M = 0.5*(I + A), so the totals are too.
-        x_mass = float(Xs.sum()) if san is not None else 0.0
-        w_mass = float(Ws.sum()) if san is not None else 0.0
-
-        # Sparse warm-start: X0 inherits S's sparsity and each step at
-        # most doubles nnz, so only ~log2(1/density0) steps run here.
-        # No convergence checks — the criterion needs W > 0 everywhere,
-        # impossible while W is stored sparse.
-        thr = self.densify_threshold * float(n * p)
-        while step < self.max_steps and Xs.nnz < thr and Ws.nnz < thr:
-            M = self._mixing_matrix(stream.next(), n, ids, Xs.dtype)
-            Xs = M @ Xs
-            Ws = M @ Ws
-            step += 1
-
-        X, W, sX, sW = ws.X, ws.W, ws.sX, ws.sW
-        Xs.toarray(out=X)
-        Ws.toarray(out=W)
-        if san is not None and step:
-            # The sparse warm start mixed without checks; validate its
-            # output before the dense loop takes over.
-            san.check_mass("sum(X)", float(X.sum()), x_mass, step=step)
-            san.check_mass("sum(W)", float(W.sum()), w_mass, step=step)
-            san.check_nonnegative("W", W, step=step)
-        half = ws.half
-        indptr = ws.indptr
-        est = ws.est
-        prev = ws.prev
-        blk = ws.blk
-        num = ws.num
-        den = ws.den
-        have_prev = False
-        w_allpos = False
-        fine = False  # per-step checks once a residual nears epsilon
-        fine_at = _FINE_FACTOR * self.epsilon
-
-        # hot: dense step loop — every buffer comes from the Workspace
-        while step < self.max_steps:
-            step += 1
-            targets = stream.next()
-            # One gossip step for X and W: each scratch buffer starts as
-            # the halved kept share, then scipy's C segment-sum kernel
-            # adds each receiver's inbound halves (senders in ascending
-            # order — A laid out in CSR by a stable argsort).
-            np.cumsum(np.bincount(targets, minlength=n), out=indptr[1:])
-            senders = np.argsort(targets, kind="stable").astype(np.int32)
-            np.multiply(X, 0.5, out=sX)
-            np.multiply(W, 0.5, out=sW)
-            if _csr_matvecs is not None:
-                _csr_matvecs(n, n, p, indptr, senders, half, X.ravel(), sX.ravel())
-                _csr_matvecs(n, n, p, indptr, senders, half, W.ravel(), sW.ravel())
-            else:  # pragma: no cover - very old scipy
-                A = sparse.csr_matrix((half, senders, indptr), shape=(n, n))
-                sX += A @ X
-                sW += A @ W
-            X, sX = sX, X
-            W, sW = sW, W
-
-            if step < self.min_steps or (not fine and step % k):
-                continue
-            if san is not None:
-                # Checked step: conservation + non-negativity.  Scalar
-                # reductions only — the cadence keeps this off the
-                # per-step path.
-                san.check_mass("sum(X)", float(X.sum()), x_mass, step=step)
-                san.check_mass("sum(W)", float(W.sum()), w_mass, step=step)
-                san.check_nonnegative("W", W, step=step)
-            if not w_allpos:
-                # W only gains mass, so once all-positive it stays so
-                # and this O(n*p) scan stops running.
-                w_allpos = bool(W.min() > 0.0)
-                if not w_allpos:
-                    continue
-            np.divide(X, W, out=est)
-            if san is not None:
-                san.check_finite("estimates x/w", est, step=step)
-            if have_prev:
-                # Relative change across the last check window, scanned
-                # in chunks: far from convergence the first chunk
-                # already exceeds epsilon, so the full O(n*p) residual
-                # pass only runs near the finish line.
-                converged = True
-                worst = 0.0
-                for lo in range(0, n, blk):
-                    hi = min(lo + blk, n)
-                    e = est[lo:hi]
-                    q = prev[lo:hi]
-                    m = hi - lo
-                    np.subtract(e, q, out=num[:m])
-                    np.abs(num[:m], out=num[:m])
-                    np.maximum(q, _REL_FLOOR, out=den[:m])
-                    num[:m] /= den[:m]
-                    worst = max(worst, float(num[:m].max()))
-                    if worst > self.epsilon:
-                        converged = False
-                        break
-                if converged:
-                    break
-                # Close to the finish line: resolve the stop step at
-                # Algorithm 1's per-step granularity instead of paying
-                # up to check_every - 1 extra O(n*p) gossip steps.
-                fine = fine or worst <= fine_at
-            est, prev = prev, est  # prev now holds this check's estimates
-            have_prev = True
-
-        if not converged and raise_on_budget:
-            raise ConvergenceError(
-                f"gossip cycle exceeded {self.max_steps} steps (epsilon={self.epsilon})",
-                steps=self.max_steps,
-            )
-        # At convergence W > 0 everywhere and est holds the estimates of
-        # the final state, so run_cycle can skip its estimate pass.
-        return X, W, step, converged, (est if converged else None)
-
-    # -- sparse kernel -----------------------------------------------------
-
-    def _gossip_sparse(
+    def _gossip(
         self,
         Xs: sparse.csr_matrix,
         Ws: sparse.csr_matrix,
@@ -1138,9 +753,9 @@ class SynchronousGossipEngine(CycleEngine):
         raise_on_budget: bool,
         phases: Optional[Dict[str, float]] = None,
     ) -> Tuple[int, bool, np.ndarray]:
-        """Step loop with X and W in pooled CSR form, densifying late.
+        """Step loop: pooled CSR warm start, then sort-free dense steps.
 
-        One step is, per column shard, two C-level SpGEMMs
+        A CSR step is, per column shard, two C-level SpGEMMs
         (``csr_matmat``) of the pooled mixing matrix against the
         shard's pooled state, writing into whichever of its three
         rotating :class:`~repro.gossip.memory.CsrPool` buffers just
@@ -1151,26 +766,27 @@ class SynchronousGossipEngine(CycleEngine):
         ``s`` steps X lives at slot ``(-s) % 3``, W at ``(1 - s) % 3``)
         so worker processes need no shared rotation state.  Serial
         private-backend runs hand each shard off to dense slot
-        stepping once its occupancy crosses ``densify_threshold``
+        stepping once its occupancy crosses ``_DENSIFY_THRESHOLD``
         (:meth:`_densify_shard` / :meth:`_dense_step` — bitwise the
-        same values, ~2/3 the steady-state bytes, no SpGEMM pattern
-        cost).  With ``shard_workers > 1`` whole check windows of
+        same values, ~2/3 the steady-state bytes, no mixing layout);
+        once every shard is dense the per-step CSR layout of ``M``
+        stops too.  With ``shard_workers > 1`` whole check windows of
         steps are fanned out, one task per shard, over
         attached-by-manifest workers (:mod:`~repro.gossip.shard_exec`);
         results are identical to inline stepping because every path
         runs the same mixing sequence over the same RNG-derived
         targets.
 
-        The estimate/residual check walks the same cadence, block
-        tiling and early-exit/fine-trigger logic as the fast kernel
-        (see :meth:`_sparse_check`), so all kernels consume identical
-        RNG streams and stop on the same step — and the check compares
-        only after a full row tile (all shards), so step counts are
-        invariant in the shard count too.
+        The estimate/residual check (:meth:`_check`) runs every
+        ``check_every`` steps, per step once a residual comes within
+        ``_FINE_FACTOR`` of epsilon, and never before ``W`` is positive
+        everywhere (before that the residual cannot be finite).  It
+        compares only after a full row tile (all shards), so step
+        counts are invariant in the shard count too.
 
         Returns ``(steps, converged, B)`` where ``B`` is the persistent
         (n, p) estimate buffer — the only dense (n, p) array the cycle
-        touches.
+        touches besides the dense slots.
         """
         n = self.n
         p = Xs.shape[1]
@@ -1195,19 +811,15 @@ class SynchronousGossipEngine(CycleEngine):
         if executor is not None and ws.guard is not None:
             ws.guard.begin_cycle(self.name)
         # Serial private runs hand each shard off to dense slot arrays
-        # once its occupancy crosses densify_threshold: past that point
-        # SpMM (csr_matvecs) beats SpGEMM per step and the index arrays
-        # are pure overhead — and the handoff is bitwise-invisible (see
+        # once its occupancy crosses the threshold: past that point the
+        # sort-free dense step beats SpGEMM and the index arrays are
+        # pure overhead — and the handoff is bitwise-invisible (see
         # _dense_step).  Worker runs keep CSR (released pool arrays
         # would dangle manifest attaches), as do shared/memmap serial
         # runs (their segments cannot shrink).
-        densify = (
-            executor is None
-            and ws.backend.name == "private"
-            and _csr_matvecs is not None
-        )
+        densify = executor is None and ws.backend.name == "private"
         dense_at = [
-            max(0, int(self.densify_threshold * t[0].full_capacity))
+            max(0, int(_DENSIFY_THRESHOLD * t[0].full_capacity))
             for t in ws.shard_pools
         ]
         stream = _TargetStream(self._rng, n, k)
@@ -1228,17 +840,21 @@ class SynchronousGossipEngine(CycleEngine):
         fine_at = _FINE_FACTOR * self.epsilon
 
         while step < self.max_steps:
-            # Advance in whole check windows: the serial loop's skip
-            # logic collapses to "next step where a check fires", which
-            # is also the natural fan-out unit for shard workers.
+            # Advance in whole check windows: the skip logic collapses
+            # to "next step where a check fires", which is also the
+            # natural fan-out unit for shard workers.
             nxt = self._next_check(step, fine)
             target = min(nxt, self.max_steps)
             if executor is not None:
                 step = self._advance_windowed(executor, ws, stream, step, target)
             else:
-                # hot: sharded sparse step loop — two pooled SpGEMMs per shard
+                # hot: sharded step loop — pooled SpGEMMs, then dense scatters
                 while step < target:
-                    self._fill_mixing(stream.next(), n, ws)
+                    targets = stream.next()
+                    if not all(ws.dense_on):  # only CSR shards need M laid out
+                        shard_exec.fill_mixing(
+                            targets, ws.ids, ws.m_indptr, ws.m_indices
+                        )
                     a = (-step) % 3
                     b = (1 - step) % 3
                     c = (2 - step) % 3
@@ -1253,7 +869,7 @@ class SynchronousGossipEngine(CycleEngine):
                                 self._spgemm_step(ws, triple[a], triple[c])
                                 self._spgemm_step(ws, triple[b], triple[a])
                                 continue
-                        self._dense_step(ws, si, a, b, c)
+                        self._dense_step(ws, si, a, b, c, targets)
                     step += 1
             if step != nxt:
                 break  # budget ran out before the next check step
@@ -1276,20 +892,18 @@ class SynchronousGossipEngine(CycleEngine):
             if not w_allpos:
                 # W's pattern only grows (M carries a full diagonal) and
                 # its values stay positive, so full occupancy is sticky
-                # — the check degrades to one int comparison afterwards.
-                # (Dense shards carry exact zeros instead of absent
-                # entries, so their min > 0 is the same full-occupancy
-                # test; full == n * p is only summed over CSR shards.)
+                # — the check degrades to one bool test afterwards.
                 w_allpos = self._w_all_positive(ws, wsl)
                 if not w_allpos:
                     continue
-            worst, all_below = self._sparse_check(ws, step, have_prev)
+            worst, all_below = self._check(ws, step, have_prev)
             if have_prev:
                 if all_below:
                     converged = True
                     break
                 # Close to the finish line: resolve the stop step at
-                # Algorithm 1's per-step granularity (see _gossip_fast).
+                # Algorithm 1's per-step granularity instead of paying
+                # up to check_every - 1 extra O(n*p) gossip steps.
                 fine = fine or worst <= fine_at
             have_prev = True
 
@@ -1313,16 +927,14 @@ class SynchronousGossipEngine(CycleEngine):
                     f"(epsilon={self.epsilon})",
                     steps=self.max_steps,
                 )
-            self._sparse_estimates(ws)
+            self._best_effort_estimates(ws)
         return step, converged, ws.prev
 
     def _next_check(self, step: int, fine: bool) -> int:
         """The next step (> ``step``) on which a convergence check fires.
 
-        Mirrors the serial skip ``step < min_steps or (not fine and
-        step % check_every)``: the first step that is at least
-        ``min_steps`` and — outside the fine phase — a multiple of the
-        check cadence.
+        The first step that is at least ``min_steps`` and — outside the
+        fine phase — a multiple of the check cadence.
         """
         t = max(step + 1, self.min_steps)
         if fine:
@@ -1389,20 +1001,6 @@ class SynchronousGossipEngine(CycleEngine):
             triple[wsl].nnz = int(triple[wsl].indptr[n])
         return step
 
-    # hot: per-step CSR layout of M = 0.5*(I + A) into the mixing pools
-    def _fill_mixing(self, targets: np.ndarray, n: int, ws: SparseWorkspace) -> None:
-        """Lay out the step's mixing matrix into the workspace pools.
-
-        Delegates to :func:`~repro.gossip.shard_exec.fill_mixing` — the
-        same O(n) bincount + stable-argsort layout as
-        :meth:`_mixing_matrix` (senders ascending, diagonal last), and
-        byte-identical code to what shard worker processes run —
-        writing into the preallocated ``m_indptr``/``m_indices`` arrays
-        (``m_data`` is the constant 0.5 vector, filled once; M always
-        has exactly ``2n`` entries).
-        """
-        shard_exec.fill_mixing(targets, ws.ids, ws.m_indptr, ws.m_indices)
-
     # hot: one pooled SpGEMM — dst := M @ src, no symbolic pass
     def _spgemm_step(self, ws: SparseWorkspace, src: CsrPool, dst: CsrPool) -> None:
         """Multiply the pooled mixing matrix into ``src``, writing ``dst``.
@@ -1435,7 +1033,7 @@ class SynchronousGossipEngine(CycleEngine):
         Gathers the live X (slot ``a``) and W (slot ``b``) values into
         three reusable ``(n, p_shard)`` dense arrays and releases the
         CSR pool arrays — slot ``c`` holds dead state, so it is not
-        gathered (the next step zero-fills it as the SpMM output).
+        gathered (the next step overwrites it as the step output).
         Each pool is released immediately after its gather, so the
         transient co-residency is one dense slot, not three.  The
         dense arrays persist on the workspace across cycles; only the
@@ -1460,38 +1058,45 @@ class SynchronousGossipEngine(CycleEngine):
         triple[c].release()
         ws.dense_on[si] = True
 
-    # hot: dense shard step — two csr_matvecs SpMMs against the mixing arrays
+    # hot: dense shard step — kept halves, then a sort-free csc_matvecs scatter
     def _dense_step(
-        self, ws: SparseWorkspace, si: int, a: int, b: int, c: int
+        self,
+        ws: SparseWorkspace,
+        si: int,
+        a: int,
+        b: int,
+        c: int,
+        targets: np.ndarray,
     ) -> None:
         """One gossip step of a handed-off shard: ``M @ X``, ``M @ W`` dense.
 
-        ``csr_matvecs`` accumulates into the zero-filled target by
-        walking each M row's stored entries in order — exactly the
-        order ``csr_matmat`` sums the same products — and entries the
-        CSR state would not store are exact dense zeros (adding them
-        is an IEEE no-op), so the dense trajectory is **bitwise**
-        identical to the pooled-SpGEMM one at any handoff point.  Per
-        entry the state costs 8 bytes instead of CSR's 12, and the
-        SpMM skips SpGEMM's per-step pattern recomputation entirely.
-        Rotation matches :meth:`_gossip_sparse`: new X into slot ``c``,
-        new W into the slot X vacated (``a``).
+        Each output starts as the halved kept share, then
+        ``csc_matvecs`` adds ``0.5 * X[j]`` into row ``targets[j]`` for
+        every sender ``j`` in ascending order — ``A`` in CSC form has
+        exactly one entry per column, so its column pointer is the
+        constant ``arange(n + 1)`` and its row indices are ``targets``
+        itself.  Per receiver that is the kept half first, then the
+        inbound halves by ascending sender: the order ``csr_matmat``
+        sums the diagonal-first CSR layout of ``M``, and entries the CSR
+        state would not store are exact dense zeros, so the dense
+        trajectory is **bitwise** identical to the pooled-SpGEMM one at
+        any handoff point.  Rotation matches :meth:`_gossip`: new X into
+        slot ``c``, new W into the slot X vacated (``a``).
         """
         dense = ws.dense[si]
         assert dense is not None
         n = ws.n
         ps = dense[0].shape[1]
-        out = dense[c]
-        out.fill(0.0)
-        _csr_matvecs(
-            n, n, ps, ws.m_indptr, ws.m_indices, ws.m_data,
-            dense[a].ravel(), out.ravel(),
+        x_old = dense[a]
+        w_old = dense[b]
+        x_new = dense[c]
+        np.multiply(x_old, 0.5, out=x_new)
+        _csc_matvecs(
+            n, n, ps, ws.cptr, targets, ws.half, x_old.ravel(), x_new.ravel()
         )
-        tgt = dense[a]
-        tgt.fill(0.0)
-        _csr_matvecs(
-            n, n, ps, ws.m_indptr, ws.m_indices, ws.m_data,
-            dense[b].ravel(), tgt.ravel(),
+        np.multiply(w_old, 0.5, out=x_old)  # X's old slot takes the new W
+        _csc_matvecs(
+            n, n, ps, ws.cptr, targets, ws.half, w_old.ravel(), x_old.ravel()
         )
 
     def _slot_mass(self, ws: SparseWorkspace, slot: int) -> float:
@@ -1545,32 +1150,37 @@ class SynchronousGossipEngine(CycleEngine):
             out.ravel(),
         )
 
-    # hot: shard tile load — dense row copy or CSR gather, same values
-    def _load_tile(
+    # hot: estimate tile — dense slots divide in place, CSR shards gather first
+    def _estimate_tile(
         self,
         ws: SparseWorkspace,
         si: int,
-        slot: int,
+        xslot: int,
+        wslot: int,
         lo: int,
         hi: int,
-        out: np.ndarray,
+        xt: np.ndarray,
+        wt: np.ndarray,
     ) -> None:
-        """Rows ``[lo, hi)`` of shard ``si``'s slot into a scratch tile.
+        """Estimates ``X / W`` of rows ``[lo, hi)`` of shard ``si`` into ``xt``.
 
-        A handed-off shard's rows are copied straight out of its dense
-        slot array (which holds exactly what ``csr_todense`` would
-        scatter); a CSR shard goes through :meth:`_gather_tile`.  Both
-        paths fill ``out`` completely, and the copy keeps downstream
-        in-place tile arithmetic off the live state.
+        A handed-off shard divides straight out of its dense slot
+        arrays; a CSR shard gathers X and W into the ``xt``/``wt``
+        scratch tiles first (:meth:`_gather_tile`).  The gather yields
+        exactly the values the dense slots hold, so both paths give the
+        same quotients.
         """
         dense = ws.dense[si]
         if ws.dense_on[si] and dense is not None:
-            np.copyto(out, dense[slot][lo:hi])
-        else:
-            self._gather_tile(ws, ws.shard_pools[si][slot], lo, hi, out)
+            np.divide(dense[xslot][lo:hi], dense[wslot][lo:hi], out=xt)
+            return
+        triple = ws.shard_pools[si]
+        self._gather_tile(ws, triple[xslot], lo, hi, xt)
+        self._gather_tile(ws, triple[wslot], lo, hi, wt)
+        np.divide(xt, wt, out=xt)
 
-    # hot: blocked estimate/residual pass over CSR row gathers
-    def _sparse_check(
+    # hot: blocked estimate/residual pass over dense slots or CSR gathers
+    def _check(
         self,
         ws: SparseWorkspace,
         step: int,
@@ -1578,13 +1188,12 @@ class SynchronousGossipEngine(CycleEngine):
     ) -> Tuple[float, bool]:
         """One convergence check: estimates into ``prev``, residual out.
 
-        Mirrors the fast kernel's blocked residual scan exactly — same
-        tile size, same ``_REL_FLOOR`` guard, and the same early-exit
-        semantics: once a tile's residual exceeds epsilon the scan stops
-        *comparing* (``worst`` freezes at the fast kernel's break-point
-        value, keeping the fine-trigger decision identical) but keeps
-        gathering, because ``prev`` must hold this check's complete
-        estimates for the next comparison.  Shards are gathered inside
+        A blocked residual scan with the ``_REL_FLOOR`` guard and early
+        exit: once a tile's residual exceeds epsilon the scan stops
+        *comparing* (``worst`` freezes, keeping the fine-trigger
+        decision independent of later tiles) but keeps computing
+        estimates, because ``prev`` must hold this check's complete
+        estimates for the next comparison.  Shards are visited inside
         the row-tile loop (contiguous sub-tiles carved from the flat
         tile buffers) and the over-epsilon comparison runs only after a
         *full* row tile, so ``worst`` takes exactly the unsharded tile
@@ -1616,9 +1225,7 @@ class SynchronousGossipEngine(CycleEngine):
                 pc = c1 - c0
                 xt = xf[: m * pc].reshape(m, pc)
                 wt = wf[: m * pc].reshape(m, pc)
-                self._load_tile(ws, si, xslot, lo, hi, xt)
-                self._load_tile(ws, si, wslot, lo, hi, wt)
-                np.divide(xt, wt, out=xt)
+                self._estimate_tile(ws, si, xslot, wslot, lo, hi, xt, wt)
                 if san is not None:
                     san.check_finite("estimates x/w", xt, step=step)
                 psub = prev[lo:hi, c0:c1]
@@ -1638,7 +1245,7 @@ class SynchronousGossipEngine(CycleEngine):
                     scanning = False
         return worst, all_below
 
-    def _sparse_estimates(self, ws: SparseWorkspace) -> None:
+    def _best_effort_estimates(self, ws: SparseWorkspace) -> None:
         """Guarded estimates into ``prev`` (budget-exhaustion path).
 
         Outside the hot loop: runs once when the step budget runs out
@@ -1659,69 +1266,20 @@ class SynchronousGossipEngine(CycleEngine):
                 pc = c1 - c0
                 xt = xf[: m * pc].reshape(m, pc)
                 wt = wf[: m * pc].reshape(m, pc)
-                self._load_tile(ws, si, 0, lo, hi, xt)
-                self._load_tile(ws, si, 1, lo, hi, wt)
+                dense = ws.dense[si]
+                if ws.dense_on[si] and dense is not None:
+                    np.copyto(xt, dense[0][lo:hi])
+                    np.copyto(wt, dense[1][lo:hi])
+                else:
+                    self._gather_tile(ws, ws.shard_pools[si][0], lo, hi, xt)
+                    self._gather_tile(ws, ws.shard_pools[si][1], lo, hi, wt)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     np.divide(xt, wt, out=xt)
                 xt[wt <= 0.0] = np.nan
                 ws.prev[lo:hi, c0:c1] = xt
 
-    # -- legacy kernel -----------------------------------------------------
-
-    def _gossip_until_epsilon(
-        self, X: np.ndarray, W: np.ndarray, *, raise_on_budget: bool
-    ) -> Tuple[np.ndarray, np.ndarray, int, bool]:
-        """Reference step loop (``kernel="legacy"``): allocating arithmetic.
-
-        Kept verbatim in spirit — per-step scatter-matrix construction
-        and ``0.5*(X + A@X)`` — as the ground truth the fast kernel is
-        tested against and benchmarked over.  The estimate pass is
-        hoisted behind the convergence guard: it used to run on every
-        step even when ``step < min_steps`` or ``W`` still had zero
-        entries (where the residual cannot be finite), wasting an
-        O(n*p) pass per skipped step.
-        """
-        n = self.n
-        ids = np.arange(n)
-        ones = np.ones(n)
-        k = self.check_every
-        prev = None
-        san = self.sanitizer
-        x_mass = float(X.sum()) if san is not None else 0.0
-        w_mass = float(W.sum()) if san is not None else 0.0
-        for step in range(1, self.max_steps + 1):
-            targets = self._rng.integers(0, n - 1, size=n)
-            targets[targets >= ids] += 1  # uniform over others, never self
-            # One gossip step is X <- M X with M = 0.5*(I + A), where
-            # A[targets[i], i] = 1 routes i's sent half.  Applying A as a
-            # sparse matmul runs at C speed (np.add.at is ~10x slower).
-            A = sparse.csr_matrix((ones, (targets, ids)), shape=(n, n))
-            X = 0.5 * (X + A @ X)
-            W = 0.5 * (W + A @ W)
-            if step < self.min_steps or step % k:
-                continue
-            if san is not None:
-                san.check_mass("sum(X)", float(X.sum()), x_mass, step=step)
-                san.check_mass("sum(W)", float(W.sum()), w_mass, step=step)
-                san.check_nonnegative("W", W, step=step)
-            if not np.all(W > 0):
-                continue
-            est = self._estimates(X, W)
-            if prev is not None:
-                # Relative per-step change, scale-free in n (see pushsum).
-                resid = np.abs(est - prev) / np.maximum(np.abs(prev), _REL_FLOOR)
-                if np.all(np.isfinite(resid)) and float(resid.max()) <= self.epsilon:
-                    return X, W, step, True
-            prev = est
-        if raise_on_budget:
-            raise ConvergenceError(
-                f"gossip cycle exceeded {self.max_steps} steps (epsilon={self.epsilon})",
-                steps=self.max_steps,
-            )
-        return X, W, self.max_steps, False
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"SynchronousGossipEngine(n={self.n}, mode={self.mode!r}, "
-            f"kernel={self.kernel!r}, epsilon={self.epsilon})"
+            f"epsilon={self.epsilon})"
         )

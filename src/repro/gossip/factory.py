@@ -230,10 +230,7 @@ def _build_sync(
         probe_columns=config.probe_columns,
         max_steps=config.max_gossip_steps,
         check_every=config.check_every,
-        densify_threshold=config.densify_threshold,
-        kernel=getattr(config, "kernel", "fast"),
         dtype=getattr(config, "dtype", "float64"),
-        block_rows=getattr(config, "block_rows", 0),
         shards=getattr(config, "shards", 1),
         shard_workers=getattr(config, "shard_workers", 1),
         workspace_backend=getattr(config, "workspace_backend", "private"),

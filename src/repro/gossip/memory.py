@@ -1,9 +1,9 @@
 """Buffer backends and pooled CSR storage for the gossip kernels.
 
-The fast and sparse kernels of
-:class:`~repro.gossip.engine.SynchronousGossipEngine` run over
+The step loop of
+:class:`~repro.gossip.engine.SynchronousGossipEngine` runs over
 *preallocated* buffers (lint rule GT002 forbids allocations inside
-their hot-marked step loops).  This module owns where those buffers
+its hot-marked regions).  This module owns where those buffers
 physically live and how they grow:
 
 * :class:`BufferBackend` — the allocation strategy behind a workspace.
@@ -25,14 +25,14 @@ physically live and how they grow:
 * :class:`CsrPool` — one CSR matrix held in backend-allocated
   ``indptr``/``indices``/``data`` arrays whose capacity grows
   *geometrically* (:meth:`CsrPool.ensure`) and never per step: the
-  sparse kernel's SpGEMM writes into a pool sized by the closed-form
+  sync engine's SpGEMM writes into a pool sized by the closed-form
   output bound ``min(2 * nnz, n * p)``, so a whole gossip cycle incurs
   at most ``O(log(n * p))`` growth reallocations.
 
 Both non-private backends support *attach-by-manifest*: the creating
 process lists ``label -> (segment name / file path, shape, dtype)``
 via ``manifest()`` and another process maps the same physical pages
-with :func:`attach_array` — the sharded sparse kernel's step workers
+with :func:`attach_array` — the sync engine's shard step workers
 and the sweep runner's shared-input initializer both ride on this.
 
 Backends are selected by name (``workspace_backend=`` on the engine,
@@ -303,7 +303,7 @@ def make_backend(spec: Union[str, BufferBackend, None]) -> BufferBackend:
 class CsrPool:
     """One CSR matrix in preallocated, geometrically grown arrays.
 
-    The sparse kernel's state matrices (X, W and their SpGEMM output)
+    The sync engine's CSR state matrices (X, W and their SpGEMM output)
     each live in one pool: a fixed ``indptr`` of ``n + 1`` int32s plus
     ``indices``/``data`` arrays whose *capacity* only ever grows — by
     doubling, clamped to the ``n * p`` full-occupancy ceiling — so a
@@ -377,7 +377,7 @@ class CsrPool:
     def release(self) -> None:
         """Shrink ``indices``/``data`` to one-element stubs, freeing them.
 
-        Called by the serial sparse kernel after a shard's dense
+        Called by the serial step loop after a shard's dense
         handoff, when the CSR state has been gathered into dense slot
         arrays and the pool's capacity is dead weight.  The pool stays
         loadable — the next :meth:`load`/:meth:`ensure` simply regrows

@@ -1,6 +1,6 @@
 """Worker-side executor of sharded sparse gossip steps.
 
-The sparse kernel's column shards are independent by construction: the
+The sync engine's column shards are independent by construction: the
 per-step mixing matrix ``M = 0.5*(I + A)`` acts on *rows*, so stepping
 a column shard needs no data from any other shard.  This module is the
 process-parallel half of that design.  The parent engine allocates the
@@ -24,9 +24,9 @@ would allocate process-private arrays invisible to the manifest) and
 ``csr_matmat`` reads its extents from ``indptr``; the parent refreshes
 the live ``nnz`` counters from ``indptr[n]`` after each window.
 
-:func:`fill_mixing` is also the *serial* kernel's mixing-matrix layout
-(the engine delegates to it), so serial and worker stepping run
-byte-identical code over the same RNG-derived targets.
+:func:`fill_mixing` is also the mixing-matrix layout of the engine's
+serial CSR steps, so serial and worker stepping run byte-identical code
+over the same RNG-derived targets.
 """
 
 from __future__ import annotations
@@ -63,12 +63,15 @@ def fill_mixing(
 ) -> None:
     """Lay out one step's mixing matrix into preallocated CSR arrays.
 
-    Row ``r`` stores the sender columns ``{i : targets[i] == r}`` in
-    ascending order followed by the diagonal entry ``r`` — an O(n)
+    Row ``r`` stores the diagonal entry ``r`` first, then the sender
+    columns ``{i : targets[i] == r}`` in ascending order — an O(n)
     bincount + stable-argsort layout (no COO -> CSR conversion, no
-    duplicate summing).  ``M`` always has exactly ``2n`` entries and its
-    values are the constant 0.5 vector, so only ``m_indptr`` and
-    ``m_indices`` are written here.
+    duplicate summing).  ``csr_matmat`` therefore sums each receiver's
+    kept half first and its inbound halves by ascending sender, the
+    order the engine's sort-free dense step sums them in, so CSR and
+    dense stepping agree bitwise.  ``M`` always has exactly ``2n``
+    entries and its values are the constant 0.5 vector, so only
+    ``m_indptr`` and ``m_indices`` are written here.
     """
     n = targets.size
     np.cumsum(np.bincount(targets, minlength=n) + 1, out=m_indptr[1:])
@@ -78,8 +81,8 @@ def fill_mixing(
         np.concatenate(([True], sorted_t[1:] != sorted_t[:-1]))
     )
     seg_origin = np.repeat(starts, np.diff(np.append(starts, n)))
-    m_indices[m_indptr[sorted_t] + (ids - seg_origin)] = order
-    m_indices[m_indptr[1:] - 1] = ids
+    m_indices[m_indptr[sorted_t] + 1 + (ids - seg_origin)] = order
+    m_indices[m_indptr[:-1]] = ids
 
 
 def workspace_spec(ws: Any) -> Dict[str, Any]:

@@ -245,18 +245,12 @@ class TestArmedUnderFaults:
         assert san.checks > 0
         assert res.messages_dropped > 0
 
-    def test_sync_legacy_kernel_checks_fire(self, fixed_S):
-        eng = build("sync", kernel="legacy")
-        san = eng.arm_sanitizer()
-        eng.run_cycle(fixed_S, np.full(N, 1.0 / N))
-        assert san.checks > 0
-
 
 # -- fault injection: each check must catch its fault ------------------------
 
 
 class _CorruptingMatvecs:
-    """Wraps the C segment-sum kernel; injects mass after some calls."""
+    """Wraps the dense step's C scatter kernel; injects mass after some calls."""
 
     def __init__(self, real, after_calls=6):
         self.real = real
@@ -296,19 +290,17 @@ def _message_engine_with(tamper, seed=SEED):
 
 
 class TestFaultInjection:
-    def test_sync_corrupted_x_mass_raises(self, fixed_S):
-        if engine_mod._csr_matvecs is None:
-            pytest.skip("scipy csr_matvecs kernel unavailable")
-        eng = build("sync", densify_threshold=0.0)  # dense loop from step 1
+    def test_sync_corrupted_x_mass_raises(self, fixed_S, monkeypatch):
+        if engine_mod._csc_matvecs is None:
+            pytest.skip("scipy csc_matvecs kernel unavailable")
+        monkeypatch.setattr(engine_mod, "_DENSIFY_THRESHOLD", 0.0)  # dense from step 1
+        eng = build("sync")
         eng.arm_sanitizer()
-        corrupting = _CorruptingMatvecs(engine_mod._csr_matvecs)
-        real = engine_mod._csr_matvecs
-        engine_mod._csr_matvecs = corrupting
-        try:
-            with pytest.raises(InvariantViolation) as exc:
-                eng.run_cycle(fixed_S, np.full(N, 1.0 / N))
-        finally:
-            engine_mod._csr_matvecs = real
+        monkeypatch.setattr(
+            engine_mod, "_csc_matvecs", _CorruptingMatvecs(engine_mod._csc_matvecs)
+        )
+        with pytest.raises(InvariantViolation) as exc:
+            eng.run_cycle(fixed_S, np.full(N, 1.0 / N))
         err = exc.value
         assert err.invariant == "mass-conservation"
         assert err.engine == "sync"

@@ -47,15 +47,13 @@ class TestParser:
         assert dict(args.overrides) == {"n": 100, "repeats": 1}
 
     def test_kernel_and_dtype_flags(self):
-        args = build_parser().parse_args(
-            ["run", "fig3", "--kernel", "sparse", "--dtype", "float32"]
-        )
-        assert args.kernel == "sparse"
+        args = build_parser().parse_args(["run", "fig3", "--dtype", "float32"])
         assert args.dtype == "float32"
+        assert not hasattr(args, "kernel")  # one kernel: no selector flag
 
     def test_kernel_choices_enforced(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig3", "--kernel", "warp"])
+            build_parser().parse_args(["run", "fig3", "--kernel", "sparse"])
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fig3", "--dtype", "float16"])
 
@@ -81,7 +79,7 @@ class TestMain:
         assert "Bloom" in capsys.readouterr().out
 
     def test_run_fig3_sparse_kernel(self, capsys):
-        """--kernel/--dtype forward into the experiment as overrides."""
-        code = main(["run", "fig3", "--quick", "--kernel", "sparse"])
+        """--dtype/--shards forward into the experiment as overrides."""
+        code = main(["run", "fig3", "--quick", "--dtype", "float32", "--shards", "2"])
         assert code == 0
         assert capsys.readouterr().out

@@ -40,12 +40,12 @@ class TestValidation:
             {"engine_mode": "quantum"},
             {"probe_columns": 0},
             {"check_every": 0},
-            {"densify_threshold": -0.1},
-            {"densify_threshold": 1.1},
+            {"kernel": "fast"},
+            {"kernel": "legacy"},
             {"kernel": "warp"},
             {"dtype": "float16"},
             {"kernel": "legacy", "dtype": "float32"},
-            {"block_rows": -1},
+            {"shards": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -54,14 +54,18 @@ class TestValidation:
 
     def test_kernel_and_dtype_defaults(self):
         cfg = GossipTrustConfig()
-        assert cfg.kernel == "fast"
+        assert cfg.kernel == "sparse"
         assert cfg.dtype == "float64"
-        assert cfg.block_rows == 0
 
     def test_sparse_float32_accepted(self):
-        cfg = GossipTrustConfig(kernel="sparse", dtype="float32", block_rows=128)
+        cfg = GossipTrustConfig(kernel="sparse", dtype="float32")
         assert cfg.kernel == "sparse"
-        assert cfg.block_rows == 128
+        assert cfg.dtype == "float32"
+
+    @pytest.mark.parametrize("kernel", ["fast", "legacy"])
+    def test_removed_kernels_rejected(self, kernel):
+        with pytest.raises(ConfigurationError, match="only kernel is 'sparse'"):
+            GossipTrustConfig(kernel=kernel)
 
 
 class TestUpdates:

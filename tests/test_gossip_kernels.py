@@ -1,17 +1,16 @@
-"""Fast-kernel contract: the allocation-free path vs the legacy chain.
+"""Sync-engine step-loop contract against the reference oracle.
 
-The fast kernel (CSR-layout segment-sum over preallocated buffers,
-check cadence, sparse warm-start) and the legacy kernel (per-step
-``sparse.csr_matrix`` construction and the ``0.5*(X + A@X)`` allocation
-chain) consume the same partner RNG stream, so on a seeded instance
-they must walk the same mixing-matrix sequence: identical step counts,
+The engine's one step loop (pooled CSR warm start, dense handoff,
+sort-free dense steps, check cadence) and the reference oracle in
+``tests/sync_oracle.py`` (per-step ``sparse.csr_matrix`` construction
+and the ``0.5*(X + A@X)`` allocation chain) consume the same partner
+RNG stream, so on a seeded instance they must walk the same
+mixing-matrix sequence: identical step counts at per-step checks,
 matching results up to floating-point accumulation order.
 
-The memory-bounded sparse kernel (``kernel="sparse"`` — CSR state for
-the whole cycle, pooled SpGEMMs, blocked estimate gathers) consumes the
-*same* stream and cadence again, so the identical contract extends to
-it: same step counts as the fast kernel, scores to round-off, in every
-mode, with any workspace backend, reused or fresh.
+Everything the engine varies internally — shard count, shard workers,
+workspace backend, workspace reuse, handoff point, tile height — must
+be *bitwise* invisible in the results.
 """
 
 import numpy as np
@@ -19,11 +18,15 @@ import pytest
 
 from repro.errors import ConfigurationError, ConvergenceError, ValidationError
 from repro.experiments.synthetic import synthetic_trust_matrix
+from repro.gossip import engine as engine_mod
+from repro.gossip import shard_exec
 from repro.gossip.base import exact_aggregate, local_rows
+from repro.gossip.convergence import average_relative_error
 from repro.gossip.engine import SynchronousGossipEngine
 from repro.gossip.factory import make_engine
 from repro.trust.matrix import TrustMatrix
 from repro.utils.rng import RngStreams
+from tests.sync_oracle import oracle_cycle
 
 SEED = 0
 N = 128
@@ -41,34 +44,56 @@ def _cycle(n, S, v, **options):
     return eng.run_cycle(S, v)
 
 
+def _oracle(n, S, v, *, mode="full", check_every=1):
+    """The oracle on the engine's partner stream: ``(means, steps, cols)``.
+
+    Probe mode tracks the columns a fresh engine on the same seed picks.
+    """
+    cols = None
+    if mode == "probe":
+        picker = SynchronousGossipEngine(
+            n, mode="probe", rng=RngStreams(SEED).get("gossip")
+        )
+        cols = picker._pick_probe_columns(v, exact_aggregate(S, v, n))
+    means, steps = oracle_cycle(
+        S, v, RngStreams(SEED).get("gossip"), cols=cols,
+        epsilon=EPSILON, check_every=check_every,
+    )
+    return means, steps, cols
+
+
 class TestFastVsLegacy:
+    """The engine against the reference oracle (``tests/sync_oracle.py``)."""
+
     def test_same_steps_and_scores(self):
         """Same stream, same stop step; scores equal up to fp reordering."""
         S, v = _instance(N)
-        fast = _cycle(N, S, v, mode="full", kernel="fast", check_every=1)
-        legacy = _cycle(N, S, v, mode="full", kernel="legacy", check_every=1)
-        assert fast.steps == legacy.steps
-        assert fast.converged and legacy.converged
-        np.testing.assert_allclose(fast.v_next, legacy.v_next, rtol=1e-12)
-        assert fast.gossip_error == pytest.approx(legacy.gossip_error, rel=1e-6)
+        res = _cycle(N, S, v, mode="full", check_every=1)
+        means, steps, _ = _oracle(N, S, v)
+        assert res.converged
+        assert res.steps == steps
+        np.testing.assert_allclose(res.v_next, means, rtol=1e-12)
+        assert res.gossip_error == pytest.approx(
+            average_relative_error(means, res.exact), rel=1e-6
+        )
 
     def test_coarse_cadence_never_overshoots_legacy(self):
-        """At check_every > 1 the fast kernel's fine phase resolves the
-        stop step at per-step granularity, so it stops no later than the
-        legacy kernel's coarse-aligned stop — and both land on the same
-        answer within the epsilon target."""
+        """At check_every > 1 the engine's fine phase resolves the stop
+        step at per-step granularity, so it stops no later than the
+        oracle's coarse-aligned stop — and both land on the same answer
+        within the epsilon target."""
         S, v = _instance(N)
-        fast = _cycle(N, S, v, mode="full", kernel="fast", check_every=4)
-        legacy = _cycle(N, S, v, mode="full", kernel="legacy", check_every=4)
-        assert fast.converged and legacy.converged
-        assert fast.steps <= legacy.steps
-        np.testing.assert_allclose(fast.v_next, legacy.v_next, rtol=1e-4)
+        res = _cycle(N, S, v, mode="full", check_every=8)
+        means, steps, _ = _oracle(N, S, v, check_every=8)
+        assert res.converged
+        assert res.steps <= steps
+        np.testing.assert_allclose(res.v_next, means, rtol=1e-4)
 
     def test_probe_mode_agrees_with_full(self):
         """Probe and full share the partner stream -> same step count."""
         S, v = _instance(N)
-        full = _cycle(N, S, v, mode="full", kernel="fast")
-        probe = _cycle(N, S, v, mode="probe", probe_columns=64, kernel="fast")
+        full = _cycle(N, S, v, mode="full")
+        probe = _cycle(N, S, v, mode="probe", probe_columns=64)
         assert probe.steps == full.steps
         assert probe.converged and full.converged
         # probe's v_next is the documented exact substitution
@@ -85,8 +110,8 @@ class TestCheckEveryCadence:
         agree far below the epsilon target.
         """
         S, v = _instance(256)
-        r1 = _cycle(256, S, v, mode="full", kernel="fast", check_every=1)
-        r4 = _cycle(256, S, v, mode="full", kernel="fast", check_every=4)
+        r1 = _cycle(256, S, v, mode="full", check_every=1)
+        r4 = _cycle(256, S, v, mode="full", check_every=4)
         assert r1.converged and r4.converged
         assert abs(r4.steps - r1.steps) <= 8
         np.testing.assert_allclose(r4.v_next, r1.v_next, rtol=1e-4)
@@ -96,30 +121,39 @@ class TestCheckEveryCadence:
         with pytest.raises(ValidationError):
             SynchronousGossipEngine(8, check_every=0)
         with pytest.raises(ValidationError):
-            SynchronousGossipEngine(8, kernel="warp")
+            SynchronousGossipEngine(8, mode="warp")
         with pytest.raises(ValidationError):
-            SynchronousGossipEngine(8, densify_threshold=1.5)
+            SynchronousGossipEngine(8, max_steps=0)
 
 
 class TestSparseWarmStart:
-    def test_densify_threshold_does_not_change_result(self):
+    def test_densify_threshold_does_not_change_result(self, monkeypatch):
         """Warm-start steps replay the same mixing matrices in CSR form."""
         S, v = _instance(N)
-        warm = _cycle(N, S, v, mode="full", kernel="fast", densify_threshold=0.25)
-        cold = _cycle(N, S, v, mode="full", kernel="fast", densify_threshold=0.0)
+        warm = _cycle(N, S, v, mode="full")
+        monkeypatch.setattr(engine_mod, "_DENSIFY_THRESHOLD", 0.0)
+        cold = _cycle(N, S, v, mode="full")
         assert warm.steps == cold.steps
-        np.testing.assert_allclose(warm.v_next, cold.v_next, rtol=1e-12)
+        np.testing.assert_array_equal(warm.v_next, cold.v_next)
 
-    def test_mixing_matrix_is_half_identity_plus_scatter(self):
+    def test_fill_mixing_is_diagonal_first(self):
+        """M = 0.5*(I + A) in CSR, each row the diagonal then the
+        senders ascending — the dense step's summation order."""
+        from scipy import sparse
+
         n = 7
         ids = np.arange(n)
         targets = np.array([3, 2, 0, 0, 1, 0, 5])
-        M = SynchronousGossipEngine._mixing_matrix(targets, n, ids).toarray()
-        from scipy import sparse
-
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        indices = np.empty(2 * n, dtype=np.int32)
+        shard_exec.fill_mixing(targets, ids, indptr, indices)
+        for r in range(n):
+            row = indices[indptr[r] : indptr[r + 1]].tolist()
+            assert row == [r, *np.flatnonzero(targets == r).tolist()]
+        M = sparse.csr_matrix((np.full(2 * n, 0.5), indices, indptr), shape=(n, n))
         A = sparse.csr_matrix((np.ones(n), (targets, ids)), shape=(n, n))
         expected = 0.5 * (np.eye(n) + A.toarray())
-        np.testing.assert_array_equal(M, expected)
+        np.testing.assert_array_equal(M.toarray(), expected)
 
 
 class TestBudget:
@@ -127,7 +161,7 @@ class TestBudget:
         S, v = _instance(N)
         eng = make_engine(
             "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="full", kernel="fast", max_steps=3,
+            mode="full", max_steps=3,
         )
         with pytest.raises(ConvergenceError):
             eng.run_cycle(S, v)
@@ -136,7 +170,7 @@ class TestBudget:
         S, v = _instance(N)
         eng = make_engine(
             "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="full", kernel="fast", max_steps=3,
+            mode="full", max_steps=3,
         )
         res = eng.run_cycle(S, v, raise_on_budget=False)
         assert not res.converged
@@ -162,25 +196,20 @@ class TestExactAggregate:
 class TestWorkspaceReuse:
     """The persistent cycle workspace must be invisible in the results."""
 
-    def _pair(self, mode):
-        reuse = make_engine(
-            "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode=mode, kernel="fast", reuse_workspace=True,
-        )
-        fresh = make_engine(
-            "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode=mode, kernel="fast", reuse_workspace=False,
-        )
-        return reuse, fresh
-
     @pytest.mark.parametrize("mode", ["full", "probe"])
     def test_reuse_matches_fresh_step_for_step(self, mode):
         """Workspace-reuse runs equal fresh-workspace runs, cycle by cycle."""
         S, v = _instance(N)
-        reuse, fresh = self._pair(mode)
+        reuse, fresh = (
+            make_engine(
+                "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON, mode=mode,
+            )
+            for _ in range(2)
+        )
         vr, vf = v.copy(), v.copy()
         for _ in range(3):
             rr = reuse.run_cycle(S, vr)
+            fresh.invalidate_workspace()
             rf = fresh.run_cycle(S, vf)
             assert rr.steps == rf.steps
             np.testing.assert_array_equal(rr.v_next, rf.v_next)
@@ -205,52 +234,50 @@ class TestWorkspaceReuse:
     def test_workspace_survives_cycles_and_invalidates(self):
         S, v = _instance(N)
         eng = make_engine("sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON, mode="full")
-        assert eng.workspace is None
+        assert eng.sparse_workspace is None
         eng.run_cycle(S, v)
-        ws = eng.workspace
+        ws = eng.sparse_workspace
         assert ws is not None and ws.valid
         eng.run_cycle(S, v)
-        assert eng.workspace is ws  # survived across cycles
+        assert eng.sparse_workspace is ws  # survived across cycles
         eng.invalidate_workspace()
         assert not ws.valid
-        assert eng.workspace is None
+        assert eng.sparse_workspace is None
         eng.run_cycle(S, v)
-        assert eng.workspace is not ws  # rebuilt after invalidation
-
-    def test_reuse_disabled_keeps_no_workspace(self):
-        S, v = _instance(N)
-        eng = make_engine(
-            "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="full", reuse_workspace=False,
-        )
-        eng.run_cycle(S, v)
-        assert eng.workspace is None
+        assert eng.sparse_workspace is not ws  # rebuilt after invalidation
 
 
 class TestSparseKernel:
-    """``kernel="sparse"`` must be an exact replay of the fast kernel."""
+    """The step loop's options, buffers and budget paths."""
 
     @pytest.mark.parametrize("n", [250, 1000])
     @pytest.mark.parametrize("mode", ["probe", "full"])
     def test_parity_with_fast(self, n, mode):
-        """Same stream, same cadence -> same stop step, same scores."""
+        """Same stream, per-step checks -> the oracle's stop step and
+        scores, in both modes."""
         S, v = _instance(n)
-        fast = _cycle(n, S, v, mode=mode, kernel="fast")
-        sparse_r = _cycle(n, S, v, mode=mode, kernel="sparse")
-        assert sparse_r.steps == fast.steps
-        assert sparse_r.converged and fast.converged
-        np.testing.assert_allclose(sparse_r.v_next, fast.v_next, rtol=0, atol=1e-12)
-        assert sparse_r.gossip_error == pytest.approx(fast.gossip_error, rel=1e-9)
+        res = _cycle(n, S, v, mode=mode, check_every=1)
+        means, steps, cols = _oracle(n, S, v, mode=mode)
+        assert res.converged
+        assert res.steps == steps
+        if mode == "full":
+            np.testing.assert_allclose(res.v_next, means, rtol=1e-12)
+            exact = res.exact
+        else:
+            exact = res.exact[cols]
+        assert res.gossip_error == pytest.approx(
+            average_relative_error(means, exact), rel=1e-9
+        )
 
-    def test_block_rows_is_result_invariant(self):
-        """The cache-block size only tiles the estimate pass — any value
+    def test_block_rows_is_result_invariant(self, monkeypatch):
+        """The tile height only tiles the estimate pass — any value
         lands on bit-identical results."""
         S, v = _instance(250)
-        base = _cycle(250, S, v, mode="probe", kernel="sparse")
+        base = _cycle(250, S, v, mode="probe")
         for block_rows in (7, 64, 250):
-            blocked = _cycle(
-                250, S, v, mode="probe", kernel="sparse", block_rows=block_rows
-            )
+            # p = 64 probe columns: tiles of block_rows rows
+            monkeypatch.setattr(engine_mod, "_TILE_ELEMENTS", block_rows * 64)
+            blocked = _cycle(250, S, v, mode="probe")
             assert blocked.steps == base.steps
             np.testing.assert_array_equal(blocked.v_next, base.v_next)
 
@@ -259,19 +286,11 @@ class TestSparseKernel:
         documented accumulation bound (~steps * eps32 relative, orders
         of magnitude below the epsilon target)."""
         S, v = _instance(250)
-        r64 = _cycle(250, S, v, mode="full", kernel="sparse", dtype="float64")
-        r32 = _cycle(250, S, v, mode="full", kernel="sparse", dtype="float32")
+        r64 = _cycle(250, S, v, mode="full", dtype="float64")
+        r32 = _cycle(250, S, v, mode="full", dtype="float32")
         assert r64.converged and r32.converged
         np.testing.assert_allclose(r32.v_next, r64.v_next, rtol=1e-3)
         assert abs(r32.steps - r64.steps) <= 8  # residuals may flip a check
-
-    def test_float32_fast_kernel_too(self):
-        """The dtype option applies to the dense fast kernel as well."""
-        S, v = _instance(250)
-        r64 = _cycle(250, S, v, mode="full", kernel="fast", dtype="float64")
-        r32 = _cycle(250, S, v, mode="full", kernel="fast", dtype="float32")
-        assert r64.converged and r32.converged
-        np.testing.assert_allclose(r32.v_next, r64.v_next, rtol=1e-3)
 
     @pytest.mark.parametrize("mode", ["probe", "full"])
     def test_warm_start_invariance(self, mode):
@@ -279,17 +298,16 @@ class TestSparseKernel:
         buffers, cycle by cycle (the pools carry no state between
         cycles beyond their capacity)."""
         S, v = _instance(N)
-        reuse = make_engine(
-            "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode=mode, kernel="sparse", reuse_workspace=True,
-        )
-        fresh = make_engine(
-            "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode=mode, kernel="sparse", reuse_workspace=False,
+        reuse, fresh = (
+            make_engine(
+                "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON, mode=mode,
+            )
+            for _ in range(2)
         )
         vr, vf = v.copy(), v.copy()
         for _ in range(3):
             rr = reuse.run_cycle(S, vr)
+            fresh.invalidate_workspace()
             rf = fresh.run_cycle(S, vf)
             assert rr.steps == rf.steps
             np.testing.assert_array_equal(rr.v_next, rf.v_next)
@@ -300,7 +318,7 @@ class TestSparseKernel:
     def test_sparse_workspace_lifecycle(self):
         S, v = _instance(N)
         eng = make_engine(
-            "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON, kernel="sparse",
+            "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON,
         )
         assert eng.sparse_workspace is None
         eng.run_cycle(S, v)
@@ -316,10 +334,10 @@ class TestSparseKernel:
     def test_workspace_backends_agree(self, backend):
         """Shared-memory and memmap workspaces are invisible in results."""
         S, v = _instance(N)
-        base = _cycle(N, S, v, mode="probe", kernel="sparse")
+        base = _cycle(N, S, v, mode="probe")
         eng = make_engine(
             "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="probe", kernel="sparse", workspace_backend=backend,
+            mode="probe", workspace_backend=backend,
         )
         res = eng.run_cycle(S, v)
         assert res.steps == base.steps
@@ -331,10 +349,10 @@ class TestSparseKernel:
         holds through the sparse kernel: every mass/nonnegativity check
         fires and the result is unchanged."""
         S, v = _instance(N)
-        base = _cycle(N, S, v, mode="probe", kernel="sparse")
+        base = _cycle(N, S, v, mode="probe")
         eng = make_engine(
             "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="probe", kernel="sparse",
+            mode="probe",
         )
         eng.arm_sanitizer()
         assert eng.sanitizer is not None
@@ -348,7 +366,7 @@ class TestSparseKernel:
         engine arms a widened sanitizer instead."""
         eng = make_engine(
             "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON,
-            kernel="sparse", dtype="float32",
+            dtype="float32",
         )
         eng.arm_sanitizer()
         assert eng.sanitizer.rel_tol == pytest.approx(1e-4)
@@ -360,7 +378,7 @@ class TestSparseKernel:
         S, v = _instance(N)
         eng = make_engine(
             "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="probe", kernel="sparse", max_steps=3,
+            mode="probe", max_steps=3,
         )
         res = eng.run_cycle(S, v, raise_on_budget=False)
         assert not res.converged
@@ -371,7 +389,7 @@ class TestSparseKernel:
         S, v = _instance(N)
         eng = make_engine(
             "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="probe", kernel="sparse", max_steps=3,
+            mode="probe", max_steps=3,
         )
         with pytest.raises(ConvergenceError):
             eng.run_cycle(S, v)
@@ -379,22 +397,12 @@ class TestSparseKernel:
     def test_validation(self):
         with pytest.raises(ValidationError):
             SynchronousGossipEngine(8, dtype="float16")
-        with pytest.raises(ValidationError):
-            SynchronousGossipEngine(8, kernel="legacy", dtype="float32")
-        with pytest.raises(ValidationError):
-            SynchronousGossipEngine(8, block_rows=-1)
         with pytest.raises((ConfigurationError, ValidationError)):
             SynchronousGossipEngine(8, workspace_backend="bogus")
-        with pytest.raises(ValidationError):
-            # non-private buffers without reuse would leak per cycle
-            SynchronousGossipEngine(
-                8, kernel="sparse", workspace_backend="shared",
-                reuse_workspace=False,
-            )
 
     def test_phase_times_recorded(self):
         S, v = _instance(N)
-        res = _cycle(N, S, v, mode="probe", kernel="sparse")
+        res = _cycle(N, S, v, mode="probe")
         assert set(res.phase_times) >= {"setup", "oracle", "alloc", "kernel"}
         assert all(t >= 0.0 for t in res.phase_times.values())
 
@@ -408,9 +416,9 @@ class TestShardedSparseKernel:
     @pytest.mark.parametrize("mode", ["probe", "full"])
     def test_shard_count_invariance(self, n, mode):
         S, v = _instance(n)
-        base = _cycle(n, S, v, mode=mode, kernel="sparse")
+        base = _cycle(n, S, v, mode=mode)
         for shards in (2, 7):
-            res = _cycle(n, S, v, mode=mode, kernel="sparse", shards=shards)
+            res = _cycle(n, S, v, mode=mode, shards=shards)
             assert res.steps == base.steps
             np.testing.assert_array_equal(res.v_next, base.v_next)
             assert res.gossip_error == base.gossip_error
@@ -418,9 +426,9 @@ class TestShardedSparseKernel:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_shard_invariance_both_dtypes(self, dtype):
         S, v = _instance(250)
-        base = _cycle(250, S, v, mode="probe", kernel="sparse", dtype=dtype)
+        base = _cycle(250, S, v, mode="probe", dtype=dtype)
         res = _cycle(
-            250, S, v, mode="probe", kernel="sparse", dtype=dtype, shards=7
+            250, S, v, mode="probe", dtype=dtype, shards=7
         )
         assert res.steps == base.steps
         np.testing.assert_array_equal(res.v_next, base.v_next)
@@ -429,7 +437,7 @@ class TestShardedSparseKernel:
     def _worker_cycle(self, n, S, v, *, mode="probe", backend="shared", **opts):
         eng = make_engine(
             "sync", n=n, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode=mode, kernel="sparse", workspace_backend=backend, **opts,
+            mode=mode, workspace_backend=backend, **opts,
         )
         try:
             return eng.run_cycle(S, v)
@@ -442,7 +450,7 @@ class TestShardedSparseKernel:
         """Worker processes attach the pools by manifest and step their
         shards in place — results equal single-process stepping exactly."""
         S, v = _instance(n)
-        base = _cycle(n, S, v, mode="probe", kernel="sparse", shards=2)
+        base = _cycle(n, S, v, mode="probe", shards=2)
         res = self._worker_cycle(
             n, S, v, backend=backend, shards=2, shard_workers=4
         )
@@ -452,7 +460,7 @@ class TestShardedSparseKernel:
 
     def test_shard_workers_full_mode(self):
         S, v = _instance(250)
-        base = _cycle(250, S, v, mode="full", kernel="sparse")
+        base = _cycle(250, S, v, mode="full")
         res = self._worker_cycle(
             250, S, v, mode="full", shards=3, shard_workers=4
         )
@@ -463,10 +471,10 @@ class TestShardedSparseKernel:
         """The armed invariant sanitizer passes over sharded state (and
         parallel-stepped state) exactly as over the unsharded kernel."""
         S, v = _instance(N)
-        base = _cycle(N, S, v, mode="probe", kernel="sparse")
+        base = _cycle(N, S, v, mode="probe")
         eng = make_engine(
             "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="probe", kernel="sparse", shards=3, shard_workers=2,
+            mode="probe", shards=3, shard_workers=2,
             workspace_backend="shared",
         )
         eng.arm_sanitizer()
@@ -483,10 +491,10 @@ class TestShardedSparseKernel:
         auto-split into the minimum legal shard count."""
         from repro.gossip.memory import min_shards_for
 
-        eng = SynchronousGossipEngine(2**17, kernel="sparse")
+        eng = SynchronousGossipEngine(2**17)
         assert eng._effective_shards(64) == 1
         assert eng._effective_shards(2**15) == min_shards_for(2**17, 2**15) == 3
-        wide = SynchronousGossipEngine(2**17, kernel="sparse", shards=5)
+        wide = SynchronousGossipEngine(2**17, shards=5)
         assert wide._effective_shards(2**15) == 5  # explicit count kept
 
     def test_executor_lifecycle(self):
@@ -495,12 +503,12 @@ class TestShardedSparseKernel:
         S, v = _instance(N)
         eng = make_engine(
             "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="probe", kernel="sparse", shards=2, shard_workers=2,
+            mode="probe", shards=2, shard_workers=2,
             workspace_backend="shared",
         )
         serial = make_engine(
             "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="probe", kernel="sparse",
+            mode="probe",
         )
         assert eng._shard_executor is None
         first = eng.run_cycle(S, v)
@@ -516,16 +524,12 @@ class TestShardedSparseKernel:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            SynchronousGossipEngine(8, kernel="fast", shards=2)
+            SynchronousGossipEngine(8, shards=0)
         with pytest.raises(ValidationError):
-            SynchronousGossipEngine(8, kernel="fast", shard_workers=2)
-        with pytest.raises(ValidationError):
-            SynchronousGossipEngine(8, kernel="sparse", shards=0)
-        with pytest.raises(ValidationError):
-            SynchronousGossipEngine(8, kernel="sparse", shard_workers=0)
+            SynchronousGossipEngine(8, shard_workers=0)
         with pytest.raises(ValidationError):
             # parallel stepping needs attachable buffers
-            SynchronousGossipEngine(8, kernel="sparse", shard_workers=2)
+            SynchronousGossipEngine(8, shard_workers=2)
 
 
 class TestDenseHandoff:
@@ -542,7 +546,7 @@ class TestDenseHandoff:
         S, v = _instance(250)
         eng = make_engine(
             "sync", n=250, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="probe", kernel="sparse", shards=2,
+            mode="probe", shards=2,
         )
         res = eng.run_cycle(S, v)
         assert res.converged
@@ -559,10 +563,10 @@ class TestDenseHandoff:
         cycle (released arrays would dangle their manifests) — the
         private run's dense handoff must match them bitwise."""
         S, v = _instance(250)
-        private = _cycle(250, S, v, mode="probe", kernel="sparse", shards=2)
+        private = _cycle(250, S, v, mode="probe", shards=2)
         eng = make_engine(
             "sync", n=250, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="probe", kernel="sparse", shards=2,
+            mode="probe", shards=2,
             workspace_backend=backend,
         )
         try:
@@ -576,15 +580,13 @@ class TestDenseHandoff:
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("threshold", [0.0, 0.1, 1.0])
-    def test_handoff_point_invariance(self, threshold, dtype):
+    def test_handoff_point_invariance(self, threshold, dtype, monkeypatch):
         """Results are invariant in *when* the handoff happens — from
         densify-immediately to only-at-full-occupancy."""
         S, v = _instance(250)
-        base = _cycle(250, S, v, mode="probe", kernel="sparse", dtype=dtype)
-        res = _cycle(
-            250, S, v, mode="probe", kernel="sparse", dtype=dtype,
-            densify_threshold=threshold, shards=3,
-        )
+        base = _cycle(250, S, v, mode="probe", dtype=dtype)
+        monkeypatch.setattr(engine_mod, "_DENSIFY_THRESHOLD", threshold)
+        res = _cycle(250, S, v, mode="probe", dtype=dtype, shards=3)
         assert res.steps == base.steps
         np.testing.assert_array_equal(res.v_next, base.v_next)
         assert res.gossip_error == base.gossip_error
@@ -595,11 +597,11 @@ class TestDenseHandoff:
         S, v = _instance(250)
         dense_eng = make_engine(
             "sync", n=250, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="probe", kernel="sparse", shards=2,
+            mode="probe", shards=2,
         )
         csr_eng = make_engine(
             "sync", n=250, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="probe", kernel="sparse", shards=2,
+            mode="probe", shards=2,
             workspace_backend="memmap",
         )
         try:
@@ -613,28 +615,28 @@ class TestDenseHandoff:
 
     def test_handoff_full_mode_and_sanitizer(self):
         """Full mode exercises the dense mass/nonnegativity sanitizer
-        branches over handed-off state; result matches the fast kernel
-        to accumulation-order rounding."""
+        branches over handed-off state; result matches the oracle to
+        accumulation-order rounding."""
         S, v = _instance(N)
-        fast = _cycle(N, S, v, mode="full", kernel="fast")
+        means, steps, _ = _oracle(N, S, v)
         eng = make_engine(
             "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="full", kernel="sparse",
+            mode="full", check_every=1,
         )
         eng.arm_sanitizer()
         res = eng.run_cycle(S, v)
         assert all(eng.sparse_workspace.dense_on)
         assert eng.sanitizer.checks > 0
-        assert res.steps == fast.steps
-        np.testing.assert_allclose(res.v_next, fast.v_next, rtol=1e-12)
+        assert res.steps == steps
+        np.testing.assert_allclose(res.v_next, means, rtol=1e-12)
 
     def test_budget_exhaustion_reads_dense_state(self):
-        """The best-effort estimates path (_sparse_estimates) reads
+        """The best-effort estimates path (_best_effort_estimates) reads
         normalized dense slots when the budget runs out post-handoff."""
         S, v = _instance(250)
         eng = make_engine(
             "sync", n=250, rng=RngStreams(SEED), epsilon=1e-12,
-            mode="probe", kernel="sparse", max_steps=40,
+            mode="probe", max_steps=40,
         )
         res = eng.run_cycle(S, v, raise_on_budget=False)
         assert not res.converged and res.steps == 40

@@ -122,7 +122,7 @@ class TestRaceInjection:
     def _workspace(self, n=16, p=4, shards=2):
         ws = SparseWorkspace(
             n, p, np.float64, make_backend("shared"),
-            0, shards, 2, 4, True,
+            shards=shards, shard_workers=2, target_rows=4, sanitize=True,
         )
         assert ws.guard is not None
         rng = np.random.default_rng(SEED)
@@ -222,7 +222,7 @@ class TestSanitizedParity:
     def _run(self, n, S, v, **opts):
         eng = make_engine(
             "sync", n=n, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="probe", kernel="sparse", **opts,
+            mode="probe", **opts,
         )
         try:
             res = eng.run_cycle(S, v)

@@ -9,17 +9,13 @@ no-regression checks.  Two pinned modes:
 * default — n in {250, 500, 1000}, 3 repeats per cell;
 * ``--quick`` — same n sweep, 1 repeat (CI's bench-smoke job).
 
-The sync engine is measured twice — fast kernel at its defaults and the
-legacy reference kernel at ``check_every=1`` (the pre-kernel per-step
-cadence) — so the recorded trajectory carries its own baseline and the
-speedup is visible in the artifact itself.  The message engine runs at
-n <= 500 (it simulates every point-to-point message; larger sweeps
-belong to the pytest-benchmark suite).
+The sync engine's one step loop is measured in full and in probe mode.
+The message engine runs at n <= 500 (it simulates every point-to-point
+message; larger sweeps belong to the pytest-benchmark suite).
 
 Since schema 2 an ``end_to_end`` section extends the per-cycle cells:
 
-* full multi-cycle ``GossipTrust.run`` wall time with the persistent
-  engine workspace on and off (the ``workspace_reuse_speedup`` ratio);
+* full multi-cycle ``GossipTrust.run`` wall time;
 * sweep-runner throughput (points/sec) at workers in {1, 2, 4}
   ({1, 2} in quick mode) over Fig. 3-style points.
 
@@ -45,8 +41,8 @@ Since schema 4:
   breakdown (``setup``/``oracle``/``alloc``/``kernel``/``estimate``
   seconds) so the artifact explains *where* wall time goes — e.g. how
   much of a cycle the workspace alloc actually costs;
-* a ``large_n`` section runs the memory-bounded ``kernel="sparse"``
-  probe path at n in {10^4, 10^5} (quick mode: 10^4 only) in both
+* a ``large_n`` section runs the memory-bounded probe path at n in
+  {10^4, 10^5} (quick mode: 10^4 only) in both
   float64 and float32, recording wall time and per-point peak RSS
   against explicit per-n budgets (``within_rss_budget`` /
   ``within_wall_budget``) plus the float32-vs-float64 score deviation.
@@ -55,7 +51,7 @@ Since schema 4:
 
 Since schema 5:
 
-* every ``large_n`` point records the sparse kernel's column-shard
+* every ``large_n`` point records the sync engine's column-shard
   configuration (``shards``/``shard_workers``) — the standing tiers run
   sharded (``shards=2``) to keep the shard-invariant path on the
   recorded trajectory;
@@ -74,6 +70,11 @@ error, membership overhead fraction, and permanently-isolated live
 nodes (``zero_isolated`` must stay ``true`` — the self-healing
 acceptance line).  Quick mode trims the grid to the message engine and
 two strategies.
+
+Schema 7 follows the sync engine down to one step loop: the per-cycle
+grid drops the ``fast``/``legacy`` kernel cells for one full-mode and
+one probe-mode cell, and ``end_to_end`` records one ``GossipTrust.run``
+cell (no workspace-reuse on/off pair, no ``workspace_reuse_speedup``).
 
 Usage::
 
@@ -127,7 +128,7 @@ SERVICE_N_QUICK = 250
 #: measured ingest/query/aggregate epochs in the service section
 SERVICE_EPOCHS = 4
 SERVICE_EPOCHS_QUICK = 2
-#: large-n sparse-kernel tier (quick mode runs the first point only)
+#: large-n probe tier (quick mode runs the first point only)
 LARGE_N_SWEEP = (10_000, 100_000)
 #: the opt-in ``--xlarge`` extension point (``make bench-xlarge``)
 XLARGE_N = 1_000_000
@@ -145,7 +146,7 @@ LARGE_N_BUDGETS = {
         "wall_s": 1800.0,
     },
 }
-#: sparse-kernel shard configuration per large-n point (schema 5): the
+#: column-shard configuration per large-n point (schema 5): the
 #: standing tiers run 2-way sharded so the recorded trajectory always
 #: exercises the shard-invariant path; the 10^6 point splits 4 ways.
 LARGE_N_SHARDS = {10_000: 2, 100_000: 2, XLARGE_N: 4}
@@ -193,50 +194,33 @@ def bench_cell(engine: str, n: int, repeats: int, **overrides) -> dict:
     }
 
 
-def bench_full_runs(n: int, repeats: int) -> list:
-    """Median full multi-cycle ``GossipTrust.run`` wall time, workspace
-    reuse on vs off.
-
-    The two variants' repeats are interleaved (reuse, fresh, reuse,
-    fresh, ...) so machine drift during the bench biases neither side.
-    """
+def bench_full_run(n: int, repeats: int) -> dict:
+    """Median full multi-cycle ``GossipTrust.run`` wall time at ``n``."""
     S = synthetic_trust_matrix(n, rng=RngStreams(SEED).get("matrix"))
     cfg = GossipTrustConfig(n=n, epsilon=EPSILON, seed=SEED)
-    cells = {}
-    for reuse in (True, False):
-        cells[reuse] = {
-            "kind": "gossiptrust_run",
-            "n": n,
-            "reuse_workspace": reuse,
-            "wall_times_s": [],
-        }
+    cell = {"kind": "gossiptrust_run", "n": n, "wall_times_s": []}
 
-    def once(reuse: bool) -> float:
-        eng = make_engine("sync", cfg, rng=RngStreams(SEED), reuse_workspace=reuse)
-        system = GossipTrust(S, cfg, engine=eng)
+    def once() -> float:
+        system = GossipTrust(S, cfg, engine=make_engine("sync", cfg, rng=RngStreams(SEED)))
         meter = PeakRssMeter()
         t0 = time.perf_counter()
         result = system.run(raise_on_budget=False, compute_reference=False)
         elapsed = time.perf_counter() - t0
-        cell = cells[reuse]
         cell["cycles"] = int(result.cycles)
         cell["total_gossip_steps"] = int(result.total_gossip_steps)
         cell["peak_rss_kib"] = max(cell.get("peak_rss_kib", 0.0), meter.read_kib())
-        # Where the run's wall time went (summed over its cycles) — this
-        # is what pins the reuse-vs-fresh gap to the alloc share.
+        # Where the run's wall time went, summed over its cycles.
         cell["phases"] = {
             k: round(s, 6) for k, s in result.telemetry.phase_summary().items()
         }
         return elapsed
 
-    once(True)  # warm caches outside the measured repeats
+    once()  # warm caches outside the measured repeats
     for _ in range(repeats):
-        for reuse in (True, False):
-            cells[reuse]["wall_times_s"].append(round(once(reuse), 6))
-    for cell in cells.values():
-        times = cell["wall_times_s"]
-        cell["wall_time_s"] = sorted(times)[len(times) // 2]
-    return [cells[True], cells[False]]
+        cell["wall_times_s"].append(round(once(), 6))
+    times = cell["wall_times_s"]
+    cell["wall_time_s"] = sorted(times)[len(times) // 2]
+    return cell
 
 
 def bench_sweeps(point_n: int, workers_list) -> list:
@@ -273,22 +257,14 @@ def bench_sweeps(point_n: int, workers_list) -> list:
 
 
 def run_end_to_end(quick: bool) -> dict:
-    """The schema-2 section: full-run reuse ratio and sweep throughput.
-
-    The reuse-vs-fresh gap is a few percent of a multi-second run, so
-    the full mode uses more repeats than the per-cycle grid to keep the
-    recorded ratio out of the noise.
-    """
-    repeats = 1 if quick else 7
+    """The schema-2 section: full-run wall time and sweep throughput."""
+    repeats = 1 if quick else 3
     n = E2E_N_QUICK if quick else E2E_N
-    runs = bench_full_runs(n, repeats)
-    for cell in runs:
-        reuse = cell["reuse_workspace"]
-        print(
-            f"{'gossiptrust.run reuse_workspace=' + str(reuse):55s} "
-            f"n={n:5d}  {cell['wall_time_s']:8.3f}s  cycles={cell['cycles']}"
-        )
-    speedup = runs[1]["wall_time_s"] / max(runs[0]["wall_time_s"], 1e-12)
+    run = bench_full_run(n, repeats)
+    print(
+        f"{'gossiptrust.run':55s} "
+        f"n={n:5d}  {run['wall_time_s']:8.3f}s  cycles={run['cycles']}"
+    )
     sweeps = bench_sweeps(
         SWEEP_POINT_N_QUICK if quick else SWEEP_POINT_N,
         SWEEP_WORKERS_QUICK if quick else SWEEP_WORKERS,
@@ -300,8 +276,7 @@ def run_end_to_end(quick: bool) -> dict:
             f"{row['points_per_second']:.2f} pts/s"
         )
     return {
-        "runs": runs,
-        "workspace_reuse_speedup": round(speedup, 4),
+        "runs": [run],
         "sweeps": sweeps,
         "cpu_count": os.cpu_count(),
     }
@@ -375,11 +350,10 @@ def run_service(quick: bool) -> dict:
 
 
 def run_large_n(quick: bool, xlarge: bool = False) -> dict:
-    """The schema-4/5 section: the memory-bounded sparse kernel at large n.
+    """The schema-4/5 section: the memory-bounded probe path at large n.
 
     One converged probe-mode cycle per (n, dtype) on the pinned
-    synthetic matrix, ``kernel="sparse"`` with workspace reuse on and
-    the schema-5 shard split applied (results are shard-count
+    synthetic matrix, with the schema-5 shard split applied (results are shard-count
     invariant; the trajectory keeps the sharded path measured).  Peak
     RSS is metered per point, with the meter started *after* the trust
     matrix is built so the reading is the kernel's own working set on
@@ -410,7 +384,6 @@ def run_large_n(quick: bool, xlarge: bool = False) -> dict:
                 rng=RngStreams(SEED),
                 epsilon=EPSILON,
                 mode="probe",
-                kernel="sparse",
                 dtype=dtype,
                 shards=shards,
             )
@@ -421,7 +394,6 @@ def run_large_n(quick: bool, xlarge: bool = False) -> dict:
             rss = meter.read_kib()
             point = {
                 "n": n,
-                "kernel": "sparse",
                 "mode": "probe",
                 "dtype": dtype,
                 "shards": shards,
@@ -450,7 +422,7 @@ def run_large_n(quick: bool, xlarge: bool = False) -> dict:
             points.append(point)
             del eng  # release the pools before the next dtype's run
             print(
-                f"{'large-n sparse dtype=' + dtype:55s} n={n:7d}  "
+                f"{'large-n probe dtype=' + dtype:55s} n={n:7d}  "
                 f"{wall:8.3f}s  steps={point['steps']}  "
                 f"rss={rss / 1024:.0f} MiB (budget {rss_budget / 1024:.0f})"
             )
@@ -535,7 +507,7 @@ def run(
 ) -> dict:
     if large_only:
         return {
-            "schema": 6,
+            "schema": 7,
             "quick": quick,
             "large_only": True,
             "xlarge": xlarge,
@@ -551,9 +523,8 @@ def run(
     entries = []
     for n in N_SWEEP:
         cells = [
-            ("sync", {"mode": "full", "kernel": "fast"}),
-            ("sync", {"mode": "full", "kernel": "legacy", "check_every": 1}),
-            ("sync", {"mode": "probe", "kernel": "fast"}),
+            ("sync", {"mode": "full"}),
+            ("sync", {"mode": "probe"}),
         ]
         if n <= MESSAGE_N_MAX:
             cells.append(("message", {"max_rounds": 400}))
@@ -568,7 +539,7 @@ def run(
             )
             entries.append(cell)
     return {
-        "schema": 6,
+        "schema": 7,
         "quick": quick,
         "xlarge": xlarge,
         "seed": SEED,
@@ -595,14 +566,14 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--large-only",
         action="store_true",
-        help="run only the large-n sparse-kernel tier; exit non-zero when a "
+        help="run only the large-n probe tier; exit non-zero when a "
         "wall-time or peak-RSS budget is blown (the `make bench-large` gate)",
     )
     parser.add_argument(
         "--xlarge",
         action="store_true",
         help="extend the large-n tier with the opt-in n=10^6 point "
-        "(minutes of single-core SpGEMM; the `make bench-xlarge` gate)",
+        "(minutes of single-core gossip; the `make bench-xlarge` gate)",
     )
     parser.add_argument(
         "--output",

@@ -38,57 +38,47 @@ for name in sorted(mods):
     lines.append("")
 
 # Static epilogue: the performance model is part of the public contract
-# (engine/kernel options callers are expected to tune), so it rides along
+# (engine options callers are expected to tune), so it rides along
 # with every regeneration rather than living only in DESIGN.md.
 lines += [
     "## Performance model",
     "",
-    "`SynchronousGossipEngine` (`repro.gossip.engine`) exposes the knobs",
+    "`SynchronousGossipEngine` (`repro.gossip.engine`) has one step loop",
+    "for both modes: X and W start each cycle in geometrically-grown CSR",
+    "`CsrPool`s stepped by pooled `csr_matmat` SpGEMMs (the mixing matrix",
+    "laid out diagonal-first by `shard_exec.fill_mixing`); once a shard's",
+    "occupancy crosses 0.25 it hands off to dense slots, where a step is",
+    "`np.multiply(X, 0.5, out=Y)` plus one sort-free `csc_matvecs` scatter",
+    "of the senders' halves. The handoff is bitwise-invisible. The knobs",
     "that govern gossip-cycle cost:",
     "",
-    "- **`kernel`** — `\"fast\"` (default): allocation-free scatter-add",
-    "  steps over preallocated buffers via `csr_matvecs`; `\"sparse\"`:",
-    "  the memory-bounded large-n path — X and W stay CSR for the whole",
-    "  cycle in geometrically-grown `CsrPool`s, stepped by pooled",
-    "  `csr_matmat` SpGEMMs with blocked `csr_todense` estimate gathers,",
-    "  with saturated shards handed off to dense SpMM slots",
-    "  (bitwise-identical; pool arrays released);",
-    "  `\"legacy\"`: the reference per-step `csr_matrix` construction.",
-    "  All consume the same partner stream and stop on the same step.",
-    "- **`shards`** — contiguous column shards the sparse kernel's",
-    "  probe working set splits into, each an independent pool triple",
-    "  (default 1; the int32-index floor `min_shards_for(n, p)` is",
-    "  applied automatically). Result-invariant (bitwise).",
-    "- **`shard_workers`** — worker processes stepping sparse-kernel",
-    "  shards concurrently (default 1 = serial). Workers attach the",
-    "  engine's `\"shared\"`/`\"memmap\"` workspace by manifest — no",
-    "  array pickling — and results are bitwise-identical to serial.",
+    "- **`mode`** — `\"full\"` tracks all n columns; `\"probe\"` tracks",
+    "  `probe_columns` sampled columns (plus the heaviest-mass column)",
+    "  for large sweeps; `\"auto\"` (default) probes iff n > 1500.",
+    "- **`check_every`** — convergence-check cadence (default 8). Coarse",
+    "  checks skip the expensive residual scan; once the residual is",
+    "  within `8x epsilon` the loop switches to per-step checks, so the",
+    "  reported step count keeps Algorithm 1's granularity.",
+    "- **`shards`** — contiguous column shards the working set splits",
+    "  into, each an independent pool triple (default 1; the int32-index",
+    "  floor `min_shards_for(n, p)` is applied automatically).",
+    "  Result-invariant (bitwise).",
+    "- **`shard_workers`** — worker processes stepping shards",
+    "  concurrently (default 1 = serial). Workers attach the engine's",
+    "  `\"shared\"`/`\"memmap\"` workspace by manifest — no array",
+    "  pickling — and results are bitwise-identical to serial.",
     "- **`dtype`** — `\"float64\"` (default) or `\"float32\"` (halves",
     "  workspace memory; estimate drift stays orders below epsilon, and",
     "  an armed sanitizer widens its conservation tolerance to 1e-4).",
-    "- **`block_rows`** — rows per estimate/residual tile in the sparse",
-    "  kernel (default 0 = a ~128 KiB cache block). Result-invariant.",
     "- **`workspace_backend`** — `\"private\"` heap buffers (default),",
     "  `\"shared\"` POSIX shared-memory segments, or `\"memmap\"`",
-    "  file-backed maps (`repro.gossip.memory`; non-private backends",
-    "  require `reuse_workspace=True`).",
-    "- **`check_every`** — convergence-check cadence (default 8). Coarse",
-    "  checks skip the expensive residual scan; once the residual is",
-    "  within `8x epsilon` the fast kernel switches to per-step checks,",
-    "  so the reported step count keeps Algorithm 1's granularity.",
-    "- **`densify_threshold`** — occupied-fraction at which the fast",
-    "  kernel switches from sparse warm-start products to dense steps,",
-    "  and at which the sparse kernel hands a shard off to dense SpMM",
-    "  (default 0.25; `0.0` starts dense immediately). Result-invariant.",
-    "- **`mode`** — `\"full\"` tracks all n columns; `\"probe\"` tracks",
-    "  `probe_columns` sampled columns (plus the heaviest-mass column)",
-    "  for large sweeps.",
-    "- **`reuse_workspace`** — keep the cycle buffers in a persistent",
-    "  `Workspace` keyed on `(n, p)` that survives across `run_cycle`",
-    "  calls and runs (default `True`; `False` restores the per-cycle",
-    "  allocation baseline, `invalidate_workspace()` drops it",
-    "  explicitly). Warm and fresh workspaces produce identical results",
-    "  step for step.",
+    "  file-backed maps (`repro.gossip.memory`); non-private backends",
+    "  keep CSR for the whole cycle.",
+    "",
+    "The buffers live in one `SparseWorkspace` that survives across",
+    "`run_cycle` calls and runs of the same shape;",
+    "`invalidate_workspace()` drops it explicitly. Reused and fresh",
+    "workspaces produce identical results step for step.",
     "",
     "`MessageGossipEngine` keeps per-node state in array-backed",
     "`TripletVector`s (pooled across cycles and re-initialized in place",
@@ -104,17 +94,16 @@ lines += [
     "worker count (`--workers` on the CLI).",
     "",
     "Run `PYTHONPATH=src python tools/bench_runner.py` to regenerate the",
-    "tracked benchmark trajectory in `BENCH_engines.json` (schema 5:",
+    "tracked benchmark trajectory in `BENCH_engines.json` (schema 7:",
     "per-cycle engine grid with per-entry peak RSS and phase breakdowns,",
     "end-to-end `GossipTrust.run` and sweep-throughput sections, the",
-    "service closed loop, and the `large_n` sparse-kernel tier with",
-    "per-point RSS/wall budgets and shard configuration — `make",
-    "bench-large` runs just that tier and fails when a budget is blown;",
-    "`make bench-xlarge` adds the opt-in n = 10^6 sharded point), or",
-    "`pytest benchmarks/bench_engines.py` for the asserting comparisons",
-    "(fast >= 3x legacy at n = 1000, sparse/fast step-and-score parity,",
-    "the sparse RSS budget at n = 10^4, workspace reuse at least",
-    "break-even, parallel sweep faster than serial on multi-core boxes).",
+    "service closed loop, and the `large_n` probe tier with per-point",
+    "RSS/wall budgets and shard configuration — `make bench-large` runs",
+    "just that tier and fails when a budget is blown; `make bench-xlarge`",
+    "adds the opt-in n = 10^6 sharded point), `python3 perfbench/run.py`",
+    "for the end-to-end workloads with a `--compare` gate, or",
+    "`pytest benchmarks/bench_engines.py` for the engine shoot-out and",
+    "the service and parallel-sweep contracts.",
     "",
 ]
 import os
