@@ -19,8 +19,9 @@ lint:
 		echo "ruff not installed; skipping lint (CI runs it)"; \
 	fi
 
-# Project-specific invariant lint (GT001-GT009, including the
-# interprocedural flow rules); stdlib-only, so it always runs — see
+# Project-specific invariant lint (the 8-rule catalog GT001-GT009,
+# GT006 retired, including the interprocedural flow rules);
+# stdlib-only, so it always runs — see
 # tools/analyze.py and src/repro/analysis/.
 analyze:
 	PYTHONPATH=src $(PYTHON) tools/analyze.py src tests examples tools benchmarks
@@ -54,7 +55,7 @@ bench-large:
 	PYTHONPATH=src $(PYTHON) tools/bench_runner.py --quick --large-only --output BENCH_large.quick.json
 
 # Opt-in n=10^6 point on top of the full large-n tier: streaming matrix
-# construction (~2*10^7 edges) plus one converged sharded sparse-kernel
+# construction (~2*10^7 edges) plus one converged sparse-kernel
 # probe cycle per dtype, gated on 3 GiB (float64) / 2 GiB (float32)
 # peak-RSS budgets.  Minutes of single-core SpGEMM — never part of
 # `make ci`; run it to refresh the recorded trajectory point.

@@ -20,16 +20,9 @@ Two complementary layers live here:
 The linter's flow-aware rules (GT005-GT008) lean on a small
 interprocedural layer — :mod:`repro.analysis.callgraph` builds the
 project symbol table and call graph, :mod:`repro.analysis.dataflow`
-runs reaching-definitions tag propagation over it — and the
-shared-memory write-confinement rule GT006 has a runtime twin, the
-:class:`~repro.analysis.sanitizer.ShardOwnershipGuard` shadow-ownership
-race sanitizer armed by the same ``REPRO_SANITIZE=1`` switch.
+runs reaching-definitions tag propagation over it.
 """
 
-from repro.analysis.sanitizer import (
-    InvariantSanitizer,
-    ShardOwnershipGuard,
-    sanitize_enabled,
-)
+from repro.analysis.sanitizer import InvariantSanitizer, sanitize_enabled
 
-__all__ = ["InvariantSanitizer", "ShardOwnershipGuard", "sanitize_enabled"]
+__all__ = ["InvariantSanitizer", "sanitize_enabled"]

@@ -304,7 +304,7 @@ class ProjectIndex:
             qname = ".".join((target, *rest))
             if qname in self.functions:
                 return qname
-            # ``shard_exec.advance_shard`` style: module alias + func
+            # ``module.func`` style: module alias + func
             if len(rest) == 1 and target in self.modules:
                 return self.modules[target].functions.get(rest[0])
         # Unique-name fallback for attribute calls on unknown receivers.

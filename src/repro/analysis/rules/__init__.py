@@ -13,9 +13,9 @@
 ``GT005``  No unordered-container iteration (set/dict-view/listing) on
            paths reaching RNG draws, partner selection, message
            scheduling, or CSR layout (flow-aware, call-graph scoped).
-``GT006``  Shared-workspace writes in ``shard_exec.py``/``memory.py``
-           provably confined to the caller's shard slot (ownership
-           dataflow; runtime twin: the shadow-ownership sanitizer).
+``GT006``  Retired (shared-workspace write ownership; its only
+           subject, the shard-worker path, is gone).  The code stays
+           unassigned so suppression sentinels keep their meaning.
 ``GT007``  Process fan-outs collect futures in submission order and
            thread a spawned per-task seed (no ``as_completed``).
 ``GT008``  No float reductions in unordered-container order in the
@@ -24,7 +24,7 @@
            `` -- justification`` (unsuppressible self-check).
 =========  ==============================================================
 
-GT001–GT004 are local AST matches; GT005–GT008 are
+GT001–GT004 are local AST matches; GT005, GT007 and GT008 are
 :class:`~repro.analysis.linter.FlowRule` subclasses running on the
 shared :class:`~repro.analysis.callgraph.ProjectIndex` (symbol table +
 call graph + reaching-definitions dataflow) built once per lint run.
@@ -44,7 +44,6 @@ from repro.analysis.rules.gt002_alloc import NoHotAllocRule
 from repro.analysis.rules.gt003_wallclock import NoWallClockRule
 from repro.analysis.rules.gt004_floateq import NoBareFloatEqRule
 from repro.analysis.rules.gt005_iterorder import NondeterministicIterOrderRule
-from repro.analysis.rules.gt006_ownership import SharedWriteOwnershipRule
 from repro.analysis.rules.gt007_procdet import ProcessPoolDisciplineRule
 from repro.analysis.rules.gt008_reduction import FloatReductionOrderRule
 from repro.analysis.rules.gt009_suppress import SuppressionHygieneRule
@@ -56,7 +55,6 @@ __all__ = [
     "NoWallClockRule",
     "NoBareFloatEqRule",
     "NondeterministicIterOrderRule",
-    "SharedWriteOwnershipRule",
     "ProcessPoolDisciplineRule",
     "FloatReductionOrderRule",
     "SuppressionHygieneRule",
@@ -69,7 +67,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     NoWallClockRule(),
     NoBareFloatEqRule(),
     NondeterministicIterOrderRule(),
-    SharedWriteOwnershipRule(),
     ProcessPoolDisciplineRule(),
     FloatReductionOrderRule(),
     SuppressionHygieneRule(),

@@ -2,7 +2,7 @@
 
 GT005 (iteration order) and GT008 (float-reduction order) both need the
 same core judgment — *is this value an unordered container, or derived
-from one, at this program point?* — and GT006/GT007 need the same
+from one, at this program point?* — and GT007 needs the same
 interprocedural helpers (resolve a call, summarize a callee's return
 tags).  This module is that shared substrate so each rule file carries
 only its own policy.

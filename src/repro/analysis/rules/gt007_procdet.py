@@ -21,10 +21,6 @@ that discipline checkable everywhere a ``ProcessPoolExecutor`` (or any
   the arguments (a ``seed``/``rng`` keyword, or an argument derived
   from ``.spawn(...)``) — flagged: worker placement becomes part of
   the random stream.
-
-The shard executor passes by construction: ``advance_shard`` tasks are
-pure CSR arithmetic (no RNG anywhere in their closure), and the engine
-resolves their futures in submission order.
 """
 
 from __future__ import annotations

@@ -11,14 +11,6 @@ breach raises a structured :class:`~repro.errors.InvariantViolation`
 naming the engine, aggregation cycle, gossip step, and (when known) the
 offending node.
 
-A second, orthogonal sanitizer guards *parallel* shard stepping:
-:class:`ShardOwnershipGuard` shadows every shared-workspace pool slot
-with a per-slot ownership epoch (allocated on the same attachable
-backend as the pools), so overlapping writes across shard tasks — the
-dynamic counterpart of lint rule GT006 — are caught at dispatch, claim,
-or collect time and raise :class:`~repro.errors.InvariantViolation`
-naming the shard, slot, and cycle.
-
 Arming
 ------
 * ``REPRO_SANITIZE=1`` in the environment — flips the
@@ -52,7 +44,6 @@ from repro.errors import InvariantViolation
 __all__ = [
     "ENV_FLAG",
     "InvariantSanitizer",
-    "ShardOwnershipGuard",
     "sanitize_enabled",
     "set_sanitize_enabled",
 ]
@@ -271,212 +262,4 @@ class InvariantSanitizer:
         return (
             f"InvariantSanitizer(rel_tol={self.rel_tol}, checks={self.checks}, "
             f"cycle={self.cycle}, engine={self.engine!r})"
-        )
-
-
-#: epoch value of an unleased ownership cell
-_FREE = 0
-
-#: pool slots per shard (X, W, out)
-_SLOTS = 3
-
-
-class ShardOwnershipGuard:
-    """Shadow write-ownership epochs for a sharded shared workspace.
-
-    The runtime twin of lint rule GT006: where the static rule proves
-    that *visible* write sites stay inside the caller's shard slot,
-    this guard catches the same race dynamically — a task writing a
-    shard it was never leased, two tasks dispatched onto one shard, or
-    the parent scribbling on pools an outstanding window still owns.
-
-    The shadow state is one ``(shards, 3)`` int64 *epoch map* allocated
-    on the workspace backend itself, so parent and attached worker
-    processes observe the same cells through the manifest.  Each cell
-    tracks one pool slot's lease through a three-state protocol:
-
-    ========== ==========================================================
-    cell value meaning
-    ========== ==========================================================
-    ``0``      free — the parent owns the slot between windows
-    ``+t``     leased — the parent granted ticket ``t`` at dispatch
-    ``-t``     claimed — the worker holding ticket ``t`` is writing
-    ========== ==========================================================
-
-    The parent :meth:`lease`\\ s every slot of a shard before submitting
-    its window task (ticket ``t`` is unique per task), the worker
-    :meth:`claim`\\ s them on entry, and the parent :meth:`collect`\\ s
-    (frees) them after the future resolves.  Every transition checks the
-    cell holds exactly the expected prior state, so *any* interleaving
-    of overlapping writers trips one of the checks and raises
-    :class:`~repro.errors.InvariantViolation` naming the shard, slot,
-    and aggregation cycle.  :meth:`check_parent_write` is the hook
-    :class:`~repro.gossip.memory.CsrPool` calls from ``load``/
-    ``ensure``/``release`` so parent-side pool writes are confined to
-    the free state.
-
-    Checks are O(shards) per window against an int64 row the parent
-    just touched — noise next to the SpGEMMs they guard.
-    """
-
-    def __init__(self, epochs: np.ndarray, *, engine: str = "") -> None:
-        if epochs.ndim != 2 or epochs.shape[1] != _SLOTS:
-            raise ValueError(
-                f"epoch map must be (shards, {_SLOTS}), got {epochs.shape}"
-            )
-        #: the shared ``(shards, 3)`` epoch cells (attach-visible)
-        self.epochs = epochs
-        #: engine registry name, for violation context
-        self.engine = engine
-        #: 1-based aggregation cycle (maintained via :meth:`begin_cycle`)
-        self.cycle = 0
-        self._ticket = 0
-        self._pool_slots: "dict[str, tuple[int, int]]" = {}
-
-    @property
-    def shards(self) -> int:
-        """Number of shard rows in the epoch map."""
-        return int(self.epochs.shape[0])
-
-    def register_pool(self, label: str, shard: int, slot: int) -> None:
-        """Bind a pool label to its ``(shard, slot)`` cell.
-
-        Registered pools route their ``load``/``ensure``/``release``
-        writes through :meth:`check_parent_write`; unregistered labels
-        (the ``targets`` ring, mixing scratch) are not slot-tracked.
-        """
-        self._pool_slots[label] = (int(shard), int(slot))
-
-    def begin_cycle(self, engine: str = "") -> int:
-        """Start an aggregation cycle; all cells must be free."""
-        self.cycle += 1
-        if engine:
-            self.engine = engine
-        for shard in range(self.shards):
-            for slot in range(_SLOTS):
-                cur = int(self.epochs[shard, slot])
-                if cur != _FREE:
-                    self._fail(
-                        f"cycle began with a stale lease (epoch {cur})",
-                        shard=shard, slot=slot,
-                    )
-        return self.cycle
-
-    def _fail(
-        self,
-        message: str,
-        *,
-        shard: int,
-        slot: int,
-        step: Optional[int] = None,
-    ) -> None:
-        raise InvariantViolation(
-            message,
-            invariant="shard-ownership",
-            engine=self.engine,
-            cycle=self.cycle if self.cycle else None,
-            step=step,
-            shard=shard,
-            slot=slot,
-        )
-
-    # -- parent side --------------------------------------------------------
-
-    def lease(self, shard: int, *, step: Optional[int] = None) -> int:
-        """Grant a fresh ticket over every slot of ``shard``.
-
-        Called by the parent immediately before submitting the shard's
-        window task.  A cell that is not free means the shard map
-        dispatched two tasks onto one shard — the race GT006 cannot see
-        when the mapping itself is data-dependent.
-        """
-        self._ticket += 1
-        ticket = self._ticket
-        for slot in range(_SLOTS):
-            cur = int(self.epochs[shard, slot])
-            if cur != _FREE:
-                self._fail(
-                    f"overlapping dispatch: slot already leased "
-                    f"(epoch {cur}, new ticket {ticket})",
-                    shard=shard, slot=slot, step=step,
-                )
-            self.epochs[shard, slot] = ticket
-        return ticket
-
-    def collect(
-        self, shard: int, ticket: int, *, step: Optional[int] = None
-    ) -> None:
-        """Retire ``ticket``'s lease after its future resolved.
-
-        Every cell must sit in the claimed state ``-ticket`` — anything
-        else means the task never ran against its lease (wrong shard
-        argument) or a concurrent writer moved the cell.
-        """
-        for slot in range(_SLOTS):
-            cur = int(self.epochs[shard, slot])
-            if cur != -ticket:
-                what = (
-                    "was never claimed by its task"
-                    if cur == ticket
-                    else f"holds foreign epoch {cur}"
-                )
-                self._fail(
-                    f"collect of ticket {ticket} found a slot that {what}",
-                    shard=shard, slot=slot, step=step,
-                )
-            self.epochs[shard, slot] = _FREE
-
-    def check_parent_write(
-        self, label: str, *, what: str = "pool write"
-    ) -> None:
-        """Parent-side pool mutation hook: the slot must be free.
-
-        Wired into :class:`~repro.gossip.memory.CsrPool` ``load``/
-        ``ensure``/``release`` — a parent writing a pool while a worker
-        window holds its lease is the same race from the other side.
-        """
-        loc = self._pool_slots.get(label)
-        if loc is None:
-            return
-        shard, slot = loc
-        cur = int(self.epochs[shard, slot])
-        if cur != _FREE:
-            self._fail(
-                f"parent-side {what} on pool {label!r} while a worker "
-                f"window holds its lease (epoch {cur})",
-                shard=shard, slot=slot,
-            )
-
-    # -- worker side --------------------------------------------------------
-
-    def claim(
-        self, shard: int, ticket: int, *, step: Optional[int] = None
-    ) -> None:
-        """Worker entry: flip ``shard``'s cells from leased to claimed.
-
-        A cell already claimed (``-ticket``) means another task holding
-        the same lease got here first — the overlapping-write race
-        itself.  Any other value means this task is writing a shard it
-        was never leased.
-        """
-        for slot in range(_SLOTS):
-            cur = int(self.epochs[shard, slot])
-            if cur == -ticket:
-                self._fail(
-                    "overlapping write: slot already claimed by a "
-                    f"concurrent task holding ticket {ticket}",
-                    shard=shard, slot=slot, step=step,
-                )
-            if cur != ticket:
-                self._fail(
-                    f"task holding ticket {ticket} claims a slot it was "
-                    f"never leased (epoch {cur})",
-                    shard=shard, slot=slot, step=step,
-                )
-            self.epochs[shard, slot] = -ticket
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"ShardOwnershipGuard(shards={self.shards}, cycle={self.cycle}, "
-            f"engine={self.engine!r})"
         )

@@ -95,23 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--set dtype=NAME; float32 halves workspace memory)",
     )
     run_p.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="K",
-        help="sync-engine column shard count (shorthand for "
-        "--set shards=K; results are shard-count invariant)",
-    )
-    run_p.add_argument(
-        "--shard-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes stepping sync-engine shards "
-        "(shorthand for --set shard_workers=N; needs "
-        "--set workspace_backend=shared or =memmap)",
-    )
-    run_p.add_argument(
         "--strategy",
         default=None,
         metavar="NAME",
@@ -211,10 +194,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             overrides["workers"] = args.workers
         if args.dtype is not None:
             overrides["dtype"] = args.dtype
-        if args.shards is not None:
-            overrides["shards"] = args.shards
-        if args.shard_workers is not None:
-            overrides["shard_workers"] = args.shard_workers
         if args.strategy is not None:
             overrides["strategy"] = args.strategy
         result = run_experiment(args.experiment, quick=args.quick, **overrides)

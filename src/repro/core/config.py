@@ -62,23 +62,6 @@ class GossipTrustConfig:
         Vectorized-engine buffer precision, ``"float64"`` (default) or
         ``"float32"`` (halves workspace memory; scores agree to
         ~steps * eps32 relative — see the engine docs).
-    shards:
-        Column shard count of the vectorized engine: the columns split
-        into this many independently stepped CSR pool triples.  Results
-        are shard-count invariant; the engine auto-raises the count
-        when ``n * probe_columns`` would overflow the pools' int32
-        index guard.
-    shard_workers:
-        Worker processes stepping the vectorized engine's shards
-        concurrently.
-        ``> 1`` requires a ``"shared"`` or ``"memmap"``
-        ``workspace_backend`` (workers attach the pools by manifest).
-        Results are identical to serial stepping.
-    workspace_backend:
-        Where the vectorized engine's workspace buffers physically
-        live: ``"private"`` (default, ordinary heap), ``"shared"``
-        (POSIX shared-memory segments other processes can attach), or
-        ``"memmap"`` (file-backed maps the OS can evict).
     partner_strategy:
         How the message-level engines pick gossip partners: a name from
         the :mod:`~repro.gossip.partnering` registry (``"global"``,
@@ -119,9 +102,6 @@ class GossipTrustConfig:
     check_every: int = 8
     kernel: str = "sparse"
     dtype: str = "float64"
-    shards: int = 1
-    shard_workers: int = 1
-    workspace_backend: str = "private"
     partner_strategy: str = "global"
     mass_restore_budget: Optional[float] = None
     compute_reference: bool = True
@@ -176,16 +156,6 @@ class GossipTrustConfig:
             )
         if self.dtype not in ("float64", "float32"):
             raise ConfigurationError(f"unknown dtype {self.dtype!r}")
-        if self.shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
-        if self.shard_workers < 1:
-            raise ConfigurationError(
-                f"shard_workers must be >= 1, got {self.shard_workers}"
-            )
-        if self.workspace_backend not in ("private", "shared", "memmap"):
-            raise ConfigurationError(
-                f"unknown workspace_backend {self.workspace_backend!r}"
-            )
         # Same lazy-registry pattern as the engine check above.
         from repro.gossip.partnering import strategy_names
 
@@ -201,11 +171,6 @@ class GossipTrustConfig:
             raise ConfigurationError(
                 f"mass_restore_budget must be in (0, 1) or None, "
                 f"got {self.mass_restore_budget}"
-            )
-        if self.shard_workers > 1 and self.workspace_backend == "private":
-            raise ConfigurationError(
-                "shard_workers > 1 needs workspace_backend='shared' or "
-                "'memmap' (worker processes attach the pools by manifest)"
             )
 
     @property

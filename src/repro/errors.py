@@ -68,8 +68,6 @@ class InvariantViolation(ReproError):
         cycle: "int | None" = None,
         step: "int | None" = None,
         node: "int | None" = None,
-        shard: "int | None" = None,
-        slot: "int | None" = None,
     ):
         where = []
         if engine:
@@ -80,10 +78,6 @@ class InvariantViolation(ReproError):
             where.append(f"step {step}")
         if node is not None:
             where.append(f"node {node}")
-        if shard is not None:
-            where.append(f"shard {shard}")
-        if slot is not None:
-            where.append(f"slot {slot}")
         prefix = f"[{invariant}] " if invariant else ""
         suffix = f" ({', '.join(where)})" if where else ""
         super().__init__(f"{prefix}{message}{suffix}")
@@ -97,10 +91,6 @@ class InvariantViolation(ReproError):
         self.step = step
         #: offending node id, when one can be named
         self.node = node
-        #: column shard of a shared-workspace ownership breach
-        self.shard = shard
-        #: pool slot (0=X, 1=W, 2=out in attach order) of that breach
-        self.slot = slot
 
 
 class SimulationError(ReproError):

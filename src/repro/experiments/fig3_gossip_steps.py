@@ -46,18 +46,14 @@ def _fig3_point(
     cycles_per_point: int = 3,
     engine: str = "sync",
     dtype: str = "float64",
-    shards: int = 1,
-    shard_workers: int = 1,
-    workspace_backend: str = "private",
 ) -> Tuple[float, List[CycleRecord]]:
     """One Fig. 3 sweep point: mean steps over ``cycles_per_point`` cycles.
 
     Module-level and seed-pure so :func:`~repro.experiments.runner.run_sweep`
     can ship it to worker processes; returns the measurement plus the
     point's per-cycle telemetry records.  ``dtype`` selects the sync
-    engine's buffer precision, and ``shards``/``shard_workers``/
-    ``workspace_backend`` its column sharding (all ignored by engines
-    that do not take them).
+    engine's buffer precision (ignored by engines that do not take
+    it).
     """
     streams = RngStreams(seed)
     S = synthetic_trust_matrix(n, rng=streams.get("matrix"))
@@ -70,9 +66,6 @@ def _fig3_point(
         probe_columns=64,
         max_steps=20_000,
         dtype=dtype,
-        shards=shards,
-        shard_workers=shard_workers,
-        workspace_backend=workspace_backend,
     )
     v = np.full(n, 1.0 / n)
     telemetry = CycleTelemetry()
@@ -92,9 +85,6 @@ def run_fig3(
     cycles_per_point: int = 3,
     engine: str = "sync",
     dtype: str = "float64",
-    shards: int = 1,
-    shard_workers: int = 1,
-    workspace_backend: str = "private",
     workers: int = 1,
 ) -> ExperimentResult:
     """Measure mean gossip steps per cycle for each (n, epsilon).
@@ -124,9 +114,6 @@ def run_fig3(
                 "cycles_per_point": cycles_per_point,
                 "engine": engine,
                 "dtype": dtype,
-                "shards": shards,
-                "shard_workers": shard_workers,
-                "workspace_backend": workspace_backend,
             },
             seed=seed,
             label=f"n={n}/eps={eps:g}/s{seed}",

@@ -20,16 +20,6 @@ This module turns that loop shape into infrastructure:
   the input points, whatever order workers finish in).
 * :class:`SweepOutcome` / :class:`SweepReport` — per-point value plus
   wall time and peak RSS, and sweep-level throughput aggregation.
-* Shared workspaces — a sweep whose points all read the same n-sized
-  arrays (a trust matrix, a score vector) can publish them **once** on
-  a ``"shared"``/``"memmap"`` buffer backend
-  (:func:`publish_arrays`) and pass the resulting manifest spec to
-  :func:`run_sweep`; every worker process then attaches the same
-  physical pages in its :class:`~concurrent.futures.ProcessPoolExecutor`
-  initializer (:func:`attach_shared_workspace`) instead of allocating
-  or rebuilding per-process copies.  Point functions reach the mapped
-  arrays through :func:`shared_workspace`; attach-vs-private results
-  are bit-identical (pinned by ``tests/test_experiments_runner.py``).
 
 Determinism contract: because a point's randomness is a pure function
 of its root seed, ``run_sweep(points, workers=1)`` and
@@ -47,12 +37,9 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Callable, List, Mapping, Optional, Sequence
 
 from repro.errors import ExperimentError
-from repro.gossip.memory import BufferBackend, attach_array, make_backend
 from repro.metrics.telemetry import Stopwatch
 from repro.utils.proc import PeakRssMeter
 
@@ -61,76 +48,7 @@ __all__ = [
     "SweepOutcome",
     "SweepReport",
     "run_sweep",
-    "publish_arrays",
-    "attach_shared_workspace",
-    "shared_workspace",
 ]
-
-#: manifest spec type: ``{"backend": name, "entries": {label: entry}}``
-WorkspaceSpec = Dict[str, Any]
-
-# Per-process view of the sweep's shared workspace: label -> mapped
-# array.  Filled by attach_shared_workspace (the executor initializer
-# in workers, called inline for serial runs) and read by point
-# functions via shared_workspace().
-_SHARED_WS: Dict[str, np.ndarray] = {}
-# Keepers pinning the mappings (SharedMemory handles / memmaps); they
-# live until the next attach replaces them or the process exits.
-_SHARED_WS_KEEPERS: List[object] = []
-
-
-def publish_arrays(
-    arrays: Mapping[str, np.ndarray], backend: str = "shared"
-) -> Tuple[WorkspaceSpec, BufferBackend]:
-    """Copy ``arrays`` onto an attachable backend; ``(spec, owner)``.
-
-    Allocates one labelled buffer per array on a fresh ``"shared"`` or
-    ``"memmap"`` backend and copies the contents in.  The returned spec
-    is a picklable manifest for :func:`run_sweep`'s ``workspace_spec``
-    parameter; the returned backend *owns* the segments — keep it alive
-    for the duration of the sweep and ``close()`` it afterwards.
-    """
-    be = make_backend(backend)
-    if be.name == "private":
-        raise ExperimentError(
-            "publish_arrays needs an attachable backend ('shared' or "
-            "'memmap'); 'private' buffers have no manifest"
-        )
-    for label, arr in arrays.items():
-        buf = be.empty(arr.shape, arr.dtype, label)
-        buf[...] = arr
-    return {"backend": be.name, "entries": be.manifest()}, be
-
-
-def attach_shared_workspace(spec: Optional[WorkspaceSpec]) -> None:
-    """Map every entry of ``spec`` into this process (executor initializer).
-
-    Module-level and picklable so :func:`run_sweep` can hand it to a
-    :class:`~concurrent.futures.ProcessPoolExecutor` as the worker
-    ``initializer`` — each worker maps the parent's physical pages by
-    manifest, allocating no n-sized state of its own.  ``None`` clears
-    the workspace view.
-    """
-    _SHARED_WS.clear()
-    _SHARED_WS_KEEPERS.clear()
-    if not spec:
-        return
-    backend_name = spec["backend"]
-    for label, entry in spec["entries"].items():
-        arr, keeper = attach_array(backend_name, entry)
-        _SHARED_WS[label] = arr
-        _SHARED_WS_KEEPERS.append(keeper)
-
-
-def shared_workspace() -> Mapping[str, np.ndarray]:
-    """This process's view of the sweep's shared workspace (may be empty).
-
-    Point functions treat the arrays as read-only inputs: every mapped
-    label aliases the *same* physical pages in every worker, so an
-    in-place write would leak across points and break the
-    seed-determinism contract.
-    """
-    return _SHARED_WS
 
 
 @dataclass(frozen=True)
@@ -246,7 +164,6 @@ def run_sweep(
     *,
     workers: int = 1,
     chunk_size: Optional[int] = None,
-    workspace_spec: Optional[WorkspaceSpec] = None,
 ) -> SweepReport:
     """Execute every sweep point; return ordered outcomes and totals.
 
@@ -265,26 +182,13 @@ def run_sweep(
         Points per worker task.  Defaults to spreading the sweep over
         ``4 * workers`` tasks (bounded below by 1) — small enough to
         balance load, large enough to amortize submission overhead.
-    workspace_spec:
-        Manifest of a published shared workspace (see
-        :func:`publish_arrays`).  Worker processes attach it in their
-        executor initializer — one mapping of the parent's physical
-        pages each, no per-process n-sized allocation; serial runs
-        attach inline so point functions see the identical
-        :func:`shared_workspace` view either way.
     """
     if workers < 1:
         raise ExperimentError(f"workers must be >= 1, got {workers}")
     points = list(points)
     watch = Stopwatch()
     if workers == 1 or len(points) <= 1:
-        if workspace_spec is not None:
-            attach_shared_workspace(workspace_spec)
-        try:
-            outcomes = [point.execute() for point in points]
-        finally:
-            if workspace_spec is not None:
-                attach_shared_workspace(None)
+        outcomes = [point.execute() for point in points]
         return SweepReport(
             outcomes=outcomes,
             workers=1 if workers == 1 else workers,
@@ -296,11 +200,7 @@ def run_sweep(
         raise ExperimentError(f"chunk_size must be >= 1, got {chunk_size}")
     chunks = _chunk(points, chunk_size)
     outcomes = []
-    pool_kwargs: Dict[str, Any] = {"max_workers": min(workers, len(chunks))}
-    if workspace_spec is not None:
-        pool_kwargs["initializer"] = attach_shared_workspace
-        pool_kwargs["initargs"] = (workspace_spec,)
-    with ProcessPoolExecutor(**pool_kwargs) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
         # executor.map returns results in submission order regardless of
         # completion order — the ordered-collection guarantee.
         for chunk_outcomes in pool.map(_execute_chunk, chunks):

@@ -30,14 +30,14 @@ One step loop serves both modes, in two phases per cycle:
    :class:`~repro.gossip.memory.CsrPool` buffers (current X, current W,
    SpGEMM output) whose capacity grows geometrically and never per
    step.  A step lays ``M = 0.5*(I + A)`` out in CSR
-   (:func:`~repro.gossip.shard_exec.fill_mixing`: per row the diagonal
-   first, then the senders in ascending order) and runs two C-level
-   SpGEMMs (``csr_matmat``) of it against the pooled state.
-2. **Dense handoff.**  Serial private-backend runs hand each column
-   shard off to dense stepping once its occupancy crosses
-   ``_DENSIFY_THRESHOLD``: the CSR values are gathered into three
-   reusable dense slot arrays and the pool arrays are released.  From
-   then on a step is sort-free.  The output starts as the halved kept
+   (:func:`fill_mixing`: per row the diagonal first, then the senders
+   in ascending order) and runs two C-level SpGEMMs (``csr_matmat``) of
+   it against the pooled state.
+2. **Dense handoff.**  Each column shard hands off to dense stepping
+   once its occupancy crosses ``_DENSIFY_THRESHOLD``: the CSR values
+   are gathered into three reusable dense slot arrays and the pool
+   arrays are released.  From then on a step is sort-free.  The
+   output starts as the halved kept
    share (``np.multiply(X, 0.5, out=Y)``), then ``csc_matvecs`` scatters
    every sender's half into its target's row, with ``A`` in CSC form as
    ``(arange(n + 1), targets)`` — one entry per sender column, so there
@@ -47,45 +47,33 @@ One step loop serves both modes, in two phases per cycle:
    layout sums them: the handoff is bitwise-invisible at any handoff
    point, at 8 bytes per state entry instead of CSR's 12.
 
-Shared/memmap serial runs and shard-worker runs stay in CSR for the
-whole cycle (their segments cannot shrink, and released arrays would
-dangle the workers' manifests).  The estimate/residual pass reads
-cache-blocked tiles of ``_TILE_ELEMENTS / p`` rows against one
-persistent ``prev`` estimate buffer.  With probe-mode column selection
-the working set is (n, p) regardless of n — at n = 10^5, p = 64,
-float64 the whole cycle fits ~0.5 GiB; ``dtype="float32"`` nearly
-halves it again for the n = 10^6 tier.
+The estimate/residual pass reads cache-blocked tiles of
+``_TILE_ELEMENTS / p`` rows against one persistent ``prev`` estimate
+buffer.  With probe-mode column selection the working set is (n, p)
+regardless of n — at n = 10^5, p = 64, float64 the whole cycle fits
+~0.5 GiB; ``dtype="float32"`` nearly halves it again for the n = 10^6
+tier.  The columns split into more than one shard only where
+``n * p`` would overflow the pools' int32 indices
+(:func:`~repro.gossip.memory.min_shards_for`).
 
 Partner draws come from one RNG stream (a Generator fills a ``(k, n)``
 block in the same element order as ``k`` successive size-``n`` draws),
-so every shard count, worker count, backend and handoff point walks the
-same mixing-matrix sequence and stops on the same step.
+so every shard count and handoff point walks the same mixing-matrix
+sequence and stops on the same step.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ProcessPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
 
-from repro.analysis.sanitizer import (
-    InvariantSanitizer,
-    ShardOwnershipGuard,
-    sanitize_enabled,
-)
+from repro.analysis.sanitizer import InvariantSanitizer
 from repro.errors import ConvergenceError, ValidationError
-from repro.gossip import shard_exec
 from repro.gossip.base import CycleEngine, GossipCycleResult, TrustInput, coerce_csr
 from repro.gossip.convergence import average_relative_error
-from repro.gossip.memory import (
-    BACKEND_NAMES,
-    BufferBackend,
-    CsrPool,
-    make_backend,
-    min_shards_for,
-)
+from repro.gossip.memory import CsrPool, min_shards_for
 from repro.metrics.telemetry import Stopwatch
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_in_range, check_vector
@@ -162,6 +150,37 @@ class _TargetStream:
         return row
 
 
+# hot: per-step CSR layout of M = 0.5*(I + A)
+def fill_mixing(
+    targets: np.ndarray,
+    ids: np.ndarray,
+    m_indptr: np.ndarray,
+    m_indices: np.ndarray,
+) -> None:
+    """Lay out one step's mixing matrix into preallocated CSR arrays.
+
+    Row ``r`` stores the diagonal entry ``r`` first, then the sender
+    columns ``{i : targets[i] == r}`` in ascending order — an O(n)
+    bincount + stable-argsort layout (no COO -> CSR conversion, no
+    duplicate summing).  ``csr_matmat`` therefore sums each receiver's
+    kept half first and its inbound halves by ascending sender, the
+    order the sort-free dense step sums them in, so CSR and dense
+    stepping agree bitwise.  ``M`` always has exactly ``2n`` entries
+    and its values are the constant 0.5 vector, so only ``m_indptr``
+    and ``m_indices`` are written here.
+    """
+    n = targets.size
+    np.cumsum(np.bincount(targets, minlength=n) + 1, out=m_indptr[1:])
+    order = np.argsort(targets, kind="stable")
+    sorted_t = targets[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], sorted_t[1:] != sorted_t[:-1]))
+    )
+    seg_origin = np.repeat(starts, np.diff(np.append(starts, n)))
+    m_indices[m_indptr[sorted_t] + 1 + (ids - seg_origin)] = order
+    m_indices[m_indptr[:-1]] = ids
+
+
 class SparseWorkspace:
     """Pooled CSR buffers and dense slots of the engine, one shape.
 
@@ -183,16 +202,8 @@ class SparseWorkspace:
     values of ``A`` in the dense step, whose CSC column pointer is the
     constant ``cptr = arange(n + 1)``.
 
-    With ``shard_workers > 1`` the pools are preallocated at the full
-    ``n * p_shard`` occupancy ceiling (worker-side growth would
-    allocate process-private arrays invisible to the attach manifest —
-    and W must reach full occupancy before convergence anyway), and the
-    shared ``targets`` buffer carries each check window's partner draws
-    to the attached worker processes (see
-    :mod:`~repro.gossip.shard_exec`).
-
-    Serial private-backend cycles additionally carry the ``dense`` /
-    ``dense_on`` handoff state: once a shard's occupancy crosses
+    The ``dense`` / ``dense_on`` lists carry the handoff state: once a
+    shard's occupancy crosses
     ``_DENSIFY_THRESHOLD`` its CSR values move into three
     ``(n, p_shard)`` dense slot arrays (kept for reuse across cycles)
     and the pool arrays are released, so the steady state costs
@@ -209,11 +220,9 @@ class SparseWorkspace:
     """
 
     __slots__ = (
-        "n", "p", "dtype", "backend", "shards",
-        "shard_workers", "bounds", "shard_pools", "physical", "pools", "targets",
+        "n", "p", "dtype", "shards", "bounds", "shard_pools", "pools",
         "dense", "dense_on", "m_indptr", "m_indices", "m_data", "half", "prev",
         "xt", "wt", "num", "den", "bp", "blk", "cptr", "ids", "valid",
-        "ownership", "guard",
     )
 
     def __init__(
@@ -221,43 +230,24 @@ class SparseWorkspace:
         n: int,
         p: int,
         dtype: "np.dtype | type" = np.float64,
-        backend: Optional[BufferBackend] = None,
         shards: int = 1,
-        shard_workers: int = 1,
-        target_rows: int = 1,
-        sanitize: bool = False,
     ) -> None:
         self.n = int(n)
         self.p = int(p)
         self.dtype = np.dtype(dtype)
-        self.backend = backend if backend is not None else make_backend(None)
         self.shards = max(1, min(int(shards), self.p))
-        self.shard_workers = max(1, int(shard_workers))
-        be = self.backend
         self.bounds = tuple(
             self.p * i // self.shards for i in range(self.shards + 1)
         )
         self.shard_pools: List[List[CsrPool]] = []
         for si in range(self.shards):
             ps = self.bounds[si + 1] - self.bounds[si]
-            if self.shard_workers > 1:
-                cap0 = n * ps  # full occupancy: workers never grow pools
-            else:
-                # O(n) start (X0 inherits S's sparsity), doubled
-                # geometrically toward the n*ps occupancy ceiling.
-                cap0 = min(n * ps, max(ps, 2 * n))
-            prefix = "" if self.shards == 1 else f"s{si}-"
-            self.shard_pools.append([
-                CsrPool(n, ps, cap0, self.dtype, be, label=f"{prefix}{lbl}")
-                for lbl in ("X", "W", "out")
-            ])
-        # Creation-order snapshot: workers attach pools in this order,
-        # while shard_pools is re-sorted to logical [X, W, out] order at
-        # the end of every cycle — the parent maps logical slot ->
-        # physical pool index from here when dispatching worker windows.
-        self.physical: Tuple[Tuple[CsrPool, ...], ...] = tuple(
-            tuple(triple) for triple in self.shard_pools
-        )
+            # O(n) start (X0 inherits S's sparsity), doubled
+            # geometrically toward the n*ps occupancy ceiling.
+            cap0 = min(n * ps, max(ps, 2 * n))
+            self.shard_pools.append(
+                [CsrPool(n, ps, cap0, self.dtype) for _ in range(3)]
+            )
         #: shard 0's pool triple (the whole state when ``shards == 1``)
         self.pools = self.shard_pools[0]
         #: per-shard dense slot arrays [X, W, out], allocated lazily at
@@ -265,51 +255,23 @@ class SparseWorkspace:
         self.dense: List[Optional[List[np.ndarray]]] = [None] * self.shards
         #: per-cycle flags: shard ``si`` stepped dense since its load
         self.dense_on: List[bool] = [False] * self.shards
-        self.targets = (
-            be.empty((max(1, int(target_rows)), n), np.int64, "targets")
-            if self.shard_workers > 1
-            else None
-        )
-        #: REPRO_SANITIZE=1 parallel runs: shadow-ownership epoch map
-        #: and its guard (see analysis.sanitizer.ShardOwnershipGuard)
-        self.ownership: Optional[np.ndarray] = None
-        self.guard: Optional[ShardOwnershipGuard] = None
-        if sanitize and self.shard_workers > 1:
-            own = be.empty((self.shards, 3), np.int64, "ownership")
-            own[:] = 0
-            self.ownership = own
-            self.guard = ShardOwnershipGuard(own)
-            for si, triple in enumerate(self.physical):
-                for slot, pool in enumerate(triple):
-                    self.guard.register_pool(pool.label, si, slot)
-                    pool.guard = self.guard
-        self.m_indptr = be.empty(n + 1, np.int32, "m-indptr")
+        self.m_indptr = np.empty(n + 1, np.int32)
         self.m_indptr[0] = 0
-        self.m_indices = be.empty(2 * n, np.int32, "m-indices")
-        self.m_data = be.empty(2 * n, self.dtype, "m-data")
-        self.m_data.fill(0.5)
+        self.m_indices = np.empty(2 * n, np.int32)
+        self.m_data = np.full(2 * n, 0.5, self.dtype)
         self.half = self.m_data[:n]
-        self.prev = be.empty((n, p), self.dtype, "prev")
+        self.prev = np.empty((n, p), self.dtype)
         self.blk = max(1, min(n, _TILE_ELEMENTS // max(p, 1)))
-        self.xt = be.empty((self.blk, p), self.dtype, "xt")
-        self.wt = be.empty((self.blk, p), self.dtype, "wt")
-        self.num = be.empty((self.blk, p), self.dtype, "num")
-        self.den = be.empty((self.blk, p), self.dtype, "den")
-        self.bp = be.empty(self.blk + 1, np.int32, "bp")
-        self.cptr = be.empty(n + 1, np.int64, "cptr")
-        self.cptr[:] = np.arange(n + 1)
+        self.xt = np.empty((self.blk, p), self.dtype)
+        self.wt = np.empty((self.blk, p), self.dtype)
+        self.num = np.empty((self.blk, p), self.dtype)
+        self.den = np.empty((self.blk, p), self.dtype)
+        self.bp = np.empty(self.blk + 1, np.int32)
+        self.cptr = np.arange(n + 1, dtype=np.int64)
         self.ids = self.cptr[:n]
         self.valid = True
 
-    def matches(
-        self,
-        n: int,
-        p: int,
-        dtype: "np.dtype | type",
-        shards: int = 1,
-        shard_workers: int = 1,
-        sanitize: bool = False,
-    ) -> bool:
+    def matches(self, n: int, p: int, dtype: "np.dtype | type", shards: int) -> bool:
         """Whether these pools serve the full shape tuple and are live."""
         return (
             self.valid
@@ -317,27 +279,13 @@ class SparseWorkspace:
             and self.p == p
             and self.dtype == np.dtype(dtype)
             and self.shards == max(1, min(int(shards), self.p))
-            and self.shard_workers == max(1, int(shard_workers))
-            and (self.guard is not None)
-            == (bool(sanitize) and max(1, int(shard_workers)) > 1)
         )
 
     def invalidate(self) -> None:
-        """Drop the pools; non-private backends release their resources."""
+        """Mark the pools dead and drop the dense slots."""
         self.valid = False
         self.dense = []
         self.dense_on = []
-        if self.backend.name == "private":
-            return
-        self.shard_pools = []
-        self.physical = ()
-        self.pools = []
-        for name in (
-            "m_indptr", "m_indices", "m_data", "half", "prev", "targets",
-            "xt", "wt", "num", "den", "bp", "cptr", "ids", "ownership", "guard",
-        ):
-            setattr(self, name, None)
-        self.backend.close()
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -385,31 +333,15 @@ class SynchronousGossipEngine(CycleEngine):
         step counts — measured in the parity tests).  With an armed
         sanitizer the conservation tolerance is widened to 1e-4 for the
         same reason.
-    shards:
-        Column shard count: the ``p`` columns split into this many
-        contiguous ranges, each stepped in its own CSR pool triple.
-        Results are invariant in the shard count (column subsets of a
-        row-acting SpGEMM are bitwise the same values).  Auto-raised
-        when ``n * p`` would overflow the pools' int32 index guard, so
-        the large-n path works at any ``(n, p)`` without tuning.
-    shard_workers:
-        Worker *processes* stepping shards concurrently.  ``1``
-        (default) steps every shard inline.  ``> 1`` requires a
-        ``"shared"`` or ``"memmap"`` workspace backend: the workers
-        attach the shard pools by manifest (no n-sized state is copied
-        or rebuilt per task) and each check window fans one task per
-        shard over a ``ProcessPoolExecutor`` — see
-        :mod:`~repro.gossip.shard_exec`.  Results are identical to
-        ``shard_workers=1``.
-    workspace_backend:
-        Where workspace buffers physically live: ``"private"``
-        (default, ordinary heap), ``"shared"``
-        (:mod:`multiprocessing.shared_memory` segments another process
-        can attach), or ``"memmap"`` (file-backed maps the OS can
-        evict).  A preconstructed
-        :class:`~repro.gossip.memory.BufferBackend` is also accepted.
     rng:
         Partner-choice randomness.
+
+    The ``p`` columns split into column shards only where one pool's
+    ``n * p`` entries would overflow its int32 indices
+    (:func:`~repro.gossip.memory.min_shards_for`; one shard at every
+    recorded point, n = 10^6 with p = 64 included).  Results are
+    invariant in the shard count: column subsets of a row-acting
+    SpGEMM are bitwise the same values.
     """
 
     name = "sync"
@@ -425,9 +357,6 @@ class SynchronousGossipEngine(CycleEngine):
         min_steps: int = 2,
         check_every: int = 8,
         dtype: str = "float64",
-        shards: int = 1,
-        shard_workers: int = 1,
-        workspace_backend: "str | BufferBackend" = "private",
         rng: SeedLike = None,
     ) -> None:
         if n < 2:
@@ -450,27 +379,6 @@ class SynchronousGossipEngine(CycleEngine):
             raise ValidationError(f"max_steps must be >= 1, got {max_steps}")
         if check_every < 1:
             raise ValidationError(f"check_every must be >= 1, got {check_every}")
-        if shards < 1:
-            raise ValidationError(f"shards must be >= 1, got {shards}")
-        if shard_workers < 1:
-            raise ValidationError(
-                f"shard_workers must be >= 1, got {shard_workers}"
-            )
-        backend_name = (
-            workspace_backend
-            if isinstance(workspace_backend, str)
-            else workspace_backend.name
-        )
-        if backend_name not in BACKEND_NAMES:
-            raise ValidationError(
-                f"unknown workspace backend {backend_name!r}; "
-                f"known: {', '.join(BACKEND_NAMES)}"
-            )
-        if shard_workers > 1 and backend_name == "private":
-            raise ValidationError(
-                "shard_workers > 1 needs a 'shared' or 'memmap' workspace "
-                "backend (worker processes attach the pools by manifest)"
-            )
         self.n = int(n)
         self.epsilon = float(epsilon)
         if mode != "auto":
@@ -483,13 +391,8 @@ class SynchronousGossipEngine(CycleEngine):
         self.check_every = int(check_every)
         self.dtype = dtype
         self._dtype = np.dtype(dtype)
-        self.shards = int(shards)
-        self.shard_workers = int(shard_workers)
-        self.workspace_backend = workspace_backend
         self._rng = as_generator(rng)
         self._sparse_workspace: SparseWorkspace | None = None
-        self._shard_executor: Executor | None = None
-        self._shard_executor_ws: SparseWorkspace | None = None
         #: steps used by each cycle run so far (reset via clear_stats)
         self.cycle_steps: list = []
 
@@ -579,7 +482,6 @@ class SynchronousGossipEngine(CycleEngine):
 
     def invalidate_workspace(self) -> None:
         """Drop the cached buffers (the next cycle allocates fresh)."""
-        self._release_shard_executor()
         if self._sparse_workspace is not None:
             self._sparse_workspace.invalidate()
         self._sparse_workspace = None
@@ -600,14 +502,13 @@ class SynchronousGossipEngine(CycleEngine):
         return super().arm_sanitizer(sanitizer)
 
     def _effective_shards(self, p: int) -> int:
-        """The shard count actually used for probe width ``p``.
+        """The shard count used for probe width ``p``.
 
-        Auto-raised to whatever keeps every pool's ``n * p_shard``
-        element count inside the int32 index guard (and clamped to at
-        most one shard per column) — so ``shards=1`` "just works" at
-        any scale and explicit shard counts only ever *add* splits.
+        The fewest shards that keep every pool's ``n * p_shard``
+        element count inside the int32 index guard, clamped to at most
+        one shard per column.
         """
-        return min(p, max(self.shards, min_shards_for(self.n, p)))
+        return min(p, min_shards_for(self.n, p))
 
     def _acquire_sparse_workspace(self, p: int) -> SparseWorkspace:
         """The reusable buffer set for shape ``(n, p)``.
@@ -617,58 +518,13 @@ class SynchronousGossipEngine(CycleEngine):
         results and a multi-cycle run pays the allocations once.
         """
         shards = self._effective_shards(p)
-        # Shadow-ownership guarding follows the process-wide sanitizer
-        # switch or an armed engine; only parallel runs carry the map.
-        sanitize = self.shard_workers > 1 and (
-            self.sanitizer is not None or sanitize_enabled()
-        )
         ws = self._sparse_workspace
-        if ws is None or not ws.matches(
-            self.n, p, self._dtype, shards, self.shard_workers, sanitize
-        ):
+        if ws is None or not ws.matches(self.n, p, self._dtype, shards):
             if ws is not None:
-                self._release_shard_executor()
                 ws.invalidate()
-            ws = SparseWorkspace(
-                self.n,
-                p,
-                self._dtype,
-                make_backend(self.workspace_backend),
-                shards,
-                self.shard_workers,
-                self.check_every,
-                sanitize,
-            )
+            ws = SparseWorkspace(self.n, p, self._dtype, shards)
             self._sparse_workspace = ws
         return ws
-
-    def _acquire_shard_executor(self, ws: SparseWorkspace) -> Executor:
-        """The worker pool stepping ``ws``'s shards (built per workspace).
-
-        Workers attach the workspace's pools once, in their initializer
-        (:func:`~repro.gossip.shard_exec.init_worker`), so the pool
-        must be rebuilt whenever the workspace is — the manifest it
-        attached would otherwise point at released buffers.
-        """
-        if self._shard_executor is not None and self._shard_executor_ws is ws:
-            return self._shard_executor
-        self._release_shard_executor()
-        spec = shard_exec.workspace_spec(ws)
-        ex = ProcessPoolExecutor(
-            max_workers=max(1, min(self.shard_workers, ws.shards)),
-            initializer=shard_exec.init_worker,
-            initargs=(spec,),
-        )
-        self._shard_executor = ex
-        self._shard_executor_ws = ws
-        return ex
-
-    def _release_shard_executor(self) -> None:
-        """Shut the shard worker pool down (workers drop their attaches)."""
-        if self._shard_executor is not None:
-            self._shard_executor.shutdown(wait=True)
-        self._shard_executor = None
-        self._shard_executor_ws = None
 
     # -- internals -----------------------------------------------------------
 
@@ -762,20 +618,13 @@ class SynchronousGossipEngine(CycleEngine):
         died — capacity grows geometrically toward the ``n * p_shard``
         occupancy ceiling and never per step (the SpGEMM output bound
         is the closed form ``min(2 * nnz, n * p_shard)``, so no
-        symbolic pass runs).  Rotation is by index arithmetic (after
-        ``s`` steps X lives at slot ``(-s) % 3``, W at ``(1 - s) % 3``)
-        so worker processes need no shared rotation state.  Serial
-        private-backend runs hand each shard off to dense slot
-        stepping once its occupancy crosses ``_DENSIFY_THRESHOLD``
-        (:meth:`_densify_shard` / :meth:`_dense_step` — bitwise the
-        same values, ~2/3 the steady-state bytes, no mixing layout);
-        once every shard is dense the per-step CSR layout of ``M``
-        stops too.  With ``shard_workers > 1`` whole check windows of
-        steps are fanned out, one task per shard, over
-        attached-by-manifest workers (:mod:`~repro.gossip.shard_exec`);
-        results are identical to inline stepping because every path
-        runs the same mixing sequence over the same RNG-derived
-        targets.
+        symbolic pass runs).  Rotation is by index arithmetic: after
+        ``s`` steps X lives at slot ``(-s) % 3``, W at ``(1 - s) % 3``.
+        Each shard hands off to dense slot stepping once its occupancy
+        crosses ``_DENSIFY_THRESHOLD`` (:meth:`_densify_shard` /
+        :meth:`_dense_step` — bitwise the same values, ~2/3 the
+        steady-state bytes, no mixing layout); once every shard is
+        dense the per-step CSR layout of ``M`` stops too.
 
         The estimate/residual check (:meth:`_check`) runs every
         ``check_every`` steps, per step once a residual comes within
@@ -805,19 +654,10 @@ class SynchronousGossipEngine(CycleEngine):
                 lo, hi = bounds[si], bounds[si + 1]
                 triple[0].load(sparse.csr_matrix(Xs[:, lo:hi]))
                 triple[1].load(sparse.csr_matrix(Ws[:, lo:hi]))
-        executor = (
-            self._acquire_shard_executor(ws) if ws.shard_workers > 1 else None
-        )
-        if executor is not None and ws.guard is not None:
-            ws.guard.begin_cycle(self.name)
-        # Serial private runs hand each shard off to dense slot arrays
-        # once its occupancy crosses the threshold: past that point the
-        # sort-free dense step beats SpGEMM and the index arrays are
-        # pure overhead — and the handoff is bitwise-invisible (see
-        # _dense_step).  Worker runs keep CSR (released pool arrays
-        # would dangle manifest attaches), as do shared/memmap serial
-        # runs (their segments cannot shrink).
-        densify = executor is None and ws.backend.name == "private"
+        # Each shard hands off to dense slot arrays once its occupancy
+        # crosses the threshold: past that point the sort-free dense
+        # step beats SpGEMM and the index arrays are pure overhead —
+        # and the handoff is bitwise-invisible (see _dense_step).
         dense_at = [
             max(0, int(_DENSIFY_THRESHOLD * t[0].full_capacity))
             for t in ws.shard_pools
@@ -841,36 +681,30 @@ class SynchronousGossipEngine(CycleEngine):
 
         while step < self.max_steps:
             # Advance in whole check windows: the skip logic collapses
-            # to "next step where a check fires", which is also the
-            # natural fan-out unit for shard workers.
+            # to "next step where a check fires".
             nxt = self._next_check(step, fine)
             target = min(nxt, self.max_steps)
-            if executor is not None:
-                step = self._advance_windowed(executor, ws, stream, step, target)
-            else:
-                # hot: sharded step loop — pooled SpGEMMs, then dense scatters
-                while step < target:
-                    targets = stream.next()
-                    if not all(ws.dense_on):  # only CSR shards need M laid out
-                        shard_exec.fill_mixing(
-                            targets, ws.ids, ws.m_indptr, ws.m_indices
-                        )
-                    a = (-step) % 3
-                    b = (1 - step) % 3
-                    c = (2 - step) % 3
-                    for si, triple in enumerate(ws.shard_pools):
-                        if not ws.dense_on[si]:
-                            if densify and (
-                                triple[a].nnz >= dense_at[si]
-                                or triple[b].nnz >= dense_at[si]
-                            ):
-                                self._densify_shard(ws, si, a, b, c)
-                            else:
-                                self._spgemm_step(ws, triple[a], triple[c])
-                                self._spgemm_step(ws, triple[b], triple[a])
-                                continue
-                        self._dense_step(ws, si, a, b, c, targets)
-                    step += 1
+            # hot: sharded step loop — pooled SpGEMMs, then dense scatters
+            while step < target:
+                targets = stream.next()
+                if not all(ws.dense_on):  # only CSR shards need M laid out
+                    fill_mixing(targets, ws.ids, ws.m_indptr, ws.m_indices)
+                a = (-step) % 3
+                b = (1 - step) % 3
+                c = (2 - step) % 3
+                for si, triple in enumerate(ws.shard_pools):
+                    if not ws.dense_on[si]:
+                        if (
+                            triple[a].nnz >= dense_at[si]
+                            or triple[b].nnz >= dense_at[si]
+                        ):
+                            self._densify_shard(ws, si, a, b, c)
+                        else:
+                            self._spgemm_step(ws, triple[a], triple[c])
+                            self._spgemm_step(ws, triple[b], triple[a])
+                            continue
+                    self._dense_step(ws, si, a, b, c, targets)
+                step += 1
             if step != nxt:
                 break  # budget ran out before the next check step
             xs = (-step) % 3
@@ -941,65 +775,6 @@ class SynchronousGossipEngine(CycleEngine):
             return t
         r = t % self.check_every
         return t if r == 0 else t + (self.check_every - r)
-
-    def _advance_windowed(
-        self,
-        executor: Executor,
-        ws: SparseWorkspace,
-        stream: _TargetStream,
-        step: int,
-        target: int,
-    ) -> int:
-        """Fan ``target - step`` gossip steps out, one task per shard.
-
-        The parent draws the window's partner targets (consuming the
-        RNG stream exactly as the inline loop would) into the shared
-        ``targets`` buffer; each task steps one shard through the whole
-        window against its attached pools, so no two concurrent tasks
-        touch the same arrays.  Windows longer than the buffer are
-        dispatched in buffer-sized slices.  On return the live ``nnz``
-        counters of the X/W slots are refreshed from the pools' indptr
-        (workers do not track them).
-        """
-        n = ws.n
-        targets = ws.targets
-        assert targets is not None
-        rows = targets.shape[0]
-        # Workers see pools in creation (attach) order; the parent's
-        # logical [X, W, out] list is re-sorted between cycles, so ship
-        # the logical -> physical slot map with every window.
-        perm = tuple(
-            ws.physical[0].index(pool) for pool in ws.shard_pools[0]
-        )
-        guard = ws.guard
-        while step < target:
-            w = min(target - step, rows)
-            for t in range(w):
-                targets[t, :] = stream.next()
-            # Under the shadow-ownership sanitizer every shard's slots
-            # are leased to exactly one task per window; the worker
-            # claims them on entry and the collect below frees them.
-            tickets = [
-                guard.lease(si, step=step) if guard is not None else 0
-                for si in range(ws.shards)
-            ]
-            futures = [
-                executor.submit(
-                    shard_exec.advance_shard, si, step, w, perm, tickets[si]
-                )
-                for si in range(ws.shards)
-            ]
-            for si, fut in enumerate(futures):
-                fut.result()
-                if guard is not None:
-                    guard.collect(si, tickets[si], step=step)
-            step += w
-        xs = (-step) % 3
-        wsl = (1 - step) % 3
-        for triple in ws.shard_pools:
-            triple[xs].nnz = int(triple[xs].indptr[n])
-            triple[wsl].nnz = int(triple[wsl].indptr[n])
-        return step
 
     # hot: one pooled SpGEMM — dst := M @ src, no symbolic pass
     def _spgemm_step(self, ws: SparseWorkspace, src: CsrPool, dst: CsrPool) -> None:

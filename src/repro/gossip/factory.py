@@ -231,9 +231,6 @@ def _build_sync(
         max_steps=config.max_gossip_steps,
         check_every=config.check_every,
         dtype=getattr(config, "dtype", "float64"),
-        shards=getattr(config, "shards", 1),
-        shard_workers=getattr(config, "shard_workers", 1),
-        workspace_backend=getattr(config, "workspace_backend", "private"),
         rng=streams.get("gossip"),
     )
     kwargs.update(constructor_kwargs(SynchronousGossipEngine, overrides))

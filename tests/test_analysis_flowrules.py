@@ -16,7 +16,6 @@ from repro.analysis.callgraph import ProjectIndex, module_name_for
 from repro.analysis.linter import SourceFile, lint_sources
 from repro.analysis.rules._flowutils import UNORDERED, UnorderedClassifier
 from repro.analysis.rules.gt005_iterorder import NondeterministicIterOrderRule
-from repro.analysis.rules.gt006_ownership import SharedWriteOwnershipRule
 from repro.analysis.rules.gt007_procdet import ProcessPoolDisciplineRule
 from repro.analysis.rules.gt008_reduction import FloatReductionOrderRule
 from repro.analysis.rules.gt009_suppress import SuppressionHygieneRule
@@ -210,114 +209,6 @@ class TestGT005:
             "        rng.choice([p])\n"
         )
         assert not lint_one(GT5(), bad, "tests/test_x.py")
-
-
-# -- GT006: shared-workspace write ownership ---------------------------------
-
-
-GT6 = SharedWriteOwnershipRule
-_GT6_PATH = "src/repro/gossip/shard_exec.py"
-
-_GT6_PRELUDE = (
-    "from repro.gossip.memory import attach_array\n"
-    "\n"
-    "_CTX = {}\n"
-    "\n"
-    "def init(spec):\n"
-    "    arr, keep = attach_array('shared', spec['x'])\n"
-    "    tgt, keep2 = attach_array('shared', spec['t'])\n"
-    "    _CTX.update(shards=[[arr]], targets=tgt)\n"
-    "\n"
-)
-
-
-class TestGT006:
-    def test_own_slot_write_is_clean(self):
-        good = _GT6_PRELUDE + (
-            "def step(shard):\n"
-            "    pools = _CTX['shards'][shard]\n"
-            "    pools[0].fill(0)\n"
-        )
-        assert not lint_one(GT6(), good, _GT6_PATH)
-
-    def test_foreign_slot_write_fires(self):
-        bad = _GT6_PRELUDE + (
-            "def step(shard):\n"
-            "    other = _CTX['shards'][shard + 1]\n"
-            "    other[0].fill(0)\n"
-        )
-        vs = lint_one(GT6(), bad, _GT6_PATH)
-        assert vs and "foreign" in vs[0].message
-
-    def test_constant_index_write_fires(self):
-        bad = _GT6_PRELUDE + (
-            "def step(shard):\n"
-            "    zero = _CTX['shards'][0]\n"
-            "    zero[0][3] = 1.0\n"
-        )
-        assert lint_one(GT6(), bad, _GT6_PATH)
-
-    def test_unsliced_table_write_fires(self):
-        bad = _GT6_PRELUDE + (
-            "def step(shard):\n"
-            "    _CTX['shards'][shard] = None\n"
-        )
-        vs = lint_one(GT6(), bad, _GT6_PATH)
-        assert vs
-
-    def test_parent_owned_flat_buffer_write_fires(self):
-        bad = _GT6_PRELUDE + (
-            "def step(shard, row):\n"
-            "    tgts = _CTX['targets']\n"
-            "    tgts[row] = 7\n"
-        )
-        vs = lint_one(GT6(), bad, _GT6_PATH)
-        assert vs
-
-    def test_out_kwarg_to_foreign_fires(self):
-        bad = _GT6_PRELUDE + (
-            "import numpy as np\n"
-            "def step(shard):\n"
-            "    other = _CTX['shards'][shard - 1]\n"
-            "    np.add(1, 2, out=other[0])\n"
-        )
-        assert lint_one(GT6(), bad, _GT6_PATH)
-
-    def test_writer_kernel_out_args_checked(self):
-        bad = _GT6_PRELUDE + (
-            "def step(shard, csr_matmat, n, cols, mi, mx, md):\n"
-            "    src = _CTX['shards'][shard]\n"
-            "    out = _CTX['shards'][shard + 1]\n"
-            "    csr_matmat(n, cols, mi, mx, md,\n"
-            "               src[0], src[0], src[0],\n"
-            "               out[0], out[0], out[0])\n"
-        )
-        assert lint_one(GT6(), bad, _GT6_PATH)
-
-    def test_reads_of_foreign_slots_are_fine(self):
-        good = _GT6_PRELUDE + (
-            "def peek(shard):\n"
-            "    other = _CTX['shards'][shard + 1]\n"
-            "    return other[0]\n"
-        )
-        assert not lint_one(GT6(), good, _GT6_PATH)
-
-    def test_private_scratch_writes_are_fine(self):
-        good = _GT6_PRELUDE + (
-            "import numpy as np\n"
-            "def step(shard):\n"
-            "    scratch = np.empty(4)\n"
-            "    scratch.fill(0.5)\n"
-            "    scratch[0] = 1\n"
-        )
-        assert not lint_one(GT6(), good, _GT6_PATH)
-
-    def test_other_modules_out_of_scope(self):
-        bad = _GT6_PRELUDE + (
-            "def step(shard):\n"
-            "    _CTX['shards'][shard + 1][0].fill(0)\n"
-        )
-        assert not lint_one(GT6(), bad, "src/repro/gossip/engine.py")
 
 
 # -- GT007: process fan-out discipline ---------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main, parse_override
+from repro.core.config import GossipTrustConfig
 
 
 class TestParseOverride:
@@ -79,7 +80,24 @@ class TestMain:
         assert "Bloom" in capsys.readouterr().out
 
     def test_run_fig3_sparse_kernel(self, capsys):
-        """--dtype/--shards forward into the experiment as overrides."""
-        code = main(["run", "fig3", "--quick", "--dtype", "float32", "--shards", "2"])
+        """--dtype forwards into the experiment as an override."""
+        code = main(["run", "fig3", "--quick", "--dtype", "float32"])
         assert code == 0
         assert capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "field", ["shards", "shard_workers", "workspace_backend"]
+    )
+    def test_removed_engine_options_rejected(self, field, capsys):
+        """The shard count is derived and buffers are always private:
+        config and CLI name a removed option in their error instead of
+        silently ignoring it."""
+        with pytest.raises(TypeError, match=field):
+            GossipTrustConfig(**{field: 2})
+        with pytest.raises(TypeError, match=field):
+            main(["run", "fig3", "--quick", "--set", f"{field}=2"])
+        flag = "--" + field.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "fig3", "--quick", flag, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

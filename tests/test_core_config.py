@@ -45,7 +45,6 @@ class TestValidation:
             {"kernel": "warp"},
             {"dtype": "float16"},
             {"kernel": "legacy", "dtype": "float32"},
-            {"shards": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

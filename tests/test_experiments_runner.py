@@ -133,73 +133,3 @@ class TestParallelExperimentDeterminism:
         serial = run_table3(workers=1, **kwargs)
         parallel = run_table3(workers=4, **kwargs)
         assert _strip_volatile(serial) == _strip_volatile(parallel)
-
-
-def _shared_dot_point(*, seed):
-    """Reads the sweep's shared workspace (attach path)."""
-    import numpy as np
-
-    from repro.experiments.runner import shared_workspace
-
-    ws = shared_workspace()
-    draws = RngStreams(seed).get("draw").random(ws["vec"].size)
-    return float(np.dot(ws["vec"], draws)) + float(ws["mat"][seed % ws["mat"].shape[0]].sum())
-
-
-def _private_dot_point(*, seed, vec, mat):
-    """Same computation on per-point private copies (pickled kwargs)."""
-    import numpy as np
-
-    draws = RngStreams(seed).get("draw").random(vec.size)
-    return float(np.dot(vec, draws)) + float(mat[seed % mat.shape[0]].sum())
-
-
-class TestSharedWorkspace:
-    """Workers attach one published workspace by manifest; results are
-    bit-identical to points that carry private array copies."""
-
-    def _arrays(self):
-        import numpy as np
-
-        gen = RngStreams(7).get("arrays")
-        return {
-            "vec": gen.random(4096),
-            "mat": gen.random((64, 64)),
-        }
-
-    @pytest.mark.parametrize("backend", ["shared", "memmap"])
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_attach_matches_private_bitwise(self, backend, workers):
-        from repro.experiments.runner import publish_arrays
-
-        arrays = self._arrays()
-        spec, owner = publish_arrays(arrays, backend=backend)
-        try:
-            shared = run_sweep(
-                _points(_shared_dot_point, 5),
-                workers=workers,
-                workspace_spec=spec,
-            )
-        finally:
-            owner.close()
-        private = run_sweep(
-            _points(_private_dot_point, 5, vec=arrays["vec"], mat=arrays["mat"]),
-            workers=1,
-        )
-        assert shared.values() == private.values()  # bitwise: same float ops
-
-    def test_serial_attach_is_scoped(self):
-        from repro.experiments.runner import publish_arrays, shared_workspace
-
-        spec, owner = publish_arrays(self._arrays(), backend="shared")
-        try:
-            run_sweep(_points(_shared_dot_point, 2), workers=1, workspace_spec=spec)
-        finally:
-            owner.close()
-        assert dict(shared_workspace()) == {}
-
-    def test_publish_rejects_private_backend(self):
-        from repro.experiments.runner import publish_arrays
-
-        with pytest.raises(ExperimentError, match="attachable"):
-            publish_arrays(self._arrays(), backend="private")

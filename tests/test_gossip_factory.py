@@ -212,15 +212,12 @@ class TestTelemetry:
 
 
 class TestConfigKernelFields:
-    """config.dtype / shards flow through the factory."""
+    """config.dtype flows through the factory."""
 
     def test_factory_forwards_kernel_fields(self):
-        cfg = GossipTrustConfig(
-            n=64, kernel="sparse", dtype="float32", shards=2, seed=0
-        )
+        cfg = GossipTrustConfig(n=64, kernel="sparse", dtype="float32", seed=0)
         eng = make_engine("sync", cfg, rng=RngStreams(0))
         assert eng.dtype == "float32"
-        assert eng.shards == 2
 
     def test_sparse_config_runs_end_to_end(self, random_S):
         # Naming the one kernel explicitly changes nothing.

@@ -8,18 +8,17 @@ RNG stream, so on a seeded instance they must walk the same
 mixing-matrix sequence: identical step counts at per-step checks,
 matching results up to floating-point accumulation order.
 
-Everything the engine varies internally — shard count, shard workers,
-workspace backend, workspace reuse, handoff point, tile height — must
-be *bitwise* invisible in the results.
+Everything the engine varies internally — shard count, workspace
+reuse, handoff point, tile height — must be *bitwise* invisible in the
+results.
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, ConvergenceError, ValidationError
+from repro.errors import ConvergenceError, ValidationError
 from repro.experiments.synthetic import synthetic_trust_matrix
 from repro.gossip import engine as engine_mod
-from repro.gossip import shard_exec
 from repro.gossip.base import exact_aggregate, local_rows
 from repro.gossip.convergence import average_relative_error
 from repro.gossip.engine import SynchronousGossipEngine
@@ -42,6 +41,16 @@ def _instance(n):
 def _cycle(n, S, v, **options):
     eng = make_engine("sync", n=n, rng=RngStreams(SEED), epsilon=EPSILON, **options)
     return eng.run_cycle(S, v)
+
+
+def _force_shards(monkeypatch, shards):
+    """Make the engine split its columns into ``shards`` shards.
+
+    The engine derives its shard count from the int32 guard
+    (``min_shards_for``), which is 1 at test sizes; patching it is the
+    only way to reach the multi-shard paths here.
+    """
+    monkeypatch.setattr(engine_mod, "min_shards_for", lambda n, cols: shards)
 
 
 def _oracle(n, S, v, *, mode="full", check_every=1):
@@ -146,7 +155,7 @@ class TestSparseWarmStart:
         targets = np.array([3, 2, 0, 0, 1, 0, 5])
         indptr = np.zeros(n + 1, dtype=np.int32)
         indices = np.empty(2 * n, dtype=np.int32)
-        shard_exec.fill_mixing(targets, ids, indptr, indices)
+        engine_mod.fill_mixing(targets, ids, indptr, indices)
         for r in range(n):
             row = indices[indptr[r] : indptr[r + 1]].tolist()
             assert row == [r, *np.flatnonzero(targets == r).tolist()]
@@ -330,20 +339,6 @@ class TestSparseKernel:
         assert not ws.valid
         assert eng.sparse_workspace is None
 
-    @pytest.mark.parametrize("backend", ["shared", "memmap"])
-    def test_workspace_backends_agree(self, backend):
-        """Shared-memory and memmap workspaces are invisible in results."""
-        S, v = _instance(N)
-        base = _cycle(N, S, v, mode="probe")
-        eng = make_engine(
-            "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="probe", workspace_backend=backend,
-        )
-        res = eng.run_cycle(S, v)
-        assert res.steps == base.steps
-        np.testing.assert_array_equal(res.v_next, base.v_next)
-        eng.invalidate_workspace()  # releases segments / spill files
-
     def test_sanitizer_armed_cycle(self):
         """The armed-sanitizer contract (the REPRO_SANITIZE=1 posture)
         holds through the sparse kernel: every mass/nonnegativity check
@@ -397,8 +392,6 @@ class TestSparseKernel:
     def test_validation(self):
         with pytest.raises(ValidationError):
             SynchronousGossipEngine(8, dtype="float16")
-        with pytest.raises((ConfigurationError, ValidationError)):
-            SynchronousGossipEngine(8, workspace_backend="bogus")
 
     def test_phase_times_recorded(self):
         S, v = _instance(N)
@@ -408,80 +401,44 @@ class TestSparseKernel:
 
 
 class TestShardedSparseKernel:
-    """Column sharding must be invisible: any shard/worker split of the
-    probe working set replays the identical SpGEMM sequence, so steps,
+    """Column sharding must be invisible: any shard split of the probe
+    working set replays the identical SpGEMM sequence, so steps,
     scores, and gossip error are *bitwise* equal to the unsharded run."""
 
     @pytest.mark.parametrize("n", [250, 1000])
     @pytest.mark.parametrize("mode", ["probe", "full"])
-    def test_shard_count_invariance(self, n, mode):
+    def test_shard_count_invariance(self, n, mode, monkeypatch):
         S, v = _instance(n)
         base = _cycle(n, S, v, mode=mode)
         for shards in (2, 7):
-            res = _cycle(n, S, v, mode=mode, shards=shards)
+            _force_shards(monkeypatch, shards)
+            res = _cycle(n, S, v, mode=mode)
             assert res.steps == base.steps
             np.testing.assert_array_equal(res.v_next, base.v_next)
             assert res.gossip_error == base.gossip_error
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_shard_invariance_both_dtypes(self, dtype):
+    def test_shard_invariance_both_dtypes(self, dtype, monkeypatch):
         S, v = _instance(250)
         base = _cycle(250, S, v, mode="probe", dtype=dtype)
-        res = _cycle(
-            250, S, v, mode="probe", dtype=dtype, shards=7
-        )
+        _force_shards(monkeypatch, 7)
+        res = _cycle(250, S, v, mode="probe", dtype=dtype)
         assert res.steps == base.steps
         np.testing.assert_array_equal(res.v_next, base.v_next)
         assert res.gossip_error == base.gossip_error
 
-    def _worker_cycle(self, n, S, v, *, mode="probe", backend="shared", **opts):
-        eng = make_engine(
-            "sync", n=n, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode=mode, workspace_backend=backend, **opts,
-        )
-        try:
-            return eng.run_cycle(S, v)
-        finally:
-            eng.invalidate_workspace()  # shuts the executor, frees segments
-
-    @pytest.mark.parametrize("n", [250, 1000])
-    @pytest.mark.parametrize("backend", ["shared", "memmap"])
-    def test_shard_workers_invariance(self, n, backend):
-        """Worker processes attach the pools by manifest and step their
-        shards in place — results equal single-process stepping exactly."""
-        S, v = _instance(n)
-        base = _cycle(n, S, v, mode="probe", shards=2)
-        res = self._worker_cycle(
-            n, S, v, backend=backend, shards=2, shard_workers=4
-        )
-        assert res.steps == base.steps
-        np.testing.assert_array_equal(res.v_next, base.v_next)
-        assert res.gossip_error == base.gossip_error
-
-    def test_shard_workers_full_mode(self):
-        S, v = _instance(250)
-        base = _cycle(250, S, v, mode="full")
-        res = self._worker_cycle(
-            250, S, v, mode="full", shards=3, shard_workers=4
-        )
-        assert res.steps == base.steps
-        np.testing.assert_array_equal(res.v_next, base.v_next)
-
-    def test_sanitizer_armed_sharded(self):
-        """The armed invariant sanitizer passes over sharded state (and
-        parallel-stepped state) exactly as over the unsharded kernel."""
+    def test_sanitizer_armed_sharded(self, monkeypatch):
+        """The armed invariant sanitizer passes over sharded state
+        exactly as over the unsharded kernel."""
         S, v = _instance(N)
         base = _cycle(N, S, v, mode="probe")
+        _force_shards(monkeypatch, 3)
         eng = make_engine(
-            "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="probe", shards=3, shard_workers=2,
-            workspace_backend="shared",
+            "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON, mode="probe",
         )
         eng.arm_sanitizer()
-        try:
-            res = eng.run_cycle(S, v)
-        finally:
-            eng.invalidate_workspace()
+        res = eng.run_cycle(S, v)
+        assert eng.sparse_workspace.shards == 3
         assert res.steps == base.steps
         np.testing.assert_array_equal(res.v_next, base.v_next)
         assert eng.sanitizer.checks > 0
@@ -494,59 +451,32 @@ class TestShardedSparseKernel:
         eng = SynchronousGossipEngine(2**17)
         assert eng._effective_shards(64) == 1
         assert eng._effective_shards(2**15) == min_shards_for(2**17, 2**15) == 3
-        wide = SynchronousGossipEngine(2**17, shards=5)
-        assert wide._effective_shards(2**15) == 5  # explicit count kept
-
-    def test_executor_lifecycle(self):
-        """The shard executor follows the workspace: built lazily on the
-        first parallel cycle, shut down by invalidation, rebuilt after."""
-        S, v = _instance(N)
-        eng = make_engine(
-            "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="probe", shards=2, shard_workers=2,
-            workspace_backend="shared",
-        )
-        serial = make_engine(
-            "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="probe",
-        )
-        assert eng._shard_executor is None
-        first = eng.run_cycle(S, v)
-        assert eng._shard_executor is not None
-        second = eng.run_cycle(S, v)  # executor reused across cycles
-        eng.invalidate_workspace()
-        assert eng._shard_executor is None
-        # The reused executor's second cycle must still replay the
-        # serial engine exactly (workers address pools through the
-        # logical -> physical slot map, which rotates between cycles).
-        np.testing.assert_array_equal(first.v_next, serial.run_cycle(S, v).v_next)
-        np.testing.assert_array_equal(second.v_next, serial.run_cycle(S, v).v_next)
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            SynchronousGossipEngine(8, shards=0)
-        with pytest.raises(ValidationError):
-            SynchronousGossipEngine(8, shard_workers=0)
-        with pytest.raises(ValidationError):
-            # parallel stepping needs attachable buffers
-            SynchronousGossipEngine(8, shard_workers=2)
+        """The shard count is derived, never passed: the engine takes no
+        shard, worker or buffer-backend option."""
+        for option in ("shards", "shard_workers", "workspace_backend"):
+            with pytest.raises(TypeError, match=option):
+                SynchronousGossipEngine(8, **{option: 2})
 
 
 class TestDenseHandoff:
-    """Serial private-backend sparse cycles hand shards off to dense
-    slot stepping mid-cycle (csr_matvecs SpMM instead of SpGEMM).  The
-    handoff must be bitwise invisible: same accumulation order, absent
-    CSR entries become exact dense zeros — so every result must equal
-    the pure-CSR path (which shared/memmap serial runs still take)."""
+    """Sparse cycles hand shards off to dense slot stepping mid-cycle
+    (a sort-free csc_matvecs scatter instead of SpGEMM).  The handoff
+    must be bitwise invisible: same accumulation order, absent CSR
+    entries become exact dense zeros — so every result must equal the
+    pure-CSR path, reached by raising the handoff threshold to 2.0
+    (an occupancy no pool can reach)."""
 
-    def test_handoff_fires_and_releases_pools(self):
+    def test_handoff_fires_and_releases_pools(self, monkeypatch):
         """A converged serial private cycle has handed every shard off
         (convergence needs full W occupancy, far past any threshold)
         and shrunk the CSR pools to stubs."""
         S, v = _instance(250)
+        _force_shards(monkeypatch, 2)
         eng = make_engine(
             "sync", n=250, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="probe", shards=2,
+            mode="probe",
         )
         res = eng.run_cycle(S, v)
         assert res.converged
@@ -557,26 +487,23 @@ class TestDenseHandoff:
             assert all(d.shape == (250, triple[0].cols) for d in ws.dense[si])
             assert all(pool.capacity == 1 for pool in triple)
 
-    @pytest.mark.parametrize("backend", ["shared", "memmap"])
-    def test_handoff_matches_pure_csr_serial(self, backend):
-        """Shared/memmap serial runs keep pooled CSR for the whole
-        cycle (released arrays would dangle their manifests) — the
-        private run's dense handoff must match them bitwise."""
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_handoff_matches_pure_csr_serial(self, dtype, monkeypatch):
+        """The dense handoff matches a run that never hands off and
+        keeps pooled CSR for the whole cycle, bitwise."""
         S, v = _instance(250)
-        private = _cycle(250, S, v, mode="probe", shards=2)
+        _force_shards(monkeypatch, 2)
+        dense = _cycle(250, S, v, mode="probe", dtype=dtype)
+        monkeypatch.setattr(engine_mod, "_DENSIFY_THRESHOLD", 2.0)
         eng = make_engine(
             "sync", n=250, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="probe", shards=2,
-            workspace_backend=backend,
+            mode="probe", dtype=dtype,
         )
-        try:
-            pure = eng.run_cycle(S, v)
-            assert not any(eng.sparse_workspace.dense_on)
-        finally:
-            eng.invalidate_workspace()
-        assert private.steps == pure.steps
-        np.testing.assert_array_equal(private.v_next, pure.v_next)
-        assert private.gossip_error == pure.gossip_error
+        pure = eng.run_cycle(S, v)
+        assert not any(eng.sparse_workspace.dense_on)
+        assert dense.steps == pure.steps
+        np.testing.assert_array_equal(dense.v_next, pure.v_next)
+        assert dense.gossip_error == pure.gossip_error
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("threshold", [0.0, 0.1, 1.0])
@@ -586,32 +513,39 @@ class TestDenseHandoff:
         S, v = _instance(250)
         base = _cycle(250, S, v, mode="probe", dtype=dtype)
         monkeypatch.setattr(engine_mod, "_DENSIFY_THRESHOLD", threshold)
-        res = _cycle(250, S, v, mode="probe", dtype=dtype, shards=3)
+        _force_shards(monkeypatch, 3)
+        res = _cycle(250, S, v, mode="probe", dtype=dtype)
         assert res.steps == base.steps
         np.testing.assert_array_equal(res.v_next, base.v_next)
         assert res.gossip_error == base.gossip_error
 
-    def test_handoff_multi_cycle_reuse(self):
+    def test_handoff_multi_cycle_reuse(self, monkeypatch):
         """Cycle 2 reloads the released pools and hands off again; both
-        cycles must match a pure-CSR (memmap serial) engine bitwise."""
+        cycles must match a never-handing-off engine bitwise, in both
+        dtypes."""
         S, v = _instance(250)
-        dense_eng = make_engine(
-            "sync", n=250, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="probe", shards=2,
-        )
-        csr_eng = make_engine(
-            "sync", n=250, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="probe", shards=2,
-            workspace_backend="memmap",
-        )
-        try:
-            for _ in range(2):
-                got = dense_eng.run_cycle(S, v)
-                want = csr_eng.run_cycle(S, v)
+        _force_shards(monkeypatch, 2)
+        default = engine_mod._DENSIFY_THRESHOLD
+        for dtype in ("float64", "float32"):
+            engines = [
+                make_engine(
+                    "sync", n=250, rng=RngStreams(SEED), epsilon=EPSILON,
+                    mode="probe", dtype=dtype,
+                )
+                for _ in range(2)
+            ]
+            runs = []
+            for eng, threshold in zip(engines, (default, 2.0)):
+                monkeypatch.setattr(engine_mod, "_DENSIFY_THRESHOLD", threshold)
+                results = [eng.run_cycle(S, v) for _ in range(2)]
+                assert any(eng.sparse_workspace.dense_on) == (threshold < 1.0)
+                runs.append(results)
+            for got, want in zip(*runs):
                 assert got.steps == want.steps
                 np.testing.assert_array_equal(got.v_next, want.v_next)
-        finally:
-            csr_eng.invalidate_workspace()
+                # probe mode's v_next is the exact oracle; the gossiped
+                # estimates show up in gossip_error
+                assert got.gossip_error == want.gossip_error
 
     def test_handoff_full_mode_and_sanitizer(self):
         """Full mode exercises the dense mass/nonnegativity sanitizer

@@ -1,101 +1,16 @@
-"""Buffer backends and pooled CSR storage (:mod:`repro.gossip.memory`).
+"""Pooled CSR storage (:mod:`repro.gossip.memory`).
 
-The sparse kernel's whole-cycle CSR state lives in :class:`CsrPool`
-instances whose arrays come from a :class:`BufferBackend` — ordinary
-heap pages, POSIX shared-memory segments, or memory-mapped spill files.
-The backends must be interchangeable: same array semantics, same pool
-behavior, differing only in where the pages physically live and how
-they are released.
+The sparse kernel's CSR state lives in :class:`CsrPool` instances whose
+capacity grows geometrically and whose int32 indices bound the columns
+one pool can hold (:func:`max_pool_columns` / :func:`min_shards_for`).
 """
-
-import os
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.errors import ConfigurationError, ValidationError
-from repro.gossip.memory import (
-    BACKEND_NAMES,
-    CsrPool,
-    MemmapBuffers,
-    PrivateBuffers,
-    SharedMemoryBuffers,
-    make_backend,
-    max_pool_columns,
-    min_shards_for,
-)
-
-
-class TestMakeBackend:
-    def test_names_resolve(self):
-        for name in BACKEND_NAMES:
-            backend = make_backend(name)
-            assert backend.name == name
-            backend.close()
-
-    def test_none_is_private(self):
-        assert isinstance(make_backend(None), PrivateBuffers)
-
-    def test_instance_passes_through(self):
-        backend = PrivateBuffers()
-        assert make_backend(backend) is backend
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_backend("heap")
-
-
-class TestBackendSemantics:
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_empty_roundtrip(self, name):
-        backend = make_backend(name)
-        try:
-            arr = backend.empty((4, 3), np.float64, "x")
-            arr[:] = np.arange(12, dtype=np.float64).reshape(4, 3)
-            np.testing.assert_array_equal(
-                arr, np.arange(12, dtype=np.float64).reshape(4, 3)
-            )
-            scalar_shape = backend.empty(5, np.int32, "i")
-            assert scalar_shape.shape == (5,)
-            assert scalar_shape.dtype == np.int32
-        finally:
-            if name == "shared":
-                del arr, scalar_shape  # views pin the segments
-            backend.close()
-
-    def test_shared_manifest_and_attach(self):
-        backend = SharedMemoryBuffers()
-        arr = backend.empty((8,), np.float64, "weights")
-        arr[:] = np.arange(8.0)
-        seg_name, shape, dtype = backend.manifest()["weights"]
-        view, keeper = SharedMemoryBuffers.attach(seg_name, shape, dtype)
-        try:
-            np.testing.assert_array_equal(view, np.arange(8.0))
-            view[0] = 41.0  # same physical pages
-            assert arr[0] == 41.0
-        finally:
-            del view
-            keeper.close()
-            del arr
-            backend.close()
-
-    def test_memmap_spills_under_directory(self, tmp_path):
-        backend = MemmapBuffers(directory=str(tmp_path))
-        arr = backend.empty((16,), np.float32, "tile")
-        arr[:] = 1.0
-        files = list(tmp_path.iterdir())
-        assert files and all(f.suffix == ".mm" for f in files)
-        backend.close()
-        assert not list(tmp_path.iterdir())
-
-    def test_memmap_default_tempdir_cleaned(self):
-        backend = MemmapBuffers()
-        directory = backend.directory
-        backend.empty((4,), np.float64)
-        assert os.path.isdir(directory)
-        backend.close()
-        assert not os.path.isdir(directory)
+from repro.errors import ValidationError
+from repro.gossip.memory import CsrPool, max_pool_columns, min_shards_for
 
 
 def _small_csr(n=6, cols=4):
@@ -108,13 +23,13 @@ def _small_csr(n=6, cols=4):
 class TestCsrPool:
     def test_load_roundtrip(self):
         mat = _small_csr()
-        pool = CsrPool(6, 4, capacity=4, dtype=np.float64, backend=PrivateBuffers())
+        pool = CsrPool(6, 4, capacity=4, dtype=np.float64)
         pool.load(mat)
         assert pool.nnz == mat.nnz
         assert (pool.tocsr() != mat).nnz == 0
 
     def test_ensure_grows_geometrically_and_clamps(self):
-        pool = CsrPool(6, 4, capacity=2, dtype=np.float64, backend=PrivateBuffers())
+        pool = CsrPool(6, 4, capacity=2, dtype=np.float64)
         assert pool.capacity == 2
         pool.ensure(3)
         assert pool.capacity == 4  # doubled, not exact-fit
@@ -122,40 +37,37 @@ class TestCsrPool:
         assert pool.capacity == pool.full_capacity == 24  # clamped to n*cols
 
     def test_ensure_noop_when_sufficient(self):
-        pool = CsrPool(6, 4, capacity=8, dtype=np.float64, backend=PrivateBuffers())
+        pool = CsrPool(6, 4, capacity=8, dtype=np.float64)
         indices_before = pool.indices
         pool.ensure(5)
         assert pool.indices is indices_before
 
     def test_sum_and_min_track_live_prefix(self):
         mat = _small_csr()
-        pool = CsrPool(6, 4, capacity=24, dtype=np.float64, backend=PrivateBuffers())
+        pool = CsrPool(6, 4, capacity=24, dtype=np.float64)
         pool.load(mat)
         assert pool.sum() == pytest.approx(mat.sum())
         assert pool.min() == pytest.approx(mat.data.min())
 
     def test_empty_pool_min_is_zero(self):
-        pool = CsrPool(6, 4, capacity=4, dtype=np.float64, backend=PrivateBuffers())
+        pool = CsrPool(6, 4, capacity=4, dtype=np.float64)
         assert pool.min() == 0.0
 
     def test_shape_mismatch_rejected(self):
-        pool = CsrPool(6, 4, capacity=4, dtype=np.float64, backend=PrivateBuffers())
+        pool = CsrPool(6, 4, capacity=4, dtype=np.float64)
         with pytest.raises(ValidationError):
             pool.load(_small_csr(5, 4))
 
     def test_int32_range_guard(self):
         with pytest.raises(ValidationError):
-            CsrPool(
-                2**17, 2**15, capacity=4, dtype=np.float64,
-                backend=PrivateBuffers(),
-            )
+            CsrPool(2**17, 2**15, capacity=4, dtype=np.float64)
 
     def test_int32_range_guard_is_actionable(self):
         """The guard message says how many columns *would* fit and the
         shard count that makes the requested shape legal."""
         n, cols = 2**17, 2**15
         with pytest.raises(ValidationError) as exc:
-            CsrPool(n, cols, capacity=4, dtype=np.float64, backend=PrivateBuffers())
+            CsrPool(n, cols, capacity=4, dtype=np.float64)
         msg = str(exc.value)
         assert str(max_pool_columns(n)) in msg  # max columns at this n
         assert f"shards={min_shards_for(n, cols)}" in msg  # the fix
@@ -166,9 +78,9 @@ class TestCsrPool:
         # The reported bound is sharp: fit columns pass, fit+1 fails.
         assert n * fit < np.iinfo(np.int32).max
         assert n * (fit + 1) >= np.iinfo(np.int32).max
-        CsrPool(n, fit, capacity=4, dtype=np.float64, backend=PrivateBuffers())
+        CsrPool(n, fit, capacity=4, dtype=np.float64)
         with pytest.raises(ValidationError):
-            CsrPool(n, fit + 1, capacity=4, dtype=np.float64, backend=PrivateBuffers())
+            CsrPool(n, fit + 1, capacity=4, dtype=np.float64)
 
     def test_min_shards_for_restores_legality(self):
         n, cols = 2**17, 2**15
@@ -183,7 +95,7 @@ class TestCsrPool:
 
     def test_float32_pool(self):
         mat = _small_csr()
-        pool = CsrPool(6, 4, capacity=24, dtype=np.float32, backend=PrivateBuffers())
+        pool = CsrPool(6, 4, capacity=24, dtype=np.float32)
         pool.load(mat)
         assert pool.data.dtype == np.float32
         np.testing.assert_allclose(

@@ -49,18 +49,12 @@ Since schema 4:
   ``--large-only`` runs just this tier and exits non-zero when a
   budget is blown (the ``make bench-large`` gate).
 
-Since schema 5:
-
-* every ``large_n`` point records the sync engine's column-shard
-  configuration (``shards``/``shard_workers``) — the standing tiers run
-  sharded (``shards=2``) to keep the shard-invariant path on the
-  recorded trajectory;
-* an opt-in ``--xlarge`` flag extends the tier with the n = 10^6 point
-  (``shards=4``, streaming matrix construction, ~2*10^7 edges) against
-  explicit budgets — 3 GiB peak RSS for float64, 2 GiB for float32,
-  with generous single-core wall ceilings.  ``make bench-xlarge`` is
-  the gated entry point (``--large-only --xlarge``); the default and
-  ``--quick`` sweeps never pay for it.
+Since schema 5 an opt-in ``--xlarge`` flag extends the tier with the
+n = 10^6 point (streaming matrix construction, ~2*10^7 edges) against
+explicit budgets — 3 GiB peak RSS for float64, 2 GiB for float32,
+with generous single-core wall ceilings.  ``make bench-xlarge`` is the
+gated entry point (``--large-only --xlarge``); the default and
+``--quick`` sweeps never pay for it.
 
 Since schema 6 a ``resilience`` section runs the churn-resilience
 sweep (``experiments/churn_resilience.py``) at a pinned operating
@@ -75,6 +69,11 @@ Schema 7 follows the sync engine down to one step loop: the per-cycle
 grid drops the ``fast``/``legacy`` kernel cells for one full-mode and
 one probe-mode cell, and ``end_to_end`` records one ``GossipTrust.run``
 cell (no workspace-reuse on/off pair, no ``workspace_reuse_speedup``).
+
+Schema 8 follows the engine down to one process and derived shards:
+``large_n`` points no longer record a shard configuration (the engine
+splits columns only where ``n * p`` overflows int32 indices — one
+shard at every recorded point).
 
 Usage::
 
@@ -146,10 +145,6 @@ LARGE_N_BUDGETS = {
         "wall_s": 1800.0,
     },
 }
-#: column-shard configuration per large-n point (schema 5): the
-#: standing tiers run 2-way sharded so the recorded trajectory always
-#: exercises the shard-invariant path; the 10^6 point splits 4 ways.
-LARGE_N_SHARDS = {10_000: 2, 100_000: 2, XLARGE_N: 4}
 #: resilience-section operating point (schema 6): strategies under the
 #: scripted crash plan, mass-restoration guard armed
 RESILIENCE_N = 96
@@ -353,8 +348,7 @@ def run_large_n(quick: bool, xlarge: bool = False) -> dict:
     """The schema-4/5 section: the memory-bounded probe path at large n.
 
     One converged probe-mode cycle per (n, dtype) on the pinned
-    synthetic matrix, with the schema-5 shard split applied (results are shard-count
-    invariant; the trajectory keeps the sharded path measured).  Peak
+    synthetic matrix.  Peak
     RSS is metered per point, with the meter started *after* the trust
     matrix is built so the reading is the kernel's own working set on
     top of the resident baseline.  float32 points also record their
@@ -372,7 +366,6 @@ def run_large_n(quick: bool, xlarge: bool = False) -> dict:
     points = []
     for n in tiers:
         budget = LARGE_N_BUDGETS[n]
-        shards = LARGE_N_SHARDS[n]
         S = synthetic_trust_matrix(n, rng=RngStreams(SEED).get("matrix"))
         v = np.full(n, 1.0 / n)
         v64 = None
@@ -385,7 +378,6 @@ def run_large_n(quick: bool, xlarge: bool = False) -> dict:
                 epsilon=EPSILON,
                 mode="probe",
                 dtype=dtype,
-                shards=shards,
             )
             meter = PeakRssMeter()
             t0 = time.perf_counter()
@@ -396,8 +388,6 @@ def run_large_n(quick: bool, xlarge: bool = False) -> dict:
                 "n": n,
                 "mode": "probe",
                 "dtype": dtype,
-                "shards": shards,
-                "shard_workers": 1,
                 "wall_time_s": round(wall, 6),
                 "steps": int(result.steps),
                 "converged": bool(result.converged),
@@ -430,7 +420,6 @@ def run_large_n(quick: bool, xlarge: bool = False) -> dict:
     return {
         "tiers": list(tiers),
         "budgets": {str(n): LARGE_N_BUDGETS[n] for n in tiers},
-        "shards": {str(n): LARGE_N_SHARDS[n] for n in tiers},
         "points": points,
         "all_within_budget": all(
             p["within_rss_budget"] and p["within_wall_budget"] for p in points
@@ -507,7 +496,7 @@ def run(
 ) -> dict:
     if large_only:
         return {
-            "schema": 7,
+            "schema": 8,
             "quick": quick,
             "large_only": True,
             "xlarge": xlarge,
@@ -539,7 +528,7 @@ def run(
             )
             entries.append(cell)
     return {
-        "schema": 7,
+        "schema": 8,
         "quick": quick,
         "xlarge": xlarge,
         "seed": SEED,

@@ -46,7 +46,7 @@ lines += [
     "`SynchronousGossipEngine` (`repro.gossip.engine`) has one step loop",
     "for both modes: X and W start each cycle in geometrically-grown CSR",
     "`CsrPool`s stepped by pooled `csr_matmat` SpGEMMs (the mixing matrix",
-    "laid out diagonal-first by `shard_exec.fill_mixing`); once a shard's",
+    "laid out diagonal-first by `fill_mixing`); once a shard's",
     "occupancy crosses 0.25 it hands off to dense slots, where a step is",
     "`np.multiply(X, 0.5, out=Y)` plus one sort-free `csc_matvecs` scatter",
     "of the senders' halves. The handoff is bitwise-invisible. The knobs",
@@ -59,22 +59,14 @@ lines += [
     "  checks skip the expensive residual scan; once the residual is",
     "  within `8x epsilon` the loop switches to per-step checks, so the",
     "  reported step count keeps Algorithm 1's granularity.",
-    "- **`shards`** — contiguous column shards the working set splits",
-    "  into, each an independent pool triple (default 1; the int32-index",
-    "  floor `min_shards_for(n, p)` is applied automatically).",
-    "  Result-invariant (bitwise).",
-    "- **`shard_workers`** — worker processes stepping shards",
-    "  concurrently (default 1 = serial). Workers attach the engine's",
-    "  `\"shared\"`/`\"memmap\"` workspace by manifest — no array",
-    "  pickling — and results are bitwise-identical to serial.",
     "- **`dtype`** — `\"float64\"` (default) or `\"float32\"` (halves",
     "  workspace memory; estimate drift stays orders below epsilon, and",
     "  an armed sanitizer widens its conservation tolerance to 1e-4).",
-    "- **`workspace_backend`** — `\"private\"` heap buffers (default),",
-    "  `\"shared\"` POSIX shared-memory segments, or `\"memmap\"`",
-    "  file-backed maps (`repro.gossip.memory`); non-private backends",
-    "  keep CSR for the whole cycle.",
     "",
+    "The engine runs in one process on ordinary heap buffers. Columns",
+    "split into shards only where one pool's `n * p` entries would",
+    "overflow int32 indices (`min_shards_for(n, p)`; one shard at every",
+    "recorded point); results are bitwise shard-count invariant.",
     "The buffers live in one `SparseWorkspace` that survives across",
     "`run_cycle` calls and runs of the same shape;",
     "`invalidate_workspace()` drops it explicitly. Reused and fresh",
@@ -94,13 +86,13 @@ lines += [
     "worker count (`--workers` on the CLI).",
     "",
     "Run `PYTHONPATH=src python tools/bench_runner.py` to regenerate the",
-    "tracked benchmark trajectory in `BENCH_engines.json` (schema 7:",
+    "tracked benchmark trajectory in `BENCH_engines.json` (schema 8:",
     "per-cycle engine grid with per-entry peak RSS and phase breakdowns,",
     "end-to-end `GossipTrust.run` and sweep-throughput sections, the",
     "service closed loop, and the `large_n` probe tier with per-point",
-    "RSS/wall budgets and shard configuration — `make bench-large` runs",
+    "RSS/wall budgets — `make bench-large` runs",
     "just that tier and fails when a budget is blown; `make bench-xlarge`",
-    "adds the opt-in n = 10^6 sharded point), `python3 perfbench/run.py`",
+    "adds the opt-in n = 10^6 point), `python3 perfbench/run.py`",
     "for the end-to-end workloads with a `--compare` gate, or",
     "`pytest benchmarks/bench_engines.py` for the engine shoot-out and",
     "the service and parallel-sweep contracts.",
