@@ -57,7 +57,7 @@ bench-large:
 # Opt-in n=10^6 point on top of the full large-n tier: streaming matrix
 # construction (~2*10^7 edges) plus one converged sparse-kernel
 # probe cycle per dtype, gated on 3 GiB (float64) / 2 GiB (float32)
-# peak-RSS budgets.  Minutes of single-core SpGEMM — never part of
+# peak-RSS budgets.  About a minute of threaded gossip — never part of
 # `make ci`; run it to refresh the recorded trajectory point.
 bench-xlarge:
 	PYTHONPATH=src $(PYTHON) tools/bench_runner.py --large-only --xlarge --output BENCH_xlarge.json

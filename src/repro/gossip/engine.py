@@ -52,18 +52,31 @@ The estimate/residual pass reads cache-blocked tiles of
 buffer.  With probe-mode column selection the working set is (n, p)
 regardless of n — at n = 10^5, p = 64, float64 the whole cycle fits
 ~0.5 GiB; ``dtype="float32"`` nearly halves it again for the n = 10^6
-tier.  The columns split into more than one shard only where
-``n * p`` would overflow the pools' int32 indices
-(:func:`~repro.gossip.memory.min_shards_for`).
+tier.
+
+Column shards are the unit of thread parallelism.  The ``p`` columns
+split into one shard per usable core (at least ``_MIN_SHARD_COLUMNS``
+columns and ``_MIN_SHARD_ELEMENTS`` entries each, so only tiny cycles
+stay whole), or into more where ``n * p`` would overflow the pools'
+int32 indices (:func:`~repro.gossip.memory.min_shards_for`).  Every
+step lays out ``M`` and draws targets on the calling thread, hands
+shards ``1..k-1`` to a process-wide thread pool, steps shard 0 itself
+(and any shard no pool thread has taken yet) and resolves the futures
+in submission order; the SpGEMMs, gathers and dense scatters release
+the GIL, so the shards run on separate cores.  Each shard writes only
+its own pools and dense slots.
 
 Partner draws come from one RNG stream (a Generator fills a ``(k, n)``
 block in the same element order as ``k`` successive size-``n`` draws),
-so every shard count and handoff point walks the same mixing-matrix
-sequence and stops on the same step.
+so every shard count, thread count and handoff point walks the same
+mixing-matrix sequence and stops on the same step.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -91,6 +104,7 @@ __all__ = [
     "GossipCycleResult",
     "SynchronousGossipEngine",
     "SparseWorkspace",
+    "column_shards",
 ]
 
 #: engine dtype names accepted by ``dtype=`` (the buffer precision)
@@ -118,6 +132,73 @@ _DENSIFY_THRESHOLD = 0.25
 #: height is ``_TILE_ELEMENTS // p`` rows (results do not depend on it)
 _TILE_ELEMENTS = 1 << 17
 
+#: fewest columns per thread shard: a core gets a shard of its own only
+#: while every shard keeps this many (results do not depend on it)
+_MIN_SHARD_COLUMNS = 16
+
+#: fewest state entries (``n * p_shard``) per thread shard: ~0.1 ms of
+#: dense stepping, several times a pool round trip, so tiny cycles stay
+#: whole (results do not depend on it)
+_MIN_SHARD_ELEMENTS = 1 << 16
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on: its affinity mask where known."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is not None:
+        return len(affinity(0))
+    return os.cpu_count() or 1  # pragma: no cover - no affinity API
+
+
+def column_shards(n: int, p: int) -> int:
+    """The column-shard count of an ``(n, p)`` cycle.
+
+    One shard per usable core while every shard keeps at least
+    ``_MIN_SHARD_COLUMNS`` columns and ``_MIN_SHARD_ELEMENTS`` state
+    entries, but never fewer than the int32 guard needs
+    (:func:`~repro.gossip.memory.min_shards_for`), and never more
+    shards than columns.
+    """
+    threaded = min(
+        _usable_cores(), p // _MIN_SHARD_COLUMNS, n * p // _MIN_SHARD_ELEMENTS
+    )
+    return max(1, min(p, max(min_shards_for(n, p), threaded)))
+
+
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_key = (0, 0)
+_pool_lock = threading.Lock()
+
+
+def _step_pool(workers: int) -> ThreadPoolExecutor:
+    """The process-wide shard-step pool of ``workers`` threads.
+
+    Created lazily, and again when the worker count or the process
+    changes: an executor inherited by a forked child (a sweep worker)
+    never runs what is submitted to it.  A replaced pool is dropped,
+    not shut down, so an engine still stepping on it in another thread
+    finishes; its idle threads exit once it is collected.
+    """
+    global _pool, _pool_key
+    key = (os.getpid(), workers)
+    with _pool_lock:
+        if _pool is None or _pool_key != key:
+            _pool = ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="gossip-shard"
+            )
+            _pool_key = key
+        return _pool
+
+
+def _unlock_pool_after_fork() -> None:
+    """A forked child gets a fresh lock: a parent thread may have held it."""
+    global _pool_lock
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; there is no fork elsewhere
+    os.register_at_fork(after_in_child=_unlock_pool_after_fork)
+
 
 class _TargetStream:
     """Batched partner draws: one ``integers`` call per ``batch`` steps.
@@ -142,7 +223,7 @@ class _TargetStream:
     def next(self) -> np.ndarray:
         if self._block is None or self._row >= self._block.shape[0]:
             block = self._rng.integers(0, self._n - 1, size=(self._batch, self._n))
-            block[block >= self._ids[None, :]] += 1  # uniform over others, never self
+            block += block >= self._ids  # uniform over others, never self
             self._block = block
             self._row = 0
         row = self._block[self._row]
@@ -186,9 +267,10 @@ class SparseWorkspace:
 
     The ``p`` probe columns are split into ``shards`` contiguous,
     near-equal column ranges (``bounds[i] : bounds[i + 1]``), each
-    stepped independently: because the mixing matrix acts on rows, the
-    SpGEMM over a column subset computes bitwise the same values as the
-    same columns of the unsharded product.  Every shard owns three
+    stepped independently and, one per usable core, on its own thread:
+    because the mixing matrix acts on rows, the SpGEMM over a column
+    subset computes bitwise the same values as the same columns of the
+    unsharded product.  Every shard owns three
     rotating :class:`~repro.gossip.memory.CsrPool` instances (current
     X, current W, SpGEMM output — the output pool is always the one
     whose contents just died, so two pools' worth of state plus one
@@ -198,7 +280,8 @@ class SparseWorkspace:
     ``M = 0.5*(I + A)`` has exactly ``2n`` entries every step, so its
     ``m_indptr``/``m_indices``/``m_data`` arrays are fixed-size and
     ``m_data`` is the constant 0.5 vector, filled once; all shards of a
-    step share it.  Its first ``n`` entries (``half``) double as the
+    step share it, read-only while they run.  Its first ``n`` entries
+    (``half``) double as the
     values of ``A`` in the dense step, whose CSC column pointer is the
     constant ``cptr = arange(n + 1)``.
 
@@ -336,12 +419,14 @@ class SynchronousGossipEngine(CycleEngine):
     rng:
         Partner-choice randomness.
 
-    The ``p`` columns split into column shards only where one pool's
-    ``n * p`` entries would overflow its int32 indices
-    (:func:`~repro.gossip.memory.min_shards_for`; one shard at every
-    recorded point, n = 10^6 with p = 64 included).  Results are
-    invariant in the shard count: column subsets of a row-acting
-    SpGEMM are bitwise the same values.
+    The ``p`` columns split into :func:`column_shards` shards: one per
+    usable core while each keeps ``_MIN_SHARD_COLUMNS`` columns and
+    ``_MIN_SHARD_ELEMENTS`` entries, more only where one pool's
+    ``n * p`` entries would overflow its int32 indices.  The shards of a step run on a process-wide thread pool
+    of ``cores - 1`` threads plus the calling thread.  Results are
+    invariant in the shard and thread counts: column subsets of a
+    row-acting SpGEMM are bitwise the same values, and the partner
+    draws and convergence checks stay on the calling thread.
     """
 
     name = "sync"
@@ -502,13 +587,8 @@ class SynchronousGossipEngine(CycleEngine):
         return super().arm_sanitizer(sanitizer)
 
     def _effective_shards(self, p: int) -> int:
-        """The shard count used for probe width ``p``.
-
-        The fewest shards that keep every pool's ``n * p_shard``
-        element count inside the int32 index guard, clamped to at most
-        one shard per column.
-        """
-        return min(p, min_shards_for(self.n, p))
+        """The shard count used for probe width ``p`` (:func:`column_shards`)."""
+        return column_shards(self.n, p)
 
     def _acquire_sparse_workspace(self, p: int) -> SparseWorkspace:
         """The reusable buffer set for shape ``(n, p)``.
@@ -555,7 +635,11 @@ class SynchronousGossipEngine(CycleEngine):
     def _column_stats(B: np.ndarray) -> Tuple[np.ndarray, float]:
         """Per-column mean of the finite estimates, plus node disagreement.
 
-        Small matrices take the one-shot nan-reduction path.  Past
+        Small matrices take one-shot reductions: the column extremes
+        first, and when they are all finite (every converged cycle) the
+        plain column means, which equal the nan-masked ones bitwise; a
+        non-finite ``B`` (the best-effort path) takes the nan-reduction
+        path.  Past
         ``_BLOCKED_STATS_LIMIT`` elements the reductions run over row
         blocks with O(block * p) temporaries instead — at n = 10^6,
         p = 64, float64 the one-shot path's masked copy alone is
@@ -563,6 +647,10 @@ class SynchronousGossipEngine(CycleEngine):
         """
         n, p = B.shape
         if n * p <= _BLOCKED_STATS_LIMIT:
+            col_max = B.max(axis=0)
+            col_min = B.min(axis=0)
+            if np.isfinite(col_max).all() and np.isfinite(col_min).all():
+                return B.mean(axis=0), float((col_max - col_min).max())
             col_means = np.nanmean(np.where(np.isfinite(B), B, np.nan), axis=0)
             disagreement = float(
                 np.nanmax(np.nanmax(B, axis=0) - np.nanmin(B, axis=0))
@@ -624,7 +712,10 @@ class SynchronousGossipEngine(CycleEngine):
         crosses ``_DENSIFY_THRESHOLD`` (:meth:`_densify_shard` /
         :meth:`_dense_step` — bitwise the same values, ~2/3 the
         steady-state bytes, no mixing layout); once every shard is
-        dense the per-step CSR layout of ``M`` stops too.
+        dense the per-step CSR layout of ``M`` stops too.  The shards
+        of a step run concurrently (:meth:`_step_shards`); the layout,
+        the partner draws, the checks and the sanitizer stay on the
+        calling thread.
 
         The estimate/residual check (:meth:`_check`) runs every
         ``check_every`` steps, per step once a residual comes within
@@ -646,6 +737,8 @@ class SynchronousGossipEngine(CycleEngine):
             phases["alloc"] = phases.get("alloc", 0.0) + alloc_watch.elapsed()
         bounds = ws.bounds
         ws.dense_on = [False] * ws.shards
+        cores = _usable_cores()
+        pool = _step_pool(cores - 1) if ws.shards > 1 and cores > 1 else None
         for si, triple in enumerate(ws.shard_pools):
             if ws.shards == 1:
                 triple[0].load(Xs)
@@ -684,26 +777,15 @@ class SynchronousGossipEngine(CycleEngine):
             # to "next step where a check fires".
             nxt = self._next_check(step, fine)
             target = min(nxt, self.max_steps)
-            # hot: sharded step loop — pooled SpGEMMs, then dense scatters
+            # hot: step loop — layout and draws here, then every shard steps
             while step < target:
                 targets = stream.next()
                 if not all(ws.dense_on):  # only CSR shards need M laid out
                     fill_mixing(targets, ws.ids, ws.m_indptr, ws.m_indices)
-                a = (-step) % 3
-                b = (1 - step) % 3
-                c = (2 - step) % 3
-                for si, triple in enumerate(ws.shard_pools):
-                    if not ws.dense_on[si]:
-                        if (
-                            triple[a].nnz >= dense_at[si]
-                            or triple[b].nnz >= dense_at[si]
-                        ):
-                            self._densify_shard(ws, si, a, b, c)
-                        else:
-                            self._spgemm_step(ws, triple[a], triple[c])
-                            self._spgemm_step(ws, triple[b], triple[a])
-                            continue
-                    self._dense_step(ws, si, a, b, c, targets)
+                self._step_shards(
+                    ws, pool, (-step) % 3, (1 - step) % 3, (2 - step) % 3,
+                    targets, dense_at,
+                )
                 step += 1
             if step != nxt:
                 break  # budget ran out before the next check step
@@ -776,6 +858,89 @@ class SynchronousGossipEngine(CycleEngine):
         r = t % self.check_every
         return t if r == 0 else t + (self.check_every - r)
 
+    def _step_shards(
+        self,
+        ws: SparseWorkspace,
+        pool: Optional[ThreadPoolExecutor],
+        a: int,
+        b: int,
+        c: int,
+        targets: np.ndarray,
+        dense_at: List[int],
+    ) -> None:
+        """One gossip step of every shard: 1.. on ``pool``, 0 on this thread.
+
+        Handoffs are decided, and their dense slots claimed, here on the
+        calling thread, so a shard's thread writes only into that
+        shard's pools and slot arrays while ``targets`` and the mixing
+        layout stay read-only.  After shard 0 this thread also steps
+        every shard no pool thread has taken yet (a cancelled future
+        never runs), so a descheduled pool thread cannot stall the
+        step.  The taken futures resolve in submission order, all of
+        them before any error propagates, so no shard is still running
+        when the caller sees it; a failed step leaves the workspace
+        half-stepped, so it is dropped and the next cycle allocates
+        fresh.  Without a pool the shards step here in turn.
+        """
+        handoff = [False] * ws.shards
+        for si, triple in enumerate(ws.shard_pools):
+            nnz = max(triple[a].nnz, triple[b].nnz)
+            if not ws.dense_on[si] and nnz >= dense_at[si]:
+                self._claim_dense(ws, si)
+                handoff[si] = True
+        try:
+            if pool is None:
+                for si in range(ws.shards):
+                    self._shard_step(ws, si, a, b, c, targets, handoff[si])
+                return
+            futures: List[Future[None]] = [
+                pool.submit(
+                    self._shard_step, ws, si, a, b, c, targets, handoff[si]
+                )
+                for si in range(1, ws.shards)
+            ]
+            try:
+                self._shard_step(ws, 0, a, b, c, targets, handoff[0])
+                for si, future in enumerate(futures, start=1):
+                    if future.cancel():  # no thread took it yet: step it here
+                        self._shard_step(ws, si, a, b, c, targets, handoff[si])
+            finally:
+                for future in futures:
+                    future.cancel()  # after an error, untaken shards never run
+                taken = [f for f in futures if not f.cancelled()]
+                wait(taken)
+            for future in taken:
+                future.result()
+        except BaseException:
+            self.invalidate_workspace()
+            raise
+
+    # hot: one shard's step — the CSR SpGEMM pair, or handoff and dense step
+    def _shard_step(
+        self,
+        ws: SparseWorkspace,
+        si: int,
+        a: int,
+        b: int,
+        c: int,
+        targets: np.ndarray,
+        handoff: bool,
+    ) -> None:
+        """Step shard ``si`` once (on a pool thread for ``si > 0``).
+
+        A CSR shard runs its two SpGEMMs; a shard handing off this step
+        gathers its state into the dense slots first; a dense shard
+        runs the sort-free dense step.
+        """
+        if handoff:
+            self._densify_shard(ws, si, a, b, c)
+        if ws.dense_on[si]:
+            self._dense_step(ws, si, a, b, c, targets)
+        else:
+            triple = ws.shard_pools[si]
+            self._spgemm_step(ws, triple[a], triple[c])
+            self._spgemm_step(ws, triple[b], triple[a])
+
     # hot: one pooled SpGEMM — dst := M @ src, no symbolic pass
     def _spgemm_step(self, ws: SparseWorkspace, src: CsrPool, dst: CsrPool) -> None:
         """Multiply the pooled mixing matrix into ``src``, writing ``dst``.
@@ -800,28 +965,35 @@ class SynchronousGossipEngine(CycleEngine):
         )
         dst.nnz = int(dst.indptr[ws.n])
 
+    @staticmethod
+    def _claim_dense(ws: SparseWorkspace, si: int) -> None:
+        """Flag shard ``si`` dense and give it its three slot arrays.
+
+        The ``(n, p_shard)`` arrays are allocated once (untouched pages
+        until the gather writes them) and persist on the workspace
+        across cycles; only the ``dense_on`` flags reset per cycle.
+        """
+        if ws.dense[si] is None:
+            ps = ws.bounds[si + 1] - ws.bounds[si]
+            ws.dense[si] = [np.empty((ws.n, ps), dtype=ws.dtype) for _ in range(3)]
+        ws.dense_on[si] = True
+
     def _densify_shard(
         self, ws: SparseWorkspace, si: int, a: int, b: int, c: int
     ) -> None:
-        """Hand shard ``si`` off from pooled CSR to dense slot stepping.
+        """Hand shard ``si`` off from pooled CSR to its dense slots.
 
         Gathers the live X (slot ``a``) and W (slot ``b``) values into
-        three reusable ``(n, p_shard)`` dense arrays and releases the
+        the slot arrays :meth:`_claim_dense` provided and releases the
         CSR pool arrays — slot ``c`` holds dead state, so it is not
         gathered (the next step overwrites it as the step output).
         Each pool is released immediately after its gather, so the
-        transient co-residency is one dense slot, not three.  The
-        dense arrays persist on the workspace across cycles; only the
-        ``dense_on`` flags reset per cycle.
+        transient co-residency is one dense slot per shard, not three.
         """
         triple = ws.shard_pools[si]
         ps = triple[0].cols
         dense = ws.dense[si]
-        if dense is None:
-            dense = [
-                np.empty((ws.n, ps), dtype=ws.dtype) for _ in range(3)
-            ]
-            ws.dense[si] = dense
+        assert dense is not None
         for slot in (a, b):
             pool = triple[slot]
             dst = dense[slot]
@@ -831,7 +1003,6 @@ class SynchronousGossipEngine(CycleEngine):
             )
             pool.release()
         triple[c].release()
-        ws.dense_on[si] = True
 
     # hot: dense shard step — kept halves, then a sort-free csc_matvecs scatter
     def _dense_step(

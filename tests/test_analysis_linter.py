@@ -235,10 +235,10 @@ class TestGT002:
     def test_repo_hot_regions_are_clean(self):
         # Minimum marker counts pin the kernels' coverage: engine.py
         # carries the step loop's regions (mixing fill, step loop,
-        # SpGEMM, dense scatter step, tile gather, estimate tile,
-        # blocked check); vector.py its two merge/fill loops.
+        # shard step, SpGEMM, dense scatter step, tile gather, estimate
+        # tile, blocked check); vector.py its two merge/fill loops.
         for rel, floor in (
-            ("src/repro/gossip/engine.py", 7),
+            ("src/repro/gossip/engine.py", 8),
             ("src/repro/gossip/vector.py", 2),
         ):
             src = SourceFile.read(str(REPO / rel))

@@ -8,10 +8,20 @@ RNG stream, so on a seeded instance they must walk the same
 mixing-matrix sequence: identical step counts at per-step checks,
 matching results up to floating-point accumulation order.
 
-Everything the engine varies internally — shard count, workspace
-reuse, handoff point, tile height — must be *bitwise* invisible in the
-results.
+Everything the engine varies internally — shard count, thread count,
+workspace reuse, handoff point, tile height — must be *bitwise*
+invisible in the results.
 """
+
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -43,14 +53,26 @@ def _cycle(n, S, v, **options):
     return eng.run_cycle(S, v)
 
 
-def _force_shards(monkeypatch, shards):
-    """Make the engine split its columns into ``shards`` shards.
+def _pin_cores(monkeypatch, cores):
+    """Make the engine step test-size cycles on ``cores`` threads.
 
-    The engine derives its shard count from the int32 guard
-    (``min_shards_for``), which is 1 at test sizes; patching it is the
-    only way to reach the multi-shard paths here.
+    Pins the usable cores and drops the per-shard work floor, which
+    keeps every instance of this file's sizes whole otherwise.
+    """
+    monkeypatch.setattr(engine_mod, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(engine_mod, "_MIN_SHARD_ELEMENTS", 1)
+
+
+def _force_shards(monkeypatch, shards):
+    """Make the engine split its columns into exactly ``shards`` shards.
+
+    The engine derives its shard count from the usable cores and the
+    int32 guard (``min_shards_for``, 1 at test sizes); pinning both to
+    ``shards`` gives that count on any machine, stepped by the calling
+    thread plus ``shards - 1`` pool threads.
     """
     monkeypatch.setattr(engine_mod, "min_shards_for", lambda n, cols: shards)
+    _pin_cores(monkeypatch, shards)
 
 
 def _oracle(n, S, v, *, mode="full", check_every=1):
@@ -443,14 +465,32 @@ class TestShardedSparseKernel:
         np.testing.assert_array_equal(res.v_next, base.v_next)
         assert eng.sanitizer.checks > 0
 
-    def test_auto_shard_raise_for_int32_guard(self):
+    def test_auto_shard_raise_for_int32_guard(self, monkeypatch):
         """A probe width whose pool would overflow int32 indexing is
         auto-split into the minimum legal shard count."""
         from repro.gossip.memory import min_shards_for
 
+        _pin_cores(monkeypatch, 1)
         eng = SynchronousGossipEngine(2**17)
         assert eng._effective_shards(64) == 1
         assert eng._effective_shards(2**15) == min_shards_for(2**17, 2**15) == 3
+
+    @pytest.mark.parametrize(
+        "n, p, cores, shards",
+        [
+            (10**5, 64, 2, 2),  # one shard per core
+            (10**5, 20, 2, 1),  # too narrow for a second 16-column shard
+            (10**5, 64, 8, 4),  # capped at 64 // 16 shards
+            (10**6, 64, 2, 2),
+            (1000, 1000, 2, 2),
+            (250, 250, 2, 1),  # too little work per shard for a thread
+            (2**17, 2**15, 2, 3),  # the int32 guard wins over the cores
+            (10, 3, 4, 1),
+        ],
+    )
+    def test_shard_count_follows_cores(self, n, p, cores, shards, monkeypatch):
+        monkeypatch.setattr(engine_mod, "_usable_cores", lambda: cores)
+        assert engine_mod.column_shards(n, p) == shards
 
     def test_validation(self):
         """The shard count is derived, never passed: the engine takes no
@@ -576,3 +616,219 @@ class TestDenseHandoff:
         assert not res.converged and res.steps == 40
         assert all(eng.sparse_workspace.dense_on)
         assert np.isfinite(res.gossip_error)
+
+
+def _warm_cycles(n, S, v, cycles=2, **options):
+    """``cycles`` cycles on one engine, each warm-started from the last."""
+    eng = make_engine("sync", n=n, rng=RngStreams(SEED), epsilon=EPSILON, **options)
+    results = []
+    for _ in range(cycles):
+        res = eng.run_cycle(S, v)
+        results.append(res)
+        v = res.v_next / res.v_next.sum()
+    return eng, results
+
+
+class TestThreadedShards:
+    """Column shards step on threads, one per usable core.  Each shard's
+    arithmetic is the serial one and only the calling thread draws
+    partners or checks convergence, so the thread count is bitwise
+    invisible."""
+
+    @pytest.mark.parametrize("threshold", [None, 2.0])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("mode", ["full", "probe"])
+    def test_thread_count_invariance(self, mode, dtype, threshold, monkeypatch):
+        """1, 2 and 4 cores land on bitwise-equal warm cycles, with the
+        default dense handoff and with pure CSR stepping."""
+        S, v = _instance(250)
+        if threshold is not None:
+            monkeypatch.setattr(engine_mod, "_DENSIFY_THRESHOLD", threshold)
+        runs = {}
+        for cores in (1, 2, 4):
+            _pin_cores(monkeypatch, cores)
+            eng, runs[cores] = _warm_cycles(250, S, v, mode=mode, dtype=dtype)
+            assert eng.sparse_workspace.shards == cores
+            assert any(eng.sparse_workspace.dense_on) == (threshold is None)
+        for cores in (2, 4):
+            for got, want in zip(runs[cores], runs[1]):
+                assert got.converged and got.steps == want.steps
+                np.testing.assert_array_equal(got.v_next, want.v_next)
+                assert got.gossip_error == want.gossip_error
+
+    def test_shards_step_on_several_threads(self, monkeypatch):
+        S, v = _instance(250)
+        idents = set()
+        shard_step = SynchronousGossipEngine._shard_step
+
+        def spy(self, ws, si, *args):
+            idents.add(threading.get_ident())
+            if si == 0:
+                time.sleep(1e-3)  # time for a pool thread to take shard 1
+            return shard_step(self, ws, si, *args)
+
+        monkeypatch.setattr(SynchronousGossipEngine, "_shard_step", spy)
+        _pin_cores(monkeypatch, 2)
+        res = _cycle(250, S, v, mode="probe")
+        assert res.converged
+        assert threading.get_ident() in idents and len(idents) > 1
+
+    def test_caller_steps_the_shards_no_thread_took(self, monkeypatch):
+        """A pool whose threads are all busy never stalls a step: the
+        calling thread steps every shard still queued, bitwise as
+        before."""
+        S, v = _instance(250)
+        base = _cycle(250, S, v, mode="probe")
+        release = threading.Event()
+        busy = ThreadPoolExecutor(max_workers=1)
+        busy.submit(release.wait, 60)  # bounded, so a bug cannot hang
+        _pin_cores(monkeypatch, 2)
+        monkeypatch.setattr(engine_mod, "_step_pool", lambda workers: busy)
+        try:
+            eng = make_engine(
+                "sync", n=250, rng=RngStreams(SEED), epsilon=EPSILON, mode="probe",
+            )
+            res = eng.run_cycle(S, v)
+            assert not release.is_set()  # the pool thread never got free
+        finally:
+            release.set()
+            busy.shutdown()
+        assert eng.sparse_workspace.shards == 2
+        assert res.steps == base.steps
+        np.testing.assert_array_equal(res.v_next, base.v_next)
+        assert res.gossip_error == base.gossip_error
+
+    def test_one_core_steps_without_a_pool(self, monkeypatch):
+        """One core steps every shard on the calling thread — also the
+        several shards the int32 guard can demand."""
+        S, v = _instance(250)
+        base = _cycle(250, S, v, mode="probe")
+        _pin_cores(monkeypatch, 1)
+        monkeypatch.setattr(engine_mod, "_step_pool", None)  # any use fails
+        for guard_shards in (1, 3):
+            monkeypatch.setattr(
+                engine_mod, "min_shards_for", lambda n, cols, k=guard_shards: k
+            )
+            eng = make_engine(
+                "sync", n=250, rng=RngStreams(SEED), epsilon=EPSILON, mode="probe",
+            )
+            res = eng.run_cycle(S, v)
+            assert eng.sparse_workspace.shards == guard_shards
+            assert res.steps == base.steps
+            np.testing.assert_array_equal(res.v_next, base.v_next)
+            assert res.gossip_error == base.gossip_error
+
+    def test_worker_error_propagates_and_engine_recovers(self, monkeypatch):
+        """A shard step that raises on a pool thread fails the cycle; the
+        half-stepped workspace is dropped and the next cycle runs."""
+        S, v = _instance(250)
+        _pin_cores(monkeypatch, 2)
+        failed_on = []
+        caller = threading.get_ident()
+        shard_step = SynchronousGossipEngine._shard_step
+
+        def flaky(self, ws, si, *args):
+            if si == 0 and not failed_on:
+                time.sleep(1e-3)  # time for a pool thread to take shard 1
+            if si == 1 and not failed_on and threading.get_ident() != caller:
+                failed_on.append(threading.get_ident())
+                raise RuntimeError("shard 1 exploded")
+            return shard_step(self, ws, si, *args)
+
+        monkeypatch.setattr(SynchronousGossipEngine, "_shard_step", flaky)
+        eng = make_engine(
+            "sync", n=250, rng=RngStreams(SEED), epsilon=EPSILON, mode="probe",
+        )
+        with pytest.raises(RuntimeError, match="shard 1 exploded"):
+            eng.run_cycle(S, v)
+        assert failed_on and failed_on[0] != caller
+        assert eng.sparse_workspace is None  # invalidated, not reused
+        res = eng.run_cycle(S, v)
+        assert res.converged and np.isfinite(res.gossip_error)
+        assert eng.sparse_workspace.shards == 2
+
+    def test_sweep_workers_after_threaded_parent_cycle(self):
+        """A forked sweep worker gets a pool of its own: after the parent
+        has stepped threads, ``run_sweep(workers=2)`` over sync-engine
+        points returns the ``workers=1`` values instead of hanging."""
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from repro.experiments.fig3_gossip_steps import _fig3_point
+            from repro.experiments.runner import SweepPoint, run_sweep
+            from repro.experiments.synthetic import synthetic_trust_matrix
+            from repro.gossip import engine as engine_mod
+            from repro.gossip.factory import make_engine
+            from repro.utils.rng import RngStreams
+
+            engine_mod._usable_cores = lambda: 2
+            engine_mod._MIN_SHARD_ELEMENTS = 1
+            eng = make_engine("sync", n=200, rng=RngStreams(0), mode="probe")
+            S = synthetic_trust_matrix(200, rng=RngStreams(0).get("matrix"))
+            assert eng.run_cycle(S, np.full(200, 1 / 200)).converged
+            assert eng.sparse_workspace.shards == 2
+            points = [
+                SweepPoint(
+                    fn=_fig3_point,
+                    kwargs={"n": 200, "epsilon": 1e-4, "cycles_per_point": 2},
+                    seed=s,
+                )
+                for s in range(4)
+            ]
+
+            def values(report):
+                return [
+                    (steps, [r.gossip_error for r in records])
+                    for steps, records in report.values()
+                ]
+
+            serial = values(run_sweep(points, workers=1))
+            assert values(run_sweep(points, workers=2)) == serial, serial
+            print("sweep ok")
+            """
+        )
+        repo = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], cwd=repo, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            start_new_session=True,
+        )
+        try:
+            out, _ = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the sweep workers too
+            proc.communicate()
+            pytest.fail("run_sweep(workers=2) hung after a threaded parent cycle")
+        assert proc.returncode == 0, out
+        assert "sweep ok" in out
+
+
+class TestColumnStats:
+    """The finite fast path of ``_column_stats`` against its nan path."""
+
+    @staticmethod
+    def _nan_path(B):
+        means = np.nanmean(np.where(np.isfinite(B), B, np.nan), axis=0)
+        spread = np.nanmax(np.nanmax(B, axis=0) - np.nanmin(B, axis=0))
+        return means, float(spread)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(1000, 64), (300, 300)])
+    def test_finite_fast_path_is_bitwise(self, shape, dtype):
+        B = np.random.default_rng(SEED).random(shape).astype(dtype) + 0.5
+        means, spread = SynchronousGossipEngine._column_stats(B)
+        want_means, want_spread = self._nan_path(B)
+        assert means.dtype == want_means.dtype
+        np.testing.assert_array_equal(means, want_means)
+        assert spread == want_spread
+
+    def test_nan_estimates_take_the_nan_path(self):
+        B = np.random.default_rng(SEED).random((400, 64))
+        B[3, 5] = np.nan
+        B[7, 9] = np.inf
+        means, spread = SynchronousGossipEngine._column_stats(B)
+        want_means, want_spread = self._nan_path(B)
+        assert np.isfinite(means[5])  # the NaN is skipped, not averaged
+        np.testing.assert_array_equal(means, want_means)
+        assert spread == want_spread

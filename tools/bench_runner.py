@@ -52,7 +52,7 @@ Since schema 4:
 Since schema 5 an opt-in ``--xlarge`` flag extends the tier with the
 n = 10^6 point (streaming matrix construction, ~2*10^7 edges) against
 explicit budgets — 3 GiB peak RSS for float64, 2 GiB for float32,
-with generous single-core wall ceilings.  ``make bench-xlarge`` is the
+with generous wall ceilings.  ``make bench-xlarge`` is the
 gated entry point (``--large-only --xlarge``); the default and
 ``--quick`` sweeps never pay for it.
 
@@ -74,6 +74,13 @@ Schema 8 follows the engine down to one process and derived shards:
 ``large_n`` points no longer record a shard configuration (the engine
 splits columns only where ``n * p`` overflows int32 indices — one
 shard at every recorded point).
+
+Schema 9 follows the engine onto threads: column shards are its unit
+of thread parallelism (one per usable core, at least 16 columns and
+2^16 entries each), so the provenance stamps ``usable_cores`` (the
+process's affinity mask) and the derived ``step_threads`` (the shard
+count, and so the threads stepping, of the n = 10^6 64-column probe
+cycle).
 
 Usage::
 
@@ -101,6 +108,7 @@ from repro.core.gossiptrust import GossipTrust  # noqa: E402
 from repro.experiments.fig3_gossip_steps import _fig3_point  # noqa: E402
 from repro.experiments.runner import SweepPoint, run_sweep  # noqa: E402
 from repro.experiments.synthetic import synthetic_trust_matrix  # noqa: E402
+from repro.gossip.engine import _usable_cores, column_shards  # noqa: E402
 from repro.gossip.factory import make_engine  # noqa: E402
 from repro.service import ServeSimConfig, simulate_service  # noqa: E402
 from repro.utils.proc import PeakRssMeter  # noqa: E402
@@ -127,6 +135,8 @@ SERVICE_N_QUICK = 250
 #: measured ingest/query/aggregate epochs in the service section
 SERVICE_EPOCHS = 4
 SERVICE_EPOCHS_QUICK = 2
+#: probe width of the large-n tier (the engine default)
+PROBE_COLUMNS = 64
 #: large-n probe tier (quick mode runs the first point only)
 LARGE_N_SWEEP = (10_000, 100_000)
 #: the opt-in ``--xlarge`` extension point (``make bench-xlarge``)
@@ -135,7 +145,7 @@ XLARGE_N = 1_000_000
 #: The 10^5 RSS budget is a prior acceptance line (2 GiB); the 10^6
 #: budgets are per-dtype (3 GiB float64 / 2 GiB float32 — the pools,
 #: the dense prev buffer, and the ~2*10^7-edge matrix together).  Wall
-#: budgets are ~4x the observed single-core times, loose enough for CI.
+#: budgets are ~4x the observed times, loose enough for CI.
 LARGE_N_BUDGETS = {
     10_000: {"rss_kib": 1 * 1024 * 1024, "wall_s": 60.0},
     100_000: {"rss_kib": 2 * 1024 * 1024, "wall_s": 300.0},
@@ -357,8 +367,9 @@ def run_large_n(quick: bool, xlarge: bool = False) -> dict:
     construction; the per-point ``gossip_error`` is what carries the
     dtype's estimate quality) and check against the per-dtype RSS
     budget when one is set (the 10^6 point: 3 GiB float64 / 2 GiB
-    float32).  ``xlarge`` appends the n = 10^6 point — minutes of
-    single-core SpGEMM, so it stays behind ``make bench-xlarge``.
+    float32).  ``xlarge`` appends the n = 10^6 point — about a minute
+    of gossip plus matrix construction, so it stays behind
+    ``make bench-xlarge``.
     """
     tiers = LARGE_N_SWEEP[:1] if quick else LARGE_N_SWEEP
     if xlarge:
@@ -377,6 +388,7 @@ def run_large_n(quick: bool, xlarge: bool = False) -> dict:
                 rng=RngStreams(SEED),
                 epsilon=EPSILON,
                 mode="probe",
+                probe_columns=PROBE_COLUMNS,
                 dtype=dtype,
             )
             meter = PeakRssMeter()
@@ -486,6 +498,22 @@ def run_resilience(quick: bool) -> dict:
     }
 
 
+def provenance(label: str, commit: str) -> dict:
+    """The caller's label and commit, the interpreter, and the step threads.
+
+    ``label``/``commit`` are caller-supplied (empty when not passed),
+    never read from a clock or VCS here, so the run stays deterministic.
+    """
+    return {
+        "label": label,
+        "commit": commit,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "usable_cores": _usable_cores(),
+        "step_threads": column_shards(XLARGE_N, PROBE_COLUMNS),
+    }
+
+
 def run(
     quick: bool,
     *,
@@ -496,16 +524,13 @@ def run(
 ) -> dict:
     if large_only:
         return {
-            "schema": 8,
+            "schema": 9,
             "quick": quick,
             "large_only": True,
             "xlarge": xlarge,
             "seed": SEED,
             "epsilon": EPSILON,
-            "label": label,
-            "commit": commit,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
+            **provenance(label, commit),
             "large_n": run_large_n(quick, xlarge=xlarge),
         }
     repeats = 1 if quick else 3
@@ -528,17 +553,12 @@ def run(
             )
             entries.append(cell)
     return {
-        "schema": 8,
+        "schema": 9,
         "quick": quick,
         "xlarge": xlarge,
         "seed": SEED,
         "epsilon": EPSILON,
-        # Caller-supplied provenance (empty when not passed); never read
-        # from a clock or VCS here so the run itself stays deterministic.
-        "label": label,
-        "commit": commit,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
+        **provenance(label, commit),
         "entries": entries,
         "end_to_end": run_end_to_end(quick),
         "service": run_service(quick),
@@ -562,7 +582,7 @@ def main(argv=None) -> int:
         "--xlarge",
         action="store_true",
         help="extend the large-n tier with the opt-in n=10^6 point "
-        "(minutes of single-core gossip; the `make bench-xlarge` gate)",
+        "(about a minute of gossip; the `make bench-xlarge` gate)",
     )
     parser.add_argument(
         "--output",

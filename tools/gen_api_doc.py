@@ -64,9 +64,11 @@ lines += [
     "  an armed sanitizer widens its conservation tolerance to 1e-4).",
     "",
     "The engine runs in one process on ordinary heap buffers. Columns",
-    "split into shards only where one pool's `n * p` entries would",
-    "overflow int32 indices (`min_shards_for(n, p)`; one shard at every",
-    "recorded point); results are bitwise shard-count invariant.",
+    "split into one shard per usable core (at least 16 columns and 2^16",
+    "entries each), or more where one pool's `n * p` entries would",
+    "overflow int32 indices (`column_shards(n, p)`); the shards of a",
+    "step run on a process-wide thread pool, and results are bitwise",
+    "invariant in the shard and thread counts.",
     "The buffers live in one `SparseWorkspace` that survives across",
     "`run_cycle` calls and runs of the same shape;",
     "`invalidate_workspace()` drops it explicitly. Reused and fresh",
