@@ -14,11 +14,17 @@ epsilon criterion between consecutive samples.  Results are reported in
 synchronous engine — the classic asynchronous-gossip result is that the
 per-send convergence cost matches the synchronous analysis, which the
 ``async`` ablation bench checks.
+
+Node state is the same :class:`~repro.gossip.vector.PopulationStore` as
+the round-based engine's (row ``i`` is node ``i``'s vector); each
+Poisson wake halves its own row, and the monitor's estimate matrix and
+held mass are row reductions over the store.  Delivery handlers are the
+same weak dispatcher (:func:`~repro.gossip.message_engine.weak_dispatcher`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,9 +35,11 @@ from repro.gossip.message_engine import (
     MessageGossipResult,
     _batched_converged,
     _disagreement,
+    _init_states,
+    weak_dispatcher,
 )
 from repro.gossip.partnering import GlobalSampler, PartnerStrategy
-from repro.gossip.vector import EstimatesWorkspace, TripletVector
+from repro.gossip.vector import EstimatesWorkspace, PopulationStore, TripletVector
 from repro.network.overlay import Overlay
 from repro.network.transport import Message, Transport
 from repro.sim.engine import Simulator
@@ -123,17 +131,19 @@ class AsyncMessageGossipEngine(CycleEngine):
         #: gossip halves delivered to departed/uninitialized nodes
         self.discarded = 0
         self._rng = as_generator(rng)
+        #: this cycle's participants -> their store rows
         self._states: Dict[int, TripletVector] = {}
-        #: per-node TripletVectors recycled across cycles (see message_engine)
-        self._pool: Dict[int, TripletVector] = {}
-        #: reusable buffers for the monitor's estimate matrices
+        #: every node's triplet vector, one row each (see message_engine)
+        self._store = PopulationStore(overlay.n)
+        #: alternating output slots for the monitor's estimate matrices
         self._est_ws = EstimatesWorkspace()
         self._running = False
         self._gen = 0
         self.sends = 0
         self.cycle_steps = []
+        dispatch = weak_dispatcher(self)
         for node in range(overlay.n):
-            transport.register(node, self._on_message)
+            transport.register(node, dispatch)
 
     # -- protocol ----------------------------------------------------------
 
@@ -174,6 +184,10 @@ class AsyncMessageGossipEngine(CycleEngine):
             )
             self.sends += 1
 
+    def _held(self) -> List[int]:
+        """Live nodes that hold a vector this cycle, ascending."""
+        return [node for node in self.overlay.alive_nodes().tolist() if node in self._states]
+
     def run_cycle(
         self,
         S: Union[TrustInput, Sequence[Mapping[int, float]]],
@@ -197,17 +211,10 @@ class AsyncMessageGossipEngine(CycleEngine):
         if san is not None:
             san.begin_cycle(self.name)
         prior_map = {i: float(v_prior[i]) for i in range(n)}
-        self._states = {}
-        initial_mass = 0.0
-        for node in self.overlay.alive_nodes().tolist():
-            tv = self._pool.get(node)
-            if tv is None:
-                tv = self._pool[node] = TripletVector(n)
-            tv.reset(node, rows[node], prior_map, n=n)
-            self._states[node] = tv
-            mx, mw = tv.mass()
-            initial_mass += mx + mw
+        store = self._store
+        self._states, initial_mass = _init_states(store, self.overlay, rows, prior_map)
         initial_live = frozenset(self._states)
+        track_mass = san is not None or self.mass_restore_budget is not None
 
         sent_before = self.transport.sent
         dropped_before = self.transport.drop_count
@@ -236,14 +243,10 @@ class AsyncMessageGossipEngine(CycleEngine):
             # Async sends leave mass in flight at sample time, so only
             # the one-sided law holds mid-cycle: node-held mass never
             # exceeds what the cycle started with.
-            mass_now = 0.0
-            for node in cur_ids:
-                tv = self._states[node]
-                if san is not None:
-                    tv.check_invariants(san, owner=node, step=checks)
-                mx, mw = tv.mass()
-                mass_now += mx + mw
+            mass_now = store.mass(cur_ids) if track_mass else 0.0
             if san is not None:
+                for node in cur_ids:
+                    self._states[node].check_invariants(san, owner=node, step=checks)
                 san.check_mass_bounded(
                     "total x+w mass", mass_now, initial_mass, step=checks
                 )
@@ -262,27 +265,13 @@ class AsyncMessageGossipEngine(CycleEngine):
                 self.sim.run(
                     until=self.sim.now + 3.0 * max(self.transport.latency, 1e-9)
                 )
-                drained_mass = 0.0
-                for node in self.overlay.alive_nodes().tolist():
-                    tv = self._states.get(node)
-                    if tv is not None:
-                        mx, mw = tv.mass()
-                        drained_mass += mx + mw
+                drained_mass = store.mass(self._held())
                 if drained_mass < (1.0 - self.mass_restore_budget) * initial_mass:
                     # Genuine loss (drops, departures, discards): restart
                     # every live node from a fresh vector.  Rounds
                     # already spent stay counted (self.sends accumulates).
                     restorations += 1
-                    self._states = {}
-                    initial_mass = 0.0
-                    for node in self.overlay.alive_nodes().tolist():
-                        tv = self._pool.get(node)
-                        if tv is None:
-                            tv = self._pool[node] = TripletVector(n)
-                        tv.reset(node, rows[node], prior_map, n=n)
-                        self._states[node] = tv
-                        mx, mw = tv.mass()
-                        initial_mass += mx + mw
+                    self._states, initial_mass = _init_states(store, self.overlay, rows, prior_map)
                     initial_live = frozenset(self._states)
                     dropped_before = self.transport.drop_count
                     discarded_before = self.discarded
@@ -296,9 +285,7 @@ class AsyncMessageGossipEngine(CycleEngine):
                     if node in self._states:
                         self.sim.process(self._node_process(int(node), self._gen))
                 continue
-            cur_mat = TripletVector.estimates_matrix(
-                [self._states[node] for node in cur_ids], n, workspace=self._est_ws
-            )
+            cur_mat = store.estimates(cur_ids, workspace=self._est_ws)
             if (
                 prev_mat is not None
                 and checks >= 2
@@ -314,31 +301,19 @@ class AsyncMessageGossipEngine(CycleEngine):
         self.sim.run(until=self.sim.now + 3.0 * max(self.transport.latency, 1e-9))
 
         live = self.overlay.alive_nodes()
-        live_states = [
-            self._states[node] for node in live.tolist() if node in self._states
-        ]
-        node_estimates = (
-            TripletVector.estimates_matrix(live_states, n)
-            if live_states
-            else np.empty((0, n))
-        )
+        held = self._held()
+        node_estimates = store.estimates(held)
         with np.errstate(invalid="ignore"):
             finite = np.where(np.isfinite(node_estimates), node_estimates, np.nan)
             v_next = np.nanmean(finite, axis=0) if finite.size else np.zeros(n)
         v_next = np.nan_to_num(v_next, nan=0.0, posinf=0.0)
 
-        final_mass = 0.0
-        for node in live.tolist():
-            if node in self._states:
-                mx, mw = self._states[node].mass()
-                final_mass += mx + mw
+        final_mass = store.mass(held)
         lost = 0.0 if initial_mass == 0 else max(0.0, 1.0 - final_mass / initial_mass)
         if san is not None:
             # Post-drain, nothing is in flight; with a lossless history
             # conservation must hold exactly, otherwise one-sided.
-            live_set = frozenset(
-                node for node in live.tolist() if node in self._states
-            )
+            live_set = frozenset(held)
             if (
                 self.transport.drop_count == dropped_before
                 and self.discarded == discarded_before

@@ -19,12 +19,28 @@ abstraction).  Mass carried by lost messages simply vanishes; because
 both ``x`` and ``w`` shares vanish together, the surviving ratio
 estimates stay near the true value — the reason the protocol "does not
 require error recovery mechanisms" (§2).
+
+Node state lives in one :class:`~repro.gossip.vector.PopulationStore`
+owned by the engine: node ``i``'s triplet vector is row ``i`` of an
+``(n, n)`` x/w pair.  A round runs in two passes — draw every live
+node's partner in node order, then halve all senders in one pass into a
+fresh outbox and send, in the same order, one outbox-row view each —
+and the per-round estimate matrix and held mass are row reductions over
+the store.  Every vector, step and message count is bitwise the same as
+halving and sending node by node, because partner draws touch only the
+strategy's own RNG (the :class:`~repro.gossip.partnering.PartnerStrategy`
+contract) and nothing is delivered until the simulator runs.
+
+The engine registers one handler per node that holds it only weakly
+(:func:`weak_dispatcher`), so the transport never keeps a dropped
+engine alive and a discarded system is freed by reference counting.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,14 +58,14 @@ from repro.gossip.partnering import (
     NeighborSampler,
     PartnerStrategy,
 )
-from repro.gossip.vector import EstimatesWorkspace, TripletVector
+from repro.gossip.vector import EstimatesWorkspace, PopulationStore, TripletVector
 from repro.network.overlay import Overlay
 from repro.network.transport import Message, Transport
 from repro.sim.engine import Simulator
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_in_range
 
-__all__ = ["MessageGossipResult", "MessageGossipEngine"]
+__all__ = ["MessageGossipResult", "MessageGossipEngine", "weak_dispatcher"]
 
 
 @dataclass
@@ -66,6 +82,43 @@ class MessageGossipResult(GossipCycleResult):
     node_estimates: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     #: live node ids corresponding to node_estimates rows
     live_nodes: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+
+
+def weak_dispatcher(engine: "CycleEngine") -> Callable[[Message], None]:
+    """A transport handler that forwards to ``engine._on_message`` weakly.
+
+    Registering bound methods would make the transport hold the engine
+    (and the engine holds the transport): a dropped system would then
+    wait for a cyclic garbage-collection pass.  The dispatcher holds a
+    :func:`weakref.ref` instead; a message that arrives after the engine
+    was collected is dropped.
+    """
+    ref = weakref.ref(engine)
+
+    def dispatch(msg: Message) -> None:
+        target = ref()
+        if target is not None:
+            target._on_message(msg)  # type: ignore[attr-defined]
+
+    return dispatch
+
+
+def _init_states(
+    store: PopulationStore,
+    overlay: Overlay,
+    rows: Sequence[Mapping[int, float]],
+    prior_map: Mapping[int, float],
+) -> Tuple[Dict[int, TripletVector], float]:
+    """Cycle initialization of every live node's store row.
+
+    Returns the live node -> row-vector map and the rows' total mass.
+    """
+    live = overlay.alive_nodes().tolist()
+    states = {
+        node: store.row(node).reset(node, rows[node], prior_map, n=store.n)
+        for node in live
+    }
+    return states, store.mass(live)
 
 
 def _disagreement(node_estimates: np.ndarray) -> float:
@@ -92,7 +145,7 @@ def _batched_converged(
     """Epsilon criterion over the whole live population in one pass.
 
     ``cur``/``prev`` are ``(len(ids), n)`` estimate matrices from
-    :meth:`~repro.gossip.vector.TripletVector.estimates_matrix`.  The
+    :meth:`~repro.gossip.vector.PopulationStore.estimates`.  The
     semantics match the historical per-node loop: every current node
     must have been sampled last round, its finite pattern must be
     unchanged (newly-heard-of peers mean mass is still spreading), it
@@ -127,8 +180,9 @@ class MessageGossipEngine(CycleEngine):
     Parameters
     ----------
     sim, transport, overlay:
-        Simulation substrate.  The engine registers itself as the
-        transport handler for every node id in the overlay.
+        Simulation substrate.  The engine registers a weak dispatcher
+        (:func:`weak_dispatcher`) as the transport handler for every
+        node id in the overlay.
     epsilon:
         Gossip convergence threshold per node (Algorithm 1 line 14).
     round_interval:
@@ -214,15 +268,17 @@ class MessageGossipEngine(CycleEngine):
         #: mass vanished without a transport drop being counted)
         self.discarded = 0
         self._rng = as_generator(rng)
+        #: this cycle's participants -> their store rows
         self._states: Dict[int, TripletVector] = {}
-        #: per-node TripletVectors recycled across cycles (reset, not
-        #: reallocated — their arrays survive the whole engine lifetime)
-        self._pool: Dict[int, TripletVector] = {}
-        #: reusable buffers for the per-round estimate matrices
+        #: every node's triplet vector, one row each, recycled across
+        #: cycles (reset in place, never reallocated)
+        self._store = PopulationStore(overlay.n)
+        #: alternating output slots for the per-round estimate matrices
         self._est_ws = EstimatesWorkspace()
         self.cycle_steps = []
+        dispatch = weak_dispatcher(self)
         for node in range(overlay.n):
-            transport.register(node, self._on_message)
+            transport.register(node, dispatch)
 
     # -- protocol --------------------------------------------------------
 
@@ -242,19 +298,28 @@ class MessageGossipEngine(CycleEngine):
         state.merge(msg.payload)
 
     def _gossip_round(self) -> None:
-        """Every live node halves its vector and ships one half."""
-        live = self.overlay.alive_nodes().tolist()
-        for node in live:
-            state = self._states.get(node)
-            if state is None:
-                continue
-            partner = self.partnering.partner(node)
-            if partner is None:
-                continue
-            sent = state.halve()
-            self.transport.send(
-                node, partner, sent, kind="gossip", size=sent.payload_size()
-            )
+        """Every live node halves its vector and ships one half.
+
+        Pass 1 draws the partners in live-node order; pass 2 halves all
+        senders at once and sends in the same order.  Splitting the
+        passes is bitwise-neutral: ``partner`` draws only from the
+        strategy's RNG and sends deliver nothing before the simulator
+        runs.
+        """
+        states = self._states
+        partner_of = self.partnering.partner
+        senders: List[int] = []
+        partners: List[int] = []
+        for node in self.overlay.alive_nodes().tolist():
+            if node in states:
+                partner = partner_of(node)
+                if partner is not None:
+                    senders.append(node)
+                    partners.append(partner)
+        send = self.transport.send
+        payloads = self._store.halve(senders)
+        for node, partner, payload in zip(senders, partners, payloads):
+            send(node, partner, payload, kind="gossip", size=payload.payload_size())
 
     def run_cycle(
         self,
@@ -290,20 +355,10 @@ class MessageGossipEngine(CycleEngine):
         san = self.sanitizer
         if san is not None:
             san.begin_cycle(self.name)
-        self._states = {}
-        initial_mass = 0.0
-        for node in self.overlay.alive_nodes().tolist():
-            # Recycle the node's vector from the pool: reset() zeroes
-            # and refills in place, so cycle N+1 reuses cycle N's arrays
-            # instead of allocating 2 length-n vectors per node.
-            tv = self._pool.get(node)
-            if tv is None:
-                tv = self._pool[node] = TripletVector(n)
-            tv.reset(node, rows[node], prior_map, n=n)
-            self._states[node] = tv
-            mx, mw = tv.mass()
-            initial_mass += mx + mw
+        store = self._store
+        self._states, initial_mass = _init_states(store, self.overlay, rows, prior_map)
         initial_live = frozenset(self._states)
+        track_mass = san is not None or self.mass_restore_budget is not None
 
         sent_before = self.transport.sent
         dropped_before = self.transport.drop_count
@@ -324,16 +379,13 @@ class MessageGossipEngine(CycleEngine):
                 if node in self._states
             )
             # Rounds are paced past the max latency, so no mass is in
-            # flight here: the live nodes' triplet stores hold the whole
-            # surviving (x, w) population.
-            mass_now = 0.0
-            for node in cur_ids:
-                tv = self._states[node]
-                if san is not None:
-                    tv.check_invariants(san, owner=node, step=round_no)
-                mx, mw = tv.mass()
-                mass_now += mx + mw
+            # flight here: the live nodes' rows hold the whole surviving
+            # (x, w) population.  Only the sanitizer and the restore
+            # guard read it.
+            mass_now = store.mass(cur_ids) if track_mass else 0.0
             if san is not None:
+                for node in cur_ids:
+                    self._states[node].check_invariants(san, owner=node, step=round_no)
                 if (
                     self.transport.drop_count == dropped_before
                     and self.discarded == discarded_before
@@ -370,16 +422,7 @@ class MessageGossipEngine(CycleEngine):
                 else:
                     # Restart: live nodes re-enter the cycle from fresh
                     # vectors; the rounds already spent stay counted.
-                    self._states = {}
-                    initial_mass = 0.0
-                    for node in self.overlay.alive_nodes().tolist():
-                        tv = self._pool.get(node)
-                        if tv is None:
-                            tv = self._pool[node] = TripletVector(n)
-                        tv.reset(node, rows[node], prior_map, n=n)
-                        self._states[node] = tv
-                        mx, mw = tv.mass()
-                        initial_mass += mx + mw
+                    self._states, initial_mass = _init_states(store, self.overlay, rows, prior_map)
                     initial_live = frozenset(self._states)
                     dropped_before = self.transport.drop_count
                     discarded_before = self.discarded
@@ -388,10 +431,7 @@ class MessageGossipEngine(CycleEngine):
             # Workspace-backed: the matrix lands in one of two
             # alternating reusable slots, so prev_mat (the other slot)
             # stays intact for the convergence comparison below.
-            cur_mat = TripletVector.estimates_matrix(
-                [self._states[node] for node in cur_ids], n,
-                workspace=self._est_ws,
-            )
+            cur_mat = store.estimates(cur_ids, workspace=self._est_ws)
             if prev_mat is not None and round_no >= self.min_rounds:
                 if _batched_converged(cur_ids, cur_mat, prev_ids, prev_mat, self.epsilon):
                     converged = True
@@ -405,22 +445,14 @@ class MessageGossipEngine(CycleEngine):
             )
 
         live = self.overlay.alive_nodes()
-        live_states = [self._states[node] for node in live.tolist() if node in self._states]
-        node_estimates = (
-            TripletVector.estimates_matrix(live_states, n)
-            if live_states
-            else np.empty((0, n))
-        )
+        held = [node for node in live.tolist() if node in self._states]
+        node_estimates = store.estimates(held)
         with np.errstate(invalid="ignore"):
             finite = np.where(np.isfinite(node_estimates), node_estimates, np.nan)
             v_next = np.nanmean(finite, axis=0) if finite.size else np.zeros(n)
         v_next = np.nan_to_num(v_next, nan=0.0, posinf=0.0)
 
-        final_mass = 0.0
-        for node in live.tolist():
-            if node in self._states:
-                mx, mw = self._states[node].mass()
-                final_mass += mx + mw
+        final_mass = store.mass(held)
         lost = 0.0 if initial_mass == 0 else max(0.0, 1.0 - final_mass / initial_mass)
 
         self.cycle_steps.append(steps)

@@ -195,6 +195,13 @@ class PartnerStrategy(ABC):
         engine's send then loses its mass, which is exactly the fault
         the membership layer later detects and repairs.  ``None`` means
         the node currently knows nobody.
+
+        Contract: a call only reads the views and draws from the
+        strategy's own RNG (the overlay's, for the oracle samplers).  It
+        sends nothing, schedules nothing and never touches the
+        transport's RNG.  The round-based message engine relies on this
+        to draw every node's partner before it halves and sends: the
+        split is bitwise-identical to drawing and sending node by node.
         """
 
     @abstractmethod

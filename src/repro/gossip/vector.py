@@ -4,22 +4,27 @@ During an aggregation cycle every node carries the *entire* global
 reputation vector in gossiped form — one triplet per peer id.  A gossip
 step halves the whole vector, sends one half to a random partner, keeps
 the other, and merges arriving halves component-wise (Algorithm 2 lines
-12-19).  This class is the per-node data structure used by the
-message-level engine; the vectorized engine flattens the same state into
-arrays.
+12-19).  :class:`TripletVector` is one node's vector; the vectorized
+engine flattens the same state into arrays.
 
 The triplet store is id-indexed NumPy arrays rather than dicts: ``x``
 and ``w`` mass live at position ``j`` for peer ``j``, so halve/merge are
-single vectorized passes and a whole population's estimates batch into
-one matrix op (:meth:`TripletVector.estimates_matrix`).  The *logical*
-sparsity of the paper's payload is preserved — an id is "known" exactly
-when it carries any mass, and :meth:`payload_size` counts known ids, not
-array capacity.
+single vectorized passes.  The *logical* sparsity of the paper's
+payload is preserved — an id is "known" exactly when it carries any
+mass, and :meth:`TripletVector.payload_size` counts known ids, not array
+capacity.
+
+The message-level engines keep a whole population in one
+:class:`PopulationStore`: node ``i``'s vector is row ``i`` of an
+engine-owned ``(n, n)`` x/w array pair, served as a cached
+:class:`TripletVector` view.  A gossip step is then one halving pass
+over the senders' rows, and the per-round estimate matrix and held mass
+are row reductions over the store instead of per-node Python loops.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,55 +34,47 @@ from repro.types import Triplet
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.sanitizer import InvariantSanitizer
 
-__all__ = ["TripletVector", "EstimatesWorkspace"]
+__all__ = ["TripletVector", "PopulationStore", "EstimatesWorkspace"]
 
 
 class EstimatesWorkspace:
-    """Reusable buffers for :meth:`TripletVector.estimates_matrix`.
+    """Two alternating output slots for per-round estimate matrices.
 
     The message-level engines evaluate the population estimate matrix
-    every round; without reuse that is three fresh ``(m, n)`` arrays
-    per round.  This workspace keeps shared X/W scratch plus **two**
-    alternating output slots: callers (the per-round convergence check)
-    hold on to the *previous* round's matrix while the next one is
-    computed, so consecutive calls must never hand back the same
-    buffer.  Matrices that outlive two calls (e.g. result fields) must
-    be copied by the caller.
+    every round; callers (the per-round convergence check) hold on to
+    the *previous* round's matrix while the next one is computed, so
+    consecutive calls must never hand back the same buffer.  Matrices
+    that outlive two calls (e.g. result fields) must be copied by the
+    caller.
 
-    Buffers grow capacity-style and are served as ``[:m, :n]`` views.
+    Slots grow capacity-style and are served as ``[:m, :n]`` views.
     """
 
-    __slots__ = ("_X", "_W", "_outs", "_flip")
+    __slots__ = ("_outs", "_flip")
 
     def __init__(self) -> None:
-        self._X: Optional[np.ndarray] = None
-        self._W: Optional[np.ndarray] = None
-        self._outs: list = [None, None]
+        self._outs: List[Optional[np.ndarray]] = [None, None]
         self._flip = 0
 
-    @staticmethod
-    def _grown(buf: Optional[np.ndarray], m: int, n: int) -> np.ndarray:
+    def slot(self, m: int, n: int) -> np.ndarray:
+        """The next ``(m, n)`` output view; consecutive calls alternate slots."""
+        buf = self._outs[self._flip]
         if buf is None or buf.shape[0] < m or buf.shape[1] < n:
             rows = m if buf is None else max(m, buf.shape[0])
             cols = n if buf is None else max(n, buf.shape[1])
-            buf = np.empty((rows, cols))
-        return buf
-
-    def arrays(self, m: int, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(X, W, out)`` views of shape ``(m, n)``; out alternates slots."""
-        self._X = self._grown(self._X, m, n)
-        self._W = self._grown(self._W, m, n)
-        self._outs[self._flip] = self._grown(self._outs[self._flip], m, n)
-        out = self._outs[self._flip]
+            buf = self._outs[self._flip] = np.empty((rows, cols))
         self._flip ^= 1
-        return self._X[:m, :n], self._W[:m, :n], out[:m, :n]
+        return buf[:m, :n]
 
-    def invalidate(self) -> None:
-        """Release the buffers (next call allocates fresh)."""
-        self._X = None
-        self._W = None
-        self._outs = [None, None]
-        self._flip = 0
+
+# hot: population estimates — three ufunc passes into the caller's buffer
+def _estimates_into(X: np.ndarray, W: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``x / w`` where ``w > 0``, ``inf`` where only ``x > 0``, else ``nan``."""
+    out.fill(np.nan)
+    pos = W > 0
+    np.divide(X, W, out=out, where=pos)
+    out[~pos & (X > 0)] = np.inf
+    return out
 
 
 class TripletVector:
@@ -87,10 +84,12 @@ class TripletVector:
     carry zero mass and are absent from :meth:`known_ids`, which is what
     keeps per-message payloads proportional to the number of *known*
     peers.  Arrays grow on demand when a merge brings news of higher
-    ids than this node has seen.
+    ids than this node has seen — except in a *view* (a
+    :class:`PopulationStore` row or an outbox row), whose capacity is
+    fixed: an id beyond it raises :class:`~repro.errors.ValidationError`.
     """
 
-    __slots__ = ("_x", "_w", "_known", "_size")
+    __slots__ = ("_x", "_w", "_known", "_size", "_fixed")
 
     def __init__(self, capacity: int = 0) -> None:
         self._x = np.zeros(capacity)
@@ -99,6 +98,21 @@ class TripletVector:
         self._known: Optional[Tuple[int, ...]] = None
         #: cached known-id count; None when stale
         self._size: Optional[int] = None
+        #: the arrays are views into someone else's buffer: never regrow
+        self._fixed = False
+
+    @classmethod
+    def _view(
+        cls, x: np.ndarray, w: np.ndarray, size: Optional[int] = None
+    ) -> "TripletVector":
+        """A fixed-capacity vector over existing ``x``/``w`` rows (no copy)."""
+        tv = cls.__new__(cls)
+        tv._x = x
+        tv._w = w
+        tv._known = None
+        tv._size = size
+        tv._fixed = True
+        return tv
 
     # -- construction ------------------------------------------------------
 
@@ -148,7 +162,9 @@ class TripletVector:
         vector; the existing ``_x``/``_w`` arrays are zeroed and
         refilled (growing only if capacity is short), so a node's state
         can be recycled across aggregation cycles without reallocating
-        — the message engine pools its per-node vectors this way.
+        — the message engines re-initialize their :class:`PopulationStore`
+        rows this way.  A view cannot grow: an ``owner`` or rated id at
+        or beyond its capacity raises :class:`~repro.errors.ValidationError`.
         """
         cap = int(n) if n is not None else 0
         cap = max(cap, owner + 1, *(int(j) + 1 for j in local_scores), 1)
@@ -168,6 +184,11 @@ class TripletVector:
 
     def _grow_to(self, capacity: int) -> None:
         if capacity > self._x.shape[0]:
+            if self._fixed:
+                raise ValidationError(
+                    f"id {capacity - 1} is outside this fixed-capacity vector "
+                    f"of {self._x.shape[0]} ids"
+                )
             x = np.zeros(capacity)
             w = np.zeros(capacity)
             x[: self._x.shape[0]] = self._x
@@ -238,51 +259,26 @@ class TripletVector:
         """Dense length-``n`` estimate vector (nan where w == 0 and x == 0)."""
         out = np.full(n, np.nan)
         m = min(n, self._x.shape[0])
-        x = self._x[:m]
-        w = self._w[:m]
-        pos = w > 0
-        np.divide(x, w, out=out[:m], where=pos)
-        out[:m][~pos & (x > 0)] = np.inf
+        _estimates_into(self._x[:m], self._w[:m], out[:m])
         return out
 
     @staticmethod
-    def estimates_matrix(
-        vectors: Sequence["TripletVector"],
-        n: int,
-        *,
-        workspace: Optional[EstimatesWorkspace] = None,
-    ) -> np.ndarray:
+    def estimates_matrix(vectors: Sequence["TripletVector"], n: int) -> np.ndarray:
         """Stacked :meth:`estimates_array` for many vectors in one pass.
 
-        Returns an ``(len(vectors), n)`` matrix — the per-round
-        convergence test and the end-of-cycle aggregation both consume
-        the whole population at once, so batching replaces O(n) Python
-        per node with two matrix ops.
-
-        With a ``workspace`` the matrices are built in its reusable
-        buffers (the returned matrix is a view into an alternating
-        output slot — valid until the *second* following workspace call;
-        copy it if it must live longer).
+        Returns a fresh ``(len(vectors), n)`` matrix, row ``i`` equal to
+        ``vectors[i].estimates_array(n)``.  Vectors that live in one
+        :class:`PopulationStore` skip the gather:
+        :meth:`PopulationStore.estimates` reads the rows in place.
         """
         m = len(vectors)
-        if workspace is None:
-            X = np.empty((m, n))
-            W = np.empty((m, n))
-            out = np.empty((m, n))
-        else:
-            X, W, out = workspace.arrays(m, n)
-        X[:] = 0.0
-        W[:] = 0.0
-        # hot: population fill loop — writes into the served views only
+        X = np.zeros((m, n))
+        W = np.zeros((m, n))
         for i, tv in enumerate(vectors):
             k = min(n, tv._x.shape[0])
             X[i, :k] = tv._x[:k]
             W[i, :k] = tv._w[:k]
-        out.fill(np.nan)
-        pos = W > 0
-        np.divide(X, W, out=out, where=pos)
-        out[~pos & (X > 0)] = np.inf
-        return out
+        return _estimates_into(X, W, np.empty((m, n)))
 
     def mass(self) -> Tuple[float, float]:
         """Total ``(sum x, sum w)`` held at this node (conservation checks)."""
@@ -320,7 +316,7 @@ class TripletVector:
         return self._size
 
     def copy(self) -> "TripletVector":
-        """Deep copy."""
+        """Deep copy (growable, even when this vector is a view)."""
         tv = TripletVector()
         tv._x = self._x.copy()
         tv._w = self._w.copy()
@@ -337,3 +333,96 @@ class TripletVector:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"TripletVector(known={len(self)})"
+
+
+class PopulationStore:
+    """A population's triplet vectors as the rows of one ``(n, n)`` x/w pair.
+
+    Node ``i``'s vector is row ``i``.  :meth:`row` serves it as a cached
+    :class:`TripletVector` view, so the per-node operations (``reset``,
+    ``merge``, ``halve``, ``scale``, ``estimates_array``) read and write
+    the store in place.  The population-wide work of a gossip round is
+    one pass over the rows instead of one Python call per node:
+
+    * :meth:`halve` — every sender keeps half its row, and the sent
+      halves land in a *fresh* outbox (in-flight payloads are views of
+      its rows, so it cannot be reused next round);
+    * :meth:`estimates` — the estimate matrix of a set of rows;
+    * :meth:`mass` — the total held ``x + w`` of a set of rows, summed
+      per row and accumulated in row order, bitwise equal to a loop
+      over :meth:`TripletVector.mass`.
+
+    ``rows`` arguments are ascending node ids; ``None`` (or all ``n``
+    ids) means every row.  An engine owns its store for its lifetime,
+    so rows are recycled across cycles instead of reallocated.
+    """
+
+    __slots__ = ("n", "x", "w", "_views")
+
+    def __init__(self, n: int) -> None:
+        if n < 1:
+            raise ValidationError(f"a population store needs n >= 1, got {n}")
+        self.n = int(n)
+        self.x = np.zeros((self.n, self.n))
+        self.w = np.zeros((self.n, self.n))
+        self._views: List[Optional[TripletVector]] = [None] * self.n
+
+    def row(self, node: int) -> TripletVector:
+        """Node ``node``'s vector: a fixed-capacity view of its row (cached)."""
+        tv = self._views[node]
+        if tv is None:
+            tv = self._views[node] = TripletVector._view(self.x[node], self.w[node])
+        return tv
+
+    def _select(self, rows: Optional[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
+        if rows is None or len(rows) == self.n:
+            return self.x, self.w
+        idx = np.asarray(rows, dtype=np.intp)
+        return self.x[idx], self.w[idx]
+
+    def halve(self, rows: Sequence[int]) -> List[TripletVector]:
+        """Halve ``rows`` in place; return the halves they send.
+
+        Payload ``k`` is the half node ``rows[k]`` sends: a view of row
+        ``k`` of a fresh outbox, its :meth:`TripletVector.payload_size`
+        already counted (one ``count_nonzero`` over the outbox).
+        """
+        idx = np.asarray(rows, dtype=np.intp)
+        out_x = self.x[idx]
+        out_w = self.w[idx]
+        out_x *= 0.5
+        out_w *= 0.5
+        self.x[idx] = out_x
+        self.w[idx] = out_w
+        sizes = np.count_nonzero((out_x > 0) | (out_w > 0), axis=1).tolist()
+        view = TripletVector._view
+        return [view(out_x[k], out_w[k], size) for k, size in enumerate(sizes)]
+
+    def estimates(
+        self,
+        rows: Optional[Sequence[int]] = None,
+        *,
+        workspace: Optional[EstimatesWorkspace] = None,
+    ) -> np.ndarray:
+        """The ``(len(rows), n)`` estimate matrix of ``rows``.
+
+        Row ``k`` equals ``self.row(rows[k]).estimates_array(n)``.  With
+        a ``workspace`` the result lands in its alternating output slot
+        (see :class:`EstimatesWorkspace`); without one it is fresh.
+        """
+        X, W = self._select(rows)
+        m = X.shape[0]
+        out = np.empty((m, self.n)) if workspace is None else workspace.slot(m, self.n)
+        return _estimates_into(X, W, out)
+
+    # hot: held mass — two row reductions, accumulated in row order
+    def mass(self, rows: Optional[Sequence[int]] = None) -> float:
+        """Total ``sum x + sum w`` held by ``rows`` (conservation checks)."""
+        totals = self.x.sum(axis=1)
+        totals += self.w.sum(axis=1)
+        if rows is not None and len(rows) != self.n:
+            totals = totals[np.asarray(rows, dtype=np.intp)]
+        return float(np.add.accumulate(totals)[-1]) if totals.size else 0.0
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"PopulationStore(n={self.n})"

@@ -32,8 +32,7 @@ the transport invokes it at the message's arrival time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import ValidationError
 from repro.sim.engine import Simulator
@@ -43,9 +42,8 @@ from repro.utils.validation import check_non_negative, check_probability
 __all__ = ["Message", "LinkFailureModel", "Transport"]
 
 
-@dataclass(frozen=True)
-class Message:
-    """An application message in flight."""
+class Message(NamedTuple):
+    """An application message in flight (an immutable named tuple)."""
 
     src: int
     dst: int
@@ -105,6 +103,8 @@ class LinkFailureModel:
 
     def is_down(self, u: int, v: int) -> bool:
         """Whether link ``{u, v}`` is currently failed or cut."""
+        if not self._down and self._groups is None:
+            return False
         if self._key(u, v) in self._down:
             return True
         if self._groups is not None:
@@ -196,7 +196,7 @@ class Transport:
         if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
             self.dropped_loss += 1
             return False
-        msg = Message(src=src, dst=dst, payload=payload, kind=kind, sent_at=self.sim.now)
+        msg = Message(src, dst, payload, kind, self.sim.now)
         delay = self.latency * (0.5 + self._rng.random()) if self.latency > 0 else 0.0
         self.sim.call_in(delay, self._deliver, msg)
         return True

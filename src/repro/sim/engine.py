@@ -4,18 +4,31 @@ Determinism contract: given the same schedule of calls, the kernel
 replays identically.  Events scheduled for the same simulated time fire
 in the order they were scheduled (a monotone sequence number breaks
 heap ties), so no behaviour ever depends on heap internals.
+
+The heap holds plain ``(when, seq, fn, args)`` entries and firing one
+is ``fn(*args)``.  :meth:`Simulator.call_at` / :meth:`Simulator.call_in`
+push their callable directly — no :class:`~repro.sim.events.Event`, no
+closure — because the message transport schedules one call per message;
+events and process starts are pushed as calls of :func:`_fire` and
+:meth:`Process._resume <repro.sim.process.Process._resume>`.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
 
 __all__ = ["Simulator"]
+
+
+def _fire(event: Event) -> None:
+    """Trigger a scheduled event (unless its owner already did)."""
+    if not event.triggered:
+        event.succeed(event.value)
 
 
 class Simulator:
@@ -36,7 +49,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: List[Tuple[float, int, Event]] = []
+        self._queue: List[Tuple[float, int, Callable[..., Any], Tuple[Any, ...]]] = []
         self._seq = 0
         self._event_count = 0
         self._running = False
@@ -53,13 +66,16 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------
 
-    def _schedule(self, when: float, event: Event) -> None:
+    def _push(self, when: float, fn: Callable[..., Any], args: Tuple[Any, ...]) -> None:
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule into the past: {when} < now={self._now}"
             )
-        heapq.heappush(self._queue, (when, self._seq, event))
+        heapq.heappush(self._queue, (when, self._seq, fn, args))
         self._seq += 1
+
+    def _schedule(self, when: float, event: Event) -> None:
+        self._push(when, _fire, (event,))
 
     def event(self) -> Event:
         """Create a fresh untriggered event bound to this simulator."""
@@ -76,23 +92,22 @@ class Simulator:
         (same timestamp, FIFO with anything else already due now).
         """
         proc = Process(self, generator)
-        start = Event(self)
-        start.add_callback(lambda _ev: proc._resume(None))
-        self._schedule(self._now, start)
+        self._push(self._now, proc._resume, (None,))
         return proc
 
-    def call_at(self, when: float, fn, *args: Any) -> Event:
-        """Run ``fn(*args)`` at absolute simulated time ``when``."""
-        ev = Event(self)
-        ev.add_callback(lambda _ev: fn(*args))
-        self._schedule(when, ev)
-        return ev
+    def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` at absolute simulated time ``when``.
 
-    def call_in(self, delay: float, fn, *args: Any) -> Event:
-        """Run ``fn(*args)`` after ``delay`` time units."""
+        Returns ``None``: the call is not an :class:`Event` and cannot
+        be waited on or cancelled (schedule an :meth:`event` for that).
+        """
+        self._push(when, fn, args)
+
+    def call_in(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` after ``delay`` time units (returns ``None``)."""
         if delay < 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
-        return self.call_at(self._now + delay, fn, *args)
+        self._push(self._now + delay, fn, args)
 
     # -- execution -----------------------------------------------------
 
@@ -100,11 +115,10 @@ class Simulator:
         """Fire the single next event.  Returns False if the queue is empty."""
         if not self._queue:
             return False
-        when, _seq, event = heapq.heappop(self._queue)
+        when, _seq, fn, args = heapq.heappop(self._queue)
         self._now = when
         self._event_count += 1
-        if not event.triggered:
-            event.succeed(event.value)
+        fn(*args)
         return True
 
     def run(self, until: Optional[float] = None, *, max_events: Optional[int] = None) -> None:
@@ -117,15 +131,19 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
+        queue = self._queue
+        pop = heapq.heappop
         fired = 0
         try:
-            while self._queue:
-                when = self._queue[0][0]
-                if until is not None and when > until:
+            while queue:
+                if until is not None and queue[0][0] > until:
                     break
                 if max_events is not None and fired >= max_events:
                     break
-                self.step()
+                when, _seq, fn, args = pop(queue)
+                self._now = when
+                self._event_count += 1
+                fn(*args)
                 fired += 1
             if until is not None and self._now < until:
                 self._now = until

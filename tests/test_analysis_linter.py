@@ -236,7 +236,8 @@ class TestGT002:
         # Minimum marker counts pin the kernels' coverage: engine.py
         # carries the step loop's regions (mixing fill, step loop,
         # shard step, SpGEMM, dense scatter step, tile gather, estimate
-        # tile, blocked check); vector.py its two merge/fill loops.
+        # tile, blocked check); vector.py merge plus the population
+        # store's estimate and mass reductions.
         for rel, floor in (
             ("src/repro/gossip/engine.py", 8),
             ("src/repro/gossip/vector.py", 2),

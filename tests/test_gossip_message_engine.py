@@ -246,3 +246,42 @@ class TestBatchedConvergence:
 
         assert _disagreement(np.full((2, 2), np.nan)) == np.inf
         assert _disagreement(np.empty((0, 3))) == np.inf
+
+
+class TestLifetime:
+    """The transport holds the engine weakly: no reference cycle to collect."""
+
+    def test_dropped_system_is_freed_without_gc(self):
+        import gc
+        import weakref
+
+        from repro.core.config import GossipTrustConfig
+        from repro.core.gossiptrust import GossipTrust
+        from repro.experiments.synthetic import synthetic_trust_matrix
+
+        S = synthetic_trust_matrix(24, rng=1)
+        config = GossipTrustConfig(
+            n=24, engine="message", engine_mode="full", compute_reference=False, seed=3
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            system = GossipTrust(S, config)
+            system.run(raise_on_budget=False, compute_reference=False)
+            engine = weakref.ref(system.engine)
+            transport = weakref.ref(system.engine.transport)
+            del system
+            assert engine() is None
+            assert transport() is None
+        finally:
+            gc.enable()
+
+    def test_message_for_a_collected_engine_is_dropped(self):
+        sim, overlay, transport, engine = build(8)
+        rows, v = rows_and_prior(8)
+        engine.run_cycle(rows, v)
+        delivered = transport.delivered
+        transport.send(0, 1, None, kind="gossip")
+        del engine
+        sim.run()  # the weak dispatcher finds no engine: nothing happens
+        assert transport.delivered == delivered + 1

@@ -1,0 +1,260 @@
+"""Bitwise parity of the round-batched DES engines with a per-node oracle.
+
+The message engine halves all senders in one pass over its
+:class:`~repro.gossip.vector.PopulationStore` and reduces the store's
+rows for mass and estimates.  The oracle below restores the node-by-node
+protocol — per-node ``halve``/copy/``payload_size``/send, and per-node
+``mass()`` and estimate gathers — on the same substrate.  Every vector,
+counter and event count must match bit for bit.
+"""
+
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
+import pytest
+
+from repro.errors import ValidationError
+from repro.experiments.synthetic import synthetic_trust_matrix
+from repro.gossip.async_engine import AsyncMessageGossipEngine
+from repro.gossip.message_engine import MessageGossipEngine
+from repro.gossip.partnering import make_strategy, strategy_names
+from repro.gossip.vector import EstimatesWorkspace, PopulationStore, TripletVector
+from repro.network.faultplan import named_plan, plan_names
+from repro.network.overlay import Overlay
+from repro.network.topology import gnutella_like
+from repro.network.transport import Transport
+from repro.sim.engine import Simulator
+from repro.utils.rng import RngStreams
+
+N = 40
+
+
+class _PerNodeStore(PopulationStore):
+    """Store whose reductions loop over the nodes' row views one by one."""
+
+    __slots__ = ()
+
+    def mass(self, rows: Optional[Sequence[int]] = None) -> float:
+        total = 0.0
+        for node in range(self.n) if rows is None else rows:
+            mx, mw = self.row(node).mass()
+            total += mx + mw
+        return total
+
+    def estimates(
+        self,
+        rows: Optional[Sequence[int]] = None,
+        *,
+        workspace: Optional[EstimatesWorkspace] = None,
+    ) -> np.ndarray:
+        nodes = range(self.n) if rows is None else rows
+        return TripletVector.estimates_matrix([self.row(node) for node in nodes], self.n)
+
+
+class _PerNodeMessageEngine(MessageGossipEngine):
+    """The message engine with the node-by-node round and reductions."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._store = _PerNodeStore(self.overlay.n)
+
+    def _gossip_round(self) -> None:
+        for node in self.overlay.alive_nodes().tolist():
+            state = self._states.get(node)
+            if state is None:
+                continue
+            partner = self.partnering.partner(node)
+            if partner is None:
+                continue
+            sent = state.halve()
+            self.transport.send(
+                node, partner, sent, kind="gossip", size=sent.payload_size()
+            )
+
+
+class _PerNodeAsyncEngine(AsyncMessageGossipEngine):
+    """The async engine with per-node mass and estimate reductions."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._store = _PerNodeStore(self.overlay.n)
+
+
+def _fingerprint(res) -> Tuple:
+    return (
+        res.v_next.tobytes(),
+        res.node_estimates.tobytes(),
+        res.live_nodes.tobytes(),
+        res.steps,
+        res.converged,
+        res.messages_sent,
+        res.messages_dropped,
+        res.mass_lost_fraction,
+        res.mass_restorations,
+        res.gossip_error,
+        res.node_disagreement,
+    )
+
+
+def _run(
+    cls,
+    *,
+    strategy: str = "global",
+    plan: Optional[str] = None,
+    loss: float = 0.0,
+    budget: Optional[float] = None,
+    action: str = "renormalize",
+    sanitize: bool = False,
+    cycles: int = 1,
+    seed: int = 7,
+) -> List:
+    streams = RngStreams(seed)
+    S = synthetic_trust_matrix(N, rng=streams.get("matrix"))
+    sim = Simulator()
+    overlay = Overlay(gnutella_like(N, rng=streams.get("topology")), rng=streams.get("overlay"))
+    transport = Transport(sim, latency=1.0, loss_rate=loss, rng=streams.get("net"))
+    kwargs = dict(
+        partnering=make_strategy(strategy, rng=streams.get("membership")),
+        mass_restore_budget=budget,
+        rng=streams.get("gossip"),
+    )
+    if issubclass(cls, MessageGossipEngine):
+        kwargs.update(round_interval=2.0, max_rounds=150, mass_restore_action=action)
+    engine = cls(sim, transport, overlay, **kwargs)
+    if sanitize:
+        engine.arm_sanitizer()
+    if plan is not None:
+        named_plan(plan, horizon=100.0, rng=streams.get("faults")).schedule(
+            sim, transport, overlay, on_rejoin=engine.partnering.node_joined
+        )
+    v = np.full(N, 1.0 / N)
+    out: List = []
+    for _ in range(cycles):
+        res = engine.run_cycle(S, v)
+        out.append(_fingerprint(res))
+        v = res.v_next
+    out.append(
+        (
+            transport.sent,
+            transport.bytes_sent,
+            transport.drop_count,
+            engine.discarded,
+            sim.events_processed,
+        )
+    )
+    return out
+
+
+def _assert_parity(**scenario) -> List:
+    batched = _run(MessageGossipEngine, **scenario)
+    oracle = _run(_PerNodeMessageEngine, **scenario)
+    assert batched == oracle
+    return batched
+
+
+class TestMessageParity:
+    @pytest.mark.parametrize("loss", [0.0, 0.2])
+    def test_loss(self, loss):
+        out = _assert_parity(loss=loss)
+        assert (out[0][6] > 0) == (loss > 0)  # drops happened iff lossy
+
+    @pytest.mark.parametrize("strategy", strategy_names())
+    def test_strategies(self, strategy):
+        _assert_parity(strategy=strategy, loss=0.05)
+
+    @pytest.mark.parametrize("plan", plan_names())
+    def test_fault_plans(self, plan):
+        _assert_parity(plan=plan, budget=0.25)
+
+    @pytest.mark.parametrize("action", ["renormalize", "restart"])
+    def test_restore_actions(self, action):
+        out = _assert_parity(loss=0.2, budget=0.05, action=action)
+        assert out[0][8] > 0  # the guard fired
+
+    def test_sanitizer_armed(self):
+        _assert_parity(sanitize=True)
+        _assert_parity(sanitize=True, plan="crash", budget=0.25)
+
+    def test_two_warm_cycles(self):
+        out = _assert_parity(cycles=2, loss=0.05)
+        assert out[0][0] != out[1][0]
+
+
+class TestAsyncParity:
+    @pytest.mark.parametrize("strategy", ["global", "neighbors"])
+    def test_crash(self, strategy):
+        scenario = dict(strategy=strategy, plan="crash", budget=0.25, sanitize=True)
+        assert _run(AsyncMessageGossipEngine, **scenario) == _run(
+            _PerNodeAsyncEngine, **scenario
+        )
+
+
+class TestPartnerPurity:
+    """``partner()`` draws only from its strategy's RNG: no sends, no events."""
+
+    @pytest.mark.parametrize("strategy", strategy_names())
+    def test_partner_touches_no_substrate(self, strategy):
+        streams = RngStreams(3)
+        sim = Simulator()
+        overlay = Overlay(gnutella_like(N, rng=streams.get("topology")), rng=streams.get("overlay"))
+        transport = Transport(sim, latency=1.0, loss_rate=0.1, rng=streams.get("net"))
+        strat = make_strategy(strategy, rng=streams.get("membership"))
+        strat.bind(sim, transport, overlay)
+        strat.start()
+        sim.run(until=20.0)  # let maintenance populate the views
+        queued = len(sim._queue)
+        sent = transport.sent
+        rng_state = transport._rng.bit_generator.state
+        drawn = [strat.partner(node) for node in overlay.alive_nodes().tolist() * 3]
+        assert any(p is not None for p in drawn)
+        assert len(sim._queue) == queued
+        assert transport.sent == sent
+        assert transport._rng.bit_generator.state == rng_state
+        strat.stop()
+
+
+class TestStoreRows:
+    def test_reset_rejects_ids_beyond_the_store(self):
+        store = PopulationStore(4)
+        row = store.row(1)
+        with pytest.raises(ValidationError):
+            row.reset(1, {4: 1.0}, {1: 0.5}, n=4)
+        with pytest.raises(ValidationError):
+            store.row(0).reset(5, {}, {5: 1.0})
+        assert store.x.shape == (4, 4)
+
+    def test_reset_and_merge_write_the_row_in_place(self):
+        store = PopulationStore(3)
+        row = store.row(2)
+        assert store.row(2) is row
+        row.reset(2, {0: 0.5, 1: 0.5}, {2: 0.4}, n=3)
+        np.testing.assert_array_equal(store.x[2], [0.2, 0.2, 0.0])
+        np.testing.assert_array_equal(store.w[2], [0.0, 0.0, 1.0])
+        row.merge(TripletVector.initial(0, {}, {0: 1.0}, n=3))
+        np.testing.assert_array_equal(store.w[2], [1.0, 0.0, 1.0])
+
+    def test_batched_halve_matches_per_node_halve(self):
+        store = PopulationStore(5)
+        ref = []
+        for node in range(5):
+            store.row(node).reset(node, {(node + 1) % 5: 1.0}, {node: 0.2}, n=5)
+            ref.append(store.row(node).copy())
+        payloads = store.halve([1, 3, 4])
+        for payload, node in zip(payloads, [1, 3, 4]):
+            sent = ref[node].halve()
+            assert payload._x.tobytes() == sent._x.tobytes()
+            assert payload._w.tobytes() == sent._w.tobytes()
+            assert store.x[node].tobytes() == ref[node]._x.tobytes()
+            assert payload.payload_size() == sent.payload_size()
+        assert store.w[0, 0] == 1.0  # a non-sender keeps its whole vector
+
+    def test_mass_and_estimates_match_per_node_loops(self):
+        rng = np.random.default_rng(0)
+        store, oracle = PopulationStore(6), _PerNodeStore(6)
+        store.x[:] = rng.random((6, 6)) * (rng.random((6, 6)) < 0.5)
+        store.w[:] = rng.random((6, 6)) * (rng.random((6, 6)) < 0.5)
+        oracle.x[:] = store.x
+        oracle.w[:] = store.w
+        for rows in (None, [0, 2, 5], []):
+            assert store.mass(rows) == oracle.mass(rows)
+            assert store.estimates(rows).tobytes() == oracle.estimates(rows).tobytes()

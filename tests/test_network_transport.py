@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ValidationError
-from repro.network.transport import LinkFailureModel, Transport
+from repro.network.transport import LinkFailureModel, Message, Transport
 from repro.sim.engine import Simulator
 
 
@@ -25,6 +25,16 @@ class TestDelivery:
         src, payload, when = got[0]
         assert (src, payload) == (0, "hello")
         assert 0.5 <= when <= 1.5  # jittered latency
+
+    def test_message_is_a_positional_named_tuple(self, net):
+        sim, tr = net
+        got = []
+        tr.register(1, got.append)
+        tr.send(0, 1, "p", kind="k")
+        sim.run()
+        (msg,) = got
+        assert tuple(msg) == (0, 1, "p", "k", 0.0)
+        assert Message(0, 1, None).kind == "data"
 
     def test_zero_latency_delivers_same_time(self):
         sim = Simulator()
@@ -118,6 +128,15 @@ class TestLinkFailures:
         tr.send(0, 1, "late")  # delivered
         sim.run()
         assert [m.payload for m in got] == ["late"]
+
+    def test_partition_cuts_cross_group_pairs_only(self):
+        model = LinkFailureModel()
+        assert not model.is_down(0, 1)
+        model.set_partition({0: 0, 1: 1, 2: 1})
+        assert model.is_down(0, 1)
+        assert not model.is_down(1, 2)
+        model.clear_partition()
+        assert not model.is_down(0, 1)
 
     def test_model_bookkeeping(self):
         model = LinkFailureModel()

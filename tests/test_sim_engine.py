@@ -42,6 +42,28 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             Simulator().call_in(-1.0, lambda: None)
 
+    def test_call_at_and_call_in_return_none(self):
+        sim = Simulator()
+        assert sim.call_at(1.0, lambda: None) is None
+        assert sim.call_in(1.0, lambda: None) is None
+
+    def test_calls_events_and_processes_share_one_fifo(self):
+        sim = Simulator()
+        order = []
+
+        def proc():
+            order.append("proc")
+            yield 0.0
+            order.append("proc-wake")
+
+        sim.call_at(0.0, order.append, "call")
+        sim.timeout(0.0).add_callback(lambda _ev: order.append("timeout"))
+        sim.process(proc())
+        sim.call_in(0.0, order.append, "call2")
+        sim.run()
+        assert order == ["call", "timeout", "proc", "call2", "proc-wake"]
+        assert sim.events_processed == 5
+
     def test_events_processed_counter(self):
         sim = Simulator()
         for i in range(4):

@@ -74,12 +74,19 @@ lines += [
     "`invalidate_workspace()` drops it explicitly. Reused and fresh",
     "workspaces produce identical results step for step.",
     "",
-    "`MessageGossipEngine` keeps per-node state in array-backed",
-    "`TripletVector`s (pooled across cycles and re-initialized in place",
-    "via `TripletVector.reset`) and evaluates the per-round epsilon",
-    "criterion population-at-once in a reusable `EstimatesWorkspace`;",
-    "its dominant cost is the simulated transport, not the convergence",
-    "bookkeeping.",
+    "`MessageGossipEngine` and `AsyncMessageGossipEngine` keep every",
+    "node's triplet vector as a row of one engine-owned `(n, n)` x/w",
+    "pair, a `PopulationStore` whose `row(i)` is a cached `TripletVector`",
+    "view (re-initialized in place by `reset`, which raises on an id",
+    "outside the store). A synchronous round draws every partner first,",
+    "then halves all senders in one pass into a fresh outbox and sends",
+    "outbox-row views; per-round held mass and estimate matrices are row",
+    "reductions over the store (estimates in an `EstimatesWorkspace`'s",
+    "two alternating output slots). Results are bitwise those of the",
+    "node-by-node protocol. `Simulator.call_at`/`call_in` push",
+    "`(when, seq, fn, args)` heap entries and return `None`; the",
+    "dominant cost is the simulated transport, one scheduled call per",
+    "message.",
     "",
     "`repro.experiments.runner` fans experiment sweeps over worker",
     "processes: declare `SweepPoint`s (picklable point function + kwargs",
