@@ -24,7 +24,6 @@ from repro.core.aggregation import ExactAggregation, exact_global_reputation
 from repro.core.config import GossipTrustConfig
 from repro.core.gossiptrust import GossipTrust, GossipTrustResult
 from repro.core.power_nodes import PowerNodeSelector
-from repro.crypto.secure_transport import SecureTransport
 from repro.errors import ReproError
 from repro.gossip.async_engine import AsyncMessageGossipEngine
 from repro.gossip.base import CycleEngine, GossipCycleResult
@@ -69,7 +68,6 @@ __all__ = [
     "PeerClass",
     "TransactionOutcome",
     "ReproError",
-    "SecureTransport",
     "QofWeightedAggregation",
     "feedback_quality",
     "ObjectReputation",

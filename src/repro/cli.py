@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help="partner strategy for message-level engines "
-        "(global | neighbors | hyparview | brahms; shorthand for "
+        "(global | neighbors | brahms; shorthand for "
         "--set strategy=NAME)",
     )
     run_p.add_argument(

@@ -65,10 +65,10 @@ class GossipTrustConfig:
     partner_strategy:
         How the message-level engines pick gossip partners: a name from
         the :mod:`~repro.gossip.partnering` registry (``"global"``,
-        ``"neighbors"``, ``"hyparview"``, ``"brahms"``).  The default
-        ``"global"`` is the omniscient-membership oracle the paper's
-        analysis assumes; the partial-view protocols maintain realistic
-        membership over the simulated transport.  Vectorized engines
+        ``"neighbors"``, ``"brahms"``).  The default ``"global"`` is the
+        omniscient-membership oracle the paper's analysis assumes;
+        ``"brahms"`` maintains partial-view membership over the
+        simulated transport.  Vectorized engines
         (``sync``/``structured``) ignore it.
     mass_restore_budget:
         Self-healing threshold on per-cycle ``mass_lost_fraction`` for

@@ -20,8 +20,6 @@ __all__ = [
     "PartitionedNetworkError",
     "StorageError",
     "BloomCapacityError",
-    "CryptoError",
-    "SignatureError",
     "ExperimentError",
 ]
 
@@ -115,14 +113,6 @@ class StorageError(ReproError):
 
 class BloomCapacityError(StorageError):
     """A Bloom filter was asked to hold more items than it was sized for."""
-
-
-class CryptoError(ReproError):
-    """Failure in the simulated identity-based crypto layer."""
-
-
-class SignatureError(CryptoError):
-    """A message signature failed verification."""
 
 
 class ExperimentError(ReproError):

@@ -3,7 +3,7 @@
 The fault-tolerance experiment injects faults once at setup under the
 omniscient global partner sampler.  This sweep runs the full robustness
 stack instead: every partner strategy (global oracle, neighbors-only,
-HyParView, Brahms) on both DES engines under scripted
+Brahms) on both DES engines under scripted
 :class:`~repro.network.faultplan.FaultPlan` scenarios — crash bursts
 with rejoin, a mid-run partition that heals, a loss ramp — with the
 engine-level mass-restoration guard armed.
@@ -19,7 +19,7 @@ Per (engine x strategy x plan) cell it reports:
   retries/acks (the price of failure detection).
 
 The acceptance shape: errors stay within the same order of magnitude as
-the global-sampling baseline, and the partial-view protocols end every
+the global-sampling baseline, and the partial-view protocol ends every
 healed scenario with zero permanently-isolated live nodes.
 """
 
@@ -44,7 +44,7 @@ from repro.utils.rng import RngStreams
 
 __all__ = ["run_churn_resilience"]
 
-DEFAULT_STRATEGIES = ("global", "neighbors", "hyparview", "brahms")
+DEFAULT_STRATEGIES = ("global", "neighbors", "brahms")
 DEFAULT_PLANS = ("crash", "partition", "loss_ramp")
 DEFAULT_ENGINES = ("message", "async")
 

@@ -57,7 +57,7 @@ QUICK_OVERRIDES: Dict[str, Dict[str, object]] = {
     "fig4b": {"n": 200, "fractions": (0.05,), "group_sizes": (2, 6), "repeats": 1},
     "fig5": {"n": 150, "n_files": 3000, "gammas": (0.0, 0.2), "queries": 1200, "refresh_interval": 400, "repeats": 1},
     "fault": {"n": 48, "loss_rates": (0.0, 0.2), "link_failure_fractions": (0.0,), "departure_counts": (0, 4), "repeats": 1},
-    "resilience": {"n": 48, "strategies": ("global", "hyparview"), "plans": ("crash",), "engines": ("message",), "repeats": 1},
+    "resilience": {"n": 48, "strategies": ("global", "brahms"), "plans": ("crash",), "engines": ("message",), "repeats": 1},
     "storage": {"n": 300, "bracket_bits": (4, 6), "repeats": 1},
     "overhead": {"sizes": (100, 200), "repeats": 1},
     "qof": {"n": 200, "gammas": (0.2, 0.4), "repeats": 1},

@@ -35,6 +35,7 @@ from repro.gossip.message_engine import (
     MessageGossipResult,
     _batched_converged,
     _disagreement,
+    _finite_mean,
     _init_states,
     weak_dispatcher,
 )
@@ -303,10 +304,7 @@ class AsyncMessageGossipEngine(CycleEngine):
         live = self.overlay.alive_nodes()
         held = self._held()
         node_estimates = store.estimates(held)
-        with np.errstate(invalid="ignore"):
-            finite = np.where(np.isfinite(node_estimates), node_estimates, np.nan)
-            v_next = np.nanmean(finite, axis=0) if finite.size else np.zeros(n)
-        v_next = np.nan_to_num(v_next, nan=0.0, posinf=0.0)
+        v_next = _finite_mean(node_estimates)
 
         final_mass = store.mass(held)
         lost = 0.0 if initial_mass == 0 else max(0.0, 1.0 - final_mass / initial_mass)

@@ -135,6 +135,20 @@ def _disagreement(node_estimates: np.ndarray) -> float:
     return float(np.nanmax(spread))
 
 
+def _finite_mean(node_estimates: np.ndarray) -> np.ndarray:
+    """Column means over the finite entries of ``node_estimates``.
+
+    A column no node has a finite estimate for averages to 0.  Equals
+    ``nanmean`` over the finite entries bitwise (same masked column sum
+    over the same count) but never warns on an empty column.
+    """
+    known = np.isfinite(node_estimates)
+    total = np.where(known, node_estimates, 0.0).sum(axis=0)
+    count = known.sum(axis=0)
+    mean = np.divide(total, count, out=np.zeros_like(total), where=count > 0)
+    return np.nan_to_num(mean, nan=0.0, posinf=0.0)
+
+
 def _batched_converged(
     cur_ids: Tuple[int, ...],
     cur: np.ndarray,
@@ -447,10 +461,7 @@ class MessageGossipEngine(CycleEngine):
         live = self.overlay.alive_nodes()
         held = [node for node in live.tolist() if node in self._states]
         node_estimates = store.estimates(held)
-        with np.errstate(invalid="ignore"):
-            finite = np.where(np.isfinite(node_estimates), node_estimates, np.nan)
-            v_next = np.nanmean(finite, axis=0) if finite.size else np.zeros(n)
-        v_next = np.nan_to_num(v_next, nan=0.0, posinf=0.0)
+        v_next = _finite_mean(node_estimates)
 
         final_mass = store.mass(held)
         lost = 0.0 if initial_mass == 0 else max(0.0, 1.0 - final_mass / initial_mass)

@@ -1,12 +1,10 @@
 """Partner selection strategies — from global oracle to partial views.
 
 The paper's Algorithm 1 says "choose a random node q — a neighbor node
-or any other node".  Until now every DES engine hard-coded the strongest
-reading (uniform over *all* live nodes, an omniscient membership
-oracle).  Real unstructured overlays run on **partial views**: each
-node knows a handful of peers, maintained by a membership protocol that
-must itself survive churn, loss, and partitions.  This module lifts
-partner choice into a strategy interface and provides four
+or any other node".  ``"global"`` and ``"neighbors"`` are the two
+readings of that sentence; ``"brahms"`` adds a partial-view membership
+protocol that must itself survive churn, loss, and partitions.  This
+module lifts partner choice into a strategy interface with three
 implementations:
 
 ====================  ======================================================
@@ -15,18 +13,14 @@ implementations:
                       engine behaviour).
 ``"neighbors"``       :class:`NeighborSampler` — uniform over live overlay
                       neighbors (the paper's weakest reading).
-``"hyparview"``       :class:`HyParViewMembership` — small active view for
-                      gossip, larger passive view for repair; reactive
-                      eviction + promotion on suspected failures
-                      (Leitão et al., HyParView).
 ``"brahms"``          :class:`BrahmsMembership` — push/pull view exchange
                       blended with min-wise history samplers
                       (Bortnikov et al., Brahms).
 ====================  ======================================================
 
-The membership strategies run *over the real transport*: join, shuffle,
-push/pull, and probe messages ride the same lossy links as the gossip
-payload, and failure detection is end-to-end (a reliable probe through
+The membership strategy runs *over the real transport*: push, pull and
+probe messages ride the same lossy links as the gossip payload, and
+failure detection is end-to-end (a reliable probe through
 :class:`~repro.network.reliability.ReliableTransport` that exhausts its
 retries).  Views may therefore contain dead peers — ``partner`` can
 return one, the gossip half sent to it is lost, and the next probe
@@ -44,7 +38,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import (
     Any,
-    Callable,
     ClassVar,
     Dict,
     List,
@@ -69,7 +62,6 @@ __all__ = [
     "PartnerStrategy",
     "GlobalSampler",
     "NeighborSampler",
-    "HyParViewMembership",
     "BrahmsMembership",
     "strategy_names",
     "register_strategy",
@@ -146,7 +138,7 @@ class PartnerStrategy(ABC):
     non-gossip transport message to :meth:`on_message`.
     """
 
-    #: registry name (``"global"``, ``"neighbors"``, ``"hyparview"``, ``"brahms"``)
+    #: registry name (``"global"``, ``"neighbors"``, ``"brahms"``)
     name: ClassVar[str] = ""
 
     def __init__(self, rng: SeedLike = None) -> None:
@@ -294,290 +286,6 @@ class NeighborSampler(PartnerStrategy):
 
     def view(self, node: int) -> Tuple[int, ...]:
         return self._require_overlay().neighbors(node, live_only=False)
-
-
-class HyParViewMembership(PartnerStrategy):
-    """HyParView-style hybrid partial views with reactive repair.
-
-    Each node keeps a small **active view** (its gossip partners) and a
-    larger **passive view** (repair candidates).  Maintenance, every
-    ``interval`` of simulated time per live node:
-
-    * a reliable *probe* to one random active peer; exhausted retries
-      mark the peer suspected — it is evicted and a passive peer is
-      promoted via a reliable *neighbor* request (the receiver links
-      back, keeping active views roughly symmetric);
-    * an unreliable *shuffle* with one random active peer: both sides
-      exchange samples of their views and merge them into their passive
-      views — the diffusion process that keeps repair candidates fresh.
-
-    A node that exhausts both views re-bootstraps through ``join`` (host
-    cache model: one random live contact), whose receiver links the
-    joiner and floods a TTL-limited *forward-join* so others learn of
-    it.  :meth:`node_joined` triggers the same path after churn rejoin.
-    """
-
-    name = "hyparview"
-
-    #: control-message kinds carried reliably (probe/neighbor/join)
-    _RELIABLE_KINDS = ("probe", "neighbor", "join")
-
-    def __init__(
-        self,
-        *,
-        active_size: int = 5,
-        passive_size: int = 12,
-        interval: float = 4.0,
-        shuffle_sample: int = 4,
-        forward_join_ttl: int = 2,
-        ack_timeout: Optional[float] = None,
-        max_retries: int = 2,
-        rng: SeedLike = None,
-    ) -> None:
-        super().__init__(rng)
-        if active_size < 1:
-            raise ValidationError(f"active_size must be >= 1, got {active_size}")
-        if passive_size < 1:
-            raise ValidationError(f"passive_size must be >= 1, got {passive_size}")
-        check_positive("interval", interval)
-        self.active_size = int(active_size)
-        self.passive_size = int(passive_size)
-        self.interval = float(interval)
-        self.shuffle_sample = int(shuffle_sample)
-        self.forward_join_ttl = int(forward_join_ttl)
-        self._ack_timeout = ack_timeout
-        self._max_retries = int(max_retries)
-        self.active: Dict[int, Set[int]] = {}
-        self.passive: Dict[int, Set[int]] = {}
-        self._reliable: Optional[ReliableTransport] = None
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def _after_bind(self) -> None:
-        assert self.transport is not None and self.overlay is not None
-        self._reliable = ReliableTransport(
-            self.transport,
-            ack_timeout=self._ack_timeout,
-            max_retries=self._max_retries,
-            on_deliver=self._on_reliable,
-            on_give_up=self._on_give_up,
-        )
-        overlay = self.overlay
-        n = overlay.n
-        self.active = {v: set() for v in range(n)}
-        self.passive = {v: set() for v in range(n)}
-        live = [int(v) for v in overlay.alive_nodes().tolist()]
-        live_set = set(live)
-        for node in live:
-            neigh = [v for v in overlay.neighbors(node, live_only=True)]
-            self._rng.shuffle(neigh)
-            self.active[node] = set(neigh[: self.active_size])
-            rest = [v for v in live if v != node and v not in self.active[node]]
-            if rest:
-                k = min(self.passive_size, len(rest))
-                picks = self._rng.choice(len(rest), size=k, replace=False)
-                self.passive[node] = {rest[int(i)] for i in picks}
-        # Active gossip links are bidirectional: mirror the edges so a
-        # low-degree node is still reachable.
-        for node in live:
-            for peer in list(self.active[node]):
-                if peer in live_set:
-                    self.active[peer].add(node)
-                    self.passive[peer].discard(node)
-
-    def start(self) -> None:
-        was_running = self._running
-        super().start()
-        if not was_running:
-            assert self.sim is not None
-            self.sim.call_in(self.interval, self._tick)
-
-    # -- partner contract --------------------------------------------------
-
-    def partner(self, node: int) -> Optional[int]:
-        candidates = sorted(self.active.get(node, ()))
-        if not candidates:
-            return None
-        return int(candidates[int(self._rng.integers(len(candidates)))])
-
-    def view(self, node: int) -> Tuple[int, ...]:
-        return tuple(sorted(self.active.get(node, ())))
-
-    def retry_stats(self) -> Mapping[str, int]:
-        r = self._reliable
-        if r is None:
-            return super().retry_stats()
-        return {
-            "sent": r.sent,
-            "retries": r.retries,
-            "acked": r.acked,
-            "gave_up": r.gave_up,
-            "acks_sent": r.acks_sent,
-        }
-
-    # -- maintenance -------------------------------------------------------
-
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        assert self.sim is not None and self.overlay is not None
-        assert self._reliable is not None
-        for node in [int(v) for v in self.overlay.alive_nodes().tolist()]:
-            active = sorted(self.active[node])
-            if not active:
-                self._rebootstrap(node)
-                continue
-            probe_to = int(active[int(self._rng.integers(len(active)))])
-            self._reliable.send(node, probe_to, None, kind="probe", size=8)
-            shuffle_to = int(active[int(self._rng.integers(len(active)))])
-            self._send_shuffle(node, shuffle_to)
-        self.sim.call_in(self.interval, self._tick)
-
-    def _sample_ids(self, node: int) -> Tuple[int, ...]:
-        pool = sorted((self.active[node] | self.passive[node]) - {node})
-        if not pool:
-            return (node,)
-        k = min(self.shuffle_sample, len(pool))
-        picks = self._rng.choice(len(pool), size=k, replace=False)
-        return tuple(sorted({node, *(pool[int(i)] for i in picks)}))
-
-    def _send_shuffle(self, node: int, peer: int) -> None:
-        assert self.transport is not None
-        sample = self._sample_ids(node)
-        self.transport.send(node, peer, sample, kind="shuffle", size=8 * len(sample))
-        self.maintenance_messages += 1
-
-    def _merge_passive(self, node: int, ids: Sequence[int]) -> None:
-        passive = self.passive[node]
-        for peer in ids:
-            if peer == node or peer in self.active[node]:
-                continue
-            passive.add(peer)
-        while len(passive) > self.passive_size:
-            victims = sorted(passive)
-            passive.discard(victims[int(self._rng.integers(len(victims)))])
-
-    def _add_active(self, node: int, peer: int) -> None:
-        """Link ``peer`` into ``node``'s active view, demoting overflow."""
-        if peer == node:
-            return
-        self.active[node].add(peer)
-        self.passive[node].discard(peer)
-        while len(self.active[node]) > self.active_size:
-            others = sorted(self.active[node] - {peer})
-            if not others:
-                break
-            demoted = others[int(self._rng.integers(len(others)))]
-            self.active[node].discard(demoted)
-            self._merge_passive(node, (demoted,))
-
-    def _rebootstrap(self, node: int) -> None:
-        """Active view drained: re-enter through the host-cache model."""
-        assert self.overlay is not None and self._reliable is not None
-        passive = sorted(self.passive[node])
-        if passive:
-            target = passive[int(self._rng.integers(len(passive)))]
-            self._promote(node, target)
-            return
-        live = [int(v) for v in self.overlay.alive_nodes().tolist() if int(v) != node]
-        if not live:
-            return
-        contact = live[int(self._rng.integers(len(live)))]
-        self._reliable.send(node, contact, None, kind="join", size=8)
-        self.rejoins += 1
-
-    def _promote(self, node: int, peer: int) -> None:
-        """Promote a passive peer into the active view (optimistically)."""
-        assert self._reliable is not None
-        self.passive[node].discard(peer)
-        self._add_active(node, peer)
-        self.promotions += 1
-        self._reliable.send(node, peer, None, kind="neighbor", size=8)
-
-    def _suspect(self, node: int, peer: int) -> None:
-        """Evict a suspected-dead active peer, promote a replacement."""
-        if peer in self.active.get(node, ()):
-            self.active[node].discard(peer)
-            self.evictions += 1
-        self.passive.get(node, set()).discard(peer)
-        if len(self.active[node]) < self.active_size:
-            if not self.passive[node] and not self.active[node]:
-                self._rebootstrap(node)
-            else:
-                self._promote_from_passive(node)
-
-    def _promote_from_passive(self, node: int) -> None:
-        passive = sorted(self.passive[node])
-        if not passive:
-            return
-        self._promote(node, passive[int(self._rng.integers(len(passive)))])
-
-    # -- message handling --------------------------------------------------
-
-    def on_message(self, msg: Message) -> bool:
-        assert self.overlay is not None
-        if self._reliable is not None and msg.kind in ("ack", "reliable"):
-            if not self.overlay.is_alive(msg.dst):
-                return True  # delivered to a departed peer: ignored
-            return self._reliable.handle(msg)
-        if msg.kind == "shuffle":
-            if self.overlay.is_alive(msg.dst):
-                self._merge_passive(msg.dst, msg.payload)
-                reply = self._sample_ids(msg.dst)
-                assert self.transport is not None
-                self.transport.send(
-                    msg.dst, msg.src, reply, kind="shuffle-reply", size=8 * len(reply)
-                )
-                self.maintenance_messages += 1
-            return True
-        if msg.kind == "shuffle-reply":
-            if self.overlay.is_alive(msg.dst):
-                self._merge_passive(msg.dst, msg.payload)
-            return True
-        if msg.kind == "forward-join":
-            if self.overlay.is_alive(msg.dst):
-                joiner, ttl = msg.payload
-                if ttl > 0 and joiner != msg.dst:
-                    self._merge_passive(msg.dst, (joiner,))
-                    if len(self.active[msg.dst]) < self.active_size:
-                        self._add_active(msg.dst, joiner)
-                        self._add_active(joiner, msg.dst)
-            return True
-        return False
-
-    def _on_reliable(self, msg: Message, kind: str, payload: Any) -> None:
-        assert self.overlay is not None
-        node = msg.dst
-        if kind == "probe":
-            return  # the ack is the point
-        if kind == "neighbor":
-            self._add_active(node, msg.src)
-            return
-        if kind == "join":
-            assert self.transport is not None
-            self._add_active(node, msg.src)
-            self._add_active(msg.src, node)
-            for peer in sorted(self.active[node] - {msg.src}):
-                self.transport.send(
-                    node,
-                    peer,
-                    (msg.src, self.forward_join_ttl),
-                    kind="forward-join",
-                    size=16,
-                )
-                self.maintenance_messages += 1
-
-    def _on_give_up(self, src: int, dst: int, kind: str) -> None:
-        assert self.overlay is not None
-        if not self.overlay.is_alive(src):
-            return  # the suspecting node itself departed meanwhile
-        self._suspect(src, dst)
-
-    def node_joined(self, node: int) -> None:
-        """Churn rejoin: reset this node's views and re-enter via join."""
-        self.active[node] = set()
-        self.passive[node] = set()
-        self._rebootstrap(node)
 
 
 class BrahmsMembership(PartnerStrategy):
@@ -906,5 +614,4 @@ def make_strategy(
 
 register_strategy(GlobalSampler)
 register_strategy(NeighborSampler)
-register_strategy(HyParViewMembership)
 register_strategy(BrahmsMembership)

@@ -4,10 +4,9 @@ The gossip payload itself is deliberately fire-and-forget — push-sum
 tolerates proportional (x, w) loss, and *retrying* a delivered-but-
 unacked half would duplicate mass and break the conservation invariant
 the sanitizer arms.  What does need reliability is the *control plane*:
-membership protocols (:mod:`repro.gossip.partnering`) probe peers,
-request neighbor promotions, and exchange view shuffles — idempotent
-messages whose occasional duplication is harmless but whose silent loss
-leaves views stale and failures undetected.
+the Brahms membership protocol (:mod:`repro.gossip.partnering`) probes
+its sampled peers — idempotent messages whose occasional duplication is
+harmless but whose silent loss leaves failures undetected.
 
 :class:`ReliableTransport` wraps a :class:`~repro.network.transport.Transport`
 with exactly that contract:
@@ -19,8 +18,7 @@ with exactly that contract:
   resends;
 * after the last attempt times out the wrapper *gives up* and reports
   the destination to the ``on_give_up`` callback — the suspicion signal
-  membership layers turn into active-view eviction and passive-view
-  promotion.
+  the membership layer turns into view eviction.
 
 The wrapper does not own transport registration (the DES engines
 register one handler per node); instead the owning protocol forwards
@@ -53,7 +51,7 @@ class ReliableEnvelope:
 
     #: wrapper-unique id acked back by the receiver
     msg_id: int
-    #: the protocol's own message kind (e.g. ``"probe"``, ``"shuffle"``)
+    #: the protocol's own message kind (e.g. ``"probe"``)
     kind: str
     #: the protocol payload, delivered to ``on_deliver`` verbatim
     payload: Any

@@ -9,11 +9,8 @@ scripts; the library itself never calls it.
 from __future__ import annotations
 
 import logging
-import time
-from contextlib import contextmanager
-from typing import Iterator
 
-__all__ = ["get_logger", "configure", "timed"]
+__all__ = ["get_logger", "configure"]
 
 _ROOT_NAME = "repro"
 
@@ -39,12 +36,3 @@ def configure(level: int = logging.INFO) -> None:
         )
         root.addHandler(handler)
 
-
-@contextmanager
-def timed(logger: logging.Logger, label: str) -> Iterator[None]:
-    """Log wall-clock duration of a block at DEBUG level."""
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        logger.debug("%s took %.3fs", label, time.perf_counter() - start)

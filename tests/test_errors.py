@@ -39,9 +39,5 @@ def test_catching_base_class_catches_subsystem_errors():
         raise errors.BloomCapacityError("full")
 
 
-def test_signature_error_is_crypto_error():
-    assert issubclass(errors.SignatureError, errors.CryptoError)
-
-
 def test_partitioned_network_is_network_error():
     assert issubclass(errors.PartitionedNetworkError, errors.NetworkError)

@@ -247,6 +247,29 @@ class TestBatchedConvergence:
         assert _disagreement(np.full((2, 2), np.nan)) == np.inf
         assert _disagreement(np.empty((0, 3))) == np.inf
 
+    def test_finite_mean_empty_column_is_silent_zero(self):
+        import warnings
+
+        from repro.gossip.message_engine import _finite_mean
+
+        est = np.array([[0.2, np.nan, np.inf], [0.4, np.nan, 0.6]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = _finite_mean(est)
+            empty = _finite_mean(np.empty((0, 3)))
+        assert v.tolist() == [0.30000000000000004, 0.0, 0.6]
+        assert empty.tolist() == [0.0, 0.0, 0.0]
+
+    def test_finite_mean_bitwise_equals_nanmean(self):
+        from repro.gossip.message_engine import _finite_mean
+
+        rng = np.random.default_rng(7)
+        est = rng.random((37, 11)) * 1e3
+        est[rng.random(est.shape) < 0.3] = np.nan
+        est[0, 3] = np.inf
+        finite = np.where(np.isfinite(est), est, np.nan)
+        assert np.array_equal(_finite_mean(est), np.nanmean(finite, axis=0))
+
 
 class TestLifetime:
     """The transport holds the engine weakly: no reference cycle to collect."""

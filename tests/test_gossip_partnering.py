@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.cli import main as cli_main
+from repro.core.config import GossipTrustConfig
 from repro.errors import ConfigurationError, NetworkError, ValidationError
 from repro.gossip.partnering import (
     BrahmsMembership,
     GlobalSampler,
-    HyParViewMembership,
     NeighborSampler,
     PartnerStrategy,
     ViewHealth,
@@ -45,17 +46,29 @@ def run_maintenance(sim, strategy, until):
 
 
 class TestRegistry:
-    def test_all_four_registered(self):
-        assert strategy_names() == ("brahms", "global", "hyparview", "neighbors")
+    def test_all_three_registered(self):
+        assert strategy_names() == ("brahms", "global", "neighbors")
 
     def test_make_strategy_unknown_name(self):
         with pytest.raises(ConfigurationError, match="unknown partner strategy"):
             make_strategy("chord")
 
     def test_make_strategy_filters_foreign_kwargs(self):
-        s = make_strategy("hyparview", rng=0, active_size=3, view_size=99)
-        assert isinstance(s, HyParViewMembership)
-        assert s.active_size == 3
+        s = make_strategy("brahms", rng=0, view_size=3, active_size=99)
+        assert isinstance(s, BrahmsMembership)
+        assert s.view_size == 3
+
+    def test_removed_hyparview_rejected_everywhere(self):
+        listing = "registered: brahms, global, neighbors"
+        with pytest.raises(ConfigurationError, match=listing):
+            GossipTrustConfig(n=8, partner_strategy="hyparview")
+        with pytest.raises(ConfigurationError, match=listing):
+            make_strategy("hyparview")
+        with pytest.raises(ConfigurationError, match=listing):
+            cli_main(
+                ["run", "resilience", "--quick", "--strategy", "hyparview",
+                 "--set", "n=16"]
+            )
 
     def test_register_duplicate_rejected(self):
         with pytest.raises(ConfigurationError, match="already registered"):
@@ -151,67 +164,6 @@ class TestNeighborSampler:
         assert h.mean_live_degree > 0
 
 
-class TestHyParView:
-    def test_initial_views_populated_and_mirrored(self):
-        s = HyParViewMembership(rng=0)
-        _, overlay, _ = bind_strategy(s, n=24)
-        for node in range(24):
-            assert s.active[node], f"node {node} has an empty active view"
-            for peer in s.active[node]:
-                assert node in s.active[peer]
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValidationError):
-            HyParViewMembership(active_size=0)
-        with pytest.raises(ValidationError):
-            HyParViewMembership(passive_size=0)
-        with pytest.raises(ValidationError):
-            HyParViewMembership(interval=0.0)
-
-    def test_partner_drawn_from_active_view(self):
-        s = HyParViewMembership(rng=0)
-        bind_strategy(s, n=24)
-        for node in range(24):
-            assert s.partner(node) in s.active[node]
-
-    def test_crash_burst_is_detected_and_repaired(self):
-        """Probes must evict the dead and promotion must reconnect everyone."""
-        s = HyParViewMembership(interval=2.0, rng=0)
-        sim, overlay, _ = bind_strategy(s, n=32, loss=0.05)
-        run_maintenance(sim, s, until=10.0)
-        s.start()
-        for victim in range(8):
-            overlay.leave(victim)
-        sim.run(until=150.0)
-        s.stop()
-        assert s.evictions > 0
-        h = s.health()
-        assert h.live_nodes == 24
-        assert h.isolated_live_nodes == 0
-        assert h.components == 1
-
-    def test_node_joined_rebootstraps(self):
-        s = HyParViewMembership(interval=2.0, rng=0)
-        sim, overlay, _ = bind_strategy(s, n=24)
-        overlay.leave(5)
-        s.start()
-        sim.run(until=20.0)
-        overlay.join(5)
-        s.node_joined(5)
-        sim.run(until=60.0)
-        s.stop()
-        assert s.active[5], "rejoined node never re-entered the active views"
-        assert any(5 in s.active[p] for p in range(24) if p != 5)
-
-    def test_retry_stats_surface_reliable_counters(self):
-        s = HyParViewMembership(interval=2.0, rng=0)
-        sim, overlay, _ = bind_strategy(s, n=16, loss=0.3)
-        run_maintenance(sim, s, until=80.0)
-        stats = s.retry_stats()
-        assert stats["sent"] > 0
-        assert stats["retries"] > 0  # 30% loss must trigger some resends
-
-
 class TestBrahms:
     def test_initial_views_populated(self):
         s = BrahmsMembership(rng=0)
@@ -228,6 +180,12 @@ class TestBrahms:
         with pytest.raises(ValidationError):
             BrahmsMembership(sampler_slots=0)
 
+    def test_partner_drawn_from_view(self):
+        s = BrahmsMembership(rng=0)
+        bind_strategy(s, n=24)
+        for node in range(24):
+            assert s.partner(node) in s.views[node]
+
     def test_samplers_hold_observed_ids(self):
         s = BrahmsMembership(rng=0)
         bind_strategy(s, n=24)
@@ -236,6 +194,7 @@ class TestBrahms:
         assert all(0 <= i < 24 for i in ids)
 
     def test_crash_burst_is_detected_and_repaired(self):
+        """Probes must evict the dead and no live node may end isolated."""
         s = BrahmsMembership(interval=2.0, rng=0)
         sim, overlay, _ = bind_strategy(s, n=32, loss=0.05)
         run_maintenance(sim, s, until=10.0)
@@ -244,6 +203,7 @@ class TestBrahms:
             overlay.leave(victim)
         sim.run(until=150.0)
         s.stop()
+        assert s.evictions > 0
         h = s.health()
         assert h.live_nodes == 24
         assert h.isolated_live_nodes == 0
@@ -269,28 +229,34 @@ class TestBrahms:
         assert s.maintenance_messages > 0
         assert s.promotions > 0  # views were recomputed from buffers
 
+    def test_retry_stats_surface_reliable_counters(self):
+        s = BrahmsMembership(interval=2.0, rng=0)
+        sim, overlay, _ = bind_strategy(s, n=16, loss=0.3)
+        run_maintenance(sim, s, until=80.0)
+        stats = s.retry_stats()
+        assert stats["sent"] > 0
+        assert stats["retries"] > 0  # 30% loss must trigger some resends
+
 
 class TestHealthComponents:
     def test_split_views_report_two_components(self):
-        s = HyParViewMembership(rng=0)
+        s = BrahmsMembership(rng=0)
         bind_strategy(s, n=8)
         # Force two cliques at the membership layer.
         for node in range(8):
-            group = {0, 1, 2, 3} if node < 4 else {4, 5, 6, 7}
-            s.active[node] = group - {node}
-            s.passive[node] = set()
+            group = [0, 1, 2, 3] if node < 4 else [4, 5, 6, 7]
+            s.views[node] = [p for p in group if p != node]
         h = s.health()
         assert h.components == 2
         assert h.isolated_live_nodes == 0
 
     def test_isolated_node_counted(self):
-        s = HyParViewMembership(rng=0)
-        _, overlay, _ = bind_strategy(s, n=8)
-        s.active[0] = set()
-        s.passive[0] = set()
+        s = BrahmsMembership(rng=0)
+        bind_strategy(s, n=8)
+        s.views[0] = []
         # Drop node 0 from everyone else's views too.
         for node in range(1, 8):
-            s.active[node].discard(0)
-            s.passive[node].discard(0)
+            s.views[node] = [p for p in s.views[node] if p != 0]
         h = s.health()
-        assert h.isolated_live_nodes >= 1
+        assert h.isolated_live_nodes == 1
+        assert h.components == 2

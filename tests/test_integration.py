@@ -110,21 +110,3 @@ class TestStorageIntegration:
         store.build(v)
         approx = store.lookup_vector(n)
         assert kendall_tau(v, approx) > 0.8
-
-
-class TestCryptoIntegration:
-    def test_signed_gossip_payload_roundtrip(self):
-        """Gossip payloads can be signed per-identity and verified."""
-        import pickle
-
-        from repro.crypto.ibs import IdentitySigner, verify_envelope
-        from repro.crypto.pkg import PrivateKeyGenerator
-        from repro.gossip.vector import TripletVector
-
-        pkg = PrivateKeyGenerator(b"gossip-master-secret-32-bytes!!!")
-        tv = TripletVector.initial(3, {1: 0.5, 2: 0.5}, {3: 0.25})
-        payload = pickle.dumps(sorted((t.node, t.x, t.w) for t in tv))
-        env = IdentitySigner("node:3", pkg).sign(payload)
-        assert verify_envelope(env, pkg)
-        restored = pickle.loads(env.payload)
-        assert restored[0][0] == 1

@@ -126,7 +126,7 @@ class TestRejoinUnderArmedSanitizer:
             set_sanitize_enabled(None)
         return churn, res
 
-    @pytest.mark.parametrize("strategy", ["global", "hyparview", "brahms"])
+    @pytest.mark.parametrize("strategy", ["global", "neighbors", "brahms"])
     def test_rejoins_mid_cycle_keep_estimates_finite(self, strategy):
         import numpy as np
 

@@ -2,7 +2,7 @@
 
 import logging
 
-from repro.utils.logging import configure, get_logger, timed
+from repro.utils.logging import configure, get_logger
 
 
 class TestGetLogger:
@@ -32,21 +32,3 @@ class TestConfigure:
         assert logging.getLogger("repro").level == logging.WARNING
         configure(level=logging.INFO)  # restore
 
-
-class TestTimed:
-    def test_logs_duration_at_debug(self, caplog):
-        log = get_logger("timed-test")
-        with caplog.at_level(logging.DEBUG, logger="repro.timed-test"):
-            with timed(log, "unit-of-work"):
-                pass
-        assert any("unit-of-work took" in r.message for r in caplog.records)
-
-    def test_logs_even_on_exception(self, caplog):
-        log = get_logger("timed-test")
-        with caplog.at_level(logging.DEBUG, logger="repro.timed-test"):
-            try:
-                with timed(log, "failing-work"):
-                    raise RuntimeError("boom")
-            except RuntimeError:
-                pass
-        assert any("failing-work took" in r.message for r in caplog.records)

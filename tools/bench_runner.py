@@ -159,8 +159,8 @@ LARGE_N_BUDGETS = {
 #: scripted crash plan, mass-restoration guard armed
 RESILIENCE_N = 96
 RESILIENCE_N_QUICK = 48
-RESILIENCE_STRATEGIES = ("global", "neighbors", "hyparview", "brahms")
-RESILIENCE_STRATEGIES_QUICK = ("global", "hyparview")
+RESILIENCE_STRATEGIES = ("global", "neighbors", "brahms")
+RESILIENCE_STRATEGIES_QUICK = ("global", "brahms")
 RESILIENCE_ENGINES = ("message", "async")
 RESILIENCE_ENGINES_QUICK = ("message",)
 
