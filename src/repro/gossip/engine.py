@@ -31,9 +31,9 @@ One step loop serves both modes, in two phases per cycle:
    SpGEMM output) whose capacity grows geometrically and never per
    step.  A step lays ``M = 0.5*(I + A)`` out in CSR
    (:func:`fill_mixing`: per row the diagonal first, then the senders
-   in ascending order) and runs two C-level SpGEMMs (``csr_matmat``) of
-   it against the pooled state.
-2. **Dense handoff.**  Each column shard hands off to dense stepping
+   in ascending order — one O(n) stable counting sort) and runs two
+   C-level SpGEMMs (``csr_matmat``) of it against the pooled state.
+2. **Dense handoff.**  Each column tile hands off to dense stepping
    once its occupancy crosses ``_DENSIFY_THRESHOLD``: the CSR values
    are gathered into three reusable dense slot arrays and the pool
    arrays are released.  From then on a step is sort-free.  The
@@ -47,28 +47,32 @@ One step loop serves both modes, in two phases per cycle:
    layout sums them: the handoff is bitwise-invisible at any handoff
    point, at 8 bytes per state entry instead of CSR's 12.
 
-The estimate/residual pass reads cache-blocked tiles of
-``_TILE_ELEMENTS / p`` rows against one persistent ``prev`` estimate
-buffer.  With probe-mode column selection the working set is (n, p)
-regardless of n — at n = 10^5, p = 64, float64 the whole cycle fits
-~0.5 GiB; ``dtype="float32"`` nearly halves it again for the n = 10^6
-tier.
+Columns are independent, so any column split and any loop order over
+(column tile, step) computes bitwise the same values.  The loop runs
+one **check window** (the steps up to the next convergence check, at
+most ``check_every``) at a time over **column tiles** sized so that a
+tile's three state slots take about ``_TILE_STATE_BYTES``
+(:func:`column_shards`).  Per window the calling thread draws the
+window's partner targets and, while any tile is still CSR, lays out
+each step's ``M``.  Then one task per thread group
+(:func:`step_threads` groups: one per usable core, on a process-wide
+pool of ``cores - 1`` threads plus the calling thread) steps each of
+its tiles through the whole window back to back, while the tile stays
+cache-resident, and computes the tile's share of the convergence
+check: its estimates ``X / W`` into the persistent ``prev`` buffer and
+the residual maximum of every row tile of ``_TILE_ELEMENTS / p`` rows.
+The SpGEMMs, gathers, dense scatters and divides release the GIL, so
+the groups run on separate cores.  The calling thread then combines
+the maxima in row-tile order, so the worst residual, the fine-phase
+trigger and the stop step do not depend on the tile or thread count.
 
-Column shards are the unit of thread parallelism.  The ``p`` columns
-split into one shard per usable core (at least ``_MIN_SHARD_COLUMNS``
-columns and ``_MIN_SHARD_ELEMENTS`` entries each, so only tiny cycles
-stay whole), or into more where ``n * p`` would overflow the pools'
-int32 indices (:func:`~repro.gossip.memory.min_shards_for`).  Every
-step lays out ``M`` and draws targets on the calling thread, hands
-shards ``1..k-1`` to a process-wide thread pool, steps shard 0 itself
-(and any shard no pool thread has taken yet) and resolves the futures
-in submission order; the SpGEMMs, gathers and dense scatters release
-the GIL, so the shards run on separate cores.  Each shard writes only
-its own pools and dense slots.
+With probe-mode column selection the working set is (n, p) regardless
+of n — at n = 10^5, p = 64, float64 the whole cycle fits ~0.5 GiB;
+``dtype="float32"`` nearly halves it again for the n = 10^6 tier.
 
 Partner draws come from one RNG stream (a Generator fills a ``(k, n)``
 block in the same element order as ``k`` successive size-``n`` draws),
-so every shard count, thread count and handoff point walks the same
+so every tile count, thread count and handoff point walks the same
 mixing-matrix sequence and stops on the same step.
 """
 
@@ -77,7 +81,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -91,11 +95,13 @@ from repro.metrics.telemetry import Stopwatch
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_in_range, check_vector
 
-try:  # the C kernels behind scipy's sparse products and densification
+try:  # the C kernels behind scipy's sparse products and conversions
+    from scipy.sparse._sparsetools import coo_tocsr as _coo_tocsr
     from scipy.sparse._sparsetools import csc_matvecs as _csc_matvecs
     from scipy.sparse._sparsetools import csr_matmat as _csr_matmat
     from scipy.sparse._sparsetools import csr_todense as _csr_todense
 except ImportError:  # pragma: no cover - very old scipy
+    _coo_tocsr = None
     _csc_matvecs = None
     _csr_matmat = None
     _csr_todense = None
@@ -105,6 +111,7 @@ __all__ = [
     "SynchronousGossipEngine",
     "SparseWorkspace",
     "column_shards",
+    "step_threads",
 ]
 
 #: engine dtype names accepted by ``dtype=`` (the buffer precision)
@@ -124,21 +131,32 @@ _FINE_FACTOR = 8.0
 #: (no (n, p)-sized temporaries) instead of one-shot nan-reductions
 _BLOCKED_STATS_LIMIT = 1 << 24
 
-#: occupancy fraction at which a CSR column shard hands off to dense
+#: occupancy fraction at which a CSR column tile hands off to dense
 #: stepping (results do not depend on it; only the cost split does)
 _DENSIFY_THRESHOLD = 0.25
 
-#: elements per estimate/residual tile (~1 MiB of float64): the tile
-#: height is ``_TILE_ELEMENTS // p`` rows (results do not depend on it)
+#: elements per estimate/residual row tile (~1 MiB of float64): the
+#: check's row tiles are ``_TILE_ELEMENTS // p`` rows high (results do
+#: not depend on it)
 _TILE_ELEMENTS = 1 << 17
 
-#: fewest columns per thread shard: a core gets a shard of its own only
-#: while every shard keeps this many (results do not depend on it)
+#: state bytes per column tile: a tile's three slot arrays
+#: (``3 * n * width * itemsize``) stay near this size, so a tile stepped
+#: through a whole check window stays cache-resident (results do not
+#: depend on it)
+_TILE_STATE_BYTES = 32 << 20
+
+#: fewest columns per column tile: a tile row fills at least one 64-byte
+#: cache line of float64 (results do not depend on it)
+_MIN_TILE_COLUMNS = 8
+
+#: fewest columns per stepping thread: a core steps tiles of its own
+#: only while every thread keeps this many (results do not depend on it)
 _MIN_SHARD_COLUMNS = 16
 
-#: fewest state entries (``n * p_shard``) per thread shard: ~0.1 ms of
-#: dense stepping, several times a pool round trip, so tiny cycles stay
-#: whole (results do not depend on it)
+#: fewest state entries (``n * p / threads``) per stepping thread: ~0.1 ms
+#: of dense stepping, several times a pool round trip, so tiny cycles
+#: stay on the calling thread (results do not depend on it)
 _MIN_SHARD_ELEMENTS = 1 << 16
 
 
@@ -150,19 +168,36 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1  # pragma: no cover - no affinity API
 
 
-def column_shards(n: int, p: int) -> int:
-    """The column-shard count of an ``(n, p)`` cycle.
+def step_threads(n: int, p: int) -> int:
+    """The threads, the calling one included, that step an ``(n, p)`` cycle.
 
-    One shard per usable core while every shard keeps at least
+    One per usable core while every thread keeps at least
     ``_MIN_SHARD_COLUMNS`` columns and ``_MIN_SHARD_ELEMENTS`` state
-    entries, but never fewer than the int32 guard needs
-    (:func:`~repro.gossip.memory.min_shards_for`), and never more
-    shards than columns.
+    entries.
     """
-    threaded = min(
-        _usable_cores(), p // _MIN_SHARD_COLUMNS, n * p // _MIN_SHARD_ELEMENTS
+    return max(
+        1,
+        min(_usable_cores(), p // _MIN_SHARD_COLUMNS, n * p // _MIN_SHARD_ELEMENTS),
     )
-    return max(1, min(p, max(min_shards_for(n, p), threaded)))
+
+
+def column_shards(n: int, p: int, itemsize: int = 8) -> int:
+    """The column-tile count of an ``(n, p)`` cycle of ``itemsize``-byte values.
+
+    Enough tiles that each tile's three state slots
+    (``3 * n * width * itemsize`` bytes) fit ``_TILE_STATE_BYTES``,
+    rounded up to a multiple of :func:`step_threads` so every thread
+    group steps as many tiles; at most one tile per
+    ``_MIN_TILE_COLUMNS`` columns (kept a multiple of the threads);
+    never fewer than the int32 guard needs
+    (:func:`~repro.gossip.memory.min_shards_for`) and never more tiles
+    than columns.
+    """
+    threads = step_threads(n, p)
+    budget = -(-3 * n * p * itemsize // _TILE_STATE_BYTES)
+    tiles = -(-budget // threads) * threads
+    cap = max(threads, p // _MIN_TILE_COLUMNS // threads * threads)
+    return max(1, min(p, max(min_shards_for(n, p), min(tiles, cap))))
 
 
 _pool: Optional[ThreadPoolExecutor] = None
@@ -171,7 +206,7 @@ _pool_lock = threading.Lock()
 
 
 def _step_pool(workers: int) -> ThreadPoolExecutor:
-    """The process-wide shard-step pool of ``workers`` threads.
+    """The process-wide tile-step pool of ``workers`` threads.
 
     Created lazily, and again when the worker count or the process
     changes: an executor inherited by a forked child (a sweep worker)
@@ -234,78 +269,103 @@ class _TargetStream:
 # hot: per-step CSR layout of M = 0.5*(I + A)
 def fill_mixing(
     targets: np.ndarray,
-    ids: np.ndarray,
+    coo_rows: np.ndarray,
+    coo_cols: np.ndarray,
+    m_data: np.ndarray,
     m_indptr: np.ndarray,
     m_indices: np.ndarray,
 ) -> None:
     """Lay out one step's mixing matrix into preallocated CSR arrays.
 
     Row ``r`` stores the diagonal entry ``r`` first, then the sender
-    columns ``{i : targets[i] == r}`` in ascending order — an O(n)
-    bincount + stable-argsort layout (no COO -> CSR conversion, no
-    duplicate summing).  ``csr_matmat`` therefore sums each receiver's
-    kept half first and its inbound halves by ascending sender, the
-    order the sort-free dense step sums them in, so CSR and dense
-    stepping agree bitwise.  ``M`` always has exactly ``2n`` entries
-    and its values are the constant 0.5 vector, so only ``m_indptr``
-    and ``m_indices`` are written here.
+    columns ``{i : targets[i] == r}`` in ascending order: ``M`` in COO
+    form lists the ``n`` diagonal entries first and then one entry
+    ``(targets[i], i)`` per sender in ascending ``i``, and scipy's
+    ``coo_tocsr`` is an O(n) stable counting sort by row, so it keeps
+    exactly that order within every row (no duplicate summing).
+    ``csr_matmat`` therefore sums each receiver's kept half first and
+    its inbound halves by ascending sender, the order the sort-free
+    dense step sums them in, so CSR and dense stepping agree bitwise.
+
+    ``coo_rows`` and ``coo_cols`` are ``2n`` int32 arrays prepared once:
+    ``coo_cols`` holds ``arange(n)`` twice and ``coo_rows`` starts with
+    ``arange(n)``; only its second half (the targets) is written here.
+    ``M`` always has exactly ``2n`` entries and its values are the
+    constant 0.5 vector ``m_data``, which serves as both the COO input
+    and the CSR output values (the sort only permutes equal values), so
+    only ``m_indptr`` and ``m_indices`` change.
     """
     n = targets.size
-    np.cumsum(np.bincount(targets, minlength=n) + 1, out=m_indptr[1:])
-    order = np.argsort(targets, kind="stable")
-    sorted_t = targets[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], sorted_t[1:] != sorted_t[:-1]))
+    coo_rows[n:] = targets
+    _coo_tocsr(
+        n, n, 2 * n, coo_rows, coo_cols, m_data, m_indptr, m_indices, m_data
     )
-    seg_origin = np.repeat(starts, np.diff(np.append(starts, n)))
-    m_indices[m_indptr[sorted_t] + 1 + (ids - seg_origin)] = order
-    m_indices[m_indptr[:-1]] = ids
+
+
+class _CheckScratch(NamedTuple):
+    """One thread group's convergence-check tiles (flat, reshaped per use)."""
+
+    #: estimate tile (CSR tiles gather X into it first)
+    x: np.ndarray
+    #: W gather tile of a CSR tile
+    w: np.ndarray
+    #: residual numerator tile
+    num: np.ndarray
+    #: residual denominator tile
+    den: np.ndarray
+    #: offset-adjusted indptr of a CSR row-range gather
+    bp: np.ndarray
 
 
 class SparseWorkspace:
     """Pooled CSR buffers and dense slots of the engine, one shape.
 
-    The ``p`` probe columns are split into ``shards`` contiguous,
+    The ``p`` probe columns are split into ``tiles`` contiguous,
     near-equal column ranges (``bounds[i] : bounds[i + 1]``), each
-    stepped independently and, one per usable core, on its own thread:
-    because the mixing matrix acts on rows, the SpGEMM over a column
-    subset computes bitwise the same values as the same columns of the
-    unsharded product.  Every shard owns three
+    stepped independently: because the mixing matrix acts on rows, the
+    SpGEMM over a column subset computes bitwise the same values as the
+    same columns of the untiled product.  ``groups`` deals the tiles
+    into one contiguous run per stepping thread.  Every tile owns three
     rotating :class:`~repro.gossip.memory.CsrPool` instances (current
     X, current W, SpGEMM output — the output pool is always the one
     whose contents just died, so two pools' worth of state plus one
-    scratch covers the whole cycle).  Sharding also keeps each pool's
-    ``n * p_shard`` element count inside the int32 index guard when
-    ``n * p`` itself would not fit.  The mixing matrix
-    ``M = 0.5*(I + A)`` has exactly ``2n`` entries every step, so its
-    ``m_indptr``/``m_indices``/``m_data`` arrays are fixed-size and
-    ``m_data`` is the constant 0.5 vector, filled once; all shards of a
-    step share it, read-only while they run.  Its first ``n`` entries
-    (``half``) double as the
-    values of ``A`` in the dense step, whose CSC column pointer is the
-    constant ``cptr = arange(n + 1)``.
+    scratch covers the whole cycle).  Tiling also keeps each pool's
+    ``n * width`` element count inside the int32 index guard when
+    ``n * p`` itself would not fit.
+
+    The mixing matrix ``M = 0.5*(I + A)`` has exactly ``2n`` entries
+    every step, so one check window's layouts fit the fixed
+    ``(window, n + 1)`` ``m_indptr`` and ``(window, 2n)`` ``m_indices``
+    int32 arrays (row ``t`` is the window's step ``t``), built from the
+    ``coo_rows``/``coo_cols`` scratch; ``m_data`` is the constant 0.5
+    vector, filled once.  All tiles of a window share the layouts,
+    read-only while they run.  The first ``n`` entries of ``m_data``
+    (``half``) double as the values of ``A`` in the dense step, whose
+    CSC column pointer is the constant ``cptr = arange(n + 1)``.
 
     The ``dense`` / ``dense_on`` lists carry the handoff state: once a
-    shard's occupancy crosses
+    tile's occupancy crosses
     ``_DENSIFY_THRESHOLD`` its CSR values move into three
-    ``(n, p_shard)`` dense slot arrays (kept for reuse across cycles)
+    ``(n, width)`` dense slot arrays (kept for reuse across cycles)
     and the pool arrays are released, so the steady state costs
     ``3 * n * p`` elements flat instead of CSR's values + int32
     indices.  Beyond those slots the only dense (n, p) array is
     ``prev``, the persistent previous estimate of the convergence
-    check; the check itself runs over ``blk``-row tiles
-    (``xt``/``wt``/``num``/``den``, plus the ``bp`` offset-adjusted
-    indptr), so peak memory is bounded by
-    ``3 * state + (n, p) + O(blk * p)`` regardless of how long the
-    cycle runs.  ``blk`` derives from the *full* probe width ``p``
-    whatever the shard count, so residual scans of every shard count
-    walk identical row tiles.
+    check; the check itself runs over ``blk``-row tiles, each thread
+    group in its own :class:`_CheckScratch`, and leaves every tile's
+    row-tile residual maxima in ``tile_max`` (``w_pos`` flags the tiles
+    whose W is positive everywhere).  Peak memory is therefore bounded
+    by ``3 * state + (n, p) + O(groups * blk * width)`` regardless of
+    how long the cycle runs.  ``blk`` derives from the *full* probe
+    width ``p`` whatever the tile count, so every tile count walks
+    identical row tiles.
     """
 
     __slots__ = (
-        "n", "p", "dtype", "shards", "bounds", "shard_pools", "pools",
-        "dense", "dense_on", "m_indptr", "m_indices", "m_data", "half", "prev",
-        "xt", "wt", "num", "den", "bp", "blk", "cptr", "ids", "valid",
+        "n", "p", "dtype", "tiles", "bounds", "groups", "window", "tile_pools",
+        "dense", "dense_on", "w_pos", "m_indptr", "m_indices", "m_data",
+        "half", "coo_rows", "coo_cols", "prev", "blk", "tile_max", "scratch",
+        "cptr", "ids", "valid",
     )
 
     def __init__(
@@ -313,55 +373,84 @@ class SparseWorkspace:
         n: int,
         p: int,
         dtype: "np.dtype | type" = np.float64,
-        shards: int = 1,
+        tiles: int = 1,
+        threads: int = 1,
+        window: int = 1,
     ) -> None:
         self.n = int(n)
         self.p = int(p)
         self.dtype = np.dtype(dtype)
-        self.shards = max(1, min(int(shards), self.p))
+        self.tiles = max(1, min(int(tiles), self.p))
         self.bounds = tuple(
-            self.p * i // self.shards for i in range(self.shards + 1)
+            self.p * i // self.tiles for i in range(self.tiles + 1)
         )
-        self.shard_pools: List[List[CsrPool]] = []
-        for si in range(self.shards):
+        g = max(1, min(int(threads), self.tiles))
+        #: tile indices per thread group (group 0 runs on the calling thread)
+        self.groups = tuple(
+            tuple(range(self.tiles * i // g, self.tiles * (i + 1) // g))
+            for i in range(g)
+        )
+        self.window = max(1, int(window))
+        self.tile_pools: List[List[CsrPool]] = []
+        for si in range(self.tiles):
             ps = self.bounds[si + 1] - self.bounds[si]
             # O(n) start (X0 inherits S's sparsity), doubled
             # geometrically toward the n*ps occupancy ceiling.
             cap0 = min(n * ps, max(ps, 2 * n))
-            self.shard_pools.append(
+            self.tile_pools.append(
                 [CsrPool(n, ps, cap0, self.dtype) for _ in range(3)]
             )
-        #: shard 0's pool triple (the whole state when ``shards == 1``)
-        self.pools = self.shard_pools[0]
-        #: per-shard dense slot arrays [X, W, out], allocated lazily at
+        #: per-tile dense slot arrays [X, W, out], allocated lazily at
         #: the dense handoff and reused across cycles
-        self.dense: List[Optional[List[np.ndarray]]] = [None] * self.shards
-        #: per-cycle flags: shard ``si`` stepped dense since its load
-        self.dense_on: List[bool] = [False] * self.shards
-        self.m_indptr = np.empty(n + 1, np.int32)
-        self.m_indptr[0] = 0
-        self.m_indices = np.empty(2 * n, np.int32)
+        self.dense: List[Optional[List[np.ndarray]]] = [None] * self.tiles
+        #: per-cycle flags: tile ``si`` stepped dense since its load
+        self.dense_on: List[bool] = [False] * self.tiles
+        #: per-cycle flags: tile ``si``'s W was positive at a check
+        #: (sticky: W's pattern only grows and its values stay positive)
+        self.w_pos: List[bool] = [False] * self.tiles
+        self.m_indptr = np.empty((self.window, n + 1), np.int32)
+        self.m_indices = np.empty((self.window, 2 * n), np.int32)
         self.m_data = np.full(2 * n, 0.5, self.dtype)
         self.half = self.m_data[:n]
-        self.prev = np.empty((n, p), self.dtype)
-        self.blk = max(1, min(n, _TILE_ELEMENTS // max(p, 1)))
-        self.xt = np.empty((self.blk, p), self.dtype)
-        self.wt = np.empty((self.blk, p), self.dtype)
-        self.num = np.empty((self.blk, p), self.dtype)
-        self.den = np.empty((self.blk, p), self.dtype)
-        self.bp = np.empty(self.blk + 1, np.int32)
         self.cptr = np.arange(n + 1, dtype=np.int64)
         self.ids = self.cptr[:n]
+        self.coo_cols = np.concatenate((self.ids, self.ids)).astype(np.int32)
+        self.coo_rows = self.coo_cols.copy()  # targets overwrite the 2nd half
+        self.prev = np.empty((n, p), self.dtype)
+        self.blk = max(1, min(n, _TILE_ELEMENTS // max(p, 1)))
+        self.tile_max = np.empty((self.tiles, -(-n // self.blk)), np.float64)
+        width = max(b - a for a, b in zip(self.bounds, self.bounds[1:]))
+        size = self.blk * width
+        self.scratch = tuple(
+            _CheckScratch(
+                x=np.empty(size, self.dtype),
+                w=np.empty(size, self.dtype),
+                num=np.empty(size, self.dtype),
+                den=np.empty(size, self.dtype),
+                bp=np.empty(self.blk + 1, np.int32),
+            )
+            for _ in self.groups
+        )
         self.valid = True
 
-    def matches(self, n: int, p: int, dtype: "np.dtype | type", shards: int) -> bool:
+    def matches(
+        self,
+        n: int,
+        p: int,
+        dtype: "np.dtype | type",
+        tiles: int,
+        threads: int,
+        window: int,
+    ) -> bool:
         """Whether these pools serve the full shape tuple and are live."""
         return (
             self.valid
             and self.n == n
             and self.p == p
             and self.dtype == np.dtype(dtype)
-            and self.shards == max(1, min(int(shards), self.p))
+            and self.tiles == max(1, min(int(tiles), self.p))
+            and len(self.groups) == max(1, min(int(threads), self.tiles))
+            and self.window == max(1, int(window))
         )
 
     def invalidate(self) -> None:
@@ -373,8 +462,8 @@ class SparseWorkspace:
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"SparseWorkspace(n={self.n}, p={self.p}, "
-            f"dtype={self.dtype.name}, shards={self.shards}, "
-            f"valid={self.valid})"
+            f"dtype={self.dtype.name}, tiles={self.tiles}, "
+            f"groups={len(self.groups)}, valid={self.valid})"
         )
 
 
@@ -419,14 +508,18 @@ class SynchronousGossipEngine(CycleEngine):
     rng:
         Partner-choice randomness.
 
-    The ``p`` columns split into :func:`column_shards` shards: one per
-    usable core while each keeps ``_MIN_SHARD_COLUMNS`` columns and
-    ``_MIN_SHARD_ELEMENTS`` entries, more only where one pool's
-    ``n * p`` entries would overflow its int32 indices.  The shards of a step run on a process-wide thread pool
-    of ``cores - 1`` threads plus the calling thread.  Results are
-    invariant in the shard and thread counts: column subsets of a
+    The ``p`` columns split into :func:`column_shards` tiles of about
+    ``_TILE_STATE_BYTES`` of state each (a multiple of the thread
+    count, at least ``_MIN_TILE_COLUMNS`` columns each, more where one
+    pool's ``n * width`` entries would overflow its int32 indices),
+    dealt to :func:`step_threads` thread groups: one per usable core
+    while each keeps ``_MIN_SHARD_COLUMNS`` columns and
+    ``_MIN_SHARD_ELEMENTS`` entries, on a process-wide pool of
+    ``cores - 1`` threads plus the calling thread.  Results are
+    invariant in the tile and thread counts: column subsets of a
     row-acting SpGEMM are bitwise the same values, and the partner
-    draws and convergence checks stay on the calling thread.
+    draws, the layouts, the sanitizer and the combination of the
+    check stay on the calling thread.
     """
 
     name = "sync"
@@ -454,8 +547,8 @@ class SynchronousGossipEngine(CycleEngine):
             )
         if _csr_matmat is None:
             raise ValidationError(  # pragma: no cover - very old scipy
-                "the sync engine needs scipy's csr_matmat/csr_todense/"
-                "csc_matvecs kernels"
+                "the sync engine needs scipy's coo_tocsr/csr_matmat/"
+                "csr_todense/csc_matvecs kernels"
             )
         check_in_range("epsilon", epsilon, low=0.0, low_inclusive=False)
         if probe_columns < 1:
@@ -586,10 +679,6 @@ class SynchronousGossipEngine(CycleEngine):
             sanitizer = InvariantSanitizer(rel_tol=1e-4)
         return super().arm_sanitizer(sanitizer)
 
-    def _effective_shards(self, p: int) -> int:
-        """The shard count used for probe width ``p`` (:func:`column_shards`)."""
-        return column_shards(self.n, p)
-
     def _acquire_sparse_workspace(self, p: int) -> SparseWorkspace:
         """The reusable buffer set for shape ``(n, p)``.
 
@@ -597,12 +686,16 @@ class SynchronousGossipEngine(CycleEngine):
         write-before-read within a cycle, so reuse never shows in the
         results and a multi-cycle run pays the allocations once.
         """
-        shards = self._effective_shards(p)
+        shape = (
+            column_shards(self.n, p, self._dtype.itemsize),
+            step_threads(self.n, p),
+            self.check_every,
+        )
         ws = self._sparse_workspace
-        if ws is None or not ws.matches(self.n, p, self._dtype, shards):
+        if ws is None or not ws.matches(self.n, p, self._dtype, *shape):
             if ws is not None:
                 ws.invalidate()
-            ws = SparseWorkspace(self.n, p, self._dtype, shards)
+            ws = SparseWorkspace(self.n, p, self._dtype, *shape)
             self._sparse_workspace = ws
         return ws
 
@@ -697,32 +790,40 @@ class SynchronousGossipEngine(CycleEngine):
         raise_on_budget: bool,
         phases: Optional[Dict[str, float]] = None,
     ) -> Tuple[int, bool, np.ndarray]:
-        """Step loop: pooled CSR warm start, then sort-free dense steps.
+        """Step loop: one check window at a time over cache-sized column tiles.
 
-        A CSR step is, per column shard, two C-level SpGEMMs
-        (``csr_matmat``) of the pooled mixing matrix against the
-        shard's pooled state, writing into whichever of its three
-        rotating :class:`~repro.gossip.memory.CsrPool` buffers just
-        died — capacity grows geometrically toward the ``n * p_shard``
-        occupancy ceiling and never per step (the SpGEMM output bound
-        is the closed form ``min(2 * nnz, n * p_shard)``, so no
-        symbolic pass runs).  Rotation is by index arithmetic: after
-        ``s`` steps X lives at slot ``(-s) % 3``, W at ``(1 - s) % 3``.
-        Each shard hands off to dense slot stepping once its occupancy
-        crosses ``_DENSIFY_THRESHOLD`` (:meth:`_densify_shard` /
+        A window is the run of steps up to the next convergence check,
+        capped at ``check_every`` steps (the depth of the layout
+        buffers) and at the step budget.  Per window the calling thread
+        draws the window's targets and, while any tile is still CSR,
+        lays out every step's ``M`` (:func:`fill_mixing`; its time is
+        the ``layout`` phase, read once per window).  One pool round
+        trip then covers the window (:meth:`_step_window`): each thread
+        group steps its tiles through all of the window's steps and, on
+        a check step, computes their check shares.
+
+        A CSR tile step is two C-level SpGEMMs (``csr_matmat``) of the
+        step's mixing matrix against the tile's pooled state, writing
+        into whichever of its three rotating
+        :class:`~repro.gossip.memory.CsrPool` buffers just died —
+        capacity grows geometrically toward the ``n * width`` occupancy
+        ceiling and never per step (the SpGEMM output bound is the
+        closed form ``min(2 * nnz, n * width)``, so no symbolic pass
+        runs).  Rotation is by index arithmetic: after ``s`` steps X
+        lives at slot ``(-s) % 3``, W at ``(1 - s) % 3``.  Each tile
+        hands off to dense slot stepping once its occupancy crosses
+        ``_DENSIFY_THRESHOLD`` (:meth:`_densify_tile` /
         :meth:`_dense_step` — bitwise the same values, ~2/3 the
-        steady-state bytes, no mixing layout); once every shard is
-        dense the per-step CSR layout of ``M`` stops too.  The shards
-        of a step run concurrently (:meth:`_step_shards`); the layout,
-        the partner draws, the checks and the sanitizer stay on the
-        calling thread.
+        steady-state bytes, no mixing layout); once every tile is dense
+        the layout stops too.
 
-        The estimate/residual check (:meth:`_check`) runs every
-        ``check_every`` steps, per step once a residual comes within
-        ``_FINE_FACTOR`` of epsilon, and never before ``W`` is positive
-        everywhere (before that the residual cannot be finite).  It
-        compares only after a full row tile (all shards), so step
-        counts are invariant in the shard count too.
+        The check fires every ``check_every`` steps, per step once a
+        residual comes within ``_FINE_FACTOR`` of epsilon, and compares
+        nothing before ``W`` is positive everywhere (before that the
+        residual cannot be finite).  The sanitizer checks and the
+        combination of the tiles' residual maxima
+        (:meth:`_worst_residual`) stay on the calling thread, so step
+        counts are invariant in the tile and thread counts too.
 
         Returns ``(steps, converged, B)`` where ``B`` is the persistent
         (n, p) estimate buffer — the only dense (n, p) array the cycle
@@ -736,84 +837,80 @@ class SynchronousGossipEngine(CycleEngine):
         if phases is not None:
             phases["alloc"] = phases.get("alloc", 0.0) + alloc_watch.elapsed()
         bounds = ws.bounds
-        ws.dense_on = [False] * ws.shards
+        ws.dense_on = [False] * ws.tiles
+        ws.w_pos = [False] * ws.tiles
         cores = _usable_cores()
-        pool = _step_pool(cores - 1) if ws.shards > 1 and cores > 1 else None
-        for si, triple in enumerate(ws.shard_pools):
-            if ws.shards == 1:
+        pool = _step_pool(cores - 1) if len(ws.groups) > 1 and cores > 1 else None
+        for si, triple in enumerate(ws.tile_pools):
+            if ws.tiles == 1:
                 triple[0].load(Xs)
                 triple[1].load(Ws)
             else:
                 lo, hi = bounds[si], bounds[si + 1]
                 triple[0].load(sparse.csr_matrix(Xs[:, lo:hi]))
                 triple[1].load(sparse.csr_matrix(Ws[:, lo:hi]))
-        # Each shard hands off to dense slot arrays once its occupancy
+        # Each tile hands off to dense slot arrays once its occupancy
         # crosses the threshold: past that point the sort-free dense
         # step beats SpGEMM and the index arrays are pure overhead —
         # and the handoff is bitwise-invisible (see _dense_step).
         dense_at = [
             max(0, int(_DENSIFY_THRESHOLD * t[0].full_capacity))
-            for t in ws.shard_pools
+            for t in ws.tile_pools
         ]
         stream = _TargetStream(self._rng, n, k)
         san = self.sanitizer
         # Push-sum conservation references (column sums are invariant
         # under M = 0.5*(I + A), so the totals are too).
-        x_mass = (
-            sum(t[0].sum() for t in ws.shard_pools) if san is not None else 0.0
-        )
-        w_mass = (
-            sum(t[1].sum() for t in ws.shard_pools) if san is not None else 0.0
-        )
+        x_mass = self._slot_mass(ws, 0) if san is not None else 0.0
+        w_mass = self._slot_mass(ws, 1) if san is not None else 0.0
         step = 0
         converged = False
         have_prev = False
-        w_allpos = False
         fine = False  # per-step checks once a residual nears epsilon
         fine_at = _FINE_FACTOR * self.epsilon
+        layout_watch = Stopwatch()
+        layout_s = 0.0
 
         while step < self.max_steps:
-            # Advance in whole check windows: the skip logic collapses
-            # to "next step where a check fires".
             nxt = self._next_check(step, fine)
-            target = min(nxt, self.max_steps)
-            # hot: step loop — layout and draws here, then every shard steps
-            while step < target:
-                targets = stream.next()
-                if not all(ws.dense_on):  # only CSR shards need M laid out
-                    fill_mixing(targets, ws.ids, ws.m_indptr, ws.m_indices)
-                self._step_shards(
-                    ws, pool, (-step) % 3, (1 - step) % 3, (2 - step) % 3,
-                    targets, dense_at,
-                )
-                step += 1
-            if step != nxt:
-                break  # budget ran out before the next check step
-            xs = (-step) % 3
-            wsl = (1 - step) % 3
+            stop = min(nxt, step + k, self.max_steps)
+            targets = [stream.next() for _ in range(stop - step)]
+            if not all(ws.dense_on):  # only CSR tiles need M laid out
+                layout_watch.restart()
+                # hot: the window's mixing layouts, on the calling thread
+                for t, row in enumerate(targets):
+                    fill_mixing(
+                        row, ws.coo_rows, ws.coo_cols, ws.m_data,
+                        ws.m_indptr[t], ws.m_indices[t],
+                    )
+                layout_s += layout_watch.elapsed()
+            check = stop == nxt
+            self._step_window(ws, pool, step, targets, dense_at, check, have_prev)
+            step = stop
+            if not check:
+                continue  # a capped window, or the budget ran out first
             if san is not None:
+                xs = (-step) % 3
+                wsl = (1 - step) % 3
                 san.check_mass(
                     "sum(X)", self._slot_mass(ws, xs), x_mass, step=step
                 )
                 san.check_mass(
                     "sum(W)", self._slot_mass(ws, wsl), w_mass, step=step
                 )
-                for si, triple in enumerate(ws.shard_pools):
+                for si, triple in enumerate(ws.tile_pools):
                     dx = ws.dense[si]
                     if ws.dense_on[si] and dx is not None:
                         san.check_nonnegative("W", dx[wsl], step=step)
                     else:
                         Wp = triple[wsl]
                         san.check_nonnegative("W", Wp.data[: Wp.nnz], step=step)
-            if not w_allpos:
-                # W's pattern only grows (M carries a full diagonal) and
-                # its values stay positive, so full occupancy is sticky
-                # — the check degrades to one bool test afterwards.
-                w_allpos = self._w_all_positive(ws, wsl)
-                if not w_allpos:
-                    continue
-            worst, all_below = self._check(ws, step, have_prev)
+            if not all(ws.w_pos):
+                continue
+            if san is not None:
+                san.check_finite("estimates x/w", ws.prev, step=step)
             if have_prev:
+                worst, all_below = self._worst_residual(ws)
                 if all_below:
                     converged = True
                     break
@@ -822,16 +919,17 @@ class SynchronousGossipEngine(CycleEngine):
                 # up to check_every - 1 extra O(n*p) gossip steps.
                 fine = fine or worst <= fine_at
             have_prev = True
+        if phases is not None:
+            phases["layout"] = phases.get("layout", 0.0) + layout_s
 
         # Normalize slot order so the next cycle loads into [X, W, out]
-        # again (in place: ws.pools aliases shard 0's triple).  Dense
-        # slot lists rotate with the same arithmetic as the pools, so
-        # they are normalized identically — keeping the two indexable
-        # by one slot number wherever a shard handed off.
+        # again.  Dense slot lists rotate with the same arithmetic as
+        # the pools, so they are normalized identically — keeping the
+        # two indexable by one slot number wherever a tile handed off.
         a = (-step) % 3
         b = (1 - step) % 3
         c = (2 - step) % 3
-        for si, triple in enumerate(ws.shard_pools):
+        for si, triple in enumerate(ws.tile_pools):
             triple[:] = [triple[a], triple[b], triple[c]]
             dense = ws.dense[si]
             if dense is not None:
@@ -858,55 +956,48 @@ class SynchronousGossipEngine(CycleEngine):
         r = t % self.check_every
         return t if r == 0 else t + (self.check_every - r)
 
-    def _step_shards(
+    def _step_window(
         self,
         ws: SparseWorkspace,
         pool: Optional[ThreadPoolExecutor],
-        a: int,
-        b: int,
-        c: int,
-        targets: np.ndarray,
+        step0: int,
+        targets: Sequence[np.ndarray],
         dense_at: List[int],
+        check: bool,
+        scan: bool,
     ) -> None:
-        """One gossip step of every shard: 1.. on ``pool``, 0 on this thread.
+        """One window of every tile: groups 1.. on ``pool``, 0 on this thread.
 
-        Handoffs are decided, and their dense slots claimed, here on the
-        calling thread, so a shard's thread writes only into that
-        shard's pools and slot arrays while ``targets`` and the mixing
-        layout stay read-only.  After shard 0 this thread also steps
-        every shard no pool thread has taken yet (a cancelled future
-        never runs), so a descheduled pool thread cannot stall the
-        step.  The taken futures resolve in submission order, all of
-        them before any error propagates, so no shard is still running
-        when the caller sees it; a failed step leaves the workspace
-        half-stepped, so it is dropped and the next cycle allocates
-        fresh.  Without a pool the shards step here in turn.
+        Each group writes only its own tiles' pools, slot arrays, flags,
+        ``prev`` columns and ``tile_max`` rows, plus its own check
+        scratch, while ``targets`` and the window's layouts stay
+        read-only.  After group 0 this thread also steps every group no
+        pool thread has taken yet (a cancelled future never runs), so a
+        descheduled pool thread cannot stall the window.  The taken
+        futures resolve in submission order, all of them before any
+        error propagates, so no group is still running when the caller
+        sees it; a failed window leaves the workspace half-stepped, so
+        it is dropped and the next cycle allocates fresh.  Without a
+        pool the groups step here in turn.
         """
-        handoff = [False] * ws.shards
-        for si, triple in enumerate(ws.shard_pools):
-            nnz = max(triple[a].nnz, triple[b].nnz)
-            if not ws.dense_on[si] and nnz >= dense_at[si]:
-                self._claim_dense(ws, si)
-                handoff[si] = True
+        args = (step0, targets, dense_at, check, scan)
         try:
             if pool is None:
-                for si in range(ws.shards):
-                    self._shard_step(ws, si, a, b, c, targets, handoff[si])
+                for g in range(len(ws.groups)):
+                    self._step_group(ws, g, *args)
                 return
             futures: List[Future[None]] = [
-                pool.submit(
-                    self._shard_step, ws, si, a, b, c, targets, handoff[si]
-                )
-                for si in range(1, ws.shards)
+                pool.submit(self._step_group, ws, g, *args)
+                for g in range(1, len(ws.groups))
             ]
             try:
-                self._shard_step(ws, 0, a, b, c, targets, handoff[0])
-                for si, future in enumerate(futures, start=1):
+                self._step_group(ws, 0, *args)
+                for g, future in enumerate(futures, start=1):
                     if future.cancel():  # no thread took it yet: step it here
-                        self._shard_step(ws, si, a, b, c, targets, handoff[si])
+                        self._step_group(ws, g, *args)
             finally:
                 for future in futures:
-                    future.cancel()  # after an error, untaken shards never run
+                    future.cancel()  # after an error, untaken groups never run
                 taken = [f for f in futures if not f.cancelled()]
                 wait(taken)
             for future in taken:
@@ -915,42 +1006,71 @@ class SynchronousGossipEngine(CycleEngine):
             self.invalidate_workspace()
             raise
 
-    # hot: one shard's step — the CSR SpGEMM pair, or handoff and dense step
-    def _shard_step(
+    # hot: one thread group's window — each tile's steps, then its check share
+    def _step_group(
+        self,
+        ws: SparseWorkspace,
+        g: int,
+        step0: int,
+        targets: Sequence[np.ndarray],
+        dense_at: List[int],
+        check: bool,
+        scan: bool,
+    ) -> None:
+        """Step group ``g``'s tiles through the window (a pool thread for ``g > 0``).
+
+        Every tile runs all of the window's steps back to back while it
+        is cache-resident, then, on a check window, its check share
+        (:meth:`_check_tile`) in the group's own scratch.
+        """
+        scratch = ws.scratch[g]
+        for si in ws.groups[g]:
+            self._step_tile(ws, si, step0, targets, dense_at[si])
+            if check:
+                self._check_tile(ws, si, step0 + len(targets), scan, scratch)
+
+    # hot: one tile through the window — SpGEMM pairs, or handoff and dense steps
+    def _step_tile(
         self,
         ws: SparseWorkspace,
         si: int,
-        a: int,
-        b: int,
-        c: int,
-        targets: np.ndarray,
-        handoff: bool,
+        step0: int,
+        targets: Sequence[np.ndarray],
+        dense_at: int,
     ) -> None:
-        """Step shard ``si`` once (on a pool thread for ``si > 0``).
+        """Step tile ``si`` once per window step, deciding its own handoff.
 
-        A CSR shard runs its two SpGEMMs; a shard handing off this step
-        gathers its state into the dense slots first; a dense shard
-        runs the sort-free dense step.
+        Before each step a CSR tile whose live X or W has reached
+        ``dense_at`` entries hands off (:meth:`_densify_tile`); a CSR
+        tile then runs its two SpGEMMs against the step's layout, a
+        dense tile the sort-free dense step.
         """
-        if handoff:
-            self._densify_shard(ws, si, a, b, c)
-        if ws.dense_on[si]:
-            self._dense_step(ws, si, a, b, c, targets)
-        else:
-            triple = ws.shard_pools[si]
-            self._spgemm_step(ws, triple[a], triple[c])
-            self._spgemm_step(ws, triple[b], triple[a])
+        triple = ws.tile_pools[si]
+        for t, row in enumerate(targets):
+            s = step0 + t
+            a = (-s) % 3
+            b = (1 - s) % 3
+            c = (2 - s) % 3
+            if not ws.dense_on[si] and max(triple[a].nnz, triple[b].nnz) >= dense_at:
+                self._densify_tile(ws, si, a, b, c)
+            if ws.dense_on[si]:
+                self._dense_step(ws, si, a, b, c, row)
+            else:
+                self._spgemm_step(ws, t, triple[a], triple[c])
+                self._spgemm_step(ws, t, triple[b], triple[a])
 
     # hot: one pooled SpGEMM — dst := M @ src, no symbolic pass
-    def _spgemm_step(self, ws: SparseWorkspace, src: CsrPool, dst: CsrPool) -> None:
-        """Multiply the pooled mixing matrix into ``src``, writing ``dst``.
+    def _spgemm_step(
+        self, ws: SparseWorkspace, t: int, src: CsrPool, dst: CsrPool
+    ) -> None:
+        """Multiply window step ``t``'s mixing matrix into ``src``, writing ``dst``.
 
         ``dst`` is grown (geometrically, contents discarded — it holds
         dead state) to the closed-form output bound
-        ``min(2 * nnz(src), n * p_shard)``: every output row merges the
+        ``min(2 * nnz(src), n * width)``: every output row merges the
         rows of at most ``I + A``'s two entries per column, so total
         output nnz is at most twice the input's, and a row never
-        exceeds the shard's column count.  Skipping scipy's exact
+        exceeds the tile's column count.  Skipping scipy's exact
         ``csr_matmat_maxnnz`` symbolic pass halves the per-step SpGEMM
         cost.  Output columns arrive unsorted (SMMP insertion order) —
         everything downstream gathers through ``csr_todense``, which
@@ -959,41 +1079,34 @@ class SynchronousGossipEngine(CycleEngine):
         dst.ensure(2 * src.nnz)
         _csr_matmat(
             ws.n, src.cols,
-            ws.m_indptr, ws.m_indices, ws.m_data,
+            ws.m_indptr[t], ws.m_indices[t], ws.m_data,
             src.indptr, src.indices, src.data,
             dst.indptr, dst.indices, dst.data,
         )
         dst.nnz = int(dst.indptr[ws.n])
 
-    @staticmethod
-    def _claim_dense(ws: SparseWorkspace, si: int) -> None:
-        """Flag shard ``si`` dense and give it its three slot arrays.
-
-        The ``(n, p_shard)`` arrays are allocated once (untouched pages
-        until the gather writes them) and persist on the workspace
-        across cycles; only the ``dense_on`` flags reset per cycle.
-        """
-        if ws.dense[si] is None:
-            ps = ws.bounds[si + 1] - ws.bounds[si]
-            ws.dense[si] = [np.empty((ws.n, ps), dtype=ws.dtype) for _ in range(3)]
-        ws.dense_on[si] = True
-
-    def _densify_shard(
+    def _densify_tile(
         self, ws: SparseWorkspace, si: int, a: int, b: int, c: int
     ) -> None:
-        """Hand shard ``si`` off from pooled CSR to its dense slots.
+        """Hand tile ``si`` off from pooled CSR to its dense slots.
 
-        Gathers the live X (slot ``a``) and W (slot ``b``) values into
-        the slot arrays :meth:`_claim_dense` provided and releases the
-        CSR pool arrays — slot ``c`` holds dead state, so it is not
-        gathered (the next step overwrites it as the step output).
-        Each pool is released immediately after its gather, so the
-        transient co-residency is one dense slot per shard, not three.
+        Flags the tile dense and gathers the live X (slot ``a``) and W
+        (slot ``b``) values into its three ``(n, width)`` slot arrays,
+        allocated on the tile's first handoff (untouched pages until
+        the gather writes them) and kept on the workspace across
+        cycles.  The CSR pool arrays are released — slot ``c`` holds
+        dead state, so it is not gathered (the next step overwrites it
+        as the step output).  Each pool is released immediately after
+        its gather, so the transient co-residency is one dense slot per
+        tile, not three.
         """
-        triple = ws.shard_pools[si]
+        triple = ws.tile_pools[si]
         ps = triple[0].cols
         dense = ws.dense[si]
-        assert dense is not None
+        if dense is None:
+            dense = [np.empty((ws.n, ps), dtype=ws.dtype) for _ in range(3)]
+            ws.dense[si] = dense
+        ws.dense_on[si] = True
         for slot in (a, b):
             pool = triple[slot]
             dst = dense[slot]
@@ -1004,7 +1117,7 @@ class SynchronousGossipEngine(CycleEngine):
             pool.release()
         triple[c].release()
 
-    # hot: dense shard step — kept halves, then a sort-free csc_matvecs scatter
+    # hot: dense tile step — kept halves, then a sort-free csc_matvecs scatter
     def _dense_step(
         self,
         ws: SparseWorkspace,
@@ -1014,7 +1127,7 @@ class SynchronousGossipEngine(CycleEngine):
         c: int,
         targets: np.ndarray,
     ) -> None:
-        """One gossip step of a handed-off shard: ``M @ X``, ``M @ W`` dense.
+        """One gossip step of a handed-off tile: ``M @ X``, ``M @ W`` dense.
 
         Each output starts as the halved kept share, then
         ``csc_matvecs`` adds ``0.5 * X[j]`` into row ``targets[j]`` for
@@ -1046,9 +1159,9 @@ class SynchronousGossipEngine(CycleEngine):
         )
 
     def _slot_mass(self, ws: SparseWorkspace, slot: int) -> float:
-        """Total mass of slot ``slot`` across shards, CSR or dense."""
+        """Total mass of slot ``slot`` across tiles, CSR or dense."""
         total = 0.0
-        for si, triple in enumerate(ws.shard_pools):
+        for si, triple in enumerate(ws.tile_pools):
             dense = ws.dense[si]
             if ws.dense_on[si] and dense is not None:
                 total += float(dense[slot].sum())
@@ -1056,47 +1169,44 @@ class SynchronousGossipEngine(CycleEngine):
                 total += triple[slot].sum()
         return total
 
-    def _w_all_positive(self, ws: SparseWorkspace, wsl: int) -> bool:
-        """Whether W is positive on every node (the convergence gate).
+    @staticmethod
+    def _w_positive(ws: SparseWorkspace, si: int, wslot: int) -> bool:
+        """Whether tile ``si``'s W is positive on every node (its check gate).
 
-        CSR shards require full occupancy plus a positive minimum;
-        dense shards store exact zeros where CSR stores nothing, so
-        their positive minimum alone is the same test.
+        A CSR tile needs full occupancy plus a positive minimum; a dense
+        tile stores exact zeros where CSR stores nothing, so its
+        positive minimum alone is the same test.
         """
-        for si, triple in enumerate(ws.shard_pools):
-            dense = ws.dense[si]
-            if ws.dense_on[si] and dense is not None:
-                if not float(dense[wsl].min()) > 0.0:
-                    return False
-            else:
-                pool = triple[wsl]
-                if pool.nnz != pool.full_capacity or not pool.min() > 0.0:
-                    return False
-        return True
+        dense = ws.dense[si]
+        if ws.dense_on[si] and dense is not None:
+            return float(dense[wslot].min()) > 0.0
+        pool = ws.tile_pools[si][wslot]
+        return pool.nnz == pool.full_capacity and pool.min() > 0.0
 
     # hot: CSR row-range gather into a dense workspace tile
+    @staticmethod
     def _gather_tile(
-        self, ws: SparseWorkspace, pool: CsrPool, lo: int, hi: int, out: np.ndarray
+        pool: CsrPool, lo: int, hi: int, out: np.ndarray, bp: np.ndarray
     ) -> None:
         """Densify pool rows ``[lo, hi)`` into ``out`` (shaped exactly).
 
-        ``bp`` holds the offset-adjusted indptr slice; ``csr_todense``
-        scatter-adds the row entries into the zeroed tile at C speed.
-        ``out`` is a contiguous ``(hi - lo, pool.cols)`` view of a
-        workspace tile buffer.
+        ``bp`` receives the offset-adjusted indptr slice;
+        ``csr_todense`` scatter-adds the row entries into the zeroed
+        tile at C speed.  ``out`` is a contiguous ``(hi - lo, pool.cols)``
+        view of a scratch tile buffer.
         """
         m = hi - lo
-        np.subtract(pool.indptr[lo : hi + 1], pool.indptr[lo], out=ws.bp[: m + 1])
+        np.subtract(pool.indptr[lo : hi + 1], pool.indptr[lo], out=bp[: m + 1])
         start = int(pool.indptr[lo])
         end = int(pool.indptr[hi])
         out.fill(0.0)
         _csr_todense(
-            m, pool.cols, ws.bp[: m + 1],
+            m, pool.cols, bp[: m + 1],
             pool.indices[start:end], pool.data[start:end],
             out.ravel(),
         )
 
-    # hot: estimate tile — dense slots divide in place, CSR shards gather first
+    # hot: estimate tile — dense slots divide in place, CSR tiles gather first
     def _estimate_tile(
         self,
         ws: SparseWorkspace,
@@ -1107,11 +1217,12 @@ class SynchronousGossipEngine(CycleEngine):
         hi: int,
         xt: np.ndarray,
         wt: np.ndarray,
+        bp: np.ndarray,
     ) -> None:
-        """Estimates ``X / W`` of rows ``[lo, hi)`` of shard ``si`` into ``xt``.
+        """Estimates ``X / W`` of rows ``[lo, hi)`` of tile ``si`` into ``xt``.
 
-        A handed-off shard divides straight out of its dense slot
-        arrays; a CSR shard gathers X and W into the ``xt``/``wt``
+        A handed-off tile divides straight out of its dense slot
+        arrays; a CSR tile gathers X and W into the ``xt``/``wt``
         scratch tiles first (:meth:`_gather_tile`).  The gather yields
         exactly the values the dense slots hold, so both paths give the
         same quotients.
@@ -1120,76 +1231,79 @@ class SynchronousGossipEngine(CycleEngine):
         if ws.dense_on[si] and dense is not None:
             np.divide(dense[xslot][lo:hi], dense[wslot][lo:hi], out=xt)
             return
-        triple = ws.shard_pools[si]
-        self._gather_tile(ws, triple[xslot], lo, hi, xt)
-        self._gather_tile(ws, triple[wslot], lo, hi, wt)
+        triple = ws.tile_pools[si]
+        self._gather_tile(triple[xslot], lo, hi, xt, bp)
+        self._gather_tile(triple[wslot], lo, hi, wt, bp)
         np.divide(xt, wt, out=xt)
 
-    # hot: blocked estimate/residual pass over dense slots or CSR gathers
-    def _check(
+    # hot: a tile's check share — W gate, estimates into prev, residual maxima
+    def _check_tile(
         self,
         ws: SparseWorkspace,
+        si: int,
         step: int,
-        have_prev: bool,
-    ) -> Tuple[float, bool]:
-        """One convergence check: estimates into ``prev``, residual out.
+        scan: bool,
+        scratch: _CheckScratch,
+    ) -> None:
+        """Tile ``si``'s share of the check after ``step`` steps.
 
-        A blocked residual scan with the ``_REL_FLOOR`` guard and early
-        exit: once a tile's residual exceeds epsilon the scan stops
-        *comparing* (``worst`` freezes, keeping the fine-trigger
-        decision independent of later tiles) but keeps computing
-        estimates, because ``prev`` must hold this check's complete
-        estimates for the next comparison.  Shards are visited inside
-        the row-tile loop (contiguous sub-tiles carved from the flat
-        tile buffers) and the over-epsilon comparison runs only after a
-        *full* row tile, so ``worst`` takes exactly the unsharded tile
-        maxima and the decision sequence is invariant in the shard
-        count.  Returns ``(worst, all_below)``; ``all_below`` can only
-        be True when ``have_prev`` was.
+        Until the tile's W is positive everywhere (``w_pos``, sticky)
+        it does nothing.  Then it writes the tile's estimates into its
+        ``prev`` columns, row tile by row tile, and with ``scan`` (a
+        previous estimate exists) first stores each row tile's largest
+        relative change, with the ``_REL_FLOOR`` guard, in
+        ``tile_max[si]``.  Every row tile is scanned; the early exit of
+        the epsilon comparison happens in :meth:`_worst_residual`.
         """
-        n = ws.n
-        blk = ws.blk
-        prev = ws.prev
-        bounds = ws.bounds
-        san = self.sanitizer
-        eps = self.epsilon
         xslot = (-step) % 3
         wslot = (1 - step) % 3
-        xf = ws.xt.ravel()
-        wf = ws.wt.ravel()
-        nf = ws.num.ravel()
-        df = ws.den.ravel()
-        worst = 0.0
-        all_below = have_prev
-        scanning = have_prev
-        for lo in range(0, n, blk):
+        if not ws.w_pos[si]:
+            ws.w_pos[si] = self._w_positive(ws, si, wslot)
+            if not ws.w_pos[si]:
+                return
+        n = ws.n
+        blk = ws.blk
+        c0, c1 = ws.bounds[si], ws.bounds[si + 1]
+        pc = c1 - c0
+        maxima = ws.tile_max[si]
+        for r, lo in enumerate(range(0, n, blk)):
             hi = min(lo + blk, n)
             m = hi - lo
+            xt = scratch.x[: m * pc].reshape(m, pc)
+            wt = scratch.w[: m * pc].reshape(m, pc)
+            self._estimate_tile(ws, si, xslot, wslot, lo, hi, xt, wt, scratch.bp)
+            psub = ws.prev[lo:hi, c0:c1]
+            if scan:
+                num = scratch.num[: m * pc].reshape(m, pc)
+                den = scratch.den[: m * pc].reshape(m, pc)
+                np.subtract(xt, psub, out=num)
+                np.abs(num, out=num)
+                np.maximum(psub, _REL_FLOOR, out=den)
+                num /= den
+                maxima[r] = num.max()
+            psub[...] = xt
+
+    def _worst_residual(self, ws: SparseWorkspace) -> Tuple[float, bool]:
+        """Combine the tiles' residual maxima: ``(worst, all_below)``.
+
+        Row tile by row tile, ``worst`` takes the largest of the tiles'
+        maxima (in tile order, so a NaN maximum is skipped as a serial
+        scan skips it) and freezes at the first row tile that lifts it
+        past epsilon.  That is the scan order of one serial blocked
+        check over the untiled columns, so the worst residual, the
+        fine-phase trigger and the stop step do not depend on the tile
+        count.
+        """
+        eps = self.epsilon
+        worst = 0.0
+        for row in ws.tile_max.T.tolist():
             tile_worst = 0.0
-            for si in range(ws.shards):
-                c0, c1 = bounds[si], bounds[si + 1]
-                pc = c1 - c0
-                xt = xf[: m * pc].reshape(m, pc)
-                wt = wf[: m * pc].reshape(m, pc)
-                self._estimate_tile(ws, si, xslot, wslot, lo, hi, xt, wt)
-                if san is not None:
-                    san.check_finite("estimates x/w", xt, step=step)
-                psub = prev[lo:hi, c0:c1]
-                if scanning:
-                    num = nf[: m * pc].reshape(m, pc)
-                    den = df[: m * pc].reshape(m, pc)
-                    np.subtract(xt, psub, out=num)
-                    np.abs(num, out=num)
-                    np.maximum(psub, _REL_FLOOR, out=den)
-                    num /= den
-                    tile_worst = max(tile_worst, float(num.max()))
-                psub[...] = xt
-            if scanning:
-                worst = max(worst, tile_worst)
-                if worst > eps:
-                    all_below = False
-                    scanning = False
-        return worst, all_below
+            for value in row:
+                tile_worst = max(tile_worst, value)
+            worst = max(worst, tile_worst)
+            if worst > eps:
+                return worst, False
+        return worst, True
 
     def _best_effort_estimates(self, ws: SparseWorkspace) -> None:
         """Guarded estimates into ``prev`` (budget-exhaustion path).
@@ -1202,23 +1316,22 @@ class SynchronousGossipEngine(CycleEngine):
         n = ws.n
         blk = ws.blk
         bounds = ws.bounds
-        xf = ws.xt.ravel()
-        wf = ws.wt.ravel()
+        scratch = ws.scratch[0]
         for lo in range(0, n, blk):
             hi = min(lo + blk, n)
             m = hi - lo
-            for si in range(ws.shards):
+            for si in range(ws.tiles):
                 c0, c1 = bounds[si], bounds[si + 1]
                 pc = c1 - c0
-                xt = xf[: m * pc].reshape(m, pc)
-                wt = wf[: m * pc].reshape(m, pc)
+                xt = scratch.x[: m * pc].reshape(m, pc)
+                wt = scratch.w[: m * pc].reshape(m, pc)
                 dense = ws.dense[si]
                 if ws.dense_on[si] and dense is not None:
                     np.copyto(xt, dense[0][lo:hi])
                     np.copyto(wt, dense[1][lo:hi])
                 else:
-                    self._gather_tile(ws, ws.shard_pools[si][0], lo, hi, xt)
-                    self._gather_tile(ws, ws.shard_pools[si][1], lo, hi, wt)
+                    self._gather_tile(ws.tile_pools[si][0], lo, hi, xt, scratch.bp)
+                    self._gather_tile(ws.tile_pools[si][1], lo, hi, wt, scratch.bp)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     np.divide(xt, wt, out=xt)
                 xt[wt <= 0.0] = np.nan

@@ -8,9 +8,9 @@ RNG stream, so on a seeded instance they must walk the same
 mixing-matrix sequence: identical step counts at per-step checks,
 matching results up to floating-point accumulation order.
 
-Everything the engine varies internally — shard count, thread count,
-workspace reuse, handoff point, tile height — must be *bitwise*
-invisible in the results.
+Everything the engine varies internally — column-tile count, thread
+count, workspace reuse, handoff point, check-tile height — must be
+*bitwise* invisible in the results.
 """
 
 import os
@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.errors import ConvergenceError, ValidationError
+from repro.errors import ConvergenceError, InvariantViolation, ValidationError
 from repro.experiments.synthetic import synthetic_trust_matrix
 from repro.gossip import engine as engine_mod
 from repro.gossip.base import exact_aggregate, local_rows
@@ -63,16 +63,49 @@ def _pin_cores(monkeypatch, cores):
     monkeypatch.setattr(engine_mod, "_MIN_SHARD_ELEMENTS", 1)
 
 
-def _force_shards(monkeypatch, shards):
-    """Make the engine split its columns into exactly ``shards`` shards.
+def _force_tiles(monkeypatch, tiles, cores=None):
+    """Make the engine split its columns into exactly ``tiles`` tiles.
 
-    The engine derives its shard count from the usable cores and the
-    int32 guard (``min_shards_for``, 1 at test sizes); pinning both to
-    ``shards`` gives that count on any machine, stepped by the calling
-    thread plus ``shards - 1`` pool threads.
+    Replaces the derived tile count (:func:`column_shards`) and pins
+    ``cores`` usable cores (default: one per tile), so the tiles step on
+    the calling thread plus up to ``cores - 1`` pool threads on any
+    machine.
     """
-    monkeypatch.setattr(engine_mod, "min_shards_for", lambda n, cols: shards)
-    _pin_cores(monkeypatch, shards)
+    monkeypatch.setattr(
+        engine_mod, "column_shards", lambda n, p, itemsize=8: tiles
+    )
+    _pin_cores(monkeypatch, cores or tiles)
+
+
+def _argsort_layout(targets):
+    """The reference CSR layout of ``M = 0.5*(I + A)``: bincount row
+    pointers plus a stable argsort of the targets, each row's diagonal
+    first and then its senders ascending."""
+    n = targets.size
+    ids = np.arange(n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indices = np.empty(2 * n, dtype=np.int32)
+    np.cumsum(np.bincount(targets, minlength=n) + 1, out=indptr[1:])
+    order = np.argsort(targets, kind="stable")
+    sorted_t = targets[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_t[1:] != sorted_t[:-1])))
+    seg_origin = np.repeat(starts, np.diff(np.append(starts, n)))
+    indices[indptr[sorted_t] + 1 + (ids - seg_origin)] = order
+    indices[indptr[:-1]] = ids
+    return indptr, indices
+
+
+def _fill_mixing(targets):
+    """``fill_mixing`` into fresh arrays: ``(indptr, indices, data)``."""
+    n = targets.size
+    ids = np.arange(n, dtype=np.int32)
+    coo_cols = np.concatenate((ids, ids))
+    coo_rows = coo_cols.copy()
+    data = np.full(2 * n, 0.5)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indices = np.empty(2 * n, dtype=np.int32)
+    engine_mod.fill_mixing(targets, coo_rows, coo_cols, data, indptr, indices)
+    return indptr, indices, data
 
 
 def _oracle(n, S, v, *, mode="full", check_every=1):
@@ -175,9 +208,8 @@ class TestSparseWarmStart:
         n = 7
         ids = np.arange(n)
         targets = np.array([3, 2, 0, 0, 1, 0, 5])
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        indices = np.empty(2 * n, dtype=np.int32)
-        engine_mod.fill_mixing(targets, ids, indptr, indices)
+        indptr, indices, data = _fill_mixing(targets)
+        np.testing.assert_array_equal(data, 0.5)  # values only permuted
         for r in range(n):
             row = indices[indptr[r] : indptr[r + 1]].tolist()
             assert row == [r, *np.flatnonzero(targets == r).tolist()]
@@ -185,6 +217,23 @@ class TestSparseWarmStart:
         A = sparse.csr_matrix((np.ones(n), (targets, ids)), shape=(n, n))
         expected = 0.5 * (np.eye(n) + A.toarray())
         np.testing.assert_array_equal(M.toarray(), expected)
+
+    @pytest.mark.parametrize("case", ["n2", "n7", "n1000", "all_to_one"])
+    def test_fill_mixing_matches_argsort_reference(self, case):
+        """The counting-sort layout equals the bincount/argsort one
+        bitwise, in ``indptr`` and ``indices``."""
+        rng = np.random.default_rng(SEED)
+        if case == "all_to_one":
+            targets = np.zeros(500, dtype=np.int64)
+            targets[0] = 1
+        else:
+            n = int(case[1:])
+            targets = rng.integers(0, n - 1, size=n)
+            targets += targets >= np.arange(n)  # never self, as the engine
+        indptr, indices, _ = _fill_mixing(targets)
+        want_indptr, want_indices = _argsort_layout(targets)
+        np.testing.assert_array_equal(indptr, want_indptr)
+        np.testing.assert_array_equal(indices, want_indices)
 
 
 class TestBudget:
@@ -418,22 +467,24 @@ class TestSparseKernel:
     def test_phase_times_recorded(self):
         S, v = _instance(N)
         res = _cycle(N, S, v, mode="probe")
-        assert set(res.phase_times) >= {"setup", "oracle", "alloc", "kernel"}
-        assert all(t >= 0.0 for t in res.phase_times.values())
+        phases = res.phase_times
+        assert set(phases) >= {"setup", "oracle", "alloc", "layout", "kernel"}
+        assert all(t >= 0.0 for t in phases.values())
+        assert phases["layout"] <= phases["kernel"]  # a sub-phase of kernel
 
 
 class TestShardedSparseKernel:
-    """Column sharding must be invisible: any shard split of the probe
+    """Column tiling must be invisible: any tile split of the probe
     working set replays the identical SpGEMM sequence, so steps,
-    scores, and gossip error are *bitwise* equal to the unsharded run."""
+    scores, and gossip error are *bitwise* equal to the untiled run."""
 
     @pytest.mark.parametrize("n", [250, 1000])
     @pytest.mark.parametrize("mode", ["probe", "full"])
     def test_shard_count_invariance(self, n, mode, monkeypatch):
         S, v = _instance(n)
         base = _cycle(n, S, v, mode=mode)
-        for shards in (2, 7):
-            _force_shards(monkeypatch, shards)
+        for tiles in (2, 7):
+            _force_tiles(monkeypatch, tiles)
             res = _cycle(n, S, v, mode=mode)
             assert res.steps == base.steps
             np.testing.assert_array_equal(res.v_next, base.v_next)
@@ -443,54 +494,90 @@ class TestShardedSparseKernel:
     def test_shard_invariance_both_dtypes(self, dtype, monkeypatch):
         S, v = _instance(250)
         base = _cycle(250, S, v, mode="probe", dtype=dtype)
-        _force_shards(monkeypatch, 7)
+        _force_tiles(monkeypatch, 7)
         res = _cycle(250, S, v, mode="probe", dtype=dtype)
         assert res.steps == base.steps
         np.testing.assert_array_equal(res.v_next, base.v_next)
         assert res.gossip_error == base.gossip_error
 
     def test_sanitizer_armed_sharded(self, monkeypatch):
-        """The armed invariant sanitizer passes over sharded state
-        exactly as over the unsharded kernel."""
+        """The armed invariant sanitizer passes over tiled state
+        exactly as over the untiled kernel."""
         S, v = _instance(N)
         base = _cycle(N, S, v, mode="probe")
-        _force_shards(monkeypatch, 3)
+        _force_tiles(monkeypatch, 3)
         eng = make_engine(
             "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON, mode="probe",
         )
         eng.arm_sanitizer()
         res = eng.run_cycle(S, v)
-        assert eng.sparse_workspace.shards == 3
+        assert eng.sparse_workspace.tiles == 3
         assert res.steps == base.steps
         np.testing.assert_array_equal(res.v_next, base.v_next)
         assert eng.sanitizer.checks > 0
 
     def test_auto_shard_raise_for_int32_guard(self, monkeypatch):
         """A probe width whose pool would overflow int32 indexing is
-        auto-split into the minimum legal shard count."""
+        auto-split into the minimum legal tile count (with a state
+        budget so large that it alone would keep one tile)."""
         from repro.gossip.memory import min_shards_for
 
         _pin_cores(monkeypatch, 1)
-        eng = SynchronousGossipEngine(2**17)
-        assert eng._effective_shards(64) == 1
-        assert eng._effective_shards(2**15) == min_shards_for(2**17, 2**15) == 3
+        monkeypatch.setattr(engine_mod, "_TILE_STATE_BYTES", 1 << 62)
+        assert engine_mod.column_shards(2**17, 64) == 1
+        assert engine_mod.column_shards(2**17, 2**15) == min_shards_for(2**17, 2**15) == 3
 
     @pytest.mark.parametrize(
-        "n, p, cores, shards",
+        "n, p, cores, tiles",
         [
-            (10**5, 64, 2, 2),  # one shard per core
-            (10**5, 20, 2, 1),  # too narrow for a second 16-column shard
-            (10**5, 64, 8, 4),  # capped at 64 // 16 shards
-            (10**6, 64, 2, 2),
-            (1000, 1000, 2, 2),
-            (250, 250, 2, 1),  # too little work per shard for a thread
-            (2**17, 2**15, 2, 3),  # the int32 guard wins over the cores
+            (10**5, 64, 2, 6),  # 5 tiles of 32 MiB state, 3 per thread
+            (10**5, 20, 2, 2),  # one thread, still 2 tiles of state
+            (10**5, 64, 8, 8),  # 4 threads (64 // 16), 5 tiles -> 8
+            (10**6, 64, 2, 8),  # 46 tiles of state, capped at 64 // 8
+            (1000, 1000, 2, 2),  # 24 MB of state: one tile per thread
+            (250, 250, 2, 1),  # too little work for a second thread
+            (2**29, 64, 2, 22),  # the int32 guard wins over the cap
             (10, 3, 4, 1),
         ],
     )
-    def test_shard_count_follows_cores(self, n, p, cores, shards, monkeypatch):
+    def test_shard_count_follows_cores(self, n, p, cores, tiles, monkeypatch):
         monkeypatch.setattr(engine_mod, "_usable_cores", lambda: cores)
-        assert engine_mod.column_shards(n, p) == shards
+        assert engine_mod.column_shards(n, p) == tiles
+
+    @pytest.mark.parametrize(
+        "n, p, cores, threads",
+        [
+            (10**5, 64, 2, 2),  # one thread per core
+            (10**5, 20, 2, 1),  # too narrow for a second 16-column thread
+            (10**5, 64, 8, 4),  # capped at 64 // 16 threads
+            (10**6, 64, 2, 2),
+            (1000, 1000, 2, 2),
+            (250, 250, 2, 1),  # too little work per thread
+            (2**29, 64, 2, 2),  # the int32 guard adds tiles, not threads
+            (10, 3, 4, 1),
+        ],
+    )
+    def test_step_threads_follow_cores(self, n, p, cores, threads, monkeypatch):
+        monkeypatch.setattr(engine_mod, "_usable_cores", lambda: cores)
+        assert engine_mod.step_threads(n, p) == threads
+
+    def test_float32_tiles_hold_twice_the_columns(self, monkeypatch):
+        monkeypatch.setattr(engine_mod, "_usable_cores", lambda: 2)
+        assert engine_mod.column_shards(10**5, 64, itemsize=4) == 4
+
+    def test_worst_residual_freezes_at_first_row_tile_over_epsilon(self):
+        """The tiles' row-tile maxima combine as one serial blocked scan:
+        row by row, the largest over the tiles (a NaN maximum skipped),
+        stopping at the first row tile that lifts the worst past
+        epsilon — later rows do not raise it."""
+        from types import SimpleNamespace
+
+        eng = SynchronousGossipEngine(8, epsilon=1e-4)
+        nan = float("nan")
+        over = SimpleNamespace(tile_max=np.array([[1e-5, 5e-4, 0.9], [2e-5, nan, 1e-6]]))
+        assert eng._worst_residual(over) == (5e-4, False)
+        below = SimpleNamespace(tile_max=np.array([[1e-5, 3e-5], [nan, 2e-5]]))
+        assert eng._worst_residual(below) == (3e-5, True)
 
     def test_validation(self):
         """The shard count is derived, never passed: the engine takes no
@@ -513,7 +600,7 @@ class TestDenseHandoff:
         (convergence needs full W occupancy, far past any threshold)
         and shrunk the CSR pools to stubs."""
         S, v = _instance(250)
-        _force_shards(monkeypatch, 2)
+        _force_tiles(monkeypatch, 2)
         eng = make_engine(
             "sync", n=250, rng=RngStreams(SEED), epsilon=EPSILON,
             mode="probe",
@@ -522,7 +609,7 @@ class TestDenseHandoff:
         assert res.converged
         ws = eng.sparse_workspace
         assert all(ws.dense_on)
-        for si, triple in enumerate(ws.shard_pools):
+        for si, triple in enumerate(ws.tile_pools):
             assert ws.dense[si] is not None
             assert all(d.shape == (250, triple[0].cols) for d in ws.dense[si])
             assert all(pool.capacity == 1 for pool in triple)
@@ -532,7 +619,7 @@ class TestDenseHandoff:
         """The dense handoff matches a run that never hands off and
         keeps pooled CSR for the whole cycle, bitwise."""
         S, v = _instance(250)
-        _force_shards(monkeypatch, 2)
+        _force_tiles(monkeypatch, 2)
         dense = _cycle(250, S, v, mode="probe", dtype=dtype)
         monkeypatch.setattr(engine_mod, "_DENSIFY_THRESHOLD", 2.0)
         eng = make_engine(
@@ -553,7 +640,7 @@ class TestDenseHandoff:
         S, v = _instance(250)
         base = _cycle(250, S, v, mode="probe", dtype=dtype)
         monkeypatch.setattr(engine_mod, "_DENSIFY_THRESHOLD", threshold)
-        _force_shards(monkeypatch, 3)
+        _force_tiles(monkeypatch, 3)
         res = _cycle(250, S, v, mode="probe", dtype=dtype)
         assert res.steps == base.steps
         np.testing.assert_array_equal(res.v_next, base.v_next)
@@ -564,7 +651,7 @@ class TestDenseHandoff:
         cycles must match a never-handing-off engine bitwise, in both
         dtypes."""
         S, v = _instance(250)
-        _force_shards(monkeypatch, 2)
+        _force_tiles(monkeypatch, 2)
         default = engine_mod._DENSIFY_THRESHOLD
         for dtype in ("float64", "float32"):
             engines = [
@@ -630,10 +717,11 @@ def _warm_cycles(n, S, v, cycles=2, **options):
 
 
 class TestThreadedShards:
-    """Column shards step on threads, one per usable core.  Each shard's
-    arithmetic is the serial one and only the calling thread draws
-    partners or checks convergence, so the thread count is bitwise
-    invisible."""
+    """Column tiles step on threads, one group per usable core, one
+    check window per pool round trip.  Each tile's arithmetic is the
+    serial one, and only the calling thread draws partners, lays out
+    the mixing matrices, runs the sanitizer and combines the check, so
+    the tile and thread counts are bitwise invisible."""
 
     @pytest.mark.parametrize("threshold", [None, 2.0])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -648,7 +736,7 @@ class TestThreadedShards:
         for cores in (1, 2, 4):
             _pin_cores(monkeypatch, cores)
             eng, runs[cores] = _warm_cycles(250, S, v, mode=mode, dtype=dtype)
-            assert eng.sparse_workspace.shards == cores
+            assert len(eng.sparse_workspace.groups) == cores
             assert any(eng.sparse_workspace.dense_on) == (threshold is None)
         for cores in (2, 4):
             for got, want in zip(runs[cores], runs[1]):
@@ -656,26 +744,121 @@ class TestThreadedShards:
                 np.testing.assert_array_equal(got.v_next, want.v_next)
                 assert got.gossip_error == want.gossip_error
 
+    @pytest.mark.parametrize("threshold", [None, 2.0])
+    @pytest.mark.parametrize("mode", ["full", "probe"])
+    def test_tile_count_invariance(self, mode, threshold, monkeypatch):
+        """1, 3 and 7 column tiles on two threads land on bitwise-equal
+        warm cycles, with the default dense handoff and with pure CSR
+        stepping."""
+        S, v = _instance(250)
+        if threshold is not None:
+            monkeypatch.setattr(engine_mod, "_DENSIFY_THRESHOLD", threshold)
+        # several check row tiles, so the maxima combine across rows too
+        monkeypatch.setattr(engine_mod, "_TILE_ELEMENTS", 4096)
+        runs = {}
+        for tiles in (1, 3, 7):
+            _force_tiles(monkeypatch, tiles, cores=2)
+            eng, runs[tiles] = _warm_cycles(250, S, v, mode=mode)
+            assert eng.sparse_workspace.tiles == tiles
+            assert any(eng.sparse_workspace.dense_on) == (threshold is None)
+        for tiles in (3, 7):
+            for got, want in zip(runs[tiles], runs[1]):
+                assert got.converged and got.steps == want.steps
+                np.testing.assert_array_equal(got.v_next, want.v_next)
+                assert got.gossip_error == want.gossip_error
+                assert got.node_disagreement == want.node_disagreement
+
+    def test_one_submit_per_thread_group_per_window(self, monkeypatch):
+        """A check window costs one pool task per non-calling thread
+        group, not one per step or per tile."""
+        S, v = _instance(250)
+        _force_tiles(monkeypatch, 6, cores=3)
+        real = ThreadPoolExecutor(max_workers=2)
+        submitted, windows = [], []
+
+        class SpyPool:
+            def submit(self, fn, ws, g, *args):
+                submitted.append(g)
+                return real.submit(fn, ws, g, *args)
+
+        step_group = SynchronousGossipEngine._step_group
+
+        def spy(self, ws, g, *args):
+            if g == 0:
+                windows.append(args[0])  # the window's first step
+            return step_group(self, ws, g, *args)
+
+        monkeypatch.setattr(engine_mod, "_step_pool", lambda workers: SpyPool())
+        monkeypatch.setattr(SynchronousGossipEngine, "_step_group", spy)
+        try:
+            res = _cycle(250, S, v, mode="probe")
+        finally:
+            real.shutdown()
+        assert res.converged
+        assert submitted == [1, 2] * len(windows)
+        assert len(windows) < res.steps  # several steps per round trip
+
+    def test_sanitizer_flags_nonfinite_estimate_on_calling_thread(self, monkeypatch):
+        """An armed sanitizer raises on a NaN estimate injected from
+        step 20 on at the first check from there (step 24, as before
+        the windowed loop), and every sanitizer call runs on the calling
+        thread."""
+        S, v = _instance(250)
+        _pin_cores(monkeypatch, 3)
+        draws = [0]
+        next_targets = engine_mod._TargetStream.next
+        estimate_tile = SynchronousGossipEngine._estimate_tile
+
+        def counted(self):
+            draws[0] += 1
+            return next_targets(self)
+
+        def poisoned(self, ws, si, xslot, wslot, lo, hi, xt, *args):
+            estimate_tile(self, ws, si, xslot, wslot, lo, hi, xt, *args)
+            if draws[0] >= 20 and si == ws.tiles - 1:
+                xt[-1, -1] = np.nan
+
+        monkeypatch.setattr(engine_mod._TargetStream, "next", counted)
+        monkeypatch.setattr(SynchronousGossipEngine, "_estimate_tile", poisoned)
+        eng = make_engine(
+            "sync", n=250, rng=RngStreams(SEED), epsilon=EPSILON, mode="probe",
+        )
+        san = eng.arm_sanitizer()
+        callers = set()
+        for name in ("check_mass", "check_nonnegative", "check_finite"):
+            method = getattr(san, name)
+
+            def on_thread(*args, _method=method, **kwargs):
+                callers.add(threading.get_ident())
+                return _method(*args, **kwargs)
+
+            monkeypatch.setattr(san, name, on_thread)
+        with pytest.raises(InvariantViolation) as info:
+            eng.run_cycle(S, v)
+        assert len(eng.sparse_workspace.groups) == 3
+        assert info.value.invariant == "finite" and info.value.step == 24
+        assert callers == {threading.get_ident()}
+
     def test_shards_step_on_several_threads(self, monkeypatch):
         S, v = _instance(250)
         idents = set()
-        shard_step = SynchronousGossipEngine._shard_step
+        step_group = SynchronousGossipEngine._step_group
 
-        def spy(self, ws, si, *args):
+        def spy(self, ws, g, *args):
             idents.add(threading.get_ident())
-            if si == 0:
-                time.sleep(1e-3)  # time for a pool thread to take shard 1
-            return shard_step(self, ws, si, *args)
+            if g == 0:
+                time.sleep(1e-3)  # time for a pool thread to take group 1
+            return step_group(self, ws, g, *args)
 
-        monkeypatch.setattr(SynchronousGossipEngine, "_shard_step", spy)
+        monkeypatch.setattr(SynchronousGossipEngine, "_step_group", spy)
         _pin_cores(monkeypatch, 2)
         res = _cycle(250, S, v, mode="probe")
         assert res.converged
         assert threading.get_ident() in idents and len(idents) > 1
 
     def test_caller_steps_the_shards_no_thread_took(self, monkeypatch):
-        """A pool whose threads are all busy never stalls a step: the
-        calling thread steps every shard still queued, bitwise as
+        """A pool whose threads are all busy never stalls a window: the
+        calling thread steps every group still queued, bitwise as
         before."""
         S, v = _instance(250)
         base = _cycle(250, S, v, mode="probe")
@@ -693,59 +876,59 @@ class TestThreadedShards:
         finally:
             release.set()
             busy.shutdown()
-        assert eng.sparse_workspace.shards == 2
+        assert len(eng.sparse_workspace.groups) == 2
         assert res.steps == base.steps
         np.testing.assert_array_equal(res.v_next, base.v_next)
         assert res.gossip_error == base.gossip_error
 
     def test_one_core_steps_without_a_pool(self, monkeypatch):
-        """One core steps every shard on the calling thread — also the
-        several shards the int32 guard can demand."""
+        """One core steps every tile on the calling thread — also the
+        several tiles the int32 guard can demand."""
         S, v = _instance(250)
         base = _cycle(250, S, v, mode="probe")
         _pin_cores(monkeypatch, 1)
         monkeypatch.setattr(engine_mod, "_step_pool", None)  # any use fails
-        for guard_shards in (1, 3):
+        for guard_tiles in (1, 3):
             monkeypatch.setattr(
-                engine_mod, "min_shards_for", lambda n, cols, k=guard_shards: k
+                engine_mod, "min_shards_for", lambda n, cols, k=guard_tiles: k
             )
             eng = make_engine(
                 "sync", n=250, rng=RngStreams(SEED), epsilon=EPSILON, mode="probe",
             )
             res = eng.run_cycle(S, v)
-            assert eng.sparse_workspace.shards == guard_shards
+            assert eng.sparse_workspace.tiles == guard_tiles
             assert res.steps == base.steps
             np.testing.assert_array_equal(res.v_next, base.v_next)
             assert res.gossip_error == base.gossip_error
 
     def test_worker_error_propagates_and_engine_recovers(self, monkeypatch):
-        """A shard step that raises on a pool thread fails the cycle; the
-        half-stepped workspace is dropped and the next cycle runs."""
+        """A group window that raises on a pool thread fails the cycle;
+        the half-stepped workspace is dropped and the next cycle runs."""
         S, v = _instance(250)
         _pin_cores(monkeypatch, 2)
         failed_on = []
         caller = threading.get_ident()
-        shard_step = SynchronousGossipEngine._shard_step
+        step_group = SynchronousGossipEngine._step_group
 
-        def flaky(self, ws, si, *args):
-            if si == 0 and not failed_on:
-                time.sleep(1e-3)  # time for a pool thread to take shard 1
-            if si == 1 and not failed_on and threading.get_ident() != caller:
+        def flaky(self, ws, g, *args):
+            if g == 0 and not failed_on:
+                time.sleep(1e-3)  # time for a pool thread to take group 1
+            if g == 1 and not failed_on and threading.get_ident() != caller:
                 failed_on.append(threading.get_ident())
-                raise RuntimeError("shard 1 exploded")
-            return shard_step(self, ws, si, *args)
+                raise RuntimeError("group 1 exploded")
+            return step_group(self, ws, g, *args)
 
-        monkeypatch.setattr(SynchronousGossipEngine, "_shard_step", flaky)
+        monkeypatch.setattr(SynchronousGossipEngine, "_step_group", flaky)
         eng = make_engine(
             "sync", n=250, rng=RngStreams(SEED), epsilon=EPSILON, mode="probe",
         )
-        with pytest.raises(RuntimeError, match="shard 1 exploded"):
+        with pytest.raises(RuntimeError, match="group 1 exploded"):
             eng.run_cycle(S, v)
         assert failed_on and failed_on[0] != caller
         assert eng.sparse_workspace is None  # invalidated, not reused
         res = eng.run_cycle(S, v)
         assert res.converged and np.isfinite(res.gossip_error)
-        assert eng.sparse_workspace.shards == 2
+        assert len(eng.sparse_workspace.groups) == 2
 
     def test_sweep_workers_after_threaded_parent_cycle(self):
         """A forked sweep worker gets a pool of its own: after the parent
@@ -766,7 +949,7 @@ class TestThreadedShards:
             eng = make_engine("sync", n=200, rng=RngStreams(0), mode="probe")
             S = synthetic_trust_matrix(200, rng=RngStreams(0).get("matrix"))
             assert eng.run_cycle(S, np.full(200, 1 / 200)).converged
-            assert eng.sparse_workspace.shards == 2
+            assert len(eng.sparse_workspace.groups) == 2
             points = [
                 SweepPoint(
                     fn=_fig3_point,

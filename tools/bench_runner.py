@@ -75,17 +75,26 @@ Schema 8 follows the engine down to one process and derived shards:
 splits columns only where ``n * p`` overflows int32 indices — one
 shard at every recorded point).
 
-Schema 9 follows the engine onto threads: column shards are its unit
-of thread parallelism (one per usable core, at least 16 columns and
-2^16 entries each), so the provenance stamps ``usable_cores`` (the
-process's affinity mask) and the derived ``step_threads`` (the shard
-count, and so the threads stepping, of the n = 10^6 64-column probe
-cycle).
+Schema 9 follows the engine onto threads (one per usable core, at
+least 16 columns and 2^16 entries each), so the provenance stamps
+``usable_cores`` (the process's affinity mask) and the derived
+``step_threads`` (:func:`~repro.gossip.engine.step_threads` of the
+n = 10^6 64-column probe cycle, which steps 8 column tiles).
+
+``--compare OLD NEW`` is the deterministic regression gate: over the
+cells both payloads share (per-cycle entries by engine, n and options;
+end-to-end runs by n; the service and its epochs by n; large-n points
+by n and dtype; resilience cells by n, plan and cell), it exits 1 on
+any change in steps, cycles, ``converged``, nnz, messages, bytes,
+drops, events or a resilience cell's error, isolated count or
+overhead — seeded runs make all of them exact — and exits 2 when the
+files share no cell.  Wall times and RSS are not compared.
 
 Usage::
 
     PYTHONPATH=src python tools/bench_runner.py [--quick] [--large-only]
         [--xlarge] [--output PATH] [--label TEXT] [--commit SHA]
+    PYTHONPATH=src python tools/bench_runner.py --compare OLD.json NEW.json
 """
 
 from __future__ import annotations
@@ -108,7 +117,7 @@ from repro.core.gossiptrust import GossipTrust  # noqa: E402
 from repro.experiments.fig3_gossip_steps import _fig3_point  # noqa: E402
 from repro.experiments.runner import SweepPoint, run_sweep  # noqa: E402
 from repro.experiments.synthetic import synthetic_trust_matrix  # noqa: E402
-from repro.gossip.engine import _usable_cores, column_shards  # noqa: E402
+from repro.gossip.engine import _usable_cores, step_threads  # noqa: E402
 from repro.gossip.factory import make_engine  # noqa: E402
 from repro.service import ServeSimConfig, simulate_service  # noqa: E402
 from repro.utils.proc import PeakRssMeter  # noqa: E402
@@ -510,8 +519,85 @@ def provenance(label: str, commit: str) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "usable_cores": _usable_cores(),
-        "step_threads": column_shards(XLARGE_N, PROBE_COLUMNS),
+        "step_threads": step_threads(XLARGE_N, PROBE_COLUMNS),
     }
+
+
+#: per-cell fields a change must leave exactly as they were (seeded runs
+#: make them exact); messages/bytes/dropped/events count where a section
+#: records them
+DETERMINISTIC_FIELDS = (
+    "steps", "converged", "cycles", "total_gossip_steps", "gossip_steps", "nnz",
+    "cold_cycles", "cold_steps", "warm_cycles_mean", "warm_steps_mean",
+    "messages", "bytes", "dropped", "events",
+)
+
+
+def deterministic_cells(payload: dict) -> dict:
+    """``{cell key: {field: value}}`` of a payload's deterministic metrics."""
+    cells = {}
+
+    def add(key: tuple, record: dict) -> None:
+        picked = {f: record[f] for f in DETERMINISTIC_FIELDS if f in record}
+        if picked:
+            cells[key] = picked
+
+    for e in payload.get("entries", []):
+        options = json.dumps(e.get("options", {}), sort_keys=True)
+        add(("entries", e["engine"], e["n"], options), e)
+    for r in payload.get("end_to_end", {}).get("runs", []):
+        add(("end_to_end", r["kind"], r["n"]), r)
+    service = payload.get("service")
+    if service:
+        add(("service", service["n"]), service)
+        for ep in service.get("epochs_detail", []):
+            add(("service", service["n"], "epoch", ep["epoch"]), ep)
+    for p in payload.get("large_n", {}).get("points", []):
+        add(("large_n", p["n"], p["dtype"]), p)
+    res = payload.get("resilience")
+    if res:
+        for cell, err in res["error"].items():
+            cells[("resilience", res["n"], res["plan"], cell)] = {
+                "error": err,
+                "isolated": res["isolated"][cell],
+                "overhead_fraction": res["overhead_fraction"][cell],
+            }
+    return cells
+
+
+def compare(old: dict, new: dict) -> tuple:
+    """``(shared cell count, differences)`` of two payloads' deterministic metrics.
+
+    Raises ``ValueError`` when the payloads share no cell (a comparison
+    that checks nothing must not pass).
+    """
+    before = deterministic_cells(old)
+    after = deterministic_cells(new)
+    shared = [key for key in before if key in after]
+    if not shared:
+        raise ValueError("the two payloads share no benchmark cell")
+    diffs = []
+    for key in shared:
+        for field, was in before[key].items():
+            if field in after[key] and after[key][field] != was:
+                cell = "/".join(str(part) for part in key)
+                diffs.append(f"{cell}: {field} {was!r} -> {after[key][field]!r}")
+    return len(shared), diffs
+
+
+def run_compare(old_path: pathlib.Path, new_path: pathlib.Path) -> int:
+    """``--compare``: 0 if the shared cells agree, 1 on a change, 2 if none."""
+    old = json.loads(old_path.read_text())
+    new = json.loads(new_path.read_text())
+    try:
+        shared, diffs = compare(old, new)
+    except ValueError as exc:
+        print(f"compare: {exc}", file=sys.stderr)
+        return 2
+    for line in diffs:
+        print(f"changed {line}")
+    print(f"compare: {shared} shared cells, {len(diffs)} deterministic changes")
+    return 1 if diffs else 0
 
 
 def run(
@@ -602,7 +688,17 @@ def main(argv=None) -> int:
         help="commit SHA stamped into the payload (pass `git rev-parse HEAD` "
         "from the caller; the runner never shells out to git itself)",
     )
+    parser.add_argument(
+        "--compare",
+        nargs=2,
+        type=pathlib.Path,
+        metavar=("OLD", "NEW"),
+        help="compare two payloads' deterministic metrics over their shared "
+        "cells (exit 1 on a change, 2 when they share no cell); runs nothing",
+    )
     args = parser.parse_args(argv)
+    if args.compare:
+        return run_compare(*args.compare)
     payload = run(
         quick=args.quick,
         label=args.label,

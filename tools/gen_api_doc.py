@@ -46,7 +46,8 @@ lines += [
     "`SynchronousGossipEngine` (`repro.gossip.engine`) has one step loop",
     "for both modes: X and W start each cycle in geometrically-grown CSR",
     "`CsrPool`s stepped by pooled `csr_matmat` SpGEMMs (the mixing matrix",
-    "laid out diagonal-first by `fill_mixing`); once a shard's",
+    "laid out diagonal-first by `fill_mixing`, one `coo_tocsr` counting",
+    "sort); once a column tile's",
     "occupancy crosses 0.25 it hands off to dense slots, where a step is",
     "`np.multiply(X, 0.5, out=Y)` plus one sort-free `csc_matvecs` scatter",
     "of the senders' halves. The handoff is bitwise-invisible. The knobs",
@@ -64,11 +65,16 @@ lines += [
     "  an armed sanitizer widens its conservation tolerance to 1e-4).",
     "",
     "The engine runs in one process on ordinary heap buffers. Columns",
-    "split into one shard per usable core (at least 16 columns and 2^16",
-    "entries each), or more where one pool's `n * p` entries would",
-    "overflow int32 indices (`column_shards(n, p)`); the shards of a",
-    "step run on a process-wide thread pool, and results are bitwise",
-    "invariant in the shard and thread counts.",
+    "split into tiles of about 32 MiB of state (`column_shards(n, p)`,",
+    "a multiple of the thread count, more where one pool's entries would",
+    "overflow int32 indices), dealt to one thread group per usable core",
+    "(`step_threads(n, p)`: at least 16 columns and 2^16 entries each).",
+    "One process-wide pool round trip covers a whole convergence-check",
+    "window: each group steps each of its tiles through every step of",
+    "the window, then computes the tile's check share; the calling",
+    "thread draws partners, lays out the mixing matrices (the `layout`",
+    "phase) and combines the check. Results are bitwise invariant in",
+    "the tile and thread counts.",
     "The buffers live in one `SparseWorkspace` that survives across",
     "`run_cycle` calls and runs of the same shape;",
     "`invalidate_workspace()` drops it explicitly. Reused and fresh",
@@ -95,13 +101,15 @@ lines += [
     "worker count (`--workers` on the CLI).",
     "",
     "Run `PYTHONPATH=src python tools/bench_runner.py` to regenerate the",
-    "tracked benchmark trajectory in `BENCH_engines.json` (schema 8:",
+    "tracked benchmark trajectory in `BENCH_engines.json` (schema 9:",
     "per-cycle engine grid with per-entry peak RSS and phase breakdowns,",
     "end-to-end `GossipTrust.run` and sweep-throughput sections, the",
     "service closed loop, and the `large_n` probe tier with per-point",
     "RSS/wall budgets — `make bench-large` runs",
     "just that tier and fails when a budget is blown; `make bench-xlarge`",
-    "adds the opt-in n = 10^6 point), `python3 perfbench/run.py`",
+    "adds the opt-in n = 10^6 point; `--compare OLD NEW` fails on any",
+    "change in steps, cycles, convergence or another seeded count),",
+    "`python3 perfbench/run.py`",
     "for the end-to-end workloads with a `--compare` gate, or",
     "`pytest benchmarks/bench_engines.py` for the engine shoot-out and",
     "the service and parallel-sweep contracts.",
