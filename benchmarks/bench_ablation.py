@@ -17,6 +17,7 @@ from repro.baselines.powertrust import PowerTrust
 from repro.experiments.synthetic import synthetic_trust_matrix
 from repro.gossip.engine import SynchronousGossipEngine
 from repro.gossip.message_engine import MessageGossipEngine
+from repro.gossip.partnering import NeighborSampler
 from repro.metrics.errors import kendall_tau, rms_relative_error
 from repro.network.overlay import Overlay
 from repro.network.topology import gnutella_like
@@ -122,7 +123,7 @@ def test_ablation_lrw_speedup(benchmark):
 def test_ablation_topology_family(benchmark, save_result):
     """Neighbor-restricted gossip feels graph conductance; global doesn't.
 
-    Runs the message engine with neighbors_only=True over the three
+    Runs the message engine with a NeighborSampler over the three
     topology families.  Expectation: the Gnutella-like (power-law) and
     random graphs — good expanders — converge in similar round counts,
     while a barely-rewired small-world ring (beta = 0.02, high diameter,
@@ -147,7 +148,8 @@ def test_ablation_topology_family(benchmark, save_result):
         transport = Transport(sim, latency=0.4, rng=seed + 2)
         engine = MessageGossipEngine(
             sim, transport, overlay, epsilon=1e-5, round_interval=1.0,
-            neighbors_only=neighbors_only, rng=seed + 3, max_rounds=800,
+            partnering=NeighborSampler() if neighbors_only else None,
+            rng=seed + 3, max_rounds=800,
         )
         return engine.run_cycle(rows, v).steps
 
@@ -204,7 +206,8 @@ def test_ablation_partner_scope(benchmark):
         transport = Transport(sim, latency=0.4, rng=seed + 2)
         engine = MessageGossipEngine(
             sim, transport, overlay, epsilon=1e-5, round_interval=1.0,
-            neighbors_only=neighbors_only, rng=seed + 3, max_rounds=400,
+            partnering=NeighborSampler() if neighbors_only else None,
+            rng=seed + 3, max_rounds=400,
         )
         return engine.run_cycle(rows, v)
 

@@ -1,7 +1,7 @@
 """Microbenchmarks of the hot kernels.
 
 These are the true pytest-benchmark timing loops (many rounds), sized
-so each operation runs in milliseconds: one gossip step, one exact
+so each operation runs in milliseconds: one push-sum step, one exact
 aggregation product, Bloom membership, Chord lookup, topology
 generation, and workload sampling.
 """
@@ -12,7 +12,6 @@ import pytest
 from repro.distributions.powerlaw import FeedbackCountDistribution
 from repro.distributions.query import TwoSegmentZipf
 from repro.experiments.synthetic import synthetic_trust_matrix
-from repro.gossip.engine import SynchronousGossipEngine
 from repro.gossip.pushsum import push_sum_step
 from repro.network.dht import ChordRing
 from repro.network.topology import gnutella_like
@@ -34,24 +33,6 @@ def test_push_sum_step_4096_nodes(benchmark):
     targets = rng.integers(0, n - 1, size=n)
     targets[targets >= ids] += 1
     benchmark(push_sum_step, x, w, targets)
-
-
-def test_full_gossip_cycle_1000_nodes(benchmark, S1000):
-    engine = SynchronousGossipEngine(1000, epsilon=1e-4, mode="full", rng=1)
-    v = np.full(1000, 1e-3)
-    benchmark.pedantic(
-        lambda: engine.run_cycle(S1000, v), rounds=2, iterations=1
-    )
-
-
-def test_probe_gossip_cycle_1000_nodes(benchmark, S1000):
-    engine = SynchronousGossipEngine(
-        1000, epsilon=1e-4, mode="probe", probe_columns=64, rng=2
-    )
-    v = np.full(1000, 1e-3)
-    benchmark.pedantic(
-        lambda: engine.run_cycle(S1000, v), rounds=5, iterations=1
-    )
 
 
 def test_exact_aggregation_product_1000_nodes(benchmark, S1000):

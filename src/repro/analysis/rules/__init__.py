@@ -12,7 +12,7 @@
 ``GT004``  No bare float ``==`` / ``!=`` comparisons in numeric modules.
 ``GT005``  No unordered-container iteration (set/dict-view/listing) on
            paths reaching RNG draws, partner selection, message
-           scheduling, or CSR layout (flow-aware, call-graph scoped).
+           scheduling, or the mixing step (flow-aware, call-graph scoped).
 ``GT006``  Retired (shared-workspace write ownership; its only
            subject, the shard-worker path, is gone).  The code stays
            unassigned so suppression sentinels keep their meaning.

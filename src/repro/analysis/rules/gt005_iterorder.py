@@ -6,8 +6,8 @@ directory order — none of which is a function of the experiment seed.
 Feeding such an order into anything the reproducibility contract covers
 silently decouples results from the seed: an RNG consumed in a
 different sequence, partners selected from a differently-ordered pool,
-messages scheduled in a different order, or a CSR layout built with
-permuted columns all produce *plausible but unreproducible* runs.
+messages scheduled in a different order, or a mixing step fed a
+permuted target order all produce *plausible but unreproducible* runs.
 
 This is the first flow-aware rule: it tracks unordered-container
 provenance through assignments, comprehensions, and project-resolved
@@ -20,7 +20,9 @@ whose transitive callees actually reach an order-sensitive sink:
 * partner selection — anything in ``repro.gossip.partnering``;
 * message scheduling — reachable functions with ``schedule`` in their
   name;
-* CSR layout construction — ``fill_mixing`` and friends.
+* the mixing step — ``_dense_step``, which scatters every sender's
+  half into the row its partner target names, so the order of the
+  target array is the order of the sums.
 
 Flagged: ``for``-loops and comprehensions iterating a value tagged
 unordered, and NumPy materializations (``np.array``/``np.asarray``/
@@ -49,8 +51,8 @@ _ADVICE = (
     "ordered container"
 )
 
-#: function names that build CSR layout or schedule messages
-_SINK_FUNC_NAMES = frozenset({"fill_mixing"})
+#: function names that consume a partner-target order
+_SINK_FUNC_NAMES = frozenset({"_dense_step"})
 _NP_MATERIALIZERS = frozenset({"array", "asarray", "fromiter"})
 
 
@@ -60,7 +62,7 @@ def _is_order_sink(info: Any) -> bool:
         return True  # partner selection
     name = info.node.name
     if name in _SINK_FUNC_NAMES or "schedule" in name.lower():
-        return True  # CSR layout / message scheduling
+        return True  # mixing step / message scheduling
     if info.attr_calls & RNG_DRAW_NAMES:
         return True  # draws from a generator
     return False
@@ -70,7 +72,7 @@ class NondeterministicIterOrderRule(FlowRule):
     """Unordered iteration must not reach determinism sinks (GT005)."""
 
     code = "GT005"
-    summary = "no unordered-container iteration on RNG/partner/schedule/CSR paths"
+    summary = "no unordered-container iteration on RNG/partner/schedule/mixing paths"
     include = ("repro/",)
     exclude = ("tests/",)
 

@@ -55,9 +55,10 @@ class GossipTrustConfig:
         Convergence-check cadence of the vectorized engine: the O(n*p)
         estimate/residual pass runs every ``check_every`` gossip steps.
     kernel:
-        Step-loop kernel of the vectorized engine.  ``"sparse"`` (CSR
-        warm start, then sort-free dense steps) is the only kernel;
-        the field stays so configs that name it keep working.
+        Step-loop kernel of the vectorized engine.  ``"sparse"``
+        (sort-free dense steps over column tiles, from step 0) is the
+        only kernel; the field stays so configs that name it keep
+        working.
     dtype:
         Vectorized-engine buffer precision, ``"float64"`` (default) or
         ``"float32"`` (halves workspace memory; scores agree to

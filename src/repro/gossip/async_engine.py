@@ -74,11 +74,11 @@ class AsyncMessageGossipEngine(CycleEngine):
     mass_restore_budget:
         Self-healing threshold on ``mass_lost_fraction`` measured at the
         monitor cadence (``None`` disables the guard).  Because mass is
-        in flight between Poisson sends, the only safe restoration here
-        is ``"restart"``: the engine quiesces the clocks, drains the
-        transport, re-initializes every live node, and resumes — uniform
-        renormalization would over-restore once in-flight mass landed,
-        creating mass and tripping the one-sided conservation bound.
+        in flight between Poisson sends, the guard always restarts: the
+        engine quiesces the clocks, drains the transport, re-initializes
+        every live node, and resumes — uniform renormalization would
+        over-restore once in-flight mass landed, creating mass and
+        tripping the one-sided conservation bound.
     """
 
     name = "async"
@@ -95,7 +95,6 @@ class AsyncMessageGossipEngine(CycleEngine):
         max_time: float = 2000.0,
         partnering: Optional[PartnerStrategy] = None,
         mass_restore_budget: Optional[float] = None,
-        mass_restore_action: str = "restart",
         rng: SeedLike = None,
     ) -> None:
         check_in_range("epsilon", epsilon, low=0.0, low_inclusive=False)
@@ -105,12 +104,6 @@ class AsyncMessageGossipEngine(CycleEngine):
             check_in_range(
                 "mass_restore_budget", mass_restore_budget,
                 low=0.0, high=1.0, low_inclusive=False, high_inclusive=False,
-            )
-        if mass_restore_action != "restart":
-            raise ValidationError(
-                "the async engine only supports mass_restore_action='restart' "
-                "(renormalizing while mass is in flight would create mass); "
-                f"got {mass_restore_action!r}"
             )
         self.sim = sim
         self.transport = transport
@@ -128,7 +121,6 @@ class AsyncMessageGossipEngine(CycleEngine):
         self.mass_restore_budget = (
             float(mass_restore_budget) if mass_restore_budget is not None else None
         )
-        self.mass_restore_action = mass_restore_action
         #: gossip halves delivered to departed/uninitialized nodes
         self.discarded = 0
         self._rng = as_generator(rng)

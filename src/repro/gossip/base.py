@@ -85,10 +85,8 @@ class GossipCycleResult:
         loss budget was never crossed).
     phase_times:
         Wall-clock seconds per cycle phase (``setup``, ``oracle``,
-        ``alloc``, ``kernel``, ``estimate``, plus ``layout``: the
-        mixing-layout share of ``kernel``, not an extra phase) for
-        engines that break their cycle down; empty for engines that do
-        not.
+        ``alloc``, ``kernel``, ``estimate``) for engines that break
+        their cycle down; empty for engines that do not.
     """
 
     v_next: np.ndarray

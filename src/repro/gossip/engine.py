@@ -23,29 +23,20 @@ Two memory modes:
   used for the Fig. 3 sweeps at n = 4000 and the large-n tiers, where
   full mode would need hundreds of MB or more).
 
-One step loop serves both modes, in two phases per cycle:
-
-1. **CSR warm start.**  X0 inherits the trust matrix's sparsity, so X
-   and W start the cycle in CSR form, held in three rotating
-   :class:`~repro.gossip.memory.CsrPool` buffers (current X, current W,
-   SpGEMM output) whose capacity grows geometrically and never per
-   step.  A step lays ``M = 0.5*(I + A)`` out in CSR
-   (:func:`fill_mixing`: per row the diagonal first, then the senders
-   in ascending order — one O(n) stable counting sort) and runs two
-   C-level SpGEMMs (``csr_matmat``) of it against the pooled state.
-2. **Dense handoff.**  Each column tile hands off to dense stepping
-   once its occupancy crosses ``_DENSIFY_THRESHOLD``: the CSR values
-   are gathered into three reusable dense slot arrays and the pool
-   arrays are released.  From then on a step is sort-free.  The
-   output starts as the halved kept
-   share (``np.multiply(X, 0.5, out=Y)``), then ``csc_matvecs`` scatters
-   every sender's half into its target's row, with ``A`` in CSC form as
-   ``(arange(n + 1), targets)`` — one entry per sender column, so there
-   is no sort, no ``indptr`` and no mixing layout at all.  Senders are
-   visited in ascending order, so each receiver sums its kept half and
-   then its inbound halves in exactly the order the diagonal-first CSR
-   layout sums them: the handoff is bitwise-invisible at any handoff
-   point, at 8 bytes per state entry instead of CSR's 12.
+One step loop serves both modes, over dense slot arrays from step 0:
+every node halves its whole vector each step, so within ~log2(n) steps
+every node holds mass for every column, and the epsilon criterion
+cannot fire before W is positive everywhere — a converged cycle is
+dense for most of its steps.  At cycle start X0 and W0 are scattered
+into three ``(n, width)`` slot arrays per column tile (current X,
+current W, step output), allocated once per workspace and reused across
+cycles.  A step is sort-free: the output starts as the halved kept
+share (``np.multiply(X, 0.5, out=Y)``), then ``csc_matvecs`` scatters
+every sender's half into its target's row, with ``A`` in CSC form as
+``(arange(n + 1), targets)`` — one entry per sender column, so there is
+no sort, no ``indptr`` and no mixing layout at all.  Senders are
+visited in ascending order, so each receiver sums its kept half first
+and then its inbound halves by ascending sender.
 
 Columns are independent, so any column split and any loop order over
 (column tile, step) computes bitwise the same values.  The loop runs
@@ -53,27 +44,27 @@ one **check window** (the steps up to the next convergence check, at
 most ``check_every``) at a time over **column tiles** sized so that a
 tile's three state slots take about ``_TILE_STATE_BYTES``
 (:func:`column_shards`).  Per window the calling thread draws the
-window's partner targets and, while any tile is still CSR, lays out
-each step's ``M``.  Then one task per thread group
+window's partner targets.  Then one task per thread group
 (:func:`step_threads` groups: one per usable core, on a process-wide
 pool of ``cores - 1`` threads plus the calling thread) steps each of
 its tiles through the whole window back to back, while the tile stays
 cache-resident, and computes the tile's share of the convergence
 check: its estimates ``X / W`` into the persistent ``prev`` buffer and
 the residual maximum of every row tile of ``_TILE_ELEMENTS / p`` rows.
-The SpGEMMs, gathers, dense scatters and divides release the GIL, so
-the groups run on separate cores.  The calling thread then combines
-the maxima in row-tile order, so the worst residual, the fine-phase
-trigger and the stop step do not depend on the tile or thread count.
+The scatters and divides release the GIL, so the groups run on
+separate cores.  The calling thread then combines the maxima in
+row-tile order, so the worst residual, the fine-phase trigger and the
+stop step do not depend on the tile or thread count.
 
-With probe-mode column selection the working set is (n, p) regardless
-of n — at n = 10^5, p = 64, float64 the whole cycle fits ~0.5 GiB;
-``dtype="float32"`` nearly halves it again for the n = 10^6 tier.
+With probe-mode column selection the working set is ``4 * n * p``
+elements (three slots plus ``prev``) regardless of n — ~0.2 GiB at
+n = 10^5, p = 64, float64; ``dtype="float32"`` halves it for the
+n = 10^6 tier.
 
 Partner draws come from one RNG stream (a Generator fills a ``(k, n)``
 block in the same element order as ``k`` successive size-``n`` draws),
-so every tile count, thread count and handoff point walks the same
-mixing-matrix sequence and stops on the same step.
+so every tile count and thread count walks the same mixing-matrix
+sequence and stops on the same step.
 """
 
 from __future__ import annotations
@@ -90,21 +81,14 @@ from repro.analysis.sanitizer import InvariantSanitizer
 from repro.errors import ConvergenceError, ValidationError
 from repro.gossip.base import CycleEngine, GossipCycleResult, TrustInput, coerce_csr
 from repro.gossip.convergence import average_relative_error
-from repro.gossip.memory import CsrPool, min_shards_for
 from repro.metrics.telemetry import Stopwatch
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_in_range, check_vector
 
-try:  # the C kernels behind scipy's sparse products and conversions
-    from scipy.sparse._sparsetools import coo_tocsr as _coo_tocsr
+try:  # the C kernel behind scipy's CSC matrix-times-dense products
     from scipy.sparse._sparsetools import csc_matvecs as _csc_matvecs
-    from scipy.sparse._sparsetools import csr_matmat as _csr_matmat
-    from scipy.sparse._sparsetools import csr_todense as _csr_todense
 except ImportError:  # pragma: no cover - very old scipy
-    _coo_tocsr = None
     _csc_matvecs = None
-    _csr_matmat = None
-    _csr_todense = None
 
 __all__ = [
     "GossipCycleResult",
@@ -130,10 +114,6 @@ _FINE_FACTOR = 8.0
 #: above this many B elements, run_cycle's column statistics go blocked
 #: (no (n, p)-sized temporaries) instead of one-shot nan-reductions
 _BLOCKED_STATS_LIMIT = 1 << 24
-
-#: occupancy fraction at which a CSR column tile hands off to dense
-#: stepping (results do not depend on it; only the cost split does)
-_DENSIFY_THRESHOLD = 0.25
 
 #: elements per estimate/residual row tile (~1 MiB of float64): the
 #: check's row tiles are ``_TILE_ELEMENTS // p`` rows high (results do
@@ -188,16 +168,14 @@ def column_shards(n: int, p: int, itemsize: int = 8) -> int:
     (``3 * n * width * itemsize`` bytes) fit ``_TILE_STATE_BYTES``,
     rounded up to a multiple of :func:`step_threads` so every thread
     group steps as many tiles; at most one tile per
-    ``_MIN_TILE_COLUMNS`` columns (kept a multiple of the threads);
-    never fewer than the int32 guard needs
-    (:func:`~repro.gossip.memory.min_shards_for`) and never more tiles
-    than columns.
+    ``_MIN_TILE_COLUMNS`` columns (kept a multiple of the threads) and
+    never more tiles than columns.
     """
     threads = step_threads(n, p)
     budget = -(-3 * n * p * itemsize // _TILE_STATE_BYTES)
     tiles = -(-budget // threads) * threads
     cap = max(threads, p // _MIN_TILE_COLUMNS // threads * threads)
-    return max(1, min(p, max(min_shards_for(n, p), min(tiles, cap))))
+    return max(1, min(p, tiles, cap))
 
 
 _pool: Optional[ThreadPoolExecutor] = None
@@ -266,106 +244,48 @@ class _TargetStream:
         return row
 
 
-# hot: per-step CSR layout of M = 0.5*(I + A)
-def fill_mixing(
-    targets: np.ndarray,
-    coo_rows: np.ndarray,
-    coo_cols: np.ndarray,
-    m_data: np.ndarray,
-    m_indptr: np.ndarray,
-    m_indices: np.ndarray,
-) -> None:
-    """Lay out one step's mixing matrix into preallocated CSR arrays.
-
-    Row ``r`` stores the diagonal entry ``r`` first, then the sender
-    columns ``{i : targets[i] == r}`` in ascending order: ``M`` in COO
-    form lists the ``n`` diagonal entries first and then one entry
-    ``(targets[i], i)`` per sender in ascending ``i``, and scipy's
-    ``coo_tocsr`` is an O(n) stable counting sort by row, so it keeps
-    exactly that order within every row (no duplicate summing).
-    ``csr_matmat`` therefore sums each receiver's kept half first and
-    its inbound halves by ascending sender, the order the sort-free
-    dense step sums them in, so CSR and dense stepping agree bitwise.
-
-    ``coo_rows`` and ``coo_cols`` are ``2n`` int32 arrays prepared once:
-    ``coo_cols`` holds ``arange(n)`` twice and ``coo_rows`` starts with
-    ``arange(n)``; only its second half (the targets) is written here.
-    ``M`` always has exactly ``2n`` entries and its values are the
-    constant 0.5 vector ``m_data``, which serves as both the COO input
-    and the CSR output values (the sort only permutes equal values), so
-    only ``m_indptr`` and ``m_indices`` change.
-    """
-    n = targets.size
-    coo_rows[n:] = targets
-    _coo_tocsr(
-        n, n, 2 * n, coo_rows, coo_cols, m_data, m_indptr, m_indices, m_data
-    )
-
-
 class _CheckScratch(NamedTuple):
     """One thread group's convergence-check tiles (flat, reshaped per use)."""
 
-    #: estimate tile (CSR tiles gather X into it first)
+    #: estimate tile
     x: np.ndarray
-    #: W gather tile of a CSR tile
-    w: np.ndarray
     #: residual numerator tile
     num: np.ndarray
     #: residual denominator tile
     den: np.ndarray
-    #: offset-adjusted indptr of a CSR row-range gather
-    bp: np.ndarray
 
 
 class SparseWorkspace:
-    """Pooled CSR buffers and dense slots of the engine, one shape.
+    """The engine's dense slot arrays and check buffers, one shape.
 
     The ``p`` probe columns are split into ``tiles`` contiguous,
     near-equal column ranges (``bounds[i] : bounds[i + 1]``), each
-    stepped independently: because the mixing matrix acts on rows, the
-    SpGEMM over a column subset computes bitwise the same values as the
-    same columns of the untiled product.  ``groups`` deals the tiles
-    into one contiguous run per stepping thread.  Every tile owns three
-    rotating :class:`~repro.gossip.memory.CsrPool` instances (current
-    X, current W, SpGEMM output — the output pool is always the one
-    whose contents just died, so two pools' worth of state plus one
-    scratch covers the whole cycle).  Tiling also keeps each pool's
-    ``n * width`` element count inside the int32 index guard when
-    ``n * p`` itself would not fit.
+    stepped independently: because the mixing matrix acts on rows, a
+    step over a column subset computes bitwise the same values as the
+    same columns of the untiled step.  ``groups`` deals the tiles into
+    one contiguous run per stepping thread.  Every tile owns three
+    ``(n, width)`` slot arrays in ``dense`` (current X, current W, step
+    output — the output slot is always the one whose contents just
+    died), allocated here and reused across cycles; each cycle scatters
+    its X0 and W0 into them.
 
-    The mixing matrix ``M = 0.5*(I + A)`` has exactly ``2n`` entries
-    every step, so one check window's layouts fit the fixed
-    ``(window, n + 1)`` ``m_indptr`` and ``(window, 2n)`` ``m_indices``
-    int32 arrays (row ``t`` is the window's step ``t``), built from the
-    ``coo_rows``/``coo_cols`` scratch; ``m_data`` is the constant 0.5
-    vector, filled once.  All tiles of a window share the layouts,
-    read-only while they run.  The first ``n`` entries of ``m_data``
-    (``half``) double as the values of ``A`` in the dense step, whose
-    CSC column pointer is the constant ``cptr = arange(n + 1)``.
-
-    The ``dense`` / ``dense_on`` lists carry the handoff state: once a
-    tile's occupancy crosses
-    ``_DENSIFY_THRESHOLD`` its CSR values move into three
-    ``(n, width)`` dense slot arrays (kept for reuse across cycles)
-    and the pool arrays are released, so the steady state costs
-    ``3 * n * p`` elements flat instead of CSR's values + int32
-    indices.  Beyond those slots the only dense (n, p) array is
-    ``prev``, the persistent previous estimate of the convergence
-    check; the check itself runs over ``blk``-row tiles, each thread
-    group in its own :class:`_CheckScratch`, and leaves every tile's
-    row-tile residual maxima in ``tile_max`` (``w_pos`` flags the tiles
-    whose W is positive everywhere).  Peak memory is therefore bounded
-    by ``3 * state + (n, p) + O(groups * blk * width)`` regardless of
-    how long the cycle runs.  ``blk`` derives from the *full* probe
-    width ``p`` whatever the tile count, so every tile count walks
-    identical row tiles.
+    The dense step's ``A`` is in CSC form with the constant column
+    pointer ``cptr = arange(n + 1)`` and the constant value vector
+    ``half`` (0.5 per sender).  Beyond the slots the only dense (n, p)
+    array is ``prev``, the persistent previous estimate of the
+    convergence check; the check itself runs over ``blk``-row tiles,
+    each thread group in its own :class:`_CheckScratch`, and leaves
+    every tile's row-tile residual maxima in ``tile_max`` (``w_pos``
+    flags the tiles whose W is positive everywhere).  The workspace
+    therefore holds ``4 * n * p`` state elements plus
+    ``O(n + groups * blk * width)`` regardless of how long the cycle
+    runs.  ``blk`` derives from the *full* probe width ``p`` whatever
+    the tile count, so every tile count walks identical row tiles.
     """
 
     __slots__ = (
-        "n", "p", "dtype", "tiles", "bounds", "groups", "window", "tile_pools",
-        "dense", "dense_on", "w_pos", "m_indptr", "m_indices", "m_data",
-        "half", "coo_rows", "coo_cols", "prev", "blk", "tile_max", "scratch",
-        "cptr", "ids", "valid",
+        "n", "p", "dtype", "tiles", "bounds", "groups", "dense", "w_pos",
+        "half", "cptr", "prev", "blk", "tile_max", "scratch", "valid",
     )
 
     def __init__(
@@ -375,7 +295,6 @@ class SparseWorkspace:
         dtype: "np.dtype | type" = np.float64,
         tiles: int = 1,
         threads: int = 1,
-        window: int = 1,
     ) -> None:
         self.n = int(n)
         self.p = int(p)
@@ -390,44 +309,27 @@ class SparseWorkspace:
             tuple(range(self.tiles * i // g, self.tiles * (i + 1) // g))
             for i in range(g)
         )
-        self.window = max(1, int(window))
-        self.tile_pools: List[List[CsrPool]] = []
-        for si in range(self.tiles):
-            ps = self.bounds[si + 1] - self.bounds[si]
-            # O(n) start (X0 inherits S's sparsity), doubled
-            # geometrically toward the n*ps occupancy ceiling.
-            cap0 = min(n * ps, max(ps, 2 * n))
-            self.tile_pools.append(
-                [CsrPool(n, ps, cap0, self.dtype) for _ in range(3)]
-            )
-        #: per-tile dense slot arrays [X, W, out], allocated lazily at
-        #: the dense handoff and reused across cycles
-        self.dense: List[Optional[List[np.ndarray]]] = [None] * self.tiles
-        #: per-cycle flags: tile ``si`` stepped dense since its load
-        self.dense_on: List[bool] = [False] * self.tiles
+        #: per-tile slot arrays [X, W, out]; pages are first touched
+        #: when a cycle scatters its X0 and W0 into them
+        self.dense = [
+            [np.empty((self.n, hi - lo), self.dtype) for _ in range(3)]
+            for lo, hi in zip(self.bounds, self.bounds[1:])
+        ]
         #: per-cycle flags: tile ``si``'s W was positive at a check
-        #: (sticky: W's pattern only grows and its values stay positive)
+        #: (sticky: W's values stay positive once they are)
         self.w_pos: List[bool] = [False] * self.tiles
-        self.m_indptr = np.empty((self.window, n + 1), np.int32)
-        self.m_indices = np.empty((self.window, 2 * n), np.int32)
-        self.m_data = np.full(2 * n, 0.5, self.dtype)
-        self.half = self.m_data[:n]
-        self.cptr = np.arange(n + 1, dtype=np.int64)
-        self.ids = self.cptr[:n]
-        self.coo_cols = np.concatenate((self.ids, self.ids)).astype(np.int32)
-        self.coo_rows = self.coo_cols.copy()  # targets overwrite the 2nd half
-        self.prev = np.empty((n, p), self.dtype)
-        self.blk = max(1, min(n, _TILE_ELEMENTS // max(p, 1)))
-        self.tile_max = np.empty((self.tiles, -(-n // self.blk)), np.float64)
+        self.half = np.full(self.n, 0.5, self.dtype)
+        self.cptr = np.arange(self.n + 1, dtype=np.int64)
+        self.prev = np.empty((self.n, self.p), self.dtype)
+        self.blk = max(1, min(self.n, _TILE_ELEMENTS // max(self.p, 1)))
+        self.tile_max = np.empty((self.tiles, -(-self.n // self.blk)), np.float64)
         width = max(b - a for a, b in zip(self.bounds, self.bounds[1:]))
         size = self.blk * width
         self.scratch = tuple(
             _CheckScratch(
                 x=np.empty(size, self.dtype),
-                w=np.empty(size, self.dtype),
                 num=np.empty(size, self.dtype),
                 den=np.empty(size, self.dtype),
-                bp=np.empty(self.blk + 1, np.int32),
             )
             for _ in self.groups
         )
@@ -440,9 +342,8 @@ class SparseWorkspace:
         dtype: "np.dtype | type",
         tiles: int,
         threads: int,
-        window: int,
     ) -> bool:
-        """Whether these pools serve the full shape tuple and are live."""
+        """Whether these buffers serve the full shape tuple and are live."""
         return (
             self.valid
             and self.n == n
@@ -450,14 +351,12 @@ class SparseWorkspace:
             and self.dtype == np.dtype(dtype)
             and self.tiles == max(1, min(int(tiles), self.p))
             and len(self.groups) == max(1, min(int(threads), self.tiles))
-            and self.window == max(1, int(window))
         )
 
     def invalidate(self) -> None:
-        """Mark the pools dead and drop the dense slots."""
+        """Mark the buffers dead and drop the slot arrays."""
         self.valid = False
         self.dense = []
-        self.dense_on = []
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -510,16 +409,14 @@ class SynchronousGossipEngine(CycleEngine):
 
     The ``p`` columns split into :func:`column_shards` tiles of about
     ``_TILE_STATE_BYTES`` of state each (a multiple of the thread
-    count, at least ``_MIN_TILE_COLUMNS`` columns each, more where one
-    pool's ``n * width`` entries would overflow its int32 indices),
-    dealt to :func:`step_threads` thread groups: one per usable core
-    while each keeps ``_MIN_SHARD_COLUMNS`` columns and
-    ``_MIN_SHARD_ELEMENTS`` entries, on a process-wide pool of
-    ``cores - 1`` threads plus the calling thread.  Results are
-    invariant in the tile and thread counts: column subsets of a
-    row-acting SpGEMM are bitwise the same values, and the partner
-    draws, the layouts, the sanitizer and the combination of the
-    check stay on the calling thread.
+    count, at least ``_MIN_TILE_COLUMNS`` columns each), dealt to
+    :func:`step_threads` thread groups: one per usable core while each
+    keeps ``_MIN_SHARD_COLUMNS`` columns and ``_MIN_SHARD_ELEMENTS``
+    entries, on a process-wide pool of ``cores - 1`` threads plus the
+    calling thread.  Results are invariant in the tile and thread
+    counts: column subsets of a row-acting step are bitwise the same
+    values, and the partner draws, the sanitizer and the combination
+    of the check stay on the calling thread.
     """
 
     name = "sync"
@@ -545,10 +442,9 @@ class SynchronousGossipEngine(CycleEngine):
             raise ValidationError(
                 f"unknown dtype {dtype!r}; known: {', '.join(DTYPE_NAMES)}"
             )
-        if _csr_matmat is None:
+        if _csc_matvecs is None:
             raise ValidationError(  # pragma: no cover - very old scipy
-                "the sync engine needs scipy's coo_tocsr/csr_matmat/"
-                "csr_todense/csc_matvecs kernels"
+                "the sync engine needs scipy's csc_matvecs kernel"
             )
         check_in_range("epsilon", epsilon, low=0.0, low_inclusive=False)
         if probe_columns < 1:
@@ -689,7 +585,6 @@ class SynchronousGossipEngine(CycleEngine):
         shape = (
             column_shards(self.n, p, self._dtype.itemsize),
             step_threads(self.n, p),
-            self.check_every,
         )
         ws = self._sparse_workspace
         if ws is None or not ws.matches(self.n, p, self._dtype, *shape):
@@ -792,30 +687,16 @@ class SynchronousGossipEngine(CycleEngine):
     ) -> Tuple[int, bool, np.ndarray]:
         """Step loop: one check window at a time over cache-sized column tiles.
 
-        A window is the run of steps up to the next convergence check,
-        capped at ``check_every`` steps (the depth of the layout
-        buffers) and at the step budget.  Per window the calling thread
-        draws the window's targets and, while any tile is still CSR,
-        lays out every step's ``M`` (:func:`fill_mixing`; its time is
-        the ``layout`` phase, read once per window).  One pool round
-        trip then covers the window (:meth:`_step_window`): each thread
-        group steps its tiles through all of the window's steps and, on
-        a check step, computes their check shares.
-
-        A CSR tile step is two C-level SpGEMMs (``csr_matmat``) of the
-        step's mixing matrix against the tile's pooled state, writing
-        into whichever of its three rotating
-        :class:`~repro.gossip.memory.CsrPool` buffers just died —
-        capacity grows geometrically toward the ``n * width`` occupancy
-        ceiling and never per step (the SpGEMM output bound is the
-        closed form ``min(2 * nnz, n * width)``, so no symbolic pass
-        runs).  Rotation is by index arithmetic: after ``s`` steps X
-        lives at slot ``(-s) % 3``, W at ``(1 - s) % 3``.  Each tile
-        hands off to dense slot stepping once its occupancy crosses
-        ``_DENSIFY_THRESHOLD`` (:meth:`_densify_tile` /
-        :meth:`_dense_step` — bitwise the same values, ~2/3 the
-        steady-state bytes, no mixing layout); once every tile is dense
-        the layout stops too.
+        Each tile's X0 and W0 columns are scattered into its dense
+        slots first (zeroed, then the CSR values added).  A window is
+        the run of steps up to the next convergence check, capped at
+        ``check_every`` steps and at the step budget.  Per window the
+        calling thread draws the window's targets; one pool round trip
+        then covers the window (:meth:`_step_window`): each thread
+        group steps its tiles through all of the window's steps
+        (:meth:`_dense_step`) and, on a check step, computes their check
+        shares.  Slots rotate by index arithmetic: after ``s`` steps X
+        lives at slot ``(-s) % 3``, W at ``(1 - s) % 3``.
 
         The check fires every ``check_every`` steps, per step once a
         residual comes within ``_FINE_FACTOR`` of epsilon, and compares
@@ -827,7 +708,7 @@ class SynchronousGossipEngine(CycleEngine):
 
         Returns ``(steps, converged, B)`` where ``B`` is the persistent
         (n, p) estimate buffer — the only dense (n, p) array the cycle
-        touches besides the dense slots.
+        touches besides the slots.
         """
         n = self.n
         p = Xs.shape[1]
@@ -836,27 +717,13 @@ class SynchronousGossipEngine(CycleEngine):
         ws = self._acquire_sparse_workspace(p)
         if phases is not None:
             phases["alloc"] = phases.get("alloc", 0.0) + alloc_watch.elapsed()
-        bounds = ws.bounds
-        ws.dense_on = [False] * ws.tiles
         ws.w_pos = [False] * ws.tiles
         cores = _usable_cores()
         pool = _step_pool(cores - 1) if len(ws.groups) > 1 and cores > 1 else None
-        for si, triple in enumerate(ws.tile_pools):
-            if ws.tiles == 1:
-                triple[0].load(Xs)
-                triple[1].load(Ws)
-            else:
-                lo, hi = bounds[si], bounds[si + 1]
-                triple[0].load(sparse.csr_matrix(Xs[:, lo:hi]))
-                triple[1].load(sparse.csr_matrix(Ws[:, lo:hi]))
-        # Each tile hands off to dense slot arrays once its occupancy
-        # crosses the threshold: past that point the sort-free dense
-        # step beats SpGEMM and the index arrays are pure overhead —
-        # and the handoff is bitwise-invisible (see _dense_step).
-        dense_at = [
-            max(0, int(_DENSIFY_THRESHOLD * t[0].full_capacity))
-            for t in ws.tile_pools
-        ]
+        for si, dense in enumerate(ws.dense):
+            lo, hi = ws.bounds[si], ws.bounds[si + 1]
+            Xs[:, lo:hi].toarray(out=dense[0])
+            Ws[:, lo:hi].toarray(out=dense[1])
         stream = _TargetStream(self._rng, n, k)
         san = self.sanitizer
         # Push-sum conservation references (column sums are invariant
@@ -868,24 +735,13 @@ class SynchronousGossipEngine(CycleEngine):
         have_prev = False
         fine = False  # per-step checks once a residual nears epsilon
         fine_at = _FINE_FACTOR * self.epsilon
-        layout_watch = Stopwatch()
-        layout_s = 0.0
 
         while step < self.max_steps:
             nxt = self._next_check(step, fine)
             stop = min(nxt, step + k, self.max_steps)
             targets = [stream.next() for _ in range(stop - step)]
-            if not all(ws.dense_on):  # only CSR tiles need M laid out
-                layout_watch.restart()
-                # hot: the window's mixing layouts, on the calling thread
-                for t, row in enumerate(targets):
-                    fill_mixing(
-                        row, ws.coo_rows, ws.coo_cols, ws.m_data,
-                        ws.m_indptr[t], ws.m_indices[t],
-                    )
-                layout_s += layout_watch.elapsed()
             check = stop == nxt
-            self._step_window(ws, pool, step, targets, dense_at, check, have_prev)
+            self._step_window(ws, pool, step, targets, check, have_prev)
             step = stop
             if not check:
                 continue  # a capped window, or the budget ran out first
@@ -898,13 +754,8 @@ class SynchronousGossipEngine(CycleEngine):
                 san.check_mass(
                     "sum(W)", self._slot_mass(ws, wsl), w_mass, step=step
                 )
-                for si, triple in enumerate(ws.tile_pools):
-                    dx = ws.dense[si]
-                    if ws.dense_on[si] and dx is not None:
-                        san.check_nonnegative("W", dx[wsl], step=step)
-                    else:
-                        Wp = triple[wsl]
-                        san.check_nonnegative("W", Wp.data[: Wp.nnz], step=step)
+                for dense in ws.dense:
+                    san.check_nonnegative("W", dense[wsl], step=step)
             if not all(ws.w_pos):
                 continue
             if san is not None:
@@ -919,21 +770,14 @@ class SynchronousGossipEngine(CycleEngine):
                 # up to check_every - 1 extra O(n*p) gossip steps.
                 fine = fine or worst <= fine_at
             have_prev = True
-        if phases is not None:
-            phases["layout"] = phases.get("layout", 0.0) + layout_s
 
-        # Normalize slot order so the next cycle loads into [X, W, out]
-        # again.  Dense slot lists rotate with the same arithmetic as
-        # the pools, so they are normalized identically — keeping the
-        # two indexable by one slot number wherever a tile handed off.
+        # Normalize slot order to [X, W, out]: the best-effort estimates
+        # read X and W from slots 0 and 1.
         a = (-step) % 3
         b = (1 - step) % 3
         c = (2 - step) % 3
-        for si, triple in enumerate(ws.tile_pools):
-            triple[:] = [triple[a], triple[b], triple[c]]
-            dense = ws.dense[si]
-            if dense is not None:
-                dense[:] = [dense[a], dense[b], dense[c]]
+        for dense in ws.dense:
+            dense[:] = [dense[a], dense[b], dense[c]]
         if not converged:
             if raise_on_budget:
                 raise ConvergenceError(
@@ -962,25 +806,24 @@ class SynchronousGossipEngine(CycleEngine):
         pool: Optional[ThreadPoolExecutor],
         step0: int,
         targets: Sequence[np.ndarray],
-        dense_at: List[int],
         check: bool,
         scan: bool,
     ) -> None:
         """One window of every tile: groups 1.. on ``pool``, 0 on this thread.
 
-        Each group writes only its own tiles' pools, slot arrays, flags,
+        Each group writes only its own tiles' slot arrays, flags,
         ``prev`` columns and ``tile_max`` rows, plus its own check
-        scratch, while ``targets`` and the window's layouts stay
-        read-only.  After group 0 this thread also steps every group no
-        pool thread has taken yet (a cancelled future never runs), so a
-        descheduled pool thread cannot stall the window.  The taken
+        scratch, while ``targets`` stays read-only.  After group 0 this
+        thread also steps every group no pool thread has taken yet (a
+        cancelled future never runs), so a descheduled pool thread
+        cannot stall the window.  The taken
         futures resolve in submission order, all of them before any
         error propagates, so no group is still running when the caller
         sees it; a failed window leaves the workspace half-stepped, so
         it is dropped and the next cycle allocates fresh.  Without a
         pool the groups step here in turn.
         """
-        args = (step0, targets, dense_at, check, scan)
+        args = (step0, targets, check, scan)
         try:
             if pool is None:
                 for g in range(len(ws.groups)):
@@ -1013,7 +856,6 @@ class SynchronousGossipEngine(CycleEngine):
         g: int,
         step0: int,
         targets: Sequence[np.ndarray],
-        dense_at: List[int],
         check: bool,
         scan: bool,
     ) -> None:
@@ -1025,109 +867,16 @@ class SynchronousGossipEngine(CycleEngine):
         """
         scratch = ws.scratch[g]
         for si in ws.groups[g]:
-            self._step_tile(ws, si, step0, targets, dense_at[si])
+            for t, row in enumerate(targets):
+                self._dense_step(ws, si, step0 + t, row)
             if check:
                 self._check_tile(ws, si, step0 + len(targets), scan, scratch)
 
-    # hot: one tile through the window — SpGEMM pairs, or handoff and dense steps
-    def _step_tile(
-        self,
-        ws: SparseWorkspace,
-        si: int,
-        step0: int,
-        targets: Sequence[np.ndarray],
-        dense_at: int,
-    ) -> None:
-        """Step tile ``si`` once per window step, deciding its own handoff.
-
-        Before each step a CSR tile whose live X or W has reached
-        ``dense_at`` entries hands off (:meth:`_densify_tile`); a CSR
-        tile then runs its two SpGEMMs against the step's layout, a
-        dense tile the sort-free dense step.
-        """
-        triple = ws.tile_pools[si]
-        for t, row in enumerate(targets):
-            s = step0 + t
-            a = (-s) % 3
-            b = (1 - s) % 3
-            c = (2 - s) % 3
-            if not ws.dense_on[si] and max(triple[a].nnz, triple[b].nnz) >= dense_at:
-                self._densify_tile(ws, si, a, b, c)
-            if ws.dense_on[si]:
-                self._dense_step(ws, si, a, b, c, row)
-            else:
-                self._spgemm_step(ws, t, triple[a], triple[c])
-                self._spgemm_step(ws, t, triple[b], triple[a])
-
-    # hot: one pooled SpGEMM — dst := M @ src, no symbolic pass
-    def _spgemm_step(
-        self, ws: SparseWorkspace, t: int, src: CsrPool, dst: CsrPool
-    ) -> None:
-        """Multiply window step ``t``'s mixing matrix into ``src``, writing ``dst``.
-
-        ``dst`` is grown (geometrically, contents discarded — it holds
-        dead state) to the closed-form output bound
-        ``min(2 * nnz(src), n * width)``: every output row merges the
-        rows of at most ``I + A``'s two entries per column, so total
-        output nnz is at most twice the input's, and a row never
-        exceeds the tile's column count.  Skipping scipy's exact
-        ``csr_matmat_maxnnz`` symbolic pass halves the per-step SpGEMM
-        cost.  Output columns arrive unsorted (SMMP insertion order) —
-        everything downstream gathers through ``csr_todense``, which
-        scatters by index and does not care.
-        """
-        dst.ensure(2 * src.nnz)
-        _csr_matmat(
-            ws.n, src.cols,
-            ws.m_indptr[t], ws.m_indices[t], ws.m_data,
-            src.indptr, src.indices, src.data,
-            dst.indptr, dst.indices, dst.data,
-        )
-        dst.nnz = int(dst.indptr[ws.n])
-
-    def _densify_tile(
-        self, ws: SparseWorkspace, si: int, a: int, b: int, c: int
-    ) -> None:
-        """Hand tile ``si`` off from pooled CSR to its dense slots.
-
-        Flags the tile dense and gathers the live X (slot ``a``) and W
-        (slot ``b``) values into its three ``(n, width)`` slot arrays,
-        allocated on the tile's first handoff (untouched pages until
-        the gather writes them) and kept on the workspace across
-        cycles.  The CSR pool arrays are released — slot ``c`` holds
-        dead state, so it is not gathered (the next step overwrites it
-        as the step output).  Each pool is released immediately after
-        its gather, so the transient co-residency is one dense slot per
-        tile, not three.
-        """
-        triple = ws.tile_pools[si]
-        ps = triple[0].cols
-        dense = ws.dense[si]
-        if dense is None:
-            dense = [np.empty((ws.n, ps), dtype=ws.dtype) for _ in range(3)]
-            ws.dense[si] = dense
-        ws.dense_on[si] = True
-        for slot in (a, b):
-            pool = triple[slot]
-            dst = dense[slot]
-            dst.fill(0.0)
-            _csr_todense(
-                ws.n, ps, pool.indptr, pool.indices, pool.data, dst.ravel()
-            )
-            pool.release()
-        triple[c].release()
-
-    # hot: dense tile step — kept halves, then a sort-free csc_matvecs scatter
+    # hot: one tile step — kept halves, then a sort-free csc_matvecs scatter
     def _dense_step(
-        self,
-        ws: SparseWorkspace,
-        si: int,
-        a: int,
-        b: int,
-        c: int,
-        targets: np.ndarray,
+        self, ws: SparseWorkspace, si: int, step: int, targets: np.ndarray
     ) -> None:
-        """One gossip step of a handed-off tile: ``M @ X``, ``M @ W`` dense.
+        """Step ``step + 1`` of tile ``si``: ``M @ X`` and ``M @ W``, dense.
 
         Each output starts as the halved kept share, then
         ``csc_matvecs`` adds ``0.5 * X[j]`` into row ``targets[j]`` for
@@ -1135,20 +884,17 @@ class SynchronousGossipEngine(CycleEngine):
         exactly one entry per column, so its column pointer is the
         constant ``arange(n + 1)`` and its row indices are ``targets``
         itself.  Per receiver that is the kept half first, then the
-        inbound halves by ascending sender: the order ``csr_matmat``
-        sums the diagonal-first CSR layout of ``M``, and entries the CSR
-        state would not store are exact dense zeros, so the dense
-        trajectory is **bitwise** identical to the pooled-SpGEMM one at
-        any handoff point.  Rotation matches :meth:`_gossip`: new X into
-        slot ``c``, new W into the slot X vacated (``a``).
+        inbound halves by ascending sender.  Rotation matches
+        :meth:`_gossip`: X lives in slot ``(-step) % 3`` and W in
+        ``(1 - step) % 3``; the new X goes into the third slot, the new
+        W into the slot X vacated.
         """
         dense = ws.dense[si]
-        assert dense is not None
         n = ws.n
         ps = dense[0].shape[1]
-        x_old = dense[a]
-        w_old = dense[b]
-        x_new = dense[c]
+        x_old = dense[(-step) % 3]
+        w_old = dense[(1 - step) % 3]
+        x_new = dense[(2 - step) % 3]
         np.multiply(x_old, 0.5, out=x_new)
         _csc_matvecs(
             n, n, ps, ws.cptr, targets, ws.half, x_old.ravel(), x_new.ravel()
@@ -1158,55 +904,12 @@ class SynchronousGossipEngine(CycleEngine):
             n, n, ps, ws.cptr, targets, ws.half, w_old.ravel(), x_old.ravel()
         )
 
-    def _slot_mass(self, ws: SparseWorkspace, slot: int) -> float:
-        """Total mass of slot ``slot`` across tiles, CSR or dense."""
-        total = 0.0
-        for si, triple in enumerate(ws.tile_pools):
-            dense = ws.dense[si]
-            if ws.dense_on[si] and dense is not None:
-                total += float(dense[slot].sum())
-            else:
-                total += triple[slot].sum()
-        return total
-
     @staticmethod
-    def _w_positive(ws: SparseWorkspace, si: int, wslot: int) -> bool:
-        """Whether tile ``si``'s W is positive on every node (its check gate).
+    def _slot_mass(ws: SparseWorkspace, slot: int) -> float:
+        """Total mass of slot ``slot`` across tiles."""
+        return sum(float(dense[slot].sum()) for dense in ws.dense)
 
-        A CSR tile needs full occupancy plus a positive minimum; a dense
-        tile stores exact zeros where CSR stores nothing, so its
-        positive minimum alone is the same test.
-        """
-        dense = ws.dense[si]
-        if ws.dense_on[si] and dense is not None:
-            return float(dense[wslot].min()) > 0.0
-        pool = ws.tile_pools[si][wslot]
-        return pool.nnz == pool.full_capacity and pool.min() > 0.0
-
-    # hot: CSR row-range gather into a dense workspace tile
-    @staticmethod
-    def _gather_tile(
-        pool: CsrPool, lo: int, hi: int, out: np.ndarray, bp: np.ndarray
-    ) -> None:
-        """Densify pool rows ``[lo, hi)`` into ``out`` (shaped exactly).
-
-        ``bp`` receives the offset-adjusted indptr slice;
-        ``csr_todense`` scatter-adds the row entries into the zeroed
-        tile at C speed.  ``out`` is a contiguous ``(hi - lo, pool.cols)``
-        view of a scratch tile buffer.
-        """
-        m = hi - lo
-        np.subtract(pool.indptr[lo : hi + 1], pool.indptr[lo], out=bp[: m + 1])
-        start = int(pool.indptr[lo])
-        end = int(pool.indptr[hi])
-        out.fill(0.0)
-        _csr_todense(
-            m, pool.cols, bp[: m + 1],
-            pool.indices[start:end], pool.data[start:end],
-            out.ravel(),
-        )
-
-    # hot: estimate tile — dense slots divide in place, CSR tiles gather first
+    # hot: estimate tile — divide straight out of the slots
     def _estimate_tile(
         self,
         ws: SparseWorkspace,
@@ -1216,25 +919,10 @@ class SynchronousGossipEngine(CycleEngine):
         lo: int,
         hi: int,
         xt: np.ndarray,
-        wt: np.ndarray,
-        bp: np.ndarray,
     ) -> None:
-        """Estimates ``X / W`` of rows ``[lo, hi)`` of tile ``si`` into ``xt``.
-
-        A handed-off tile divides straight out of its dense slot
-        arrays; a CSR tile gathers X and W into the ``xt``/``wt``
-        scratch tiles first (:meth:`_gather_tile`).  The gather yields
-        exactly the values the dense slots hold, so both paths give the
-        same quotients.
-        """
+        """Estimates ``X / W`` of rows ``[lo, hi)`` of tile ``si`` into ``xt``."""
         dense = ws.dense[si]
-        if ws.dense_on[si] and dense is not None:
-            np.divide(dense[xslot][lo:hi], dense[wslot][lo:hi], out=xt)
-            return
-        triple = ws.tile_pools[si]
-        self._gather_tile(triple[xslot], lo, hi, xt, bp)
-        self._gather_tile(triple[wslot], lo, hi, wt, bp)
-        np.divide(xt, wt, out=xt)
+        np.divide(dense[xslot][lo:hi], dense[wslot][lo:hi], out=xt)
 
     # hot: a tile's check share — W gate, estimates into prev, residual maxima
     def _check_tile(
@@ -1258,7 +946,7 @@ class SynchronousGossipEngine(CycleEngine):
         xslot = (-step) % 3
         wslot = (1 - step) % 3
         if not ws.w_pos[si]:
-            ws.w_pos[si] = self._w_positive(ws, si, wslot)
+            ws.w_pos[si] = float(ws.dense[si][wslot].min()) > 0.0
             if not ws.w_pos[si]:
                 return
         n = ws.n
@@ -1270,8 +958,7 @@ class SynchronousGossipEngine(CycleEngine):
             hi = min(lo + blk, n)
             m = hi - lo
             xt = scratch.x[: m * pc].reshape(m, pc)
-            wt = scratch.w[: m * pc].reshape(m, pc)
-            self._estimate_tile(ws, si, xslot, wslot, lo, hi, xt, wt, scratch.bp)
+            self._estimate_tile(ws, si, xslot, wslot, lo, hi, xt)
             psub = ws.prev[lo:hi, c0:c1]
             if scan:
                 num = scratch.num[: m * pc].reshape(m, pc)
@@ -1305,7 +992,8 @@ class SynchronousGossipEngine(CycleEngine):
                 return worst, False
         return worst, True
 
-    def _best_effort_estimates(self, ws: SparseWorkspace) -> None:
+    @staticmethod
+    def _best_effort_estimates(ws: SparseWorkspace) -> None:
         """Guarded estimates into ``prev`` (budget-exhaustion path).
 
         Outside the hot loop: runs once when the step budget runs out
@@ -1313,29 +1001,15 @@ class SynchronousGossipEngine(CycleEngine):
         acceptable here.  Reads the normalized ``[X, W, out]`` slot
         order (the step loop restores it before calling).
         """
-        n = ws.n
-        blk = ws.blk
-        bounds = ws.bounds
-        scratch = ws.scratch[0]
-        for lo in range(0, n, blk):
-            hi = min(lo + blk, n)
-            m = hi - lo
-            for si in range(ws.tiles):
-                c0, c1 = bounds[si], bounds[si + 1]
-                pc = c1 - c0
-                xt = scratch.x[: m * pc].reshape(m, pc)
-                wt = scratch.w[: m * pc].reshape(m, pc)
-                dense = ws.dense[si]
-                if ws.dense_on[si] and dense is not None:
-                    np.copyto(xt, dense[0][lo:hi])
-                    np.copyto(wt, dense[1][lo:hi])
-                else:
-                    self._gather_tile(ws.tile_pools[si][0], lo, hi, xt, scratch.bp)
-                    self._gather_tile(ws.tile_pools[si][1], lo, hi, wt, scratch.bp)
+        for si, dense in enumerate(ws.dense):
+            c0, c1 = ws.bounds[si], ws.bounds[si + 1]
+            for lo in range(0, ws.n, ws.blk):
+                hi = min(lo + ws.blk, ws.n)
+                w = dense[1][lo:hi]
+                out = ws.prev[lo:hi, c0:c1]
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    np.divide(xt, wt, out=xt)
-                xt[wt <= 0.0] = np.nan
-                ws.prev[lo:hi, c0:c1] = xt
+                    np.divide(dense[0][lo:hi], w, out=out)
+                out[w <= 0.0] = np.nan
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

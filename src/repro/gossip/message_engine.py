@@ -53,11 +53,7 @@ from repro.gossip.base import (
     local_rows,
 )
 from repro.gossip.convergence import average_relative_error
-from repro.gossip.partnering import (
-    GlobalSampler,
-    NeighborSampler,
-    PartnerStrategy,
-)
+from repro.gossip.partnering import GlobalSampler, PartnerStrategy
 from repro.gossip.vector import EstimatesWorkspace, PopulationStore, TripletVector
 from repro.network.overlay import Overlay
 from repro.network.transport import Message, Transport
@@ -204,15 +200,13 @@ class MessageGossipEngine(CycleEngine):
         max latency (1.5x mean) or construction fails.
     max_rounds:
         Per-cycle round budget.
-    neighbors_only:
-        Restrict partner choice to overlay neighbors (the paper permits
-        either; global choice is the default analyzed by Kempe et al.).
-        Shorthand for ``partnering=NeighborSampler()``.
     partnering:
         A :class:`~repro.gossip.partnering.PartnerStrategy` deciding who
         each node gossips with (and maintaining membership views over
         this transport).  Default: the global sampler, bit-identical to
-        the engine's historical behaviour.
+        the engine's historical behaviour (the global choice Kempe et
+        al. analyze); ``NeighborSampler()`` restricts partners to
+        overlay neighbors, which the paper also permits.
     mass_restore_budget:
         Self-healing threshold: when the measured ``mass_lost_fraction``
         exceeds this value at a round boundary, the engine restores the
@@ -238,7 +232,6 @@ class MessageGossipEngine(CycleEngine):
         round_interval: float = 2.0,
         max_rounds: int = 500,
         min_rounds: int = 2,
-        neighbors_only: bool = False,
         partnering: Optional[PartnerStrategy] = None,
         mass_restore_budget: Optional[float] = None,
         mass_restore_action: str = "renormalize",
@@ -269,9 +262,8 @@ class MessageGossipEngine(CycleEngine):
         self.round_interval = float(round_interval)
         self.max_rounds = int(max_rounds)
         self.min_rounds = int(min_rounds)
-        self.neighbors_only = bool(neighbors_only)
         if partnering is None:
-            partnering = NeighborSampler() if neighbors_only else GlobalSampler()
+            partnering = GlobalSampler()
         self.partnering = partnering
         self.partnering.bind(sim, transport, overlay)
         self.mass_restore_budget = (

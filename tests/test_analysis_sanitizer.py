@@ -293,7 +293,6 @@ class TestFaultInjection:
     def test_sync_corrupted_x_mass_raises(self, fixed_S, monkeypatch):
         if engine_mod._csc_matvecs is None:
             pytest.skip("scipy csc_matvecs kernel unavailable")
-        monkeypatch.setattr(engine_mod, "_DENSIFY_THRESHOLD", 0.0)  # dense from step 1
         eng = build("sync")
         eng.arm_sanitizer()
         monkeypatch.setattr(

@@ -1,7 +1,7 @@
 """Sync-engine step-loop contract against the reference oracle.
 
-The engine's one step loop (pooled CSR warm start, dense handoff,
-sort-free dense steps, check cadence) and the reference oracle in
+The engine's one step loop (sort-free dense slot steps from step 0,
+check cadence) and the reference oracle in
 ``tests/sync_oracle.py`` (per-step ``sparse.csr_matrix`` construction
 and the ``0.5*(X + A@X)`` allocation chain) consume the same partner
 RNG stream, so on a seeded instance they must walk the same
@@ -9,7 +9,7 @@ mixing-matrix sequence: identical step counts at per-step checks,
 matching results up to floating-point accumulation order.
 
 Everything the engine varies internally — column-tile count, thread
-count, workspace reuse, handoff point, check-tile height — must be
+count, workspace reuse, check-tile height — must be
 *bitwise* invisible in the results.
 """
 
@@ -75,37 +75,6 @@ def _force_tiles(monkeypatch, tiles, cores=None):
         engine_mod, "column_shards", lambda n, p, itemsize=8: tiles
     )
     _pin_cores(monkeypatch, cores or tiles)
-
-
-def _argsort_layout(targets):
-    """The reference CSR layout of ``M = 0.5*(I + A)``: bincount row
-    pointers plus a stable argsort of the targets, each row's diagonal
-    first and then its senders ascending."""
-    n = targets.size
-    ids = np.arange(n)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    indices = np.empty(2 * n, dtype=np.int32)
-    np.cumsum(np.bincount(targets, minlength=n) + 1, out=indptr[1:])
-    order = np.argsort(targets, kind="stable")
-    sorted_t = targets[order]
-    starts = np.flatnonzero(np.concatenate(([True], sorted_t[1:] != sorted_t[:-1])))
-    seg_origin = np.repeat(starts, np.diff(np.append(starts, n)))
-    indices[indptr[sorted_t] + 1 + (ids - seg_origin)] = order
-    indices[indptr[:-1]] = ids
-    return indptr, indices
-
-
-def _fill_mixing(targets):
-    """``fill_mixing`` into fresh arrays: ``(indptr, indices, data)``."""
-    n = targets.size
-    ids = np.arange(n, dtype=np.int32)
-    coo_cols = np.concatenate((ids, ids))
-    coo_rows = coo_cols.copy()
-    data = np.full(2 * n, 0.5)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    indices = np.empty(2 * n, dtype=np.int32)
-    engine_mod.fill_mixing(targets, coo_rows, coo_cols, data, indptr, indices)
-    return indptr, indices, data
 
 
 def _oracle(n, S, v, *, mode="full", check_every=1):
@@ -188,52 +157,6 @@ class TestCheckEveryCadence:
             SynchronousGossipEngine(8, mode="warp")
         with pytest.raises(ValidationError):
             SynchronousGossipEngine(8, max_steps=0)
-
-
-class TestSparseWarmStart:
-    def test_densify_threshold_does_not_change_result(self, monkeypatch):
-        """Warm-start steps replay the same mixing matrices in CSR form."""
-        S, v = _instance(N)
-        warm = _cycle(N, S, v, mode="full")
-        monkeypatch.setattr(engine_mod, "_DENSIFY_THRESHOLD", 0.0)
-        cold = _cycle(N, S, v, mode="full")
-        assert warm.steps == cold.steps
-        np.testing.assert_array_equal(warm.v_next, cold.v_next)
-
-    def test_fill_mixing_is_diagonal_first(self):
-        """M = 0.5*(I + A) in CSR, each row the diagonal then the
-        senders ascending — the dense step's summation order."""
-        from scipy import sparse
-
-        n = 7
-        ids = np.arange(n)
-        targets = np.array([3, 2, 0, 0, 1, 0, 5])
-        indptr, indices, data = _fill_mixing(targets)
-        np.testing.assert_array_equal(data, 0.5)  # values only permuted
-        for r in range(n):
-            row = indices[indptr[r] : indptr[r + 1]].tolist()
-            assert row == [r, *np.flatnonzero(targets == r).tolist()]
-        M = sparse.csr_matrix((np.full(2 * n, 0.5), indices, indptr), shape=(n, n))
-        A = sparse.csr_matrix((np.ones(n), (targets, ids)), shape=(n, n))
-        expected = 0.5 * (np.eye(n) + A.toarray())
-        np.testing.assert_array_equal(M.toarray(), expected)
-
-    @pytest.mark.parametrize("case", ["n2", "n7", "n1000", "all_to_one"])
-    def test_fill_mixing_matches_argsort_reference(self, case):
-        """The counting-sort layout equals the bincount/argsort one
-        bitwise, in ``indptr`` and ``indices``."""
-        rng = np.random.default_rng(SEED)
-        if case == "all_to_one":
-            targets = np.zeros(500, dtype=np.int64)
-            targets[0] = 1
-        else:
-            n = int(case[1:])
-            targets = rng.integers(0, n - 1, size=n)
-            targets += targets >= np.arange(n)  # never self, as the engine
-        indptr, indices, _ = _fill_mixing(targets)
-        want_indptr, want_indices = _argsort_layout(targets)
-        np.testing.assert_array_equal(indptr, want_indptr)
-        np.testing.assert_array_equal(indices, want_indices)
 
 
 class TestBudget:
@@ -375,8 +298,8 @@ class TestSparseKernel:
     @pytest.mark.parametrize("mode", ["probe", "full"])
     def test_warm_start_invariance(self, mode):
         """Reusing the sparse workspace across cycles equals fresh
-        buffers, cycle by cycle (the pools carry no state between
-        cycles beyond their capacity)."""
+        buffers, cycle by cycle (the slots carry no state between
+        cycles: each cycle rewrites them from X0 and W0)."""
         S, v = _instance(N)
         reuse, fresh = (
             make_engine(
@@ -468,14 +391,13 @@ class TestSparseKernel:
         S, v = _instance(N)
         res = _cycle(N, S, v, mode="probe")
         phases = res.phase_times
-        assert set(phases) >= {"setup", "oracle", "alloc", "layout", "kernel"}
+        assert set(phases) == {"setup", "oracle", "alloc", "kernel", "estimate"}
         assert all(t >= 0.0 for t in phases.values())
-        assert phases["layout"] <= phases["kernel"]  # a sub-phase of kernel
 
 
 class TestShardedSparseKernel:
     """Column tiling must be invisible: any tile split of the probe
-    working set replays the identical SpGEMM sequence, so steps,
+    working set replays the identical step sequence, so steps,
     scores, and gossip error are *bitwise* equal to the untiled run."""
 
     @pytest.mark.parametrize("n", [250, 1000])
@@ -516,17 +438,6 @@ class TestShardedSparseKernel:
         np.testing.assert_array_equal(res.v_next, base.v_next)
         assert eng.sanitizer.checks > 0
 
-    def test_auto_shard_raise_for_int32_guard(self, monkeypatch):
-        """A probe width whose pool would overflow int32 indexing is
-        auto-split into the minimum legal tile count (with a state
-        budget so large that it alone would keep one tile)."""
-        from repro.gossip.memory import min_shards_for
-
-        _pin_cores(monkeypatch, 1)
-        monkeypatch.setattr(engine_mod, "_TILE_STATE_BYTES", 1 << 62)
-        assert engine_mod.column_shards(2**17, 64) == 1
-        assert engine_mod.column_shards(2**17, 2**15) == min_shards_for(2**17, 2**15) == 3
-
     @pytest.mark.parametrize(
         "n, p, cores, tiles",
         [
@@ -536,7 +447,6 @@ class TestShardedSparseKernel:
             (10**6, 64, 2, 8),  # 46 tiles of state, capped at 64 // 8
             (1000, 1000, 2, 2),  # 24 MB of state: one tile per thread
             (250, 250, 2, 1),  # too little work for a second thread
-            (2**29, 64, 2, 22),  # the int32 guard wins over the cap
             (10, 3, 4, 1),
         ],
     )
@@ -553,7 +463,7 @@ class TestShardedSparseKernel:
             (10**6, 64, 2, 2),
             (1000, 1000, 2, 2),
             (250, 250, 2, 1),  # too little work per thread
-            (2**29, 64, 2, 2),  # the int32 guard adds tiles, not threads
+            (2**29, 64, 2, 2),  # more state adds tiles, not threads
             (10, 3, 4, 1),
         ],
     )
@@ -588,95 +498,55 @@ class TestShardedSparseKernel:
 
 
 class TestDenseHandoff:
-    """Sparse cycles hand shards off to dense slot stepping mid-cycle
-    (a sort-free csc_matvecs scatter instead of SpGEMM).  The handoff
-    must be bitwise invisible: same accumulation order, absent CSR
-    entries become exact dense zeros — so every result must equal the
-    pure-CSR path, reached by raising the handoff threshold to 2.0
-    (an occupancy no pool can reach)."""
+    """Every tile steps in its three dense slots from step 0: X0 and W0
+    are scattered into them at cycle start, and the workspace holds
+    nothing else of size (n, p) but ``prev``."""
 
-    def test_handoff_fires_and_releases_pools(self, monkeypatch):
-        """A converged serial private cycle has handed every shard off
-        (convergence needs full W occupancy, far past any threshold)
-        and shrunk the CSR pools to stubs."""
-        S, v = _instance(250)
-        _force_tiles(monkeypatch, 2)
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_workspace_bytes_follow_the_memory_model(self, dtype, monkeypatch):
+        """After a probe cycle the workspace's arrays take
+        ``4 * n * p * itemsize`` bytes (three slots per tile plus
+        ``prev``) plus only O(n + groups * blk * width): the constant
+        CSC pointer and values, the row-tile maxima and the per-group
+        check scratch."""
+        n, p = 2000, 64
+        S, v = _instance(n)
+        _force_tiles(monkeypatch, 3, cores=2)
         eng = make_engine(
-            "sync", n=250, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="probe",
+            "sync", n=n, rng=RngStreams(SEED), epsilon=EPSILON,
+            mode="probe", probe_columns=p, dtype=dtype,
         )
-        res = eng.run_cycle(S, v)
-        assert res.converged
+        assert eng.run_cycle(S, v).converged
         ws = eng.sparse_workspace
-        assert all(ws.dense_on)
-        for si, triple in enumerate(ws.tile_pools):
-            assert ws.dense[si] is not None
-            assert all(d.shape == (250, triple[0].cols) for d in ws.dense[si])
-            assert all(pool.capacity == 1 for pool in triple)
+        itemsize = np.dtype(dtype).itemsize
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_handoff_matches_pure_csr_serial(self, dtype, monkeypatch):
-        """The dense handoff matches a run that never hands off and
-        keeps pooled CSR for the whole cycle, bitwise."""
-        S, v = _instance(250)
-        _force_tiles(monkeypatch, 2)
-        dense = _cycle(250, S, v, mode="probe", dtype=dtype)
-        monkeypatch.setattr(engine_mod, "_DENSIFY_THRESHOLD", 2.0)
-        eng = make_engine(
-            "sync", n=250, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="probe", dtype=dtype,
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (list, tuple)):
+                for item in value:
+                    yield from arrays(item)
+
+        total = sum(
+            a.nbytes for name in type(ws).__slots__
+            for a in arrays(getattr(ws, name))
         )
-        pure = eng.run_cycle(S, v)
-        assert not any(eng.sparse_workspace.dense_on)
-        assert dense.steps == pure.steps
-        np.testing.assert_array_equal(dense.v_next, pure.v_next)
-        assert dense.gossip_error == pure.gossip_error
-
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    @pytest.mark.parametrize("threshold", [0.0, 0.1, 1.0])
-    def test_handoff_point_invariance(self, threshold, dtype, monkeypatch):
-        """Results are invariant in *when* the handoff happens — from
-        densify-immediately to only-at-full-occupancy."""
-        S, v = _instance(250)
-        base = _cycle(250, S, v, mode="probe", dtype=dtype)
-        monkeypatch.setattr(engine_mod, "_DENSIFY_THRESHOLD", threshold)
-        _force_tiles(monkeypatch, 3)
-        res = _cycle(250, S, v, mode="probe", dtype=dtype)
-        assert res.steps == base.steps
-        np.testing.assert_array_equal(res.v_next, base.v_next)
-        assert res.gossip_error == base.gossip_error
-
-    def test_handoff_multi_cycle_reuse(self, monkeypatch):
-        """Cycle 2 reloads the released pools and hands off again; both
-        cycles must match a never-handing-off engine bitwise, in both
-        dtypes."""
-        S, v = _instance(250)
-        _force_tiles(monkeypatch, 2)
-        default = engine_mod._DENSIFY_THRESHOLD
-        for dtype in ("float64", "float32"):
-            engines = [
-                make_engine(
-                    "sync", n=250, rng=RngStreams(SEED), epsilon=EPSILON,
-                    mode="probe", dtype=dtype,
-                )
-                for _ in range(2)
-            ]
-            runs = []
-            for eng, threshold in zip(engines, (default, 2.0)):
-                monkeypatch.setattr(engine_mod, "_DENSIFY_THRESHOLD", threshold)
-                results = [eng.run_cycle(S, v) for _ in range(2)]
-                assert any(eng.sparse_workspace.dense_on) == (threshold < 1.0)
-                runs.append(results)
-            for got, want in zip(*runs):
-                assert got.steps == want.steps
-                np.testing.assert_array_equal(got.v_next, want.v_next)
-                # probe mode's v_next is the exact oracle; the gossiped
-                # estimates show up in gossip_error
-                assert got.gossip_error == want.gossip_error
+        width = max(b - a for a, b in zip(ws.bounds, ws.bounds[1:]))
+        extra = (
+            n * itemsize  # half
+            + (n + 1) * 8  # cptr
+            + ws.tile_max.nbytes  # tiles * ceil(n / blk) float64 maxima
+            + 3 * len(ws.groups) * ws.blk * width * itemsize  # check scratch
+        )
+        assert ws.tile_max.size == ws.tiles * -(-n // ws.blk)
+        assert total == 4 * n * p * itemsize + extra
+        for si, dense in enumerate(ws.dense):
+            shape = (n, ws.bounds[si + 1] - ws.bounds[si])
+            assert [d.shape for d in dense] == [shape] * 3
 
     def test_handoff_full_mode_and_sanitizer(self):
-        """Full mode exercises the dense mass/nonnegativity sanitizer
-        branches over handed-off state; result matches the oracle to
+        """Full mode exercises the mass/nonnegativity sanitizer checks
+        over the dense slots; result matches the oracle to
         accumulation-order rounding."""
         S, v = _instance(N)
         means, steps, _ = _oracle(N, S, v)
@@ -686,14 +556,13 @@ class TestDenseHandoff:
         )
         eng.arm_sanitizer()
         res = eng.run_cycle(S, v)
-        assert all(eng.sparse_workspace.dense_on)
         assert eng.sanitizer.checks > 0
         assert res.steps == steps
         np.testing.assert_allclose(res.v_next, means, rtol=1e-12)
 
     def test_budget_exhaustion_reads_dense_state(self):
         """The best-effort estimates path (_best_effort_estimates) reads
-        normalized dense slots when the budget runs out post-handoff."""
+        the normalized dense slots when the budget runs out."""
         S, v = _instance(250)
         eng = make_engine(
             "sync", n=250, rng=RngStreams(SEED), epsilon=1e-12,
@@ -701,7 +570,6 @@ class TestDenseHandoff:
         )
         res = eng.run_cycle(S, v, raise_on_budget=False)
         assert not res.converged and res.steps == 40
-        assert all(eng.sparse_workspace.dense_on)
         assert np.isfinite(res.gossip_error)
 
 
@@ -719,40 +587,31 @@ def _warm_cycles(n, S, v, cycles=2, **options):
 class TestThreadedShards:
     """Column tiles step on threads, one group per usable core, one
     check window per pool round trip.  Each tile's arithmetic is the
-    serial one, and only the calling thread draws partners, lays out
-    the mixing matrices, runs the sanitizer and combines the check, so
-    the tile and thread counts are bitwise invisible."""
+    serial one, and only the calling thread draws partners, runs the
+    sanitizer and combines the check, so the tile and thread counts are
+    bitwise invisible."""
 
-    @pytest.mark.parametrize("threshold", [None, 2.0])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("mode", ["full", "probe"])
-    def test_thread_count_invariance(self, mode, dtype, threshold, monkeypatch):
-        """1, 2 and 4 cores land on bitwise-equal warm cycles, with the
-        default dense handoff and with pure CSR stepping."""
+    def test_thread_count_invariance(self, mode, dtype, monkeypatch):
+        """1, 2 and 4 cores land on bitwise-equal warm cycles."""
         S, v = _instance(250)
-        if threshold is not None:
-            monkeypatch.setattr(engine_mod, "_DENSIFY_THRESHOLD", threshold)
         runs = {}
         for cores in (1, 2, 4):
             _pin_cores(monkeypatch, cores)
             eng, runs[cores] = _warm_cycles(250, S, v, mode=mode, dtype=dtype)
             assert len(eng.sparse_workspace.groups) == cores
-            assert any(eng.sparse_workspace.dense_on) == (threshold is None)
         for cores in (2, 4):
             for got, want in zip(runs[cores], runs[1]):
                 assert got.converged and got.steps == want.steps
                 np.testing.assert_array_equal(got.v_next, want.v_next)
                 assert got.gossip_error == want.gossip_error
 
-    @pytest.mark.parametrize("threshold", [None, 2.0])
     @pytest.mark.parametrize("mode", ["full", "probe"])
-    def test_tile_count_invariance(self, mode, threshold, monkeypatch):
+    def test_tile_count_invariance(self, mode, monkeypatch):
         """1, 3 and 7 column tiles on two threads land on bitwise-equal
-        warm cycles, with the default dense handoff and with pure CSR
-        stepping."""
+        warm cycles."""
         S, v = _instance(250)
-        if threshold is not None:
-            monkeypatch.setattr(engine_mod, "_DENSIFY_THRESHOLD", threshold)
         # several check row tiles, so the maxima combine across rows too
         monkeypatch.setattr(engine_mod, "_TILE_ELEMENTS", 4096)
         runs = {}
@@ -760,7 +619,6 @@ class TestThreadedShards:
             _force_tiles(monkeypatch, tiles, cores=2)
             eng, runs[tiles] = _warm_cycles(250, S, v, mode=mode)
             assert eng.sparse_workspace.tiles == tiles
-            assert any(eng.sparse_workspace.dense_on) == (threshold is None)
         for tiles in (3, 7):
             for got, want in zip(runs[tiles], runs[1]):
                 assert got.converged and got.steps == want.steps
@@ -882,21 +740,19 @@ class TestThreadedShards:
         assert res.gossip_error == base.gossip_error
 
     def test_one_core_steps_without_a_pool(self, monkeypatch):
-        """One core steps every tile on the calling thread — also the
-        several tiles the int32 guard can demand."""
+        """One core steps every tile on the calling thread, one tile or
+        several."""
         S, v = _instance(250)
         base = _cycle(250, S, v, mode="probe")
-        _pin_cores(monkeypatch, 1)
         monkeypatch.setattr(engine_mod, "_step_pool", None)  # any use fails
-        for guard_tiles in (1, 3):
-            monkeypatch.setattr(
-                engine_mod, "min_shards_for", lambda n, cols, k=guard_tiles: k
-            )
+        for tiles in (1, 3):
+            _force_tiles(monkeypatch, tiles, cores=1)
             eng = make_engine(
                 "sync", n=250, rng=RngStreams(SEED), epsilon=EPSILON, mode="probe",
             )
             res = eng.run_cycle(S, v)
-            assert eng.sparse_workspace.tiles == guard_tiles
+            assert len(eng.sparse_workspace.groups) == 1
+            assert eng.sparse_workspace.tiles == tiles
             assert res.steps == base.steps
             np.testing.assert_array_equal(res.v_next, base.v_next)
             assert res.gossip_error == base.gossip_error

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConvergenceError, ValidationError
 from repro.gossip.message_engine import MessageGossipEngine
+from repro.gossip.partnering import NeighborSampler
 from repro.network.overlay import Overlay
 from repro.network.topology import random_graph
 from repro.network.transport import Transport
@@ -134,7 +135,7 @@ class TestConfiguration:
 
     def test_neighbors_only_mode_converges(self):
         n = 24
-        _sim, _ov, _tr, engine = build(n, neighbors_only=True)
+        _sim, _ov, _tr, engine = build(n, partnering=NeighborSampler())
         rows, v = rows_and_prior(n)
         res = engine.run_cycle(rows, v)
         assert res.converged

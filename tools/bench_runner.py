@@ -72,8 +72,7 @@ cell (no workspace-reuse on/off pair, no ``workspace_reuse_speedup``).
 
 Schema 8 follows the engine down to one process and derived shards:
 ``large_n`` points no longer record a shard configuration (the engine
-splits columns only where ``n * p`` overflows int32 indices — one
-shard at every recorded point).
+derives its column split from the state size).
 
 Schema 9 follows the engine onto threads (one per usable core, at
 least 16 columns and 2^16 entries each), so the provenance stamps
@@ -152,8 +151,9 @@ LARGE_N_SWEEP = (10_000, 100_000)
 XLARGE_N = 1_000_000
 #: per-n budgets for the large tier: peak RSS (KiB) and wall time (s).
 #: The 10^5 RSS budget is a prior acceptance line (2 GiB); the 10^6
-#: budgets are per-dtype (3 GiB float64 / 2 GiB float32 — the pools,
-#: the dense prev buffer, and the ~2*10^7-edge matrix together).  Wall
+#: budgets are per-dtype (3 GiB float64 / 2 GiB float32 — the three
+#: dense state slots, the dense prev buffer, and the ~2*10^7-edge
+#: matrix together).  Wall
 #: budgets are ~4x the observed times, loose enough for CI.
 LARGE_N_BUDGETS = {
     10_000: {"rss_kib": 1 * 1024 * 1024, "wall_s": 60.0},
@@ -431,7 +431,7 @@ def run_large_n(quick: bool, xlarge: bool = False) -> dict:
                 dev = float(np.max(np.abs(np.asarray(result.v_next) - v64)))
                 point["max_abs_dev_vs_float64"] = dev
             points.append(point)
-            del eng  # release the pools before the next dtype's run
+            del eng  # release the slot arrays before the next dtype's run
             print(
                 f"{'large-n probe dtype=' + dtype:55s} n={n:7d}  "
                 f"{wall:8.3f}s  steps={point['steps']}  "

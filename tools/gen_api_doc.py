@@ -44,14 +44,10 @@ lines += [
     "## Performance model",
     "",
     "`SynchronousGossipEngine` (`repro.gossip.engine`) has one step loop",
-    "for both modes: X and W start each cycle in geometrically-grown CSR",
-    "`CsrPool`s stepped by pooled `csr_matmat` SpGEMMs (the mixing matrix",
-    "laid out diagonal-first by `fill_mixing`, one `coo_tocsr` counting",
-    "sort); once a column tile's",
-    "occupancy crosses 0.25 it hands off to dense slots, where a step is",
+    "and one step for both modes: each cycle scatters X0 and W0 into",
+    "dense slot arrays, and every step, from step 0, is",
     "`np.multiply(X, 0.5, out=Y)` plus one sort-free `csc_matvecs` scatter",
-    "of the senders' halves. The handoff is bitwise-invisible. The knobs",
-    "that govern gossip-cycle cost:",
+    "of the senders' halves. The knobs that govern gossip-cycle cost:",
     "",
     "- **`mode`** — `\"full\"` tracks all n columns; `\"probe\"` tracks",
     "  `probe_columns` sampled columns (plus the heaviest-mass column)",
@@ -66,15 +62,13 @@ lines += [
     "",
     "The engine runs in one process on ordinary heap buffers. Columns",
     "split into tiles of about 32 MiB of state (`column_shards(n, p)`,",
-    "a multiple of the thread count, more where one pool's entries would",
-    "overflow int32 indices), dealt to one thread group per usable core",
+    "a multiple of the thread count), dealt to one thread group per usable core",
     "(`step_threads(n, p)`: at least 16 columns and 2^16 entries each).",
     "One process-wide pool round trip covers a whole convergence-check",
     "window: each group steps each of its tiles through every step of",
     "the window, then computes the tile's check share; the calling",
-    "thread draws partners, lays out the mixing matrices (the `layout`",
-    "phase) and combines the check. Results are bitwise invariant in",
-    "the tile and thread counts.",
+    "thread draws partners and combines the check. Results are bitwise",
+    "invariant in the tile and thread counts.",
     "The buffers live in one `SparseWorkspace` that survives across",
     "`run_cycle` calls and runs of the same shape;",
     "`invalidate_workspace()` drops it explicitly. Reused and fresh",
