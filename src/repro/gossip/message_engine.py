@@ -22,25 +22,42 @@ require error recovery mechanisms" (§2).
 
 Node state lives in one :class:`~repro.gossip.vector.PopulationStore`
 owned by the engine: node ``i``'s triplet vector is row ``i`` of an
-``(n, n)`` x/w pair.  A round runs in two passes — draw every live
-node's partner in node order, then halve all senders in one pass into a
-fresh outbox and send, in the same order, one outbox-row view each —
-and the per-round estimate matrix and held mass are row reductions over
-the store.  Every vector, step and message count is bitwise the same as
-halving and sending node by node, because partner draws touch only the
-strategy's own RNG (the :class:`~repro.gossip.partnering.PartnerStrategy`
-contract) and nothing is delivered until the simulator runs.
+``(n, n)`` x/w pair.  A round costs a fixed number of Python calls,
+not one per message:
+
+1. the strategy draws every live node's partner in node order in one
+   call (:meth:`~repro.gossip.partnering.PartnerStrategy.partners`);
+2. the store halves all senders in one pass into a fresh outbox;
+3. the transport sends the round in the same order as one batch
+   (:meth:`~repro.network.transport.Transport.send_many`), which the
+   simulator schedules as one heap entry;
+4. arrivals come back in stretches of simulated time, are masked by
+   the receivers' liveness and cycle membership, and merge into the
+   store in arrival order (:meth:`~repro.gossip.vector.PopulationStore.merge`).
+
+The per-round estimate matrix and held mass are row reductions over the
+store.  Every vector, step, counter and event count is bitwise the same
+as drawing, halving, sending and delivering node by node
+(``tests/test_gossip_message_parity.py``): partner draws touch only the
+strategy's own RNG (the
+:class:`~repro.gossip.partnering.PartnerStrategy` contract), the batch
+applies the per-message fault model in send order and fires each
+message as one simulator event, and a fault that fires between two
+arrivals splits the batch there.
 
 The engine registers one handler per node that holds it only weakly
 (:func:`weak_dispatcher`), so the transport never keeps a dropped
 engine alive and a discarded system is freed by reference counting.
+Control traffic of the partner strategy still arrives through those
+handlers; a round's batch holds the engine only until it is delivered.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -289,43 +306,48 @@ class MessageGossipEngine(CycleEngine):
     # -- protocol --------------------------------------------------------
 
     def _on_message(self, msg: Message) -> None:
-        if msg.kind != "gossip":
-            # membership/control traffic belongs to the partner strategy
-            self.partnering.on_message(msg)
-            return
-        state = self._states.get(msg.dst)
-        if state is None or not self.overlay.is_alive(msg.dst):
-            # Arrived after departure (or for a node that never joined
-            # the cycle — partial views go stale): the mass vanishes
-            # without a transport drop, so count it here or the exact
-            # conservation check would fire on a lossy history.
-            self.discarded += 1
-            return
-        state.merge(msg.payload)
+        # Gossip halves arrive in round batches (_on_gossip); the
+        # registered handlers carry the partner strategy's control traffic.
+        self.partnering.on_message(msg)
 
     def _gossip_round(self) -> None:
         """Every live node halves its vector and ships one half.
 
-        Pass 1 draws the partners in live-node order; pass 2 halves all
-        senders at once and sends in the same order.  Splitting the
-        passes is bitwise-neutral: ``partner`` draws only from the
-        strategy's RNG and sends deliver nothing before the simulator
-        runs.
+        One call per stage: the strategy draws every partner in
+        live-node order (:meth:`~repro.gossip.partnering.PartnerStrategy.partners`),
+        the store halves all senders into a fresh outbox, and the
+        transport sends the round in the same order as one batch
+        (:meth:`~repro.network.transport.Transport.send_many`), which
+        arrives in :meth:`_on_gossip`.  Bitwise the same as drawing,
+        halving and sending node by node: partner draws touch only the
+        strategy's RNG, the batch applies the per-message fault model in
+        send order, and nothing is delivered before the simulator runs.
         """
-        states = self._states
-        partner_of = self.partnering.partner
-        senders: List[int] = []
-        partners: List[int] = []
-        for node in self.overlay.alive_nodes().tolist():
-            if node in states:
-                partner = partner_of(node)
-                if partner is not None:
-                    senders.append(node)
-                    partners.append(partner)
-        send = self.transport.send
-        payloads = self._store.halve(senders)
-        for node, partner, payload in zip(senders, partners, payloads):
-            send(node, partner, payload, kind="gossip", size=payload.payload_size())
+        nodes = np.flatnonzero(self._members() & self.overlay.alive_mask())
+        partners = self.partnering.partners(nodes)
+        sending = partners >= 0
+        senders, dst = nodes[sending], partners[sending]
+        outbox, sizes = self._store.halve(senders)
+        self.transport.send_many(senders, dst, outbox, sizes, partial(self._on_gossip, dst))
+
+    def _members(self) -> np.ndarray:
+        """Boolean mask of this cycle's participants, by node id."""
+        mask = np.zeros(self.overlay.n, dtype=bool)
+        mask[np.fromiter(self._states, dtype=np.intp, count=len(self._states))] = True
+        return mask
+
+    def _on_gossip(self, dst: np.ndarray, outbox: np.ndarray, idx: np.ndarray) -> None:
+        """Arrival of round messages ``idx``: merge them, in arrival order.
+
+        A half that reaches a departed node, or one outside the cycle
+        (partial views go stale), is discarded: its mass vanishes
+        without a transport drop, so it is counted here or the exact
+        conservation check would fire on a lossy history.
+        """
+        to = dst[idx]
+        held = (self._members() & self.overlay.alive_mask())[to]
+        self.discarded += int(idx.size - np.count_nonzero(held))
+        self._store.merge(to[held], outbox, idx[held])
 
     def run_cycle(
         self,

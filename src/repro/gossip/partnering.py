@@ -49,6 +49,8 @@ from typing import (
     Type,
 )
 
+import numpy as np
+
 from repro.errors import ConfigurationError, NetworkError, ValidationError
 from repro.network.overlay import Overlay
 from repro.network.reliability import ReliableTransport
@@ -133,9 +135,10 @@ class PartnerStrategy(ABC):
     Lifecycle: construct (pure parameters + RNG), :meth:`bind` to the
     simulation substrate (once, done by the engine), :meth:`start` /
     :meth:`stop` around each aggregation cycle (membership maintenance
-    timers run only in between).  During a cycle the engine calls
-    :meth:`partner` per live node per round and forwards every
-    non-gossip transport message to :meth:`on_message`.
+    timers run only in between).  During a cycle the engine draws each
+    live node's partner every round (:meth:`partner` per node, or
+    :meth:`partners` for the whole round) and forwards every non-gossip
+    transport message to :meth:`on_message`.
     """
 
     #: registry name (``"global"``, ``"neighbors"``, ``"brahms"``)
@@ -196,6 +199,18 @@ class PartnerStrategy(ABC):
         split is bitwise-identical to drawing and sending node by node.
         """
 
+    def partners(self, nodes: Sequence[int]) -> np.ndarray:
+        """:meth:`partner` of every node in ``nodes``, drawn in that order.
+
+        Returns an int64 array aligned with ``nodes``, ``-1`` where
+        :meth:`partner` returns ``None``.  Same contract and the same
+        draws as successive :meth:`partner` calls; a strategy overrides
+        it only to draw a round at once.
+        """
+        partner = self.partner
+        picks = [partner(node) for node in nodes]
+        return np.array([-1 if p is None else p for p in picks], dtype=np.int64)
+
     @abstractmethod
     def view(self, node: int) -> Tuple[int, ...]:
         """The peer ids ``node`` currently draws partners from."""
@@ -247,15 +262,23 @@ class PartnerStrategy(ABC):
 class GlobalSampler(PartnerStrategy):
     """Uniform over all live nodes — the omniscient-membership oracle.
 
-    Delegates to :meth:`Overlay.random_partner`, consuming the overlay's
-    own RNG stream, so engines built without an explicit strategy behave
-    bit-for-bit as before this interface existed.
+    Delegates to :meth:`Overlay.random_partner` (a round at once to
+    :meth:`Overlay.random_partners`, the same draws), consuming the
+    overlay's own RNG stream, so engines built without an explicit
+    strategy behave bit-for-bit as before this interface existed.
     """
 
     name = "global"
 
     def partner(self, node: int) -> Optional[int]:
         return self._require_overlay().random_partner(node)
+
+    def partners(self, nodes: Sequence[int]) -> np.ndarray:
+        # Overlay.random_partners draws the round as these partner() calls would.
+        overlay = self._require_overlay()
+        if overlay.alive_count <= 1:
+            return np.full(len(nodes), -1, dtype=np.int64)
+        return overlay.random_partners(nodes)
 
     def view(self, node: int) -> Tuple[int, ...]:
         overlay = self._require_overlay()

@@ -18,8 +18,9 @@ The message-level engines keep a whole population in one
 :class:`PopulationStore`: node ``i``'s vector is row ``i`` of an
 engine-owned ``(n, n)`` x/w array pair, served as a cached
 :class:`TripletVector` view.  A gossip step is then one halving pass
-over the senders' rows, and the per-round estimate matrix and held mass
-are row reductions over the store instead of per-node Python loops.
+over the senders' rows and one layered add of the arriving halves, and
+the per-round estimate matrix and held mass are row reductions over the
+store instead of per-node Python loops.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class TripletVector:
     keeps per-message payloads proportional to the number of *known*
     peers.  Arrays grow on demand when a merge brings news of higher
     ids than this node has seen — except in a *view* (a
-    :class:`PopulationStore` row or an outbox row), whose capacity is
+    :class:`PopulationStore` row), whose capacity is
     fixed: an id beyond it raises :class:`~repro.errors.ValidationError`.
     """
 
@@ -102,15 +103,13 @@ class TripletVector:
         self._fixed = False
 
     @classmethod
-    def _view(
-        cls, x: np.ndarray, w: np.ndarray, size: Optional[int] = None
-    ) -> "TripletVector":
+    def _view(cls, x: np.ndarray, w: np.ndarray) -> "TripletVector":
         """A fixed-capacity vector over existing ``x``/``w`` rows (no copy)."""
         tv = cls.__new__(cls)
         tv._x = x
         tv._w = w
         tv._known = None
-        tv._size = size
+        tv._size = None
         tv._fixed = True
         return tv
 
@@ -208,7 +207,7 @@ class TripletVector:
         self._w *= 0.5
         return self.copy()
 
-    # hot: merge runs once per delivered message — in-place adds only
+    # hot: merge runs once per async-engine delivery — in-place adds only
     def merge(self, other: "TripletVector") -> None:
         """Component-wise sum of an arriving half-share (line 15)."""
         m = other._x.shape[0]
@@ -338,15 +337,19 @@ class TripletVector:
 class PopulationStore:
     """A population's triplet vectors as the rows of one ``(n, n)`` x/w pair.
 
-    Node ``i``'s vector is row ``i``.  :meth:`row` serves it as a cached
-    :class:`TripletVector` view, so the per-node operations (``reset``,
-    ``merge``, ``halve``, ``scale``, ``estimates_array``) read and write
-    the store in place.  The population-wide work of a gossip round is
-    one pass over the rows instead of one Python call per node:
+    Node ``i``'s vector is row ``i``; ``x`` and ``w`` are the two halves
+    of one ``(n, 2n)`` array ``xw``, so a row op moves both at once.
+    :meth:`row` serves it as a cached :class:`TripletVector` view, so
+    the per-node operations (``reset``, ``merge``, ``halve``, ``scale``,
+    ``estimates_array``) read and write the store in place.  The
+    population-wide work of a gossip round is one pass over the rows
+    instead of one Python call per node:
 
     * :meth:`halve` — every sender keeps half its row, and the sent
-      halves land in a *fresh* outbox (in-flight payloads are views of
-      its rows, so it cannot be reused next round);
+      halves land in a *fresh* outbox (in flight until delivered, so it
+      cannot be reused next round);
+    * :meth:`merge` — arriving outbox rows add into their receivers'
+      rows in arrival order;
     * :meth:`estimates` — the estimate matrix of a set of rows;
     * :meth:`mass` — the total held ``x + w`` of a set of rows, summed
       per row and accumulated in row order, bitwise equal to a loop
@@ -357,14 +360,16 @@ class PopulationStore:
     so rows are recycled across cycles instead of reallocated.
     """
 
-    __slots__ = ("n", "x", "w", "_views")
+    __slots__ = ("n", "xw", "x", "w", "_views")
 
     def __init__(self, n: int) -> None:
         if n < 1:
             raise ValidationError(f"a population store needs n >= 1, got {n}")
         self.n = int(n)
-        self.x = np.zeros((self.n, self.n))
-        self.w = np.zeros((self.n, self.n))
+        #: row i is node i's ``x | w``: one row op moves both halves
+        self.xw = np.zeros((self.n, 2 * self.n))
+        self.x = self.xw[:, : self.n]
+        self.w = self.xw[:, self.n :]
         self._views: List[Optional[TripletVector]] = [None] * self.n
 
     def row(self, node: int) -> TripletVector:
@@ -380,23 +385,48 @@ class PopulationStore:
         idx = np.asarray(rows, dtype=np.intp)
         return self.x[idx], self.w[idx]
 
-    def halve(self, rows: Sequence[int]) -> List[TripletVector]:
-        """Halve ``rows`` in place; return the halves they send.
+    def halve(self, rows: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """Halve ``rows`` in place; return the outbox of the halves they send.
 
-        Payload ``k`` is the half node ``rows[k]`` sends: a view of row
-        ``k`` of a fresh outbox, its :meth:`TripletVector.payload_size`
-        already counted (one ``count_nonzero`` over the outbox).
+        Returns ``(outbox, sizes)``: row ``k`` of the fresh
+        ``(len(rows), 2n)`` outbox is the half node ``rows[k]`` sends, in
+        the store's ``x | w`` layout, and ``sizes[k]`` its
+        :meth:`TripletVector.payload_size` (one ``count_nonzero`` over
+        the outbox).
         """
         idx = np.asarray(rows, dtype=np.intp)
-        out_x = self.x[idx]
-        out_w = self.w[idx]
-        out_x *= 0.5
-        out_w *= 0.5
-        self.x[idx] = out_x
-        self.w[idx] = out_w
-        sizes = np.count_nonzero((out_x > 0) | (out_w > 0), axis=1).tolist()
-        view = TripletVector._view
-        return [view(out_x[k], out_w[k], size) for k, size in enumerate(sizes)]
+        out = self.xw[idx]
+        out *= 0.5
+        self.xw[idx] = out
+        n = self.n
+        return out, np.count_nonzero((out[:, :n] > 0) | (out[:, n:] > 0), axis=1)
+
+    def merge(self, dst: np.ndarray, outbox: np.ndarray, rows: np.ndarray) -> None:
+        """Add ``outbox`` row ``rows[k]`` into store row ``dst[k]``, in order of ``k``.
+
+        Bitwise :meth:`TripletVector.merge` of each arrival in turn: a
+        row receiving several halves adds them in order of ``k``.  The
+        arrivals go in layers by per-destination rank (every first
+        arrival, then every second, ...), so each layer's destinations
+        are distinct and one fancy-indexed add applies it.
+        """
+        if dst.size == 0:
+            return
+        order = np.argsort(dst, kind="stable")
+        grouped = dst[order]
+        starts = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
+        lengths = np.diff(np.append(starts, grouped.size))
+        rank = np.empty(dst.size, dtype=np.intp)
+        rank[order] = np.arange(grouped.size) - np.repeat(starts, lengths)
+        for layer in range(int(lengths.max())):
+            at = rank == layer
+            self.xw[dst[at]] += outbox[rows[at]]
+        views = self._views
+        for node in grouped[starts].tolist():
+            tv = views[node]
+            if tv is not None:
+                tv._known = None
+                tv._size = None
 
     def estimates(
         self,

@@ -134,23 +134,42 @@ class Overlay:
             if pick != node and self._alive[pick]:
                 return pick
 
-    def random_partners(self, nodes: np.ndarray) -> np.ndarray:
-        """Vectorized global partner sampling for many nodes at once.
+    def random_partners(self, nodes: Sequence[int]) -> np.ndarray:
+        """Global partners for many nodes: ``random_partner`` for each, in order.
 
-        Used by the synchronous gossip engine: for each live node,
-        samples a uniform live partner != itself.  Returns an array
-        aligned with ``nodes``.
+        Returns the array ``[random_partner(v) for v in nodes]`` and
+        leaves the RNG exactly where those successive calls leave it.
+        Each pass draws one value per node still unassigned
+        (``integers(n, size=k)`` is the stream of ``k`` scalar draws) and
+        walks the draws in order: a dead pick is rejected, a self-pick
+        too, and a rejected draw passes the turn to the next draw for
+        the same node.  Every node consumes at least one draw, so a pass
+        never draws a value the successive calls would not.  Raises
+        :class:`~repro.errors.NetworkError` with fewer than two live
+        nodes (where ``random_partner`` returns ``None``).
         """
-        live = self.alive_nodes()
-        if live.size <= 1:
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if nodes.size and (nodes.min() < 0 or nodes.max() >= self.n):
+            bad = nodes[(nodes < 0) | (nodes >= self.n)]
+            raise UnknownNodeError(int(bad[0]))
+        if self._alive_count <= 1:
             raise NetworkError("need >= 2 live nodes to gossip")
-        picks = live[self._rng.integers(live.size, size=nodes.size)]
-        clash = picks == nodes
-        while np.any(clash):
-            idx = np.flatnonzero(clash)
-            picks[idx] = live[self._rng.integers(live.size, size=idx.size)]
-            clash = picks == nodes
-        return picks
+        out = np.empty(nodes.size, dtype=np.int64)
+        done = 0
+        while done < nodes.size:
+            draws = self._rng.integers(self.n, size=nodes.size - done)
+            live = draws[self._alive[draws]]
+            i = 0
+            while i < live.size:
+                # there are never more live draws left than unassigned nodes
+                rest = live[i:]
+                clash = np.flatnonzero(rest == nodes[done : done + rest.size])
+                take = int(clash[0]) if clash.size else rest.size
+                out[done : done + take] = rest[:take]
+                done += take
+                # skip the accepted draws and the self-pick that ended them
+                i += take + (take < rest.size)
+        return out
 
     def live_subgraph(self) -> Topology:
         """The topology induced by live nodes (ids preserved)."""

@@ -26,13 +26,24 @@ Fault model, stated explicitly:
 * A message to a destination that unregistered mid-flight is dropped
   at delivery (``dropped_unregistered``).
 
+:meth:`Transport.send` queues one message; :meth:`Transport.send_many`
+queues a whole round of messages under the same rules, applied per
+message in send order (one helper each for the send-time and the
+delivery-time checks serves both), so a round sent either way draws the
+same coins and latencies and fires the same counters.
+
 Delivery is a callback: the receiving protocol registers a handler and
-the transport invokes it at the message's arrival time.
+the transport invokes it at the message's arrival time.  A batch sent
+with :meth:`Transport.send_many` names its own delivery callback, which
+receives the arriving messages of a stretch of simulated time at once;
+the registry is still checked for each of them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.errors import ValidationError
 from repro.sim.engine import Simulator
@@ -95,6 +106,11 @@ class LinkFailureModel:
     def clear_partition(self) -> None:
         """Heal the active partition (explicit link failures persist)."""
         self._groups = None
+
+    @property
+    def any_down(self) -> bool:
+        """Whether any link is failed or cut (``False``: every link is up)."""
+        return bool(self._down) or self._groups is not None
 
     @property
     def partitioned(self) -> bool:
@@ -175,6 +191,34 @@ class Transport:
         check_probability("loss_rate", loss_rate)
         self.loss_rate = float(loss_rate)
 
+    def _admit(self, src: int, dst: int, size: int) -> Optional[float]:
+        """The send-time fault model for one message: its delay, or ``None``.
+
+        Counts the send, then checks the link, flips the loss coin and
+        draws the latency, in that order (the fault model of the module
+        docstring; both send paths go through here).
+        """
+        self.sent += 1
+        self.bytes_sent += size
+        if self.links.is_down(src, dst):
+            self.dropped_link += 1
+            return None
+        if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
+            self.dropped_loss += 1
+            return None
+        return self.latency * (0.5 + self._rng.random()) if self.latency > 0 else 0.0
+
+    def _arrives(self, src: int, dst: int) -> bool:
+        """The delivery-time checks for one message; ``False`` if dropped."""
+        if self.links.is_down(src, dst):
+            self.dropped_link += 1
+            return False
+        if dst not in self._handlers:
+            self.dropped_unregistered += 1
+            return False
+        self.delivered += 1
+        return True
+
     def send(self, src: int, dst: int, payload: Any, *, kind: str = "data", size: int = 0) -> bool:
         """Queue a message; returns False if dropped at send time.
 
@@ -188,18 +232,62 @@ class Transport:
         """
         if src == dst:
             raise ValidationError("transport does not loop back; handle self-delivery locally")
-        self.sent += 1
-        self.bytes_sent += size
-        if self.links.is_down(src, dst):
-            self.dropped_link += 1
+        delay = self._admit(src, dst, size)
+        if delay is None:
             return False
-        if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
-            self.dropped_loss += 1
-            return False
-        msg = Message(src, dst, payload, kind, self.sim.now)
-        delay = self.latency * (0.5 + self._rng.random()) if self.latency > 0 else 0.0
-        self.sim.call_in(delay, self._deliver, msg)
+        self.sim.call_in(delay, self._deliver, Message(src, dst, payload, kind, self.sim.now))
         return True
+
+    def send_many(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        payload: Any,
+        sizes: np.ndarray,
+        deliver: Callable[[Any, np.ndarray], None],
+    ) -> int:
+        """Queue messages ``src[k] -> dst[k]`` of size ``sizes[k]``, in order.
+
+        Message ``k`` carries row ``k`` of ``payload``.  Exactly
+        :meth:`send` per message, in order — the same counters, coin
+        flips and latency draws — but the survivors are scheduled as
+        one simulator batch, and on arrival ``deliver(payload, idx)``
+        receives the indices ``k`` of the messages that passed the
+        delivery checks, in arrival order (``deliver`` must not
+        schedule; see :meth:`~repro.sim.engine.Simulator.call_batch_in`).
+        The registered handlers are not called.  Vectorized when the
+        transport is lossless and every link is up.  Returns the number
+        of messages queued.
+        """
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if (src == dst).any():
+            raise ValidationError("transport does not loop back; handle self-delivery locally")
+        k = src.size
+        if k == 0:
+            return 0
+        queued: Optional[np.ndarray] = None
+        if self.loss_rate > 0.0 or self.links.any_down:
+            kept: List[int] = []
+            waits: List[float] = []
+            admit = self._admit
+            for i, (u, v, size) in enumerate(zip(src.tolist(), dst.tolist(), sizes.tolist())):
+                delay = admit(u, v, size)
+                if delay is not None:
+                    kept.append(i)
+                    waits.append(delay)
+            queued = np.asarray(kept, dtype=np.int64)
+            delays = np.asarray(waits, dtype=np.float64)
+        else:
+            self.sent += k
+            self.bytes_sent += int(sizes.sum())
+            if self.latency > 0:
+                delays = self.latency * (0.5 + self._rng.random(k))
+            else:
+                delays = np.zeros(k)
+        self.sim.call_batch_in(delays, self._deliver_many, queued, src, dst, payload, deliver)
+        return int(delays.size)
 
     def fail_link(self, u: int, v: int, duration: Optional[float] = None) -> None:
         """Fail link ``{u, v}``, auto-healing after ``duration`` if given."""
@@ -210,18 +298,30 @@ class Transport:
 
     def _deliver(self, msg: Message) -> None:
         # A link that failed (or a partition that formed) while this
-        # message was in flight takes it down too — link state was
-        # previously only checked at send time, silently delivering
-        # through dead links.
-        if self.links.is_down(msg.src, msg.dst):
-            self.dropped_link += 1
-            return
-        handler = self._handlers.get(msg.dst)
-        if handler is None:
-            self.dropped_unregistered += 1
-            return
-        self.delivered += 1
-        handler(msg)
+        # message was in flight takes it down too.
+        if self._arrives(msg.src, msg.dst):
+            self._handlers[msg.dst](msg)
+
+    def _deliver_many(
+        self,
+        items: np.ndarray,
+        queued: Optional[np.ndarray],
+        src: np.ndarray,
+        dst: np.ndarray,
+        payload: Any,
+        deliver: Callable[[Any, np.ndarray], None],
+    ) -> None:
+        """Arrival of batch ``items``: :meth:`_deliver`'s checks, then ``deliver``."""
+        idx = items if queued is None else queued[items]
+        if self.links.any_down:
+            arrives = self._arrives
+            ok = [arrives(u, v) for u, v in zip(src[idx].tolist(), dst[idx].tolist())]
+        else:
+            ok = [v in self._handlers for v in dst[idx].tolist()]
+            arrived = sum(ok)
+            self.delivered += arrived
+            self.dropped_unregistered += len(ok) - arrived
+        deliver(payload, idx[np.asarray(ok, dtype=bool)])
 
     @property
     def drop_count(self) -> int:

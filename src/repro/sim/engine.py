@@ -8,15 +8,26 @@ heap ties), so no behaviour ever depends on heap internals.
 The heap holds plain ``(when, seq, fn, args)`` entries and firing one
 is ``fn(*args)``.  :meth:`Simulator.call_at` / :meth:`Simulator.call_in`
 push their callable directly — no :class:`~repro.sim.events.Event`, no
-closure — because the message transport schedules one call per message;
-events and process starts are pushed as calls of :func:`_fire` and
-:meth:`Process._resume <repro.sim.process.Process._resume>`.
+closure — because the per-message transport path schedules one call per
+message; events and process starts are pushed as calls of :func:`_fire`
+and :meth:`Process._resume <repro.sim.process.Process._resume>`.
+
+A *batch* (:meth:`Simulator.call_batch_in`) schedules many timed items
+under one callback — a message round in one heap entry.  It reserves one
+sequence number per item, in item order, and sits in the heap under its
+earliest ``(when, seq)``.  When it pops, the callback receives the
+longest run of items that fire before the next heap entry, ``until``
+and ``max_events``; the rest go back into the heap.  Each item counts
+as one event, so a batch fires exactly as its items would one call
+apiece — provided the callback schedules nothing, which is checked.
 """
 
 from __future__ import annotations
 
 import heapq
 from typing import Any, Callable, Generator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import SimulationError
 from repro.sim.events import Event, Timeout
@@ -29,6 +40,34 @@ def _fire(event: Event) -> None:
     """Trigger a scheduled event (unless its owner already did)."""
     if not event.triggered:
         event.succeed(event.value)
+
+
+class _Batch:
+    """The unfired items of one :meth:`Simulator.call_batch_in` entry.
+
+    ``when``/``seq`` are the items' times and reserved sequence numbers
+    sorted by ``(when, seq)``, ``items`` their indices in the scheduling
+    call, and ``pos`` the first item not yet fired.  Its heap entry is
+    ``(when[pos], seq[pos], _Batch, batch)``: the class in the callable
+    slot marks it for the run loop.
+    """
+
+    __slots__ = ("when", "seq", "items", "pos", "fn", "args")
+
+    def __init__(
+        self,
+        when: np.ndarray,
+        seq: np.ndarray,
+        items: np.ndarray,
+        fn: Callable[..., Any],
+        args: Tuple[Any, ...],
+    ) -> None:
+        self.when = when
+        self.seq = seq
+        self.items = items
+        self.pos = 0
+        self.fn = fn
+        self.args = args
 
 
 class Simulator:
@@ -49,7 +88,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: List[Tuple[float, int, Callable[..., Any], Tuple[Any, ...]]] = []
+        self._queue: List[Tuple[float, int, Callable[..., Any], Any]] = []
         self._seq = 0
         self._event_count = 0
         self._running = False
@@ -109,13 +148,73 @@ class Simulator:
             raise SimulationError(f"delay must be >= 0, got {delay}")
         self._push(self._now + delay, fn, args)
 
+    def call_batch_in(self, delays: np.ndarray, fn: Callable[..., Any], *args: Any) -> None:
+        """Schedule item ``i`` of a batch ``delays[i]`` time units from now.
+
+        Fires like ``call_in(delays[i], ...)`` once per item, in item
+        order, except that ``fn(items, *args)`` receives every item that
+        fires in one go: ``items`` is an array of item indices in firing
+        order.  ``fn`` must not schedule anything (a
+        :class:`~repro.errors.SimulationError` otherwise), because the
+        items of one call all fire before anything it scheduled could.
+        """
+        delays = np.asarray(delays, dtype=np.float64)
+        k = delays.size
+        if k == 0:
+            return
+        if delays.min() < 0:
+            raise SimulationError(f"delays must be >= 0, got {delays.min()}")
+        when = self._now + delays
+        order = np.argsort(when, kind="stable")
+        seq = np.arange(self._seq, self._seq + k)[order]
+        self._seq += k
+        batch = _Batch(when[order], seq, order, fn, args)
+        heapq.heappush(self._queue, (float(batch.when[0]), int(seq[0]), _Batch, batch))
+
     # -- execution -----------------------------------------------------
+
+    def _fire_batch(self, batch: _Batch, until: Optional[float], budget: Optional[int]) -> int:
+        """Fire the items of a popped batch that come before the next entry.
+
+        Fires at most ``budget`` items and none after ``until``; pushes
+        the rest back under their earliest key.  Returns the fired count.
+        """
+        pos = batch.pos
+        when = batch.when[pos:]
+        count = when.size
+        queue = self._queue
+        if queue:
+            # items strictly before the next heap key (when, seq)
+            next_when, next_seq = queue[0][0], queue[0][1]
+            lo = int(when.searchsorted(next_when, "left"))
+            hi = int(when.searchsorted(next_when, "right"))
+            count = lo + int(batch.seq[pos + lo : pos + hi].searchsorted(next_seq))
+        if until is not None:
+            count = min(count, int(when.searchsorted(until, "right")))
+        if budget is not None:
+            count = min(count, budget)
+        end = pos + count
+        if end < batch.when.size:
+            batch.pos = end
+            heapq.heappush(
+                queue, (float(batch.when[end]), int(batch.seq[end]), _Batch, batch)
+            )
+        self._now = float(when[count - 1])
+        self._event_count += count
+        seq = self._seq
+        batch.fn(batch.items[pos:end], *batch.args)
+        if self._seq != seq:
+            raise SimulationError("a batch callback must not schedule events")
+        return count
 
     def step(self) -> bool:
         """Fire the single next event.  Returns False if the queue is empty."""
         if not self._queue:
             return False
         when, _seq, fn, args = heapq.heappop(self._queue)
+        if fn is _Batch:
+            self._fire_batch(args, None, 1)
+            return True
         self._now = when
         self._event_count += 1
         fn(*args)
@@ -141,6 +240,10 @@ class Simulator:
                 if max_events is not None and fired >= max_events:
                     break
                 when, _seq, fn, args = pop(queue)
+                if fn is _Batch:
+                    budget = None if max_events is None else max_events - fired
+                    fired += self._fire_batch(args, until, budget)
+                    continue
                 self._now = when
                 self._event_count += 1
                 fn(*args)

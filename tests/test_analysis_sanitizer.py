@@ -26,6 +26,7 @@ from repro.errors import InvariantViolation, ReproError
 from repro.gossip import engine as engine_mod
 from repro.gossip.factory import engine_names, make_engine
 from repro.gossip.pushsum import push_sum
+from repro.gossip.vector import TripletVector
 from repro.network.transport import Transport
 from repro.sim.engine import Simulator
 from repro.trust.matrix import TrustMatrix
@@ -275,6 +276,13 @@ class _TamperingTransport(Transport):
         if kind == "gossip":
             self.tamper(payload)
         return super().send(src, dst, payload, kind=kind, size=size)
+
+    def send_many(self, src, dst, payload, sizes, deliver):
+        # a message-engine round: outbox row k is message k's x | w half
+        n = payload.shape[1] // 2
+        for row in payload:
+            self.tamper(TripletVector._view(row[:n], row[n:]))
+        return super().send_many(src, dst, payload, sizes, deliver)
 
 
 def _message_engine_with(tamper, seed=SEED):

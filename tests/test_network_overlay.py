@@ -107,11 +107,65 @@ class TestPartnerSampling:
         assert not np.any(partners == nodes)
         assert all(ov.is_alive(int(p)) for p in partners)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_partners_replays_successive_calls(self, seed):
+        # n=4 with one dead node: a quarter of the draws pick the node
+        # itself and a quarter the dead one, so both rejections occur.
+        def build():
+            ov = Overlay(Topology(4, [(0, 1), (1, 2), (2, 3)]), rng=seed)
+            ov.leave(3)
+            return ov
+
+        batched, successive = build(), build()
+        before = batched._rng.bit_generator.state
+        nodes = np.array([0, 1, 2, 3, 2, 1, 0] * 5)  # a dead requester too
+        picks = batched.random_partners(nodes)
+        expected = [successive.random_partner(int(v)) for v in nodes]
+        assert picks.tolist() == expected
+        assert batched._rng.bit_generator.state == successive._rng.bit_generator.state
+        # replay the raw stream: the walk above rejected both kinds of pick
+        clone = np.random.Generator(np.random.PCG64())
+        clone.bit_generator.state = before
+        stream = iter(clone.integers(4, size=200).tolist())
+        rejected = set()
+        for node in nodes.tolist():
+            for pick in stream:
+                if pick == node:
+                    rejected.add("self")
+                elif pick == 3:
+                    rejected.add("dead")
+                else:
+                    break
+        assert rejected == {"self", "dead"}
+
+    def test_random_partners_matches_at_scale(self):
+        batched = Overlay(random_graph(128, rng=2), rng=3)
+        successive = Overlay(random_graph(128, rng=2), rng=3)
+        for ov in (batched, successive):
+            for node in range(0, 128, 5):
+                ov.leave(node)
+        nodes = batched.alive_nodes()
+        for _ in range(20):
+            expected = [successive.random_partner(int(v)) for v in nodes]
+            assert batched.random_partners(nodes).tolist() == expected
+        assert batched._rng.bit_generator.state == successive._rng.bit_generator.state
+
+    def test_random_partners_of_no_nodes_draws_nothing(self):
+        ov = Overlay(random_graph(10, rng=2), rng=3)
+        before = ov._rng.bit_generator.state
+        assert ov.random_partners(np.array([], dtype=np.int64)).size == 0
+        assert ov._rng.bit_generator.state == before
+
     def test_vectorized_partners_requires_two_live(self):
         ov = Overlay(Topology(2, [(0, 1)]), rng=0)
         ov.leave(1)
         with pytest.raises(NetworkError):
             ov.random_partners(np.array([0]))
+
+    def test_random_partners_rejects_unknown_nodes(self):
+        ov = Overlay(random_graph(10, rng=2), rng=3)
+        with pytest.raises(UnknownNodeError):
+            ov.random_partners(np.array([0, 10]))
 
     def test_partner_distribution_roughly_uniform(self):
         ov = Overlay(random_graph(5, avg_degree=3.0, rng=4), rng=5)

@@ -1,5 +1,6 @@
 """Transport semantics: delivery, loss, link failure, accounting."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ValidationError
@@ -146,3 +147,70 @@ class TestLinkFailures:
         model.heal(1, 2)
         assert not model.is_down(2, 1)
         assert model.failures_injected == 1
+
+
+class TestSendMany:
+    """``send_many`` is ``send`` per message in order, delivered as one batch."""
+
+    SRC = [0, 1, 2, 3, 4, 5, 0, 2, 1, 3]
+    DST = [1, 2, 3, 4, 1, 0, 4, 5, 2, 0]
+
+    def _run(self, batched, latency=1.0, loss=0.0, down=(), partition=None, mid=None):
+        sim = Simulator()
+        tr = Transport(sim, latency=latency, loss_rate=loss, rng=3)
+        got = []
+        for node in range(5):  # node 5 never registers
+            tr.register(node, lambda m: got.append((m.payload, sim.now)))
+        for u, v in down:
+            tr.links.fail(u, v)
+        if partition is not None:
+            tr.links.set_partition(partition)
+        if mid is not None:
+            sim.call_at(0.9, mid, tr)
+        sizes = np.arange(1, len(self.SRC) + 1)
+        if batched:
+
+            def deliver(payload, idx):
+                got.extend((payload[k], sim.now) for k in idx.tolist())
+
+            payload = np.arange(len(self.SRC))
+            queued = tr.send_many(np.array(self.SRC), np.array(self.DST), payload, sizes, deliver)
+        else:
+            queued = sum(
+                tr.send(u, v, k, size=int(size))
+                for k, (u, v, size) in enumerate(zip(self.SRC, self.DST, sizes))
+            )
+        sim.run()
+        counters = (
+            tr.sent, tr.delivered, tr.bytes_sent,
+            tr.dropped_loss, tr.dropped_link, tr.dropped_unregistered,
+        )
+        return queued, [k for k, _ in got], counters, tr._rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            {},
+            {"latency": 0.0},
+            {"loss": 0.3},
+            {"down": [(0, 1), (4, 2)]},
+            {"partition": {0: 0, 1: 0, 2: 1}, "loss": 0.1},
+            {"mid": lambda tr: tr.links.fail(0, 4)},
+            {"mid": lambda tr: tr.unregister(2)},
+        ],
+    )
+    def test_matches_send_per_message(self, scenario):
+        assert self._run(True, **scenario) == self._run(False, **scenario)
+
+    def test_arrivals_come_in_time_order_with_their_indices(self):
+        queued, order, counters, _ = self._run(True)
+        assert queued == len(self.SRC)
+        assert sorted(order) == [k for k in range(len(self.SRC)) if self.DST[k] != 5]
+        assert counters[5] == 1  # the message to unregistered node 5
+
+    def test_self_send_rejected(self, net):
+        _sim, tr = net
+        with pytest.raises(ValidationError):
+            tr.send_many(
+                np.array([0, 1]), np.array([1, 1]), None, np.array([1, 1]), lambda p, idx: None
+            )

@@ -10,8 +10,11 @@ no-regression checks.  Two pinned modes:
 * ``--quick`` — same n sweep, 1 repeat (CI's bench-smoke job).
 
 The sync engine's one step loop is measured in full and in probe mode.
-The message engine runs at n <= 500 (it simulates every point-to-point
-message; larger sweeps belong to the pytest-benchmark suite).
+The two DES engines (message and async) run at n <= 500 (they simulate
+every point-to-point message; larger sweeps belong to the
+pytest-benchmark suite), and their cells record the transport's
+``messages``, ``bytes`` and ``dropped`` counts and the simulator's
+``events``.
 
 Since schema 2 an ``end_to_end`` section extends the per-cycle cells:
 
@@ -125,7 +128,7 @@ from repro.utils.rng import RngStreams  # noqa: E402
 SEED = 0
 EPSILON = 1e-4
 N_SWEEP = (250, 500, 1000)
-#: message-engine cap: it simulates every message, so it sweeps small n
+#: DES-engine cap: they simulate every message, so they sweep small n
 MESSAGE_N_MAX = 500
 #: end-to-end GossipTrust.run problem size (quick mode shrinks it)
 E2E_N = 1000
@@ -194,6 +197,15 @@ def bench_cell(engine: str, n: int, repeats: int, **overrides) -> dict:
             k: round(float(s), 6)
             for k, s in (getattr(result, "phase_times", {}) or {}).items()
         }
+    traffic = {}
+    transport = getattr(eng, "transport", None)
+    if transport is not None:  # a DES engine: seeded, so exact per repeat
+        traffic = {
+            "messages": transport.sent,
+            "bytes": transport.bytes_sent,
+            "dropped": transport.drop_count,
+            "events": eng.sim.events_processed,
+        }
     return {
         "engine": engine,
         "n": n,
@@ -204,6 +216,7 @@ def bench_cell(engine: str, n: int, repeats: int, **overrides) -> dict:
         "peak_rss_kib": meter.read_kib(),
         "peak_rss_per_entry": meter.exact,
         "phases": phases,
+        **traffic,
         "options": overrides,
     }
 
@@ -628,6 +641,7 @@ def run(
         ]
         if n <= MESSAGE_N_MAX:
             cells.append(("message", {"max_rounds": 400}))
+            cells.append(("async", {}))
         for engine, overrides in cells:
             cell = bench_cell(engine, n, repeats, **overrides)
             cell_label = "+".join(

@@ -78,15 +78,19 @@ lines += [
     "node's triplet vector as a row of one engine-owned `(n, n)` x/w",
     "pair, a `PopulationStore` whose `row(i)` is a cached `TripletVector`",
     "view (re-initialized in place by `reset`, which raises on an id",
-    "outside the store). A synchronous round draws every partner first,",
-    "then halves all senders in one pass into a fresh outbox and sends",
-    "outbox-row views; per-round held mass and estimate matrices are row",
-    "reductions over the store (estimates in an `EstimatesWorkspace`'s",
-    "two alternating output slots). Results are bitwise those of the",
-    "node-by-node protocol. `Simulator.call_at`/`call_in` push",
-    "`(when, seq, fn, args)` heap entries and return `None`; the",
-    "dominant cost is the simulated transport, one scheduled call per",
-    "message.",
+    "outside the store). A message-engine round is one call per stage:",
+    "`PartnerStrategy.partners` draws every partner (the global sampler",
+    "via `Overlay.random_partners`, the same RNG stream as per-node",
+    "`random_partner` calls), `PopulationStore.halve` halves all senders",
+    "into a fresh outbox, `Transport.send_many` sends the round as one",
+    "`Simulator.call_batch_in` heap entry, and the arrivals merge into",
+    "the store in arrival order (`PopulationStore.merge`); per-round held",
+    "mass and estimate matrices are row reductions over the store",
+    "(estimates in an `EstimatesWorkspace`'s two alternating output",
+    "slots). Results are bitwise those of the node-by-node protocol.",
+    "`Simulator.call_at`/`call_in` push `(when, seq, fn, args)` heap",
+    "entries and return `None`; the async engine and membership control",
+    "traffic still schedule one call per message.",
     "",
     "`repro.experiments.runner` fans experiment sweeps over worker",
     "processes: declare `SweepPoint`s (picklable point function + kwargs",
