@@ -229,7 +229,7 @@ def test_ablation_async_vs_sync_gossip(benchmark):
     """
     import numpy as np
 
-    from repro.gossip.async_engine import AsyncMessageGossipEngine
+    from repro.gossip.message_engine import AsyncMessageGossipEngine
 
     n = 48
     streams = RngStreams(5)

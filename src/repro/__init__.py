@@ -25,11 +25,10 @@ from repro.core.config import GossipTrustConfig
 from repro.core.gossiptrust import GossipTrust, GossipTrustResult
 from repro.core.power_nodes import PowerNodeSelector
 from repro.errors import ReproError
-from repro.gossip.async_engine import AsyncMessageGossipEngine
 from repro.gossip.base import CycleEngine, GossipCycleResult
 from repro.gossip.engine import SynchronousGossipEngine
 from repro.gossip.factory import engine_names, make_engine, register_engine
-from repro.gossip.message_engine import MessageGossipEngine
+from repro.gossip.message_engine import AsyncMessageGossipEngine, MessageGossipEngine
 from repro.gossip.pushsum import push_sum, scripted_push_sum
 from repro.gossip.structured import StructuredAggregationEngine
 from repro.metrics.telemetry import CycleRecord, CycleTelemetry

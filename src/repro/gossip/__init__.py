@@ -9,20 +9,19 @@
   single peer's score, both a vectorized simulation and a step-scripted
   variant that replays the paper's Table 1 worked example exactly.
 * :mod:`repro.gossip.vector` — Algorithm 2 node state: the reputation
-  vector as ``<x, id, w>`` triplets, with halve/merge operations.
+  vector as ``<x, id, w>`` triplets, one population per store.
 * :mod:`repro.gossip.convergence` — the epsilon (gossip-step) and delta
   (aggregation-cycle) convergence detectors.
 * :mod:`repro.gossip.engine` — synchronous vectorized gossip engine for
   large sweeps (all nodes' state in NumPy arrays).
 * :mod:`repro.gossip.message_engine` — message-level engine on the DES
-  with latency, loss, link failure, and churn.
-* :mod:`repro.gossip.async_engine` — the same protocol on per-node
-  Poisson clocks (no synchronized rounds).
+  with latency, loss, link failure, and churn, on one of two clocks:
+  synchronized rounds (``message``) or per-node Poisson clocks
+  (``async``).
 * :mod:`repro.gossip.structured` — §7's DHT-ordered deterministic
   all-reduce acceleration.
 """
 
-from repro.gossip.async_engine import AsyncMessageGossipEngine
 from repro.gossip.base import CycleEngine, GossipCycleResult
 from repro.gossip.convergence import (
     CycleConvergenceDetector,
@@ -36,7 +35,11 @@ from repro.gossip.factory import (
     make_engine,
     register_engine,
 )
-from repro.gossip.message_engine import MessageGossipEngine, MessageGossipResult
+from repro.gossip.message_engine import (
+    AsyncMessageGossipEngine,
+    MessageGossipEngine,
+    MessageGossipResult,
+)
 from repro.gossip.pushsum import PushSumResult, push_sum, scripted_push_sum
 from repro.gossip.structured import StructuredAggregationEngine
 from repro.gossip.vector import TripletVector

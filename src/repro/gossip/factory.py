@@ -6,7 +6,7 @@ contract is registered here under a short name:
 ====================  =====================================================
 ``"sync"``            :class:`~repro.gossip.engine.SynchronousGossipEngine`
 ``"message"``         :class:`~repro.gossip.message_engine.MessageGossipEngine`
-``"async"``           :class:`~repro.gossip.async_engine.AsyncMessageGossipEngine`
+``"async"``           :class:`~repro.gossip.message_engine.AsyncMessageGossipEngine`
 ``"structured"``      :class:`~repro.gossip.structured.StructuredAggregationEngine`
 ====================  =====================================================
 
@@ -30,10 +30,9 @@ import inspect
 from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple, Type
 
 from repro.errors import ConfigurationError
-from repro.gossip.async_engine import AsyncMessageGossipEngine
 from repro.gossip.base import CycleEngine
 from repro.gossip.engine import SynchronousGossipEngine
-from repro.gossip.message_engine import MessageGossipEngine
+from repro.gossip.message_engine import AsyncMessageGossipEngine, MessageGossipEngine
 from repro.gossip.structured import StructuredAggregationEngine
 from repro.network.overlay import Overlay
 from repro.network.topology import gnutella_like

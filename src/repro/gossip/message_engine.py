@@ -1,10 +1,10 @@
-"""Message-level gossip engine on the discrete-event simulator.
+"""Message-level gossip on the discrete-event simulator: one engine, two clocks.
 
-Executes Algorithm 2 with *real messages*: per gossip round every live
-node halves its triplet vector, keeps one half, and sends the other to a
-random live partner through the :class:`~repro.network.transport.Transport`
-— which may delay, lose, or (on failed links) drop it.  This engine
-exists for fidelity and fault-injection:
+Executes Algorithm 2 with *real messages*: a node halves its triplet
+vector, keeps one half, and sends the other to a random live partner
+through the :class:`~repro.network.transport.Transport` — which may
+delay, lose, or (on failed links) drop it.  This engine exists for
+fidelity and fault-injection:
 
 * it validates the vectorized engine (same protocol, same convergence
   targets, agreement tested on matched instances);
@@ -12,18 +12,32 @@ exists for fidelity and fault-injection:
   failure, and churn perturb the gossiped vector here, and the
   experiments measure by how much.
 
-Rounds are paced at ``round_interval`` simulated time units, chosen
-longer than the worst-case message latency so a round's sends are
-delivered before the next round's halving (the paper's synchronous-step
-abstraction).  Mass carried by lost messages simply vanishes; because
-both ``x`` and ``w`` shares vanish together, the surviving ratio
-estimates stay near the true value — the reason the protocol "does not
-require error recovery mechanisms" (§2).
+The protocol is written once; a *clock* decides when nodes gossip:
+
+* the **round clock** (:class:`MessageGossipEngine`, ``"message"``):
+  every live node gossips once per round, rounds paced at
+  ``round_interval`` — longer than the worst-case latency, so a round's
+  sends land before the next round's halving (the paper's
+  synchronous-step abstraction);
+* the **Poisson clock** (:class:`AsyncMessageGossipEngine`,
+  ``"async"``): every node wakes at the events of its own Poisson
+  process (Boyd et al.'s asynchronous time model), with no global
+  round.
+
+Both check convergence once per *window* (a round, or
+``check_interval`` of simulated time) with the epsilon criterion
+between consecutive windows' estimate matrices, and both run the same
+sanitizer checks, mass-restoration guard and result accounting.  Mass
+carried by lost messages simply vanishes; because both ``x`` and ``w``
+shares vanish together, the surviving ratio estimates stay near the true
+value — the reason the protocol "does not require error recovery
+mechanisms" (§2).
 
 Node state lives in one :class:`~repro.gossip.vector.PopulationStore`
 owned by the engine: node ``i``'s triplet vector is row ``i`` of an
-``(n, n)`` x/w pair.  A round costs a fixed number of Python calls,
-not one per message:
+``(n, n)`` x/w pair, and the cycle's participants are one boolean mask
+over its rows.  A round costs a fixed number of Python calls, not one
+per message:
 
 1. the strategy draws every live node's partner in node order in one
    call (:meth:`~repro.gossip.partnering.PartnerStrategy.partners`);
@@ -35,11 +49,11 @@ not one per message:
    the receivers' liveness and cycle membership, and merge into the
    store in arrival order (:meth:`~repro.gossip.vector.PopulationStore.merge`).
 
-The per-round estimate matrix and held mass are row reductions over the
-store.  Every vector, step, counter and event count is bitwise the same
-as drawing, halving, sending and delivering node by node
-(``tests/test_gossip_message_parity.py``): partner draws touch only the
-strategy's own RNG (the
+The per-window estimate matrix and held mass are row reductions over the
+store.  Every vector, step, counter and event count of the round clock
+is bitwise the same as drawing, halving, sending and delivering node by
+node (``tests/test_gossip_message_parity.py``): partner draws touch
+only the strategy's own RNG (the
 :class:`~repro.gossip.partnering.PartnerStrategy` contract), the batch
 applies the per-message fault model in send order and fires each
 message as one simulator event, and a fault that fires between two
@@ -48,8 +62,11 @@ arrivals splits the batch there.
 The engine registers one handler per node that holds it only weakly
 (:func:`weak_dispatcher`), so the transport never keeps a dropped
 engine alive and a discarded system is freed by reference counting.
-Control traffic of the partner strategy still arrives through those
-handlers; a round's batch holds the engine only until it is delivered.
+Poisson-clock halves and the partner strategy's control traffic arrive
+through those handlers.  A round's batch holds the engine only until it
+is delivered, and every wake of a Poisson window fires inside that
+window, so nothing the simulator still holds after a cycle refers to
+the engine.
 """
 
 from __future__ import annotations
@@ -57,7 +74,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, ClassVar, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -71,14 +88,19 @@ from repro.gossip.base import (
 )
 from repro.gossip.convergence import average_relative_error
 from repro.gossip.partnering import GlobalSampler, PartnerStrategy
-from repro.gossip.vector import EstimatesWorkspace, PopulationStore, TripletVector
+from repro.gossip.vector import EstimatesWorkspace, PopulationStore
 from repro.network.overlay import Overlay
 from repro.network.transport import Message, Transport
 from repro.sim.engine import Simulator
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_in_range
+from repro.utils.validation import check_in_range, check_positive
 
-__all__ = ["MessageGossipResult", "MessageGossipEngine", "weak_dispatcher"]
+__all__ = [
+    "MessageGossipResult",
+    "MessageGossipEngine",
+    "AsyncMessageGossipEngine",
+    "weak_dispatcher",
+]
 
 
 @dataclass
@@ -114,24 +136,6 @@ def weak_dispatcher(engine: "CycleEngine") -> Callable[[Message], None]:
             target._on_message(msg)  # type: ignore[attr-defined]
 
     return dispatch
-
-
-def _init_states(
-    store: PopulationStore,
-    overlay: Overlay,
-    rows: Sequence[Mapping[int, float]],
-    prior_map: Mapping[int, float],
-) -> Tuple[Dict[int, TripletVector], float]:
-    """Cycle initialization of every live node's store row.
-
-    Returns the live node -> row-vector map and the rows' total mass.
-    """
-    live = overlay.alive_nodes().tolist()
-    states = {
-        node: store.row(node).reset(node, rows[node], prior_map, n=store.n)
-        for node in live
-    }
-    return states, store.mass(live)
 
 
 def _disagreement(node_estimates: np.ndarray) -> float:
@@ -204,6 +208,11 @@ def _batched_converged(
 class MessageGossipEngine(CycleEngine):
     """Runs gossiped aggregation cycles as timed messages on the DES.
 
+    The round clock: every live node gossips once per round.  A
+    subclass swaps the clock by overriding :meth:`_advance` and
+    :meth:`_steps` (see :class:`AsyncMessageGossipEngine`); the cycle,
+    its checks and its result are written once, here.
+
     Parameters
     ----------
     sim, transport, overlay:
@@ -226,18 +235,23 @@ class MessageGossipEngine(CycleEngine):
         overlay neighbors, which the paper also permits.
     mass_restore_budget:
         Self-healing threshold: when the measured ``mass_lost_fraction``
-        exceeds this value at a round boundary, the engine restores the
-        cycle's mass budget (``None`` disables the guard).
-    mass_restore_action:
-        ``"renormalize"`` — uniformly rescale every surviving vector by
-        ``initial/current`` mass (ratio-preserving, estimates untouched);
-        ``"restart"`` — re-initialize all live nodes' vectors and redo
-        the cycle from the current round.  Either way the one-sided
+        exceeds this value at a window boundary, the engine restores the
+        cycle's mass budget (``None`` disables the guard).  The clock
+        decides how.  At a round boundary nothing is in flight, so the
+        round clock rescales every surviving vector by
+        ``initial/current`` mass (ratio-preserving, estimates
+        untouched), and restarts the cycle only when no mass is left.
+        The Poisson clock drains, re-measures and restarts (see
+        :class:`AsyncMessageGossipEngine`).  Either way the one-sided
         conservation bound stays intact: restoration never pushes held
         mass above the cycle's initial budget.
     """
 
     name = "message"
+    #: whether gossip mass can be in flight when a window ends
+    _in_flight: ClassVar[bool] = False
+    #: windows before the convergence check may stop the cycle
+    min_rounds = 2
 
     def __init__(
         self,
@@ -251,10 +265,8 @@ class MessageGossipEngine(CycleEngine):
         min_rounds: int = 2,
         partnering: Optional[PartnerStrategy] = None,
         mass_restore_budget: Optional[float] = None,
-        mass_restore_action: str = "renormalize",
         rng: SeedLike = None,
     ) -> None:
-        check_in_range("epsilon", epsilon, low=0.0, low_inclusive=False)
         if round_interval <= 1.5 * transport.latency:
             raise ValidationError(
                 f"round_interval={round_interval} must exceed max message latency "
@@ -262,23 +274,32 @@ class MessageGossipEngine(CycleEngine):
             )
         if max_rounds < 1:
             raise ValidationError(f"max_rounds must be >= 1, got {max_rounds}")
+        self.round_interval = float(round_interval)
+        self.max_rounds = int(max_rounds)
+        self.min_rounds = int(min_rounds)
+        self._bind(sim, transport, overlay, epsilon, partnering, mass_restore_budget, rng)
+
+    def _bind(
+        self,
+        sim: Simulator,
+        transport: Transport,
+        overlay: Overlay,
+        epsilon: float,
+        partnering: Optional[PartnerStrategy],
+        mass_restore_budget: Optional[float],
+        rng: SeedLike,
+    ) -> None:
+        """The clock-independent set-up: substrate, store and handlers."""
+        check_in_range("epsilon", epsilon, low=0.0, low_inclusive=False)
         if mass_restore_budget is not None:
             check_in_range(
                 "mass_restore_budget", mass_restore_budget,
                 low=0.0, high=1.0, low_inclusive=False, high_inclusive=False,
             )
-        if mass_restore_action not in ("renormalize", "restart"):
-            raise ValidationError(
-                f"mass_restore_action must be 'renormalize' or 'restart', "
-                f"got {mass_restore_action!r}"
-            )
         self.sim = sim
         self.transport = transport
         self.overlay = overlay
         self.epsilon = float(epsilon)
-        self.round_interval = float(round_interval)
-        self.max_rounds = int(max_rounds)
-        self.min_rounds = int(min_rounds)
         if partnering is None:
             partnering = GlobalSampler()
         self.partnering = partnering
@@ -286,29 +307,39 @@ class MessageGossipEngine(CycleEngine):
         self.mass_restore_budget = (
             float(mass_restore_budget) if mass_restore_budget is not None else None
         )
-        self.mass_restore_action = mass_restore_action
         #: gossip halves delivered to departed/uninitialized nodes (their
         #: mass vanished without a transport drop being counted)
         self.discarded = 0
         self._rng = as_generator(rng)
-        #: this cycle's participants -> their store rows
-        self._states: Dict[int, TripletVector] = {}
         #: every node's triplet vector, one row each, recycled across
         #: cycles (reset in place, never reallocated)
         self._store = PopulationStore(overlay.n)
-        #: alternating output slots for the per-round estimate matrices
+        #: this cycle's participants, by node id
+        self._member = np.zeros(overlay.n, dtype=bool)
+        #: alternating output slots for the per-window estimate matrices
         self._est_ws = EstimatesWorkspace()
         self.cycle_steps = []
         dispatch = weak_dispatcher(self)
         for node in range(overlay.n):
             transport.register(node, dispatch)
 
-    # -- protocol --------------------------------------------------------
+    # -- the round clock -------------------------------------------------
 
-    def _on_message(self, msg: Message) -> None:
-        # Gossip halves arrive in round batches (_on_gossip); the
-        # registered handlers carry the partner strategy's control traffic.
-        self.partnering.on_message(msg)
+    def _advance(self, windows: int) -> bool:
+        """Run the next check window; ``False`` once the budget is spent.
+
+        ``windows`` is the number of windows already run this cycle (0
+        starts a cycle).
+        """
+        if windows >= self.max_rounds:
+            return False
+        self._gossip_round()
+        self.sim.run(until=self.sim.now + self.round_interval)
+        return True
+
+    def _steps(self, windows: int, live: int) -> int:
+        """The cycle's step count: gossip rounds."""
+        return windows
 
     def _gossip_round(self) -> None:
         """Every live node halves its vector and ships one half.
@@ -323,18 +354,12 @@ class MessageGossipEngine(CycleEngine):
         strategy's RNG, the batch applies the per-message fault model in
         send order, and nothing is delivered before the simulator runs.
         """
-        nodes = np.flatnonzero(self._members() & self.overlay.alive_mask())
+        nodes = self._held()
         partners = self.partnering.partners(nodes)
         sending = partners >= 0
         senders, dst = nodes[sending], partners[sending]
         outbox, sizes = self._store.halve(senders)
         self.transport.send_many(senders, dst, outbox, sizes, partial(self._on_gossip, dst))
-
-    def _members(self) -> np.ndarray:
-        """Boolean mask of this cycle's participants, by node id."""
-        mask = np.zeros(self.overlay.n, dtype=bool)
-        mask[np.fromiter(self._states, dtype=np.intp, count=len(self._states))] = True
-        return mask
 
     def _on_gossip(self, dst: np.ndarray, outbox: np.ndarray, idx: np.ndarray) -> None:
         """Arrival of round messages ``idx``: merge them, in arrival order.
@@ -345,9 +370,56 @@ class MessageGossipEngine(CycleEngine):
         conservation check would fire on a lossy history.
         """
         to = dst[idx]
-        held = (self._members() & self.overlay.alive_mask())[to]
+        held = (self._member & self.overlay.alive_mask())[to]
         self.discarded += int(idx.size - np.count_nonzero(held))
         self._store.merge(to[held], outbox, idx[held])
+
+    # -- protocol --------------------------------------------------------
+
+    def _on_message(self, msg: Message) -> None:
+        """A message through the registered handlers.
+
+        Round gossip arrives in batches (:meth:`_on_gossip`); what comes
+        here is a single gossip half (a Poisson wake's) or the partner
+        strategy's control traffic.
+        """
+        if msg.kind != "gossip":
+            self.partnering.on_message(msg)
+        elif self._member[msg.dst] and self.overlay.is_alive(msg.dst):
+            self._store.xw[msg.dst] += msg.payload
+        else:
+            self.discarded += 1
+
+    def _held(self) -> np.ndarray:
+        """Live nodes in this cycle, ascending: the rows that hold its mass."""
+        return np.flatnonzero(self._member & self.overlay.alive_mask())
+
+    def _init_cycle(
+        self, rows: Sequence[Mapping[int, float]], prior_map: Mapping[int, float]
+    ) -> Tuple[np.ndarray, float]:
+        """Cycle initialization: every live node joins with a fresh row.
+
+        Returns the participants and their rows' total mass.
+        """
+        live = self.overlay.alive_nodes()
+        store = self._store
+        self._member[:] = False
+        self._member[live] = True
+        for node in live.tolist():
+            store.row(node).reset(node, rows[node], prior_map, n=store.n)
+        return live, store.mass(live)
+
+    def _over_budget(self, mass: float, initial_mass: float) -> bool:
+        """Whether the restore guard fires on held ``mass``."""
+        return (
+            self.mass_restore_budget is not None
+            and initial_mass > 0.0
+            and mass < (1.0 - self.mass_restore_budget) * initial_mass
+        )
+
+    def _drain(self) -> None:
+        """Let every message in flight land (3x the mean latency)."""
+        self.sim.run(until=self.sim.now + 3.0 * max(self.transport.latency, 1e-9))
 
     def run_cycle(
         self,
@@ -368,8 +440,8 @@ class MessageGossipEngine(CycleEngine):
         v_prior:
             Previous-cycle reputation vector ``V(t-1)`` (dense, length n).
         raise_on_budget:
-            Raise :class:`ConvergenceError` if the round budget is hit;
-            by default the best-effort result is returned (fault
+            Raise :class:`ConvergenceError` if the clock's budget is
+            hit; by default the best-effort result is returned (fault
             injection legitimately slows convergence).
         """
         n = self.overlay.n
@@ -384,102 +456,111 @@ class MessageGossipEngine(CycleEngine):
         if san is not None:
             san.begin_cycle(self.name)
         store = self._store
-        self._states, initial_mass = _init_states(store, self.overlay, rows, prior_map)
-        initial_live = frozenset(self._states)
+        initial_live, initial_mass = self._init_cycle(rows, prior_map)
         track_mass = san is not None or self.mass_restore_budget is not None
-
         sent_before = self.transport.sent
         dropped_before = self.transport.drop_count
         discarded_before = self.discarded
+
+        def lossless(held: np.ndarray) -> bool:
+            """No drop, discard or departure since the cycle (re)started."""
+            return (
+                self.transport.drop_count == dropped_before
+                and self.discarded == discarded_before
+                and np.array_equal(held, initial_live)
+            )
+
         prev_ids: Tuple[int, ...] = ()
         prev_mat: Optional[np.ndarray] = None
-        steps = 0
+        windows = 0
         converged = False
         restorations = 0
         self.partnering.start()
-        for round_no in range(1, self.max_rounds + 1):
-            self._gossip_round()
-            self.sim.run(until=self.sim.now + self.round_interval)
-            steps = round_no
-            cur_ids = tuple(
-                node
-                for node in self.overlay.alive_nodes().tolist()
-                if node in self._states
-            )
-            # Rounds are paced past the max latency, so no mass is in
-            # flight here: the live nodes' rows hold the whole surviving
-            # (x, w) population.  Only the sanitizer and the restore
-            # guard read it.
-            mass_now = store.mass(cur_ids) if track_mass else 0.0
+        while self._advance(windows):
+            windows += 1
+            cur = self._held()
+            # Only the sanitizer and the restore guard read the mass.
+            mass_now = store.mass(cur) if track_mass else 0.0
             if san is not None:
-                for node in cur_ids:
-                    self._states[node].check_invariants(san, owner=node, step=round_no)
-                if (
-                    self.transport.drop_count == dropped_before
-                    and self.discarded == discarded_before
-                    and frozenset(cur_ids) == initial_live
-                ):
-                    # Lossless round history: push-sum conserves exactly.
-                    san.check_mass(
-                        "total x+w mass", mass_now, initial_mass, step=round_no
-                    )
+                for node in cur.tolist():
+                    store.row(node).check_invariants(san, owner=node, step=windows)
+                if not self._in_flight and lossless(cur):
+                    # Nothing in flight, lossless history: push-sum
+                    # conserves exactly.
+                    san.check_mass("total x+w mass", mass_now, initial_mass, step=windows)
                 else:
-                    # Drops and departures may destroy mass, but gossip
-                    # must never create it.
+                    # Drops, departures and mass in flight may hide
+                    # mass, but gossip must never create it.
                     san.check_mass_bounded(
-                        "total x+w mass", mass_now, initial_mass, step=round_no
+                        "total x+w mass", mass_now, initial_mass, step=windows
                     )
-            if (
-                self.mass_restore_budget is not None
-                and initial_mass > 0.0
-                and mass_now < (1.0 - self.mass_restore_budget) * initial_mass
-            ):
+            if self._over_budget(mass_now, initial_mass):
+                if self._in_flight:
+                    # A large share of the mass can legitimately be in
+                    # flight, and a restart is destructive, so verify
+                    # first: pause the clock, let the traffic land and
+                    # re-measure.  A false alarm costs simulated time
+                    # but no progress.
+                    self._drain()
+                    if not self._over_budget(store.mass(self._held()), initial_mass):
+                        continue
                 restorations += 1
-                if self.mass_restore_action == "renormalize" and mass_now > 0.0:
-                    # Ratio-preserving: estimates are untouched, only the
-                    # mass budget is restored, so convergence tracking
-                    # carries straight through.  Departed nodes' stale
-                    # vectors are dropped first — their mass is written
-                    # off now, so a later rejoin cannot resurrect it on
-                    # top of the restored budget (which would create
-                    # mass and break the one-sided bound).
-                    self._states = {node: self._states[node] for node in cur_ids}
-                    factor = initial_mass / mass_now
-                    for node in cur_ids:
-                        self._states[node].scale(factor)
-                else:
+                if self._in_flight or not mass_now > 0.0:
                     # Restart: live nodes re-enter the cycle from fresh
-                    # vectors; the rounds already spent stay counted.
-                    self._states, initial_mass = _init_states(store, self.overlay, rows, prior_map)
-                    initial_live = frozenset(self._states)
+                    # vectors; the steps already spent stay counted.
+                    initial_live, initial_mass = self._init_cycle(rows, prior_map)
                     dropped_before = self.transport.drop_count
                     discarded_before = self.discarded
                     prev_ids, prev_mat = (), None
                     continue
+                # Ratio-preserving renormalization: estimates are
+                # untouched, only the mass budget is restored, so
+                # convergence tracking carries straight through.
+                # Departed nodes leave the cycle first — their mass is
+                # written off now, so a later rejoin cannot resurrect it
+                # on top of the restored budget (which would create mass
+                # and break the one-sided bound).
+                self._member[:] = False
+                self._member[cur] = True
+                store.xw[cur] *= initial_mass / mass_now
             # Workspace-backed: the matrix lands in one of two
             # alternating reusable slots, so prev_mat (the other slot)
             # stays intact for the convergence comparison below.
-            cur_mat = store.estimates(cur_ids, workspace=self._est_ws)
-            if prev_mat is not None and round_no >= self.min_rounds:
+            cur_ids = tuple(cur.tolist())
+            cur_mat = store.estimates(cur, workspace=self._est_ws)
+            if prev_mat is not None and windows >= self.min_rounds:
                 if _batched_converged(cur_ids, cur_mat, prev_ids, prev_mat, self.epsilon):
                     converged = True
                     break
             prev_ids, prev_mat = cur_ids, cur_mat
         self.partnering.stop()
+        if self._in_flight:
+            # Mass sent but not yet delivered is not lost, it is late:
+            # let it land before accounting.
+            self._drain()
         if not converged and raise_on_budget:
             raise ConvergenceError(
-                f"message gossip exceeded {self.max_rounds} rounds",
-                steps=self.max_rounds,
+                f"{self.name} gossip did not converge within its budget "
+                f"({windows} check windows)",
+                steps=windows,
             )
 
         live = self.overlay.alive_nodes()
-        held = [node for node in live.tolist() if node in self._states]
+        held = self._held()
         node_estimates = store.estimates(held)
         v_next = _finite_mean(node_estimates)
 
         final_mass = store.mass(held)
         lost = 0.0 if initial_mass == 0 else max(0.0, 1.0 - final_mass / initial_mass)
+        if san is not None:
+            # Nothing is in flight now: with a lossless history
+            # conservation holds exactly, otherwise one-sided.
+            if lossless(held):
+                san.check_mass("total x+w mass (drained)", final_mass, initial_mass)
+            else:
+                san.check_mass_bounded("total x+w mass (drained)", final_mass, initial_mass)
 
+        steps = self._steps(windows, live.size)
         self.cycle_steps.append(steps)
         return MessageGossipResult(
             v_next=v_next,
@@ -497,43 +578,133 @@ class MessageGossipEngine(CycleEngine):
             live_nodes=live,
         )
 
-    def finalize(self, *, bracket_bits: Optional[int] = None) -> Dict[int, object]:
-        """Algorithm 2 line 22: replace each triplet with its ``<v_j, j>`` pair.
-
-        After a converged cycle, every live node materializes its final
-        per-peer score estimates.  Returns, per live node id, either a
-        plain ``{peer id -> score}`` dict (``bracket_bits=None``) or a
-        :class:`~repro.storage.reputation_store.BloomReputationStore`
-        holding the quantized scores — the paper's "efficient reputation
-        storage with Bloom filters" applied at the point the protocol
-        produces the vector.
-
-        Non-finite estimates (peers whose mass never reached this node)
-        are stored as zero: the node simply knows nothing about them.
-        """
-        n = self.overlay.n
-        out: Dict[int, object] = {}
-        for node in self.overlay.alive_nodes().tolist():
-            state = self._states.get(node)
-            if state is None:
-                continue
-            estimates = state.estimates_array(n)
-            scores = np.where(np.isfinite(estimates), estimates, 0.0)
-            scores = np.clip(scores, 0.0, None)
-            if bracket_bits is None:
-                out[node] = {
-                    j: float(scores[j]) for j in range(n) if scores[j] > 0.0
-                }
-            else:
-                from repro.storage.reputation_store import BloomReputationStore
-
-                store = BloomReputationStore(bracket_bits=bracket_bits)
-                store.build(scores)
-                out[node] = store
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"MessageGossipEngine(n={self.overlay.n}, epsilon={self.epsilon}, "
             f"round_interval={self.round_interval})"
+        )
+
+
+class AsyncMessageGossipEngine(MessageGossipEngine):
+    """Algorithm 2 on per-node Poisson clocks: no synchronized rounds.
+
+    The paper (following Kempe et al. and Boyd et al.) *analyzes*
+    gossip in synchronous steps, but a deployed protocol has no global
+    round clock: each peer gossips on its own local timer.  Here every
+    node wakes at the events of a Poisson process of rate
+    ``1 / mean_interval`` (Boyd et al.'s asynchronous time model),
+    halves its row and sends one half; arrivals add into the
+    receiver's row.
+
+    The n clocks are simulated as one Poisson clock of rate
+    ``n / mean_interval`` whose events pick a node uniformly over all n
+    ids.  At the start of each check window the engine draws the
+    window's wake times and woken ids from its RNG and schedules each
+    wake as a plain simulator call; a wake whose node is dead or
+    outside the cycle does nothing.  This thinning is exact also when
+    churn lands inside the window, because liveness is read when the
+    wake fires.
+
+    Results are reported in *equivalent rounds* (sends per live node)
+    so they compare directly with the round clock — the classic
+    asynchronous-gossip result is that the per-send convergence cost
+    matches the synchronous analysis, which the ``async`` ablation
+    bench checks.
+
+    Parameters
+    ----------
+    sim, transport, overlay, epsilon, partnering:
+        As for :class:`MessageGossipEngine`; ``epsilon`` applies between
+        consecutive check windows.
+    mean_interval:
+        Mean of each node's exponential gossip interval (one "round" of
+        wall-clock corresponds to ~1 send per node).
+    check_interval:
+        Simulated time between convergence checks; defaults to
+        ``2 * mean_interval`` so a check window spans ~2 sends per node.
+    max_time:
+        Simulated-time budget per cycle.
+    mass_restore_budget:
+        Self-healing threshold on ``mass_lost_fraction`` measured at
+        the window boundary (``None`` disables the guard).  Because mass
+        is in flight between Poisson sends, the guard always restarts:
+        the engine pauses the clock, drains the transport, re-measures,
+        and re-initializes every live node if the loss is genuine —
+        uniform renormalization would over-restore once in-flight mass
+        landed, creating mass and tripping the one-sided conservation
+        bound.
+    """
+
+    name = "async"
+    _in_flight = True
+
+    def __init__(
+        self,
+        sim: Simulator,
+        transport: Transport,
+        overlay: Overlay,
+        *,
+        epsilon: float = 1e-4,
+        mean_interval: float = 1.0,
+        check_interval: Optional[float] = None,
+        max_time: float = 2000.0,
+        partnering: Optional[PartnerStrategy] = None,
+        mass_restore_budget: Optional[float] = None,
+        rng: SeedLike = None,
+    ) -> None:
+        check_positive("mean_interval", mean_interval)
+        check_positive("max_time", max_time)
+        self.mean_interval = float(mean_interval)
+        self.check_interval = (
+            float(check_interval) if check_interval is not None else 2.0 * mean_interval
+        )
+        check_positive("check_interval", self.check_interval)
+        self.max_time = float(max_time)
+        #: gossip halves sent this cycle
+        self.sends = 0
+        self._deadline = 0.0
+        self._bind(sim, transport, overlay, epsilon, partnering, mass_restore_budget, rng)
+
+    def _advance(self, windows: int) -> bool:
+        """Run one check window of the Poisson clock; ``False`` past ``max_time``.
+
+        Draws the window's wakes (a Poisson count, uniform times, uniform
+        ids), schedules each as one call and runs the window to its end,
+        so every wake fires inside it.
+        """
+        if windows == 0:
+            self.sends = 0
+            self._deadline = self.sim.now + self.max_time
+        start = self.sim.now
+        if start >= self._deadline:
+            return False
+        span = min(self.check_interval, self._deadline - start)
+        rng = self._rng
+        n = self.overlay.n
+        wakes = int(rng.poisson(n * span / self.mean_interval))
+        times = start + np.sort(rng.random(wakes)) * span
+        for when, node in zip(times.tolist(), rng.integers(n, size=wakes).tolist()):
+            self.sim.call_at(when, self._wake, node)
+        self.sim.run(until=start + span)
+        return True
+
+    def _steps(self, windows: int, live: int) -> int:
+        """The cycle's step count: equivalent rounds, sends per live node."""
+        return int(round(self.sends / max(1, live)))
+
+    def _wake(self, node: int) -> None:
+        """One Poisson event: ``node`` halves its row and sends one half."""
+        if not (self._member[node] and self.overlay.is_alive(node)):
+            return
+        partner = self.partnering.partner(node)
+        if partner is None:
+            return
+        half, size = self._store.halve_row(node)
+        self.transport.send(node, partner, half, kind="gossip", size=size)
+        self.sends += 1
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return (
+            f"AsyncMessageGossipEngine(n={self.overlay.n}, "
+            f"mean_interval={self.mean_interval})"
         )

@@ -11,26 +11,25 @@ The triplet store is id-indexed NumPy arrays rather than dicts: ``x``
 and ``w`` mass live at position ``j`` for peer ``j``, so halve/merge are
 single vectorized passes.  The *logical* sparsity of the paper's
 payload is preserved — an id is "known" exactly when it carries any
-mass, and :meth:`TripletVector.payload_size` counts known ids, not array
+mass, and a message's size counts the known ids it carries, not array
 capacity.
 
-The message-level engines keep a whole population in one
+The message engine keeps a whole population in one
 :class:`PopulationStore`: node ``i``'s vector is row ``i`` of an
 engine-owned ``(n, n)`` x/w array pair, served as a cached
-:class:`TripletVector` view.  A gossip step is then one halving pass
+:class:`TripletVector` view.  A gossip round is then one halving pass
 over the senders' rows and one layered add of the arriving halves, and
-the per-round estimate matrix and held mass are row reductions over the
-store instead of per-node Python loops.
+the per-window estimate matrix and held mass are row reductions over
+the store instead of per-node Python loops.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.types import Triplet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.sanitizer import InvariantSanitizer
@@ -81,24 +80,20 @@ def _estimates_into(X: np.ndarray, W: np.ndarray, out: np.ndarray) -> np.ndarray
 class TripletVector:
     """A node's gossiped reputation vector: ``x``/``w`` mass per peer id.
 
-    The vector is sparse in ids — entries a node has never heard about
-    carry zero mass and are absent from :meth:`known_ids`, which is what
-    keeps per-message payloads proportional to the number of *known*
-    peers.  Arrays grow on demand when a merge brings news of higher
-    ids than this node has seen — except in a *view* (a
-    :class:`PopulationStore` row), whose capacity is
+    An id is *known* to a node exactly when it carries any mass there;
+    entries a node has never heard about are zero.  The arrays grow on
+    demand when :meth:`reset` names a higher id than they hold — except
+    in a *view* (a :class:`PopulationStore` row), whose capacity is
     fixed: an id beyond it raises :class:`~repro.errors.ValidationError`.
+    The gossip operations themselves (halve, send, merge) run on the
+    store's rows.
     """
 
-    __slots__ = ("_x", "_w", "_known", "_size", "_fixed")
+    __slots__ = ("_x", "_w", "_fixed")
 
     def __init__(self, capacity: int = 0) -> None:
         self._x = np.zeros(capacity)
         self._w = np.zeros(capacity)
-        #: cached ascending known-id tuple; None when stale
-        self._known: Optional[Tuple[int, ...]] = None
-        #: cached known-id count; None when stale
-        self._size: Optional[int] = None
         #: the arrays are views into someone else's buffer: never regrow
         self._fixed = False
 
@@ -108,43 +103,7 @@ class TripletVector:
         tv = cls.__new__(cls)
         tv._x = x
         tv._w = w
-        tv._known = None
-        tv._size = None
         tv._fixed = True
-        return tv
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def initial(
-        cls,
-        owner: int,
-        local_scores: Mapping[int, float],
-        prior: Mapping[int, float],
-        *,
-        n: Optional[int] = None,
-    ) -> "TripletVector":
-        """Cycle initialization (Algorithm 2 lines 5-11) for node ``owner``.
-
-        ``x_j <- s_{owner,j} * v_owner(t-1)`` for every peer ``owner``
-        has rated, and ``w_j <- 1`` only for ``j == owner``.
-
-        Parameters
-        ----------
-        owner:
-            The node this vector lives on.
-        local_scores:
-            Sparse normalized row ``{j: s_owner_j}``.
-        prior:
-            Previous-cycle reputation estimates ``{i: v_i(t-1)}``; only
-            ``prior[owner]`` is needed here, passed as a mapping for
-            symmetry with the engines.
-        n:
-            Optional population size; sizing the arrays up front avoids
-            any growth during the cycle.
-        """
-        tv = cls(0)
-        tv.reset(owner, local_scores, prior, n=n)
         return tv
 
     def reset(
@@ -155,23 +114,34 @@ class TripletVector:
         *,
         n: Optional[int] = None,
     ) -> "TripletVector":
-        """Re-run cycle initialization in place, reusing the arrays.
+        """Cycle initialization (Algorithm 2 lines 5-11) for node ``owner``, in place.
 
-        Semantically identical to building a fresh :meth:`initial`
-        vector; the existing ``_x``/``_w`` arrays are zeroed and
-        refilled (growing only if capacity is short), so a node's state
-        can be recycled across aggregation cycles without reallocating
-        — the message engines re-initialize their :class:`PopulationStore`
-        rows this way.  A view cannot grow: an ``owner`` or rated id at
-        or beyond its capacity raises :class:`~repro.errors.ValidationError`.
+        ``x_j <- s_{owner,j} * v_owner(t-1)`` for every peer ``owner``
+        has rated, and ``w_j <- 1`` only for ``j == owner``.  The
+        existing arrays are zeroed and refilled (growing only if
+        capacity is short to hold ``n``, ``owner`` and every rated id),
+        so the message engine re-initializes its :class:`PopulationStore`
+        rows across cycles without reallocating.  A view cannot grow: an
+        ``owner`` or rated id at or beyond its capacity raises
+        :class:`~repro.errors.ValidationError`.
+
+        Parameters
+        ----------
+        owner:
+            The node this vector lives on.
+        local_scores:
+            Sparse normalized row ``{j: s_owner_j}``.
+        prior:
+            Previous-cycle reputation estimates ``{i: v_i(t-1)}``; only
+            ``prior[owner]`` is needed here.
+        n:
+            Optional population size to size the arrays for.
         """
         cap = int(n) if n is not None else 0
         cap = max(cap, owner + 1, *(int(j) + 1 for j in local_scores), 1)
         self._grow_to(cap)
         self._x[:] = 0.0
         self._w[:] = 0.0
-        self._known = None
-        self._size = None
         v_own = float(prior.get(owner, 0.0))
         for j, s in local_scores.items():
             if s < 0:
@@ -195,94 +165,6 @@ class TripletVector:
             self._x = x
             self._w = w
 
-    # -- gossip operations ---------------------------------------------------
-
-    def halve(self) -> "TripletVector":
-        """Split in place; return the half-share to transmit.
-
-        After the call, *this* vector holds the kept half and the
-        returned vector holds the sent half (they are equal).
-        """
-        self._x *= 0.5
-        self._w *= 0.5
-        return self.copy()
-
-    # hot: merge runs once per async-engine delivery — in-place adds only
-    def merge(self, other: "TripletVector") -> None:
-        """Component-wise sum of an arriving half-share (line 15)."""
-        m = other._x.shape[0]
-        self._grow_to(m)
-        self._x[:m] += other._x
-        self._w[:m] += other._w
-        self._known = None
-        self._size = None
-
-    def scale(self, factor: float) -> None:
-        """Uniformly scale both mass components by ``factor`` (> 0).
-
-        Ratio-preserving: every estimate ``x_j / w_j`` is unchanged.
-        This is the mass-restoration primitive — an engine that measured
-        a lost fraction ``f`` can scale every surviving vector by
-        ``1 / (1 - f)`` to restore the cycle's mass budget without
-        touching any node's estimates.
-        """
-        if not factor > 0.0:
-            raise ValidationError(f"scale factor must be > 0, got {factor}")
-        self._x *= factor
-        self._w *= factor
-
-    # -- accessors ------------------------------------------------------------
-
-    def triplet(self, j: int) -> Triplet:
-        """The ``<x_j, j, w_j>`` triplet (zeros if unknown)."""
-        if 0 <= j < self._x.shape[0]:
-            return Triplet(x=float(self._x[j]), node=j, w=float(self._w[j]))
-        return Triplet(x=0.0, node=j, w=0.0)
-
-    def estimate(self, j: int) -> float:
-        """Gossiped score ``beta_j = x_j / w_j`` for peer ``j``."""
-        return self.triplet(j).estimate
-
-    def known_ids(self) -> Tuple[int, ...]:
-        """Peer ids with any mass (x or w) at this node, ascending.
-
-        Cached — halving scales mass but cannot create or destroy known
-        ids, so only :meth:`merge` invalidates.
-        """
-        if self._known is None:
-            self._known = tuple(np.flatnonzero((self._x > 0) | (self._w > 0)).tolist())
-            self._size = len(self._known)
-        return self._known
-
-    def estimates_array(self, n: int) -> np.ndarray:
-        """Dense length-``n`` estimate vector (nan where w == 0 and x == 0)."""
-        out = np.full(n, np.nan)
-        m = min(n, self._x.shape[0])
-        _estimates_into(self._x[:m], self._w[:m], out[:m])
-        return out
-
-    @staticmethod
-    def estimates_matrix(vectors: Sequence["TripletVector"], n: int) -> np.ndarray:
-        """Stacked :meth:`estimates_array` for many vectors in one pass.
-
-        Returns a fresh ``(len(vectors), n)`` matrix, row ``i`` equal to
-        ``vectors[i].estimates_array(n)``.  Vectors that live in one
-        :class:`PopulationStore` skip the gather:
-        :meth:`PopulationStore.estimates` reads the rows in place.
-        """
-        m = len(vectors)
-        X = np.zeros((m, n))
-        W = np.zeros((m, n))
-        for i, tv in enumerate(vectors):
-            k = min(n, tv._x.shape[0])
-            X[i, :k] = tv._x[:k]
-            W[i, :k] = tv._w[:k]
-        return _estimates_into(X, W, np.empty((m, n)))
-
-    def mass(self) -> Tuple[float, float]:
-        """Total ``(sum x, sum w)`` held at this node (conservation checks)."""
-        return (float(self._x.sum()), float(self._w.sum()))
-
     def check_invariants(
         self,
         sanitizer: "InvariantSanitizer",
@@ -292,8 +174,8 @@ class TripletVector:
     ) -> None:
         """Run the per-node sanitizer checks: finite mass, ``w >= 0``.
 
-        Called by the message-level engines at their convergence-check
-        cadence when a sanitizer is armed; raises
+        Called by the message engine at its convergence-check cadence
+        when a sanitizer is armed; raises
         :class:`~repro.errors.InvariantViolation` on breach.
         """
         who = f"node {owner}" if owner is not None else "node"
@@ -301,37 +183,8 @@ class TripletVector:
         sanitizer.check_finite(f"{who} w-mass", self._w, step=step)
         sanitizer.check_nonnegative(f"{who} w-mass", self._w, step=step)
 
-    def payload_size(self) -> int:
-        """Triplet count — proxy for message size in overhead accounting.
-
-        Cached like :meth:`known_ids`, but without materializing the id
-        tuple: the count alone is one vectorized scan.
-        """
-        if self._size is None:
-            if self._known is not None:
-                self._size = len(self._known)
-            else:
-                self._size = int(np.count_nonzero((self._x > 0) | (self._w > 0)))
-        return self._size
-
-    def copy(self) -> "TripletVector":
-        """Deep copy (growable, even when this vector is a view)."""
-        tv = TripletVector()
-        tv._x = self._x.copy()
-        tv._w = self._w.copy()
-        tv._known = self._known
-        tv._size = self._size
-        return tv
-
-    def __iter__(self) -> Iterator[Triplet]:
-        for j in self.known_ids():
-            yield self.triplet(j)
-
-    def __len__(self) -> int:
-        return self.payload_size()
-
     def __repr__(self) -> str:  # pragma: no cover
-        return f"TripletVector(known={len(self)})"
+        return f"TripletVector(capacity={self._x.shape[0]})"
 
 
 class PopulationStore:
@@ -340,20 +193,21 @@ class PopulationStore:
     Node ``i``'s vector is row ``i``; ``x`` and ``w`` are the two halves
     of one ``(n, 2n)`` array ``xw``, so a row op moves both at once.
     :meth:`row` serves it as a cached :class:`TripletVector` view, so
-    the per-node operations (``reset``, ``merge``, ``halve``, ``scale``,
-    ``estimates_array``) read and write the store in place.  The
-    population-wide work of a gossip round is one pass over the rows
-    instead of one Python call per node:
+    cycle initialization (``reset``) and the sanitizer's per-node checks
+    read and write the store in place.  The population-wide work of a
+    gossip round is one pass over the rows instead of one Python call
+    per node:
 
     * :meth:`halve` — every sender keeps half its row, and the sent
       halves land in a *fresh* outbox (in flight until delivered, so it
-      cannot be reused next round);
+      cannot be reused next round); :meth:`halve_row` is the same for
+      one sender;
     * :meth:`merge` — arriving outbox rows add into their receivers'
       rows in arrival order;
     * :meth:`estimates` — the estimate matrix of a set of rows;
     * :meth:`mass` — the total held ``x + w`` of a set of rows, summed
       per row and accumulated in row order, bitwise equal to a loop
-      over :meth:`TripletVector.mass`.
+      that adds each row's ``sum x + sum w`` in turn.
 
     ``rows`` arguments are ascending node ids; ``None`` (or all ``n``
     ids) means every row.  An engine owns its store for its lifetime,
@@ -390,9 +244,8 @@ class PopulationStore:
 
         Returns ``(outbox, sizes)``: row ``k`` of the fresh
         ``(len(rows), 2n)`` outbox is the half node ``rows[k]`` sends, in
-        the store's ``x | w`` layout, and ``sizes[k]`` its
-        :meth:`TripletVector.payload_size` (one ``count_nonzero`` over
-        the outbox).
+        the store's ``x | w`` layout, and ``sizes[k]`` the number of ids
+        it carries mass for (one ``count_nonzero`` over the outbox).
         """
         idx = np.asarray(rows, dtype=np.intp)
         out = self.xw[idx]
@@ -401,11 +254,24 @@ class PopulationStore:
         n = self.n
         return out, np.count_nonzero((out[:, :n] > 0) | (out[:, n:] > 0), axis=1)
 
+    def halve_row(self, node: int) -> Tuple[np.ndarray, int]:
+        """Halve row ``node`` in place; return the half it sends and its size.
+
+        The one-sender :meth:`halve`: the half is a fresh ``x | w`` row
+        and the size the number of ids it carries mass for.
+        """
+        row = self.xw[node]
+        row *= 0.5
+        half = row.copy()
+        known = half > 0
+        n = self.n
+        return half, int(np.count_nonzero(known[:n] | known[n:]))
+
     def merge(self, dst: np.ndarray, outbox: np.ndarray, rows: np.ndarray) -> None:
         """Add ``outbox`` row ``rows[k]`` into store row ``dst[k]``, in order of ``k``.
 
-        Bitwise :meth:`TripletVector.merge` of each arrival in turn: a
-        row receiving several halves adds them in order of ``k``.  The
+        Bitwise the same as adding each arrival in turn: a row
+        receiving several halves adds them in order of ``k``.  The
         arrivals go in layers by per-destination rank (every first
         arrival, then every second, ...), so each layer's destinations
         are distinct and one fancy-indexed add applies it.
@@ -421,12 +287,6 @@ class PopulationStore:
         for layer in range(int(lengths.max())):
             at = rank == layer
             self.xw[dst[at]] += outbox[rows[at]]
-        views = self._views
-        for node in grouped[starts].tolist():
-            tv = views[node]
-            if tv is not None:
-                tv._known = None
-                tv._size = None
 
     def estimates(
         self,
@@ -436,7 +296,9 @@ class PopulationStore:
     ) -> np.ndarray:
         """The ``(len(rows), n)`` estimate matrix of ``rows``.
 
-        Row ``k`` equals ``self.row(rows[k]).estimates_array(n)``.  With
+        Row ``k`` holds node ``rows[k]``'s estimates ``x_j / w_j``:
+        ``inf`` where only ``x_j > 0`` and ``nan`` where the node knows
+        nothing of ``j``.  With
         a ``workspace`` the result lands in its alternating output slot
         (see :class:`EstimatesWorkspace`); without one it is fresh.
         """

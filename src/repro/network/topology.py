@@ -140,18 +140,6 @@ class Topology:
                     queue.append(v)
         return dist
 
-    def diameter_estimate(self, samples: int = 8, rng: SeedLike = None) -> int:
-        """Lower bound on diameter from double-sweep BFS over ``samples`` seeds."""
-        gen = as_generator(rng)
-        best = 0
-        for _ in range(max(1, samples)):
-            src = int(gen.integers(self._n))
-            d1 = self.bfs_distances(src)
-            far = int(np.argmax(d1))
-            d2 = self.bfs_distances(far)
-            best = max(best, int(d2.max()))
-        return best
-
     def with_edges(self, extra: Iterable[Tuple[int, int]]) -> "Topology":
         """A new topology with ``extra`` edges added."""
         return Topology(self._n, list(self.edges()) + list(extra))

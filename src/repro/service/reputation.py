@@ -35,7 +35,7 @@ snapshot was published.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -201,22 +201,6 @@ class ReputationService:
         self.ledger.record_transaction(rater, ratee, outcome, time=time)
         self._pending += 1
         self._ingested += 1
-
-    def ingest_score(self, rater: int, ratee: int, delta: float) -> None:
-        """Add a raw score delta to one (rater, ratee) pair."""
-        self.ledger.add_score(rater, ratee, delta)
-        self._pending += 1
-        self._ingested += 1
-
-    def ingest_batch(
-        self, events: Iterable[Tuple[int, int, TransactionOutcome]]
-    ) -> int:
-        """Record many transactions; returns the number ingested."""
-        count = 0
-        for rater, ratee, outcome in events:
-            self.ingest(rater, ratee, outcome)
-            count += 1
-        return count
 
     # -- aggregation epochs ------------------------------------------------
 
@@ -401,14 +385,6 @@ class ReputationService:
             epoch=self._epoch,
             pending_events=self._pending,
         )
-
-    def exact_score(self, node: int) -> float:
-        """The un-quantized score from the last published vector."""
-        if self._vector is None:
-            raise ValidationError("service has published no epoch yet")
-        if not 0 <= node < self.n:
-            raise ValidationError(f"node {node} out of range [0, {self.n})")
-        return float(self._vector[node])
 
     def scores(self) -> np.ndarray:
         """Copy of the last published reputation vector."""

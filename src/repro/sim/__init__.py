@@ -1,19 +1,15 @@
 """Discrete-event simulation substrate.
 
-A small, dependency-free DES kernel in the style of SimPy:
+A small, dependency-free DES kernel:
+:class:`~repro.sim.engine.Simulator` — a binary-heap queue of timed
+calls with a deterministic tie-break (same-time calls fire in schedule
+order), plus batches of timed items under one callback.
 
-* :class:`~repro.sim.engine.Simulator` — binary-heap event queue with a
-  deterministic tie-break (same-time events fire in schedule order).
-* :class:`~repro.sim.process.Process` — generator-based cooperative
-  processes that ``yield`` delays or event handles.
-* :class:`~repro.sim.events.Event` — one-shot triggerable handles.
-
-The message-level gossip engine, churn model and transport layer all run
-on this kernel; the vectorized engines bypass it entirely.
+The message-level gossip engine, churn model, fault plans and transport
+layer all run on this kernel; the vectorized engines bypass it
+entirely.
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, Timeout
-from repro.sim.process import Process, ProcessInterrupt
 
-__all__ = ["Simulator", "Event", "Timeout", "Process", "ProcessInterrupt"]
+__all__ = ["Simulator"]

@@ -7,10 +7,9 @@ heap ties), so no behaviour ever depends on heap internals.
 
 The heap holds plain ``(when, seq, fn, args)`` entries and firing one
 is ``fn(*args)``.  :meth:`Simulator.call_at` / :meth:`Simulator.call_in`
-push their callable directly — no :class:`~repro.sim.events.Event`, no
-closure — because the per-message transport path schedules one call per
-message; events and process starts are pushed as calls of :func:`_fire`
-and :meth:`Process._resume <repro.sim.process.Process._resume>`.
+push their callable directly — no event object, no closure — because
+the per-message transport path schedules one call per message.  There
+are no processes: a recurring activity reschedules itself with a call.
 
 A *batch* (:meth:`Simulator.call_batch_in`) schedules many timed items
 under one callback — a message round in one heap entry.  It reserves one
@@ -25,21 +24,13 @@ apiece — provided the callback schedules nothing, which is checked.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, Timeout
-from repro.sim.process import Process
 
 __all__ = ["Simulator"]
-
-
-def _fire(event: Event) -> None:
-    """Trigger a scheduled event (unless its owner already did)."""
-    if not event.triggered:
-        event.succeed(event.value)
 
 
 class _Batch:
@@ -77,10 +68,7 @@ class Simulator:
     -------
     >>> sim = Simulator()
     >>> log = []
-    >>> def proc():
-    ...     yield 5.0
-    ...     log.append(sim.now)
-    >>> _ = sim.process(proc())
+    >>> sim.call_in(5.0, lambda: log.append(sim.now))
     >>> sim.run()
     >>> log
     [5.0]
@@ -113,32 +101,11 @@ class Simulator:
         heapq.heappush(self._queue, (when, self._seq, fn, args))
         self._seq += 1
 
-    def _schedule(self, when: float, event: Event) -> None:
-        self._push(when, _fire, (event,))
-
-    def event(self) -> Event:
-        """Create a fresh untriggered event bound to this simulator."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that fires ``delay`` time units from now."""
-        return Timeout(self, delay, value)
-
-    def process(self, generator: Generator[Any, Any, Any]) -> Process:
-        """Install a generator as a cooperative process, started at ``now``.
-
-        The process's first resume is scheduled as an immediate event
-        (same timestamp, FIFO with anything else already due now).
-        """
-        proc = Process(self, generator)
-        self._push(self._now, proc._resume, (None,))
-        return proc
-
     def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` at absolute simulated time ``when``.
 
-        Returns ``None``: the call is not an :class:`Event` and cannot
-        be waited on or cancelled (schedule an :meth:`event` for that).
+        Returns ``None``: a scheduled call cannot be waited on or
+        cancelled.
         """
         self._push(when, fn, args)
 

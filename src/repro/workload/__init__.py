@@ -12,7 +12,7 @@
 
 from repro.workload.files import FileCatalog
 from repro.workload.filesharing import FileSharingSimulation, SharingResult
-from repro.workload.object_reputation import ObjectReputation, VersionScore
+from repro.workload.object_reputation import ObjectReputation
 from repro.workload.queries import QueryStream
 
 __all__ = [
@@ -21,5 +21,4 @@ __all__ = [
     "FileSharingSimulation",
     "SharingResult",
     "ObjectReputation",
-    "VersionScore",
 ]

@@ -114,15 +114,6 @@ class FileCatalog:
         own = self._owners[file_rank - 1]
         return own[alive_mask[own]]
 
-    def files_of(self, peer: int) -> np.ndarray:
-        """1-based file ranks owned by ``peer`` (linear scan; test helper)."""
-        if not 0 <= peer < self.n_peers:
-            raise ValidationError(f"peer {peer} out of range [0, {self.n_peers})")
-        hits = [
-            f + 1 for f, own in enumerate(self._owners) if np.any(own == peer)
-        ]
-        return np.asarray(hits, dtype=np.int64)
-
     @property
     def total_copies(self) -> int:
         """Total placed copies across all files."""

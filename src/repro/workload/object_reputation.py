@@ -16,7 +16,6 @@ is the Laplace-smoothed weighted fraction of authentic votes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
@@ -25,17 +24,7 @@ from repro.errors import ValidationError
 from repro.types import TransactionOutcome
 from repro.utils.validation import check_positive
 
-__all__ = ["VersionScore", "ObjectReputation"]
-
-
-@dataclass(frozen=True)
-class VersionScore:
-    """Score snapshot of one file version."""
-
-    file_rank: int
-    version: int
-    score: float
-    weighted_votes: float
+__all__ = ["ObjectReputation"]
 
 
 class ObjectReputation:
@@ -122,17 +111,6 @@ class ObjectReputation:
         auth, total = self._votes.get(key, (0.0, 0.0))
         return float(
             (auth + self.prior * self.prior_weight) / (total + self.prior_weight)
-        )
-
-    def version_score(self, file_rank: int, version: int) -> VersionScore:
-        """Score snapshot with the accumulated vote mass."""
-        key = self._check(file_rank, version)
-        _auth, total = self._votes.get(key, (0.0, 0.0))
-        return VersionScore(
-            file_rank=int(file_rank),
-            version=int(version),
-            score=self.score(file_rank, version),
-            weighted_votes=float(total),
         )
 
     def best_version(self, file_rank: int) -> int:

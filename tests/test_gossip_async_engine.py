@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.gossip.async_engine import AsyncMessageGossipEngine
+from repro.gossip.message_engine import AsyncMessageGossipEngine
 from repro.network.overlay import Overlay
 from repro.network.topology import random_graph
 from repro.network.transport import Transport

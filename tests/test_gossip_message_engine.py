@@ -142,43 +142,6 @@ class TestConfiguration:
         assert res.gossip_error < 0.05
 
 
-class TestFinalize:
-    def test_pairs_match_estimates(self):
-        n = 16
-        _sim, _ov, _tr, engine = build(n, epsilon=1e-6)
-        rows, v = rows_and_prior(n)
-        res = engine.run_cycle(rows, v)
-        pairs = engine.finalize()
-        assert set(pairs) == set(res.live_nodes.tolist())
-        node0 = pairs[res.live_nodes[0]]
-        # Pair scores approximate the exact next vector.
-        for j, score in node0.items():
-            assert score == pytest.approx(res.exact[j], rel=0.05, abs=1e-6)
-
-    def test_bloom_store_variant(self):
-        n = 16
-        _sim, _ov, _tr, engine = build(n, epsilon=1e-6)
-        rows, v = rows_and_prior(n)
-        res = engine.run_cycle(rows, v)
-        stores = engine.finalize(bracket_bits=8)
-        from repro.storage.reputation_store import BloomReputationStore
-
-        store = stores[res.live_nodes[0]]
-        assert isinstance(store, BloomReputationStore)
-        # Quantized lookups track the exact scores within bracket error.
-        top = int(res.exact.argmax())
-        assert store.lookup(top) == pytest.approx(res.exact[top], rel=0.5)
-
-    def test_departed_nodes_excluded(self):
-        n = 16
-        sim, overlay, _tr, engine = build(n)
-        rows, v = rows_and_prior(n)
-        sim.call_in(2.5, overlay.leave, 5)
-        engine.run_cycle(rows, v)
-        pairs = engine.finalize()
-        assert 5 not in pairs
-
-
 class TestBatchedConvergence:
     """Unit semantics of the one-pass population convergence test."""
 
@@ -231,9 +194,9 @@ class TestBatchedConvergence:
         """w == 0, x > 0 -> inf flows from estimates_array into the
         convergence test and the disagreement metric without blowing up."""
         from repro.gossip.message_engine import _batched_converged, _disagreement
-        from repro.gossip.vector import TripletVector
+        from tests.triplet_oracle import NodeVector
 
-        tv = TripletVector.initial(0, {1: 1.0}, {0: 0.4})
+        tv = NodeVector.initial(0, {1: 1.0}, {0: 0.4})
         est = tv.estimates_array(3)
         assert est[1] == np.inf
         mat = est[None, :]
@@ -275,7 +238,8 @@ class TestBatchedConvergence:
 class TestLifetime:
     """The transport holds the engine weakly: no reference cycle to collect."""
 
-    def test_dropped_system_is_freed_without_gc(self):
+    @pytest.mark.parametrize("engine", ["message", "async"])
+    def test_dropped_system_is_freed_without_gc(self, engine):
         import gc
         import weakref
 
@@ -285,7 +249,7 @@ class TestLifetime:
 
         S = synthetic_trust_matrix(24, rng=1)
         config = GossipTrustConfig(
-            n=24, engine="message", engine_mode="full", compute_reference=False, seed=3
+            n=24, engine=engine, engine_mode="full", compute_reference=False, seed=3
         )
         gc.collect()
         gc.disable()
@@ -299,6 +263,17 @@ class TestLifetime:
             assert transport() is None
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_async_cycle_leaves_nothing_scheduled(self, seed):
+        # Every wake of a Poisson window fires inside it and the cycle
+        # drains its sends, so no heap entry can keep the engine alive.
+        from repro.experiments.synthetic import synthetic_trust_matrix
+        from repro.gossip.factory import make_engine
+
+        engine = make_engine("async", n=24, rng=seed)
+        engine.run_cycle(synthetic_trust_matrix(24, rng=1), np.full(24, 1.0 / 24))
+        assert engine.sim.peek() == float("inf")
 
     def test_message_for_a_collected_engine_is_dropped(self):
         sim, overlay, transport, engine = build(8)

@@ -1,15 +1,17 @@
-"""Bitwise parity of the round-batched DES engines with a per-node oracle.
+"""Bitwise parity of the store-backed DES engine with a per-node oracle.
 
-The message engine draws a round's partners in one call, halves all
-senders in one pass over its :class:`~repro.gossip.vector.PopulationStore`,
-sends the round as one transport batch that the simulator delivers in
-stretches, merges the arrivals in one layered add, and reduces the
-store's rows for mass and estimates.  The oracle below restores the
-node-by-node protocol — per-node ``partner``/``halve``/copy/
-``payload_size``/``send``, per-message delivery through the registered
-handlers, and per-node ``mass()`` and estimate gathers — on the same
-substrate.  Every vector, counter and event count must match bit for
-bit, also when faults land in the middle of a round.
+On the round clock the message engine draws a round's partners in one
+call, halves all senders in one pass over its
+:class:`~repro.gossip.vector.PopulationStore`, sends the round as one
+transport batch that the simulator delivers in stretches, merges the
+arrivals in one layered add, and reduces the store's rows for mass and
+estimates.  The oracle below restores the node-by-node protocol —
+per-node ``partner``/``halve``/copy/``payload_size``/``send``,
+per-message delivery through the registered handlers, and per-node
+``mass()`` and estimate gathers (:mod:`tests.triplet_oracle`) — on the
+same substrate.  Every vector, counter and event count must match bit
+for bit, also when faults land in the middle of a round.  On the
+Poisson clock the oracle swaps in the per-node reductions.
 """
 
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -19,21 +21,25 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.experiments.synthetic import synthetic_trust_matrix
-from repro.gossip.async_engine import AsyncMessageGossipEngine
-from repro.gossip.message_engine import MessageGossipEngine, weak_dispatcher
+from repro.gossip.message_engine import (
+    AsyncMessageGossipEngine,
+    MessageGossipEngine,
+    weak_dispatcher,
+)
 from repro.gossip.partnering import make_strategy, strategy_names
-from repro.gossip.vector import EstimatesWorkspace, PopulationStore, TripletVector
+from repro.gossip.vector import EstimatesWorkspace, PopulationStore
 from repro.network.faultplan import named_plan, plan_names
 from repro.network.overlay import Overlay
 from repro.network.topology import gnutella_like
 from repro.network.transport import Transport
 from repro.sim.engine import Simulator
 from repro.utils.rng import RngStreams
+from tests.triplet_oracle import NodeStore, NodeVector
 
 N = 40
 
 
-class _PerNodeStore(PopulationStore):
+class _PerNodeStore(NodeStore):
     """Store whose reductions loop over the nodes' row views one by one."""
 
     __slots__ = ()
@@ -52,7 +58,7 @@ class _PerNodeStore(PopulationStore):
         workspace: Optional[EstimatesWorkspace] = None,
     ) -> np.ndarray:
         nodes = range(self.n) if rows is None else rows
-        return TripletVector.estimates_matrix([self.row(node) for node in nodes], self.n)
+        return NodeVector.estimates_matrix([self.row(node) for node in nodes], self.n)
 
 
 class _PerNodeMessageEngine(MessageGossipEngine):
@@ -64,9 +70,9 @@ class _PerNodeMessageEngine(MessageGossipEngine):
 
     def _gossip_round(self) -> None:
         for node in self.overlay.alive_nodes().tolist():
-            state = self._states.get(node)
-            if state is None:
+            if not self._member[node]:
                 continue
+            state = self._store.row(node)
             partner = self.partnering.partner(node)
             if partner is None:
                 continue
@@ -79,11 +85,10 @@ class _PerNodeMessageEngine(MessageGossipEngine):
         if msg.kind != "gossip":
             self.partnering.on_message(msg)
             return
-        state = self._states.get(msg.dst)
-        if state is None or not self.overlay.is_alive(msg.dst):
+        if not (self._member[msg.dst] and self.overlay.is_alive(msg.dst)):
             self.discarded += 1
             return
-        state.merge(msg.payload)
+        self._store.row(msg.dst).merge(msg.payload)
 
 
 class _PerNodeAsyncEngine(AsyncMessageGossipEngine):
@@ -117,7 +122,6 @@ def _run(
     plan: Optional[str] = None,
     loss: float = 0.0,
     budget: Optional[float] = None,
-    action: str = "renormalize",
     sanitize: bool = False,
     cycles: int = 1,
     seed: int = 7,
@@ -134,8 +138,8 @@ def _run(
         mass_restore_budget=budget,
         rng=streams.get("gossip"),
     )
-    if issubclass(cls, MessageGossipEngine):
-        kwargs.update(round_interval=2.0, max_rounds=150, mass_restore_action=action)
+    if not issubclass(cls, AsyncMessageGossipEngine):
+        kwargs.update(round_interval=2.0, max_rounds=150)
     engine = cls(sim, transport, overlay, **kwargs)
     if sanitize:
         engine.arm_sanitizer()
@@ -167,10 +171,9 @@ def _run(
     return out
 
 
-def _assert_parity(**scenario) -> List:
-    batched = _run(MessageGossipEngine, **scenario)
-    oracle = _run(_PerNodeMessageEngine, **scenario)
-    assert batched == oracle
+def _assert_parity(engine=MessageGossipEngine, oracle=_PerNodeMessageEngine, **scenario) -> List:
+    batched = _run(engine, **scenario)
+    assert batched == _run(oracle, **scenario)
     return batched
 
 
@@ -190,7 +193,13 @@ class TestMessageParity:
 
     @pytest.mark.parametrize("action", ["renormalize", "restart"])
     def test_restore_actions(self, action):
-        out = _assert_parity(loss=0.2, budget=0.05, action=action)
+        # The clock picks the action: the round clock renormalizes, the
+        # Poisson clock drains, re-measures and restarts.
+        engines = {
+            "renormalize": (MessageGossipEngine, _PerNodeMessageEngine),
+            "restart": (AsyncMessageGossipEngine, _PerNodeAsyncEngine),
+        }[action]
+        out = _assert_parity(*engines, loss=0.2, budget=0.05)
         assert out[0][8] > 0  # the guard fired
 
     def test_sanitizer_armed(self):
@@ -374,17 +383,17 @@ class TestStoreRows:
         assert store.x.shape == (4, 4)
 
     def test_reset_and_merge_write_the_row_in_place(self):
-        store = PopulationStore(3)
+        store = NodeStore(3)
         row = store.row(2)
         assert store.row(2) is row
         row.reset(2, {0: 0.5, 1: 0.5}, {2: 0.4}, n=3)
         np.testing.assert_array_equal(store.x[2], [0.2, 0.2, 0.0])
         np.testing.assert_array_equal(store.w[2], [0.0, 0.0, 1.0])
-        row.merge(TripletVector.initial(0, {}, {0: 1.0}, n=3))
+        row.merge(NodeVector.initial(0, {}, {0: 1.0}, n=3))
         np.testing.assert_array_equal(store.w[2], [1.0, 0.0, 1.0])
 
     def test_batched_halve_matches_per_node_halve(self):
-        store = PopulationStore(5)
+        store = NodeStore(5)
         ref = []
         for node in range(5):
             store.row(node).reset(node, {(node + 1) % 5: 1.0}, {node: 0.2}, n=5)
@@ -397,6 +406,18 @@ class TestStoreRows:
             assert store.x[node].tobytes() == ref[node]._x.tobytes()
             assert sizes[k] == sent.payload_size()
         assert store.w[0, 0] == 1.0  # a non-sender keeps its whole vector
+
+    def test_halve_row_matches_per_node_halve(self):
+        store = NodeStore(5)
+        store.row(3).reset(3, {1: 0.25, 4: 0.75}, {3: 0.2}, n=5)
+        ref = store.row(3).copy()
+        half, size = store.halve_row(3)
+        sent = ref.halve()
+        assert half.tobytes() == np.concatenate([sent._x, sent._w]).tobytes()
+        assert store.xw[3].tobytes() == half.tobytes()
+        assert size == sent.payload_size() == 3
+        half[0] = 9.0  # the sent half is a copy, not the row
+        assert store.x[3, 0] == 0.0
 
     def test_mass_and_estimates_match_per_node_loops(self):
         rng = np.random.default_rng(0)

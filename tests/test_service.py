@@ -47,18 +47,10 @@ class TestIngest:
         svc.run_epoch()
         assert svc.pending_events == 0
         svc.ingest(0, 1, TransactionOutcome.AUTHENTIC)
-        svc.ingest_score(2, 3, 0.5)
+        svc.ingest(2, 3, TransactionOutcome.INAUTHENTIC)
         assert svc.pending_events == 2
         svc.run_epoch()
         assert svc.pending_events == 0
-
-    def test_ingest_batch_counts(self):
-        svc = _seeded_service()
-        count = svc.ingest_batch(
-            [(0, 1, TransactionOutcome.AUTHENTIC), (1, 2, TransactionOutcome.INAUTHENTIC)]
-        )
-        assert count == 2
-        assert svc.pending_events == 2
 
     def test_ingest_validates_like_the_ledger(self):
         svc = _seeded_service()
@@ -116,8 +108,6 @@ class TestServing:
         with pytest.raises(ValidationError):
             svc.lookup(0)
         with pytest.raises(ValidationError):
-            svc.exact_score(0)
-        with pytest.raises(ValidationError):
             svc.scores()
 
     def test_served_score_carries_staleness_stamp(self):
@@ -136,7 +126,7 @@ class TestServing:
         svc.run_epoch()
         for node in range(0, svc.n, 7):
             served = svc.lookup(node).score
-            exact = svc.exact_score(node)
+            exact = float(svc.scores()[node])
             if exact > 1e-9:
                 assert served / exact < 3.0
                 assert exact / served < 3.0

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, Timeout
 
 
 class TestScheduling:
@@ -47,23 +46,6 @@ class TestScheduling:
         sim = Simulator()
         assert sim.call_at(1.0, lambda: None) is None
         assert sim.call_in(1.0, lambda: None) is None
-
-    def test_calls_events_and_processes_share_one_fifo(self):
-        sim = Simulator()
-        order = []
-
-        def proc():
-            order.append("proc")
-            yield 0.0
-            order.append("proc-wake")
-
-        sim.call_at(0.0, order.append, "call")
-        sim.timeout(0.0).add_callback(lambda _ev: order.append("timeout"))
-        sim.process(proc())
-        sim.call_in(0.0, order.append, "call2")
-        sim.run()
-        assert order == ["call", "timeout", "proc", "call2", "proc-wake"]
-        assert sim.events_processed == 5
 
     def test_events_processed_counter(self):
         sim = Simulator()
@@ -115,38 +97,6 @@ class TestRun:
         sim.call_in(1.0, reenter)
         sim.run()
         assert len(err) == 1
-
-
-class TestEvents:
-    def test_event_triggers_callbacks_once(self):
-        sim = Simulator()
-        ev = sim.event()
-        got = []
-        ev.add_callback(lambda e: got.append(e.value))
-        ev.succeed("v")
-        assert got == ["v"]
-        with pytest.raises(SimulationError):
-            ev.succeed("again")
-
-    def test_callback_on_already_triggered_event_runs_immediately(self):
-        sim = Simulator()
-        ev = sim.event()
-        ev.succeed(7)
-        got = []
-        ev.add_callback(lambda e: got.append(e.value))
-        assert got == [7]
-
-    def test_timeout_carries_value(self):
-        sim = Simulator()
-        ev = sim.timeout(2.0, value="payload")
-        sim.run()
-        assert ev.triggered
-        assert ev.value == "payload"
-
-    def test_timeout_negative_delay_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            Timeout(sim, -0.5)
 
 
 def _schedule(sim, log, batched, delays, calls=()):

@@ -63,19 +63,12 @@ class TestOwnership:
         assert (owned_by == 0).sum() > 0  # free riders exist
         assert owned_by.max() > 5 * max(1, np.median(owned_by[owned_by > 0]))
 
-    def test_files_of_inverts_owners(self, catalog):
-        peer = int(catalog.owners(1)[0])
-        assert 1 in catalog.files_of(peer).tolist()
-
-
 class TestValidation:
     def test_rank_bounds(self, catalog):
         with pytest.raises(ValidationError):
             catalog.copies(0)
         with pytest.raises(ValidationError):
             catalog.owners(2001)
-        with pytest.raises(ValidationError):
-            catalog.files_of(100)
 
     def test_constructor_validation(self):
         with pytest.raises(ValidationError):

@@ -64,14 +64,6 @@ class TestQueries:
         assert obj.validate(4, 1) is False
         assert obj.validate(4, 0) is True  # prior 0.5 >= 0.5
 
-    def test_version_score_snapshot(self, obj):
-        obj.vote(6, 0, TransactionOutcome.AUTHENTIC, weight=2.0)
-        snap = obj.version_score(6, 0)
-        assert snap.file_rank == 6
-        assert snap.weighted_votes == pytest.approx(2.0)
-        assert snap.score > 0.5
-
-
 class TestValidation:
     def test_rank_and_version_bounds(self, obj):
         with pytest.raises(ValidationError):

@@ -74,11 +74,16 @@ lines += [
     "`invalidate_workspace()` drops it explicitly. Reused and fresh",
     "workspaces produce identical results step for step.",
     "",
-    "`MessageGossipEngine` and `AsyncMessageGossipEngine` keep every",
-    "node's triplet vector as a row of one engine-owned `(n, n)` x/w",
-    "pair, a `PopulationStore` whose `row(i)` is a cached `TripletVector`",
-    "view (re-initialized in place by `reset`, which raises on an id",
-    "outside the store). A message-engine round is one call per stage:",
+    "`MessageGossipEngine` runs Algorithm 2 as messages on the DES on",
+    "a round clock; its subclass `AsyncMessageGossipEngine` swaps in a",
+    "Poisson clock (one Poisson(n/mean_interval) clock whose wakes pick",
+    "a node uniformly, drawn a check window at a time and scheduled as",
+    "plain calls). Both keep every node's triplet vector as a row of",
+    "one engine-owned `(n, n)` x/w pair, a `PopulationStore` whose",
+    "`row(i)` is a cached `TripletVector` view (re-initialized in place",
+    "by `reset`, which raises on an id outside the store), and the",
+    "cycle's participants as one boolean mask over the rows. A round",
+    "is one call per stage:",
     "`PartnerStrategy.partners` draws every partner (the global sampler",
     "via `Overlay.random_partners`, the same RNG stream as per-node",
     "`random_partner` calls), `PopulationStore.halve` halves all senders",
@@ -89,8 +94,9 @@ lines += [
     "(estimates in an `EstimatesWorkspace`'s two alternating output",
     "slots). Results are bitwise those of the node-by-node protocol.",
     "`Simulator.call_at`/`call_in` push `(when, seq, fn, args)` heap",
-    "entries and return `None`; the async engine and membership control",
-    "traffic still schedule one call per message.",
+    "entries and return `None`; Poisson wakes and membership control",
+    "traffic schedule one call per message. The simulator has no",
+    "processes or event handles.",
     "",
     "`repro.experiments.runner` fans experiment sweeps over worker",
     "processes: declare `SweepPoint`s (picklable point function + kwargs",
