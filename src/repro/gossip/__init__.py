@@ -42,13 +42,11 @@ from repro.gossip.message_engine import (
 )
 from repro.gossip.pushsum import PushSumResult, push_sum, scripted_push_sum
 from repro.gossip.structured import StructuredAggregationEngine
-from repro.gossip.vector import TripletVector
 
 __all__ = [
     "push_sum",
     "scripted_push_sum",
     "PushSumResult",
-    "TripletVector",
     "StepConvergenceDetector",
     "CycleConvergenceDetector",
     "average_relative_error",

@@ -13,8 +13,11 @@ interchange point:
   ``run_cycle(S, v) -> GossipCycleResult`` where ``S`` is a
   :class:`~repro.trust.matrix.TrustMatrix` (raw arrays and sparse
   matrices are also coerced, for tests and ad-hoc use).
-* :func:`coerce_csr` / :func:`local_rows` — the shared input coercions,
-  so every engine accepts the same spectrum of matrix forms.
+* :func:`coerce_csr` — the shared input coercion, so every engine
+  accepts the same spectrum of matrix forms.
+* ``_csc_matvecs`` — scipy's C scatter-add kernel (``Y += A @ X`` for a
+  CSC ``A``), imported once behind a guard: the sync engine's step and
+  the message engine's merge both run on it.
 
 Engines register themselves with :mod:`repro.gossip.factory`; the
 orchestration layer (:class:`~repro.core.gossiptrust.GossipTrust`), the
@@ -33,14 +36,18 @@ from scipy import sparse
 
 from repro.analysis.sanitizer import InvariantSanitizer
 from repro.errors import ValidationError
-from repro.trust.matrix import TrustMatrix
+from repro.trust.matrix import TrustMatrix, rows_to_csr
+
+try:  # the C kernel behind scipy's CSC matrix-times-dense products
+    from scipy.sparse._sparsetools import csc_matvecs as _csc_matvecs
+except ImportError:  # pragma: no cover - very old scipy
+    _csc_matvecs = None
 
 __all__ = [
     "GossipCycleResult",
     "CycleEngine",
     "TrustInput",
     "coerce_csr",
-    "local_rows",
     "exact_aggregate",
 ]
 
@@ -152,12 +159,22 @@ class CycleEngine(ABC):
         self.cycle_steps = []
 
 
-def coerce_csr(S: TrustInput, n: int) -> sparse.csr_matrix:
-    """Coerce any accepted matrix form to an (n, n) CSR matrix."""
+def coerce_csr(
+    S: Union[TrustInput, Sequence[Mapping[int, float]]], n: int
+) -> sparse.csr_matrix:
+    """Coerce any accepted matrix form to an (n, n) CSR matrix.
+
+    A :class:`TrustMatrix` serves its own CSR (no copy), a sparse matrix
+    converts, a sequence of per-node row mappings ``{j: s_ij}`` is
+    assembled by :func:`~repro.trust.matrix.rows_to_csr`, and anything
+    else is read as a dense array.
+    """
     if isinstance(S, TrustMatrix):
         mat = S.sparse()
     elif sparse.issparse(S):
         mat = S.tocsr()
+    elif not isinstance(S, np.ndarray) and all(isinstance(r, Mapping) for r in S):
+        mat = rows_to_csr(S, n)
     else:
         mat = sparse.csr_matrix(np.asarray(S, dtype=np.float64))
     if mat.shape != (n, n):
@@ -173,49 +190,10 @@ def exact_aggregate(
     """Exact one-cycle aggregation ``S^T @ v`` as a sparse matvec.
 
     The oracle every engine measures its gossip error against.  A
-    :class:`TrustMatrix` serves its cached transpose; matrix forms go
-    through :func:`coerce_csr`; a sequence of per-node row mappings is
-    assembled once via :func:`~repro.trust.matrix.rows_to_csr` (the
-    message engines' input form — previously an O(nnz) Python loop).
+    :class:`TrustMatrix` serves its cached transpose; every other form
+    goes through :func:`coerce_csr`.
     """
     v = np.asarray(v, dtype=np.float64)
     if isinstance(S, TrustMatrix):
         return np.asarray(S.aggregate(v)).ravel()
-    if sparse.issparse(S) or isinstance(S, np.ndarray):
-        return np.asarray(coerce_csr(S, n).T @ v).ravel()
-    from repro.trust.matrix import rows_to_csr
-
-    return np.asarray(rows_to_csr(S, n).T @ v).ravel()
-
-
-def local_rows(
-    S: Union[TrustInput, Sequence[Mapping[int, float]]], n: int
-) -> Sequence[Mapping[int, float]]:
-    """Per-node sparse rows ``{j: s_ij}`` from any accepted matrix form.
-
-    A :class:`TrustMatrix` serves its cached row view (computed once per
-    matrix instance — see :meth:`TrustMatrix.sparse_rows`); raw arrays
-    and sparse matrices are converted on the fly; a sequence of mappings
-    (the message engines' historical input form) passes through after a
-    length check.
-    """
-    if isinstance(S, TrustMatrix):
-        if S.n != n:
-            raise ValidationError(f"matrix n={S.n} does not match engine n={n}")
-        return S.sparse_rows()
-    if sparse.issparse(S) or isinstance(S, np.ndarray):
-        csr = coerce_csr(S, n)
-        rows: List[Dict[int, float]] = []
-        for i in range(n):
-            start, end = csr.indptr[i], csr.indptr[i + 1]
-            rows.append(
-                {
-                    int(j): float(val)
-                    for j, val in zip(csr.indices[start:end], csr.data[start:end])
-                }
-            )
-        return rows
-    rows_seq = list(S)
-    if len(rows_seq) != n:
-        raise ValidationError(f"need one local row per node: {len(rows_seq)} != {n}")
-    return rows_seq
+    return np.asarray(coerce_csr(S, n).T @ v).ravel()

@@ -79,16 +79,17 @@ from scipy import sparse
 
 from repro.analysis.sanitizer import InvariantSanitizer
 from repro.errors import ConvergenceError, ValidationError
-from repro.gossip.base import CycleEngine, GossipCycleResult, TrustInput, coerce_csr
+from repro.gossip.base import (
+    CycleEngine,
+    GossipCycleResult,
+    TrustInput,
+    _csc_matvecs,
+    coerce_csr,
+)
 from repro.gossip.convergence import average_relative_error
 from repro.metrics.telemetry import Stopwatch
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_in_range, check_vector
-
-try:  # the C kernel behind scipy's CSC matrix-times-dense products
-    from scipy.sparse._sparsetools import csc_matvecs as _csc_matvecs
-except ImportError:  # pragma: no cover - very old scipy
-    _csc_matvecs = None
 
 __all__ = [
     "GossipCycleResult",

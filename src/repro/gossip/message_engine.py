@@ -36,23 +36,31 @@ mechanisms" (§2).
 Node state lives in one :class:`~repro.gossip.vector.PopulationStore`
 owned by the engine: node ``i``'s triplet vector is row ``i`` of an
 ``(n, n)`` x/w pair, and the cycle's participants are one boolean mask
-over its rows.  A round costs a fixed number of Python calls, not one
-per message:
+over its rows.  A cycle starts from the trust matrix's CSR, taken once:
+it feeds the exact oracle, and one scatter of ``s_ij * v_i`` into the
+live rows initializes them
+(:meth:`~repro.gossip.vector.PopulationStore.reset`).  A round costs a
+fixed number of Python calls, not one per message:
 
 1. the strategy draws every live node's partner in node order in one
    call (:meth:`~repro.gossip.partnering.PartnerStrategy.partners`);
-2. the store halves all senders in one pass into a fresh outbox;
+2. the store halves all senders in one pass into a fresh outbox (plain
+   slicing when every row sends);
 3. the transport sends the round in the same order as one batch
    (:meth:`~repro.network.transport.Transport.send_many`), which the
    simulator schedules as one heap entry;
 4. arrivals come back in stretches of simulated time, are masked by
    the receivers' liveness and cycle membership, and merge into the
-   store in arrival order (:meth:`~repro.gossip.vector.PopulationStore.merge`).
+   store in arrival order as one ``csc_matvecs`` scatter-add — the sync
+   engine's step kernel
+   (:meth:`~repro.gossip.vector.PopulationStore.merge`).
 
-The per-window estimate matrix and held mass are row reductions over the
-store.  Every vector, step, counter and event count of the round clock
-is bitwise the same as drawing, halving, sending and delivering node by
-node (``tests/test_gossip_message_parity.py``): partner draws touch
+Each window's estimate matrix is one divide over the held rows, its
+convergence check one residual pass, and held mass and the armed
+sanitizer's checks are row reductions over the store.  Every vector,
+step, counter and event count of the round clock is bitwise the same as
+initializing, drawing, halving, sending and delivering node by node
+(``tests/test_gossip_message_parity.py``): partner draws touch
 only the strategy's own RNG (the
 :class:`~repro.gossip.partnering.PartnerStrategy` contract), the batch
 applies the per-message fault model in send order and fires each
@@ -77,14 +85,15 @@ from functools import partial
 from typing import Callable, ClassVar, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy import sparse
 
 from repro.errors import ConvergenceError, ValidationError
 from repro.gossip.base import (
     CycleEngine,
     GossipCycleResult,
     TrustInput,
+    coerce_csr,
     exact_aggregate,
-    local_rows,
 )
 from repro.gossip.convergence import average_relative_error
 from repro.gossip.partnering import GlobalSampler, PartnerStrategy
@@ -198,10 +207,12 @@ def _batched_converged(
         return False
     if not finite.any(axis=1).all():
         return False
+    # With the patterns equal, a non-finite position is non-finite in
+    # both matrices, so its residual is NaN, which fmax skips.
     with np.errstate(invalid="ignore"):
-        num = np.abs(np.where(finite, cur - aligned, 0.0))
-        den = np.maximum(np.abs(np.where(finite, aligned, 1.0)), 1e-12)
-        worst = float((num / den).max())
+        residual = np.abs(cur - aligned)
+        residual /= np.fmax(np.abs(aligned), 1e-12)
+        worst = float(np.fmax.reduce(residual, axis=None))
     return worst <= epsilon
 
 
@@ -395,19 +406,17 @@ class MessageGossipEngine(CycleEngine):
         return np.flatnonzero(self._member & self.overlay.alive_mask())
 
     def _init_cycle(
-        self, rows: Sequence[Mapping[int, float]], prior_map: Mapping[int, float]
+        self, S: sparse.csr_matrix, v_prior: np.ndarray
     ) -> Tuple[np.ndarray, float]:
         """Cycle initialization: every live node joins with a fresh row.
 
         Returns the participants and their rows' total mass.
         """
         live = self.overlay.alive_nodes()
-        store = self._store
         self._member[:] = False
         self._member[live] = True
-        for node in live.tolist():
-            store.row(node).reset(node, rows[node], prior_map, n=store.n)
-        return live, store.mass(live)
+        self._store.reset(live, S, v_prior)
+        return live, self._store.mass(live)
 
     def _over_budget(self, mass: float, initial_mass: float) -> bool:
         """Whether the restore guard fires on held ``mass``."""
@@ -434,9 +443,10 @@ class MessageGossipEngine(CycleEngine):
         ----------
         S:
             The trust matrix — a :class:`~repro.trust.matrix.TrustMatrix`
-            (its cached sparse-row view is reused across cycles), a raw
-            array/sparse matrix, or a per-node sequence of sparse rows
-            ``{j: s_ij}``.
+            (its CSR is used as is), a raw array/sparse matrix, or a
+            per-node sequence of sparse rows ``{j: s_ij}``.  It is taken
+            to CSR once (:func:`~repro.gossip.base.coerce_csr`), which
+            feeds both the exact oracle and cycle initialization.
         v_prior:
             Previous-cycle reputation vector ``V(t-1)`` (dense, length n).
         raise_on_budget:
@@ -445,18 +455,17 @@ class MessageGossipEngine(CycleEngine):
             injection legitimately slows convergence).
         """
         n = self.overlay.n
-        rows = local_rows(S, n)
+        S_csr = coerce_csr(S, n)
         v_prior = np.asarray(v_prior, dtype=np.float64)
         if v_prior.shape != (n,):
             raise ValidationError(f"v_prior must have shape ({n},)")
 
-        exact = exact_aggregate(rows, v_prior, n)
-        prior_map = {i: float(v_prior[i]) for i in range(n)}
+        exact = exact_aggregate(S_csr, v_prior, n)
         san = self.sanitizer
         if san is not None:
             san.begin_cycle(self.name)
         store = self._store
-        initial_live, initial_mass = self._init_cycle(rows, prior_map)
+        initial_live, initial_mass = self._init_cycle(S_csr, v_prior)
         track_mass = san is not None or self.mass_restore_budget is not None
         sent_before = self.transport.sent
         dropped_before = self.transport.drop_count
@@ -482,8 +491,7 @@ class MessageGossipEngine(CycleEngine):
             # Only the sanitizer and the restore guard read the mass.
             mass_now = store.mass(cur) if track_mass else 0.0
             if san is not None:
-                for node in cur.tolist():
-                    store.row(node).check_invariants(san, owner=node, step=windows)
+                store.check_invariants(san, cur, step=windows)
                 if not self._in_flight and lossless(cur):
                     # Nothing in flight, lossless history: push-sum
                     # conserves exactly.
@@ -508,7 +516,7 @@ class MessageGossipEngine(CycleEngine):
                 if self._in_flight or not mass_now > 0.0:
                     # Restart: live nodes re-enter the cycle from fresh
                     # vectors; the steps already spent stay counted.
-                    initial_live, initial_mass = self._init_cycle(rows, prior_map)
+                    initial_live, initial_mass = self._init_cycle(S_csr, v_prior)
                     dropped_before = self.transport.drop_count
                     discarded_before = self.discarded
                     prev_ids, prev_mat = (), None

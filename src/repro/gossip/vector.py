@@ -4,37 +4,38 @@ During an aggregation cycle every node carries the *entire* global
 reputation vector in gossiped form — one triplet per peer id.  A gossip
 step halves the whole vector, sends one half to a random partner, keeps
 the other, and merges arriving halves component-wise (Algorithm 2 lines
-12-19).  :class:`TripletVector` is one node's vector; the vectorized
-engine flattens the same state into arrays.
+12-19).
 
-The triplet store is id-indexed NumPy arrays rather than dicts: ``x``
-and ``w`` mass live at position ``j`` for peer ``j``, so halve/merge are
-single vectorized passes.  The *logical* sparsity of the paper's
+The message engine keeps a whole population in one
+:class:`PopulationStore`: node ``i``'s vector is row ``i`` of an
+engine-owned ``(n, n)`` x/w array pair, with ``x`` and ``w`` mass for
+peer ``j`` at column ``j``.  The *logical* sparsity of the paper's
 payload is preserved — an id is "known" exactly when it carries any
 mass, and a message's size counts the known ids it carries, not array
 capacity.
 
-The message engine keeps a whole population in one
-:class:`PopulationStore`: node ``i``'s vector is row ``i`` of an
-engine-owned ``(n, n)`` x/w array pair, served as a cached
-:class:`TripletVector` view.  A gossip round is then one halving pass
-over the senders' rows and one layered add of the arriving halves, and
-the per-window estimate matrix and held mass are row reductions over
-the store instead of per-node Python loops.
+Every store operation is a whole-store array kernel: cycle
+initialization scatters the trust matrix's CSR into the participants'
+rows, a gossip round is one halving pass over the senders' rows and one
+``csc_matvecs`` scatter-add of the arriving halves, the estimate matrix
+is one divide, and held mass and the sanitizer's checks are row
+reductions — no per-node Python loop anywhere.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.errors import ValidationError
+from repro.gossip.base import _csc_matvecs
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.sanitizer import InvariantSanitizer
 
-__all__ = ["TripletVector", "PopulationStore", "EstimatesWorkspace"]
+__all__ = ["PopulationStore", "EstimatesWorkspace"]
 
 
 class EstimatesWorkspace:
@@ -67,124 +68,18 @@ class EstimatesWorkspace:
         return buf[:m, :n]
 
 
-# hot: population estimates — three ufunc passes into the caller's buffer
+# hot: population estimates — one divide into the caller's buffer
 def _estimates_into(X: np.ndarray, W: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``x / w`` where ``w > 0``, ``inf`` where only ``x > 0``, else ``nan``."""
-    out.fill(np.nan)
-    pos = W > 0
-    np.divide(X, W, out=out, where=pos)
-    out[~pos & (X > 0)] = np.inf
-    return out
+    """``x / w``: ``inf`` where only ``x > 0``, ``nan`` where both are 0.
 
-
-class TripletVector:
-    """A node's gossiped reputation vector: ``x``/``w`` mass per peer id.
-
-    An id is *known* to a node exactly when it carries any mass there;
-    entries a node has never heard about are zero.  The arrays grow on
-    demand when :meth:`reset` names a higher id than they hold — except
-    in a *view* (a :class:`PopulationStore` row), whose capacity is
-    fixed: an id beyond it raises :class:`~repro.errors.ValidationError`.
-    The gossip operations themselves (halve, send, merge) run on the
-    store's rows.
+    One IEEE divide gives exactly that, because mass is nonnegative.
+    The in-place ``abs`` changes no estimate (they are all ``>= 0``); it
+    clears the sign bit x86 sets on the NaN of ``0 / 0``, so an unknown
+    id reads as the same bits as ``np.nan``.
     """
-
-    __slots__ = ("_x", "_w", "_fixed")
-
-    def __init__(self, capacity: int = 0) -> None:
-        self._x = np.zeros(capacity)
-        self._w = np.zeros(capacity)
-        #: the arrays are views into someone else's buffer: never regrow
-        self._fixed = False
-
-    @classmethod
-    def _view(cls, x: np.ndarray, w: np.ndarray) -> "TripletVector":
-        """A fixed-capacity vector over existing ``x``/``w`` rows (no copy)."""
-        tv = cls.__new__(cls)
-        tv._x = x
-        tv._w = w
-        tv._fixed = True
-        return tv
-
-    def reset(
-        self,
-        owner: int,
-        local_scores: Mapping[int, float],
-        prior: Mapping[int, float],
-        *,
-        n: Optional[int] = None,
-    ) -> "TripletVector":
-        """Cycle initialization (Algorithm 2 lines 5-11) for node ``owner``, in place.
-
-        ``x_j <- s_{owner,j} * v_owner(t-1)`` for every peer ``owner``
-        has rated, and ``w_j <- 1`` only for ``j == owner``.  The
-        existing arrays are zeroed and refilled (growing only if
-        capacity is short to hold ``n``, ``owner`` and every rated id),
-        so the message engine re-initializes its :class:`PopulationStore`
-        rows across cycles without reallocating.  A view cannot grow: an
-        ``owner`` or rated id at or beyond its capacity raises
-        :class:`~repro.errors.ValidationError`.
-
-        Parameters
-        ----------
-        owner:
-            The node this vector lives on.
-        local_scores:
-            Sparse normalized row ``{j: s_owner_j}``.
-        prior:
-            Previous-cycle reputation estimates ``{i: v_i(t-1)}``; only
-            ``prior[owner]`` is needed here.
-        n:
-            Optional population size to size the arrays for.
-        """
-        cap = int(n) if n is not None else 0
-        cap = max(cap, owner + 1, *(int(j) + 1 for j in local_scores), 1)
-        self._grow_to(cap)
-        self._x[:] = 0.0
-        self._w[:] = 0.0
-        v_own = float(prior.get(owner, 0.0))
-        for j, s in local_scores.items():
-            if s < 0:
-                raise ValidationError(f"negative local score s[{owner},{j}]={s}")
-            if s > 0 and v_own > 0:
-                self._x[j] = s * v_own
-        self._w[owner] = 1.0
-        return self
-
-    def _grow_to(self, capacity: int) -> None:
-        if capacity > self._x.shape[0]:
-            if self._fixed:
-                raise ValidationError(
-                    f"id {capacity - 1} is outside this fixed-capacity vector "
-                    f"of {self._x.shape[0]} ids"
-                )
-            x = np.zeros(capacity)
-            w = np.zeros(capacity)
-            x[: self._x.shape[0]] = self._x
-            w[: self._w.shape[0]] = self._w
-            self._x = x
-            self._w = w
-
-    def check_invariants(
-        self,
-        sanitizer: "InvariantSanitizer",
-        *,
-        owner: Optional[int] = None,
-        step: Optional[int] = None,
-    ) -> None:
-        """Run the per-node sanitizer checks: finite mass, ``w >= 0``.
-
-        Called by the message engine at its convergence-check cadence
-        when a sanitizer is armed; raises
-        :class:`~repro.errors.InvariantViolation` on breach.
-        """
-        who = f"node {owner}" if owner is not None else "node"
-        sanitizer.check_finite(f"{who} x-mass", self._x, step=step)
-        sanitizer.check_finite(f"{who} w-mass", self._w, step=step)
-        sanitizer.check_nonnegative(f"{who} w-mass", self._w, step=step)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"TripletVector(capacity={self._x.shape[0]})"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(X, W, out=out)
+    return np.abs(out, out=out)
 
 
 class PopulationStore:
@@ -192,46 +87,71 @@ class PopulationStore:
 
     Node ``i``'s vector is row ``i``; ``x`` and ``w`` are the two halves
     of one ``(n, 2n)`` array ``xw``, so a row op moves both at once.
-    :meth:`row` serves it as a cached :class:`TripletVector` view, so
-    cycle initialization (``reset``) and the sanitizer's per-node checks
-    read and write the store in place.  The population-wide work of a
-    gossip round is one pass over the rows instead of one Python call
-    per node:
+    Every operation is one pass over a set of rows instead of one
+    Python call per node:
 
+    * :meth:`reset` — cycle initialization of the participants' rows
+      from the trust matrix's CSR;
     * :meth:`halve` — every sender keeps half its row, and the sent
       halves land in a *fresh* outbox (in flight until delivered, so it
       cannot be reused next round); :meth:`halve_row` is the same for
       one sender;
     * :meth:`merge` — arriving outbox rows add into their receivers'
-      rows in arrival order;
+      rows in arrival order, as one scatter-add;
     * :meth:`estimates` — the estimate matrix of a set of rows;
     * :meth:`mass` — the total held ``x + w`` of a set of rows, summed
       per row and accumulated in row order, bitwise equal to a loop
-      that adds each row's ``sum x + sum w`` in turn.
+      that adds each row's ``sum x + sum w`` in turn;
+    * :meth:`check_invariants` — the sanitizer's finite-mass and
+      ``w >= 0`` checks over a set of rows.
 
     ``rows`` arguments are ascending node ids; ``None`` (or all ``n``
     ids) means every row.  An engine owns its store for its lifetime,
     so rows are recycled across cycles instead of reallocated.
     """
 
-    __slots__ = ("n", "xw", "x", "w", "_views")
+    __slots__ = ("n", "xw", "x", "w", "_cptr", "_ones")
 
     def __init__(self, n: int) -> None:
         if n < 1:
             raise ValidationError(f"a population store needs n >= 1, got {n}")
+        if _csc_matvecs is None:
+            raise ValidationError(  # pragma: no cover - very old scipy
+                "the population store needs scipy's csc_matvecs kernel"
+            )
         self.n = int(n)
         #: row i is node i's ``x | w``: one row op moves both halves
         self.xw = np.zeros((self.n, 2 * self.n))
         self.x = self.xw[:, : self.n]
         self.w = self.xw[:, self.n :]
-        self._views: List[Optional[TripletVector]] = [None] * self.n
+        #: a merge's CSC column pointer and values: one unit entry per arrival
+        self._cptr = np.arange(self.n + 1, dtype=np.int64)
+        self._ones = np.ones(self.n)
 
-    def row(self, node: int) -> TripletVector:
-        """Node ``node``'s vector: a fixed-capacity view of its row (cached)."""
-        tv = self._views[node]
-        if tv is None:
-            tv = self._views[node] = TripletVector._view(self.x[node], self.w[node])
-        return tv
+    def reset(self, rows: np.ndarray, S: sparse.csr_matrix, v: np.ndarray) -> None:
+        """Cycle initialization (Algorithm 2 lines 5-11) of ``rows``, in place.
+
+        Row ``i`` becomes ``x_j = s_ij * v_i`` for every ``j`` with
+        ``s_ij > 0`` (no ``x`` at all when ``v_i <= 0``) and ``w_j = 1``
+        only for ``j == i``; rows outside ``rows`` are untouched.  A
+        negative score in one of ``rows`` raises
+        :class:`~repro.errors.ValidationError`.
+        """
+        self.xw[rows] = 0.0
+        owner = np.repeat(np.arange(self.n), np.diff(S.indptr))
+        mine = np.zeros(self.n, dtype=bool)
+        mine[rows] = True
+        take = mine[owner]
+        scores = S.data
+        negative = np.flatnonzero(take & (scores < 0))
+        if negative.size:
+            k = negative[0]
+            raise ValidationError(
+                f"negative local score s[{owner[k]},{S.indices[k]}]={scores[k]}"
+            )
+        take &= (scores > 0) & (v[owner] > 0)
+        self.x[owner[take], S.indices[take]] = scores[take] * v[owner[take]]
+        self.w[rows, rows] = 1.0
 
     def _select(self, rows: Optional[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
         if rows is None or len(rows) == self.n:
@@ -247,10 +167,14 @@ class PopulationStore:
         the store's ``x | w`` layout, and ``sizes[k]`` the number of ids
         it carries mass for (one ``count_nonzero`` over the outbox).
         """
-        idx = np.asarray(rows, dtype=np.intp)
-        out = self.xw[idx]
-        out *= 0.5
-        self.xw[idx] = out
+        if len(rows) == self.n:
+            self.xw *= 0.5
+            out = self.xw.copy()
+        else:
+            idx = np.asarray(rows, dtype=np.intp)
+            out = self.xw[idx]
+            out *= 0.5
+            self.xw[idx] = out
         n = self.n
         return out, np.count_nonzero((out[:, :n] > 0) | (out[:, n:] > 0), axis=1)
 
@@ -267,26 +191,34 @@ class PopulationStore:
         n = self.n
         return half, int(np.count_nonzero(known[:n] | known[n:]))
 
+    # hot: merge — one csc_matvecs scatter-add, in arrival order
     def merge(self, dst: np.ndarray, outbox: np.ndarray, rows: np.ndarray) -> None:
         """Add ``outbox`` row ``rows[k]`` into store row ``dst[k]``, in order of ``k``.
 
-        Bitwise the same as adding each arrival in turn: a row
-        receiving several halves adds them in order of ``k``.  The
-        arrivals go in layers by per-destination rank (every first
-        arrival, then every second, ...), so each layer's destinations
-        are distinct and one fancy-indexed add applies it.
+        Bitwise the same as adding each arrival in turn.  The arrivals
+        are the columns of a CSC matrix with one unit entry each, at row
+        ``dst[k]`` (the sync engine's step kernel), and ``csc_matvecs``
+        adds them column by column, so a row receiving several halves
+        adds them in order of ``k``.  A merge takes at most ``n``
+        arrivals (one round's batch); the C kernel checks no bounds, so
+        the shapes and destination ids are checked here.
         """
-        if dst.size == 0:
+        n = self.n
+        dst = np.asarray(dst, dtype=np.int64)
+        m = dst.size
+        if m == 0:
             return
-        order = np.argsort(dst, kind="stable")
-        grouped = dst[order]
-        starts = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
-        lengths = np.diff(np.append(starts, grouped.size))
-        rank = np.empty(dst.size, dtype=np.intp)
-        rank[order] = np.arange(grouped.size) - np.repeat(starts, lengths)
-        for layer in range(int(lengths.max())):
-            at = rank == layer
-            self.xw[dst[at]] += outbox[rows[at]]
+        if m > n or len(rows) != m or outbox.shape[1:] != (2 * n,):
+            raise ValidationError(
+                f"a merge takes at most n={n} arrivals of 2n={2 * n} entries, "
+                f"got {m} destinations, {len(rows)} rows of {outbox.shape[1:]}"
+            )
+        if dst.min() < 0 or dst.max() >= n:
+            raise ValidationError(f"a merge destination is outside [0, {n})")
+        _csc_matvecs(
+            n, m, 2 * n, self._cptr[: m + 1], dst, self._ones[:m],
+            np.asarray(outbox[rows], dtype=np.float64).ravel(), self.xw.ravel(),
+        )
 
     def estimates(
         self,
@@ -315,6 +247,27 @@ class PopulationStore:
         if rows is not None and len(rows) != self.n:
             totals = totals[np.asarray(rows, dtype=np.intp)]
         return float(np.add.accumulate(totals)[-1]) if totals.size else 0.0
+
+    def check_invariants(
+        self,
+        sanitizer: "InvariantSanitizer",
+        rows: np.ndarray,
+        *,
+        step: Optional[int] = None,
+    ) -> None:
+        """The sanitizer's per-node checks over ``rows``: finite mass, ``w >= 0``.
+
+        Rows outside ``rows`` read as zero, so a violation's ``node`` is
+        the offending node id.  Raises
+        :class:`~repro.errors.InvariantViolation` on breach.
+        """
+        held = np.zeros((self.n, 1), dtype=bool)
+        held[rows] = True
+        xw = np.where(held, self.xw, 0.0)
+        x, w = xw[:, : self.n], xw[:, self.n :]
+        sanitizer.check_finite("x-mass", x, step=step)
+        sanitizer.check_finite("w-mass", w, step=step)
+        sanitizer.check_nonnegative("w-mass", w, step=step)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PopulationStore(n={self.n})"

@@ -13,7 +13,7 @@ default, or the pre-trust/power-node distribution when one is supplied.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -29,10 +29,9 @@ __all__ = ["TrustMatrix", "rows_to_csr"]
 def rows_to_csr(rows: Iterable[Dict[int, float]], n: int) -> sparse.csr_matrix:
     """Assemble an ``(n, n)`` CSR matrix from per-node sparse rows.
 
-    The inverse of :meth:`TrustMatrix.sparse_rows` — builds the CSR
-    triple directly (counts -> indptr, then one flat pass over the row
-    dicts) without an intermediate COO/LIL stage, so the message-level
-    engines can turn their ``{j: s_ij}`` row view into a matvec-ready
+    Builds the CSR triple directly (counts -> indptr, then one flat
+    pass over the row dicts) without an intermediate COO/LIL stage, so
+    an engine given ``{j: s_ij}`` rows turns them into a matvec-ready
     matrix once per cycle.
     """
     rows = list(rows)
@@ -89,8 +88,6 @@ class TrustMatrix:
         self._S = matrix
         #: lazily-built transposed CSR for the iteration (see _transpose)
         self._ST: Optional[sparse.csr_matrix] = None
-        #: lazily-built per-row sparse dict view (see sparse_rows)
-        self._rows: Optional[List[Dict[int, float]]] = None
 
     # -- constructors ------------------------------------------------------
 
@@ -203,39 +200,14 @@ class TrustMatrix:
             self._ST = self._S.T.tocsr()
         return self._ST
 
-    def sparse_rows(self) -> List[Dict[int, float]]:
-        """Per-node sparse row view: ``rows[i] == {j: s_ij}``.
-
-        Computed once per matrix instance and cached *on the matrix*, so
-        the message-level engines can reuse it across cycles without the
-        stale-cache hazards of keying an external cache on ``id(S)`` (a
-        garbage-collected matrix can recycle its id).  Call
-        :meth:`invalidate_cache` after mutating the underlying CSR (an
-        operation the API otherwise forbids).
-        """
-        if self._rows is None:
-            csr = self._S
-            rows: List[Dict[int, float]] = []
-            for i in range(self.n):
-                start, end = csr.indptr[i], csr.indptr[i + 1]
-                rows.append(
-                    {
-                        int(j): float(val)
-                        for j, val in zip(csr.indices[start:end], csr.data[start:end])
-                    }
-                )
-            self._rows = rows
-        return self._rows
-
     def invalidate_cache(self) -> None:
-        """Drop derived caches (row view, transpose) after a mutation.
+        """Drop the derived transpose after a mutation.
 
         The all-or-nothing escape hatch for callers that mutated the
         underlying CSR directly.  Sanctioned in-place updates should go
-        through :meth:`apply_row_deltas`, which patches the caches at
-        row granularity instead of discarding them.
+        through :meth:`apply_row_deltas`, which keeps the transpose
+        coherent itself.
         """
-        self._rows = None
         self._ST = None
 
     # -- incremental updates -------------------------------------------------
@@ -256,18 +228,14 @@ class TrustMatrix:
         :meth:`from_ledger`) and spliced into the CSR in one flat pass;
         untouched rows are copied wholesale.
 
-        Cache coherence is row-level: when the :meth:`sparse_rows` view
-        has been materialized, only the changed entries are replaced —
-        the other ``n - k`` row dicts survive untouched, so message-level
-        engines keep their warm view.  A materialized transpose is
-        refreshed from the new CSR (one O(nnz) C-level pass; the
-        transpose scatters a row change across many columns, so a
-        sub-row patch would not pay for itself); one never built stays
-        lazy.
+        A materialized transpose is refreshed from the new CSR (one
+        O(nnz) C-level pass; the transpose scatters a row change across
+        many columns, so a sub-row patch would not pay for itself); one
+        never built stays lazy.
 
         Complexity: O(nnz) array copies plus O(k) Python work for ``k``
-        changed rows — no re-normalization, re-validation, or row-view
-        rebuild of the ``n - k`` unchanged rows.
+        changed rows — no re-normalization or re-validation of the
+        ``n - k`` unchanged rows.
         """
         n = self.n
         if not raw_rows:
@@ -338,9 +306,6 @@ class TrustMatrix:
         # Keep a warm transpose warm (the service layer aggregates
         # every epoch); never materialize one that was not yet needed.
         self._ST = patched.T.tocsr() if self._ST is not None else None
-        if self._rows is not None:
-            for i, row_dict in norm.items():
-                self._rows[i] = dict(row_dict)
 
     def entry(self, i: int, j: int) -> float:
         """``s_ij``."""

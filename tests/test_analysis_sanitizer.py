@@ -26,12 +26,12 @@ from repro.errors import InvariantViolation, ReproError
 from repro.gossip import engine as engine_mod
 from repro.gossip.factory import engine_names, make_engine
 from repro.gossip.pushsum import push_sum
-from repro.gossip.vector import TripletVector
 from repro.network.transport import Transport
 from repro.sim.engine import Simulator
 from repro.trust.matrix import TrustMatrix
 from repro.utils.rng import RngStreams
 from scipy import sparse
+from tests.triplet_oracle import NodeVector
 
 N = 16
 SEED = 42
@@ -281,7 +281,7 @@ class _TamperingTransport(Transport):
         # a message-engine round: outbox row k is message k's x | w half
         n = payload.shape[1] // 2
         for row in payload:
-            self.tamper(TripletVector._view(row[:n], row[n:]))
+            self.tamper(NodeVector._view(row[:n], row[n:]))
         return super().send_many(src, dst, payload, sizes, deliver)
 
 

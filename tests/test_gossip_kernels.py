@@ -29,13 +29,14 @@ import pytest
 from repro.errors import ConvergenceError, InvariantViolation, ValidationError
 from repro.experiments.synthetic import synthetic_trust_matrix
 from repro.gossip import engine as engine_mod
-from repro.gossip.base import exact_aggregate, local_rows
+from repro.gossip.base import exact_aggregate
 from repro.gossip.convergence import average_relative_error
 from repro.gossip.engine import SynchronousGossipEngine
 from repro.gossip.factory import make_engine
 from repro.trust.matrix import TrustMatrix
 from repro.utils.rng import RngStreams
 from tests.sync_oracle import oracle_cycle
+from tests.triplet_oracle import csr_rows
 
 SEED = 0
 N = 128
@@ -188,7 +189,7 @@ class TestExactAggregate:
         assert isinstance(S, TrustMatrix)
         csr = S.sparse()
         dense = csr.toarray()
-        rows = local_rows(S, N)
+        rows = csr_rows(csr)
         expected = np.asarray(csr.T @ v).ravel()
         for form in (S, csr, dense, rows):
             np.testing.assert_allclose(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConvergenceError, ValidationError
+from repro.errors import ConvergenceError, InvariantViolation, ValidationError
 from repro.gossip.message_engine import MessageGossipEngine
 from repro.gossip.partnering import NeighborSampler
 from repro.network.overlay import Overlay
@@ -110,6 +110,96 @@ class TestFaults:
         res = engine.run_cycle(rows, v)
         assert 3 not in res.live_nodes.tolist()
         assert np.all(np.isfinite(res.v_next))
+
+
+class TestMassLossLaw:
+    """Lost mass follows ``1 - (1 - q/2)^k`` under message loss ``q``.
+
+    Every round each live node sends half its mass, and the transport
+    loses each half with probability ``q``, so a round keeps a
+    ``1 - q/2`` share of the mass in expectation and ``k`` rounds keep
+    ``(1 - q/2)^k``.  Every node starts with the same mass (``w_i = 1``
+    and ``sum_j x_ij = v_i = 1/n``), so one round's kept share has a
+    standard deviation of about ``sqrt(q (1 - q) / (4n)) / (1 - q/2)``
+    relative to its mean.  The bound is three of those deviations,
+    compounded over the cycle's ``k`` rounds, per seed, and three over
+    ``sqrt(seeds)`` for the seeds' mean.
+    """
+
+    N = 128
+    SEEDS = range(5)
+
+    @pytest.mark.parametrize("q", [0.05, 0.10, 0.20])
+    def test_lost_fraction_matches_the_law(self, q):
+        n = self.N
+        gaps, sigmas = [], []
+        for seed in self.SEEDS:
+            _sim, _ov, _tr, engine = build(n, loss=q, seed=seed)
+            rows, v = rows_and_prior(n, seed=seed)
+            res = engine.run_cycle(rows, v)
+            kept = (1.0 - q / 2.0) ** res.steps
+            sigma = kept * np.sqrt(res.steps * q * (1.0 - q) / (4.0 * n)) / (1.0 - q / 2.0)
+            gap = res.mass_lost_fraction - (1.0 - kept)
+            assert abs(gap) <= 3.0 * sigma, (seed, res.steps, gap, sigma)
+            gaps.append(gap)
+            sigmas.append(sigma)
+        assert abs(np.mean(gaps)) <= 3.0 * np.mean(sigmas) / np.sqrt(len(gaps))
+
+
+class _CorruptingEngine(MessageGossipEngine):
+    """Corrupts the store after the second round with ``corrupt(store)``."""
+
+    corrupt = staticmethod(lambda store: None)
+
+    def _advance(self, windows):
+        more = super()._advance(windows)
+        if windows == 1:
+            self.corrupt(self._store)
+        return more
+
+
+class TestArmedRowChecks:
+    """The armed per-window check runs over the held rows and names node ids."""
+
+    def _run(self, corrupt):
+        n = 16
+        sim = Simulator()
+        overlay = Overlay(random_graph(n, rng=0), rng=1)
+        transport = Transport(sim, latency=0.5, rng=2)
+        engine = _CorruptingEngine(sim, transport, overlay, round_interval=1.0, rng=3)
+        engine.corrupt = corrupt
+        engine.arm_sanitizer()
+        for node in (0, 1):  # held row k is node k + 2, so ids != positions
+            overlay.leave(node)
+        rows, v = rows_and_prior(n)
+        return engine.run_cycle(rows, v)
+
+    def test_nan_x_names_its_node(self):
+        def poison(store):
+            store.x[9, 4] = np.nan
+
+        with pytest.raises(InvariantViolation) as exc:
+            self._run(poison)
+        assert exc.value.invariant == "finite"
+        assert exc.value.node == 9
+        assert exc.value.step == 2
+
+    def test_negative_w_names_its_node(self):
+        def negate(store):
+            store.w[5, 2] = -1.0
+
+        with pytest.raises(InvariantViolation) as exc:
+            self._run(negate)
+        assert exc.value.invariant == "nonnegative-mass"
+        assert exc.value.node == 5
+
+    def test_rows_outside_the_cycle_are_not_checked(self):
+        def poison_departed(store):
+            store.x[0, 3] = np.nan
+            store.w[1, 3] = -1.0
+
+        res = self._run(poison_departed)
+        assert res.converged
 
 
 class TestConfiguration:

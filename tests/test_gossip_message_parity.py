@@ -1,40 +1,46 @@
 """Bitwise parity of the store-backed DES engine with a per-node oracle.
 
-On the round clock the message engine draws a round's partners in one
-call, halves all senders in one pass over its
-:class:`~repro.gossip.vector.PopulationStore`, sends the round as one
-transport batch that the simulator delivers in stretches, merges the
-arrivals in one layered add, and reduces the store's rows for mass and
-estimates.  The oracle below restores the node-by-node protocol —
-per-node ``partner``/``halve``/copy/``payload_size``/``send``,
-per-message delivery through the registered handlers, and per-node
-``mass()`` and estimate gathers (:mod:`tests.triplet_oracle`) — on the
-same substrate.  Every vector, counter and event count must match bit
-for bit, also when faults land in the middle of a round.  On the
-Poisson clock the oracle swaps in the per-node reductions.
+The message engine initializes a cycle with one scatter of the trust
+matrix's CSR into its :class:`~repro.gossip.vector.PopulationStore`.  On
+the round clock it draws a round's partners in one call, halves all
+senders in one pass over the store, sends the round as one transport
+batch that the simulator delivers in stretches, merges the arrivals in
+one scatter-add, and reduces the store's rows for mass and estimates.
+The oracle below restores the node-by-node protocol — per-node
+``reset`` from row mappings, ``partner``/``halve``/copy/``payload_size``/
+``send``, per-message delivery through the registered handlers, and
+per-node ``mass()`` and estimate gathers (:mod:`tests.triplet_oracle`) —
+on the same substrate.  Every vector, counter and event count must
+match bit for bit, also when faults land in the middle of a round.  On
+the Poisson clock the oracle swaps in the per-node initialization and
+reductions.
+:class:`TestKernelPins` holds the store kernels against the forms they
+replaced.
 """
 
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.errors import ValidationError
 from repro.experiments.synthetic import synthetic_trust_matrix
 from repro.gossip.message_engine import (
     AsyncMessageGossipEngine,
     MessageGossipEngine,
+    _batched_converged,
     weak_dispatcher,
 )
 from repro.gossip.partnering import make_strategy, strategy_names
-from repro.gossip.vector import EstimatesWorkspace, PopulationStore
+from repro.gossip.vector import EstimatesWorkspace, PopulationStore, _estimates_into
 from repro.network.faultplan import named_plan, plan_names
 from repro.network.overlay import Overlay
 from repro.network.topology import gnutella_like
 from repro.network.transport import Transport
 from repro.sim.engine import Simulator
 from repro.utils.rng import RngStreams
-from tests.triplet_oracle import NodeStore, NodeVector
+from tests.triplet_oracle import NodeStore, NodeVector, three_pass_estimates
 
 N = 40
 
@@ -374,7 +380,7 @@ class TestPartnerPurity:
 
 class TestStoreRows:
     def test_reset_rejects_ids_beyond_the_store(self):
-        store = PopulationStore(4)
+        store = NodeStore(4)
         row = store.row(1)
         with pytest.raises(ValidationError):
             row.reset(1, {4: 1.0}, {1: 0.5}, n=4)
@@ -429,3 +435,161 @@ class TestStoreRows:
         for rows in (None, [0, 2, 5], []):
             assert store.mass(rows) == oracle.mass(rows)
             assert store.estimates(rows).tobytes() == oracle.estimates(rows).tobytes()
+
+    def test_reset_matches_per_node_reset(self):
+        rng = np.random.default_rng(1)
+        raw = rng.random((6, 6)) * (rng.random((6, 6)) < 0.5)
+        raw[2, 4] = 0.0
+        S = sparse.csr_matrix(raw)
+        S.data[S.data < 0.2] = 0.0  # explicit zeros: skipped, as in the rows
+        v = np.array([0.3, 0.0, 0.2, -0.1, np.nan, 0.6])
+        store, oracle = PopulationStore(6), NodeStore(6)
+        store.xw[:] = oracle.xw[:] = 7.0  # stale rows: only `rows` are rewritten
+        rows = np.array([0, 1, 2, 3, 4])
+        store.reset(rows, S, v)
+        oracle.reset(rows, S, v)
+        assert store.xw.tobytes() == oracle.xw.tobytes()
+
+    def test_reset_rejects_negative_scores_in_its_rows_only(self):
+        S = sparse.csr_matrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-0.5, 0.0, 0.0]]))
+        v = np.full(3, 1.0 / 3)
+        PopulationStore(3).reset(np.array([0, 1]), S, v)  # row 2 sits out
+        with pytest.raises(ValidationError, match=r"s\[2,0\]=-0.5"):
+            PopulationStore(3).reset(np.arange(3), S, v)
+
+
+def _layered_merge(xw: np.ndarray, dst: np.ndarray, outbox: np.ndarray, rows: np.ndarray) -> None:
+    """The store's merge before its one-call form: one add per arrival rank."""
+    order = np.argsort(dst, kind="stable")
+    grouped = dst[order]
+    starts = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
+    lengths = np.diff(np.append(starts, grouped.size))
+    rank = np.empty(dst.size, dtype=np.intp)
+    rank[order] = np.arange(grouped.size) - np.repeat(starts, lengths)
+    for layer in range(int(lengths.max())):
+        at = rank == layer
+        xw[dst[at]] += outbox[rows[at]]
+
+
+def _where_residual(cur: np.ndarray, aligned: np.ndarray) -> float:
+    """The worst relative change before the one-pass form: masked by ``np.where``."""
+    finite = np.isfinite(cur)
+    with np.errstate(invalid="ignore"):
+        num = np.abs(np.where(finite, cur - aligned, 0.0))
+        den = np.maximum(np.abs(np.where(finite, aligned, 1.0)), 1e-12)
+        return float((num / den).max())
+
+
+def _where_converged(cur_ids, cur, prev_ids, prev, epsilon) -> bool:
+    """``_batched_converged`` with the ``np.where`` residual."""
+    if len(cur_ids) == 0:
+        return True
+    pos = {node: i for i, node in enumerate(prev_ids)}
+    idx = [pos.get(node, -1) for node in cur_ids]
+    if min(idx) < 0:
+        return False
+    aligned = prev[idx]
+    finite = np.isfinite(cur)
+    if (finite != np.isfinite(aligned)).any() or not finite.any(axis=1).all():
+        return False
+    return _where_residual(cur, aligned) <= epsilon
+
+
+class TestKernelPins:
+    """The whole-store kernels against the forms they replaced, bit for bit."""
+
+    @staticmethod
+    def _mass(rng, shape, zeros=0.4):
+        return rng.random(shape) * (rng.random(shape) >= zeros)
+
+    def test_estimates_match_three_passes(self):
+        rng = np.random.default_rng(2)
+        X, W = self._mass(rng, (9, 12)), self._mass(rng, (9, 12))
+        X[0, :4], W[0, :4] = [0.5, 0.0, 0.0, 1e-300], [0.0, 0.0, 0.25, 0.0]
+        X[1], W[1] = 0.0, 0.0  # a node that knows nothing
+        X[2, 5], W[2, 5] = 3.0, np.inf  # finite over infinite w: zero
+        got = _estimates_into(X, W, np.empty_like(X))
+        want = three_pass_estimates(X, W, np.empty_like(X))
+        assert got.tobytes() == want.tobytes()
+        assert got[0, 0] == got[0, 3] == np.inf  # x > 0, w = 0
+        assert np.isnan(got[0, 1]) and not np.signbit(got[0, 1])  # 0 / 0
+        assert got[0, 2] == 0.0 and got[2, 5] == 0.0  # 0 / w and x / inf
+
+    def test_estimates_into_a_workspace_slot(self):
+        rng = np.random.default_rng(3)
+        store = PopulationStore(7)
+        store.x[:], store.w[:] = self._mass(rng, (7, 7)), self._mass(rng, (7, 7))
+        ws = EstimatesWorkspace()
+        ws.slot(9, 9).fill(5.0)  # a stale, larger slot
+        ws.slot(1, 1)
+        got = store.estimates([1, 4, 6], workspace=ws)
+        want = three_pass_estimates(store.x[[1, 4, 6]], store.w[[1, 4, 6]], np.empty((3, 7)))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "cur_ids, prev_ids",
+        [((0, 1, 2), (0, 1, 2)), ((0, 1, 2), (2, 0, 1)), ((4, 7), (7, 9, 4))],
+    )
+    def test_convergence_matches_the_where_residual(self, cur_ids, prev_ids):
+        rng = np.random.default_rng(4)
+        prev = 1.0 + rng.random((len(prev_ids), 6))
+        pos = {node: i for i, node in enumerate(prev_ids)}
+        aligned = prev[[pos[node] for node in cur_ids]]
+        cur = aligned * (1.0 + 1e-3 * rng.standard_normal(aligned.shape))
+        # a zero previous estimate divides by 1e-12
+        cur[0, 1], prev[pos[cur_ids[0]], 1] = 1e-15, 0.0
+        # inf against nan at one position, inf against inf at another
+        cur[-1, 2], prev[pos[cur_ids[-1]], 2] = np.inf, np.nan
+        cur[0, 3], prev[pos[cur_ids[0]], 3] = np.inf, np.inf
+        worst = _where_residual(cur, prev[[pos[node] for node in cur_ids]])
+        assert np.isfinite(worst) and worst > 0
+        for eps in (worst, np.nextafter(worst, 0.0), np.nextafter(worst, 1.0), 1e-4, 1.0):
+            assert _batched_converged(cur_ids, cur, prev_ids, prev, eps) == _where_converged(
+                cur_ids, cur, prev_ids, prev, eps
+            )
+        assert _batched_converged(cur_ids, cur, prev_ids, prev, worst)
+        assert not _batched_converged(cur_ids, cur, prev_ids, prev, np.nextafter(worst, 0.0))
+
+    def test_convergence_blocks_a_row_with_no_finite_entry(self):
+        cur = np.array([[1.0, 2.0], [np.inf, np.nan]])
+        prev = np.array([[1.0, 2.0], [np.nan, np.inf]])
+        assert not _where_converged((0, 1), cur, (0, 1), prev, 1.0)
+        assert not _batched_converged((0, 1), cur, (0, 1), prev, 1.0)
+
+    def test_merge_matches_layered_adds(self):
+        rng = np.random.default_rng(5)
+        store = PopulationStore(6)
+        store.xw[:] = self._mass(rng, (6, 12))
+        ref = store.xw.copy()
+        outbox = self._mass(rng, (6, 12), zeros=0.2)
+        dst = np.array([3, 1, 3, 3, 0, 1])  # repeated destinations, one batch
+        rows = np.array([5, 0, 2, 1, 4, 3])  # arrival order != send order
+        store.merge(dst, outbox, rows)
+        _layered_merge(ref, dst, outbox, rows)
+        assert store.xw.tobytes() == ref.tobytes()
+        store.merge(dst[:0], outbox, rows[:0])  # an empty stretch adds nothing
+        assert store.xw.tobytes() == ref.tobytes()
+
+    def test_merge_checks_what_the_kernel_does_not(self):
+        store = PopulationStore(2)
+        with pytest.raises(ValidationError):  # more arrivals than rows
+            store.merge(np.zeros(3, dtype=np.int64), np.ones((3, 4)), np.arange(3))
+        with pytest.raises(ValidationError):  # a destination beyond the store
+            store.merge(np.array([2]), np.ones((1, 4)), np.arange(1))
+        with pytest.raises(ValidationError):  # halves of the wrong width
+            store.merge(np.array([1]), np.ones((1, 3)), np.arange(1))
+        with pytest.raises(ValidationError):  # one row per destination
+            store.merge(np.array([0, 1]), np.ones((2, 4)), np.arange(1))
+        assert not store.xw.any()
+
+    def test_halving_every_row_matches_halving_a_subset(self):
+        rng = np.random.default_rng(6)
+        whole, rowwise = PopulationStore(5), PopulationStore(5)
+        whole.xw[:] = rowwise.xw[:] = self._mass(rng, (5, 10))
+        out_all, sizes_all = whole.halve(np.arange(5))
+        parts = [rowwise.halve([node]) for node in range(5)]
+        assert out_all.tobytes() == np.vstack([out for out, _ in parts]).tobytes()
+        assert sizes_all.tolist() == [int(size[0]) for _, size in parts]
+        assert whole.xw.tobytes() == rowwise.xw.tobytes()
+        out_all[0, 0] = 9.0  # the outbox is fresh, not the store
+        assert whole.xw[0, 0] != 9.0

@@ -5,8 +5,11 @@ import pytest
 from scipy import sparse
 
 from repro.errors import ValidationError
+from repro.gossip.factory import make_engine
 from repro.trust.feedback import FeedbackLedger
 from repro.trust.matrix import TrustMatrix
+from repro.utils.rng import RngStreams
+from tests.triplet_oracle import csr_rows
 
 
 class TestFromDenseRaw:
@@ -108,61 +111,32 @@ class TestOperations:
 
 
 class TestSparseRowsCache:
-    def test_rows_match_csr(self, small_S):
-        rows = small_S.sparse_rows()
-        dense = small_S.dense()
-        assert len(rows) == small_S.n
-        for i, row in enumerate(rows):
-            for j, val in row.items():
-                assert val == pytest.approx(dense[i, j])
-            assert sum(row.values()) == pytest.approx(1.0)
-
-    def test_cached_per_instance(self, small_S):
-        assert small_S.sparse_rows() is small_S.sparse_rows()
-
-    def test_distinct_matrices_never_share_rows(self, small_raw):
-        # Regression for the old id(S)-keyed module cache: a fresh matrix
-        # allocated at a recycled id must never see the old rows.  The
-        # cache now lives on the instance, so two matrices with different
-        # contents always produce their own row views.
-        a = TrustMatrix.from_dense_raw(small_raw)
-        rows_a = [dict(r) for r in a.sparse_rows()]
-        del a  # allow id reuse, as in the original hazard
-        flipped = small_raw[::-1, ::-1].copy()
-        b = TrustMatrix.from_dense_raw(flipped)
-        rows_b = b.sparse_rows()
-        dense_b = b.dense()
-        for i, row in enumerate(rows_b):
-            for j, val in row.items():
-                assert val == pytest.approx(dense_b[i, j])
-        assert rows_a != rows_b
+    """The matrix's derived transpose cache and its invalidation."""
 
     def test_invalidate_cache_rebuilds_views(self, small_S):
-        rows_before = small_S.sparse_rows()
+        v = np.zeros(small_S.n)
+        v[0] = 1.0
+        small_S.aggregate(v)  # materialize the transpose
         # Mutate the underlying CSR in place (normally forbidden) and
-        # invalidate: both the row view and the transpose must refresh.
+        # invalidate: the transpose must refresh.
         csr = small_S.sparse()
         csr.data[:] = csr.data[::-1].copy()
         small_S.invalidate_cache()
-        rows_after = small_S.sparse_rows()
-        assert rows_after is not rows_before
-        v = np.zeros(small_S.n)
-        v[0] = 1.0
         assert np.allclose(small_S.aggregate(v), small_S.dense().T @ v)
 
     def test_engines_see_fresh_rows_after_invalidate(self):
-        # End-to-end guard: an engine consuming sparse_rows() must track
-        # a mutated-and-invalidated matrix, never stale cached rows.
-        from repro.gossip.base import local_rows
-
+        # End-to-end guard: an engine reading S must track a
+        # mutated-and-invalidated matrix, never a stale cached copy.
         raw = np.array([[0.0, 2.0, 0.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
         S = TrustMatrix.from_dense_raw(raw)
-        first = local_rows(S, 3)
+        v = np.array([0.5, 0.3, 0.2])
+        first = make_engine("message", n=3, rng=RngStreams(0)).run_cycle(S, v).exact
         csr = S.sparse()
         csr.data[:] = csr.data[::-1].copy()
         S.invalidate_cache()
-        second = local_rows(S, 3)
-        assert first != second
+        second = make_engine("message", n=3, rng=RngStreams(0)).run_cycle(S, v).exact
+        assert not np.array_equal(first, second)
+        np.testing.assert_allclose(second, S.dense().T @ v)
 
 
 class TestRowsToCsr:
@@ -170,7 +144,7 @@ class TestRowsToCsr:
         from repro.trust.matrix import rows_to_csr
 
         n = small_S.n
-        back = rows_to_csr(small_S.sparse_rows(), n)
+        back = rows_to_csr(csr_rows(small_S.sparse()), n)
         assert (back != small_S.sparse()).nnz == 0
 
     def test_unsorted_row_keys_are_canonicalized(self):
@@ -212,27 +186,6 @@ class TestApplyRowDeltas:
         S.apply_row_deltas(ledger.drain_dirty())
         ref = self._rebuild_reference(ledger)
         assert np.allclose(S.dense(), ref.dense())
-
-    def test_unchanged_sparse_rows_keep_identity(self, rng):
-        n = 20
-        ledger = FeedbackLedger(n)
-        for i in range(n):
-            ledger.set_score(i, (i + 1) % n, 1.0)
-            ledger.set_score(i, (i + 2) % n, float(1.0 + rng.random()))
-        S = TrustMatrix.from_ledger(ledger)
-        before = S.sparse_rows()
-        kept = {i: before[i] for i in range(n) if i != 5}
-        ledger.clear_dirty()
-        ledger.set_score(5, 0, 4.0)
-        S.apply_row_deltas(ledger.drain_dirty())
-        after = S.sparse_rows()
-        for i, row in kept.items():
-            assert after[i] is row  # identity, not just equality
-        raw_row = ledger.row(5)
-        total = sum(raw_row.values())
-        assert after[5] == pytest.approx(
-            {j: v / total for j, v in raw_row.items()}, rel=1e-12
-        )
 
     def test_transpose_stays_coherent(self, small_S):
         v = np.array([0.4, 0.3, 0.2, 0.1])

@@ -1,33 +1,60 @@
 """Node-by-node reference operations on one node's triplet vector.
 
 The message engine gossips whole populations through the rows of a
-:class:`~repro.gossip.vector.PopulationStore`.  :class:`NodeVector`
-adds to :class:`~repro.gossip.vector.TripletVector` the per-node
-operations of Algorithm 2 (lines 12-19) that the store's row passes
-replace: halving, merging an arriving half, payload size, and the
-per-node estimate and mass reads.  The parity oracle
-(``tests/test_gossip_message_parity.py``) replays the engine node by
-node with them, and ``tests/test_gossip_vector.py`` pins them down.
+:class:`~repro.gossip.vector.PopulationStore`, one array kernel per
+operation.  :class:`NodeVector` is one node's vector with the per-node
+operations of Algorithm 2 that those kernels replace: cycle
+initialization (lines 5-11), halving, merging an arriving half (lines
+12-19), payload size, and the per-node estimate and mass reads.  The
+parity oracle (``tests/test_gossip_message_parity.py``) replays the
+engine node by node with them, and ``tests/test_gossip_vector.py`` pins
+them down.
+
+:func:`three_pass_estimates` is the estimate kernel as the store ran it
+before its one-divide form; the per-node reads use it, so the oracle
+does not share the kernel it checks.
 
 ``known_ids`` and ``payload_size`` are cached; only operations that can
 change the known set (``merge``, ``reset``) invalidate the caches.
 """
 
-from typing import Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 
-from repro.gossip.vector import PopulationStore, TripletVector, _estimates_into
+from repro.errors import ValidationError
+from repro.gossip.vector import PopulationStore
 from repro.types import Triplet
 
 
-class NodeVector(TripletVector):
-    """A :class:`TripletVector` with the per-node gossip operations."""
+def three_pass_estimates(X: np.ndarray, W: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``x / w`` where ``w > 0``, ``inf`` where only ``x > 0``, else ``nan``."""
+    out.fill(np.nan)
+    pos = W > 0
+    np.divide(X, W, out=out, where=pos)
+    out[~pos & (X > 0)] = np.inf
+    return out
 
-    __slots__ = ("_known", "_size")
+
+class NodeVector:
+    """A node's gossiped reputation vector: ``x``/``w`` mass per peer id.
+
+    An id is *known* to a node exactly when it carries any mass there;
+    entries a node has never heard about are zero.  The arrays grow on
+    demand when :meth:`reset` or :meth:`merge` names a higher id than
+    they hold — except in a *view* (a :class:`NodeStore` row), whose
+    capacity is fixed: an id beyond it raises
+    :class:`~repro.errors.ValidationError`.
+    """
+
+    __slots__ = ("_x", "_w", "_fixed", "_known", "_size")
 
     def __init__(self, capacity: int = 0) -> None:
-        super().__init__(capacity)
+        self._x = np.zeros(capacity)
+        self._w = np.zeros(capacity)
+        #: the arrays are views into someone else's buffer: never regrow
+        self._fixed = False
         #: cached ascending known-id tuple; None when stale
         self._known: Optional[Tuple[int, ...]] = None
         #: cached known-id count; None when stale
@@ -35,9 +62,11 @@ class NodeVector(TripletVector):
 
     @classmethod
     def _view(cls, x: np.ndarray, w: np.ndarray) -> "NodeVector":
-        tv = super()._view(x, w)
-        tv._known = None
-        tv._size = None
+        """A fixed-capacity vector over existing ``x``/``w`` rows (no copy)."""
+        tv = cls(0)
+        tv._x = x
+        tv._w = w
+        tv._fixed = True
         return tv
 
     @classmethod
@@ -52,11 +81,50 @@ class NodeVector(TripletVector):
         """A fresh vector after cycle initialization (see :meth:`reset`)."""
         return cls(0).reset(owner, local_scores, prior, n=n)
 
-    def reset(self, *args, **kwargs) -> "NodeVector":
+    def reset(
+        self,
+        owner: int,
+        local_scores: Mapping[int, float],
+        prior: Mapping[int, float],
+        *,
+        n: Optional[int] = None,
+    ) -> "NodeVector":
+        """Cycle initialization (Algorithm 2 lines 5-11) for node ``owner``, in place.
+
+        ``x_j <- s_{owner,j} * v_owner(t-1)`` for every peer ``owner``
+        has rated, and ``w_j <- 1`` only for ``j == owner``.  The arrays
+        are zeroed and refilled, growing only if capacity is short to
+        hold ``n``, ``owner`` and every rated id.
+        """
+        cap = int(n) if n is not None else 0
+        cap = max(cap, owner + 1, *(int(j) + 1 for j in local_scores), 1)
+        self._grow_to(cap)
         self._known = None
         self._size = None
-        super().reset(*args, **kwargs)
+        self._x[:] = 0.0
+        self._w[:] = 0.0
+        v_own = float(prior.get(owner, 0.0))
+        for j, s in local_scores.items():
+            if s < 0:
+                raise ValidationError(f"negative local score s[{owner},{j}]={s}")
+            if s > 0 and v_own > 0:
+                self._x[j] = s * v_own
+        self._w[owner] = 1.0
         return self
+
+    def _grow_to(self, capacity: int) -> None:
+        if capacity > self._x.shape[0]:
+            if self._fixed:
+                raise ValidationError(
+                    f"id {capacity - 1} is outside this fixed-capacity vector "
+                    f"of {self._x.shape[0]} ids"
+                )
+            x = np.zeros(capacity)
+            w = np.zeros(capacity)
+            x[: self._x.shape[0]] = self._x
+            w[: self._w.shape[0]] = self._w
+            self._x = x
+            self._w = w
 
     def halve(self) -> "NodeVector":
         """Split in place; return the half-share to transmit (an equal copy)."""
@@ -103,11 +171,11 @@ class NodeVector(TripletVector):
         """Dense length-``n`` estimate vector (nan where w == 0 and x == 0)."""
         out = np.full(n, np.nan)
         m = min(n, self._x.shape[0])
-        _estimates_into(self._x[:m], self._w[:m], out[:m])
+        three_pass_estimates(self._x[:m], self._w[:m], out[:m])
         return out
 
     @staticmethod
-    def estimates_matrix(vectors: Sequence[TripletVector], n: int) -> np.ndarray:
+    def estimates_matrix(vectors: Sequence["NodeVector"], n: int) -> np.ndarray:
         """Stacked :meth:`estimates_array` of many vectors, one gather."""
         m = len(vectors)
         X = np.zeros((m, n))
@@ -116,7 +184,7 @@ class NodeVector(TripletVector):
             k = min(n, tv._x.shape[0])
             X[i, :k] = tv._x[:k]
             W[i, :k] = tv._w[:k]
-        return _estimates_into(X, W, np.empty((m, n)))
+        return three_pass_estimates(X, W, np.empty((m, n)))
 
     def mass(self) -> Tuple[float, float]:
         """Total ``(sum x, sum w)`` held at this node."""
@@ -139,14 +207,36 @@ class NodeVector(TripletVector):
         return self.payload_size()
 
 
-class NodeStore(PopulationStore):
-    """A store whose rows are :class:`NodeVector` views."""
+def csr_rows(S: sparse.csr_matrix) -> List[Mapping[int, float]]:
+    """Per-node sparse rows ``{j: s_ij}`` of a CSR matrix."""
+    return [
+        dict(zip(S.indices[lo:hi].tolist(), S.data[lo:hi].tolist()))
+        for lo, hi in zip(S.indptr[:-1].tolist(), S.indptr[1:].tolist())
+    ]
 
-    __slots__ = ()
+
+class NodeStore(PopulationStore):
+    """A store whose rows are :class:`NodeVector` views.
+
+    :meth:`reset` initializes the rows node by node from per-node row
+    mappings, as Algorithm 2 states it.
+    """
+
+    __slots__ = ("_views",)
+
+    def __init__(self, n: int) -> None:
+        super().__init__(n)
+        self._views: List[Optional[NodeVector]] = [None] * self.n
 
     def row(self, node: int) -> NodeVector:
+        """Node ``node``'s vector: a fixed-capacity view of its row (cached)."""
         tv = self._views[node]
         if tv is None:
             tv = self._views[node] = NodeVector._view(self.x[node], self.w[node])
-        assert isinstance(tv, NodeVector)
         return tv
+
+    def reset(self, rows: np.ndarray, S: sparse.csr_matrix, v: np.ndarray) -> None:
+        local = csr_rows(S)
+        prior = {i: float(v[i]) for i in range(self.n)}
+        for node in rows.tolist():
+            self.row(node).reset(node, local[node], prior, n=self.n)

@@ -79,20 +79,22 @@ lines += [
     "Poisson clock (one Poisson(n/mean_interval) clock whose wakes pick",
     "a node uniformly, drawn a check window at a time and scheduled as",
     "plain calls). Both keep every node's triplet vector as a row of",
-    "one engine-owned `(n, n)` x/w pair, a `PopulationStore` whose",
-    "`row(i)` is a cached `TripletVector` view (re-initialized in place",
-    "by `reset`, which raises on an id outside the store), and the",
-    "cycle's participants as one boolean mask over the rows. A round",
-    "is one call per stage:",
+    "one engine-owned `(n, n)` x/w pair, a `PopulationStore`, and the",
+    "cycle's participants as one boolean mask over the rows. A cycle",
+    "takes the trust matrix's CSR once; it feeds the exact oracle and",
+    "`PopulationStore.reset`, one scatter of `s_ij * v_i` into the live",
+    "rows. A round is one call per stage:",
     "`PartnerStrategy.partners` draws every partner (the global sampler",
     "via `Overlay.random_partners`, the same RNG stream as per-node",
     "`random_partner` calls), `PopulationStore.halve` halves all senders",
     "into a fresh outbox, `Transport.send_many` sends the round as one",
     "`Simulator.call_batch_in` heap entry, and the arrivals merge into",
-    "the store in arrival order (`PopulationStore.merge`); per-round held",
-    "mass and estimate matrices are row reductions over the store",
-    "(estimates in an `EstimatesWorkspace`'s two alternating output",
-    "slots). Results are bitwise those of the node-by-node protocol.",
+    "the store in arrival order as one `csc_matvecs` scatter-add, the",
+    "sync engine's step kernel (`PopulationStore.merge`). Per-round",
+    "estimates are one divide into an `EstimatesWorkspace`'s two",
+    "alternating output slots, the convergence residual one pass, and",
+    "held mass and the armed sanitizer's checks row reductions over the",
+    "store. Results are bitwise those of the node-by-node protocol.",
     "`Simulator.call_at`/`call_in` push `(when, seq, fn, args)` heap",
     "entries and return `None`; Poisson wakes and membership control",
     "traffic schedule one call per message. The simulator has no",
