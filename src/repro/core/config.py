@@ -56,7 +56,7 @@ class GossipTrustConfig:
         estimate/residual pass runs every ``check_every`` gossip steps.
     kernel:
         Step-loop kernel of the vectorized engine.  ``"sparse"``
-        (sort-free dense steps over column tiles, from step 0) is the
+        (sort-free dense steps over column blocks, from step 0) is the
         only kernel; the field stays so configs that name it keep
         working.
     dtype:

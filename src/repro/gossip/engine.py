@@ -28,7 +28,7 @@ every node halves its whole vector each step, so within ~log2(n) steps
 every node holds mass for every column, and the epsilon criterion
 cannot fire before W is positive everywhere — a converged cycle is
 dense for most of its steps.  At cycle start X0 and W0 are scattered
-into three ``(n, width)`` slot arrays per column tile (current X,
+into three ``(n, width)`` slot arrays per column block (current X,
 current W, step output), allocated once per workspace and reused across
 cycles.  A step is sort-free: the output starts as the halved kept
 share (``np.multiply(X, 0.5, out=Y)``), then ``csc_matvecs`` scatters
@@ -39,22 +39,20 @@ visited in ascending order, so each receiver sums its kept half first
 and then its inbound halves by ascending sender.
 
 Columns are independent, so any column split and any loop order over
-(column tile, step) computes bitwise the same values.  The loop runs
+(column block, step) computes bitwise the same values.  The loop runs
 one **check window** (the steps up to the next convergence check, at
-most ``check_every``) at a time over **column tiles** sized so that a
-tile's three state slots take about ``_TILE_STATE_BYTES``
-(:func:`column_shards`).  Per window the calling thread draws the
-window's partner targets.  Then one task per thread group
-(:func:`step_threads` groups: one per usable core, on a process-wide
-pool of ``cores - 1`` threads plus the calling thread) steps each of
-its tiles through the whole window back to back, while the tile stays
-cache-resident, and computes the tile's share of the convergence
+most ``check_every``) at a time, and each stepping thread owns one
+contiguous **column block** (:func:`step_threads` blocks: one per
+usable core, on a process-wide pool of ``cores - 1`` threads plus the
+calling thread).  Per window the calling thread draws the window's
+partner targets.  Then one task per block steps it through the whole
+window back to back and computes the block's share of the convergence
 check: its estimates ``X / W`` into the persistent ``prev`` buffer and
 the residual maximum of every row tile of ``_TILE_ELEMENTS / p`` rows.
-The scatters and divides release the GIL, so the groups run on
+The scatters and divides release the GIL, so the blocks step on
 separate cores.  The calling thread then combines the maxima in
 row-tile order, so the worst residual, the fine-phase trigger and the
-stop step do not depend on the tile or thread count.
+stop step do not depend on the block count.
 
 With probe-mode column selection the working set is ``4 * n * p``
 elements (three slots plus ``prev``) regardless of n — ~0.2 GiB at
@@ -63,8 +61,8 @@ n = 10^6 tier.
 
 Partner draws come from one RNG stream (a Generator fills a ``(k, n)``
 block in the same element order as ``k`` successive size-``n`` draws),
-so every tile count and thread count walks the same mixing-matrix
-sequence and stops on the same step.
+so every block count walks the same mixing-matrix sequence and stops
+on the same step.
 """
 
 from __future__ import annotations
@@ -95,7 +93,6 @@ __all__ = [
     "GossipCycleResult",
     "SynchronousGossipEngine",
     "SparseWorkspace",
-    "column_shards",
     "step_threads",
 ]
 
@@ -121,18 +118,8 @@ _BLOCKED_STATS_LIMIT = 1 << 24
 #: not depend on it)
 _TILE_ELEMENTS = 1 << 17
 
-#: state bytes per column tile: a tile's three slot arrays
-#: (``3 * n * width * itemsize``) stay near this size, so a tile stepped
-#: through a whole check window stays cache-resident (results do not
-#: depend on it)
-_TILE_STATE_BYTES = 32 << 20
-
-#: fewest columns per column tile: a tile row fills at least one 64-byte
-#: cache line of float64 (results do not depend on it)
-_MIN_TILE_COLUMNS = 8
-
-#: fewest columns per stepping thread: a core steps tiles of its own
-#: only while every thread keeps this many (results do not depend on it)
+#: fewest columns per stepping thread: a core steps a block of its own
+#: only while every block keeps this many (results do not depend on it)
 _MIN_SHARD_COLUMNS = 16
 
 #: fewest state entries (``n * p / threads``) per stepping thread: ~0.1 ms
@@ -152,7 +139,8 @@ def _usable_cores() -> int:
 def step_threads(n: int, p: int) -> int:
     """The threads, the calling one included, that step an ``(n, p)`` cycle.
 
-    One per usable core while every thread keeps at least
+    Each steps one contiguous column block.  One per usable core while
+    every thread keeps at least
     ``_MIN_SHARD_COLUMNS`` columns and ``_MIN_SHARD_ELEMENTS`` state
     entries.
     """
@@ -162,30 +150,13 @@ def step_threads(n: int, p: int) -> int:
     )
 
 
-def column_shards(n: int, p: int, itemsize: int = 8) -> int:
-    """The column-tile count of an ``(n, p)`` cycle of ``itemsize``-byte values.
-
-    Enough tiles that each tile's three state slots
-    (``3 * n * width * itemsize`` bytes) fit ``_TILE_STATE_BYTES``,
-    rounded up to a multiple of :func:`step_threads` so every thread
-    group steps as many tiles; at most one tile per
-    ``_MIN_TILE_COLUMNS`` columns (kept a multiple of the threads) and
-    never more tiles than columns.
-    """
-    threads = step_threads(n, p)
-    budget = -(-3 * n * p * itemsize // _TILE_STATE_BYTES)
-    tiles = -(-budget // threads) * threads
-    cap = max(threads, p // _MIN_TILE_COLUMNS // threads * threads)
-    return max(1, min(p, tiles, cap))
-
-
 _pool: Optional[ThreadPoolExecutor] = None
 _pool_key = (0, 0)
 _pool_lock = threading.Lock()
 
 
 def _step_pool(workers: int) -> ThreadPoolExecutor:
-    """The process-wide tile-step pool of ``workers`` threads.
+    """The process-wide block-step pool of ``workers`` threads.
 
     Created lazily, and again when the worker count or the process
     changes: an executor inherited by a forked child (a sweep worker)
@@ -246,7 +217,7 @@ class _TargetStream:
 
 
 class _CheckScratch(NamedTuple):
-    """One thread group's convergence-check tiles (flat, reshaped per use)."""
+    """One block's convergence-check tiles (flat, reshaped per use)."""
 
     #: estimate tile
     x: np.ndarray
@@ -259,33 +230,33 @@ class _CheckScratch(NamedTuple):
 class SparseWorkspace:
     """The engine's dense slot arrays and check buffers, one shape.
 
-    The ``p`` probe columns are split into ``tiles`` contiguous,
-    near-equal column ranges (``bounds[i] : bounds[i + 1]``), each
-    stepped independently: because the mixing matrix acts on rows, a
-    step over a column subset computes bitwise the same values as the
-    same columns of the untiled step.  ``groups`` deals the tiles into
-    one contiguous run per stepping thread.  Every tile owns three
-    ``(n, width)`` slot arrays in ``dense`` (current X, current W, step
-    output — the output slot is always the one whose contents just
-    died), allocated here and reused across cycles; each cycle scatters
-    its X0 and W0 into them.
+    The ``p`` probe columns are split into ``blocks`` contiguous,
+    near-equal column ranges (``bounds[i] : bounds[i + 1]``), one per
+    stepping thread (block 0 on the calling thread), each stepped
+    independently: because the mixing matrix acts on rows, a step over
+    a column subset computes bitwise the same values as the same
+    columns of the unsplit step.  Every block owns three ``(n, width)``
+    slot arrays in ``dense`` (current X, current W, step output — the
+    output slot is always the one whose contents just died), allocated
+    here and reused across cycles; each cycle scatters its X0 and W0
+    into them.
 
     The dense step's ``A`` is in CSC form with the constant column
     pointer ``cptr = arange(n + 1)`` and the constant value vector
     ``half`` (0.5 per sender).  Beyond the slots the only dense (n, p)
     array is ``prev``, the persistent previous estimate of the
     convergence check; the check itself runs over ``blk``-row tiles,
-    each thread group in its own :class:`_CheckScratch`, and leaves
-    every tile's row-tile residual maxima in ``tile_max`` (``w_pos``
-    flags the tiles whose W is positive everywhere).  The workspace
+    each block in its own :class:`_CheckScratch`, and leaves every
+    block's row-tile residual maxima in its ``tile_max`` row (``w_pos``
+    flags the blocks whose W is positive everywhere).  The workspace
     therefore holds ``4 * n * p`` state elements plus
-    ``O(n + groups * blk * width)`` regardless of how long the cycle
-    runs.  ``blk`` derives from the *full* probe width ``p`` whatever
-    the tile count, so every tile count walks identical row tiles.
+    ``O(n + blk * p)`` regardless of how long the cycle runs.  ``blk``
+    derives from the *full* probe width ``p`` whatever the block count,
+    so every block count walks identical row tiles.
     """
 
     __slots__ = (
-        "n", "p", "dtype", "tiles", "bounds", "groups", "dense", "w_pos",
+        "n", "p", "dtype", "blocks", "bounds", "dense", "w_pos",
         "half", "cptr", "prev", "blk", "tile_max", "scratch", "valid",
     )
 
@@ -294,55 +265,41 @@ class SparseWorkspace:
         n: int,
         p: int,
         dtype: "np.dtype | type" = np.float64,
-        tiles: int = 1,
         threads: int = 1,
     ) -> None:
         self.n = int(n)
         self.p = int(p)
         self.dtype = np.dtype(dtype)
-        self.tiles = max(1, min(int(tiles), self.p))
+        self.blocks = max(1, min(int(threads), self.p))
         self.bounds = tuple(
-            self.p * i // self.tiles for i in range(self.tiles + 1)
+            self.p * i // self.blocks for i in range(self.blocks + 1)
         )
-        g = max(1, min(int(threads), self.tiles))
-        #: tile indices per thread group (group 0 runs on the calling thread)
-        self.groups = tuple(
-            tuple(range(self.tiles * i // g, self.tiles * (i + 1) // g))
-            for i in range(g)
-        )
-        #: per-tile slot arrays [X, W, out]; pages are first touched
+        widths = [hi - lo for lo, hi in zip(self.bounds, self.bounds[1:])]
+        #: per-block slot arrays [X, W, out]; pages are first touched
         #: when a cycle scatters its X0 and W0 into them
         self.dense = [
-            [np.empty((self.n, hi - lo), self.dtype) for _ in range(3)]
-            for lo, hi in zip(self.bounds, self.bounds[1:])
+            [np.empty((self.n, w), self.dtype) for _ in range(3)] for w in widths
         ]
-        #: per-cycle flags: tile ``si``'s W was positive at a check
+        #: per-cycle flags: block ``b``'s W was positive at a check
         #: (sticky: W's values stay positive once they are)
-        self.w_pos: List[bool] = [False] * self.tiles
+        self.w_pos: List[bool] = [False] * self.blocks
         self.half = np.full(self.n, 0.5, self.dtype)
         self.cptr = np.arange(self.n + 1, dtype=np.int64)
         self.prev = np.empty((self.n, self.p), self.dtype)
         self.blk = max(1, min(self.n, _TILE_ELEMENTS // max(self.p, 1)))
-        self.tile_max = np.empty((self.tiles, -(-self.n // self.blk)), np.float64)
-        width = max(b - a for a, b in zip(self.bounds, self.bounds[1:]))
-        size = self.blk * width
+        self.tile_max = np.empty((self.blocks, -(-self.n // self.blk)), np.float64)
         self.scratch = tuple(
             _CheckScratch(
-                x=np.empty(size, self.dtype),
-                num=np.empty(size, self.dtype),
-                den=np.empty(size, self.dtype),
+                x=np.empty(self.blk * w, self.dtype),
+                num=np.empty(self.blk * w, self.dtype),
+                den=np.empty(self.blk * w, self.dtype),
             )
-            for _ in self.groups
+            for w in widths
         )
         self.valid = True
 
     def matches(
-        self,
-        n: int,
-        p: int,
-        dtype: "np.dtype | type",
-        tiles: int,
-        threads: int,
+        self, n: int, p: int, dtype: "np.dtype | type", threads: int
     ) -> bool:
         """Whether these buffers serve the full shape tuple and are live."""
         return (
@@ -350,8 +307,7 @@ class SparseWorkspace:
             and self.n == n
             and self.p == p
             and self.dtype == np.dtype(dtype)
-            and self.tiles == max(1, min(int(tiles), self.p))
-            and len(self.groups) == max(1, min(int(threads), self.tiles))
+            and self.blocks == max(1, min(int(threads), self.p))
         )
 
     def invalidate(self) -> None:
@@ -362,8 +318,7 @@ class SparseWorkspace:
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"SparseWorkspace(n={self.n}, p={self.p}, "
-            f"dtype={self.dtype.name}, tiles={self.tiles}, "
-            f"groups={len(self.groups)}, valid={self.valid})"
+            f"dtype={self.dtype.name}, blocks={self.blocks}, valid={self.valid})"
         )
 
 
@@ -408,16 +363,14 @@ class SynchronousGossipEngine(CycleEngine):
     rng:
         Partner-choice randomness.
 
-    The ``p`` columns split into :func:`column_shards` tiles of about
-    ``_TILE_STATE_BYTES`` of state each (a multiple of the thread
-    count, at least ``_MIN_TILE_COLUMNS`` columns each), dealt to
-    :func:`step_threads` thread groups: one per usable core while each
-    keeps ``_MIN_SHARD_COLUMNS`` columns and ``_MIN_SHARD_ELEMENTS``
-    entries, on a process-wide pool of ``cores - 1`` threads plus the
-    calling thread.  Results are invariant in the tile and thread
-    counts: column subsets of a row-acting step are bitwise the same
-    values, and the partner draws, the sanitizer and the combination
-    of the check stay on the calling thread.
+    The ``p`` columns split into one contiguous column block per
+    :func:`step_threads` thread: one per usable core while each keeps
+    ``_MIN_SHARD_COLUMNS`` columns and ``_MIN_SHARD_ELEMENTS`` entries,
+    on a process-wide pool of ``cores - 1`` threads plus the calling
+    thread.  Results are invariant in the block count: column subsets
+    of a row-acting step are bitwise the same values, and the partner
+    draws, the sanitizer and the combination of the check stay on the
+    calling thread.
     """
 
     name = "sync"
@@ -583,15 +536,12 @@ class SynchronousGossipEngine(CycleEngine):
         write-before-read within a cycle, so reuse never shows in the
         results and a multi-cycle run pays the allocations once.
         """
-        shape = (
-            column_shards(self.n, p, self._dtype.itemsize),
-            step_threads(self.n, p),
-        )
+        threads = step_threads(self.n, p)
         ws = self._sparse_workspace
-        if ws is None or not ws.matches(self.n, p, self._dtype, *shape):
+        if ws is None or not ws.matches(self.n, p, self._dtype, threads):
             if ws is not None:
                 ws.invalidate()
-            ws = SparseWorkspace(self.n, p, self._dtype, *shape)
+            ws = SparseWorkspace(self.n, p, self._dtype, threads)
             self._sparse_workspace = ws
         return ws
 
@@ -686,26 +636,26 @@ class SynchronousGossipEngine(CycleEngine):
         raise_on_budget: bool,
         phases: Optional[Dict[str, float]] = None,
     ) -> Tuple[int, bool, np.ndarray]:
-        """Step loop: one check window at a time over cache-sized column tiles.
+        """Step loop: one check window at a time, one column block per thread.
 
-        Each tile's X0 and W0 columns are scattered into its dense
+        Each block's X0 and W0 columns are scattered into its dense
         slots first (zeroed, then the CSR values added).  A window is
         the run of steps up to the next convergence check, capped at
         ``check_every`` steps and at the step budget.  Per window the
         calling thread draws the window's targets; one pool round trip
-        then covers the window (:meth:`_step_window`): each thread
-        group steps its tiles through all of the window's steps
-        (:meth:`_dense_step`) and, on a check step, computes their check
-        shares.  Slots rotate by index arithmetic: after ``s`` steps X
-        lives at slot ``(-s) % 3``, W at ``(1 - s) % 3``.
+        then covers the window (:meth:`_step_window`): each block steps
+        through all of the window's steps (:meth:`_dense_step`) and, on
+        a check step, computes its check share.  Slots rotate by index
+        arithmetic: after ``s`` steps X lives at slot ``(-s) % 3``, W at
+        ``(1 - s) % 3``.
 
         The check fires every ``check_every`` steps, per step once a
         residual comes within ``_FINE_FACTOR`` of epsilon, and compares
         nothing before ``W`` is positive everywhere (before that the
         residual cannot be finite).  The sanitizer checks and the
-        combination of the tiles' residual maxima
+        combination of the blocks' residual maxima
         (:meth:`_worst_residual`) stay on the calling thread, so step
-        counts are invariant in the tile and thread counts too.
+        counts are invariant in the block count too.
 
         Returns ``(steps, converged, B)`` where ``B`` is the persistent
         (n, p) estimate buffer — the only dense (n, p) array the cycle
@@ -718,11 +668,11 @@ class SynchronousGossipEngine(CycleEngine):
         ws = self._acquire_sparse_workspace(p)
         if phases is not None:
             phases["alloc"] = phases.get("alloc", 0.0) + alloc_watch.elapsed()
-        ws.w_pos = [False] * ws.tiles
+        ws.w_pos = [False] * ws.blocks
         cores = _usable_cores()
-        pool = _step_pool(cores - 1) if len(ws.groups) > 1 and cores > 1 else None
-        for si, dense in enumerate(ws.dense):
-            lo, hi = ws.bounds[si], ws.bounds[si + 1]
+        pool = _step_pool(cores - 1) if ws.blocks > 1 and cores > 1 else None
+        for b, dense in enumerate(ws.dense):
+            lo, hi = ws.bounds[b], ws.bounds[b + 1]
             Xs[:, lo:hi].toarray(out=dense[0])
             Ws[:, lo:hi].toarray(out=dense[1])
         stream = _TargetStream(self._rng, n, k)
@@ -810,29 +760,28 @@ class SynchronousGossipEngine(CycleEngine):
         check: bool,
         scan: bool,
     ) -> None:
-        """One window of every tile: groups 1.. on ``pool``, 0 on this thread.
+        """One window of every block: blocks 1.. on ``pool``, 0 on this thread.
 
-        Each group writes only its own tiles' slot arrays, flags,
-        ``prev`` columns and ``tile_max`` rows, plus its own check
-        scratch, while ``targets`` stays read-only.  After group 0 this
-        thread also steps every group no pool thread has taken yet (a
-        cancelled future never runs), so a descheduled pool thread
-        cannot stall the window.  The taken
-        futures resolve in submission order, all of them before any
-        error propagates, so no group is still running when the caller
-        sees it; a failed window leaves the workspace half-stepped, so
-        it is dropped and the next cycle allocates fresh.  Without a
-        pool the groups step here in turn.
+        Each block writes only its own slot arrays, flag, ``prev``
+        columns, ``tile_max`` row and check scratch, while ``targets``
+        stays read-only.  After block 0 this thread also steps every
+        block no pool thread has taken yet (a cancelled future never
+        runs), so a descheduled pool thread cannot stall the window.
+        The taken futures resolve in submission order, all of them
+        before any error propagates, so no block is still running when
+        the caller sees it; a failed window leaves the workspace
+        half-stepped, so it is dropped and the next cycle allocates
+        fresh.  Without a pool the blocks step here in turn.
         """
         args = (step0, targets, check, scan)
         try:
             if pool is None:
-                for g in range(len(ws.groups)):
+                for g in range(ws.blocks):
                     self._step_group(ws, g, *args)
                 return
             futures: List[Future[None]] = [
                 pool.submit(self._step_group, ws, g, *args)
-                for g in range(1, len(ws.groups))
+                for g in range(1, ws.blocks)
             ]
             try:
                 self._step_group(ws, 0, *args)
@@ -841,7 +790,7 @@ class SynchronousGossipEngine(CycleEngine):
                         self._step_group(ws, g, *args)
             finally:
                 for future in futures:
-                    future.cancel()  # after an error, untaken groups never run
+                    future.cancel()  # after an error, untaken blocks never run
                 taken = [f for f in futures if not f.cancelled()]
                 wait(taken)
             for future in taken:
@@ -850,7 +799,7 @@ class SynchronousGossipEngine(CycleEngine):
             self.invalidate_workspace()
             raise
 
-    # hot: one thread group's window — each tile's steps, then its check share
+    # hot: one block's window — its steps, then its check share
     def _step_group(
         self,
         ws: SparseWorkspace,
@@ -860,24 +809,21 @@ class SynchronousGossipEngine(CycleEngine):
         check: bool,
         scan: bool,
     ) -> None:
-        """Step group ``g``'s tiles through the window (a pool thread for ``g > 0``).
+        """Step block ``g`` through the window (a pool thread for ``g > 0``).
 
-        Every tile runs all of the window's steps back to back while it
-        is cache-resident, then, on a check window, its check share
-        (:meth:`_check_tile`) in the group's own scratch.
+        The block runs all of the window's steps back to back, then, on
+        a check window, its check share (:meth:`_check_block`).
         """
-        scratch = ws.scratch[g]
-        for si in ws.groups[g]:
-            for t, row in enumerate(targets):
-                self._dense_step(ws, si, step0 + t, row)
-            if check:
-                self._check_tile(ws, si, step0 + len(targets), scan, scratch)
+        for t, row in enumerate(targets):
+            self._dense_step(ws, g, step0 + t, row)
+        if check:
+            self._check_block(ws, g, step0 + len(targets), scan)
 
-    # hot: one tile step — kept halves, then a sort-free csc_matvecs scatter
+    # hot: one block step — kept halves, then a sort-free csc_matvecs scatter
     def _dense_step(
-        self, ws: SparseWorkspace, si: int, step: int, targets: np.ndarray
+        self, ws: SparseWorkspace, b: int, step: int, targets: np.ndarray
     ) -> None:
-        """Step ``step + 1`` of tile ``si``: ``M @ X`` and ``M @ W``, dense.
+        """Step ``step + 1`` of block ``b``: ``M @ X`` and ``M @ W``, dense.
 
         Each output starts as the halved kept share, then
         ``csc_matvecs`` adds ``0.5 * X[j]`` into row ``targets[j]`` for
@@ -890,7 +836,7 @@ class SynchronousGossipEngine(CycleEngine):
         ``(1 - step) % 3``; the new X goes into the third slot, the new
         W into the slot X vacated.
         """
-        dense = ws.dense[si]
+        dense = ws.dense[b]
         n = ws.n
         ps = dense[0].shape[1]
         x_old = dense[(-step) % 3]
@@ -907,59 +853,55 @@ class SynchronousGossipEngine(CycleEngine):
 
     @staticmethod
     def _slot_mass(ws: SparseWorkspace, slot: int) -> float:
-        """Total mass of slot ``slot`` across tiles."""
+        """Total mass of slot ``slot`` across blocks."""
         return sum(float(dense[slot].sum()) for dense in ws.dense)
 
     # hot: estimate tile — divide straight out of the slots
     def _estimate_tile(
         self,
         ws: SparseWorkspace,
-        si: int,
+        b: int,
         xslot: int,
         wslot: int,
         lo: int,
         hi: int,
         xt: np.ndarray,
     ) -> None:
-        """Estimates ``X / W`` of rows ``[lo, hi)`` of tile ``si`` into ``xt``."""
-        dense = ws.dense[si]
+        """Estimates ``X / W`` of rows ``[lo, hi)`` of block ``b`` into ``xt``."""
+        dense = ws.dense[b]
         np.divide(dense[xslot][lo:hi], dense[wslot][lo:hi], out=xt)
 
-    # hot: a tile's check share — W gate, estimates into prev, residual maxima
-    def _check_tile(
-        self,
-        ws: SparseWorkspace,
-        si: int,
-        step: int,
-        scan: bool,
-        scratch: _CheckScratch,
+    # hot: a block's check share — W gate, estimates into prev, residual maxima
+    def _check_block(
+        self, ws: SparseWorkspace, b: int, step: int, scan: bool
     ) -> None:
-        """Tile ``si``'s share of the check after ``step`` steps.
+        """Block ``b``'s share of the check after ``step`` steps.
 
-        Until the tile's W is positive everywhere (``w_pos``, sticky)
-        it does nothing.  Then it writes the tile's estimates into its
+        Until the block's W is positive everywhere (``w_pos``, sticky)
+        it does nothing.  Then it writes the block's estimates into its
         ``prev`` columns, row tile by row tile, and with ``scan`` (a
         previous estimate exists) first stores each row tile's largest
         relative change, with the ``_REL_FLOOR`` guard, in
-        ``tile_max[si]``.  Every row tile is scanned; the early exit of
+        ``tile_max[b]``.  Every row tile is scanned; the early exit of
         the epsilon comparison happens in :meth:`_worst_residual`.
         """
         xslot = (-step) % 3
         wslot = (1 - step) % 3
-        if not ws.w_pos[si]:
-            ws.w_pos[si] = float(ws.dense[si][wslot].min()) > 0.0
-            if not ws.w_pos[si]:
+        if not ws.w_pos[b]:
+            ws.w_pos[b] = float(ws.dense[b][wslot].min()) > 0.0
+            if not ws.w_pos[b]:
                 return
         n = ws.n
         blk = ws.blk
-        c0, c1 = ws.bounds[si], ws.bounds[si + 1]
+        c0, c1 = ws.bounds[b], ws.bounds[b + 1]
         pc = c1 - c0
-        maxima = ws.tile_max[si]
+        maxima = ws.tile_max[b]
+        scratch = ws.scratch[b]
         for r, lo in enumerate(range(0, n, blk)):
             hi = min(lo + blk, n)
             m = hi - lo
             xt = scratch.x[: m * pc].reshape(m, pc)
-            self._estimate_tile(ws, si, xslot, wslot, lo, hi, xt)
+            self._estimate_tile(ws, b, xslot, wslot, lo, hi, xt)
             psub = ws.prev[lo:hi, c0:c1]
             if scan:
                 num = scratch.num[: m * pc].reshape(m, pc)
@@ -972,14 +914,14 @@ class SynchronousGossipEngine(CycleEngine):
             psub[...] = xt
 
     def _worst_residual(self, ws: SparseWorkspace) -> Tuple[float, bool]:
-        """Combine the tiles' residual maxima: ``(worst, all_below)``.
+        """Combine the blocks' residual maxima: ``(worst, all_below)``.
 
-        Row tile by row tile, ``worst`` takes the largest of the tiles'
-        maxima (in tile order, so a NaN maximum is skipped as a serial
+        Row tile by row tile, ``worst`` takes the largest of the blocks'
+        maxima (in block order, so a NaN maximum is skipped as a serial
         scan skips it) and freezes at the first row tile that lifts it
         past epsilon.  That is the scan order of one serial blocked
-        check over the untiled columns, so the worst residual, the
-        fine-phase trigger and the stop step do not depend on the tile
+        check over the unsplit columns, so the worst residual, the
+        fine-phase trigger and the stop step do not depend on the block
         count.
         """
         eps = self.epsilon
@@ -1002,8 +944,8 @@ class SynchronousGossipEngine(CycleEngine):
         acceptable here.  Reads the normalized ``[X, W, out]`` slot
         order (the step loop restores it before calling).
         """
-        for si, dense in enumerate(ws.dense):
-            c0, c1 = ws.bounds[si], ws.bounds[si + 1]
+        for b, dense in enumerate(ws.dense):
+            c0, c1 = ws.bounds[b], ws.bounds[b + 1]
             for lo in range(0, ws.n, ws.blk):
                 hi = min(lo + ws.blk, ws.n)
                 w = dense[1][lo:hi]

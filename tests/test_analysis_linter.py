@@ -234,8 +234,8 @@ class TestGT002:
 
     def test_repo_hot_regions_are_clean(self):
         # Minimum marker counts pin the kernels' coverage: engine.py
-        # carries the step loop's regions (group window, dense scatter
-        # step, estimate tile, tile check share); vector.py merge plus
+        # carries the step loop's regions (block window, dense scatter
+        # step, estimate tile, block check share); vector.py merge plus
         # the population store's estimate and mass reductions.
         for rel, floor in (
             ("src/repro/gossip/engine.py", 4),

@@ -8,9 +8,9 @@ RNG stream, so on a seeded instance they must walk the same
 mixing-matrix sequence: identical step counts at per-step checks,
 matching results up to floating-point accumulation order.
 
-Everything the engine varies internally — column-tile count, thread
-count, workspace reuse, check-tile height — must be
-*bitwise* invisible in the results.
+Everything the engine varies internally — column-block (thread)
+count, workspace reuse, check-tile height — must be *bitwise*
+invisible in the results.
 """
 
 import os
@@ -55,27 +55,16 @@ def _cycle(n, S, v, **options):
 
 
 def _pin_cores(monkeypatch, cores):
-    """Make the engine step test-size cycles on ``cores`` threads.
+    """Make the engine step test-size cycles in ``cores`` column blocks.
 
-    Pins the usable cores and drops the per-shard work floor, which
-    keeps every instance of this file's sizes whole otherwise.
+    Pins the usable cores and drops the per-thread column and work
+    floors, which keep this file's sizes on fewer threads otherwise, so
+    the blocks step on the calling thread plus ``cores - 1`` pool
+    threads on any machine.
     """
     monkeypatch.setattr(engine_mod, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(engine_mod, "_MIN_SHARD_COLUMNS", 1)
     monkeypatch.setattr(engine_mod, "_MIN_SHARD_ELEMENTS", 1)
-
-
-def _force_tiles(monkeypatch, tiles, cores=None):
-    """Make the engine split its columns into exactly ``tiles`` tiles.
-
-    Replaces the derived tile count (:func:`column_shards`) and pins
-    ``cores`` usable cores (default: one per tile), so the tiles step on
-    the calling thread plus up to ``cores - 1`` pool threads on any
-    machine.
-    """
-    monkeypatch.setattr(
-        engine_mod, "column_shards", lambda n, p, itemsize=8: tiles
-    )
-    _pin_cores(monkeypatch, cores or tiles)
 
 
 def _oracle(n, S, v, *, mode="full", check_every=1):
@@ -397,17 +386,18 @@ class TestSparseKernel:
 
 
 class TestShardedSparseKernel:
-    """Column tiling must be invisible: any tile split of the probe
+    """Column blocks must be invisible: any block split of the probe
     working set replays the identical step sequence, so steps,
-    scores, and gossip error are *bitwise* equal to the untiled run."""
+    scores, and gossip error are *bitwise* equal to the one-block run."""
 
     @pytest.mark.parametrize("n", [250, 1000])
     @pytest.mark.parametrize("mode", ["probe", "full"])
     def test_shard_count_invariance(self, n, mode, monkeypatch):
         S, v = _instance(n)
+        _pin_cores(monkeypatch, 1)
         base = _cycle(n, S, v, mode=mode)
-        for tiles in (2, 7):
-            _force_tiles(monkeypatch, tiles)
+        for blocks in (2, 7):
+            _pin_cores(monkeypatch, blocks)
             res = _cycle(n, S, v, mode=mode)
             assert res.steps == base.steps
             np.testing.assert_array_equal(res.v_next, base.v_next)
@@ -416,44 +406,30 @@ class TestShardedSparseKernel:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_shard_invariance_both_dtypes(self, dtype, monkeypatch):
         S, v = _instance(250)
+        _pin_cores(monkeypatch, 1)
         base = _cycle(250, S, v, mode="probe", dtype=dtype)
-        _force_tiles(monkeypatch, 7)
+        _pin_cores(monkeypatch, 7)
         res = _cycle(250, S, v, mode="probe", dtype=dtype)
         assert res.steps == base.steps
         np.testing.assert_array_equal(res.v_next, base.v_next)
         assert res.gossip_error == base.gossip_error
 
     def test_sanitizer_armed_sharded(self, monkeypatch):
-        """The armed invariant sanitizer passes over tiled state
-        exactly as over the untiled kernel."""
+        """The armed invariant sanitizer passes over split state
+        exactly as over one block."""
         S, v = _instance(N)
+        _pin_cores(monkeypatch, 1)
         base = _cycle(N, S, v, mode="probe")
-        _force_tiles(monkeypatch, 3)
+        _pin_cores(monkeypatch, 3)
         eng = make_engine(
             "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON, mode="probe",
         )
         eng.arm_sanitizer()
         res = eng.run_cycle(S, v)
-        assert eng.sparse_workspace.tiles == 3
+        assert eng.sparse_workspace.blocks == 3
         assert res.steps == base.steps
         np.testing.assert_array_equal(res.v_next, base.v_next)
         assert eng.sanitizer.checks > 0
-
-    @pytest.mark.parametrize(
-        "n, p, cores, tiles",
-        [
-            (10**5, 64, 2, 6),  # 5 tiles of 32 MiB state, 3 per thread
-            (10**5, 20, 2, 2),  # one thread, still 2 tiles of state
-            (10**5, 64, 8, 8),  # 4 threads (64 // 16), 5 tiles -> 8
-            (10**6, 64, 2, 8),  # 46 tiles of state, capped at 64 // 8
-            (1000, 1000, 2, 2),  # 24 MB of state: one tile per thread
-            (250, 250, 2, 1),  # too little work for a second thread
-            (10, 3, 4, 1),
-        ],
-    )
-    def test_shard_count_follows_cores(self, n, p, cores, tiles, monkeypatch):
-        monkeypatch.setattr(engine_mod, "_usable_cores", lambda: cores)
-        assert engine_mod.column_shards(n, p) == tiles
 
     @pytest.mark.parametrize(
         "n, p, cores, threads",
@@ -464,7 +440,7 @@ class TestShardedSparseKernel:
             (10**6, 64, 2, 2),
             (1000, 1000, 2, 2),
             (250, 250, 2, 1),  # too little work per thread
-            (2**29, 64, 2, 2),  # more state adds tiles, not threads
+            (2**29, 64, 2, 2),  # more state adds no threads
             (10, 3, 4, 1),
         ],
     )
@@ -472,13 +448,24 @@ class TestShardedSparseKernel:
         monkeypatch.setattr(engine_mod, "_usable_cores", lambda: cores)
         assert engine_mod.step_threads(n, p) == threads
 
-    def test_float32_tiles_hold_twice_the_columns(self, monkeypatch):
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_one_block_per_thread(self, dtype, monkeypatch):
+        """On 2 cores a 64-column n = 10^5 probe workspace holds 2
+        column blocks of 32 columns, one per stepping thread, whatever
+        the state size."""
         monkeypatch.setattr(engine_mod, "_usable_cores", lambda: 2)
-        assert engine_mod.column_shards(10**5, 64, itemsize=4) == 4
+        eng = SynchronousGossipEngine(10**5, mode="probe", dtype=dtype)
+        ws = eng._acquire_sparse_workspace(64)  # np.empty: pages untouched
+        assert ws.blocks == engine_mod.step_threads(10**5, 64) == 2
+        assert ws.bounds == (0, 32, 64)
+        assert [[d.shape for d in dense] for dense in ws.dense] == [
+            [(10**5, 32)] * 3
+        ] * 2
+        assert [c.x.size for c in ws.scratch] == [ws.blk * 32] * 2
 
     def test_worst_residual_freezes_at_first_row_tile_over_epsilon(self):
-        """The tiles' row-tile maxima combine as one serial blocked scan:
-        row by row, the largest over the tiles (a NaN maximum skipped),
+        """The blocks' row-tile maxima combine as one serial blocked scan:
+        row by row, the largest over the blocks (a NaN maximum skipped),
         stopping at the first row tile that lifts the worst past
         epsilon — later rows do not raise it."""
         from types import SimpleNamespace
@@ -491,7 +478,7 @@ class TestShardedSparseKernel:
         assert eng._worst_residual(below) == (3e-5, True)
 
     def test_validation(self):
-        """The shard count is derived, never passed: the engine takes no
+        """The block count is derived, never passed: the engine takes no
         shard, worker or buffer-backend option."""
         for option in ("shards", "shard_workers", "workspace_backend"):
             with pytest.raises(TypeError, match=option):
@@ -499,20 +486,19 @@ class TestShardedSparseKernel:
 
 
 class TestDenseHandoff:
-    """Every tile steps in its three dense slots from step 0: X0 and W0
+    """Every block steps in its three dense slots from step 0: X0 and W0
     are scattered into them at cycle start, and the workspace holds
     nothing else of size (n, p) but ``prev``."""
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_workspace_bytes_follow_the_memory_model(self, dtype, monkeypatch):
         """After a probe cycle the workspace's arrays take
-        ``4 * n * p * itemsize`` bytes (three slots per tile plus
-        ``prev``) plus only O(n + groups * blk * width): the constant
-        CSC pointer and values, the row-tile maxima and the per-group
-        check scratch."""
+        ``4 * n * p * itemsize`` bytes (one slot triple per block plus
+        ``prev``) plus only O(n + blk * p): the constant CSC pointer and
+        values, the row-tile maxima and the per-block check scratch."""
         n, p = 2000, 64
         S, v = _instance(n)
-        _force_tiles(monkeypatch, 3, cores=2)
+        _pin_cores(monkeypatch, 3)
         eng = make_engine(
             "sync", n=n, rng=RngStreams(SEED), epsilon=EPSILON,
             mode="probe", probe_columns=p, dtype=dtype,
@@ -532,17 +518,17 @@ class TestDenseHandoff:
             a.nbytes for name in type(ws).__slots__
             for a in arrays(getattr(ws, name))
         )
-        width = max(b - a for a, b in zip(ws.bounds, ws.bounds[1:]))
         extra = (
             n * itemsize  # half
             + (n + 1) * 8  # cptr
-            + ws.tile_max.nbytes  # tiles * ceil(n / blk) float64 maxima
-            + 3 * len(ws.groups) * ws.blk * width * itemsize  # check scratch
+            + ws.tile_max.nbytes  # blocks * ceil(n / blk) float64 maxima
+            + 3 * ws.blk * p * itemsize  # check scratch, blk rows per block
         )
-        assert ws.tile_max.size == ws.tiles * -(-n // ws.blk)
+        assert ws.blocks == len(ws.dense) == len(ws.scratch) == 3
+        assert ws.tile_max.size == ws.blocks * -(-n // ws.blk)
         assert total == 4 * n * p * itemsize + extra
-        for si, dense in enumerate(ws.dense):
-            shape = (n, ws.bounds[si + 1] - ws.bounds[si])
+        for b, dense in enumerate(ws.dense):
+            shape = (n, ws.bounds[b + 1] - ws.bounds[b])
             assert [d.shape for d in dense] == [shape] * 3
 
     def test_handoff_full_mode_and_sanitizer(self):
@@ -586,11 +572,11 @@ def _warm_cycles(n, S, v, cycles=2, **options):
 
 
 class TestThreadedShards:
-    """Column tiles step on threads, one group per usable core, one
-    check window per pool round trip.  Each tile's arithmetic is the
+    """Column blocks step on threads, one block per usable core, one
+    check window per pool round trip.  Each block's arithmetic is the
     serial one, and only the calling thread draws partners, runs the
-    sanitizer and combines the check, so the tile and thread counts are
-    bitwise invisible."""
+    sanitizer and combines the check, so the block count is bitwise
+    invisible."""
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("mode", ["full", "probe"])
@@ -601,7 +587,7 @@ class TestThreadedShards:
         for cores in (1, 2, 4):
             _pin_cores(monkeypatch, cores)
             eng, runs[cores] = _warm_cycles(250, S, v, mode=mode, dtype=dtype)
-            assert len(eng.sparse_workspace.groups) == cores
+            assert eng.sparse_workspace.blocks == cores
         for cores in (2, 4):
             for got, want in zip(runs[cores], runs[1]):
                 assert got.converged and got.steps == want.steps
@@ -610,28 +596,28 @@ class TestThreadedShards:
 
     @pytest.mark.parametrize("mode", ["full", "probe"])
     def test_tile_count_invariance(self, mode, monkeypatch):
-        """1, 3 and 7 column tiles on two threads land on bitwise-equal
-        warm cycles."""
+        """1, 3 and 7 column blocks on as many threads land on
+        bitwise-equal warm cycles."""
         S, v = _instance(250)
         # several check row tiles, so the maxima combine across rows too
         monkeypatch.setattr(engine_mod, "_TILE_ELEMENTS", 4096)
         runs = {}
-        for tiles in (1, 3, 7):
-            _force_tiles(monkeypatch, tiles, cores=2)
-            eng, runs[tiles] = _warm_cycles(250, S, v, mode=mode)
-            assert eng.sparse_workspace.tiles == tiles
-        for tiles in (3, 7):
-            for got, want in zip(runs[tiles], runs[1]):
+        for blocks in (1, 3, 7):
+            _pin_cores(monkeypatch, blocks)
+            eng, runs[blocks] = _warm_cycles(250, S, v, mode=mode)
+            assert eng.sparse_workspace.blocks == blocks
+        for blocks in (3, 7):
+            for got, want in zip(runs[blocks], runs[1]):
                 assert got.converged and got.steps == want.steps
                 np.testing.assert_array_equal(got.v_next, want.v_next)
                 assert got.gossip_error == want.gossip_error
                 assert got.node_disagreement == want.node_disagreement
 
     def test_one_submit_per_thread_group_per_window(self, monkeypatch):
-        """A check window costs one pool task per non-calling thread
-        group, not one per step or per tile."""
+        """A check window costs one pool task per block off the calling
+        thread, not one per step."""
         S, v = _instance(250)
-        _force_tiles(monkeypatch, 6, cores=3)
+        _pin_cores(monkeypatch, 3)
         real = ThreadPoolExecutor(max_workers=2)
         submitted, windows = [], []
 
@@ -674,7 +660,7 @@ class TestThreadedShards:
 
         def poisoned(self, ws, si, xslot, wslot, lo, hi, xt, *args):
             estimate_tile(self, ws, si, xslot, wslot, lo, hi, xt, *args)
-            if draws[0] >= 20 and si == ws.tiles - 1:
+            if draws[0] >= 20 and si == ws.blocks - 1:
                 xt[-1, -1] = np.nan
 
         monkeypatch.setattr(engine_mod._TargetStream, "next", counted)
@@ -694,7 +680,7 @@ class TestThreadedShards:
             monkeypatch.setattr(san, name, on_thread)
         with pytest.raises(InvariantViolation) as info:
             eng.run_cycle(S, v)
-        assert len(eng.sparse_workspace.groups) == 3
+        assert eng.sparse_workspace.blocks == 3
         assert info.value.invariant == "finite" and info.value.step == 24
         assert callers == {threading.get_ident()}
 
@@ -706,7 +692,7 @@ class TestThreadedShards:
         def spy(self, ws, g, *args):
             idents.add(threading.get_ident())
             if g == 0:
-                time.sleep(1e-3)  # time for a pool thread to take group 1
+                time.sleep(1e-3)  # time for a pool thread to take block 1
             return step_group(self, ws, g, *args)
 
         monkeypatch.setattr(SynchronousGossipEngine, "_step_group", spy)
@@ -717,7 +703,7 @@ class TestThreadedShards:
 
     def test_caller_steps_the_shards_no_thread_took(self, monkeypatch):
         """A pool whose threads are all busy never stalls a window: the
-        calling thread steps every group still queued, bitwise as
+        calling thread steps every block still queued, bitwise as
         before."""
         S, v = _instance(250)
         base = _cycle(250, S, v, mode="probe")
@@ -735,31 +721,30 @@ class TestThreadedShards:
         finally:
             release.set()
             busy.shutdown()
-        assert len(eng.sparse_workspace.groups) == 2
+        assert eng.sparse_workspace.blocks == 2
         assert res.steps == base.steps
         np.testing.assert_array_equal(res.v_next, base.v_next)
         assert res.gossip_error == base.gossip_error
 
     def test_one_core_steps_without_a_pool(self, monkeypatch):
-        """One core steps every tile on the calling thread, one tile or
-        several."""
+        """One core steps one block on the calling thread, bitwise as
+        two blocks on two threads."""
         S, v = _instance(250)
+        _pin_cores(monkeypatch, 2)
         base = _cycle(250, S, v, mode="probe")
         monkeypatch.setattr(engine_mod, "_step_pool", None)  # any use fails
-        for tiles in (1, 3):
-            _force_tiles(monkeypatch, tiles, cores=1)
-            eng = make_engine(
-                "sync", n=250, rng=RngStreams(SEED), epsilon=EPSILON, mode="probe",
-            )
-            res = eng.run_cycle(S, v)
-            assert len(eng.sparse_workspace.groups) == 1
-            assert eng.sparse_workspace.tiles == tiles
-            assert res.steps == base.steps
-            np.testing.assert_array_equal(res.v_next, base.v_next)
-            assert res.gossip_error == base.gossip_error
+        _pin_cores(monkeypatch, 1)
+        eng = make_engine(
+            "sync", n=250, rng=RngStreams(SEED), epsilon=EPSILON, mode="probe",
+        )
+        res = eng.run_cycle(S, v)
+        assert eng.sparse_workspace.blocks == 1
+        assert res.steps == base.steps
+        np.testing.assert_array_equal(res.v_next, base.v_next)
+        assert res.gossip_error == base.gossip_error
 
     def test_worker_error_propagates_and_engine_recovers(self, monkeypatch):
-        """A group window that raises on a pool thread fails the cycle;
+        """A block window that raises on a pool thread fails the cycle;
         the half-stepped workspace is dropped and the next cycle runs."""
         S, v = _instance(250)
         _pin_cores(monkeypatch, 2)
@@ -769,23 +754,23 @@ class TestThreadedShards:
 
         def flaky(self, ws, g, *args):
             if g == 0 and not failed_on:
-                time.sleep(1e-3)  # time for a pool thread to take group 1
+                time.sleep(1e-3)  # time for a pool thread to take block 1
             if g == 1 and not failed_on and threading.get_ident() != caller:
                 failed_on.append(threading.get_ident())
-                raise RuntimeError("group 1 exploded")
+                raise RuntimeError("block 1 exploded")
             return step_group(self, ws, g, *args)
 
         monkeypatch.setattr(SynchronousGossipEngine, "_step_group", flaky)
         eng = make_engine(
             "sync", n=250, rng=RngStreams(SEED), epsilon=EPSILON, mode="probe",
         )
-        with pytest.raises(RuntimeError, match="group 1 exploded"):
+        with pytest.raises(RuntimeError, match="block 1 exploded"):
             eng.run_cycle(S, v)
         assert failed_on and failed_on[0] != caller
         assert eng.sparse_workspace is None  # invalidated, not reused
         res = eng.run_cycle(S, v)
         assert res.converged and np.isfinite(res.gossip_error)
-        assert len(eng.sparse_workspace.groups) == 2
+        assert eng.sparse_workspace.blocks == 2
 
     def test_sweep_workers_after_threaded_parent_cycle(self):
         """A forked sweep worker gets a pool of its own: after the parent
@@ -806,7 +791,7 @@ class TestThreadedShards:
             eng = make_engine("sync", n=200, rng=RngStreams(0), mode="probe")
             S = synthetic_trust_matrix(200, rng=RngStreams(0).get("matrix"))
             assert eng.run_cycle(S, np.full(200, 1 / 200)).converged
-            assert len(eng.sparse_workspace.groups) == 2
+            assert eng.sparse_workspace.blocks == 2
             points = [
                 SweepPoint(
                     fn=_fig3_point,

@@ -49,6 +49,9 @@ Since schema 4:
   float64 and float32, recording wall time and per-point peak RSS
   against explicit per-n budgets (``within_rss_budget`` /
   ``within_wall_budget``) plus the float32-vs-float64 score deviation.
+  These points measure the cost of gossiping the p = 64 probe columns:
+  a probe cycle's ``v_next`` is the exact oracle ``S^T v``, which the
+  section's ``measures`` line states in the payload itself.
   ``--large-only`` runs just this tier and exits non-zero when a
   budget is blown (the ``make bench-large`` gate).
 
@@ -81,7 +84,8 @@ Schema 9 follows the engine onto threads (one per usable core, at
 least 16 columns and 2^16 entries each), so the provenance stamps
 ``usable_cores`` (the process's affinity mask) and the derived
 ``step_threads`` (:func:`~repro.gossip.engine.step_threads` of the
-n = 10^6 64-column probe cycle, which steps 8 column tiles).
+n = 10^6 64-column probe cycle, which steps one column block per
+thread).
 
 ``--compare OLD NEW`` is the deterministic regression gate: over the
 cells both payloads share (per-cycle entries by engine, n and options;
@@ -452,6 +456,10 @@ def run_large_n(quick: bool, xlarge: bool = False) -> dict:
             )
         del S
     return {
+        "measures": (
+            f"the cost of gossiping p = {PROBE_COLUMNS} probe columns; "
+            "v_next of a probe cycle is the exact oracle S^T v"
+        ),
         "tiers": list(tiers),
         "budgets": {str(n): LARGE_N_BUDGETS[n] for n in tiers},
         "points": points,

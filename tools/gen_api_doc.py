@@ -61,14 +61,13 @@ lines += [
     "  an armed sanitizer widens its conservation tolerance to 1e-4).",
     "",
     "The engine runs in one process on ordinary heap buffers. Columns",
-    "split into tiles of about 32 MiB of state (`column_shards(n, p)`,",
-    "a multiple of the thread count), dealt to one thread group per usable core",
-    "(`step_threads(n, p)`: at least 16 columns and 2^16 entries each).",
-    "One process-wide pool round trip covers a whole convergence-check",
-    "window: each group steps each of its tiles through every step of",
-    "the window, then computes the tile's check share; the calling",
-    "thread draws partners and combines the check. Results are bitwise",
-    "invariant in the tile and thread counts.",
+    "split into one contiguous column block per stepping thread, one",
+    "thread per usable core (`step_threads(n, p)`: at least 16 columns",
+    "and 2^16 entries each). One process-wide pool round trip covers a",
+    "whole convergence-check window: each thread steps its block",
+    "through every step of the window, then computes the block's check",
+    "share; the calling thread draws partners and combines the check.",
+    "Results are bitwise invariant in the block count.",
     "The buffers live in one `SparseWorkspace` that survives across",
     "`run_cycle` calls and runs of the same shape;",
     "`invalidate_workspace()` drops it explicitly. Reused and fresh",
