@@ -46,7 +46,7 @@ def test_ablation_probe_vs_full_agreement(benchmark):
     def run():
         full = SynchronousGossipEngine(n, epsilon=1e-4, mode="full", rng=1)
         probe = SynchronousGossipEngine(
-            n, epsilon=1e-4, mode="probe", probe_columns=64, rng=1
+            n, epsilon=1e-4, mode="probe", rng=1
         )
         return full.run_cycle(S, v), probe.run_cycle(S, v)
 

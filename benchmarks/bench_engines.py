@@ -1,4 +1,4 @@
-"""Engine shoot-out: every registered cycle engine on one fixed problem.
+"""Engine shoot-out: every cycle engine on one fixed problem.
 
 All engines are built through :func:`repro.gossip.factory.make_engine`
 on the same (n, matrix, seed), so the timings compare aggregation
@@ -29,6 +29,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.config import GossipTrustConfig
 from repro.experiments.fig3_gossip_steps import _fig3_point
 from repro.experiments.runner import SweepPoint, run_sweep
 from repro.experiments.synthetic import synthetic_trust_matrix
@@ -43,6 +44,12 @@ SEED = 0
 SERVICE_N = 1000
 
 
+#: the shared parameters; probe mode is the sync engine's
+CONFIG = GossipTrustConfig(n=N, epsilon=1e-4, engine_mode="probe")
+#: engine-specific options, each passed only to its own engine
+OPTIONS = {"message": {"max_rounds": 400}}
+
+
 @pytest.fixture(scope="module")
 def bench_S():
     return synthetic_trust_matrix(N, rng=RngStreams(SEED).get("matrix"))
@@ -54,10 +61,7 @@ def test_engine_cycle(benchmark, bench_S, name):
     v = np.full(N, 1.0 / N)
 
     def one_cycle():
-        eng = make_engine(
-            name, n=N, rng=RngStreams(SEED),
-            epsilon=1e-4, mode="probe", probe_columns=64, max_rounds=400,
-        )
+        eng = make_engine(name, CONFIG, rng=RngStreams(SEED), **OPTIONS.get(name, {}))
         return eng.run_cycle(bench_S, v)
 
     res = benchmark.pedantic(one_cycle, rounds=3, iterations=1)
@@ -138,10 +142,7 @@ def test_engine_telemetry_snapshot(results_dir, bench_S):
     telemetry = CycleTelemetry()
     v = np.full(N, 1.0 / N)
     for cycle, name in enumerate(engine_names(), start=1):
-        eng = make_engine(
-            name, n=N, rng=RngStreams(SEED),
-            epsilon=1e-4, mode="probe", probe_columns=64, max_rounds=400,
-        )
+        eng = make_engine(name, CONFIG, rng=RngStreams(SEED), **OPTIONS.get(name, {}))
         telemetry.timed(cycle, eng, bench_S, v)
     text = telemetry.render() + "\nengines: " + ", ".join(engine_names())
     (results_dir / "engines.txt").write_text(text + "\n")

@@ -27,7 +27,7 @@ from repro.core.power_nodes import PowerNodeSelector
 from repro.errors import ReproError
 from repro.gossip.base import CycleEngine, GossipCycleResult
 from repro.gossip.engine import SynchronousGossipEngine
-from repro.gossip.factory import engine_names, make_engine, register_engine
+from repro.gossip.factory import engine_names, make_engine
 from repro.gossip.message_engine import AsyncMessageGossipEngine, MessageGossipEngine
 from repro.gossip.pushsum import push_sum, scripted_push_sum
 from repro.gossip.structured import StructuredAggregationEngine
@@ -52,7 +52,6 @@ __all__ = [
     "GossipCycleResult",
     "make_engine",
     "engine_names",
-    "register_engine",
     "CycleRecord",
     "CycleTelemetry",
     "SynchronousGossipEngine",

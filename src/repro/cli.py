@@ -11,7 +11,7 @@ Usage::
 ``--set key=value`` forwards typed overrides to the experiment runner
 (ints, floats, and comma-separated tuples are auto-parsed).
 ``--engine NAME`` is shorthand for ``--set engine=NAME`` and selects
-any engine registered with :func:`repro.gossip.factory.register_engine`.
+one of the four engines :func:`repro.gossip.factory.engine_names` lists.
 ``--workers N`` is shorthand for ``--set workers=N`` and fans the
 experiment's sweep points over ``N`` processes (see
 :mod:`repro.experiments.runner`); results are identical to serial runs.
@@ -77,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help="cycle engine to run the experiment on "
-        "(registered names; shorthand for --set engine=NAME)",
+        "(sync | message | async | structured; shorthand for "
+        "--set engine=NAME)",
     )
     run_p.add_argument(
         "--workers",

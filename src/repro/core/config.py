@@ -43,17 +43,11 @@ class GossipTrustConfig:
     max_gossip_steps:
         Per-cycle gossip step budget.
     engine:
-        Registered gossip-engine name driving the aggregation cycles
-        (``"sync"``, ``"message"``, ``"async"``, ``"structured"``, or
-        any name added via
-        :func:`~repro.gossip.factory.register_engine`).
+        Gossip-engine name driving the aggregation cycles (``"sync"``,
+        ``"message"``, ``"async"`` or ``"structured"``; see
+        :func:`~repro.gossip.factory.make_engine`).
     engine_mode:
         ``"auto"``, ``"full"``, or ``"probe"`` for the vectorized engine.
-    probe_columns:
-        Probe width when the vectorized engine runs in probe mode.
-    check_every:
-        Convergence-check cadence of the vectorized engine: the O(n*p)
-        estimate/residual pass runs every ``check_every`` gossip steps.
     kernel:
         Step-loop kernel of the vectorized engine.  ``"sparse"``
         (sort-free dense steps over column blocks, from step 0) is the
@@ -64,8 +58,8 @@ class GossipTrustConfig:
         ``"float32"`` (halves workspace memory; scores agree to
         ~steps * eps32 relative — see the engine docs).
     partner_strategy:
-        How the message-level engines pick gossip partners: a name from
-        the :mod:`~repro.gossip.partnering` registry (``"global"``,
+        How the message-level engines pick gossip partners: a
+        :mod:`~repro.gossip.partnering` strategy name (``"global"``,
         ``"neighbors"``, ``"brahms"``).  The default ``"global"`` is the
         omniscient-membership oracle the paper's analysis assumes;
         ``"brahms"`` maintains partial-view membership over the
@@ -99,8 +93,6 @@ class GossipTrustConfig:
     max_gossip_steps: int = 5000
     engine: str = "sync"
     engine_mode: str = "auto"
-    probe_columns: int = 64
-    check_every: int = 8
     kernel: str = "sparse"
     dtype: str = "float64"
     partner_strategy: str = "global"
@@ -132,10 +124,10 @@ class GossipTrustConfig:
             raise ConfigurationError(f"unknown engine_mode {self.engine_mode!r}")
         if not self.engine or not isinstance(self.engine, str):
             raise ConfigurationError(
-                f"engine must be a non-empty registry name, got {self.engine!r}"
+                f"engine must be a non-empty engine name, got {self.engine!r}"
             )
-        # Validate against the live registry (imported lazily: gossip
-        # modules must stay importable without the core package).
+        # Imported lazily: gossip modules must stay importable without
+        # the core package.
         from repro.gossip.factory import engine_names
 
         if self.engine not in engine_names():
@@ -143,21 +135,13 @@ class GossipTrustConfig:
             raise ConfigurationError(
                 f"unknown engine {self.engine!r}; registered: {known}"
             )
-        if self.probe_columns < 1:
-            raise ConfigurationError(
-                f"probe_columns must be >= 1, got {self.probe_columns}"
-            )
-        if self.check_every < 1:
-            raise ConfigurationError(
-                f"check_every must be >= 1, got {self.check_every}"
-            )
         if self.kernel != "sparse":
             raise ConfigurationError(
                 f"unknown kernel {self.kernel!r}; the only kernel is 'sparse'"
             )
         if self.dtype not in ("float64", "float32"):
             raise ConfigurationError(f"unknown dtype {self.dtype!r}")
-        # Same lazy-registry pattern as the engine check above.
+        # Imported lazily, like the engine names above.
         from repro.gossip.partnering import strategy_names
 
         if self.partner_strategy not in strategy_names():

@@ -18,6 +18,12 @@ Per (engine x strategy x plan) cell it reports:
 * overhead: membership maintenance messages plus reliable-probe
   retries/acks (the price of failure detection).
 
+Each clock runs under its own cycle budget: the round clock
+(``"message"``) stops after 150 rounds, the Poisson clock (``"async"``)
+at its ``max_time`` default of 2000 simulated time units (about 800
+equivalent rounds in these chaos cells).  An async cell that does not
+converge reports where that budget cut it.
+
 The acceptance shape: errors stay within the same order of magnitude as
 the global-sampling baseline, and the partial-view protocol ends every
 healed scenario with zero permanently-isolated live nodes.
@@ -29,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.config import GossipTrustConfig
 from repro.errors import ExperimentError
 from repro.experiments.base import ExperimentResult, mean_std, seed_range
 from repro.experiments.runner import SweepPoint, run_sweep
@@ -73,16 +80,20 @@ def _resilience_point(
     topo = gnutella_like(n, rng=streams.get("topology"))
     overlay = Overlay(topo, rng=streams.get("overlay"))
     transport = Transport(sim, latency=1.0, loss_rate=0.0, rng=streams.get("net"))
+    config = GossipTrustConfig(
+        n=n, partner_strategy=strategy, mass_restore_budget=mass_restore_budget
+    )
+    # The 150-round budget is the round clock's; the Poisson clock runs
+    # to its max_time default (2000 time units, ~800 equivalent rounds).
+    clock: Dict[str, int] = {"max_rounds": 150} if engine == "message" else {}
     eng = make_engine(
         engine,
-        n=n,
+        config,
         rng=streams,
         sim=sim,
         transport=transport,
         overlay=overlay,
-        partner_strategy=strategy,
-        mass_restore_budget=mass_restore_budget,
-        max_rounds=150,
+        **clock,
     )
     fault_plan = named_plan(plan, horizon=_PLAN_HORIZON, rng=streams.get("faults"))
     fault_plan.schedule(

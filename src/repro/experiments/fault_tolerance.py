@@ -16,10 +16,11 @@ magnitude below the score scale even at heavy loss.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.config import GossipTrustConfig
 from repro.errors import ExperimentError
 from repro.experiments.base import ExperimentResult, mean_std, seed_range
 from repro.experiments.runner import SweepPoint, run_sweep
@@ -51,7 +52,13 @@ def _one_cycle(
     round_interval: float = 2.0,
     telemetry: Optional[CycleTelemetry] = None,
 ) -> "GossipCycleResult":
-    """Run one message-level cycle under the given fault injection."""
+    """Run one message-level cycle under the given fault injection.
+
+    ``round_interval`` and the 300-round budget are the round clock's
+    (``"message"``); the Poisson clock (``"async"``) runs to its own
+    ``max_time`` default.  Departures are scheduled in units of
+    ``round_interval`` on either clock.
+    """
     streams = RngStreams(seed)
     S = synthetic_trust_matrix(n, rng=streams.get("matrix"))
     sim = Simulator()
@@ -65,16 +72,19 @@ def _one_cycle(
         for idx in gen.choice(len(edges), size=k, replace=False):
             u, v = edges[int(idx)]
             transport.fail_link(u, v)
+    clock: Dict[str, float] = (
+        {"round_interval": round_interval, "max_rounds": 300}
+        if engine == "message"
+        else {}
+    )
     eng = make_engine(
         engine,
-        n=n,
+        GossipTrustConfig(n=n, epsilon=epsilon),
         rng=streams,
         sim=sim,
         transport=transport,
         overlay=overlay,
-        epsilon=epsilon,
-        round_interval=round_interval,
-        max_rounds=300,
+        **clock,
     )
     if departures > 0:
         gen = streams.get("churn")

@@ -22,6 +22,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.config import GossipTrustConfig
 from repro.experiments.base import ExperimentResult, mean_std, seed_range
 from repro.experiments.runner import SweepPoint, run_sweep
 from repro.experiments.synthetic import synthetic_trust_matrix
@@ -51,22 +52,20 @@ def _fig3_point(
 
     Module-level and seed-pure so :func:`~repro.experiments.runner.run_sweep`
     can ship it to worker processes; returns the measurement plus the
-    point's per-cycle telemetry records.  ``dtype`` selects the sync
-    engine's buffer precision (ignored by engines that do not take
-    it).
+    point's per-cycle telemetry records.  The probe mode, step budget
+    and ``dtype`` (buffer precision) are the sync engine's config
+    fields; the other engines do not read them.
     """
     streams = RngStreams(seed)
     S = synthetic_trust_matrix(n, rng=streams.get("matrix"))
-    eng = make_engine(
-        engine,
+    config = GossipTrustConfig(
         n=n,
-        rng=streams,
         epsilon=epsilon,
-        mode="probe",
-        probe_columns=64,
-        max_steps=20_000,
+        engine_mode="probe",
+        max_gossip_steps=20_000,
         dtype=dtype,
     )
+    eng = make_engine(engine, config, rng=streams)
     v = np.full(n, 1.0 / n)
     telemetry = CycleTelemetry()
     steps = []
@@ -143,10 +142,10 @@ def run_fig3(
         series=series,
         data={"steps": {f"{n}/{eps:g}": raw[(n, eps)][0] for n, eps in raw}},
         notes=[
-            f"engine={engine!r} via make_engine; probe-mode options apply "
-            "to the vectorized engine (all columns share the mixing "
-            "matrix; see gossip/engine.py) and are ignored by engines "
-            "that do not take them.",
+            f"engine={engine!r} via make_engine; probe mode applies to "
+            "the vectorized engine (all columns share the mixing "
+            "matrix; see gossip/engine.py), which the other engines "
+            "do not have.",
             telemetry.summary_line(),
             report.summary_line(),
         ],

@@ -18,6 +18,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.config import GossipTrustConfig
 from repro.errors import ExperimentError
 from repro.experiments.base import ExperimentResult, mean_std, seed_range
 from repro.experiments.runner import SweepPoint, run_sweep
@@ -42,8 +43,9 @@ def _structured_point(
     v = np.full(n, 1.0 / n)
     telemetry = CycleTelemetry()
     baseline = make_engine(
-        engine, n=n, rng=streams,
-        epsilon=epsilon, mode="probe", probe_columns=64,
+        engine,
+        GossipTrustConfig(n=n, epsilon=epsilon, engine_mode="probe"),
+        rng=streams,
     )
     res = telemetry.timed(1, baseline, S, v)
     structured = make_engine("structured", n=n, rng=streams)

@@ -2,16 +2,17 @@
 
 * :mod:`repro.gossip.base` — the one engine contract: the
   :class:`CycleEngine` ABC and the uniform :class:`GossipCycleResult`.
-* :mod:`repro.gossip.factory` — engine registry and
-  :func:`make_engine` factory (names: ``sync``, ``message``, ``async``,
+* :mod:`repro.gossip.factory` — :func:`make_engine`, the one way to
+  build an engine by name (``sync``, ``message``, ``async``,
   ``structured``).
 * :mod:`repro.gossip.pushsum` — Algorithm 1: Kempe-style push-sum for a
   single peer's score, both a vectorized simulation and a step-scripted
   variant that replays the paper's Table 1 worked example exactly.
 * :mod:`repro.gossip.vector` — Algorithm 2 node state: the reputation
   vector as ``<x, id, w>`` triplets, one population per store.
-* :mod:`repro.gossip.convergence` — the epsilon (gossip-step) and delta
-  (aggregation-cycle) convergence detectors.
+* :mod:`repro.gossip.convergence` — the delta (aggregation-cycle)
+  convergence detector; each engine checks epsilon in its own step
+  loop.
 * :mod:`repro.gossip.engine` — synchronous vectorized gossip engine for
   large sweeps (all nodes' state in NumPy arrays).
 * :mod:`repro.gossip.message_engine` — message-level engine on the DES
@@ -25,16 +26,10 @@
 from repro.gossip.base import CycleEngine, GossipCycleResult
 from repro.gossip.convergence import (
     CycleConvergenceDetector,
-    StepConvergenceDetector,
     average_relative_error,
 )
 from repro.gossip.engine import SynchronousGossipEngine
-from repro.gossip.factory import (
-    DEFAULT_ENGINE,
-    engine_names,
-    make_engine,
-    register_engine,
-)
+from repro.gossip.factory import engine_names, make_engine
 from repro.gossip.message_engine import (
     AsyncMessageGossipEngine,
     MessageGossipEngine,
@@ -47,15 +42,12 @@ __all__ = [
     "push_sum",
     "scripted_push_sum",
     "PushSumResult",
-    "StepConvergenceDetector",
     "CycleConvergenceDetector",
     "average_relative_error",
     "CycleEngine",
     "GossipCycleResult",
-    "DEFAULT_ENGINE",
     "engine_names",
     "make_engine",
-    "register_engine",
     "SynchronousGossipEngine",
     "MessageGossipEngine",
     "MessageGossipResult",

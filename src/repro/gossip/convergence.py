@@ -1,13 +1,16 @@
-"""Convergence detection for gossip steps and aggregation cycles.
+"""Convergence detection for aggregation cycles.
 
 Two nested criteria (Fig. 1(b)):
 
 * **epsilon** — within an aggregation cycle, gossip steps continue until
   every node's estimate moves by at most the gossip error threshold
-  ``epsilon`` in one step (Algorithm 1 line 14).
+  ``epsilon`` in one step (Algorithm 1 line 14).  Each engine checks it
+  inside its own step loop (see docs/PROTOCOL.md, "Convergence
+  thresholds").
 * **delta** — aggregation cycles continue until the *average relative
   error* between ``V(t)`` and ``V(t-1)`` drops below the aggregation
-  threshold ``delta`` (§4.1 / Algorithm 2 line 25).
+  threshold ``delta`` (§4.1 / Algorithm 2 line 25):
+  :class:`CycleConvergenceDetector`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from repro.utils.validation import check_in_range
 
 __all__ = [
     "average_relative_error",
-    "StepConvergenceDetector",
     "CycleConvergenceDetector",
 ]
 
@@ -51,78 +53,26 @@ def average_relative_error(new: np.ndarray, old: np.ndarray, *, floor: float = 1
     return float(np.mean(np.abs(a[finite] - b[finite]) / denom))
 
 
-class StepConvergenceDetector:
-    """Per-gossip-step epsilon criterion over per-node estimates.
-
-    ``update(estimates)`` returns True once the largest per-node
-    *relative* change since the previous step is <= epsilon, all
-    estimates are finite, and at least ``min_steps`` updates have been
-    observed.  The relative form keeps the criterion scale-free: global
-    scores shrink like 1/n, so an absolute threshold would demand very
-    different precision at different network sizes.
-    """
-
-    def __init__(self, epsilon: float, *, min_steps: int = 1) -> None:
-        check_in_range("epsilon", epsilon, low=0.0, low_inclusive=False)
-        if min_steps < 0:
-            raise ValidationError(f"min_steps must be >= 0, got {min_steps}")
-        self.epsilon = float(epsilon)
-        self.min_steps = int(min_steps)
-        self._prev: Optional[np.ndarray] = None
-        self.steps = 0
-        self.last_residual = float("inf")
-
-    def update(self, estimates: np.ndarray) -> bool:
-        """Feed this step's estimates; returns convergence verdict."""
-        est = np.asarray(estimates, dtype=np.float64)
-        converged = False
-        # Empty estimate sets carry no convergence signal (rel.max()
-        # would raise on a zero-size array); count the step and move on.
-        if self._prev is not None and est.shape == self._prev.shape and est.size:
-            if np.all(np.isfinite(est)) and np.all(np.isfinite(self._prev)):
-                rel = np.abs(est - self._prev) / np.maximum(np.abs(self._prev), 1e-12)
-                self.last_residual = float(rel.max())
-                converged = self.steps >= self.min_steps and self.last_residual <= self.epsilon
-        self._prev = est.copy()
-        self.steps += 1
-        return converged
-
-    def reset(self) -> None:
-        """Forget history (new aggregation cycle)."""
-        self._prev = None
-        self.steps = 0
-        self.last_residual = float("inf")
-
-
 class CycleConvergenceDetector:
     """Per-aggregation-cycle delta criterion on the reputation vector."""
 
-    def __init__(self, delta: float, *, metric: str = "avg_relative") -> None:
+    def __init__(self, delta: float) -> None:
         check_in_range("delta", delta, low=0.0, low_inclusive=False)
-        if metric not in ("avg_relative", "l1", "linf"):
-            raise ValidationError(f"unknown cycle metric {metric!r}")
         self.delta = float(delta)
-        self.metric = metric
         self._prev: Optional[np.ndarray] = None
         self.cycles = 0
         self.last_residual = float("inf")
-
-    def _distance(self, new: np.ndarray, old: np.ndarray) -> float:
-        if self.metric == "avg_relative":
-            return average_relative_error(new, old)
-        diff = np.abs(new - old)
-        return float(diff.sum()) if self.metric == "l1" else float(diff.max())
 
     def update(self, vector: np.ndarray) -> bool:
         """Feed this cycle's vector; returns convergence verdict."""
         v = np.asarray(vector, dtype=np.float64)
         converged = False
-        # Zero-size vectors would crash the linf max (and make the
-        # l1/avg metrics vacuous); treat them as "no signal yet".
+        # Zero-size vectors carry no signal (the error of no components
+        # is a vacuous 0); treat them as "no signal yet".
         if self._prev is not None and v.size:
-            self.last_residual = self._distance(v, self._prev)
-            # A nan residual (non-finite inputs) must block convergence;
-            # `nan < delta` is False, which is exactly that.
+            self.last_residual = average_relative_error(v, self._prev)
+            # Nothing finite to compare gives an infinite residual,
+            # which blocks convergence.
             converged = self.last_residual < self.delta
         self._prev = v.copy()
         self.cycles += 1

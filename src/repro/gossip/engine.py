@@ -333,24 +333,8 @@ class SynchronousGossipEngine(CycleEngine):
         Gossip error threshold (Algorithm 1 line 14; Table 2: 1e-4).
     mode:
         ``"full"``, ``"probe"``, or ``"auto"`` (probe iff n > 1500).
-    probe_columns:
-        Number of probe columns in probe mode.
     max_steps:
         Per-cycle gossip step budget.
-    min_steps:
-        Steps before the epsilon criterion may fire (>= 2 avoids the
-        vacuous all-masses-still-local state).
-    check_every:
-        Convergence-check cadence: the O(n*p) estimate/residual pass
-        runs every ``check_every`` steps instead of every step.  The
-        residual then measures the estimate change across ``check_every``
-        steps — a *stricter* reading of the epsilon criterion — so the
-        result is invariant modulo step-count granularity while the
-        per-step cost drops by nearly the full estimate-pass share.
-        Once a residual lands within ``_FINE_FACTOR`` of epsilon the
-        loop drops to per-step checks, so the finish line is resolved
-        at Algorithm 1's per-step granularity and the cadence never
-        overshoots the stop step by more than the coarse phase.
     dtype:
         Buffer precision, ``"float64"`` (default) or ``"float32"``.
         float32 halves every workspace buffer; because each step only
@@ -374,6 +358,22 @@ class SynchronousGossipEngine(CycleEngine):
     """
 
     name = "sync"
+    #: number of probe columns in probe mode (all n when n is smaller)
+    probe_columns = 64
+    #: steps before the epsilon criterion may fire (>= 2 avoids the
+    #: vacuous all-masses-still-local state)
+    min_steps = 2
+    #: convergence-check cadence: the O(n*p) estimate/residual pass runs
+    #: every ``check_every`` steps instead of every step.  The residual
+    #: then measures the estimate change across ``check_every`` steps —
+    #: a *stricter* reading of the epsilon criterion — so the result is
+    #: invariant modulo step-count granularity while the per-step cost
+    #: drops by nearly the full estimate-pass share.  Once a residual
+    #: lands within ``_FINE_FACTOR`` of epsilon the loop drops to
+    #: per-step checks, so the finish line is resolved at Algorithm 1's
+    #: per-step granularity and the cadence never overshoots the stop
+    #: step by more than the coarse phase.
+    check_every = 8
 
     def __init__(
         self,
@@ -381,10 +381,7 @@ class SynchronousGossipEngine(CycleEngine):
         *,
         epsilon: float = 1e-4,
         mode: str = "auto",
-        probe_columns: int = 64,
         max_steps: int = 5_000,
-        min_steps: int = 2,
-        check_every: int = 8,
         dtype: str = "float64",
         rng: SeedLike = None,
     ) -> None:
@@ -401,22 +398,15 @@ class SynchronousGossipEngine(CycleEngine):
                 "the sync engine needs scipy's csc_matvecs kernel"
             )
         check_in_range("epsilon", epsilon, low=0.0, low_inclusive=False)
-        if probe_columns < 1:
-            raise ValidationError(f"probe_columns must be >= 1, got {probe_columns}")
         if max_steps < 1:
             raise ValidationError(f"max_steps must be >= 1, got {max_steps}")
-        if check_every < 1:
-            raise ValidationError(f"check_every must be >= 1, got {check_every}")
         self.n = int(n)
         self.epsilon = float(epsilon)
         if mode != "auto":
             self.mode = mode
         else:
             self.mode = "probe" if n > _FULL_MODE_LIMIT else "full"
-        self.probe_columns = int(min(probe_columns, n))
         self.max_steps = int(max_steps)
-        self.min_steps = int(min_steps)
-        self.check_every = int(check_every)
         self.dtype = dtype
         self._dtype = np.dtype(dtype)
         self._rng = as_generator(rng)

@@ -24,8 +24,8 @@ The protocol is written once; a *clock* decides when nodes gossip:
   process (Boyd et al.'s asynchronous time model), with no global
   round.
 
-Both check convergence once per *window* (a round, or
-``check_interval`` of simulated time) with the epsilon criterion
+Both check convergence once per *window* (a round, or two mean gossip
+intervals of simulated time) with the epsilon criterion
 between consecutive windows' estimate matrices, and both run the same
 sanitizer checks, mass-restoration guard and result accounting.  Mass
 carried by lost messages simply vanishes; because both ``x`` and ``w``
@@ -273,7 +273,6 @@ class MessageGossipEngine(CycleEngine):
         epsilon: float = 1e-4,
         round_interval: float = 2.0,
         max_rounds: int = 500,
-        min_rounds: int = 2,
         partnering: Optional[PartnerStrategy] = None,
         mass_restore_budget: Optional[float] = None,
         rng: SeedLike = None,
@@ -287,7 +286,6 @@ class MessageGossipEngine(CycleEngine):
             raise ValidationError(f"max_rounds must be >= 1, got {max_rounds}")
         self.round_interval = float(round_interval)
         self.max_rounds = int(max_rounds)
-        self.min_rounds = int(min_rounds)
         self._bind(sim, transport, overlay, epsilon, partnering, mass_restore_budget, rng)
 
     def _bind(
@@ -626,10 +624,9 @@ class AsyncMessageGossipEngine(MessageGossipEngine):
         consecutive check windows.
     mean_interval:
         Mean of each node's exponential gossip interval (one "round" of
-        wall-clock corresponds to ~1 send per node).
-    check_interval:
-        Simulated time between convergence checks; defaults to
-        ``2 * mean_interval`` so a check window spans ~2 sends per node.
+        wall-clock corresponds to ~1 send per node).  Convergence checks
+        run every ``2 * mean_interval`` of simulated time, so a check
+        window spans ~2 sends per node.
     max_time:
         Simulated-time budget per cycle.
     mass_restore_budget:
@@ -654,7 +651,6 @@ class AsyncMessageGossipEngine(MessageGossipEngine):
         *,
         epsilon: float = 1e-4,
         mean_interval: float = 1.0,
-        check_interval: Optional[float] = None,
         max_time: float = 2000.0,
         partnering: Optional[PartnerStrategy] = None,
         mass_restore_budget: Optional[float] = None,
@@ -663,10 +659,7 @@ class AsyncMessageGossipEngine(MessageGossipEngine):
         check_positive("mean_interval", mean_interval)
         check_positive("max_time", max_time)
         self.mean_interval = float(mean_interval)
-        self.check_interval = (
-            float(check_interval) if check_interval is not None else 2.0 * mean_interval
-        )
-        check_positive("check_interval", self.check_interval)
+        self.check_interval = 2.0 * self.mean_interval
         self.max_time = float(max_time)
         #: gossip halves sent this cycle
         self.sends = 0

@@ -66,7 +66,6 @@ __all__ = [
     "NeighborSampler",
     "BrahmsMembership",
     "strategy_names",
-    "register_strategy",
     "make_strategy",
 ]
 
@@ -141,7 +140,7 @@ class PartnerStrategy(ABC):
     transport message to :meth:`on_message`.
     """
 
-    #: registry name (``"global"``, ``"neighbors"``, ``"brahms"``)
+    #: strategy name (``"global"``, ``"neighbors"``, ``"brahms"``)
     name: ClassVar[str] = ""
 
     def __init__(self, rng: SeedLike = None) -> None:
@@ -599,29 +598,22 @@ class BrahmsMembership(PartnerStrategy):
         self._bootstrap(node)
 
 
-# -- registry -----------------------------------------------------------------
+# -- strategy table -----------------------------------------------------------
 
-_STRATEGIES: Dict[str, Type[PartnerStrategy]] = {}
-
-
-def register_strategy(cls: Type[PartnerStrategy], *, replace: bool = False) -> None:
-    """Register a :class:`PartnerStrategy` subclass under its ``name``."""
-    if not cls.name:
-        raise ConfigurationError(f"{cls.__name__} has no registry name")
-    if cls.name in _STRATEGIES and not replace:
-        raise ConfigurationError(f"strategy {cls.name!r} is already registered")
-    _STRATEGIES[cls.name] = cls
+_STRATEGIES: Dict[str, Type[PartnerStrategy]] = {
+    cls.name: cls for cls in (GlobalSampler, NeighborSampler, BrahmsMembership)
+}
 
 
 def strategy_names() -> Tuple[str, ...]:
-    """All registered partner-strategy names, sorted."""
+    """All partner-strategy names, sorted."""
     return tuple(sorted(_STRATEGIES))
 
 
 def make_strategy(
     name: str, *, rng: SeedLike = None, **kwargs: Any
 ) -> PartnerStrategy:
-    """Construct a registered strategy (unbound — the engine binds it)."""
+    """Construct a strategy by name (unbound — the engine binds it)."""
     try:
         cls = _STRATEGIES[name]
     except KeyError:
@@ -633,8 +625,3 @@ def make_strategy(
         k: v for k, v in kwargs.items() if k in cls.__init__.__code__.co_varnames
     }
     return cls(rng=rng, **accepted)
-
-
-register_strategy(GlobalSampler)
-register_strategy(NeighborSampler)
-register_strategy(BrahmsMembership)

@@ -57,9 +57,10 @@ def fixed_S():
 
 
 def build(name, seed=SEED, **options):
-    opts = {"epsilon": 1e-6, "max_rounds": 400, "max_steps": 20_000}
+    config = GossipTrustConfig(n=N, epsilon=1e-6, max_gossip_steps=20_000)
+    opts = {"max_rounds": 400} if name == "message" else {}
     opts.update(options)
-    return make_engine(name, n=N, rng=RngStreams(seed), **opts)
+    return make_engine(name, config, rng=RngStreams(seed), **opts)
 
 
 # -- unit: the checks --------------------------------------------------------
@@ -240,7 +241,15 @@ class TestArmedContract:
 class TestArmedUnderFaults:
     def test_message_engine_tolerates_genuine_loss(self, fixed_S):
         # Real drops destroy mass; the one-sided law must NOT fire.
-        eng = build("message", loss_rate=0.2, max_rounds=60)
+        sim = Simulator()
+        streams = RngStreams(SEED)
+        transport = Transport(
+            sim, latency=1.0, loss_rate=0.2, rng=streams.get("engine-net")
+        )
+        eng = make_engine(
+            "message", n=N, rng=streams, sim=sim, transport=transport,
+            max_rounds=60,
+        )
         san = eng.arm_sanitizer()
         res = eng.run_cycle(fixed_S, np.full(N, 1.0 / N))
         assert san.checks > 0

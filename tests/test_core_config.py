@@ -38,8 +38,8 @@ class TestValidation:
             {"max_cycles": 0},
             {"max_gossip_steps": 0},
             {"engine_mode": "quantum"},
-            {"probe_columns": 0},
-            {"check_every": 0},
+            {"partner_strategy": "chord"},
+            {"mass_restore_budget": 1.0},
             {"kernel": "fast"},
             {"kernel": "legacy"},
             {"kernel": "warp"},

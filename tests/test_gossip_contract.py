@@ -1,10 +1,11 @@
-"""Cross-engine contract suite: every registered engine, one set of laws.
+"""Cross-engine contract suite: every engine, one set of laws.
 
 Each engine listed in :func:`repro.gossip.factory.engine_names` is built
 through :func:`make_engine` and driven through one aggregation cycle on
 the same fixed 16-node matrix.  The contract every engine must honor:
 
-* constructible via the factory (unknown options silently dropped);
+* constructible via the factory, which rejects options the engine does
+  not take;
 * mass conservation — the returned vector sums to ~1;
 * agreement with the exact product ``S^T v``;
 * determinism under a fixed seed;
@@ -15,6 +16,7 @@ the same fixed 16-node matrix.  The contract every engine must honor:
 import numpy as np
 import pytest
 
+from repro.core.config import GossipTrustConfig
 from repro.gossip.base import CycleEngine, GossipCycleResult
 from repro.gossip.factory import engine_names, make_engine
 from repro.trust.matrix import TrustMatrix
@@ -37,11 +39,26 @@ def fixed_S():
     return TrustMatrix.from_dense_raw(raw)
 
 
+#: engine-specific options, each passed only to its own engine
+OPTIONS = {"message": {"max_rounds": 400}}
+#: an option each engine's constructor does not take
+FOREIGN = {
+    "sync": "max_rounds",
+    "async": "max_rounds",
+    "structured": "max_rounds",
+    "message": "mode",
+}
+
+
 def build(name, seed=SEED, **options):
-    """One engine via the factory, tight epsilon, fresh seeded substrate."""
-    opts = {"epsilon": 1e-6, "max_rounds": 400, "max_steps": 20_000}
-    opts.update(options)
-    return make_engine(name, n=N, rng=RngStreams(seed), **opts)
+    """One engine via the factory, tight epsilon, fresh seeded substrate.
+
+    The config carries what every engine shares (a tight epsilon, a
+    generous sync step budget); ``OPTIONS`` only an engine's own.
+    """
+    config = GossipTrustConfig(n=N, epsilon=1e-6, max_gossip_steps=20_000)
+    opts = {**OPTIONS.get(name, {}), **options}
+    return make_engine(name, config, rng=RngStreams(seed), **opts)
 
 
 def run_one(name, S, seed=SEED, **options):
@@ -58,13 +75,14 @@ class TestContract:
         assert eng.name == name
         assert eng.cycle_steps == []
 
-    def test_factory_drops_unknown_options(self, name, fixed_S):
-        # The sweep loops pass one option dict to heterogeneous engines;
-        # options an engine does not take must not break construction.
-        eng = build(name, mode="probe", probe_columns=8, ring_bits=16,
-                    round_interval=2.0, completely_unknown_option=1)
-        res = eng.run_cycle(fixed_S, np.full(N, 1.0 / N))
-        assert isinstance(res, GossipCycleResult)
+    def test_factory_rejects_unknown_options(self, name):
+        # Options reach the constructor unfiltered: one an engine does
+        # not take is an error, not silently dropped.
+        option = FOREIGN[name]
+        with pytest.raises(TypeError, match=option):
+            build(name, **{option: 1})
+        with pytest.raises(TypeError, match="completely_unknown_option"):
+            build(name, completely_unknown_option=1)
 
     def test_mass_conservation(self, name, fixed_S):
         res = run_one(name, fixed_S)

@@ -1,4 +1,4 @@
-"""Epsilon/delta convergence detectors."""
+"""The delta (aggregation-cycle) convergence detector and its error metric."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ValidationError
 from repro.gossip.convergence import (
     CycleConvergenceDetector,
-    StepConvergenceDetector,
     average_relative_error,
 )
 
@@ -32,50 +31,6 @@ class TestAverageRelativeError:
             average_relative_error(np.ones(2), np.ones(3))
 
 
-class TestStepDetector:
-    def test_requires_two_updates(self):
-        det = StepConvergenceDetector(1e-3)
-        assert det.update(np.array([1.0, 2.0])) is False
-
-    def test_converges_on_small_relative_change(self):
-        det = StepConvergenceDetector(1e-2)
-        det.update(np.array([1.0, 2.0]))
-        assert det.update(np.array([1.005, 2.01])) is True
-        assert det.last_residual <= 1e-2
-
-    def test_relative_not_absolute(self):
-        det = StepConvergenceDetector(1e-2)
-        det.update(np.array([1e-6]))
-        # Absolute change 5e-8 is tiny, but relative change is 5%.
-        assert det.update(np.array([1.05e-6])) is False
-
-    def test_non_finite_estimates_block_convergence(self):
-        det = StepConvergenceDetector(1.0)
-        det.update(np.array([np.inf, 1.0]))
-        assert det.update(np.array([np.inf, 1.0])) is False
-
-    def test_min_steps_enforced(self):
-        det = StepConvergenceDetector(1.0, min_steps=3)
-        v = np.ones(2)
-        assert det.update(v) is False
-        assert det.update(v) is False
-        assert det.update(v) is False
-        assert det.update(v) is True
-
-    def test_reset(self):
-        det = StepConvergenceDetector(1e-2)
-        det.update(np.ones(2))
-        det.reset()
-        assert det.steps == 0
-        assert det.update(np.ones(2)) is False
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            StepConvergenceDetector(0.0)
-        with pytest.raises(ValidationError):
-            StepConvergenceDetector(1e-3, min_steps=-1)
-
-
 class TestCycleDetector:
     def test_avg_relative_criterion(self):
         det = CycleConvergenceDetector(1e-2)
@@ -86,21 +41,6 @@ class TestCycleDetector:
         det = CycleConvergenceDetector(1e-4)
         det.update(np.array([0.5, 0.5]))
         assert det.update(np.array([0.45, 0.55])) is False
-
-    def test_l1_metric(self):
-        det = CycleConvergenceDetector(0.2, metric="l1")
-        det.update(np.array([0.5, 0.5]))
-        assert det.update(np.array([0.45, 0.55])) is True
-        assert det.last_residual == pytest.approx(0.1)
-
-    def test_linf_metric(self):
-        det = CycleConvergenceDetector(0.01, metric="linf")
-        det.update(np.array([0.5, 0.5]))
-        assert det.update(np.array([0.48, 0.52])) is False
-
-    def test_unknown_metric(self):
-        with pytest.raises(ValidationError):
-            CycleConvergenceDetector(0.1, metric="cosine")
 
     def test_cycles_counter_and_reset(self):
         det = CycleConvergenceDetector(1e-3)
@@ -133,28 +73,6 @@ class TestDegenerateInputs:
         old = np.array([1.0, 1.0])
         assert average_relative_error(new, old) == 0.0
 
-    def test_step_detector_empty_estimates_never_converge(self):
-        det = StepConvergenceDetector(1e-3)
-        empty = np.array([])
-        for _ in range(5):
-            assert det.update(empty) is False
-        assert det.steps == 5
-        assert det.last_residual == float("inf")
-
-    def test_step_detector_shape_change_resets_comparison(self):
-        det = StepConvergenceDetector(1e-3)
-        assert det.update(np.ones(3)) is False
-        # A population change (node join/leave) makes the previous
-        # snapshot incomparable; no verdict, no crash.
-        assert det.update(np.ones(4)) is False
-        assert det.update(np.ones(4)) is True
-
-    def test_step_detector_all_nan_blocks_convergence(self):
-        det = StepConvergenceDetector(1e-3)
-        nan3 = np.full(3, np.nan)
-        for _ in range(4):
-            assert det.update(nan3) is False
-
     def test_cycle_detector_empty_vector_never_converges(self):
         det = CycleConvergenceDetector(1e-2)
         empty = np.array([])
@@ -162,20 +80,9 @@ class TestDegenerateInputs:
             assert det.update(empty) is False
         assert det.cycles == 4
 
-    def test_cycle_detector_empty_vector_linf_metric(self):
-        det = CycleConvergenceDetector(1e-2, metric="linf")
-        empty = np.array([])
-        assert det.update(empty) is False
-        assert det.update(empty) is False  # diff.max() would raise unguarded
-
     def test_cycle_detector_all_nan_blocks_convergence(self):
         det = CycleConvergenceDetector(1e-2)
         nan4 = np.full(4, np.nan)
         assert det.update(nan4) is False
         assert det.update(nan4) is False
         assert det.last_residual == float("inf")
-
-    def test_cycle_detector_nan_residual_blocks_l1(self):
-        det = CycleConvergenceDetector(1e-2, metric="l1")
-        assert det.update(np.full(2, np.nan)) is False
-        assert det.update(np.full(2, np.nan)) is False  # nan < delta is False

@@ -46,24 +46,22 @@ class TestFullMode:
 
 
 class TestProbeMode:
-    def test_probe_returns_exact_vector_with_error_sample(self, random_S):
+    def test_probe_returns_exact_vector_with_error_sample(self, random_S, monkeypatch):
         n = random_S.n
-        engine = SynchronousGossipEngine(
-            n, epsilon=1e-5, mode="probe", probe_columns=8, rng=4
-        )
+        monkeypatch.setattr(SynchronousGossipEngine, "probe_columns", 8)
+        engine = SynchronousGossipEngine(n, epsilon=1e-5, mode="probe", rng=4)
         v = np.full(n, 1.0 / n)
         res = engine.run_cycle(random_S, v)
         assert res.mode == "probe"
         assert np.allclose(res.v_next, res.exact)
         assert res.gossip_error >= 0.0
 
-    def test_probe_step_counts_match_full_roughly(self, random_S):
+    def test_probe_step_counts_match_full_roughly(self, random_S, monkeypatch):
         n = random_S.n
         v = np.full(n, 1.0 / n)
+        monkeypatch.setattr(SynchronousGossipEngine, "probe_columns", 8)
         full = SynchronousGossipEngine(n, epsilon=1e-5, mode="full", rng=5)
-        probe = SynchronousGossipEngine(
-            n, epsilon=1e-5, mode="probe", probe_columns=8, rng=5
-        )
+        probe = SynchronousGossipEngine(n, epsilon=1e-5, mode="probe", rng=5)
         sf = full.run_cycle(random_S, v).steps
         sp = probe.run_cycle(random_S, v).steps
         assert abs(sf - sp) <= max(5, 0.4 * sf)
@@ -115,15 +113,14 @@ class TestValidationAndBudget:
 
 
 class TestProbeColumnSelection:
-    def test_top_mass_column_always_retained(self):
+    def test_top_mass_column_always_retained(self, monkeypatch):
         # Regression: the old np.unique(...)[:p] truncation kept the p
         # *smallest* indices, silently dropping the guaranteed top-mass
         # column whenever its index was large.
         n, p = 100, 5
+        monkeypatch.setattr(SynchronousGossipEngine, "probe_columns", p)
         for seed in range(20):
-            engine = SynchronousGossipEngine(
-                n, mode="probe", probe_columns=p, rng=seed
-            )
+            engine = SynchronousGossipEngine(n, mode="probe", rng=seed)
             exact = np.zeros(n)
             exact[n - 1] = 1.0  # heaviest column has the largest index
             cols = engine._pick_probe_columns(np.full(n, 1.0 / n), exact)
@@ -132,15 +129,15 @@ class TestProbeColumnSelection:
             assert np.array_equal(cols, np.unique(cols))  # sorted, unique
 
     def test_probe_count_caps_at_n(self):
-        engine = SynchronousGossipEngine(10, mode="probe", probe_columns=64, rng=0)
+        assert SynchronousGossipEngine.probe_columns == 64
+        engine = SynchronousGossipEngine(10, mode="probe", rng=0)
         cols = engine._pick_probe_columns(np.full(10, 0.1), np.arange(10.0))
         assert np.array_equal(cols, np.arange(10))
 
-    def test_probe_cycle_error_sample_covers_top_column(self, random_S):
+    def test_probe_cycle_error_sample_covers_top_column(self, random_S, monkeypatch):
         n = random_S.n
-        engine = SynchronousGossipEngine(
-            n, epsilon=1e-5, mode="probe", probe_columns=4, rng=11
-        )
+        monkeypatch.setattr(SynchronousGossipEngine, "probe_columns", 4)
+        engine = SynchronousGossipEngine(n, epsilon=1e-5, mode="probe", rng=11)
         v = np.full(n, 1.0 / n)
         res = engine.run_cycle(random_S, v)
         assert res.converged

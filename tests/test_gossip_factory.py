@@ -1,5 +1,5 @@
-"""Engine registry/factory, config-driven selection, oracle decoupling,
-and per-cycle telemetry."""
+"""Engine factory, config-driven selection, oracle decoupling, and
+per-cycle telemetry."""
 
 import numpy as np
 import pytest
@@ -8,46 +8,19 @@ from repro.core.config import GossipTrustConfig
 from repro.core.gossiptrust import GossipTrust
 from repro.errors import ConfigurationError
 from repro.gossip.base import CycleEngine, GossipCycleResult
-from repro.gossip.engine import SynchronousGossipEngine
-from repro.gossip.factory import (
-    DEFAULT_ENGINE,
-    engine_names,
-    make_engine,
-    register_engine,
-)
+from repro.gossip.factory import engine_names, make_engine
 from repro.metrics.telemetry import CycleRecord, CycleTelemetry
 from repro.utils.rng import RngStreams
 
 
 class TestRegistry:
     def test_all_four_engines_registered(self):
-        assert set(engine_names()) >= {"sync", "message", "async", "structured"}
-        assert DEFAULT_ENGINE in engine_names()
+        assert engine_names() == ("async", "message", "structured", "sync")
+        assert GossipTrustConfig().engine in engine_names()
 
     def test_unknown_name_lists_registered(self):
         with pytest.raises(ConfigurationError, match="sync"):
             make_engine("warp-drive", n=8)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            register_engine("sync", lambda *a: None)
-
-    def test_replace_allows_override_and_restore(self):
-        from repro.gossip.factory import _build_sync
-
-        seen = {}
-
-        def spy(n, config, streams, sim, transport, overlay, options):
-            seen["n"] = n
-            return _build_sync(n, config, streams, sim, transport, overlay, options)
-
-        register_engine("sync", spy, replace=True)
-        try:
-            eng = make_engine("sync", n=8)
-            assert seen["n"] == 8
-            assert isinstance(eng, SynchronousGossipEngine)
-        finally:
-            register_engine("sync", _build_sync, replace=True)
 
 
 class TestMakeEngine:
@@ -61,6 +34,25 @@ class TestMakeEngine:
         cfg = GossipTrustConfig(n=10)
         with pytest.raises(ConfigurationError):
             make_engine("sync", cfg, n=20)
+
+    @pytest.mark.parametrize(
+        "name, streams",
+        [
+            ("sync", ("gossip",)),
+            ("structured", ()),
+            ("message", ("engine-topology", "engine-overlay", "engine-net",
+                         "gossip", "membership")),
+            ("async", ("engine-topology", "engine-overlay", "engine-net",
+                       "gossip", "membership")),
+        ],
+    )
+    def test_rng_stream_order(self, name, streams):
+        """The factory spawns its named streams in this order; streams
+        spawn by request order, so changing it changes every seeded
+        result."""
+        rng = RngStreams(0)
+        make_engine(name, GossipTrustConfig(n=24, partner_strategy="brahms"), rng=rng)
+        assert tuple(rng.names()) == streams
 
     def test_seed_like_rng_accepted(self):
         a = make_engine("sync", n=10, rng=5, epsilon=1e-6)

@@ -67,6 +67,11 @@ def _pin_cores(monkeypatch, cores):
     monkeypatch.setattr(engine_mod, "_MIN_SHARD_ELEMENTS", 1)
 
 
+def _cadence(monkeypatch, k):
+    """Run the engine's convergence check every ``k`` steps."""
+    monkeypatch.setattr(SynchronousGossipEngine, "check_every", k)
+
+
 def _oracle(n, S, v, *, mode="full", check_every=1):
     """The oracle on the engine's partner stream: ``(means, steps, cols)``.
 
@@ -88,10 +93,11 @@ def _oracle(n, S, v, *, mode="full", check_every=1):
 class TestFastVsLegacy:
     """The engine against the reference oracle (``tests/sync_oracle.py``)."""
 
-    def test_same_steps_and_scores(self):
+    def test_same_steps_and_scores(self, monkeypatch):
         """Same stream, same stop step; scores equal up to fp reordering."""
         S, v = _instance(N)
-        res = _cycle(N, S, v, mode="full", check_every=1)
+        _cadence(monkeypatch, 1)
+        res = _cycle(N, S, v, mode="full")
         means, steps, _ = _oracle(N, S, v)
         assert res.converged
         assert res.steps == steps
@@ -106,7 +112,8 @@ class TestFastVsLegacy:
         oracle's coarse-aligned stop — and both land on the same answer
         within the epsilon target."""
         S, v = _instance(N)
-        res = _cycle(N, S, v, mode="full", check_every=8)
+        assert SynchronousGossipEngine.check_every == 8
+        res = _cycle(N, S, v, mode="full")
         means, steps, _ = _oracle(N, S, v, check_every=8)
         assert res.converged
         assert res.steps <= steps
@@ -116,7 +123,7 @@ class TestFastVsLegacy:
         """Probe and full share the partner stream -> same step count."""
         S, v = _instance(N)
         full = _cycle(N, S, v, mode="full")
-        probe = _cycle(N, S, v, mode="probe", probe_columns=64)
+        probe = _cycle(N, S, v, mode="probe")
         assert probe.steps == full.steps
         assert probe.converged and full.converged
         # probe's v_next is the documented exact substitution
@@ -124,7 +131,7 @@ class TestFastVsLegacy:
 
 
 class TestCheckEveryCadence:
-    def test_result_invariant_modulo_granularity(self):
+    def test_result_invariant_modulo_granularity(self, monkeypatch):
         """check_every in {1, 4} lands on the same answer.
 
         The coarse cadence measures the residual over a longer window
@@ -133,16 +140,16 @@ class TestCheckEveryCadence:
         agree far below the epsilon target.
         """
         S, v = _instance(256)
-        r1 = _cycle(256, S, v, mode="full", check_every=1)
-        r4 = _cycle(256, S, v, mode="full", check_every=4)
+        _cadence(monkeypatch, 1)
+        r1 = _cycle(256, S, v, mode="full")
+        _cadence(monkeypatch, 4)
+        r4 = _cycle(256, S, v, mode="full")
         assert r1.converged and r4.converged
         assert abs(r4.steps - r1.steps) <= 8
         np.testing.assert_allclose(r4.v_next, r1.v_next, rtol=1e-4)
         assert r1.gossip_error < EPSILON and r4.gossip_error < EPSILON
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            SynchronousGossipEngine(8, check_every=0)
         with pytest.raises(ValidationError):
             SynchronousGossipEngine(8, mode="warp")
         with pytest.raises(ValidationError):
@@ -245,11 +252,12 @@ class TestSparseKernel:
 
     @pytest.mark.parametrize("n", [250, 1000])
     @pytest.mark.parametrize("mode", ["probe", "full"])
-    def test_parity_with_fast(self, n, mode):
+    def test_parity_with_fast(self, n, mode, monkeypatch):
         """Same stream, per-step checks -> the oracle's stop step and
         scores, in both modes."""
         S, v = _instance(n)
-        res = _cycle(n, S, v, mode=mode, check_every=1)
+        _cadence(monkeypatch, 1)
+        res = _cycle(n, S, v, mode=mode)
         means, steps, cols = _oracle(n, S, v, mode=mode)
         assert res.converged
         assert res.steps == steps
@@ -496,12 +504,12 @@ class TestDenseHandoff:
         ``4 * n * p * itemsize`` bytes (one slot triple per block plus
         ``prev``) plus only O(n + blk * p): the constant CSC pointer and
         values, the row-tile maxima and the per-block check scratch."""
-        n, p = 2000, 64
+        n, p = 2000, SynchronousGossipEngine.probe_columns
         S, v = _instance(n)
         _pin_cores(monkeypatch, 3)
         eng = make_engine(
             "sync", n=n, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="probe", probe_columns=p, dtype=dtype,
+            mode="probe", dtype=dtype,
         )
         assert eng.run_cycle(S, v).converged
         ws = eng.sparse_workspace
@@ -531,15 +539,15 @@ class TestDenseHandoff:
             shape = (n, ws.bounds[b + 1] - ws.bounds[b])
             assert [d.shape for d in dense] == [shape] * 3
 
-    def test_handoff_full_mode_and_sanitizer(self):
+    def test_handoff_full_mode_and_sanitizer(self, monkeypatch):
         """Full mode exercises the mass/nonnegativity sanitizer checks
         over the dense slots; result matches the oracle to
         accumulation-order rounding."""
         S, v = _instance(N)
         means, steps, _ = _oracle(N, S, v)
+        _cadence(monkeypatch, 1)
         eng = make_engine(
-            "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON,
-            mode="full", check_every=1,
+            "sync", n=N, rng=RngStreams(SEED), epsilon=EPSILON, mode="full"
         )
         eng.arm_sanitizer()
         res = eng.run_cycle(S, v)

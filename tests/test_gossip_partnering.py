@@ -1,4 +1,4 @@
-"""Partner strategies: registry, oracle parity, membership repair."""
+"""Partner strategies: name table, oracle parity, membership repair."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,9 @@ from repro.gossip.partnering import (
     BrahmsMembership,
     GlobalSampler,
     NeighborSampler,
-    PartnerStrategy,
     ViewHealth,
     _mix64,
     make_strategy,
-    register_strategy,
     strategy_names,
 )
 from repro.network.overlay import Overlay
@@ -69,21 +67,6 @@ class TestRegistry:
                 ["run", "resilience", "--quick", "--strategy", "hyparview",
                  "--set", "n=16"]
             )
-
-    def test_register_duplicate_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_strategy(GlobalSampler)
-
-    def test_register_requires_name(self):
-        class Nameless(PartnerStrategy):
-            def partner(self, node):
-                return None
-
-            def view(self, node):
-                return ()
-
-        with pytest.raises(ConfigurationError, match="no registry name"):
-            register_strategy(Nameless)
 
 
 class TestMix64:

@@ -90,6 +90,7 @@ class TestRejoinUnderArmedSanitizer:
         import numpy as np
 
         from repro.analysis.sanitizer import set_sanitize_enabled
+        from repro.core.config import GossipTrustConfig
         from repro.experiments.synthetic import synthetic_trust_matrix
         from repro.gossip.factory import make_engine
         from repro.network.transport import Transport
@@ -101,15 +102,16 @@ class TestRejoinUnderArmedSanitizer:
         sim = Simulator()
         overlay = Overlay(random_graph(n, rng=0), rng=streams.get("overlay"))
         transport = Transport(sim, latency=0.5, rng=streams.get("net"))
+        config = GossipTrustConfig(
+            n=n, partner_strategy=strategy, mass_restore_budget=0.25
+        )
         eng = make_engine(
             "message",
-            n=n,
+            config,
             rng=streams,
             sim=sim,
             transport=transport,
             overlay=overlay,
-            partner_strategy=strategy,
-            mass_restore_budget=0.25,
             round_interval=1.0,
             max_rounds=120,
         )

@@ -123,7 +123,11 @@ from repro.core.gossiptrust import GossipTrust  # noqa: E402
 from repro.experiments.fig3_gossip_steps import _fig3_point  # noqa: E402
 from repro.experiments.runner import SweepPoint, run_sweep  # noqa: E402
 from repro.experiments.synthetic import synthetic_trust_matrix  # noqa: E402
-from repro.gossip.engine import _usable_cores, step_threads  # noqa: E402
+from repro.gossip.engine import (  # noqa: E402
+    SynchronousGossipEngine,
+    _usable_cores,
+    step_threads,
+)
 from repro.gossip.factory import make_engine  # noqa: E402
 from repro.service import ServeSimConfig, simulate_service  # noqa: E402
 from repro.utils.proc import PeakRssMeter  # noqa: E402
@@ -150,8 +154,8 @@ SERVICE_N_QUICK = 250
 #: measured ingest/query/aggregate epochs in the service section
 SERVICE_EPOCHS = 4
 SERVICE_EPOCHS_QUICK = 2
-#: probe width of the large-n tier (the engine default)
-PROBE_COLUMNS = 64
+#: probe width of the large-n tier (the sync engine's constant)
+PROBE_COLUMNS = SynchronousGossipEngine.probe_columns
 #: large-n probe tier (quick mode runs the first point only)
 LARGE_N_SWEEP = (10_000, 100_000)
 #: the opt-in ``--xlarge`` extension point (``make bench-xlarge``)
@@ -182,7 +186,12 @@ RESILIENCE_ENGINES_QUICK = ("message",)
 
 
 def bench_cell(engine: str, n: int, repeats: int, **overrides) -> dict:
-    """Median-of-``repeats`` wall time for one engine at one n."""
+    """Median-of-``repeats`` wall time for one engine at one n.
+
+    ``overrides`` are the engine's own constructor options (recorded as
+    the cell's ``options``); epsilon comes from the shared config.
+    """
+    config = GossipTrustConfig(n=n, epsilon=EPSILON)
     S = synthetic_trust_matrix(n, rng=RngStreams(SEED).get("matrix"))
     v = np.full(n, 1.0 / n)
     times = []
@@ -190,9 +199,7 @@ def bench_cell(engine: str, n: int, repeats: int, **overrides) -> dict:
     phases = {}
     meter = PeakRssMeter()  # per-entry peak: reset *after* building S
     for _ in range(repeats):
-        eng = make_engine(
-            engine, n=n, rng=RngStreams(SEED), epsilon=EPSILON, **overrides
-        )
+        eng = make_engine(engine, config, rng=RngStreams(SEED), **overrides)
         t0 = time.perf_counter()
         result = eng.run_cycle(S, v)
         times.append(time.perf_counter() - t0)
@@ -408,15 +415,10 @@ def run_large_n(quick: bool, xlarge: bool = False) -> dict:
         v64 = None
         for dtype in ("float64", "float32"):
             rss_budget = budget.get(f"rss_kib_{dtype}", budget["rss_kib"])
-            eng = make_engine(
-                "sync",
-                n=n,
-                rng=RngStreams(SEED),
-                epsilon=EPSILON,
-                mode="probe",
-                probe_columns=PROBE_COLUMNS,
-                dtype=dtype,
+            config = GossipTrustConfig(
+                n=n, epsilon=EPSILON, engine_mode="probe", dtype=dtype
             )
+            eng = make_engine("sync", config, rng=RngStreams(SEED))
             meter = PeakRssMeter()
             t0 = time.perf_counter()
             result = eng.run_cycle(S, v)

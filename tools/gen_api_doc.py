@@ -38,7 +38,7 @@ for name in sorted(mods):
     lines.append("")
 
 # Static epilogue: the performance model is part of the public contract
-# (engine options callers are expected to tune), so it rides along
+# (the engine options and constants that set a cycle's cost), so it rides along
 # with every regeneration rather than living only in DESIGN.md.
 lines += [
     "## Performance model",
@@ -47,15 +47,17 @@ lines += [
     "and one step for both modes: each cycle scatters X0 and W0 into",
     "dense slot arrays, and every step, from step 0, is",
     "`np.multiply(X, 0.5, out=Y)` plus one sort-free `csc_matvecs` scatter",
-    "of the senders' halves. The knobs that govern gossip-cycle cost:",
+    "of the senders' halves. What governs gossip-cycle cost:",
     "",
     "- **`mode`** — `\"full\"` tracks all n columns; `\"probe\"` tracks",
-    "  `probe_columns` sampled columns (plus the heaviest-mass column)",
-    "  for large sweeps; `\"auto\"` (default) probes iff n > 1500.",
-    "- **`check_every`** — convergence-check cadence (default 8). Coarse",
-    "  checks skip the expensive residual scan; once the residual is",
-    "  within `8x epsilon` the loop switches to per-step checks, so the",
-    "  reported step count keeps Algorithm 1's granularity.",
+    "  `probe_columns` (a class constant, 64) sampled columns (plus the",
+    "  heaviest-mass column) for large sweeps; `\"auto\"` (default)",
+    "  probes iff n > 1500.",
+    "- **`check_every`** — convergence-check cadence, a class constant",
+    "  (8). Coarse checks skip the expensive residual scan; once the",
+    "  residual is within `8x epsilon` the loop switches to per-step",
+    "  checks, so the reported step count keeps Algorithm 1's",
+    "  granularity.",
     "- **`dtype`** — `\"float64\"` (default) or `\"float32\"` (halves",
     "  workspace memory; estimate drift stays orders below epsilon, and",
     "  an armed sanitizer widens its conservation tolerance to 1e-4).",
