@@ -14,7 +14,6 @@ from typing import Union
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import linalg as splinalg
 
 from repro.errors import ConvergenceError, ValidationError
 from repro.trust.matrix import TrustMatrix
@@ -104,7 +103,13 @@ class CentralizedEigenvector:
         a periodic chain has other eigenvalues on the unit circle, and
         "largest modulus" would otherwise return one of those rotations
         instead of the stationary eigenvector.
+
+        The first call imports ``scipy.sparse.linalg`` (and with it
+        ``scipy.linalg``).  This module does not import it at load time:
+        only this cross-check needs it.
         """
+        from scipy.sparse import linalg as splinalg
+
         n = self.n
         lazy = 0.5 * (sparse.identity(n, format="csr") + self._ST)
         if n < 16:

@@ -175,6 +175,11 @@ def _finite_mean(node_estimates: np.ndarray) -> np.ndarray:
     return np.nan_to_num(mean, nan=0.0, posinf=0.0)
 
 
+#: Rows per block of the convergence check.  Most rounds fail the check,
+#: and most fail it in the first block, so the check stops there.
+_CHECK_ROWS = 32
+
+
 def _batched_converged(
     cur_ids: Tuple[int, ...],
     cur: np.ndarray,
@@ -182,7 +187,7 @@ def _batched_converged(
     prev: np.ndarray,
     epsilon: float,
 ) -> bool:
-    """Epsilon criterion over the whole live population in one pass.
+    """Epsilon criterion over the whole live population, block by block.
 
     ``cur``/``prev`` are ``(len(ids), n)`` estimate matrices from
     :meth:`~repro.gossip.vector.PopulationStore.estimates`.  The
@@ -191,29 +196,39 @@ def _batched_converged(
     unchanged (newly-heard-of peers mean mass is still spreading), it
     must have at least one finite estimate, and the relative change over
     finite entries must not exceed ``epsilon`` anywhere.
+
+    The rows are checked in blocks of :data:`_CHECK_ROWS`, stopping at
+    the first block that fails.  Every rule is per row, so the answer is
+    the one a single pass over all rows gives.
     """
     if len(cur_ids) == 0:
         return True
     if cur_ids == prev_ids:
-        aligned = prev
+        idx = None
     else:
         pos = {node: i for i, node in enumerate(prev_ids)}
         idx = [pos.get(node, -1) for node in cur_ids]
         if min(idx) < 0:
             return False
-        aligned = prev[idx]
-    finite = np.isfinite(cur)
-    if (finite != np.isfinite(aligned)).any():
-        return False
-    if not finite.any(axis=1).all():
-        return False
-    # With the patterns equal, a non-finite position is non-finite in
-    # both matrices, so its residual is NaN, which fmax skips.
     with np.errstate(invalid="ignore"):
-        residual = np.abs(cur - aligned)
-        residual /= np.fmax(np.abs(aligned), 1e-12)
-        worst = float(np.fmax.reduce(residual, axis=None))
-    return worst <= epsilon
+        for lo in range(0, len(cur_ids), _CHECK_ROWS):
+            hi = lo + _CHECK_ROWS
+            block = cur[lo:hi]
+            aligned = prev[lo:hi] if idx is None else prev[idx[lo:hi]]
+            finite = np.isfinite(block)
+            if (finite != np.isfinite(aligned)).any():
+                return False
+            if not finite.any(axis=1).all():
+                return False
+            # With the patterns equal, a non-finite position is
+            # non-finite in both matrices, so its residual is NaN, which
+            # fmax skips; every row has a finite position, so the block
+            # maximum is never NaN.
+            residual = np.abs(block - aligned)
+            residual /= np.fmax(np.abs(aligned), 1e-12)
+            if not float(np.fmax.reduce(residual, axis=None)) <= epsilon:
+                return False
+    return True
 
 
 class MessageGossipEngine(CycleEngine):

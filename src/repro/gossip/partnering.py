@@ -610,10 +610,12 @@ def strategy_names() -> Tuple[str, ...]:
     return tuple(sorted(_STRATEGIES))
 
 
-def make_strategy(
-    name: str, *, rng: SeedLike = None, **kwargs: Any
-) -> PartnerStrategy:
-    """Construct a strategy by name (unbound — the engine binds it)."""
+def make_strategy(name: str, *, rng: SeedLike = None) -> PartnerStrategy:
+    """Construct a strategy by name (unbound — the engine binds it).
+
+    The strategy takes its default parameters; to set one (say Brahms'
+    ``view_size``), construct the class directly.
+    """
     try:
         cls = _STRATEGIES[name]
     except KeyError:
@@ -621,7 +623,4 @@ def make_strategy(
         raise ConfigurationError(
             f"unknown partner strategy {name!r}; registered: {known}"
         ) from None
-    accepted = {
-        k: v for k, v in kwargs.items() if k in cls.__init__.__code__.co_varnames
-    }
-    return cls(rng=rng, **accepted)
+    return cls(rng=rng)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ValidationError
 
@@ -82,7 +81,14 @@ def linf_error(v: np.ndarray, u: np.ndarray) -> float:
 
 
 def kendall_tau(v: np.ndarray, u: np.ndarray) -> float:
-    """Kendall rank correlation between two score vectors (1 = same order)."""
+    """Kendall rank correlation between two score vectors (1 = same order).
+
+    The first call imports ``scipy.stats``.  This module does not import
+    it at load time: on its own it roughly doubles the RSS of
+    ``import repro``.
+    """
+    from scipy import stats
+
     a, b = _pair(v, u)
     tau, _p = stats.kendalltau(a, b)
     return float(tau)

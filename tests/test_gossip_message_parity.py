@@ -27,6 +27,7 @@ from scipy import sparse
 from repro.errors import ValidationError
 from repro.experiments.synthetic import synthetic_trust_matrix
 from repro.gossip.message_engine import (
+    _CHECK_ROWS,
     AsyncMessageGossipEngine,
     MessageGossipEngine,
     _batched_converged,
@@ -555,6 +556,43 @@ class TestKernelPins:
         prev = np.array([[1.0, 2.0], [np.nan, np.inf]])
         assert not _where_converged((0, 1), cur, (0, 1), prev, 1.0)
         assert not _batched_converged((0, 1), cur, (0, 1), prev, 1.0)
+
+    def test_blockwise_convergence_matches_one_pass(self):
+        # Populations spanning several check blocks, with the failures
+        # that decide the answer placed in any block: NaN/inf rows, a
+        # changed finite pattern, a row with no finite entry, ids that
+        # are permuted or missing from the previous round.
+        rng = np.random.default_rng(6)
+        rows_options = (1, _CHECK_ROWS - 1, _CHECK_ROWS, 2 * _CHECK_ROWS + 5, 100)
+        answers = set()
+        for trial in range(400):
+            rows = int(rng.choice(rows_options))
+            cols = int(rng.integers(1, 9))
+            prev = 1.0 + rng.random((rows, cols))
+            prev[rng.random((rows, cols)) < 0.2] = np.nan
+            prev[rng.random((rows, cols)) < 0.05] = np.inf
+            cur = prev * (1.0 + 10.0 ** rng.uniform(-6, -2) * rng.standard_normal((rows, cols)))
+            ids = prev_ids = tuple(range(rows))
+            kind = trial % 5
+            at = int(rng.integers(rows))
+            if kind == 1:  # a changed finite pattern
+                cur[at, int(rng.integers(cols))] = rng.choice([np.nan, np.inf, 2.0])
+            elif kind == 2:  # a row with no finite entry on both sides
+                cur[at], prev[at] = np.nan, np.nan
+            # thresholds around the worst change, so both answers occur
+            worst = _where_residual(cur, prev)
+            if not (np.isfinite(worst) and worst > 0):
+                worst = 1e-3
+            if kind == 3:  # the same nodes, previous round in another order
+                perm = rng.permutation(rows)
+                prev_ids, prev = tuple(int(i) for i in perm), prev[perm]
+            elif kind == 4 and rows > 1:  # a node the previous round lacked
+                prev_ids = ids[:at] + (rows,) + ids[at + 1 :]
+            for eps in (1e-4, worst, np.nextafter(worst, 0.0), 1.0):
+                got = _batched_converged(ids, cur, prev_ids, prev, eps)
+                assert got == _where_converged(ids, cur, prev_ids, prev, eps)
+                answers.add(got)
+        assert answers == {True, False}
 
     def test_merge_matches_layered_adds(self):
         rng = np.random.default_rng(5)

@@ -51,10 +51,12 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="unknown partner strategy"):
             make_strategy("chord")
 
-    def test_make_strategy_filters_foreign_kwargs(self):
-        s = make_strategy("brahms", rng=0, view_size=3, active_size=99)
-        assert isinstance(s, BrahmsMembership)
-        assert s.view_size == 3
+    def test_make_strategy_rejects_options(self):
+        # Options are not filtered or forwarded: a strategy parameter is
+        # set by constructing the class, and a stray keyword is an error.
+        with pytest.raises(TypeError):
+            make_strategy("brahms", rng=0, active_size=99)
+        assert isinstance(make_strategy("brahms", rng=0), BrahmsMembership)
 
     def test_removed_hyparview_rejected_everywhere(self):
         listing = "registered: brahms, global, neighbors"

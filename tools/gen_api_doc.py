@@ -93,9 +93,10 @@ lines += [
     "the store in arrival order as one `csc_matvecs` scatter-add, the",
     "sync engine's step kernel (`PopulationStore.merge`). Per-round",
     "estimates are one divide into an `EstimatesWorkspace`'s two",
-    "alternating output slots, the convergence residual one pass, and",
-    "held mass and the armed sanitizer's checks row reductions over the",
-    "store. Results are bitwise those of the node-by-node protocol.",
+    "alternating output slots, the convergence check runs over blocks",
+    "of 32 rows and stops at the first failing block, and held mass and",
+    "the armed sanitizer's checks are row reductions over the store.",
+    "Results are bitwise those of the node-by-node protocol.",
     "`Simulator.call_at`/`call_in` push `(when, seq, fn, args)` heap",
     "entries and return `None`; Poisson wakes and membership control",
     "traffic schedule one call per message. The simulator has no",
@@ -106,6 +107,13 @@ lines += [
     "+ root seed) and call `run_sweep(points, workers=N)` — ordered",
     "results, per-point wall time and peak RSS, identical values at any",
     "worker count (`--workers` on the CLI).",
+    "",
+    "Importing `repro` loads numpy and `scipy.sparse` only (~53 MiB of",
+    "RSS, the import floor under every peak-RSS figure).",
+    "`metrics.errors.kendall_tau` and `CentralizedEigenvector.arpack`",
+    "import `scipy.stats` and `scipy.sparse.linalg` on first call;",
+    "`tests/test_import_footprint.py` fails if any module loads a SciPy",
+    "subpackage beyond `scipy.sparse` at import time.",
     "",
     "Run `PYTHONPATH=src python tools/bench_runner.py` to regenerate the",
     "tracked benchmark trajectory in `BENCH_engines.json` (schema 9:",
