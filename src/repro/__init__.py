@@ -29,7 +29,7 @@ from repro.gossip.base import CycleEngine, GossipCycleResult
 from repro.gossip.engine import SynchronousGossipEngine
 from repro.gossip.factory import engine_names, make_engine
 from repro.gossip.message_engine import AsyncMessageGossipEngine, MessageGossipEngine
-from repro.gossip.pushsum import push_sum, scripted_push_sum
+from repro.gossip.pushsum import scripted_push_sum
 from repro.gossip.structured import StructuredAggregationEngine
 from repro.metrics.telemetry import CycleRecord, CycleTelemetry
 from repro.trust.feedback import FeedbackLedger
@@ -58,7 +58,6 @@ __all__ = [
     "MessageGossipEngine",
     "AsyncMessageGossipEngine",
     "StructuredAggregationEngine",
-    "push_sum",
     "scripted_push_sum",
     "TrustMatrix",
     "FeedbackLedger",

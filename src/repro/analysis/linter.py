@@ -141,17 +141,6 @@ def _parse_noqa(comment: str) -> Optional[Tuple[FrozenSet[str], str]]:
     return frozenset(codes), justification.strip()
 
 
-def _noqa_codes(line: str) -> FrozenSet[str]:
-    """Codes suppressed by a ``# noqa`` comment on ``line`` (``*`` = all)."""
-    idx = line.find("#")
-    while idx >= 0:
-        parsed = _parse_noqa(line[idx:])
-        if parsed is not None:
-            return parsed[0]
-        idx = line.find("#", idx + 1)
-    return frozenset()
-
-
 class SourceFile:
     """One parsed Python source file, shared across all rules.
 

@@ -17,7 +17,7 @@ Two variants:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Union
+from typing import Iterable, Union
 
 import numpy as np
 from scipy import sparse
@@ -133,14 +133,6 @@ class DistributedEigenTrust(EigenTrust):
             raise ValidationError(f"replicas must be >= 1, got {replicas}")
         self.replicas = int(replicas)
         self.ring = ChordRing(range(self.n), bits=ring_bits)
-
-    def score_managers(self, peer: int) -> FrozenSet[int]:
-        """The DHT nodes responsible for ``peer``'s score."""
-        if not 0 <= peer < self.n:
-            raise ValidationError(f"peer {peer} out of range [0, {self.n})")
-        return frozenset(
-            self.ring.owner(("score", peer, r)) for r in range(self.replicas)
-        )
 
     def compute(self) -> EigenTrustResult:
         """Run the iteration and model the DHT traffic it would cost."""

@@ -79,10 +79,6 @@ class SaroiuFileOwnership:
         counts[free] = 0
         return counts
 
-    def expected_sharer_fraction(self) -> float:
-        """Fraction of peers expected to share at least one file."""
-        return 1.0 - self.free_rider_fraction
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"SaroiuFileOwnership(free_riders={self.free_rider_fraction}, "

@@ -17,7 +17,6 @@ __all__ = [
     "SimulationError",
     "NetworkError",
     "UnknownNodeError",
-    "PartitionedNetworkError",
     "StorageError",
     "BloomCapacityError",
     "ExperimentError",
@@ -101,10 +100,6 @@ class NetworkError(ReproError):
 
 class UnknownNodeError(NetworkError, KeyError):
     """A node id was referenced that is not part of the overlay."""
-
-
-class PartitionedNetworkError(NetworkError):
-    """An operation required a connected overlay but the graph is partitioned."""
 
 
 class StorageError(ReproError):

@@ -131,11 +131,6 @@ class SweepReport:
         return len(self.outcomes) / self.wall_time
 
     @property
-    def total_point_time(self) -> float:
-        """Sum of per-point wall times (> ``wall_time`` when parallel)."""
-        return sum(o.wall_time for o in self.outcomes)
-
-    @property
     def max_peak_rss_kib(self) -> float:
         """Largest worker peak RSS observed across the sweep (KiB)."""
         return max((o.peak_rss_kib for o in self.outcomes), default=0.0)

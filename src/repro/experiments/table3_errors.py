@@ -6,7 +6,11 @@ gossip error (relative error the gossip protocol leaves in the scores)
 and the aggregation error (distance between the converged gossiped
 vector and the exact one).  Expected shape: tighter thresholds cost
 more cycles/steps and deliver smaller errors; gossip error lands well
-below epsilon; aggregation error tracks delta from below.
+below epsilon; aggregation error tracks delta from below.  Each row also
+reports the §4.1 cycle bound
+(:func:`~repro.metrics.convergence.theoretical_cycle_bound`, with the
+greedy factor folded into the contraction rate) next to the measured
+cycles.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from repro.core.gossiptrust import GossipTrust
 from repro.experiments.base import ExperimentResult, mean_std, seed_range
 from repro.experiments.runner import SweepPoint, run_sweep
 from repro.experiments.synthetic import synthetic_trust_matrix
+from repro.metrics.convergence import theoretical_cycle_bound
 from repro.metrics.reporting import TextTable
 from repro.utils.rng import RngStreams
 
@@ -40,10 +45,11 @@ def _table3_point(
     alpha: float,
     engine_mode: str,
     engine: str,
-) -> Tuple[float, float, float, float]:
+) -> Tuple[float, float, float, float, float]:
     """One Table 3 sweep point: a full GossipTrust run for one seed.
 
-    Returns ``(cycles, mean_steps_per_cycle, gossip_error, agg_error)``.
+    Returns ``(cycles, cycle_bound, mean_steps_per_cycle, gossip_error,
+    agg_error)``.
     """
     streams = RngStreams(seed)
     S = synthetic_trust_matrix(n, rng=streams.get("matrix"))
@@ -64,6 +70,7 @@ def _table3_point(
     )
     return (
         float(result.cycles),
+        float(theoretical_cycle_bound(S, delta, alpha=alpha)),
         mean_steps,
         result.mean_gossip_error,
         result.aggregation_error,
@@ -95,6 +102,7 @@ def run_table3(
             "epsilon",
             "delta",
             "agg_cycles",
+            "cycle_bound",
             "gossip_steps",
             "gossip_error",
             "agg_error",
@@ -123,25 +131,17 @@ def run_table3(
     report = run_sweep(points, workers=workers)
     values = iter(report.values())
     for eps, delta in settings:
-        cycles_l, steps_l, gerr_l, aerr_l = [], [], [], []
-        for _ in seed_range(repeats):
-            cycles, mean_steps, gerr, aerr = next(values)
-            cycles_l.append(cycles)
-            steps_l.append(mean_steps)
-            gerr_l.append(gerr)
-            aerr_l.append(aerr)
-        row = (
-            mean_std(cycles_l)[0],
-            mean_std(steps_l)[0],
-            mean_std(gerr_l)[0],
-            mean_std(aerr_l)[0],
+        per_seed = [next(values) for _ in seed_range(repeats)]
+        cycles, bound, steps, gerr, aerr = (
+            mean_std(column)[0] for column in zip(*per_seed)
         )
-        table.add_row([eps, delta, row[0], row[1], row[2], row[3]])
+        table.add_row([eps, delta, cycles, bound, steps, gerr, aerr])
         raw[(eps, delta)] = {
-            "cycles": row[0],
-            "steps": row[1],
-            "gossip_error": row[2],
-            "aggregation_error": row[3],
+            "cycles": cycles,
+            "cycle_bound": bound,
+            "steps": steps,
+            "gossip_error": gerr,
+            "aggregation_error": aerr,
         }
     return ExperimentResult(
         experiment_id="table3",

@@ -5,9 +5,9 @@
 * :mod:`repro.gossip.factory` — :func:`make_engine`, the one way to
   build an engine by name (``sync``, ``message``, ``async``,
   ``structured``).
-* :mod:`repro.gossip.pushsum` — Algorithm 1: Kempe-style push-sum for a
-  single peer's score, both a vectorized simulation and a step-scripted
-  variant that replays the paper's Table 1 worked example exactly.
+* :mod:`repro.gossip.pushsum` — Algorithm 1: one push-sum step for a
+  single peer's score, and a step-scripted replay of the paper's
+  Table 1 worked example.
 * :mod:`repro.gossip.vector` — Algorithm 2 node state: the reputation
   vector as ``<x, id, w>`` triplets, one population per store.
 * :mod:`repro.gossip.convergence` — the delta (aggregation-cycle)
@@ -35,11 +35,10 @@ from repro.gossip.message_engine import (
     MessageGossipEngine,
     MessageGossipResult,
 )
-from repro.gossip.pushsum import PushSumResult, push_sum, scripted_push_sum
+from repro.gossip.pushsum import PushSumResult, scripted_push_sum
 from repro.gossip.structured import StructuredAggregationEngine
 
 __all__ = [
-    "push_sum",
     "scripted_push_sum",
     "PushSumResult",
     "CycleConvergenceDetector",

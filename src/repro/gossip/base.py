@@ -150,10 +150,6 @@ class CycleEngine(ABC):
         self.sanitizer = sanitizer
         return sanitizer
 
-    def disarm_sanitizer(self) -> None:
-        """Remove the armed sanitizer; the engine stops checking."""
-        self.sanitizer = None
-
     def clear_stats(self) -> None:
         """Reset the per-cycle step log (and any engine counters)."""
         self.cycle_steps = []

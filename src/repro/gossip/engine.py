@@ -102,7 +102,8 @@ DTYPE_NAMES = ("float64", "float32")
 #: above this node count, auto mode switches from full to probe
 _FULL_MODE_LIMIT = 1500
 
-#: floor for relative-change denominators (see pushsum._REL_FLOOR)
+#: floor for relative-change denominators; genuine zero estimates (peers
+#: with no inbound trust mass) compare as absolute changes against this
 _REL_FLOOR = 1e-12
 
 #: once a coarse check sees a residual below _FINE_FACTOR * epsilon the

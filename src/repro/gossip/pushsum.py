@@ -10,31 +10,24 @@ halves are summed (Eqs. 3-4).  The column sums ``sum_i x_i`` and
 
 Two entry points:
 
-* :func:`push_sum` — random-partner simulation of one scalar aggregation,
-  vectorized over all nodes.
+* :func:`push_sum_step` — one synchronous step given each node's target.
 * :func:`scripted_push_sum` — partners supplied per step, used to replay
   the paper's Fig. 2 / Table 1 three-node worked example bit-for-bit.
+
+The engines gossip whole reputation vectors, not one score: see
+:mod:`repro.gossip.engine` and :mod:`repro.gossip.vector`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConvergenceError, ValidationError
-from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_in_range, check_vector
+from repro.errors import ValidationError
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.analysis.sanitizer import InvariantSanitizer
-
-__all__ = ["PushSumResult", "push_sum", "scripted_push_sum", "push_sum_step"]
-
-#: floor for relative-change denominators; genuine zero estimates (peers
-#: with no inbound trust mass) compare as absolute changes against this
-_REL_FLOOR = 1e-12
+__all__ = ["PushSumResult", "scripted_push_sum", "push_sum_step"]
 
 
 @dataclass
@@ -48,11 +41,11 @@ class PushSumResult:
     steps:
         Gossip steps executed.
     converged:
-        Whether the epsilon criterion was met within the step budget.
+        Always true for a scripted replay (it runs every scripted step).
     x, w:
         Final per-node masses (exposed for invariant checks).
     history:
-        Optional per-step snapshots of ``(x, w)`` (only when recorded).
+        Per-step snapshots of ``(x, w)``.
     """
 
     estimates: np.ndarray
@@ -96,120 +89,6 @@ def _estimates(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per-node beta = x/w with 0/0 -> nan and x/0 -> inf, silently."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(w > 0, x / np.where(w > 0, w, 1.0), np.where(x > 0, np.inf, np.nan))
-
-
-def push_sum(
-    x0: np.ndarray,
-    w0: np.ndarray,
-    *,
-    epsilon: float = 1e-4,
-    max_steps: int = 10_000,
-    min_steps: int = 1,
-    stable_steps: int = 2,
-    rng: SeedLike = None,
-    record_history: bool = False,
-    raise_on_budget: bool = True,
-    sanitizer: "Optional[InvariantSanitizer]" = None,
-) -> PushSumResult:
-    """Run push-sum with uniform random partners until the epsilon criterion.
-
-    Termination follows Algorithm 1 line 14 with a *relative* reading:
-    every node's estimate must move by at most a ``epsilon`` fraction of
-    its previous value across one step, *and* every node must hold
-    positive consensus mass (``w_i > 0``) so its estimate is defined.
-    The relative form keeps the criterion scale-free — global scores
-    shrink as ``1/n``, so an absolute threshold would mean wildly
-    different precision at different network sizes.  ``min_steps``
-    guards against vacuous convergence at step 0, and the criterion must
-    hold for ``stable_steps`` *consecutive* steps: a single quiet step
-    can be a coincidence (e.g. two nodes swapping equal shares leaves
-    every estimate unchanged without any convergence), which small
-    networks do hit in practice.
-
-    Parameters
-    ----------
-    x0, w0:
-        Initial weighted-score and consensus-factor masses; ``w0`` must
-        carry positive total mass.
-    epsilon:
-        Gossip error threshold (Table 2 default: ``1e-4``).
-    max_steps:
-        Step budget; exceeding it raises :class:`ConvergenceError`
-        unless ``raise_on_budget=False``.
-    rng:
-        Partner-choice randomness.
-    record_history:
-        Keep per-step ``(x, w)`` snapshots (tests and the worked example).
-    sanitizer:
-        Optional armed :class:`~repro.analysis.sanitizer.InvariantSanitizer`;
-        when given, mass conservation and ``w >= 0`` are checked after
-        every step and any breach raises
-        :class:`~repro.errors.InvariantViolation`.
-
-    Returns
-    -------
-    PushSumResult
-    """
-    x = check_vector("x0", np.asarray(x0, dtype=np.float64))
-    n = x.shape[0]
-    w = check_vector("w0", np.asarray(w0, dtype=np.float64), size=n)
-    if np.any(x < 0) or np.any(w < 0):
-        raise ValidationError("push-sum masses must be non-negative")
-    if w.sum() <= 0:
-        raise ValidationError("total consensus mass must be positive")
-    check_in_range("epsilon", epsilon, low=0.0, low_inclusive=False)
-    if n == 1:
-        est = _estimates(x, w)
-        return PushSumResult(estimates=est, steps=0, converged=True, x=x, w=w)
-    if stable_steps < 1:
-        raise ValidationError(f"stable_steps must be >= 1, got {stable_steps}")
-    gen = as_generator(rng)
-    if sanitizer is not None:
-        sanitizer.begin_cycle("push-sum")
-        x_mass = float(x.sum())
-        w_mass = float(w.sum())
-
-    history: List[Tuple[np.ndarray, np.ndarray]] = []
-    prev = _estimates(x, w)
-    ids = np.arange(n)
-    quiet = 0
-    for step in range(1, max_steps + 1):
-        targets = gen.integers(0, n - 1, size=n)
-        targets[targets >= ids] += 1  # uniform over others, never self
-        x, w = push_sum_step(x, w, targets)
-        if sanitizer is not None:
-            sanitizer.check_mass("sum(x)", float(x.sum()), x_mass, step=step)
-            sanitizer.check_mass("sum(w)", float(w.sum()), w_mass, step=step)
-            sanitizer.check_nonnegative("w", w, step=step)
-        if record_history:
-            history.append((x.copy(), w.copy()))
-        est = _estimates(x, w)
-        if step >= min_steps and np.all(w > 0):
-            # Relative per-step change (scale-free in n): |beta - u| / u.
-            # inf/nan in prev (nodes without w mass last step) propagate
-            # into delta and correctly block convergence below.
-            with np.errstate(invalid="ignore"):
-                delta = np.abs(est - prev) / np.maximum(np.abs(prev), _REL_FLOOR)
-            if np.all(np.isfinite(delta)) and float(delta.max()) <= epsilon:
-                quiet += 1
-                if quiet >= stable_steps:
-                    return PushSumResult(
-                        estimates=est, steps=step, converged=True, x=x, w=w, history=history
-                    )
-            else:
-                quiet = 0
-        prev = est
-    if raise_on_budget:
-        with np.errstate(invalid="ignore"):
-            residual = float(np.nanmax(np.abs(_estimates(x, w) - prev)))
-        raise ConvergenceError(
-            f"push-sum did not converge within {max_steps} steps (epsilon={epsilon})",
-            steps=max_steps,
-            residual=residual,
-        )
-    return PushSumResult(
-        estimates=_estimates(x, w), steps=max_steps, converged=False, x=x, w=w, history=history
-    )
 
 
 def scripted_push_sum(

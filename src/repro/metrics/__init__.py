@@ -2,8 +2,6 @@
 
 from repro.metrics.convergence import theoretical_cycle_bound
 from repro.metrics.errors import (
-    l1_error,
-    linf_error,
     rank_overlap,
     kendall_tau,
     rms_relative_error,
@@ -15,8 +13,6 @@ __all__ = [
     "CycleRecord",
     "CycleTelemetry",
     "rms_relative_error",
-    "l1_error",
-    "linf_error",
     "kendall_tau",
     "rank_overlap",
     "theoretical_cycle_bound",

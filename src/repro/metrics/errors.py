@@ -21,8 +21,6 @@ from repro.errors import ValidationError
 
 __all__ = [
     "rms_relative_error",
-    "l1_error",
-    "linf_error",
     "kendall_tau",
     "rank_overlap",
 ]
@@ -66,18 +64,6 @@ def rms_relative_error(
             raise ValidationError(f"cap must be > 0, got {cap}")
         rel = np.minimum(rel, cap)
     return float(np.sqrt(np.mean(rel**2)))
-
-
-def l1_error(v: np.ndarray, u: np.ndarray) -> float:
-    """Total-variation-style L1 distance ``sum_i |v_i - u_i|``."""
-    a, b = _pair(v, u)
-    return float(np.abs(a - b).sum())
-
-
-def linf_error(v: np.ndarray, u: np.ndarray) -> float:
-    """Worst-component distance ``max_i |v_i - u_i|``."""
-    a, b = _pair(v, u)
-    return float(np.abs(a - b).max())
 
 
 def kendall_tau(v: np.ndarray, u: np.ndarray) -> float:

@@ -74,11 +74,6 @@ class TextTable:
             )
         self._rows.append([_fmt(v, self.float_fmt) for v in values])
 
-    @property
-    def row_count(self) -> int:
-        """Number of data rows."""
-        return len(self._rows)
-
     def render(self) -> str:
         """The table as aligned text (title, header, separator, rows)."""
         widths = [len(c) for c in self.columns]

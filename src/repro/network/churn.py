@@ -4,13 +4,12 @@ The paper's design goals require GossipTrust to be "adaptive to peer
 dynamics".  This model drives an :class:`~repro.network.overlay.Overlay`
 with the standard M/M churn process: each live peer departs after an
 exponential session time, each departed peer rejoins after an
-exponential offline time.  Departure/arrival hooks let protocol layers
-(e.g. the message-level gossip engine) react.
+exponential offline time.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Optional
 
 from repro.network.overlay import Overlay
 from repro.sim.engine import Simulator
@@ -58,17 +57,7 @@ class ChurnModel:
         self._rng = as_generator(rng)
         self.departures = 0
         self.rejoins = 0
-        self._on_leave: List[Callable[[int], None]] = []
-        self._on_join: List[Callable[[int], None]] = []
         self._started = False
-
-    def on_leave(self, fn: Callable[[int], None]) -> None:
-        """Register a callback invoked with the node id on each departure."""
-        self._on_leave.append(fn)
-
-    def on_join(self, fn: Callable[[int], None]) -> None:
-        """Register a callback invoked with the node id on each rejoin."""
-        self._on_join.append(fn)
 
     def start(self) -> None:
         """Schedule the initial departure timer for every live peer."""
@@ -99,8 +88,6 @@ class ChurnModel:
             return
         self.overlay.leave(node)
         self.departures += 1
-        for fn in self._on_leave:
-            fn(node)
         self._schedule_rejoin(node)
 
     def _rejoin(self, node: int) -> None:
@@ -108,8 +95,6 @@ class ChurnModel:
             return
         self.overlay.join(node)
         self.rejoins += 1
-        for fn in self._on_join:
-            fn(node)
         self._schedule_departure(node)
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -74,8 +74,6 @@ class ChordRing:
         for node in nodes:
             self._place(int(node))
         self._rebuild()
-        self.lookups = 0
-        self.total_hops = 0
 
     # -- membership ------------------------------------------------------
 
@@ -184,8 +182,6 @@ class ChordRing:
             path.append(self._node_of[current])
             if hops > guard:  # pragma: no cover - routing invariant violated
                 raise NetworkError("lookup failed to converge; ring state corrupt")
-        self.lookups += 1
-        self.total_hops += hops
         return LookupResult(owner=self._node_of[owner_rid], hops=hops, path=tuple(path))
 
     def _closest_preceding(self, current: int, target: int) -> int:
@@ -195,13 +191,6 @@ class ChordRing:
             ):
                 return finger
         return current
-
-    @property
-    def mean_hops(self) -> float:
-        """Average hops per lookup so far (NaN before any lookup)."""
-        if self.lookups == 0:
-            return float("nan")
-        return self.total_hops / self.lookups
 
     def __len__(self) -> int:
         return len(self._node_of)

@@ -218,10 +218,6 @@ class ReliableTransport:
         """Reliable sends still awaiting an ack."""
         return len(self._pending)
 
-    def overhead_messages(self) -> int:
-        """Extra transport messages this wrapper caused (retries + acks)."""
-        return self.retries + self.acks_sent
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"ReliableTransport(sent={self.sent}, retries={self.retries}, "

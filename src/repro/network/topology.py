@@ -41,27 +41,23 @@ class Topology:
     layer, which copies adjacency into mutable sets.
     """
 
-    __slots__ = ("_n", "_adj", "_edge_count")
+    __slots__ = ("_n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]) -> None:
         if n < 1:
             raise ValidationError(f"topology must have >= 1 node, got n={n}")
         adj: List[Set[int]] = [set() for _ in range(n)]
-        count = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValidationError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValidationError(f"self-loop at node {u} not allowed")
-            if v not in adj[u]:
-                adj[u].add(v)
-                adj[v].add(u)
-                count += 1
+            adj[u].add(v)
+            adj[v].add(u)
         self._n = n
         self._adj: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(sorted(neigh)) for neigh in adj
         )
-        self._edge_count = count
 
     # -- basic accessors -------------------------------------------------
 
@@ -69,11 +65,6 @@ class Topology:
     def n(self) -> int:
         """Number of nodes."""
         return self._n
-
-    @property
-    def edge_count(self) -> int:
-        """Number of undirected edges."""
-        return self._edge_count
 
     def neighbors(self, node: int) -> Tuple[int, ...]:
         """Sorted neighbor ids of ``node``."""
@@ -93,10 +84,6 @@ class Topology:
             for v in neigh:
                 if u < v:
                     yield (u, v)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether ``{u, v}`` is an edge."""
-        return v in self._adj[u]
 
     # -- structure queries -------------------------------------------------
 
@@ -121,35 +108,12 @@ class Topology:
         comps.sort(key=len, reverse=True)
         return comps
 
-    def is_connected(self) -> bool:
-        """Whether the graph has a single connected component."""
-        return len(self.components()) == 1
-
-    def bfs_distances(self, source: int) -> np.ndarray:
-        """Hop distance from ``source`` to every node (-1 if unreachable)."""
-        if not 0 <= source < self._n:
-            raise ValidationError(f"source {source} out of range for n={self._n}")
-        dist = np.full(self._n, -1, dtype=np.int64)
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for v in self._adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        return dist
-
-    def with_edges(self, extra: Iterable[Tuple[int, int]]) -> "Topology":
-        """A new topology with ``extra`` edges added."""
-        return Topology(self._n, list(self.edges()) + list(extra))
-
     def adjacency_sets(self) -> List[Set[int]]:
         """Mutable copy of adjacency (for the overlay layer)."""
         return [set(neigh) for neigh in self._adj]
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Topology(n={self._n}, edges={self._edge_count})"
+        return f"Topology(n={self._n}, edges={sum(map(len, self._adj)) // 2})"
 
 
 def _connect_components(n: int, edges: List[Tuple[int, int]], gen: np.random.Generator) -> List[Tuple[int, int]]:

@@ -177,10 +177,6 @@ class Transport:
         """Install the delivery handler for ``node`` (replaces any prior)."""
         self._handlers[node] = handler
 
-    def unregister(self, node: int) -> None:
-        """Remove ``node``'s handler; in-flight messages to it are dropped."""
-        self._handlers.pop(node, None)
-
     def set_loss_rate(self, loss_rate: float) -> None:
         """Change the independent per-message drop probability.
 

@@ -7,12 +7,11 @@ into the Bloom filter of its bracket — trading a bounded quantization /
 false-positive error for an order-of-magnitude memory saving.
 """
 
-from repro.storage.bloom import BloomFilter, CountingBloomFilter, optimal_parameters
+from repro.storage.bloom import BloomFilter, optimal_parameters
 from repro.storage.reputation_store import BloomReputationStore, StorageReport
 
 __all__ = [
     "BloomFilter",
-    "CountingBloomFilter",
     "optimal_parameters",
     "BloomReputationStore",
     "StorageReport",

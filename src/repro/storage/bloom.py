@@ -1,4 +1,4 @@
-"""Classic and counting Bloom filters, from scratch on NumPy bit arrays.
+"""A classic Bloom filter, from scratch on a NumPy bit array.
 
 Hash family: double hashing over two independent 64-bit digests of the
 item (Kirsch-Mitzenmacher), which provably preserves the asymptotic
@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import BloomCapacityError, ValidationError
 
-__all__ = ["optimal_parameters", "BloomFilter", "CountingBloomFilter"]
+__all__ = ["optimal_parameters", "BloomFilter"]
 
 
 def optimal_parameters(capacity: int, error_rate: float) -> Tuple[int, int]:
@@ -99,74 +99,10 @@ class BloomFilter:
     # -- accounting --------------------------------------------------------
 
     @property
-    def bits_set(self) -> int:
-        """Number of set bits."""
-        return int(self._bits.sum())
-
-    @property
     def size_bytes(self) -> int:
         """Nominal size of the filter in bytes (m bits, packed)."""
         return (self.m + 7) // 8
 
-    def estimated_false_positive_rate(self) -> float:
-        """Current FP estimate ``(bits_set / m) ** k``."""
-        if self.m == 0:
-            return 1.0
-        return float((self.bits_set / self.m) ** self.k)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"BloomFilter(m={self.m}, k={self.k}, count={self.count})"
 
-
-class CountingBloomFilter:
-    """Bloom filter with small counters, supporting deletion.
-
-    Used where scores move between brackets over time: a peer's id is
-    removed from its old bracket and added to the new one.  Counters are
-    uint16 and overflow raises rather than silently corrupting.
-    """
-
-    _MAX = np.iinfo(np.uint16).max
-
-    def __init__(self, capacity: int, error_rate: float = 0.01):
-        self.capacity = int(capacity)
-        self.error_rate = float(error_rate)
-        self.m, self.k = optimal_parameters(self.capacity, self.error_rate)
-        self._counts = np.zeros(self.m, dtype=np.uint16)
-        self.count = 0
-
-    def _positions(self, item: Hashable) -> np.ndarray:
-        h1, h2 = _digests(item)
-        idx = (h1 + h2 * np.arange(self.k, dtype=np.uint64)) % np.uint64(self.m)
-        return idx.astype(np.int64)
-
-    def add(self, item: Hashable) -> None:
-        """Insert an item, incrementing its counters."""
-        if self.count >= self.capacity:
-            raise BloomCapacityError(
-                f"counting bloom filter sized for {self.capacity} items is full"
-            )
-        pos = self._positions(item)
-        if np.any(self._counts[pos] >= self._MAX):
-            raise BloomCapacityError("counting bloom filter counter overflow")
-        self._counts[pos] += 1
-        self.count += 1
-
-    def remove(self, item: Hashable) -> None:
-        """Delete a previously-added item (checked: all counters > 0)."""
-        pos = self._positions(item)
-        if np.any(self._counts[pos] == 0):
-            raise ValidationError(f"cannot remove item never added: {item!r}")
-        self._counts[pos] -= 1
-        self.count -= 1
-
-    def __contains__(self, item: Hashable) -> bool:
-        return bool((self._counts[self._positions(item)] > 0).all())
-
-    @property
-    def size_bytes(self) -> int:
-        """Nominal size in bytes (2 bytes per counter)."""
-        return 2 * self.m
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"CountingBloomFilter(m={self.m}, k={self.k}, count={self.count})"

@@ -8,7 +8,7 @@ the greedy-factor mixing.
 
 from repro.trust.feedback import FeedbackLedger, TransactionRecord
 from repro.trust.matrix import TrustMatrix
-from repro.trust.pretrust import PretrustVector, uniform_pretrust
+from repro.trust.pretrust import PretrustVector
 from repro.trust.qof import QofWeightedAggregation, feedback_quality
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "TransactionRecord",
     "TrustMatrix",
     "PretrustVector",
-    "uniform_pretrust",
     "feedback_quality",
     "QofWeightedAggregation",
 ]

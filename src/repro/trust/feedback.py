@@ -109,17 +109,6 @@ class FeedbackLedger:
             row[ratee] = float(score)
         self._dirty.add(rater)
 
-    def add_score(self, rater: int, ratee: int, delta: float) -> None:
-        """Add ``delta`` to the raw local score, clamping at zero."""
-        self._check(rater, ratee)
-        row = self._scores.setdefault(rater, {})
-        new = max(0.0, row.get(ratee, 0.0) + delta)
-        if new == 0.0:  # noqa: GT004 -- exact sentinel: max(0.0, ...) pins fully-decayed scores to exactly 0.0
-            row.pop(ratee, None)
-        else:
-            row[ratee] = new
-        self._dirty.add(rater)
-
     def score(self, rater: int, ratee: int) -> float:
         """Local score ``r_ij = max(balance, 0)`` (EigenTrust clamping)."""
         self._check(rater, ratee)
@@ -130,10 +119,6 @@ class FeedbackLedger:
         if not 0 <= rater < self.n:
             raise ValidationError(f"rater {rater} out of range [0, {self.n})")
         return {j: v for j, v in self._scores.get(rater, {}).items() if v > 0}
-
-    def out_degree(self, rater: int) -> int:
-        """Number of peers this rater has assigned a positive score."""
-        return sum(1 for v in self._scores.get(rater, {}).values() if v > 0)
 
     def nonzero_pairs(self) -> Iterator[Tuple[int, int, float]]:
         """Iterate ``(rater, ratee, r_ij)`` over all positive scores."""

@@ -200,16 +200,6 @@ class TrustMatrix:
             self._ST = self._S.T.tocsr()
         return self._ST
 
-    def invalidate_cache(self) -> None:
-        """Drop the derived transpose after a mutation.
-
-        The all-or-nothing escape hatch for callers that mutated the
-        underlying CSR directly.  Sanctioned in-place updates should go
-        through :meth:`apply_row_deltas`, which keeps the transpose
-        coherent itself.
-        """
-        self._ST = None
-
     # -- incremental updates -------------------------------------------------
 
     def apply_row_deltas(
@@ -330,13 +320,17 @@ class TrustMatrix:
         """(|lambda_1|, |lambda_2|) of ``S`` — controls cycle count d (§4.1).
 
         Uses dense eigenvalues below 800 nodes and sparse ARPACK above.
+        The ARPACK branch imports ``scipy.sparse.linalg`` on first use;
+        this module does not import it at load time.
         """
         n = self.n
         if n < 800:
             eigs = np.linalg.eigvals(self.dense())
         else:
+            from scipy.sparse import linalg as splinalg
+
             k = min(6, n - 2)
-            eigs = sparse.linalg.eigs(self._S.astype(np.float64), k=k, return_eigenvectors=False)
+            eigs = splinalg.eigs(self._S.astype(np.float64), k=k, return_eigenvectors=False)
         mags = np.sort(np.abs(eigs))[::-1]
         lam1 = float(mags[0])
         lam2 = float(mags[1]) if mags.size > 1 else 0.0

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 
-__all__ = ["PretrustVector", "uniform_pretrust"]
+__all__ = ["PretrustVector"]
 
 
 class PretrustVector:
@@ -66,10 +66,6 @@ class PretrustVector:
         """The probability vector ``P`` (copy)."""
         return self._vector.copy()
 
-    def with_members(self, members: Iterable[int]) -> "PretrustVector":
-        """A new vector over the same ``n`` with a different member set."""
-        return PretrustVector(self.n, members)
-
     def mix(self, aggregated: np.ndarray, alpha: float) -> np.ndarray:
         """Apply greedy-factor mixing: ``(1-alpha)*aggregated + alpha*P``.
 
@@ -90,7 +86,3 @@ class PretrustVector:
     def __repr__(self) -> str:  # pragma: no cover
         return f"PretrustVector(n={self.n}, members={sorted(self._members)})"
 
-
-def uniform_pretrust(n: int) -> PretrustVector:
-    """The uniform distribution over all peers (no distinguished set)."""
-    return PretrustVector(n, ())

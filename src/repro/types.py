@@ -14,8 +14,6 @@ from typing import Dict, Tuple
 
 __all__ = [
     "NodeId",
-    "GossipPair",
-    "Triplet",
     "ReputationVector",
     "PeerClass",
     "TransactionOutcome",
@@ -43,49 +41,6 @@ class TransactionOutcome(Enum):
     AUTHENTIC = "authentic"
     INAUTHENTIC = "inauthentic"
     FAILED = "failed"
-
-
-@dataclass(frozen=True)
-class GossipPair:
-    """Push-sum state ``(x, w)`` gossiped for a *single* score (Algorithm 1).
-
-    ``x`` is the weighted score mass and ``w`` the consensus-factor mass.
-    The gossiped estimate of the aggregate is ``x / w`` once ``w > 0``.
-    """
-
-    x: float
-    w: float
-
-    def halved(self) -> "GossipPair":
-        """Return the half-share kept/sent in one gossip step."""
-        return GossipPair(self.x * 0.5, self.w * 0.5)
-
-    def merged(self, other: "GossipPair") -> "GossipPair":
-        """Return the sum of two shares received in a step (Eqs. 3-4)."""
-        return GossipPair(self.x + other.x, self.w + other.w)
-
-    @property
-    def estimate(self) -> float:
-        """Current gossiped score ``beta = x / w`` (``inf``/``nan`` if w == 0)."""
-        if self.w == 0.0:  # noqa: GT004 -- exact sentinel: w is 0.0 only before any mass arrives, never a rounded-down tiny value
-            return float("inf") if self.x > 0 else float("nan")
-        return self.x / self.w
-
-
-@dataclass(frozen=True)
-class Triplet:
-    """One reputation-vector element ``<x_id, id, w_id>`` (Algorithm 2)."""
-
-    x: float
-    node: NodeId
-    w: float
-
-    @property
-    def estimate(self) -> float:
-        """Gossiped global score of ``node``."""
-        if self.w == 0.0:  # noqa: GT004 -- exact sentinel: see GossipPair.estimate
-            return float("inf") if self.x > 0 else float("nan")
-        return self.x / self.w
 
 
 @dataclass

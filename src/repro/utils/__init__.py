@@ -1,21 +1,18 @@
 """Shared utilities: RNG stream management, validation, run logging."""
 
-from repro.utils.rng import RngStreams, as_generator, spawn_streams
+from repro.utils.rng import RngStreams, as_generator
 from repro.utils.validation import (
     check_in_range,
     check_positive,
     check_probability,
     check_square_matrix,
-    check_stochastic_rows,
 )
 
 __all__ = [
     "RngStreams",
     "as_generator",
-    "spawn_streams",
     "check_in_range",
     "check_positive",
     "check_probability",
     "check_square_matrix",
-    "check_stochastic_rows",
 ]

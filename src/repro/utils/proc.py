@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import platform
 
-__all__ = ["peak_rss_kib", "current_rss_kib", "reset_peak_rss", "PeakRssMeter"]
+__all__ = ["peak_rss_kib", "reset_peak_rss", "PeakRssMeter"]
 
 _STATUS = "/proc/self/status"
 _CLEAR_REFS = "/proc/self/clear_refs"
@@ -58,15 +58,6 @@ def _read_status_kib(field: str) -> float:
     except OSError:  # pragma: no cover - no procfs
         pass
     return 0.0
-
-
-def current_rss_kib() -> float:
-    """Resident set size right now, in KiB (0.0 where unknown).
-
-    Unlike :func:`peak_rss_kib` this is not monotone — it reads
-    ``VmRSS``, so released pages drop back out of the figure.
-    """
-    return _read_status_kib("VmRSS")
 
 
 def reset_peak_rss() -> bool:

@@ -14,11 +14,11 @@ Every stochastic component in the library draws from a
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Union
+from typing import Dict, Iterable, Optional, Union
 
 import numpy as np
 
-__all__ = ["SeedLike", "as_generator", "spawn_streams", "RngStreams"]
+__all__ = ["SeedLike", "as_generator", "RngStreams"]
 
 SeedLike = Union[int, np.random.Generator, np.random.SeedSequence, None]
 
@@ -34,25 +34,6 @@ def as_generator(seed: SeedLike) -> np.random.Generator:
     if isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
     return np.random.default_rng(seed)
-
-
-def spawn_streams(seed: SeedLike, names: Sequence[str]) -> Dict[str, np.random.Generator]:
-    """Derive one independent generator per name from a single seed.
-
-    The mapping from names to streams is order-dependent by design:
-    ``names`` is treated as the canonical ordered registry for the
-    calling subsystem.
-    """
-    if isinstance(seed, np.random.Generator):
-        # Derive children from the generator's bit stream so a caller
-        # passing a Generator still gets independent named streams.
-        ss = np.random.SeedSequence(seed.integers(0, 2**63 - 1, size=4).tolist())
-    elif isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(seed)
-    children = ss.spawn(len(names))
-    return {name: np.random.default_rng(child) for name, child in zip(names, children)}
 
 
 class RngStreams:

@@ -19,7 +19,6 @@ __all__ = [
     "check_probability",
     "check_in_range",
     "check_square_matrix",
-    "check_stochastic_rows",
     "check_vector",
 ]
 
@@ -87,18 +86,4 @@ def check_square_matrix(name: str, m: np.ndarray) -> np.ndarray:
         raise ValidationError(f"{name} must be a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite entries")
-    return arr
-
-
-def check_stochastic_rows(name: str, m: np.ndarray, *, atol: float = 1e-8) -> np.ndarray:
-    """Ensure ``m`` is square, entry-wise in [0, 1], with rows summing to 1."""
-    arr = check_square_matrix(name, m)
-    if np.any(arr < -atol) or np.any(arr > 1 + atol):
-        raise ValidationError(f"{name} entries must lie in [0, 1]")
-    row_sums = arr.sum(axis=1)
-    bad = np.where(np.abs(row_sums - 1.0) > atol)[0]
-    if bad.size:
-        raise ValidationError(
-            f"{name} rows must sum to 1; row {int(bad[0])} sums to {row_sums[bad[0]]!r}"
-        )
     return arr

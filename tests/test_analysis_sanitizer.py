@@ -25,7 +25,6 @@ from repro.core.config import GossipTrustConfig
 from repro.errors import InvariantViolation, ReproError
 from repro.gossip import engine as engine_mod
 from repro.gossip.factory import engine_names, make_engine
-from repro.gossip.pushsum import push_sum
 from repro.network.transport import Transport
 from repro.sim.engine import Simulator
 from repro.trust.matrix import TrustMatrix
@@ -194,7 +193,7 @@ class TestArming:
         cfg_off = GossipTrustConfig(n=N, seed=SEED, sanitize=False)
         assert make_engine(name, cfg_off).sanitizer is None
 
-    def test_arm_and_disarm(self):
+    def test_arm_sanitizer(self):
         set_sanitize_enabled(False)  # isolate from a REPRO_SANITIZE=1 env
         eng = build("sync")
         assert eng.sanitizer is None
@@ -202,8 +201,6 @@ class TestArming:
         assert eng.sanitizer is san
         shared = InvariantSanitizer(rel_tol=1e-6)
         assert eng.arm_sanitizer(shared) is shared
-        eng.disarm_sanitizer()
-        assert eng.sanitizer is None
 
 
 # -- armed cross-engine contract --------------------------------------------
@@ -363,27 +360,6 @@ class TestFaultInjection:
         with pytest.raises(InvariantViolation) as exc:
             eng.run_cycle(S, np.full(N, 1.0 / N))
         assert exc.value.invariant == "mass-conservation"
-
-    def test_push_sum_sanitizer_catches_created_mass(self, monkeypatch):
-        from repro.gossip import pushsum as pushsum_mod
-
-        real_step = pushsum_mod.push_sum_step
-        state = {"calls": 0}
-
-        def corrupt_step(x, w, targets):
-            nx, nw = real_step(x, w, targets)
-            state["calls"] += 1
-            if state["calls"] == 1:
-                nx[0] += 5.0  # conjure x-mass from nothing
-            return nx, nw
-
-        monkeypatch.setattr(pushsum_mod, "push_sum_step", corrupt_step)
-        san = InvariantSanitizer()
-        with pytest.raises(InvariantViolation) as exc:
-            push_sum(np.arange(8, dtype=float), np.ones(8), rng=0, sanitizer=san)
-        assert exc.value.invariant == "mass-conservation"
-        assert exc.value.engine == "push-sum"
-        assert exc.value.step == 1
 
     def test_denormalized_trust_row_raises_when_enabled(self):
         raw = np.full((4, 4), 0.25)

@@ -46,13 +46,6 @@ class TestDistributedEigenTrust:
         ).compute()
         assert np.allclose(basic.vector, dist.vector)
 
-    def test_score_managers_are_replicated_and_deterministic(self, random_S):
-        det = DistributedEigenTrust(random_S, replicas=3)
-        mgr_a = det.score_managers(5)
-        mgr_b = det.score_managers(5)
-        assert mgr_a == mgr_b
-        assert 1 <= len(mgr_a) <= 3  # hash collisions may merge replicas
-
     def test_overhead_accounting_positive(self, random_S):
         res = DistributedEigenTrust(random_S, replicas=3).compute()
         assert res.dht_lookups == random_S.nnz * 3
@@ -63,11 +56,6 @@ class TestDistributedEigenTrust:
         one = DistributedEigenTrust(random_S, replicas=1).compute()
         three = DistributedEigenTrust(random_S, replicas=3).compute()
         assert three.dht_lookups == 3 * one.dht_lookups
-
-    def test_manager_peer_range_check(self, random_S):
-        det = DistributedEigenTrust(random_S)
-        with pytest.raises(ValidationError):
-            det.score_managers(random_S.n)
 
     def test_rejects_bad_replicas(self, random_S):
         with pytest.raises(ValidationError):

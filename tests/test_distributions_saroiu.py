@@ -11,7 +11,6 @@ class TestConstruction:
     def test_defaults(self):
         d = SaroiuFileOwnership()
         assert d.free_rider_fraction == 0.25
-        assert d.expected_sharer_fraction() == 0.75
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValidationError):

@@ -38,6 +38,3 @@ def test_catching_base_class_catches_subsystem_errors():
     with pytest.raises(errors.StorageError):
         raise errors.BloomCapacityError("full")
 
-
-def test_partitioned_network_is_network_error():
-    assert issubclass(errors.PartitionedNetworkError, errors.NetworkError)

@@ -47,7 +47,7 @@ class TestFig3Shape:
         assert large.y[0] >= small.y[0]
 
     def test_table_rows_complete(self, fig3):
-        assert fig3.tables[0].row_count == 4  # 2 sizes x 2 epsilons
+        assert len(fig3.tables[0]._rows) == 4  # 2 sizes x 2 epsilons
 
 
 class TestTable3Shape:

@@ -83,9 +83,6 @@ class TestRunSweep:
 
     def test_report_aggregates(self):
         report = run_sweep(_points(_square_point, 4))
-        assert report.total_point_time == pytest.approx(
-            sum(o.wall_time for o in report.outcomes)
-        )
         assert report.max_peak_rss_kib >= 0.0
         line = report.summary_line()
         assert "4 points" in line and "worker" in line

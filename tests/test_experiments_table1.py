@@ -30,7 +30,7 @@ class TestPaperNumbers:
 
     def test_table_has_two_steps(self):
         res = run_table1()
-        assert res.tables[0].row_count == len(PARTNER_SCRIPT) == 2
+        assert len(res.tables[0]._rows) == len(PARTNER_SCRIPT) == 2
 
     def test_step1_matches_worked_text_rows(self):
         # Worked text after step 1: N1 = (0.1, 0.5) beta 0.2.

@@ -248,8 +248,8 @@ def _receivers_depart_mid_round(sim, transport, overlay, engine):
 
 
 def _destination_unregisters_mid_round(sim, transport, overlay, engine):
-    sim.call_at(16.95, transport.unregister, 7)
-    sim.call_at(16.96, transport.unregister, 8)
+    sim.call_at(16.95, transport._handlers.pop, 7)
+    sim.call_at(16.96, transport._handlers.pop, 8)
     sim.call_at(17.2, transport.register, 7, weak_dispatcher(engine))
 
 

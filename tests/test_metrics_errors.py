@@ -6,8 +6,6 @@ import pytest
 from repro.errors import ValidationError
 from repro.metrics.errors import (
     kendall_tau,
-    l1_error,
-    linf_error,
     rank_overlap,
     rms_relative_error,
 )
@@ -44,14 +42,6 @@ class TestRmsRelativeError:
         u_small_hit = np.array([0.9, 0.2])
         u_big_hit = np.array([1.0, 0.1])
         assert rms_relative_error(v, u_small_hit) > rms_relative_error(v, u_big_hit)
-
-
-class TestVectorDistances:
-    def test_l1(self):
-        assert l1_error(np.array([0.5, 0.5]), np.array([0.4, 0.6])) == pytest.approx(0.2)
-
-    def test_linf(self):
-        assert linf_error(np.array([0.5, 0.5]), np.array([0.4, 0.65])) == pytest.approx(0.15)
 
 
 class TestRanking:

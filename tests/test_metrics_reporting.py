@@ -28,12 +28,6 @@ class TestTextTable:
         with pytest.raises(ValidationError):
             t.add_row([1])
 
-    def test_row_count(self):
-        t = TextTable(["a"])
-        t.add_row([1])
-        t.add_row([2])
-        assert t.row_count == 2
-
     def test_needs_columns(self):
         with pytest.raises(ValidationError):
             TextTable([])

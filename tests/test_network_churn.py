@@ -51,19 +51,6 @@ class TestDynamics:
         assert before < float("inf")
 
 
-class TestCallbacks:
-    def test_leave_and_join_hooks_fire(self):
-        sim, _overlay, churn = make(mean_session=5.0, mean_offline=5.0)
-        left, joined = [], []
-        churn.on_leave(left.append)
-        churn.on_join(joined.append)
-        churn.start()
-        sim.run(until=100.0)
-        assert len(left) == churn.departures
-        assert len(joined) == churn.rejoins
-        assert len(left) > 0
-
-
 class TestValidation:
     def test_rejects_nonpositive_session(self):
         sim = Simulator()
@@ -119,7 +106,15 @@ class TestRejoinUnderArmedSanitizer:
             sim, overlay, mean_session=40.0, mean_offline=10.0,
             min_alive=8, rng=streams.get("churn"),
         )
-        churn.on_join(eng.partnering.node_joined)
+        # Tell the partner strategy about every rejoin, as a fault plan's
+        # on_rejoin hook does.
+        rejoin = overlay.join
+
+        def rejoin_and_notify(node):
+            rejoin(node)
+            eng.partnering.node_joined(node)
+
+        overlay.join = rejoin_and_notify
         churn.start()
         set_sanitize_enabled(True)
         try:

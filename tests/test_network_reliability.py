@@ -117,13 +117,6 @@ class TestRetry:
         # Waits: T + 2T + 4T with T = ack_timeout.
         assert sim.now - t0 == pytest.approx(7.0 * reliable.ack_timeout)
 
-    def test_overhead_counts_retries_and_acks(self):
-        sim, _tr, reliable, _, _ = build(loss=0.4, seed=3, max_retries=4)
-        for i in range(8):
-            reliable.send(0, 1, i)
-        sim.run()
-        assert reliable.overhead_messages() == reliable.retries + reliable.acks_sent
-
 
 class TestDedup:
     def _envelope_msg(self, msg_id, payload="p"):

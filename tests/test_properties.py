@@ -21,7 +21,7 @@ from hypothesis.extra import numpy as hnp
 from repro.distributions.powerlaw import BoundedZipf
 from repro.distributions.query import TwoSegmentZipf
 from repro.gossip.convergence import average_relative_error
-from repro.gossip.pushsum import push_sum, push_sum_step
+from repro.gossip.pushsum import push_sum_step
 from tests.triplet_oracle import NodeVector
 from repro.network.dht import ChordRing
 from repro.storage.bloom import BloomFilter
@@ -63,10 +63,19 @@ class TestPushSumProperties:
         x = data.draw(masses(n))
         w = np.zeros(n)
         w[data.draw(st.integers(0, n - 1))] = 1.0
-        res = push_sum(x, w, epsilon=1e-9, max_steps=5000, rng=seed)
-        finite = res.estimates[np.isfinite(res.estimates)]
+        truth = x.sum()
+        # Uniform random partners, never self, as in Algorithm 1.
+        gen = np.random.default_rng(seed)
+        ids = np.arange(n)
+        for _ in range(400):
+            targets = gen.integers(0, n - 1, size=n)
+            targets[targets >= ids] += 1
+            x, w = push_sum_step(x, w, targets)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            estimates = x / w
+        finite = estimates[np.isfinite(estimates)]
         assert finite.size > 0
-        assert np.allclose(finite, x.sum(), rtol=1e-4, atol=1e-9)
+        assert np.allclose(finite, truth, rtol=1e-4, atol=1e-9)
 
 
 class TestTripletVectorProperties:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import BloomCapacityError, ValidationError
-from repro.storage.bloom import BloomFilter, CountingBloomFilter, optimal_parameters
+from repro.storage.bloom import BloomFilter, optimal_parameters
 
 
 class TestParameters:
@@ -61,12 +61,6 @@ class TestBloomFilter:
         with pytest.raises(ValidationError):
             BloomFilter(100).union(BloomFilter(200))
 
-    def test_estimated_fp_rate_grows_with_load(self):
-        bf = BloomFilter(100, 0.01)
-        empty = bf.estimated_false_positive_rate()
-        bf.update(range(100))
-        assert bf.estimated_false_positive_rate() > empty
-
     def test_size_bytes(self):
         bf = BloomFilter(1000, 0.01)
         assert bf.size_bytes == (bf.m + 7) // 8
@@ -78,44 +72,3 @@ class TestBloomFilter:
         b.add("x")
         assert np.array_equal(a._bits, b._bits)
 
-
-class TestCountingBloomFilter:
-    def test_add_remove_roundtrip(self):
-        cbf = CountingBloomFilter(100)
-        cbf.add("a")
-        cbf.add("b")
-        assert "a" in cbf
-        cbf.remove("a")
-        assert "a" not in cbf
-        assert "b" in cbf
-
-    def test_duplicate_adds_need_matching_removes(self):
-        cbf = CountingBloomFilter(100)
-        cbf.add("x")
-        cbf.add("x")
-        cbf.remove("x")
-        assert "x" in cbf
-        cbf.remove("x")
-        assert "x" not in cbf
-
-    def test_remove_never_added_rejected(self):
-        cbf = CountingBloomFilter(10)
-        with pytest.raises(ValidationError):
-            cbf.remove("ghost")
-
-    def test_capacity_enforced(self):
-        cbf = CountingBloomFilter(2)
-        cbf.add(1)
-        cbf.add(2)
-        with pytest.raises(BloomCapacityError):
-            cbf.add(3)
-
-    def test_no_false_negatives(self):
-        cbf = CountingBloomFilter(300)
-        for i in range(300):
-            cbf.add(i)
-        assert all(i in cbf for i in range(300))
-
-    def test_size_accounting(self):
-        cbf = CountingBloomFilter(100)
-        assert cbf.size_bytes == 2 * cbf.m

@@ -1,4 +1,7 @@
-"""``tools/bench_runner.py --compare``: the deterministic regression gate."""
+"""``tools/bench_runner.py --compare``: the regression gate.
+
+Seeded counts must match exactly; peak RSS must stay within a band.
+"""
 
 import copy
 import importlib.util
@@ -58,14 +61,40 @@ def test_a_deterministic_change_fails(runner, committed, tmp_path, edit, capsys)
     assert "changed " in capsys.readouterr().out
 
 
-def test_wall_time_and_rss_are_not_compared(runner, committed, tmp_path):
+def test_wall_time_is_not_compared(runner, committed, tmp_path):
     changed = copy.deepcopy(committed)
     for entry in changed["entries"]:
         entry["wall_time_s"] *= 3
-        entry["peak_rss_kib"] *= 2
     old = _write(tmp_path, "old.json", committed)
     new = _write(tmp_path, "new.json", changed)
     assert runner.main(["--compare", str(old), str(new)]) == 0
+
+
+def test_rss_within_band_passes(runner, committed, tmp_path):
+    changed = copy.deepcopy(committed)
+    for entry in changed["entries"]:
+        entry["peak_rss_kib"] += 0.99 * max(0.15 * entry["peak_rss_kib"], 20 * 1024)
+    old = _write(tmp_path, "old.json", committed)
+    new = _write(tmp_path, "new.json", changed)
+    assert runner.main(["--compare", str(old), str(new)]) == 0
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.5])
+def test_rss_outside_band_fails(runner, committed, tmp_path, factor, capsys):
+    changed = copy.deepcopy(committed)
+    point = changed["large_n"]["points"][-1]
+    point["peak_rss_kib"] *= factor
+    old = _write(tmp_path, "old.json", committed)
+    new = _write(tmp_path, "new.json", changed)
+    assert runner.main(["--compare", str(old), str(new)]) == 1
+    out = capsys.readouterr().out
+    assert "peak_rss_kib" in out
+    assert "0 deterministic changes, 1 peak-RSS changes" in out
+
+
+def test_small_cells_get_the_absolute_band(runner):
+    assert runner.rss_within_band(50 * 1024, 69 * 1024)
+    assert not runner.rss_within_band(50 * 1024, 71 * 1024)
 
 
 def test_only_shared_cells_are_compared(runner, committed):

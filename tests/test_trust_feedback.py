@@ -56,16 +56,11 @@ class TestDirectScores:
         ledger.set_score(1, 2, 0.6)
         ledger.set_score(1, 2, 0.0)
         assert ledger.score(1, 2) == 0.0
-        assert ledger.out_degree(1) == 0
+        assert ledger.row(1) == {}
 
     def test_negative_raw_score_rejected(self, ledger):
         with pytest.raises(ValidationError):
             ledger.set_score(1, 2, -0.5)
-
-    def test_add_score_clamps(self, ledger):
-        ledger.add_score(0, 1, 0.5)
-        ledger.add_score(0, 1, -2.0)
-        assert ledger.score(0, 1) == 0.0
 
 
 class TestValidation:
@@ -102,12 +97,6 @@ class TestViews:
         pairs = sorted(ledger.nonzero_pairs())
         assert pairs == [(0, 1, 1.0), (2, 3, 0.5)]
 
-    def test_out_degree_counts_positive_only(self, ledger):
-        ledger.set_score(0, 1, 1.0)
-        ledger.set_score(0, 2, 2.0)
-        ledger.record_transaction(0, 3, TransactionOutcome.INAUTHENTIC)
-        assert ledger.out_degree(0) == 2
-
 
 class TestDirtyRows:
     def test_fresh_ledger_has_no_dirty_rows(self, ledger):
@@ -116,15 +105,13 @@ class TestDirtyRows:
     def test_every_mutator_marks_its_rater(self, ledger):
         ledger.record_transaction(0, 1, TransactionOutcome.AUTHENTIC)
         ledger.set_score(2, 3, 1.5)
-        ledger.add_score(4, 0, 0.25)
-        assert ledger.dirty_rows() == frozenset({0, 2, 4})
+        assert ledger.dirty_rows() == frozenset({0, 2})
 
     def test_reads_do_not_mark_dirty(self, ledger):
         ledger.set_score(0, 1, 1.0)
         ledger.clear_dirty()
         ledger.score(0, 1)
         ledger.row(0)
-        ledger.out_degree(0)
         list(ledger.nonzero_pairs())
         assert ledger.dirty_rows() == frozenset()
 
@@ -153,11 +140,11 @@ class TestDirtyRows:
     def test_row_decayed_to_zero_drains_as_empty(self, ledger):
         ledger.set_score(0, 1, 1.0)
         ledger.clear_dirty()
-        ledger.add_score(0, 1, -1.0)
+        ledger.record_transaction(0, 1, TransactionOutcome.INAUTHENTIC)
         assert ledger.drain_dirty() == {0: {}}
 
     def test_remutation_after_drain_marks_again(self, ledger):
         ledger.set_score(0, 1, 1.0)
         ledger.drain_dirty()
-        ledger.add_score(0, 1, 0.5)
+        ledger.set_score(0, 1, 1.5)
         assert ledger.dirty_rows() == frozenset({0})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.trust.pretrust import PretrustVector, uniform_pretrust
+from repro.trust.pretrust import PretrustVector
 
 
 class TestConstruction:
@@ -15,7 +15,6 @@ class TestConstruction:
     def test_empty_members_is_uniform(self):
         p = PretrustVector(4)
         assert p.vector.tolist() == [0.25] * 4
-        assert uniform_pretrust(4).vector.tolist() == [0.25] * 4
 
     def test_members_frozen(self):
         p = PretrustVector(5, [0, 2])
@@ -26,12 +25,6 @@ class TestConstruction:
             PretrustVector(3, [3])
         with pytest.raises(ValidationError):
             PretrustVector(0)
-
-    def test_with_members_builds_new(self):
-        p = PretrustVector(4, [0])
-        q = p.with_members([1, 2])
-        assert q.members == frozenset({1, 2})
-        assert p.members == frozenset({0})
 
     def test_vector_is_copy(self):
         p = PretrustVector(3, [0])

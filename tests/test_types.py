@@ -1,40 +1,11 @@
-"""Value-type behaviors: GossipPair, Triplet, ReputationVector."""
+"""Value-type behaviors: Triplet, ReputationVector."""
 
 import math
 
 import pytest
 
-from repro.types import GossipPair, PeerClass, ReputationVector, Triplet
-
-
-class TestGossipPair:
-    def test_halved_splits_both_components(self):
-        pair = GossipPair(x=0.4, w=1.0)
-        half = pair.halved()
-        assert half == GossipPair(0.2, 0.5)
-
-    def test_merged_sums_components(self):
-        merged = GossipPair(0.1, 0.2).merged(GossipPair(0.3, 0.4))
-        assert merged.x == pytest.approx(0.4)
-        assert merged.w == pytest.approx(0.6)
-
-    def test_estimate_is_ratio(self):
-        assert GossipPair(0.1, 0.5).estimate == pytest.approx(0.2)
-
-    def test_estimate_with_zero_w_positive_x_is_inf(self):
-        assert GossipPair(0.1, 0.0).estimate == math.inf
-
-    def test_estimate_with_zero_mass_is_nan(self):
-        assert math.isnan(GossipPair(0.0, 0.0).estimate)
-
-    def test_halve_then_merge_restores_mass(self):
-        pair = GossipPair(0.3, 0.7)
-        half = pair.halved()
-        assert half.merged(half) == pair
-
-    def test_frozen(self):
-        with pytest.raises(AttributeError):
-            GossipPair(1.0, 1.0).x = 2.0
+from repro.types import PeerClass, ReputationVector
+from tests.triplet_oracle import Triplet
 
 
 class TestTriplet:

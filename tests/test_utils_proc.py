@@ -10,7 +10,6 @@ import numpy as np
 
 from repro.utils.proc import (
     PeakRssMeter,
-    current_rss_kib,
     peak_rss_kib,
     reset_peak_rss,
 )
@@ -19,18 +18,6 @@ from repro.utils.proc import (
 class TestLifetimeReaders:
     def test_peak_rss_positive_on_posix(self):
         assert peak_rss_kib() > 0.0
-
-    def test_current_rss_positive_on_linux(self):
-        rss = current_rss_kib()
-        if rss == 0.0:  # no procfs on this platform: "unknown" contract
-            return
-        assert rss > 1024.0  # a live python process is way past 1 MiB
-
-    def test_current_at_most_interval_peak(self):
-        meter = PeakRssMeter()
-        if not meter.exact:
-            return
-        assert current_rss_kib() <= meter.read_kib() + 1024.0
 
 
 class TestPeakRssMeter:

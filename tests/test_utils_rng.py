@@ -1,6 +1,5 @@
 """RNG stream management: determinism and independence."""
 
-import itertools
 import json
 import os
 import subprocess
@@ -10,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import repro
-from repro.utils.rng import RngStreams, as_generator, spawn_streams
+from repro.utils.rng import RngStreams, as_generator
 
 
 class TestAsGenerator:
@@ -32,38 +31,6 @@ class TestAsGenerator:
         a = as_generator(None).random(8)
         b = as_generator(None).random(8)
         assert not np.array_equal(a, b)
-
-
-class TestSpawnStreams:
-    def test_streams_are_independent_and_deterministic(self):
-        s1 = spawn_streams(42, ["a", "b"])
-        s2 = spawn_streams(42, ["a", "b"])
-        assert np.array_equal(s1["a"].random(4), s2["a"].random(4))
-        assert not np.array_equal(s1["a"].random(4), s1["b"].random(4))
-
-    def test_from_generator_source(self):
-        streams = spawn_streams(np.random.default_rng(1), ["x"])
-        assert isinstance(streams["x"], np.random.Generator)
-
-    def test_children_pairwise_independent(self):
-        # SeedSequence spawning must give every named child its own
-        # stream: no pair of children may emit the same draws, and none
-        # may mirror the root seed's direct stream.
-        names = ["topology", "feedback", "gossip", "workload", "threat"]
-        streams = spawn_streams(7, names)
-        draws = {name: streams[name].random(32) for name in names}
-        for a, b in itertools.combinations(names, 2):
-            assert not np.array_equal(draws[a], draws[b]), (a, b)
-        root_draws = as_generator(7).random(32)
-        for name in names:
-            assert not np.array_equal(draws[name], root_draws), name
-
-    def test_child_order_is_positional(self):
-        # The name->stream mapping is by position in the registry, so the
-        # same ordered names always get the same streams.
-        one = spawn_streams(13, ["a", "b"])
-        two = spawn_streams(13, ["b", "a"])
-        assert np.array_equal(one["a"].random(8), two["b"].random(8))
 
 
 class TestRngStreams:
@@ -110,15 +77,12 @@ class TestRngStreams:
 
 _SUBPROCESS_SNIPPET = """\
 import json
-from repro.utils.rng import RngStreams, spawn_streams
+from repro.utils.rng import RngStreams
 
 streams = RngStreams(123)
-spawned = spawn_streams(123, ["a", "b"])
 print(json.dumps({
     "gossip": streams.get("gossip").random(8).tolist(),
     "topology": streams.get("topology").random(8).tolist(),
-    "a": spawned["a"].random(8).tolist(),
-    "b": spawned["b"].random(8).tolist(),
 }))
 """
 
@@ -138,11 +102,8 @@ class TestCrossProcessDeterminism:
         remote = json.loads(out.stdout)
 
         streams = RngStreams(123)
-        spawned = spawn_streams(123, ["a", "b"])
         local = {
             "gossip": streams.get("gossip").random(8).tolist(),
             "topology": streams.get("topology").random(8).tolist(),
-            "a": spawned["a"].random(8).tolist(),
-            "b": spawned["b"].random(8).tolist(),
         }
         assert remote == local

@@ -10,7 +10,6 @@ from repro.utils.validation import (
     check_positive,
     check_probability,
     check_square_matrix,
-    check_stochastic_rows,
     check_vector,
 )
 
@@ -72,16 +71,3 @@ class TestArrays:
             check_square_matrix("m", np.ones((2, 3)))
         with pytest.raises(ValidationError):
             check_square_matrix("m", np.full((2, 2), np.inf))
-
-    def test_check_stochastic_rows_accepts_stochastic(self):
-        m = np.array([[0.5, 0.5], [0.25, 0.75]])
-        assert check_stochastic_rows("m", m) is not None
-
-    def test_check_stochastic_rows_rejects_bad_sum(self):
-        with pytest.raises(ValidationError, match="sum to 1"):
-            check_stochastic_rows("m", np.array([[0.5, 0.4], [0.5, 0.5]]))
-
-    def test_check_stochastic_rows_rejects_out_of_range_entries(self):
-        m = np.array([[1.5, -0.5], [0.5, 0.5]])
-        with pytest.raises(ValidationError):
-            check_stochastic_rows("m", m)

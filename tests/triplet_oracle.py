@@ -18,6 +18,7 @@ does not share the kernel it checks.
 change the known set (``merge``, ``reset``) invalidate the caches.
 """
 
+from dataclasses import dataclass
 from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,7 +26,22 @@ from scipy import sparse
 
 from repro.errors import ValidationError
 from repro.gossip.vector import PopulationStore
-from repro.types import Triplet
+
+
+@dataclass(frozen=True)
+class Triplet:
+    """One reputation-vector element ``<x_id, id, w_id>`` (Algorithm 2)."""
+
+    x: float
+    node: int
+    w: float
+
+    @property
+    def estimate(self) -> float:
+        """Gossiped global score of ``node``."""
+        if self.w == 0.0:  # noqa: GT004 -- exact sentinel: w is 0.0 only before any mass arrives, never a rounded-down tiny value
+            return float("inf") if self.x > 0 else float("nan")
+        return self.x / self.w
 
 
 def three_pass_estimates(X: np.ndarray, W: np.ndarray, out: np.ndarray) -> np.ndarray:

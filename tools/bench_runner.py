@@ -87,14 +87,17 @@ least 16 columns and 2^16 entries each), so the provenance stamps
 n = 10^6 64-column probe cycle, which steps one column block per
 thread).
 
-``--compare OLD NEW`` is the deterministic regression gate: over the
-cells both payloads share (per-cycle entries by engine, n and options;
-end-to-end runs by n; the service and its epochs by n; large-n points
-by n and dtype; resilience cells by n, plan and cell), it exits 1 on
-any change in steps, cycles, ``converged``, nnz, messages, bytes,
-drops, events or a resilience cell's error, isolated count or
-overhead — seeded runs make all of them exact — and exits 2 when the
-files share no cell.  Wall times and RSS are not compared.
+``--compare OLD NEW`` is the regression gate: over the cells both
+payloads share (per-cycle entries by engine, n and options; end-to-end
+runs by n; the service and its epochs by n; large-n points by n and
+dtype; resilience cells by n, plan and cell), it exits 1 on any change
+in steps, cycles, ``converged``, nnz, messages, bytes, drops, events or
+a resilience cell's error, isolated count or overhead — seeded runs
+make all of them exact — and on a ``peak_rss_kib`` that moved by more
+than the larger of 15% and 20 MiB (RSS barely moves between runs, so
+the band passes library-version drift and catches a regression or a
+stale baseline).  It exits 2 when the files share no cell.  Wall times
+are not compared.
 
 Usage::
 
@@ -555,13 +558,26 @@ DETERMINISTIC_FIELDS = (
     "messages", "bytes", "dropped", "events",
 )
 
+#: a cell's peak RSS may move by the larger of these (perfbench's RSS
+#: bound, and a floor for small cells) before the compare fails
+RSS_BAND_FRACTION = 0.15
+RSS_BAND_KIB = 20 * 1024
+
 
 def deterministic_cells(payload: dict) -> dict:
-    """``{cell key: {field: value}}`` of a payload's deterministic metrics."""
+    """``{cell key: {field: value}}`` of a payload's gated metrics.
+
+    The deterministic fields plus ``peak_rss_kib`` where a cell records
+    it, which the compare checks within its band rather than exactly.
+    """
     cells = {}
 
     def add(key: tuple, record: dict) -> None:
-        picked = {f: record[f] for f in DETERMINISTIC_FIELDS if f in record}
+        picked = {
+            f: record[f]
+            for f in DETERMINISTIC_FIELDS + ("peak_rss_kib",)
+            if f in record
+        }
         if picked:
             cells[key] = picked
 
@@ -588,8 +604,13 @@ def deterministic_cells(payload: dict) -> dict:
     return cells
 
 
+def rss_within_band(was: float, now: float) -> bool:
+    """Whether a peak-RSS reading stayed inside the compare's band."""
+    return abs(now - was) <= max(RSS_BAND_FRACTION * was, RSS_BAND_KIB)
+
+
 def compare(old: dict, new: dict) -> tuple:
-    """``(shared cell count, differences)`` of two payloads' deterministic metrics.
+    """``(shared cell count, differences)`` of two payloads' gated metrics.
 
     Raises ``ValueError`` when the payloads share no cell (a comparison
     that checks nothing must not pass).
@@ -602,9 +623,16 @@ def compare(old: dict, new: dict) -> tuple:
     diffs = []
     for key in shared:
         for field, was in before[key].items():
-            if field in after[key] and after[key][field] != was:
-                cell = "/".join(str(part) for part in key)
-                diffs.append(f"{cell}: {field} {was!r} -> {after[key][field]!r}")
+            if field not in after[key]:
+                continue
+            now = after[key][field]
+            if field == "peak_rss_kib":
+                if rss_within_band(was, now):
+                    continue
+            elif now == was:
+                continue
+            cell = "/".join(str(part) for part in key)
+            diffs.append(f"{cell}: {field} {was!r} -> {now!r}")
     return len(shared), diffs
 
 
@@ -619,7 +647,11 @@ def run_compare(old_path: pathlib.Path, new_path: pathlib.Path) -> int:
         return 2
     for line in diffs:
         print(f"changed {line}")
-    print(f"compare: {shared} shared cells, {len(diffs)} deterministic changes")
+    rss = sum(": peak_rss_kib " in line for line in diffs)
+    print(
+        f"compare: {shared} shared cells, {len(diffs) - rss} deterministic "
+        f"changes, {rss} peak-RSS changes outside the band"
+    )
     return 1 if diffs else 0
 
 
@@ -717,8 +749,9 @@ def main(argv=None) -> int:
         nargs=2,
         type=pathlib.Path,
         metavar=("OLD", "NEW"),
-        help="compare two payloads' deterministic metrics over their shared "
-        "cells (exit 1 on a change, 2 when they share no cell); runs nothing",
+        help="compare two payloads' deterministic metrics and peak RSS over "
+        "their shared cells (exit 1 on a change, 2 when they share no cell); "
+        "runs nothing",
     )
     args = parser.parse_args(argv)
     if args.compare:
