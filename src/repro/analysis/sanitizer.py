@@ -53,6 +53,9 @@ ENV_FLAG = "REPRO_SANITIZE"
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
+#: largest distance of a normalized trust row's sum from 1
+_ROW_SUM_ATOL = 1e-8
+
 #: programmatic override of the env flag (None = defer to environment)
 _FORCED: Optional[bool] = None
 
@@ -243,12 +246,12 @@ class InvariantSanitizer:
             )
 
     def check_row_stochastic(
-        self, row_sums: np.ndarray, *, where: str = "trust matrix", atol: float = 1e-8
+        self, row_sums: np.ndarray, *, where: str = "trust matrix"
     ) -> None:
         """Eq. 1 post-normalization: every row of ``S`` sums to 1."""
         self.checks += 1
         sums = np.asarray(row_sums, dtype=np.float64).ravel()
-        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= atol))
+        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= _ROW_SUM_ATOL))
         if bad.size:
             i = int(bad[0])
             self._fail(

@@ -16,9 +16,13 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import ConvergenceError, ValidationError
-from repro.trust.matrix import TrustMatrix
+from repro.trust.matrix import TrustMatrix, as_csr
 
 __all__ = ["CentralizedEigenvector"]
+
+#: largest L1 distance between the power-iteration and ARPACK vectors
+#: that :meth:`CentralizedEigenvector.compute` accepts
+_CHECK_TOL = 1e-6
 
 
 @dataclass
@@ -48,12 +52,7 @@ class CentralizedEigenvector:
         tol: float = 1e-12,
         max_iter: int = 100_000,
     ):
-        if isinstance(S, TrustMatrix):
-            self._S = S.sparse()
-        elif sparse.issparse(S):
-            self._S = S.tocsr()
-        else:
-            self._S = sparse.csr_matrix(np.asarray(S, dtype=np.float64))
+        self._S = as_csr(S)
         if self._S.shape[0] != self._S.shape[1]:
             raise ValidationError(f"matrix must be square, got {self._S.shape}")
         if not tol > 0:
@@ -128,20 +127,20 @@ class CentralizedEigenvector:
             raise ConvergenceError("ARPACK eigenvector is not sign-definite")
         return vec / total
 
-    def compute(self, *, cross_check: bool = False, check_tol: float = 1e-6) -> np.ndarray:
+    def compute(self, *, cross_check: bool = False) -> np.ndarray:
         """The reference vector (power iteration), optionally ARPACK-checked.
 
         Raises
         ------
         ConvergenceError
-            If the two methods disagree by more than ``check_tol`` in L1
+            If the two methods disagree by more than ``_CHECK_TOL`` in L1
             (indicates a defective or periodic chain).
         """
         result = self.power_iteration()
         if cross_check:
             other = self.arpack()
             dist = float(np.abs(result.vector - other).sum())
-            if dist > check_tol:
+            if dist > _CHECK_TOL:
                 raise ConvergenceError(
                     f"power iteration and ARPACK disagree by L1={dist:.3g}"
                 )

@@ -24,11 +24,20 @@ from scipy import sparse
 
 from repro.errors import ConvergenceError, ValidationError
 from repro.network.dht import ChordRing
-from repro.trust.matrix import TrustMatrix
+from repro.trust.matrix import TrustMatrix, as_csr
 from repro.trust.pretrust import PretrustVector
 from repro.utils.validation import check_in_range
 
 __all__ = ["EigenTrustResult", "EigenTrust", "DistributedEigenTrust"]
+
+#: L1 convergence tolerance between iterates
+_TOL = 1e-10
+
+#: iteration budget
+_MAX_ITER = 10_000
+
+#: Chord identifier width of the score managers' ring
+_RING_BITS = 32
 
 
 @dataclass
@@ -44,14 +53,6 @@ class EigenTrustResult:
     messages: int = 0
 
 
-def _coerce(S: Union[TrustMatrix, sparse.spmatrix, np.ndarray]) -> sparse.csr_matrix:
-    if isinstance(S, TrustMatrix):
-        return S.sparse()
-    if sparse.issparse(S):
-        return S.tocsr()
-    return sparse.csr_matrix(np.asarray(S, dtype=np.float64))
-
-
 class EigenTrust:
     """Basic EigenTrust iteration with static pre-trusted peers.
 
@@ -65,8 +66,9 @@ class EigenTrust:
     a:
         Pre-trust mixing weight (EigenTrust's ``a``; analogous to the
         paper's greedy factor).
-    tol:
-        L1 convergence tolerance between iterates.
+
+    Iterates until successive vectors differ by less than ``_TOL`` in
+    L1, within ``_MAX_ITER`` iterations.
     """
 
     def __init__(
@@ -75,32 +77,28 @@ class EigenTrust:
         *,
         pretrusted: Iterable[int] = (),
         a: float = 0.15,
-        tol: float = 1e-10,
-        max_iter: int = 10_000,
     ):
-        self._S = _coerce(S)
+        self._S = as_csr(S)
         self.n = self._S.shape[0]
         check_in_range("a", a, low=0.0, high=1.0, high_inclusive=False)
         self.a = float(a)
-        self.tol = float(tol)
-        self.max_iter = int(max_iter)
         self._P = PretrustVector(self.n, pretrusted)
         self._ST = self._S.T.tocsr()
 
     def compute(self) -> EigenTrustResult:
         """Iterate to the EigenTrust fixed point."""
         v = np.full(self.n, 1.0 / self.n)
-        for it in range(1, self.max_iter + 1):
+        for it in range(1, _MAX_ITER + 1):
             v_new = self._ST @ v
             if self.a > 0:
                 v_new = self._P.mix(v_new, self.a)
             resid = float(np.abs(v_new - v).sum())
             v = v_new
-            if resid < self.tol:
+            if resid < _TOL:
                 return EigenTrustResult(vector=v, iterations=it, converged=True)
         raise ConvergenceError(
-            f"EigenTrust did not converge in {self.max_iter} iterations",
-            steps=self.max_iter,
+            f"EigenTrust did not converge in {_MAX_ITER} iterations",
+            steps=_MAX_ITER,
             residual=resid,
         )
 
@@ -123,16 +121,13 @@ class DistributedEigenTrust(EigenTrust):
         *,
         pretrusted: Iterable[int] = (),
         a: float = 0.15,
-        tol: float = 1e-10,
-        max_iter: int = 10_000,
         replicas: int = 3,
-        ring_bits: int = 32,
     ):
-        super().__init__(S, pretrusted=pretrusted, a=a, tol=tol, max_iter=max_iter)
+        super().__init__(S, pretrusted=pretrusted, a=a)
         if replicas < 1:
             raise ValidationError(f"replicas must be >= 1, got {replicas}")
         self.replicas = int(replicas)
-        self.ring = ChordRing(range(self.n), bits=ring_bits)
+        self.ring = ChordRing(range(self.n), bits=_RING_BITS)
 
     def compute(self) -> EigenTrustResult:
         """Run the iteration and model the DHT traffic it would cost."""

@@ -26,10 +26,16 @@ from scipy import sparse
 from repro.core.power_nodes import PowerNodeSelector
 from repro.errors import ConvergenceError
 from repro.network.dht import ChordRing
-from repro.trust.matrix import TrustMatrix
+from repro.trust.matrix import TrustMatrix, as_csr
 from repro.utils.validation import check_in_range
 
 __all__ = ["PowerTrustResult", "PowerTrust"]
+
+#: L1 convergence tolerance between iterates
+_TOL = 1e-10
+
+#: iteration budget
+_MAX_ITER = 10_000
 
 
 @dataclass
@@ -57,8 +63,6 @@ class PowerTrust:
         Fraction of peers selected as power nodes (default 1%).
     lookahead:
         Enable the look-ahead random walk (iterate on ``S @ S``).
-    tol, max_iter:
-        L1 convergence control.
     ring_bits:
         Chord identifier width for the overhead model (None disables
         DHT accounting entirely — pure-math mode).
@@ -71,23 +75,14 @@ class PowerTrust:
         alpha: float = 0.15,
         power_fraction: float = 0.01,
         lookahead: bool = True,
-        tol: float = 1e-10,
-        max_iter: int = 10_000,
         ring_bits: Optional[int] = 32,
     ):
-        if isinstance(S, TrustMatrix):
-            self._S = S.sparse()
-        elif sparse.issparse(S):
-            self._S = S.tocsr()
-        else:
-            self._S = sparse.csr_matrix(np.asarray(S, dtype=np.float64))
+        self._S = as_csr(S)
         self.n = self._S.shape[0]
         check_in_range("alpha", alpha, low=0.0, high=1.0, high_inclusive=False)
         check_in_range("power_fraction", power_fraction, low=0.0, high=1.0)
         self.alpha = float(alpha)
         self.lookahead = bool(lookahead)
-        self.tol = float(tol)
-        self.max_iter = int(max_iter)
         q = max(1, int(self.n * power_fraction)) if alpha > 0 else 0
         self._selector = PowerNodeSelector(self.n, q)
         self._ring = ChordRing(range(self.n), bits=ring_bits) if ring_bits else None
@@ -107,7 +102,7 @@ class PowerTrust:
         resid = float("inf")
         converged = False
         iters = 0
-        for iters in range(1, self.max_iter + 1):
+        for iters in range(1, _MAX_ITER + 1):
             v_new = self._MT @ v
             if self.alpha > 0:
                 v_new = mixing.mix(v_new, self.alpha)
@@ -117,13 +112,13 @@ class PowerTrust:
             v_new /= total
             resid = float(np.abs(v_new - v).sum())
             v = v_new
-            if resid < self.tol:
+            if resid < _TOL:
                 converged = True
                 break
         if not converged:
             raise ConvergenceError(
-                f"PowerTrust did not converge in {self.max_iter} iterations",
-                steps=self.max_iter,
+                f"PowerTrust did not converge in {_MAX_ITER} iterations",
+                steps=_MAX_ITER,
                 residual=resid,
             )
         power = self._selector.select(v)

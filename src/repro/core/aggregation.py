@@ -11,7 +11,7 @@ centralized baseline for the accuracy experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Union
+from typing import FrozenSet, Optional, Union
 
 import numpy as np
 from scipy import sparse
@@ -20,7 +20,7 @@ from repro.core.config import GossipTrustConfig
 from repro.core.power_nodes import PowerNodeSelector
 from repro.errors import ConvergenceError
 from repro.gossip.convergence import CycleConvergenceDetector
-from repro.trust.matrix import TrustMatrix
+from repro.trust.matrix import TrustMatrix, as_csr
 from repro.trust.pretrust import PretrustVector
 
 __all__ = ["ExactAggregation", "exact_global_reputation"]
@@ -40,8 +40,6 @@ class ExactAggregation:
     power_nodes: FrozenSet[int]
     #: residual (average relative error) at the last cycle
     residual: float
-    #: per-cycle vectors, index 0 is V(1) (kept for convergence studies)
-    trajectory: List[np.ndarray]
 
 
 def exact_global_reputation(
@@ -49,7 +47,6 @@ def exact_global_reputation(
     config: Optional[GossipTrustConfig] = None,
     *,
     power_nodes: Optional[FrozenSet[int]] = None,
-    record_trajectory: bool = False,
     raise_on_budget: bool = True,
 ) -> ExactAggregation:
     """Iterate ``V <- (1-alpha) S^T V + alpha P`` exactly until delta.
@@ -73,17 +70,10 @@ def exact_global_reputation(
     power_nodes:
         Power nodes carried over from the previous aggregation round
         (``None`` or empty: ``P`` degrades to uniform).
-    record_trajectory:
-        Keep every intermediate vector (memory: cycles x n).
     raise_on_budget:
         Raise :class:`ConvergenceError` when ``max_cycles`` is exhausted.
     """
-    if isinstance(S, TrustMatrix):
-        mat = S.sparse()
-    elif sparse.issparse(S):
-        mat = S.tocsr()
-    else:
-        mat = sparse.csr_matrix(np.asarray(S, dtype=np.float64))
+    mat = as_csr(S)
     n = mat.shape[0]
     if config is None:
         config = GossipTrustConfig(n=n)
@@ -96,15 +86,12 @@ def exact_global_reputation(
     detector = CycleConvergenceDetector(config.delta)
     v = np.full(n, 1.0 / n)
     detector.update(v)  # V(0) is the comparison base for cycle 1
-    trajectory: List[np.ndarray] = []
     converged = False
     cycles = 0
     for cycles in range(1, config.max_cycles + 1):
         v_new = ST @ v
         if config.alpha > 0:
             v_new = mixing.mix(v_new, config.alpha)
-        if record_trajectory:
-            trajectory.append(v_new.copy())
         if detector.update(v_new):
             v = v_new
             converged = True
@@ -124,5 +111,4 @@ def exact_global_reputation(
         converged=converged,
         power_nodes=next_power,
         residual=detector.last_residual,
-        trajectory=trajectory,
     )

@@ -37,7 +37,7 @@ from repro.gossip.base import CycleEngine, GossipCycleResult
 from repro.gossip.convergence import CycleConvergenceDetector, average_relative_error
 from repro.gossip.factory import make_engine
 from repro.metrics.telemetry import CycleRecord, CycleTelemetry, Stopwatch
-from repro.trust.matrix import TrustMatrix
+from repro.trust.matrix import TrustMatrix, as_csr
 from repro.trust.pretrust import PretrustVector
 from repro.types import ReputationVector
 from repro.utils.logging import get_logger
@@ -138,12 +138,7 @@ class GossipTrust:
         power_nodes: Optional[FrozenSet[int]] = None,
         rng: SeedLike = None,
     ) -> None:
-        if isinstance(trust, TrustMatrix):
-            self.S = trust
-        elif sparse.issparse(trust):
-            self.S = TrustMatrix(trust.tocsr())
-        else:
-            self.S = TrustMatrix(sparse.csr_matrix(np.asarray(trust, dtype=np.float64)))
+        self.S = trust if isinstance(trust, TrustMatrix) else TrustMatrix(as_csr(trust))
         n = self.S.n
         self.config = config if config is not None else GossipTrustConfig(n=n)
         if self.config.n != n:
@@ -179,7 +174,6 @@ class GossipTrust:
         raise_on_budget: bool = True,
         compute_reference: Optional[bool] = None,
         on_cycle: Optional[Callable[[CycleRecord], None]] = None,
-        telemetry: Optional[CycleTelemetry] = None,
     ) -> GossipTrustResult:
         """Run one aggregation round (cycles to delta convergence).
 
@@ -217,15 +211,15 @@ class GossipTrust:
             :class:`~repro.metrics.telemetry.CycleRecord` after every
             cycle — a lightweight hook for progress display or custom
             metrics.
-        telemetry:
-            Recorder to append to; a fresh
-            :class:`~repro.metrics.telemetry.CycleTelemetry` is created
-            when omitted.  Attached to the result either way.
+
+        The run records every cycle in a fresh
+        :class:`~repro.metrics.telemetry.CycleTelemetry`, attached to
+        the result.
         """
         cfg = self.config
         n = cfg.n
         detector = CycleConvergenceDetector(cfg.delta)
-        recorder = telemetry if telemetry is not None else CycleTelemetry()
+        recorder = CycleTelemetry()
         warm_started = v0 is not None
         if v0 is None:
             v = np.full(n, 1.0 / n)

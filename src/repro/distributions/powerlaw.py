@@ -27,6 +27,12 @@ __all__ = [
     "FeedbackCountDistribution",
 ]
 
+#: bisection stops once the exponent bracket is narrower than this
+_BISECT_TOL = 1e-10
+
+#: bisection step budget
+_BISECT_STEPS = 200
+
 
 def powerlaw_weights(n: int, exponent: float) -> np.ndarray:
     """Unnormalized power-law rank weights ``w_i = i ** -exponent``.
@@ -57,9 +63,7 @@ def _zipf_mean(exponent: float, kmax: int) -> float:
     return float((k * w).sum() / w.sum())
 
 
-def solve_zipf_exponent_for_mean(
-    target_mean: float, kmax: int, *, tol: float = 1e-10, max_iter: int = 200
-) -> float:
+def solve_zipf_exponent_for_mean(target_mean: float, kmax: int) -> float:
     """Find the bounded-Zipf exponent whose mean on ``{1..kmax}`` is ``target_mean``.
 
     The mean of the bounded Zipf on ``{1..kmax}`` decreases monotonically
@@ -87,13 +91,13 @@ def solve_zipf_exponent_for_mean(
         hi *= 2.0
         if hi > 64:  # pragma: no cover - defensive; mean -> 1 well before this
             break
-    for _ in range(max_iter):
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         if _zipf_mean(mid, kmax) > target_mean:
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol:
+        if hi - lo < _BISECT_TOL:
             break
     return 0.5 * (lo + hi)
 

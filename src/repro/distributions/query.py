@@ -81,11 +81,6 @@ class TwoSegmentZipf:
         u = gen.random(size)
         return np.searchsorted(self._cdf, u, side="right").astype(np.int64) + 1
 
-    def probability(self, rank: int) -> float:
-        """Probability mass of a single rank."""
-        check_in_range("rank", rank, low=1, high=self.n)
-        return float(self._pmf[int(rank) - 1])
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"TwoSegmentZipf(n={self.n}, head={self.head_exponent}, "

@@ -11,7 +11,7 @@ from the sampled feedback counts and filled one row block at a time —
 partner draws, within-row deduplication, scores and the Eq. 1 row
 normalization all run vectorized over the block, with no Python-list
 or dense intermediate anywhere.  Peak construction memory is the CSR
-output plus O(block_rows * d_avg) transients, which is what lets the
+output plus O(_BLOCK_ROWS * d_avg) transients, which is what lets the
 n = 10^6 benchmark tier build its ~2 * 10^7-edge matrix in a few
 hundred MB instead of gigabytes of list overhead.
 """
@@ -30,7 +30,8 @@ from repro.utils.rng import SeedLike, as_generator
 
 __all__ = ["synthetic_trust_matrix"]
 
-#: rows filled per streaming block (~1.3M draws at d_avg = 20)
+#: rows filled per streaming block (~1.3M draws at d_avg = 20); it
+#: changes memory traffic only, never the distribution
 _BLOCK_ROWS = 65_536
 
 
@@ -39,21 +40,15 @@ def synthetic_trust_matrix(
     *,
     feedback_dist: Optional[FeedbackCountDistribution] = None,
     rng: SeedLike = None,
-    block_rows: int = _BLOCK_ROWS,
 ) -> TrustMatrix:
     """A power-law-feedback trust matrix over ``n`` honest peers.
 
     Each rater ``i`` draws its feedback count ``d_i`` from the bounded
     power law, rates ``d_i`` distinct uniform partners, and assigns each
     a uniform(0, 1] raw score; Eq. 1 normalization follows.
-
-    ``block_rows`` sets the streaming granularity (rows per block); it
-    changes memory traffic only, never the distribution.
     """
     if n < 2:
         raise ValidationError(f"n must be >= 2, got {n}")
-    if block_rows < 1:
-        raise ValidationError(f"block_rows must be >= 1, got {block_rows}")
     gen = as_generator(rng)
     dist = feedback_dist or FeedbackCountDistribution()
     counts = np.minimum(dist.sample_counts(n, gen), n - 1)
@@ -63,8 +58,8 @@ def synthetic_trust_matrix(
     idx_dt = np.int32 if max(n, total) < np.iinfo(np.int32).max else np.int64
     indices = np.empty(total, dtype=idx_dt)
     data = np.empty(total, dtype=np.float64)
-    for lo in range(0, n, block_rows):
-        hi = min(lo + block_rows, n)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
         c = counts[lo:hi]
         tb = int(c.sum())
         if tb == 0:  # pragma: no cover - counts are >= 1 by construction

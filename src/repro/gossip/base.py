@@ -29,14 +29,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Union
+from typing import ClassVar, Dict, Mapping, Optional, Sequence, Union
 
 import numpy as np
 from scipy import sparse
 
 from repro.analysis.sanitizer import InvariantSanitizer
 from repro.errors import ValidationError
-from repro.trust.matrix import TrustMatrix, rows_to_csr
+from repro.trust.matrix import TrustMatrix, as_csr, rows_to_csr
 
 try:  # the C kernel behind scipy's CSC matrix-times-dense products
     from scipy.sparse._sparsetools import csc_matvecs as _csc_matvecs
@@ -114,15 +114,11 @@ class CycleEngine(ABC):
     """Abstract base of every gossip-cycle executor.
 
     Subclasses implement :meth:`run_cycle` and set :attr:`name` (the
-    registry identifier).  They are expected to append each cycle's
-    step count to :attr:`cycle_steps` so step accounting is uniform.
+    registry identifier).
     """
 
     #: registry name (``"sync"``, ``"message"``, ``"async"``, ``"structured"``)
     name: ClassVar[str] = ""
-
-    #: per-cycle step log, appended by every ``run_cycle`` call
-    cycle_steps: List[int]
 
     #: armed runtime invariant checker, or None (the default: no checks)
     sanitizer: Optional[InvariantSanitizer] = None
@@ -150,29 +146,24 @@ class CycleEngine(ABC):
         self.sanitizer = sanitizer
         return sanitizer
 
-    def clear_stats(self) -> None:
-        """Reset the per-cycle step log (and any engine counters)."""
-        self.cycle_steps = []
-
 
 def coerce_csr(
     S: Union[TrustInput, Sequence[Mapping[int, float]]], n: int
 ) -> sparse.csr_matrix:
     """Coerce any accepted matrix form to an (n, n) CSR matrix.
 
-    A :class:`TrustMatrix` serves its own CSR (no copy), a sparse matrix
-    converts, a sequence of per-node row mappings ``{j: s_ij}`` is
-    assembled by :func:`~repro.trust.matrix.rows_to_csr`, and anything
-    else is read as a dense array.
+    A sequence of per-node row mappings ``{j: s_ij}`` is assembled by
+    :func:`~repro.trust.matrix.rows_to_csr`; every other form goes
+    through :func:`~repro.trust.matrix.as_csr`.
     """
-    if isinstance(S, TrustMatrix):
-        mat = S.sparse()
-    elif sparse.issparse(S):
-        mat = S.tocsr()
-    elif not isinstance(S, np.ndarray) and all(isinstance(r, Mapping) for r in S):
+    if (
+        not isinstance(S, (TrustMatrix, np.ndarray))
+        and not sparse.issparse(S)
+        and all(isinstance(r, Mapping) for r in S)
+    ):
         mat = rows_to_csr(S, n)
     else:
-        mat = sparse.csr_matrix(np.asarray(S, dtype=np.float64))
+        mat = as_csr(S)
     if mat.shape != (n, n):
         raise ValidationError(f"matrix shape {mat.shape} does not match engine n={n}")
     return mat

@@ -27,12 +27,20 @@ __all__ = [
     "CycleConvergenceDetector",
 ]
 
+#: floor of the epsilon check's relative-change denominators, in every
+#: engine: genuine zero estimates (peers with no inbound trust mass)
+#: compare as absolute changes against it
+REL_FLOOR = 1e-12
 
-def average_relative_error(new: np.ndarray, old: np.ndarray, *, floor: float = 1e-15) -> float:
-    """Mean of ``|new_i - old_i| / max(old_i, floor)`` over all components.
+#: floor of :func:`average_relative_error`'s denominators
+_ERROR_FLOOR = 1e-15
+
+
+def average_relative_error(new: np.ndarray, old: np.ndarray) -> float:
+    """Mean of ``|new_i - old_i| / max(old_i, 1e-15)`` over all components.
 
     The paper's cycle criterion ("average relative error between V(d)
-    and V(d+1)").  ``floor`` guards division when a score is (numerically)
+    and V(d+1)").  The floor (``_ERROR_FLOOR``) guards division when a score is (numerically)
     zero; reputation scores are probabilities so genuine zeros only occur
     for peers nobody rated.
     """
@@ -49,7 +57,7 @@ def average_relative_error(new: np.ndarray, old: np.ndarray, *, floor: float = 1
         # Nothing comparable: report "infinitely far", never nan, so
         # thresholded callers (residual <= delta) behave monotonically.
         return float("inf")
-    denom = np.maximum(np.abs(b[finite]), floor)
+    denom = np.maximum(np.abs(b[finite]), _ERROR_FLOOR)
     return float(np.mean(np.abs(a[finite] - b[finite]) / denom))
 
 

@@ -84,7 +84,7 @@ from repro.gossip.base import (
     _csc_matvecs,
     coerce_csr,
 )
-from repro.gossip.convergence import average_relative_error
+from repro.gossip.convergence import REL_FLOOR, average_relative_error
 from repro.metrics.telemetry import Stopwatch
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_in_range, check_vector
@@ -102,16 +102,12 @@ DTYPE_NAMES = ("float64", "float32")
 #: above this node count, auto mode switches from full to probe
 _FULL_MODE_LIMIT = 1500
 
-#: floor for relative-change denominators; genuine zero estimates (peers
-#: with no inbound trust mass) compare as absolute changes against this
-_REL_FLOOR = 1e-12
-
 #: once a coarse check sees a residual below _FINE_FACTOR * epsilon the
 #: step loop switches to per-step checks (Algorithm 1's granularity)
 _FINE_FACTOR = 8.0
 
-#: above this many B elements, run_cycle's column statistics go blocked
-#: (no (n, p)-sized temporaries) instead of one-shot nan-reductions
+#: above this many B elements, run_cycle's column statistics run over
+#: row blocks and sum in float64 instead of one-shot reductions
 _BLOCKED_STATS_LIMIT = 1 << 24
 
 #: elements per estimate/residual row tile (~1 MiB of float64): the
@@ -335,7 +331,8 @@ class SynchronousGossipEngine(CycleEngine):
     mode:
         ``"full"``, ``"probe"``, or ``"auto"`` (probe iff n > 1500).
     max_steps:
-        Per-cycle gossip step budget.
+        Per-cycle gossip step budget; a cycle that exhausts it raises
+        :class:`~repro.errors.ConvergenceError`.
     dtype:
         Buffer precision, ``"float64"`` (default) or ``"float32"``.
         float32 halves every workspace buffer; because each step only
@@ -412,25 +409,16 @@ class SynchronousGossipEngine(CycleEngine):
         self._dtype = np.dtype(dtype)
         self._rng = as_generator(rng)
         self._sparse_workspace: SparseWorkspace | None = None
-        #: steps used by each cycle run so far (reset via clear_stats)
-        self.cycle_steps: list = []
 
     # -- public API --------------------------------------------------------
 
-    def run_cycle(
-        self,
-        S: TrustInput,
-        v: np.ndarray,
-        *,
-        raise_on_budget: bool = True,
-    ) -> GossipCycleResult:
+    def run_cycle(self, S: TrustInput, v: np.ndarray) -> GossipCycleResult:
         """Gossip one aggregation cycle: estimate ``S^T v`` on every node.
 
         Raises
         ------
         ConvergenceError
-            If the epsilon criterion is not met in ``max_steps`` (unless
-            ``raise_on_budget=False``, which returns the best effort).
+            If the epsilon criterion is not met in ``max_steps``.
         """
         watch = Stopwatch()
         phases: Dict[str, float] = {}
@@ -461,13 +449,10 @@ class SynchronousGossipEngine(CycleEngine):
             W0 = W0.astype(self._dtype)
         phases["setup"] += watch.restart()
 
-        steps, converged, B = self._gossip(
-            X0, W0, raise_on_budget=raise_on_budget, phases=phases
-        )
+        steps, B = self._gossip(X0, W0, phases=phases)
         # The interval covers workspace acquisition too; the step loop
         # reports that share separately as the "alloc" phase.
         phases["kernel"] = max(0.0, watch.restart() - phases.get("alloc", 0.0))
-        self.cycle_steps.append(steps)
 
         col_means, disagreement = self._column_stats(B)
 
@@ -484,15 +469,11 @@ class SynchronousGossipEngine(CycleEngine):
             exact=exact,
             steps=steps,
             gossip_error=gossip_error,
-            converged=converged,
+            converged=True,
             mode=self.mode,
             node_disagreement=disagreement,
             phase_times=phases,
         )
-
-    def clear_stats(self) -> None:
-        """Reset the per-cycle step log."""
-        self.cycle_steps = []
 
     @property
     def sparse_workspace(self) -> "SparseWorkspace | None":
@@ -563,59 +544,27 @@ class SynchronousGossipEngine(CycleEngine):
 
     @staticmethod
     def _column_stats(B: np.ndarray) -> Tuple[np.ndarray, float]:
-        """Per-column mean of the finite estimates, plus node disagreement.
+        """Per-column mean of the estimates, plus node disagreement.
 
-        Small matrices take one-shot reductions: the column extremes
-        first, and when they are all finite (every converged cycle) the
-        plain column means, which equal the nan-masked ones bitwise; a
-        non-finite ``B`` (the best-effort path) takes the nan-reduction
-        path.  Past
+        ``B`` is finite: a cycle ends only once W is positive
+        everywhere.  Small matrices take one-shot reductions.  Past
         ``_BLOCKED_STATS_LIMIT`` elements the reductions run over row
-        blocks with O(block * p) temporaries instead — at n = 10^6,
-        p = 64, float64 the one-shot path's masked copy alone is
-        ~0.5 GiB, a third of the whole cycle's budget.
+        blocks and the column sums accumulate in float64.
         """
         n, p = B.shape
         if n * p <= _BLOCKED_STATS_LIMIT:
-            col_max = B.max(axis=0)
-            col_min = B.min(axis=0)
-            if np.isfinite(col_max).all() and np.isfinite(col_min).all():
-                return B.mean(axis=0), float((col_max - col_min).max())
-            col_means = np.nanmean(np.where(np.isfinite(B), B, np.nan), axis=0)
-            disagreement = float(
-                np.nanmax(np.nanmax(B, axis=0) - np.nanmin(B, axis=0))
-            ) if np.isfinite(B).any() else float("inf")
-            return col_means, disagreement
+            spread = B.max(axis=0) - B.min(axis=0)
+            return B.mean(axis=0), float(spread.max())
         blk = max(1, (1 << 20) // max(p, 1))
         sums = np.zeros(p, dtype=np.float64)
-        counts = np.zeros(p, dtype=np.int64)
         col_max = np.full(p, -np.inf)
         col_min = np.full(p, np.inf)
         for lo in range(0, n, blk):
             tile = B[lo : min(lo + blk, n)]
-            finite = np.isfinite(tile)
-            if bool(finite.all()):
-                sums += tile.sum(axis=0, dtype=np.float64)
-                counts += tile.shape[0]
-                np.maximum(col_max, tile.max(axis=0), out=col_max)
-                np.minimum(col_min, tile.min(axis=0), out=col_min)
-                continue
-            masked = np.where(finite, tile, 0.0)
-            sums += masked.sum(axis=0, dtype=np.float64)
-            counts += finite.sum(axis=0)
-            np.maximum(
-                col_max, np.where(finite, tile, -np.inf).max(axis=0), out=col_max
-            )
-            np.minimum(
-                col_min, np.where(finite, tile, np.inf).min(axis=0), out=col_min
-            )
-        seen = counts > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            col_means = np.where(seen, sums / np.maximum(counts, 1), np.nan)
-        if not bool(seen.any()):
-            return col_means, float("inf")
-        spread = col_max[seen] - col_min[seen]
-        return col_means, float(spread.max())
+            sums += tile.sum(axis=0, dtype=np.float64)
+            np.maximum(col_max, tile.max(axis=0), out=col_max)
+            np.minimum(col_min, tile.min(axis=0), out=col_min)
+        return sums / n, float((col_max - col_min).max())
 
     # -- step loop ---------------------------------------------------------
 
@@ -624,9 +573,8 @@ class SynchronousGossipEngine(CycleEngine):
         Xs: sparse.csr_matrix,
         Ws: sparse.csr_matrix,
         *,
-        raise_on_budget: bool,
         phases: Optional[Dict[str, float]] = None,
-    ) -> Tuple[int, bool, np.ndarray]:
+    ) -> Tuple[int, np.ndarray]:
         """Step loop: one check window at a time, one column block per thread.
 
         Each block's X0 and W0 columns are scattered into its dense
@@ -648,9 +596,10 @@ class SynchronousGossipEngine(CycleEngine):
         (:meth:`_worst_residual`) stay on the calling thread, so step
         counts are invariant in the block count too.
 
-        Returns ``(steps, converged, B)`` where ``B`` is the persistent
-        (n, p) estimate buffer — the only dense (n, p) array the cycle
-        touches besides the slots.
+        Returns ``(steps, B)`` where ``B`` is the persistent (n, p)
+        estimate buffer — the only dense (n, p) array the cycle touches
+        besides the slots.  Raises :class:`ConvergenceError` when the
+        step budget runs out first.
         """
         n = self.n
         p = Xs.shape[1]
@@ -673,7 +622,6 @@ class SynchronousGossipEngine(CycleEngine):
         x_mass = self._slot_mass(ws, 0) if san is not None else 0.0
         w_mass = self._slot_mass(ws, 1) if san is not None else 0.0
         step = 0
-        converged = False
         have_prev = False
         fine = False  # per-step checks once a residual nears epsilon
         fine_at = _FINE_FACTOR * self.epsilon
@@ -705,30 +653,17 @@ class SynchronousGossipEngine(CycleEngine):
             if have_prev:
                 worst, all_below = self._worst_residual(ws)
                 if all_below:
-                    converged = True
-                    break
+                    return step, ws.prev
                 # Close to the finish line: resolve the stop step at
                 # Algorithm 1's per-step granularity instead of paying
                 # up to check_every - 1 extra O(n*p) gossip steps.
                 fine = fine or worst <= fine_at
             have_prev = True
-
-        # Normalize slot order to [X, W, out]: the best-effort estimates
-        # read X and W from slots 0 and 1.
-        a = (-step) % 3
-        b = (1 - step) % 3
-        c = (2 - step) % 3
-        for dense in ws.dense:
-            dense[:] = [dense[a], dense[b], dense[c]]
-        if not converged:
-            if raise_on_budget:
-                raise ConvergenceError(
-                    f"gossip cycle exceeded {self.max_steps} steps "
-                    f"(epsilon={self.epsilon})",
-                    steps=self.max_steps,
-                )
-            self._best_effort_estimates(ws)
-        return step, converged, ws.prev
+        raise ConvergenceError(
+            f"gossip cycle exceeded {self.max_steps} steps "
+            f"(epsilon={self.epsilon})",
+            steps=self.max_steps,
+        )
 
     def _next_check(self, step: int, fine: bool) -> int:
         """The next step (> ``step``) on which a convergence check fires.
@@ -872,7 +807,7 @@ class SynchronousGossipEngine(CycleEngine):
         it does nothing.  Then it writes the block's estimates into its
         ``prev`` columns, row tile by row tile, and with ``scan`` (a
         previous estimate exists) first stores each row tile's largest
-        relative change, with the ``_REL_FLOOR`` guard, in
+        relative change, with the ``REL_FLOOR`` guard, in
         ``tile_max[b]``.  Every row tile is scanned; the early exit of
         the epsilon comparison happens in :meth:`_worst_residual`.
         """
@@ -899,7 +834,7 @@ class SynchronousGossipEngine(CycleEngine):
                 den = scratch.den[: m * pc].reshape(m, pc)
                 np.subtract(xt, psub, out=num)
                 np.abs(num, out=num)
-                np.maximum(psub, _REL_FLOOR, out=den)
+                np.maximum(psub, REL_FLOOR, out=den)
                 num /= den
                 maxima[r] = num.max()
             psub[...] = xt
@@ -925,25 +860,6 @@ class SynchronousGossipEngine(CycleEngine):
             if worst > eps:
                 return worst, False
         return worst, True
-
-    @staticmethod
-    def _best_effort_estimates(ws: SparseWorkspace) -> None:
-        """Guarded estimates into ``prev`` (budget-exhaustion path).
-
-        Outside the hot loop: runs once when the step budget runs out
-        before W is positive everywhere, so NaN-masking temporaries are
-        acceptable here.  Reads the normalized ``[X, W, out]`` slot
-        order (the step loop restores it before calling).
-        """
-        for b, dense in enumerate(ws.dense):
-            c0, c1 = ws.bounds[b], ws.bounds[b + 1]
-            for lo in range(0, ws.n, ws.blk):
-                hi = min(lo + ws.blk, ws.n)
-                w = dense[1][lo:hi]
-                out = ws.prev[lo:hi, c0:c1]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    np.divide(dense[0][lo:hi], w, out=out)
-                out[w <= 0.0] = np.nan
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

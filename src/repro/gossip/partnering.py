@@ -321,7 +321,9 @@ class BrahmsMembership(PartnerStrategy):
     over every id ever observed, the component that resists targeted
     flooding (a pushed-id majority cannot take over the γ share).  One
     sampler output is probed (reliably) per tick; a failed probe resets
-    the slot so dead history cannot pin the view to the past.
+    the slot so dead history cannot pin the view to the past.  Probes
+    use :class:`~repro.network.reliability.ReliableTransport`'s default
+    ack timeout and retry budget.
 
     A node whose push/pull round yields nothing two ticks in a row
     re-bootstraps through the host-cache model, so crashes of an entire
@@ -338,8 +340,6 @@ class BrahmsMembership(PartnerStrategy):
         beta: float = 0.45,
         interval: float = 4.0,
         sampler_slots: int = 8,
-        ack_timeout: Optional[float] = None,
-        max_retries: int = 2,
         rng: SeedLike = None,
     ) -> None:
         super().__init__(rng)
@@ -358,8 +358,6 @@ class BrahmsMembership(PartnerStrategy):
         self.beta = float(beta)
         self.interval = float(interval)
         self.sampler_slots = int(sampler_slots)
-        self._ack_timeout = ack_timeout
-        self._max_retries = int(max_retries)
         self.views: Dict[int, List[int]] = {}
         self._push_buf: Dict[int, Set[int]] = {}
         self._pull_buf: Dict[int, Set[int]] = {}
@@ -374,8 +372,6 @@ class BrahmsMembership(PartnerStrategy):
         assert self.transport is not None and self.overlay is not None
         self._reliable = ReliableTransport(
             self.transport,
-            ack_timeout=self._ack_timeout,
-            max_retries=self._max_retries,
             on_deliver=self._on_reliable,
             on_give_up=self._on_give_up,
         )

@@ -40,8 +40,6 @@ class PushSumResult:
         Per-node gossiped scores ``beta_i = x_i / w_i`` at termination.
     steps:
         Gossip steps executed.
-    converged:
-        Always true for a scripted replay (it runs every scripted step).
     x, w:
         Final per-node masses (exposed for invariant checks).
     history:
@@ -50,18 +48,9 @@ class PushSumResult:
 
     estimates: np.ndarray
     steps: int
-    converged: bool
     x: np.ndarray
     w: np.ndarray
     history: List[Tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-
-    @property
-    def value(self) -> float:
-        """The consensus estimate (node-wise mean of finite estimates)."""
-        finite = self.estimates[np.isfinite(self.estimates)]
-        if finite.size == 0:
-            return float("nan")
-        return float(finite.mean())
 
 
 def push_sum_step(
@@ -123,7 +112,6 @@ def scripted_push_sum(
     return PushSumResult(
         estimates=_estimates(x, w),
         steps=len(history),
-        converged=True,
         x=x,
         w=w,
         history=history,

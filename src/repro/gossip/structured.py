@@ -31,6 +31,9 @@ from repro.utils.validation import check_vector
 
 __all__ = ["StructuredAggregationEngine"]
 
+#: identifier width of the ring that orders the nodes (ordering only)
+_RING_BITS = 32
+
 
 class StructuredAggregationEngine(CycleEngine):
     """Exact all-reduce aggregation over a Chord ring ordering.
@@ -41,20 +44,20 @@ class StructuredAggregationEngine(CycleEngine):
         Number of peers (all assumed live; churn on the structured
         variant would require ring stabilization, which is the paper's
         argument for gossip in the first place).
-    ring_bits:
-        Identifier width of the underlying ring (ordering only).
+
+    The ring ordering comes from a :class:`~repro.network.dht.ChordRing`
+    with ``_RING_BITS``-bit identifiers.
     """
 
     name = "structured"
 
-    def __init__(self, n: int, *, ring_bits: int = 32) -> None:
+    def __init__(self, n: int) -> None:
         if n < 2:
             raise ValidationError(f"aggregation needs n >= 2 nodes, got {n}")
         self.n = int(n)
-        self.ring = ChordRing(range(self.n), bits=ring_bits)
+        self.ring = ChordRing(range(self.n), bits=_RING_BITS)
         #: ring-ordered node ids; round k pairs index i with i XOR-ish 2^k
         self._order = np.asarray(self.ring.nodes, dtype=np.int64)
-        self.cycle_steps: list = []
         #: total point-to-point exchanges performed
         self.messages = 0
 
@@ -111,7 +114,6 @@ class StructuredAggregationEngine(CycleEngine):
                 lo, hi = p, p + overlap
                 seg = prefix[hi - 1] - (prefix[lo - 1] if lo > 0 else 0)
                 X[p] -= seg
-        self.cycle_steps.append(rounds)
         if san is not None:
             # The all-reduce is exact by construction: every ring
             # position's partial must match S^T v (modulo float
@@ -134,11 +136,6 @@ class StructuredAggregationEngine(CycleEngine):
             node_disagreement=disagreement,
             messages_sent=n * rounds,
         )
-
-    def clear_stats(self) -> None:
-        """Reset counters."""
-        self.cycle_steps = []
-        self.messages = 0
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"StructuredAggregationEngine(n={self.n}, rounds={self.rounds_per_cycle})"

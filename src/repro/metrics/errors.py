@@ -25,6 +25,9 @@ __all__ = [
     "rank_overlap",
 ]
 
+#: reference scores at or below this magnitude count as zero
+_ZERO_SCORE = 1e-12
+
 
 def _pair(v: np.ndarray, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     a = np.asarray(v, dtype=np.float64)
@@ -38,7 +41,6 @@ def rms_relative_error(
     v: np.ndarray,
     u: np.ndarray,
     *,
-    floor: float = 1e-12,
     cap: Optional[float] = None,
 ) -> float:
     """Eq. 8: RMS of per-peer relative errors ``(v_i - u_i)/v_i``.
@@ -55,7 +57,7 @@ def rms_relative_error(
     model experiments cap at 10 to keep seed-to-seed curves comparable.
     """
     a, b = _pair(v, u)
-    mask = np.abs(a) > floor
+    mask = np.abs(a) > _ZERO_SCORE
     if not mask.any():
         raise ValidationError("reference vector is all zeros; RMS relative error undefined")
     rel = np.abs((a[mask] - b[mask]) / a[mask])

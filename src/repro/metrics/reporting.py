@@ -107,10 +107,10 @@ class Series:
         self.x.append(float(x))
         self.y.append(float(y))
 
-    def render(self, *, float_fmt: str = ".4g") -> str:
+    def render(self) -> str:
         """The series as 'label: (x, y) (x, y) ...' text."""
         pts = " ".join(
-            f"({format(xv, float_fmt)}, {format(yv, float_fmt)})"
+            f"({xv:.4g}, {yv:.4g})"
             for xv, yv in zip(self.x, self.y)
         )
         return f"{self.label}: {pts}"

@@ -401,7 +401,6 @@ def named_plan(
     *,
     horizon: float,
     rng: SeedLike = None,
-    min_alive: int = 2,
 ) -> FaultPlan:
     """Build a canonical chaos scenario scaled to a run ``horizon``.
 
@@ -416,4 +415,4 @@ def named_plan(
     except KeyError:
         known = ", ".join(plan_names())
         raise ValidationError(f"unknown fault plan {name!r}; known: {known}") from None
-    return FaultPlan(builder(horizon), rng=rng, min_alive=min_alive)
+    return FaultPlan(builder(horizon), rng=rng)

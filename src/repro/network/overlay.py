@@ -110,9 +110,9 @@ class Overlay:
             return tuple(sorted(v for v in self._adj[node] if self._alive[v]))
         return tuple(sorted(self._adj[node]))
 
-    def degree(self, node: int, *, live_only: bool = True) -> int:
-        """Number of (live) neighbors of ``node``."""
-        return len(self.neighbors(node, live_only=live_only))
+    def degree(self, node: int) -> int:
+        """Number of live neighbors of ``node``."""
+        return len(self.neighbors(node, live_only=True))
 
     def random_partner(self, node: int, *, neighbors_only: bool = False) -> Optional[int]:
         """Sample a gossip partner for ``node``.

@@ -77,7 +77,6 @@ class LinkFailureModel:
         self._down: Set[Tuple[int, int]] = set()
         self._groups: Optional[Dict[int, int]] = None
         self.failures_injected = 0
-        self.partitions_injected = 0
 
     @staticmethod
     def _key(u: int, v: int) -> Tuple[int, int]:
@@ -101,7 +100,6 @@ class LinkFailureModel:
         Replaces any previous partition.
         """
         self._groups = dict(groups)
-        self.partitions_injected += 1
 
     def clear_partition(self) -> None:
         """Heal the active partition (explicit link failures persist)."""

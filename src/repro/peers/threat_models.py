@@ -16,8 +16,6 @@ damage done by dishonest *feedback*, which is what Fig. 4 plots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from repro.distributions.powerlaw import FeedbackCountDistribution
@@ -51,12 +49,14 @@ class ThreatScenario:
 
 def _generate(
     population: PeerPopulation,
-    feedback_dist: FeedbackCountDistribution,
     rng: SeedLike,
     *,
     collusion_boost: int = 5,
 ) -> ThreatScenario:
     """Run the shared transaction stream and build both ledgers.
+
+    Each rater's transaction count comes from the paper's feedback-count
+    power law (d_max = 200, d_avg = 20).
 
     ``collusion_boost`` extra mutual transactions per collusion pair
     model the "rate ... very high" boosting — colluders don't merely lie
@@ -66,7 +66,7 @@ def _generate(
     n = population.n
     truthful = FeedbackLedger(n)
     attacked = FeedbackLedger(n)
-    counts = feedback_dist.sample_counts(n, gen)
+    counts = FeedbackCountDistribution().sample_counts(n, gen)
     tx = 0
     for rater in range(int(n)):
         k = int(counts[rater])
@@ -104,7 +104,6 @@ def build_independent_scenario(
     n: int,
     malicious_fraction: float,
     *,
-    feedback_dist: Optional[FeedbackCountDistribution] = None,
     rng: SeedLike = None,
 ) -> ThreatScenario:
     """Independent threat model (§6.1): lone cheaters with inverted feedback.
@@ -115,9 +114,6 @@ def build_independent_scenario(
         Number of peers (paper: 1000).
     malicious_fraction:
         Fraction gamma of independent malicious peers.
-    feedback_dist:
-        Feedback-count distribution (default: the paper's d_max=200,
-        d_avg=20 power law).
     rng:
         Seed/generator; drives population sampling and the shared
         transaction stream.
@@ -126,8 +122,7 @@ def build_independent_scenario(
     population = PeerPopulation.build(
         n, malicious_fraction=malicious_fraction, collusive=False, rng=gen
     )
-    dist = feedback_dist or FeedbackCountDistribution()
-    return _generate(population, dist, gen)
+    return _generate(population, gen)
 
 
 def build_collusive_scenario(
@@ -135,7 +130,6 @@ def build_collusive_scenario(
     malicious_fraction: float,
     group_size: int,
     *,
-    feedback_dist: Optional[FeedbackCountDistribution] = None,
     collusion_boost: int = 5,
     rng: SeedLike = None,
 ) -> ThreatScenario:
@@ -162,5 +156,4 @@ def build_collusive_scenario(
         group_size=group_size,
         rng=gen,
     )
-    dist = feedback_dist or FeedbackCountDistribution()
-    return _generate(population, dist, gen, collusion_boost=collusion_boost)
+    return _generate(population, gen, collusion_boost=collusion_boost)

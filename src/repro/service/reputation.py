@@ -129,9 +129,9 @@ class ReputationService:
         exact-reference oracle off (a service does not pay O(n·cycles)
         for error reporting on every epoch).
     bracket_bits:
-        ``b`` of the Bloom serving stores (``2^b`` score brackets).
-    store_error_rate:
-        Per-bracket Bloom false-positive target of the serving stores.
+        ``b`` of the Bloom serving stores (``2^b`` score brackets); each
+        bracket's filter targets the store's default false-positive
+        rate.
     rng:
         Root seed material for the aggregation system (defaults to
         ``config.seed``).
@@ -154,7 +154,6 @@ class ReputationService:
         config: Optional[GossipTrustConfig] = None,
         *,
         bracket_bits: int = 7,
-        store_error_rate: float = 0.01,
         rng: SeedLike = None,
     ) -> None:
         if config is None:
@@ -178,8 +177,8 @@ class ReputationService:
         # member while run_epoch rebuilds the standby, then the roles
         # swap — reads never see a store mid-build.
         self._stores = (
-            BloomReputationStore(bracket_bits, error_rate=store_error_rate),
-            BloomReputationStore(bracket_bits, error_rate=store_error_rate),
+            BloomReputationStore(bracket_bits),
+            BloomReputationStore(bracket_bits),
         )
         self._serving: Optional[int] = None
         # Failure backoff: consecutive aggregation failures double the
@@ -189,28 +188,15 @@ class ReputationService:
 
     # -- streaming ingest --------------------------------------------------
 
-    def ingest(
-        self,
-        rater: int,
-        ratee: int,
-        outcome: TransactionOutcome,
-        *,
-        time: float = 0.0,
-    ) -> None:
+    def ingest(self, rater: int, ratee: int, outcome: TransactionOutcome) -> None:
         """Record one rated transaction (EigenTrust ±1 convention)."""
-        self.ledger.record_transaction(rater, ratee, outcome, time=time)
+        self.ledger.record_transaction(rater, ratee, outcome)
         self._pending += 1
         self._ingested += 1
 
     # -- aggregation epochs ------------------------------------------------
 
-    def run_epoch(
-        self,
-        *,
-        compute_reference: Optional[bool] = None,
-        raise_on_budget: bool = False,
-        on_failure: str = "serve_stale",
-    ) -> ServiceEpochReport:
+    def run_epoch(self) -> ServiceEpochReport:
         """Absorb pending feedback and publish a new serving snapshot.
 
         One epoch is: drain the ledger's dirty rows, patch the trust
@@ -218,25 +204,23 @@ class ReputationService:
         aggregation from the previous epoch's vector, rebuild the
         standby Bloom store from the converged vector, and swap it into
         serving.  Safe to call with no pending feedback — the epoch then
-        just re-converges (typically in one cycle) and republishes.
+        just re-converges (typically in one cycle) and republishes.  The
+        exact-reference oracle runs as ``config.compute_reference`` says,
+        and a run that spends ``max_cycles`` publishes its last vector
+        with ``converged=False``.
 
-        Failure policy (``on_failure="serve_stale"``, the default): if
-        aggregation raises (sanitizer violation, convergence blow-up,
-        network fault), the service does **not** propagate the error —
+        Failure policy (serve stale): if aggregation raises (sanitizer
+        violation, convergence blow-up, network fault), the service
+        does **not** propagate the error —
         the previous snapshot keeps serving, lookups keep answering
         with their staleness stamp counting the unabsorbed events, and
         the epoch report comes back with ``failed=True``.  Consecutive
         failures arm an exponential backoff: the next ``2^(k-1)`` (up to
         8) ``run_epoch`` calls are skipped (``skipped=True``) before
-        aggregation is attempted again.  ``on_failure="raise"`` restores
-        the propagate-everything behaviour.
+        aggregation is attempted again.
         """
-        if on_failure not in ("serve_stale", "raise"):
-            raise ValidationError(
-                f"on_failure must be 'serve_stale' or 'raise', got {on_failure!r}"
-            )
         watch = Stopwatch()
-        if self._backoff_skip > 0 and on_failure == "serve_stale":
+        if self._backoff_skip > 0:
             self._backoff_skip -= 1
             report = ServiceEpochReport(
                 epoch=self._epoch,
@@ -276,12 +260,9 @@ class ReputationService:
             result = self._system.run(
                 v0=self._vector,
                 epoch=self._epoch + 1,
-                raise_on_budget=raise_on_budget,
-                compute_reference=compute_reference,
+                raise_on_budget=False,
             )
         except (ConvergenceError, InvariantViolation, NetworkError) as exc:
-            if on_failure == "raise":
-                raise
             # Serve stale: the drained deltas stay absorbed in the
             # matrix (the retry re-aggregates them); the pending count
             # is restored so staleness stamps keep counting every event
@@ -349,11 +330,6 @@ class ReputationService:
     def epoch(self) -> int:
         """Epochs published so far (0 = nothing servable yet)."""
         return self._epoch
-
-    @property
-    def ready(self) -> bool:
-        """Whether at least one epoch has been published."""
-        return self._serving is not None
 
     @property
     def pending_events(self) -> int:

@@ -52,7 +52,6 @@ __all__ = [
 def populate_ledger(
     ledger: FeedbackLedger,
     *,
-    feedback_dist: Optional[FeedbackCountDistribution] = None,
     mean_balance: float = 100.0,
     rng: SeedLike = None,
 ) -> int:
@@ -60,7 +59,7 @@ def populate_ledger(
 
     Partner structure mirrors
     :func:`~repro.experiments.synthetic.synthetic_trust_matrix` (per-node
-    feedback counts from the bounded power law, distinct uniform
+    feedback counts from the paper's bounded power law, distinct uniform
     partners), but pair scores are EigenTrust *satisfaction balances* —
     integer ``sat - unsat`` counts, geometric with mean ``mean_balance``
     — rather than uniform reals.  Deep balances are the long-lived
@@ -75,8 +74,7 @@ def populate_ledger(
     if not mean_balance >= 1:
         raise ValidationError(f"mean_balance must be >= 1, got {mean_balance}")
     gen = as_generator(rng)
-    dist = feedback_dist or FeedbackCountDistribution()
-    counts = np.minimum(dist.sample_counts(n, gen), n - 1)
+    counts = np.minimum(FeedbackCountDistribution().sample_counts(n, gen), n - 1)
     pairs = 0
     for i in range(n):
         k = int(counts[i])

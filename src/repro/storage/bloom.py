@@ -46,9 +46,7 @@ class BloomFilter:
     """A classic Bloom filter sized for ``capacity`` items at ``error_rate``.
 
     Supports membership testing with no false negatives and a bounded
-    false-positive rate, plus union/intersection with compatible filters
-    (same parameters) — the operations the gossip layer can use to merge
-    bracket filters.
+    false-positive rate.
     """
 
     def __init__(self, capacity: int, error_rate: float = 0.01):
@@ -79,22 +77,6 @@ class BloomFilter:
 
     def __contains__(self, item: Hashable) -> bool:
         return bool(self._bits[self._positions(item)].all())
-
-    # -- algebra --------------------------------------------------------
-
-    def _check_compatible(self, other: "BloomFilter") -> None:
-        if (self.m, self.k) != (other.m, other.k):
-            raise ValidationError(
-                "bloom filters must share (m, k) parameters to combine"
-            )
-
-    def union(self, other: "BloomFilter") -> "BloomFilter":
-        """Filter representing the union of both item sets."""
-        self._check_compatible(other)
-        out = BloomFilter(self.capacity, self.error_rate)
-        out._bits = self._bits | other._bits
-        out.count = min(self.capacity, self.count + other.count)
-        return out
 
     # -- accounting --------------------------------------------------------
 

@@ -26,6 +26,9 @@ from repro.storage.bloom import BloomFilter
 
 __all__ = ["StorageReport", "BloomReputationStore"]
 
+#: per-bracket Bloom false-positive target
+_ERROR_RATE = 0.01
+
 
 @dataclass(frozen=True)
 class StorageReport:
@@ -61,9 +64,8 @@ class BloomReputationStore:
     Parameters
     ----------
     bracket_bits:
-        ``b``; the store uses ``2^b`` geometric brackets.
-    error_rate:
-        Per-bracket Bloom false-positive target.
+        ``b``; the store uses ``2^b`` geometric brackets, each one a
+        Bloom filter sized for a ``_ERROR_RATE`` false-positive rate.
     min_score:
         Lower edge of the lowest bracket (scores are probabilities of
         magnitude ~1/n; the default covers n up to 10^9).
@@ -73,7 +75,6 @@ class BloomReputationStore:
         self,
         bracket_bits: int = 5,
         *,
-        error_rate: float = 0.01,
         min_score: float = 1e-9,
     ):
         if not 1 <= bracket_bits <= 16:
@@ -82,7 +83,6 @@ class BloomReputationStore:
             raise ValidationError(f"min_score must be > 0, got {min_score}")
         self.bracket_bits = int(bracket_bits)
         self.brackets = 1 << self.bracket_bits
-        self.error_rate = float(error_rate)
         self.min_score = float(min_score)
         self._filters: List[BloomFilter] = []
         self._edges: Optional[np.ndarray] = None
@@ -114,7 +114,7 @@ class BloomReputationStore:
         assignment = self._bracket_of(v, edges=edges)
         per_bracket = np.bincount(assignment, minlength=self.brackets)
         filters = [
-            BloomFilter(max(8, int(per_bracket[b]) * 2), self.error_rate)
+            BloomFilter(max(8, int(per_bracket[b]) * 2), _ERROR_RATE)
             for b in range(self.brackets)
         ]
         stored: Dict[int, float] = {}

@@ -6,14 +6,13 @@ transactions, row normalization into the stochastic matrix
 the greedy-factor mixing.
 """
 
-from repro.trust.feedback import FeedbackLedger, TransactionRecord
+from repro.trust.feedback import FeedbackLedger
 from repro.trust.matrix import TrustMatrix
 from repro.trust.pretrust import PretrustVector
 from repro.trust.qof import QofWeightedAggregation, feedback_quality
 
 __all__ = [
     "FeedbackLedger",
-    "TransactionRecord",
     "TrustMatrix",
     "PretrustVector",
     "feedback_quality",

@@ -23,24 +23,12 @@ so the normalized matrix is patched instead of rebuilt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, Set, Tuple
 
 from repro.errors import ValidationError
 from repro.types import TransactionOutcome
 
-__all__ = ["TransactionRecord", "FeedbackLedger"]
-
-
-@dataclass(frozen=True)
-class TransactionRecord:
-    """One rated transaction."""
-
-    rater: int
-    ratee: int
-    outcome: TransactionOutcome
-    rating: float
-    time: float = 0.0
+__all__ = ["FeedbackLedger"]
 
 
 class FeedbackLedger:
@@ -51,12 +39,11 @@ class FeedbackLedger:
     the power-law feedback distribution keeps near ``n * d_avg``.
     """
 
-    def __init__(self, n: int, *, keep_history: bool = False) -> None:
+    def __init__(self, n: int) -> None:
         if n < 1:
             raise ValidationError(f"n must be >= 1, got {n}")
         self.n = int(n)
         self._scores: Dict[int, Dict[int, float]] = {}
-        self._history: Optional[List[TransactionRecord]] = [] if keep_history else None
         self.transactions = 0
         #: rater rows mutated since the last drain (see drain_dirty)
         self._dirty: Set[int] = set()
@@ -70,12 +57,7 @@ class FeedbackLedger:
             raise ValidationError("self-rating is not allowed")
 
     def record_transaction(
-        self,
-        rater: int,
-        ratee: int,
-        outcome: TransactionOutcome,
-        *,
-        time: float = 0.0,
+        self, rater: int, ratee: int, outcome: TransactionOutcome
     ) -> None:
         """Record a +1/-1 rated transaction (EigenTrust convention).
 
@@ -92,10 +74,6 @@ class FeedbackLedger:
         row[ratee] = row.get(ratee, 0.0) + delta
         self._dirty.add(rater)
         self.transactions += 1
-        if self._history is not None:
-            self._history.append(
-                TransactionRecord(rater, ratee, outcome, delta, time)
-            )
 
     def set_score(self, rater: int, ratee: int, score: float) -> None:
         """Directly set the raw local score ``r_ij`` (threat models use this)."""
@@ -156,10 +134,6 @@ class FeedbackLedger:
         deltas = {rater: self.row(rater) for rater in sorted(self._dirty)}
         self._dirty.clear()
         return deltas
-
-    def history(self) -> Tuple[TransactionRecord, ...]:
-        """Recorded transactions (empty unless ``keep_history=True``)."""
-        return tuple(self._history or ())
 
     def __repr__(self) -> str:  # pragma: no cover
         pairs = sum(len(r) for r in self._scores.values())

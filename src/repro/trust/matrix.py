@@ -13,7 +13,7 @@ default, or the pre-trust/power-node distribution when one is supplied.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -23,7 +23,7 @@ from repro.errors import ValidationError
 from repro.trust.feedback import FeedbackLedger
 from repro.utils.validation import check_square_matrix, check_vector
 
-__all__ = ["TrustMatrix", "rows_to_csr"]
+__all__ = ["TrustMatrix", "as_csr", "rows_to_csr"]
 
 
 def rows_to_csr(rows: Iterable[Dict[int, float]], n: int) -> sparse.csr_matrix:
@@ -55,10 +55,9 @@ def rows_to_csr(rows: Iterable[Dict[int, float]], n: int) -> sparse.csr_matrix:
 class TrustMatrix:
     """Row-stochastic normalized trust matrix over ``n`` peers.
 
-    Construct via :meth:`from_ledger`, :meth:`from_raw`, or
-    :meth:`from_dense_raw`.  Internally stored in CSR for fast
-    ``S^T @ v`` products; a dense view is available for small systems
-    and for tests.
+    Construct via :meth:`from_ledger` or :meth:`from_dense_raw`.
+    Internally stored in CSR for fast ``S^T @ v`` products; a dense view
+    is available for small systems and for tests.
     """
 
     def __init__(self, matrix: sparse.csr_matrix, *, _validated: bool = False) -> None:
@@ -92,19 +91,14 @@ class TrustMatrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_ledger(
-        cls,
-        ledger: FeedbackLedger,
-        *,
-        fallback: Optional[np.ndarray] = None,
-    ) -> "TrustMatrix":
+    def from_ledger(cls, ledger: FeedbackLedger) -> "TrustMatrix":
         """Normalize a feedback ledger into ``S`` (Eq. 1).
 
-        ``fallback`` is the row used for peers with no positive outbound
-        feedback (default: uniform ``1/n``).
+        Peers with no positive outbound feedback get the uniform row
+        ``1/n``.
         """
         n = ledger.n
-        fb = cls._fallback(n, fallback)
+        fb = np.full(n, 1.0 / n)
         rows_idx: list = []
         cols_idx: list = []
         vals: list = []
@@ -126,20 +120,6 @@ class TrustMatrix:
                 S[i, :] = fb
             S = S.tocsr()
         return cls(S, _validated=True)
-
-    @classmethod
-    def from_raw(
-        cls,
-        n: int,
-        entries: Iterable[Tuple[int, int, float]],
-        *,
-        fallback: Optional[np.ndarray] = None,
-    ) -> "TrustMatrix":
-        """Normalize sparse raw scores ``(i, j, r_ij)`` into ``S``."""
-        ledger = FeedbackLedger(n)
-        for i, j, r in entries:
-            ledger.set_score(i, j, r)
-        return cls.from_ledger(ledger, fallback=fallback)
 
     @classmethod
     def from_dense_raw(
@@ -338,3 +318,16 @@ class TrustMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"TrustMatrix(n={self.n}, nnz={self.nnz})"
+
+
+def as_csr(S: Union[TrustMatrix, sparse.spmatrix, np.ndarray]) -> sparse.csr_matrix:
+    """The CSR form of a trust matrix given as any accepted type.
+
+    A :class:`TrustMatrix` serves its own CSR (no copy), a sparse matrix
+    converts, and anything else is read as a dense float64 array.
+    """
+    if isinstance(S, TrustMatrix):
+        return S.sparse()
+    if sparse.issparse(S):
+        return S.tocsr()
+    return sparse.csr_matrix(np.asarray(S, dtype=np.float64))

@@ -37,6 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["QofResult", "feedback_quality", "QofWeightedAggregation"]
 
+#: :func:`feedback_quality` exponent of :class:`QofWeightedAggregation`
+_SHARPNESS = 2.0
+
 
 def feedback_quality(
     S: TrustMatrix, reputation: np.ndarray, *, sharpness: float = 1.0
@@ -119,11 +122,11 @@ class QofWeightedAggregation:
         Aggregation parameters; ``alpha``/power nodes compose normally.
     rounds:
         QoF refresh rounds (2-3 suffice; the alternation settles fast).
-    sharpness:
-        See :func:`feedback_quality`.
     min_weight:
         Floor on vote weights so no rater is erased entirely (keeps the
         chain irreducible).
+
+    Feedback quality is computed with ``sharpness=_SHARPNESS``.
     """
 
     def __init__(
@@ -131,7 +134,6 @@ class QofWeightedAggregation:
         config: Optional["GossipTrustConfig"] = None,
         *,
         rounds: int = 3,
-        sharpness: float = 2.0,
         min_weight: float = 0.05,
     ) -> None:
         if rounds < 1:
@@ -139,7 +141,6 @@ class QofWeightedAggregation:
         check_in_range("min_weight", min_weight, low=0.0, high=1.0)
         self.config = config
         self.rounds = int(rounds)
-        self.sharpness = float(sharpness)
         self.min_weight = float(min_weight)
 
     def run(
@@ -168,7 +169,7 @@ class QofWeightedAggregation:
         judge = reference if reference is not None else v
         for _round in range(1, self.rounds + 1):
             qof = np.maximum(
-                feedback_quality(S, judge, sharpness=self.sharpness),
+                feedback_quality(S, judge, sharpness=_SHARPNESS),
                 self.min_weight,
             )
             v = self._weighted_fixed_point(S, qof, cfg)

@@ -81,7 +81,7 @@ class PeakRssMeter:
     """Per-interval peak-RSS meter.
 
     >>> meter = PeakRssMeter()        # resets the high-water mark
-    >>> ...workload...
+    >>> workload = bytearray(1 << 20)  # the measured work
     >>> peak = meter.read_kib()       # peak RSS of the interval, KiB
 
     ``read_kib`` may be called repeatedly (the interval keeps running);

@@ -14,7 +14,7 @@ count, without duplicating a file on one peer.  The inverted index
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from repro.errors import ValidationError
 from repro.utils.rng import SeedLike, as_generator
 
 __all__ = ["FileCatalog"]
+
+#: copy-count power-law exponent (the paper's popularity rate phi)
+_PHI = 1.2
 
 
 class FileCatalog:
@@ -35,12 +38,11 @@ class FileCatalog:
         Catalog size (paper: > 100_000).
     n_peers:
         Number of peers to place copies on.
-    phi:
-        Copy-count power-law exponent (paper: 1.2).
-    ownership:
-        Saroiu ownership model used to weight placement.
     mean_copies:
         Average copies per file (scales total placement volume).
+
+    Copy counts follow the power law with exponent ``_PHI`` (paper:
+    1.2); placement is weighted by the default Saroiu ownership model.
     """
 
     def __init__(
@@ -48,8 +50,6 @@ class FileCatalog:
         n_files: int,
         n_peers: int,
         *,
-        phi: float = 1.2,
-        ownership: Optional[SaroiuFileOwnership] = None,
         mean_copies: float = 5.0,
         rng: SeedLike = None,
     ):
@@ -62,20 +62,18 @@ class FileCatalog:
         gen = as_generator(rng)
         self.n_files = int(n_files)
         self.n_peers = int(n_peers)
-        self.phi = float(phi)
 
         # Copy counts: proportional to rank^-phi, scaled to the target
         # mean, floored at one copy so every file exists somewhere.
-        weights = powerlaw_weights(self.n_files, self.phi)
+        weights = powerlaw_weights(self.n_files, _PHI)
         scale = mean_copies * self.n_files / weights.sum()
-        self._copies = np.maximum(1, np.round(scale * weights)).astype(np.int64)
+        copies = np.maximum(1, np.round(scale * weights)).astype(np.int64)
         # No file can have more copies than peers (one copy per owner).
-        np.minimum(self._copies, self.n_peers, out=self._copies)
+        np.minimum(copies, self.n_peers, out=copies)
 
         # Placement weights: Saroiu ownership counts (free riders get 0
         # weight and thus own nothing, matching the measurement).
-        model = ownership or SaroiuFileOwnership()
-        counts = model.sample_counts(self.n_peers, gen).astype(np.float64)
+        counts = SaroiuFileOwnership().sample_counts(self.n_peers, gen).astype(np.float64)
         if counts.sum() == 0:
             counts[:] = 1.0  # degenerate draw: fall back to uniform
         placement_p = counts / counts.sum()
@@ -86,22 +84,14 @@ class FileCatalog:
         # — only distinct owners matter for query resolution.
         sharers = np.flatnonzero(counts > 0)
         sharer_p = placement_p[sharers] / placement_p[sharers].sum()
-        total = int(self._copies.sum())
+        total = int(copies.sum())
         draws = gen.choice(sharers, size=total, replace=True, p=sharer_p)
-        bounds = np.concatenate(([0], np.cumsum(self._copies)))
+        bounds = np.concatenate(([0], np.cumsum(copies)))
         self._owners: List[np.ndarray] = [
             np.unique(draws[bounds[f] : bounds[f + 1]]) for f in range(self.n_files)
         ]
-        self._copies = np.fromiter(
-            (len(o) for o in self._owners), dtype=np.int64, count=self.n_files
-        )
 
     # -- queries ------------------------------------------------------------
-
-    def copies(self, file_rank: int) -> int:
-        """Copy count of the file with 1-based popularity ``file_rank``."""
-        self._check_rank(file_rank)
-        return int(self._copies[file_rank - 1])
 
     def owners(self, file_rank: int) -> np.ndarray:
         """Owner peer ids of a file (ascending, copy)."""

@@ -53,12 +53,6 @@ class TestAlphaMixing:
 
 
 class TestControl:
-    def test_trajectory_recording(self, random_S):
-        cfg = GossipTrustConfig(n=random_S.n, alpha=0.0)
-        res = exact_global_reputation(random_S, cfg, record_trajectory=True)
-        assert len(res.trajectory) == res.cycles
-        assert np.array_equal(res.trajectory[-1], res.vector)
-
     def test_tighter_delta_needs_more_cycles(self, random_S):
         loose = exact_global_reputation(
             random_S, GossipTrustConfig(n=random_S.n, delta=1e-2)

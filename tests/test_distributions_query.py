@@ -52,13 +52,6 @@ class TestPmf:
         assert head_slope == pytest.approx(-0.63, abs=0.02)
         assert tail_slope == pytest.approx(-1.24, abs=0.02)
 
-    def test_probability_accessor(self):
-        d = TwoSegmentZipf(100)
-        assert d.probability(1) == pytest.approx(d.pmf[0])
-        with pytest.raises(ValidationError):
-            d.probability(0)
-        with pytest.raises(ValidationError):
-            d.probability(101)
 
 
 class TestSampling:

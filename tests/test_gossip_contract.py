@@ -73,7 +73,6 @@ class TestContract:
         eng = build(name)
         assert isinstance(eng, CycleEngine)
         assert eng.name == name
-        assert eng.cycle_steps == []
 
     def test_factory_rejects_unknown_options(self, name):
         # Options reach the constructor unfiltered: one an engine does
@@ -117,10 +116,6 @@ class TestContract:
         assert 0.0 <= res.mass_lost_fraction <= 1.0 or np.isnan(
             res.mass_lost_fraction
         )
-        # Engines log per-cycle step counts and can reset them.
-        assert eng.cycle_steps == [res.steps]
-        eng.clear_stats()
-        assert eng.cycle_steps == []
 
     def test_accepts_matrix_array_and_sparse(self, name, fixed_S):
         # The contract takes TrustMatrix, ndarray, or scipy sparse alike.

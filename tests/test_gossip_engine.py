@@ -35,15 +35,6 @@ class TestFullMode:
         res = engine.run_cycle(random_S, v)
         assert res.node_disagreement < 1e-5
 
-    def test_cycle_steps_log(self, random_S):
-        engine = SynchronousGossipEngine(random_S.n, mode="full", rng=3)
-        v = np.full(random_S.n, 1.0 / random_S.n)
-        engine.run_cycle(random_S, v)
-        engine.run_cycle(random_S, v)
-        assert len(engine.cycle_steps) == 2
-        engine.clear_stats()
-        assert engine.cycle_steps == []
-
 
 class TestProbeMode:
     def test_probe_returns_exact_vector_with_error_sample(self, random_S, monkeypatch):
@@ -94,15 +85,6 @@ class TestValidationAndBudget:
         v = np.full(random_S.n, 1.0 / random_S.n)
         with pytest.raises(ConvergenceError):
             engine.run_cycle(random_S, v)
-
-    def test_budget_soft_mode(self, random_S):
-        engine = SynchronousGossipEngine(
-            random_S.n, epsilon=1e-12, mode="full", max_steps=2, rng=0
-        )
-        v = np.full(random_S.n, 1.0 / random_S.n)
-        res = engine.run_cycle(random_S, v, raise_on_budget=False)
-        assert not res.converged
-        assert res.steps == 2
 
     def test_accepts_dense_and_sparse_matrices(self, random_S):
         engine = SynchronousGossipEngine(random_S.n, mode="full", rng=6)

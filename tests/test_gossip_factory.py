@@ -128,13 +128,6 @@ class TestTelemetry:
         assert all(isinstance(r, CycleRecord) for r in seen)
         assert [r.cycle for r in seen] == list(range(1, len(seen) + 1))
 
-    def test_external_recorder_as_on_cycle(self, random_S):
-        recorder = CycleTelemetry()
-        cfg = GossipTrustConfig(n=random_S.n, seed=2)
-        result = GossipTrust(random_S, cfg).run(telemetry=recorder)
-        assert result.telemetry is recorder
-        assert len(recorder) == result.cycles
-
     def test_timed_wraps_any_engine(self, random_S):
         tel = CycleTelemetry()
         eng = make_engine("sync", n=random_S.n, rng=RngStreams(0), epsilon=1e-5)
@@ -145,9 +138,8 @@ class TestTelemetry:
         assert rec.wall_time > 0.0
 
     def test_summary_and_render(self, random_S):
-        tel = CycleTelemetry()
         cfg = GossipTrustConfig(n=random_S.n, seed=3)
-        GossipTrust(random_S, cfg).run(telemetry=tel)
+        tel = GossipTrust(random_S, cfg).run().telemetry
         summary = tel.summary()
         assert summary["cycles"] == len(tel)
         assert summary["total_steps"] == sum(r.steps for r in tel)
@@ -160,9 +152,8 @@ class TestTelemetry:
 
     def test_phase_breakdown_recorded_and_summed(self, random_S):
         """Sync cycles carry a phase breakdown; phase_summary totals it."""
-        tel = CycleTelemetry()
         cfg = GossipTrustConfig(n=random_S.n, seed=3)
-        GossipTrust(random_S, cfg).run(telemetry=tel)
+        tel = GossipTrust(random_S, cfg).run().telemetry
         assert all("kernel" in r.phases for r in tel)
         phases = tel.phase_summary()
         assert set(phases) >= {"setup", "oracle", "kernel"}
@@ -180,9 +171,8 @@ class TestTelemetry:
 
 
     def test_summary_percentiles_and_rss(self, random_S):
-        tel = CycleTelemetry()
         cfg = GossipTrustConfig(n=random_S.n, seed=3)
-        GossipTrust(random_S, cfg).run(telemetry=tel)
+        tel = GossipTrust(random_S, cfg).run().telemetry
         summary = tel.summary()
         walls = sorted(r.wall_time for r in tel)
         assert summary["wall_time_max"] == walls[-1]

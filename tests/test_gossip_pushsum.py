@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.gossip.pushsum import PushSumResult, push_sum_step, scripted_push_sum
+from repro.gossip.pushsum import push_sum_step, scripted_push_sum
 
 
 class TestStep:
@@ -79,15 +79,3 @@ class TestScriptedTable1:
             scripted_push_sum(self.X0, self.W0, [[3, 0, 0]])  # out of range
         with pytest.raises(ValidationError):
             scripted_push_sum([0.1], [0.2, 0.3], [])  # mismatched vectors
-
-
-class TestPushSumResult:
-    def test_value_property(self):
-        res = PushSumResult(
-            estimates=np.array([0.2, np.inf, 0.2]),
-            steps=1,
-            converged=True,
-            x=np.zeros(3),
-            w=np.zeros(3),
-        )
-        assert res.value == pytest.approx(0.2)

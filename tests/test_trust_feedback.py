@@ -37,15 +37,6 @@ class TestTransactions:
         ledger.record_transaction(2, 3, TransactionOutcome.FAILED)
         assert ledger.transactions == 2
 
-    def test_history_kept_only_on_request(self):
-        with_hist = FeedbackLedger(3, keep_history=True)
-        with_hist.record_transaction(0, 1, TransactionOutcome.AUTHENTIC, time=4.5)
-        assert len(with_hist.history()) == 1
-        assert with_hist.history()[0].time == 4.5
-        without = FeedbackLedger(3)
-        without.record_transaction(0, 1, TransactionOutcome.AUTHENTIC)
-        assert without.history() == ()
-
 
 class TestDirectScores:
     def test_set_and_get(self, ledger):

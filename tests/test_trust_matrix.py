@@ -54,7 +54,10 @@ class TestFromLedger:
         assert np.allclose(S_ledger.dense(), S_dense.dense())
 
     def test_from_raw_entries(self):
-        S = TrustMatrix.from_raw(3, [(0, 1, 2.0), (0, 2, 2.0), (1, 0, 1.0), (2, 0, 1.0)])
+        ledger = FeedbackLedger(3)
+        for i, j, r in [(0, 1, 2.0), (0, 2, 2.0), (1, 0, 1.0), (2, 0, 1.0)]:
+            ledger.set_score(i, j, r)
+        S = TrustMatrix.from_ledger(ledger)
         assert S.entry(0, 1) == pytest.approx(0.5)
         assert S.entry(1, 0) == pytest.approx(1.0)
 

@@ -15,17 +15,17 @@ def catalog():
 class TestCopies:
     def test_every_file_has_at_least_one_copy(self, catalog):
         for f in (1, 500, 2000):
-            assert catalog.copies(f) >= 1
+            assert catalog.owners(f).size >= 1
 
     def test_popular_files_have_more_copies(self, catalog):
-        head = np.mean([catalog.copies(f) for f in range(1, 21)])
-        tail = np.mean([catalog.copies(f) for f in range(1981, 2001)])
+        head = np.mean([catalog.owners(f).size for f in range(1, 21)])
+        tail = np.mean([catalog.owners(f).size for f in range(1981, 2001)])
         assert head > 3 * tail
 
     def test_copies_bounded_by_peers(self):
         cat = FileCatalog(50, 10, mean_copies=30.0, rng=1)
         for f in range(1, 51):
-            assert cat.copies(f) <= 10
+            assert cat.owners(f).size <= 10
 
     def test_total_copies_scales_with_mean(self):
         lo = FileCatalog(500, 200, mean_copies=2.0, rng=2)
@@ -36,7 +36,6 @@ class TestCopies:
 class TestOwnership:
     def test_owners_are_valid_unique_peers(self, catalog):
         own = catalog.owners(1)
-        assert own.size == catalog.copies(1)
         assert len(set(own.tolist())) == own.size
         assert own.min() >= 0
         assert own.max() < 100
@@ -66,7 +65,7 @@ class TestOwnership:
 class TestValidation:
     def test_rank_bounds(self, catalog):
         with pytest.raises(ValidationError):
-            catalog.copies(0)
+            catalog.owners(0)
         with pytest.raises(ValidationError):
             catalog.owners(2001)
 

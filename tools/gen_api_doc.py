@@ -1,4 +1,9 @@
-"""Generate docs/API.md from the package's public surface (one-off tool)."""
+"""Generate docs/API.md from the package's public surface.
+
+Run from the repository root: ``PYTHONPATH=src python tools/gen_api_doc.py``.
+A module that fails to import fails the run.  CI regenerates the file
+and fails when it differs from the committed one.
+"""
 import importlib, inspect, pkgutil
 import repro
 
@@ -15,10 +20,7 @@ mods = []
 for m in pkgutil.walk_packages(repro.__path__, prefix="repro."):
     mods.append(m.name)
 for name in sorted(mods):
-    try:
-        mod = importlib.import_module(name)
-    except Exception as exc:
-        continue
+    mod = importlib.import_module(name)
     public = getattr(mod, "__all__", None)
     if not public:
         continue
