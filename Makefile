@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint analyze typecheck ci bench bench-smoke bench-large bench-xlarge service-smoke chaos-smoke sweep examples experiments docs clean
+.PHONY: install test lint analyze typecheck ci bench bench-smoke bench-large bench-xlarge perf-pairs service-smoke chaos-smoke sweep examples experiments docs clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -61,6 +61,34 @@ bench-large:
 # `make ci`; run it to refresh the recorded trajectory point.
 bench-xlarge:
 	PYTHONPATH=src $(PYTHON) tools/bench_runner.py --large-only --xlarge --output BENCH_xlarge.json
+
+# Paired end-to-end benchmark of this checkout against revision BASE:
+#   make perf-pairs BASE=<rev> WORKLOAD=<name> PAIRS=10
+# checks BASE out as a temporary git worktree, runs perfbench seeds
+# 1..PAIRS on both sides (alternating which side runs first), appends
+# the runs to bench-out/WORKLOAD-{base,new}.jsonl, prints
+# `perfbench/run.py --compare` and removes the worktree.
+BASE ?= HEAD
+WORKLOAD ?= des-128
+PAIRS ?= 10
+
+perf-pairs:
+	@set -e; tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force "$$tmp/base" || true; rm -rf "$$tmp"' EXIT; \
+	git worktree add --detach --quiet "$$tmp/base" "$(BASE)"; \
+	out="$(CURDIR)/bench-out/$(WORKLOAD)"; mkdir -p bench-out; \
+	rm -f "$$out-base.jsonl" "$$out-new.jsonl"; \
+	run() { (cd "$$1" && $(PYTHON) perfbench/run.py --workload "$(WORKLOAD)" \
+		--seed "$$2" --json "$$out-$$3.jsonl" --commit "$$4" >/dev/null); }; \
+	for seed in $$(seq 1 $(PAIRS)); do \
+		echo "perf-pairs: seed $$seed of $(PAIRS)"; \
+		if [ $$((seed % 2)) -eq 1 ]; then \
+			run "$$tmp/base" $$seed base "$(BASE)"; run "$(CURDIR)" $$seed new worktree; \
+		else \
+			run "$(CURDIR)" $$seed new worktree; run "$$tmp/base" $$seed base "$(BASE)"; \
+		fi; \
+	done; \
+	$(PYTHON) perfbench/run.py --compare "$$out-base.jsonl" "$$out-new.jsonl"
 
 # Long-lived service soak: ingest -> incremental aggregation -> Bloom
 # serving, with the runtime invariant sanitizer armed so every

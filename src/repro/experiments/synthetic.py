@@ -65,20 +65,36 @@ def synthetic_trust_matrix(
         if tb == 0:  # pragma: no cover - counts are >= 1 by construction
             continue
         rows = np.repeat(np.arange(lo, hi, dtype=np.int64), c)
+        starts = indptr64[lo:hi] - indptr64[lo]  # row r's draws: starts[r - lo] on
         # Distinct partners per row, vectorized: draw everything at
         # once, then redraw only the within-row duplicates until none
-        # remain (d_max = 200 << n, so collisions are rare and the
-        # loop converges in a couple of rounds).
+        # remain.  Keys sort row-major, so row r owns the same positions
+        # in the sorted order as in the draws, and a round re-sorts only
+        # the rows that held a duplicate: a row without one keeps its
+        # draws, its order and its distinctness.  A row of d_i close to
+        # n - 1 is a coupon collector (the n = 128 tail runs for dozens
+        # of rounds), so re-sorting the whole block each round would be
+        # the generator's main cost.
         cand = gen.integers(0, n - 1, size=tb)
         key = rows * (n - 1) + cand
+        order = np.argsort(key, kind="stable")
+        ranked = order  # the sorted positions of the rows checked this round
         while True:
-            order = np.argsort(key, kind="stable")
-            dup = key[order][1:] == key[order][:-1]
+            ranked_keys = key[ranked]
+            dup = ranked_keys[1:] == ranked_keys[:-1]
             if not dup.any():
                 break
-            bad = order[1:][dup]
+            bad = ranked[1:][dup]
             cand[bad] = gen.integers(0, n - 1, size=bad.size)
             key[bad] = rows[bad] * (n - 1) + cand[bad]
+            # the draw positions of the rows that held a duplicate
+            dirty = np.unique(rows[bad]) - lo
+            length = c[dirty]
+            seg = np.arange(int(length.sum())) + np.repeat(
+                starts[dirty] - (np.cumsum(length) - length), length
+            )
+            ranked = seg[np.argsort(key[seg], kind="stable")]
+            order[seg] = ranked
         # Row-major sorted draw order; the self-exclusion shift is
         # order-preserving per row, so columns land sorted in the CSR.
         part = cand[order]

@@ -17,7 +17,8 @@ interchange point:
   accepts the same spectrum of matrix forms.
 * ``_csc_matvecs`` — scipy's C scatter-add kernel (``Y += A @ X`` for a
   CSC ``A``), imported once behind a guard: the sync engine's step and
-  the message engine's merge both run on it.
+  the message engine's merge both run on it; ``_csc_matvec``, its
+  one-vector form, computes :func:`exact_aggregate`.
 
 Engines register themselves with :mod:`repro.gossip.factory`; the
 orchestration layer (:class:`~repro.core.gossiptrust.GossipTrust`), the
@@ -38,10 +39,11 @@ from repro.analysis.sanitizer import InvariantSanitizer
 from repro.errors import ValidationError
 from repro.trust.matrix import TrustMatrix, as_csr, rows_to_csr
 
-try:  # the C kernel behind scipy's CSC matrix-times-dense products
+try:  # the C kernels behind scipy's CSC matrix-times-dense products
+    from scipy.sparse._sparsetools import csc_matvec as _csc_matvec
     from scipy.sparse._sparsetools import csc_matvecs as _csc_matvecs
 except ImportError:  # pragma: no cover - very old scipy
-    _csc_matvecs = None
+    _csc_matvec = _csc_matvecs = None
 
 __all__ = [
     "GossipCycleResult",
@@ -178,9 +180,16 @@ def exact_aggregate(
 
     The oracle every engine measures its gossip error against.  A
     :class:`TrustMatrix` serves its cached transpose; every other form
-    goes through :func:`coerce_csr`.
+    goes through :func:`coerce_csr`, whose CSR arrays are those of the
+    CSC matrix ``S^T``: the product is the ``csc_matvec`` call that
+    ``S.T @ v`` makes, without building the transposed matrix object.
     """
     v = np.asarray(v, dtype=np.float64)
     if isinstance(S, TrustMatrix):
         return np.asarray(S.aggregate(v)).ravel()
-    return np.asarray(coerce_csr(S, n).T @ v).ravel()
+    mat = coerce_csr(S, n)
+    if _csc_matvec is None or mat.dtype != np.float64:  # pragma: no cover
+        return np.asarray(mat.T @ v).ravel()
+    out = np.zeros(n)
+    _csc_matvec(n, n, mat.indptr, mat.indices, mat.data, np.ascontiguousarray(v), out)
+    return out

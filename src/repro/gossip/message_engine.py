@@ -55,9 +55,10 @@ fixed number of Python calls, not one per message:
    engine's step kernel
    (:meth:`~repro.gossip.vector.PopulationStore.merge`).
 
-Each window's estimate matrix is one divide over the held rows, its
-convergence check one residual pass, and held mass and the armed
-sanitizer's checks are row reductions over the store.  Every vector,
+Each window's convergence check divides only the estimate rows it
+reads, mostly a few (the previous window's from the store as it stood
+then), and held mass and the armed sanitizer's checks are row
+reductions over the store.  Every vector,
 step, counter and event count of the round clock is bitwise the same as
 initializing, drawing, halving, sending and delivering node by node
 (``tests/test_gossip_message_parity.py``): partner draws touch
@@ -97,7 +98,7 @@ from repro.gossip.base import (
 )
 from repro.gossip.convergence import REL_FLOOR, average_relative_error
 from repro.gossip.partnering import GlobalSampler, PartnerStrategy
-from repro.gossip.vector import EstimatesWorkspace, PopulationStore
+from repro.gossip.vector import EstimateRows, PopulationStore
 from repro.network.overlay import Overlay
 from repro.network.transport import Message, Transport
 from repro.sim.engine import Simulator
@@ -152,6 +153,10 @@ def _disagreement(node_estimates: np.ndarray) -> float:
     known = np.isfinite(node_estimates)
     if node_estimates.size == 0 or not known.any():
         return float("inf")
+    if known.all():
+        # nothing to skip: the plain column extremes are the nan-aware ones
+        spread = node_estimates.max(axis=0) - node_estimates.min(axis=0)
+        return float(spread.max())
     finite = np.where(known, node_estimates, np.nan)
     # Only components some node knows — all-nan columns carry no
     # disagreement signal (and nanmax would warn on them).
@@ -166,40 +171,55 @@ def _finite_mean(node_estimates: np.ndarray) -> np.ndarray:
 
     A column no node has a finite estimate for averages to 0.  Equals
     ``nanmean`` over the finite entries bitwise (same masked column sum
-    over the same count) but never warns on an empty column.
+    over the same count) but never warns on an empty column.  When every
+    entry is finite (a converged cycle) there is nothing to mask.
     """
     known = np.isfinite(node_estimates)
-    total = np.where(known, node_estimates, 0.0).sum(axis=0)
-    count = known.sum(axis=0)
-    mean = np.divide(total, count, out=np.zeros_like(total), where=count > 0)
+    rows = node_estimates.shape[0]
+    if rows and known.all():
+        mean = node_estimates.sum(axis=0) / rows
+    else:
+        total = np.where(known, node_estimates, 0.0).sum(axis=0)
+        count = known.sum(axis=0)
+        mean = np.divide(total, count, out=np.zeros_like(total), where=count > 0)
+    if np.isfinite(mean).all():
+        return mean
     return np.nan_to_num(mean, nan=0.0, posinf=0.0)
 
 
-#: Rows per block of the convergence check.  Most rounds fail the check,
-#: and most fail it in the first block, so the check stops there.
+#: Rows in the first block of the convergence check, and the most rows
+#: in any block.  Most rounds fail the check, and most fail it within
+#: the first few rows, so the check starts small, doubles its blocks up
+#: to the cap and stops at the first block that fails.
+_FIRST_CHECK_ROWS = 4
 _CHECK_ROWS = 32
 
 
 def _batched_converged(
     cur_ids: Tuple[int, ...],
-    cur: np.ndarray,
+    cur: Union[np.ndarray, EstimateRows],
     prev_ids: Tuple[int, ...],
-    prev: np.ndarray,
+    prev: Union[np.ndarray, EstimateRows],
     epsilon: float,
 ) -> bool:
     """Epsilon criterion over the whole live population, block by block.
 
-    ``cur``/``prev`` are ``(len(ids), n)`` estimate matrices from
-    :meth:`~repro.gossip.vector.PopulationStore.estimates`.  The
-    semantics match the historical per-node loop: every current node
-    must have been sampled last round, its finite pattern must be
-    unchanged (newly-heard-of peers mean mass is still spreading), it
-    must have at least one finite estimate, and the relative change over
-    finite entries must not exceed ``epsilon`` anywhere.
+    ``cur``/``prev`` are the ``(len(ids), n)`` estimate matrices of the
+    two windows (every entry ``>= 0``, ``inf`` or ``nan``), as arrays or
+    as :class:`~repro.gossip.vector.EstimateRows` that evaluate only the
+    blocks read.  The semantics match the historical
+    per-node loop: every current node must have been sampled last round,
+    its finite pattern must be unchanged (newly-heard-of peers mean mass
+    is still spreading), it must have at least one finite estimate, and
+    the relative change over finite entries must not exceed ``epsilon``
+    anywhere.
 
-    The rows are checked in blocks of :data:`_CHECK_ROWS`, stopping at
-    the first block that fails.  Every rule is per row, so the answer is
-    the one a single pass over all rows gives.
+    The rows are checked in blocks of :data:`_FIRST_CHECK_ROWS` rows,
+    doubling up to :data:`_CHECK_ROWS`, stopping at the first block that
+    fails.  Every rule is per row, so the answer is the one a single
+    pass over all rows gives, and a block may test the rules in any
+    order: the relative change comes first, because it is what fails
+    most rounds.
     """
     if len(cur_ids) == 0:
         return True
@@ -210,24 +230,27 @@ def _batched_converged(
         idx = [pos.get(node, -1) for node in cur_ids]
         if min(idx) < 0:
             return False
+    lo, size = 0, _FIRST_CHECK_ROWS
     with np.errstate(invalid="ignore"):
-        for lo in range(0, len(cur_ids), _CHECK_ROWS):
-            hi = lo + _CHECK_ROWS
+        while lo < len(cur_ids):
+            hi = lo + size
             block = cur[lo:hi]
             aligned = prev[lo:hi] if idx is None else prev[idx[lo:hi]]
+            # Non-finite positions give NaN residuals, which fmax skips,
+            # or inf ones, which fail; the estimates are never negative,
+            # so they are their own absolute values.  A NaN block maximum
+            # means no finite position at all, which the rules below
+            # reject too.
+            residual = np.abs(block - aligned)
+            residual /= np.fmax(aligned, REL_FLOOR)
+            if not float(np.fmax.reduce(residual, axis=None)) <= epsilon:
+                return False
             finite = np.isfinite(block)
             if (finite != np.isfinite(aligned)).any():
                 return False
             if not finite.any(axis=1).all():
                 return False
-            # With the patterns equal, a non-finite position is
-            # non-finite in both matrices, so its residual is NaN, which
-            # fmax skips; every row has a finite position, so the block
-            # maximum is never NaN.
-            residual = np.abs(block - aligned)
-            residual /= np.fmax(np.abs(aligned), REL_FLOOR)
-            if not float(np.fmax.reduce(residual, axis=None)) <= epsilon:
-                return False
+            lo, size = hi, min(2 * size, _CHECK_ROWS)
     return True
 
 
@@ -340,8 +363,6 @@ class MessageGossipEngine(CycleEngine):
         self._store = PopulationStore(overlay.n)
         #: this cycle's participants, by node id
         self._member = np.zeros(overlay.n, dtype=bool)
-        #: alternating output slots for the per-window estimate matrices
-        self._est_ws = EstimatesWorkspace()
         dispatch = weak_dispatcher(self)
         for node in range(overlay.n):
             transport.register(node, dispatch)
@@ -381,8 +402,8 @@ class MessageGossipEngine(CycleEngine):
         partners = self.partnering.partners(nodes)
         sending = partners >= 0
         senders, dst = nodes[sending], partners[sending]
-        outbox, sizes = self._store.halve(senders)
-        self.transport.send_many(senders, dst, outbox, sizes, partial(self._on_gossip, dst))
+        outbox, nbytes = self._store.halve(senders)
+        self.transport.send_many(senders, dst, outbox, nbytes, partial(self._on_gossip, dst))
 
     def _on_gossip(self, dst: np.ndarray, outbox: np.ndarray, idx: np.ndarray) -> None:
         """Arrival of round messages ``idx``: merge them, in arrival order.
@@ -393,7 +414,10 @@ class MessageGossipEngine(CycleEngine):
         conservation check would fire on a lossy history.
         """
         to = dst[idx]
-        held = (self._member & self.overlay.alive_mask())[to]
+        held = (self._member & self.overlay.alive_view)[to]
+        if held.all():
+            self._store.merge(to, outbox, idx)
+            return
         self.discarded += int(idx.size - np.count_nonzero(held))
         self._store.merge(to[held], outbox, idx[held])
 
@@ -409,13 +433,13 @@ class MessageGossipEngine(CycleEngine):
         if msg.kind != "gossip":
             self.partnering.on_message(msg)
         elif self._member[msg.dst] and self.overlay.is_alive(msg.dst):
-            self._store.xw[msg.dst] += msg.payload
+            self._store.merge_row(msg.dst, msg.payload)
         else:
             self.discarded += 1
 
     def _held(self) -> np.ndarray:
         """Live nodes in this cycle, ascending: the rows that hold its mass."""
-        return np.flatnonzero(self._member & self.overlay.alive_mask())
+        return (self._member & self.overlay.alive_view).nonzero()[0]
 
     def _init_cycle(
         self, S: sparse.csr_matrix, v_prior: np.ndarray
@@ -490,7 +514,7 @@ class MessageGossipEngine(CycleEngine):
             )
 
         prev_ids: Tuple[int, ...] = ()
-        prev_mat: Optional[np.ndarray] = None
+        prev_est: Optional[EstimateRows] = None
         windows = 0
         converged = False
         restorations = 0
@@ -529,7 +553,7 @@ class MessageGossipEngine(CycleEngine):
                     initial_live, initial_mass = self._init_cycle(S_csr, v_prior)
                     dropped_before = self.transport.drop_count
                     discarded_before = self.discarded
-                    prev_ids, prev_mat = (), None
+                    prev_ids, prev_est = (), None
                     continue
                 # Ratio-preserving renormalization: estimates are
                 # untouched, only the mass budget is restored, so
@@ -540,17 +564,18 @@ class MessageGossipEngine(CycleEngine):
                 # and break the one-sided bound).
                 self._member[:] = False
                 self._member[cur] = True
-                store.xw[cur] *= initial_mass / mass_now
-            # Workspace-backed: the matrix lands in one of two
-            # alternating reusable slots, so prev_mat (the other slot)
-            # stays intact for the convergence comparison below.
+                store.rescale(cur, initial_mass / mass_now)
+            # The check reads the estimates a block at a time, mostly a
+            # few rows: this window's from the live store, the previous
+            # window's from the store as it stood then.
             cur_ids = tuple(cur.tolist())
-            cur_mat = store.estimates(cur, workspace=self._est_ws)
-            if prev_mat is not None and windows >= self.min_rounds:
-                if _batched_converged(cur_ids, cur_mat, prev_ids, prev_mat, self.epsilon):
+            cur_est = store.estimate_rows(cur)
+            if prev_est is not None and windows >= self.min_rounds:
+                if _batched_converged(cur_ids, cur_est, prev_ids, prev_est, self.epsilon):
                     converged = True
                     break
-            prev_ids, prev_mat = cur_ids, cur_mat
+            # the blocks the check just read are the next window's too
+            prev_ids, prev_est = cur_ids, store.frozen_estimate_rows(cur, cur_est)
         self.partnering.stop()
         if self._in_flight:
             # Mass sent but not yet delivered is not lost, it is late:

@@ -58,8 +58,6 @@ class StructuredAggregationEngine(CycleEngine):
         self.ring = ChordRing(range(self.n), bits=_RING_BITS)
         #: ring-ordered node ids; round k pairs index i with i XOR-ish 2^k
         self._order = np.asarray(self.ring.nodes, dtype=np.int64)
-        #: total point-to-point exchanges performed
-        self.messages = 0
 
     @property
     def rounds_per_cycle(self) -> int:
@@ -96,7 +94,6 @@ class StructuredAggregationEngine(CycleEngine):
             shift = 1 << k
             # Everyone receives the partner's current partial in parallel.
             X = X + np.roll(X, -shift, axis=0)
-            self.messages += n
         # After ceil(log2 n) doublings each row sums a window of
         # 2^rounds >= n consecutive ring positions — wrapping means some
         # contributions are counted twice for non-powers of two, so a

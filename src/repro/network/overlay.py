@@ -65,6 +65,14 @@ class Overlay:
         """Boolean liveness mask indexed by node id (copy)."""
         return self._alive.copy()
 
+    @property
+    def alive_view(self) -> np.ndarray:
+        """The overlay's own liveness mask, without :meth:`alive_mask`'s copy.
+
+        It changes as nodes leave and join; callers must not write it.
+        """
+        return self._alive
+
     def leave(self, node: int) -> None:
         """Remove ``node`` from the overlay (its edges become inactive)."""
         self._check(node)
@@ -149,26 +157,31 @@ class Overlay:
         nodes (where ``random_partner`` returns ``None``).
         """
         nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= self.n):
-            bad = nodes[(nodes < 0) | (nodes >= self.n)]
+        n = self.n
+        # a negative id wraps to a huge unsigned one: one max checks both ends
+        if nodes.size and nodes.view(np.uint64).max() >= n:
+            bad = nodes[(nodes < 0) | (nodes >= n)]
             raise UnknownNodeError(int(bad[0]))
         if self._alive_count <= 1:
             raise NetworkError("need >= 2 live nodes to gossip")
+        # with every node alive no draw is dead: skip the liveness gather
+        alive = None if self._alive_count == n else self._alive
         out = np.empty(nodes.size, dtype=np.int64)
         done = 0
         while done < nodes.size:
-            draws = self._rng.integers(self.n, size=nodes.size - done)
-            live = draws[self._alive[draws]]
-            i = 0
-            while i < live.size:
-                # there are never more live draws left than unassigned nodes
-                rest = live[i:]
-                clash = np.flatnonzero(rest == nodes[done : done + rest.size])
-                take = int(clash[0]) if clash.size else rest.size
-                out[done : done + take] = rest[:take]
+            draws = self._rng.integers(n, size=nodes.size - done)
+            if alive is not None:
+                draws = draws[alive[draws]]
+            # there are never more live draws left than unassigned nodes
+            while draws.size:
+                clash = draws == nodes[done : done + draws.size]
+                take = int(clash.argmax())
+                if not clash[take]:
+                    take = draws.size
+                out[done : done + take] = draws[:take]
                 done += take
-                # skip the accepted draws and the self-pick that ended them
-                i += take + (take < rest.size)
+                # drop the accepted draws and the self-pick that ended them
+                draws = draws[take + 1 :]
         return out
 
     def live_subgraph(self) -> Topology:

@@ -76,7 +76,6 @@ class LinkFailureModel:
     def __init__(self) -> None:
         self._down: Set[Tuple[int, int]] = set()
         self._groups: Optional[Dict[int, int]] = None
-        self.failures_injected = 0
 
     @staticmethod
     def _key(u: int, v: int) -> Tuple[int, int]:
@@ -85,7 +84,6 @@ class LinkFailureModel:
     def fail(self, u: int, v: int) -> None:
         """Mark link ``{u, v}`` as failed."""
         self._down.add(self._key(u, v))
-        self.failures_injected += 1
 
     def heal(self, u: int, v: int) -> None:
         """Restore link ``{u, v}`` (no-op if it was up)."""
@@ -237,10 +235,10 @@ class Transport:
         src: np.ndarray,
         dst: np.ndarray,
         payload: Any,
-        sizes: np.ndarray,
+        nbytes: int,
         deliver: Callable[[Any, np.ndarray], None],
     ) -> int:
-        """Queue messages ``src[k] -> dst[k]`` of size ``sizes[k]``, in order.
+        """Queue messages ``src[k] -> dst[k]`` of ``nbytes`` in total, in order.
 
         Message ``k`` carries row ``k`` of ``payload``.  Exactly
         :meth:`send` per message, in order — the same counters, coin
@@ -249,25 +247,27 @@ class Transport:
         receives the indices ``k`` of the messages that passed the
         delivery checks, in arrival order (``deliver`` must not
         schedule; see :meth:`~repro.sim.engine.Simulator.call_batch_in`).
-        The registered handlers are not called.  Vectorized when the
-        transport is lossless and every link is up.  Returns the number
-        of messages queued.
+        The registered handlers are not called.  ``bytes_sent`` grows by
+        ``nbytes`` at once: :meth:`send` counts a message's bytes before
+        its drop checks, so the sum of the per-message sizes is exact on
+        the lossy path too.  Vectorized when the transport is lossless
+        and every link is up.  Returns the number of messages queued.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.int64)
         if (src == dst).any():
             raise ValidationError("transport does not loop back; handle self-delivery locally")
         k = src.size
         if k == 0:
             return 0
+        self.bytes_sent += int(nbytes)
         queued: Optional[np.ndarray] = None
         if self.loss_rate > 0.0 or self.links.any_down:
             kept: List[int] = []
             waits: List[float] = []
             admit = self._admit
-            for i, (u, v, size) in enumerate(zip(src.tolist(), dst.tolist(), sizes.tolist())):
-                delay = admit(u, v, size)
+            for i, (u, v) in enumerate(zip(src.tolist(), dst.tolist())):
+                delay = admit(u, v, 0)  # the bytes are counted above
                 if delay is not None:
                     kept.append(i)
                     waits.append(delay)
@@ -275,9 +275,11 @@ class Transport:
             delays = np.asarray(waits, dtype=np.float64)
         else:
             self.sent += k
-            self.bytes_sent += int(sizes.sum())
             if self.latency > 0:
-                delays = self.latency * (0.5 + self._rng.random(k))
+                # latency * (0.5 + u), in place
+                delays = self._rng.random(k)
+                delays += 0.5
+                delays *= self.latency
             else:
                 delays = np.zeros(k)
         self.sim.call_batch_in(delays, self._deliver_many, queued, src, dst, payload, deliver)
@@ -311,7 +313,13 @@ class Transport:
             arrives = self._arrives
             ok = [arrives(u, v) for u, v in zip(src[idx].tolist(), dst[idx].tolist())]
         else:
-            ok = [v in self._handlers for v in dst[idx].tolist()]
+            registered = self._handlers.__contains__
+            to = dst[idx].tolist()
+            if all(map(registered, to)):
+                self.delivered += len(to)
+                deliver(payload, idx)
+                return
+            ok = list(map(registered, to))
             arrived = sum(ok)
             self.delivered += arrived
             self.dropped_unregistered += len(ok) - arrived

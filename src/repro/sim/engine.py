@@ -133,7 +133,7 @@ class Simulator:
             raise SimulationError(f"delays must be >= 0, got {delays.min()}")
         when = self._now + delays
         order = np.argsort(when, kind="stable")
-        seq = np.arange(self._seq, self._seq + k)[order]
+        seq = order + self._seq
         self._seq += k
         batch = _Batch(when[order], seq, order, fn, args)
         heapq.heappush(self._queue, (float(batch.when[0]), int(seq[0]), _Batch, batch))

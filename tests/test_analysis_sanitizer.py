@@ -283,12 +283,12 @@ class _TamperingTransport(Transport):
             self.tamper(payload)
         return super().send(src, dst, payload, kind=kind, size=size)
 
-    def send_many(self, src, dst, payload, sizes, deliver):
+    def send_many(self, src, dst, payload, nbytes, deliver):
         # a message-engine round: outbox row k is message k's x | w half
         n = payload.shape[1] // 2
         for row in payload:
             self.tamper(NodeVector._view(row[:n], row[n:]))
-        return super().send_many(src, dst, payload, sizes, deliver)
+        return super().send_many(src, dst, payload, nbytes, deliver)
 
 
 def _message_engine_with(tamper, seed=SEED):

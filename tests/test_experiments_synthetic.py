@@ -9,6 +9,32 @@ from repro.errors import ValidationError
 from repro.experiments.synthetic import synthetic_trust_matrix
 
 
+def _whole_block_reference(n, rng, feedback_dist=None):
+    """The generator before its row-wise redraw rounds: every round re-sorts
+    the whole block.  Returns the CSR arrays and the generator."""
+    gen = np.random.default_rng(rng)
+    dist = feedback_dist or FeedbackCountDistribution()
+    counts = np.minimum(dist.sample_counts(n, gen), n - 1)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    rows = np.repeat(np.arange(n, dtype=np.int64), counts)
+    cand = gen.integers(0, n - 1, size=int(counts.sum()))
+    key = rows * (n - 1) + cand
+    while True:
+        order = np.argsort(key, kind="stable")
+        dup = key[order][1:] == key[order][:-1]
+        if not dup.any():
+            break
+        bad = order[1:][dup]
+        cand[bad] = gen.integers(0, n - 1, size=bad.size)
+        key[bad] = rows[bad] * (n - 1) + cand[bad]
+    part = cand[order]
+    part[part >= rows] += 1
+    vals = 1.0 - gen.random(part.size)
+    vals *= np.repeat(1.0 / np.add.reduceat(vals, indptr[:-1]), counts)
+    return part, vals, indptr, gen
+
+
 class TestSyntheticMatrix:
     def test_rows_stochastic(self):
         S = synthetic_trust_matrix(100, rng=0)
@@ -36,6 +62,21 @@ class TestSyntheticMatrix:
         a = synthetic_trust_matrix(40, rng=7)
         b = synthetic_trust_matrix(40, rng=7)
         assert np.allclose(a.dense(), b.dense())
+
+    @pytest.mark.parametrize(
+        "n, dist",
+        [(n, None) for n in (2, 3, 10, 96, 128, 300, 1000)]
+        # most rows capped at n - 1: long coupon-collector redraw tails
+        + [(41, FeedbackCountDistribution(d_max=200, d_avg=100.0))],
+    )
+    def test_matches_the_whole_block_redraw_loop(self, n, dist):
+        got_gen = np.random.default_rng(n)
+        got = synthetic_trust_matrix(n, feedback_dist=dist, rng=got_gen).sparse()
+        indices, data, indptr, want_gen = _whole_block_reference(n, n, dist)
+        assert got.indices.tolist() == indices.tolist()
+        assert got.indptr.tolist() == indptr.tolist()
+        assert got.data.tobytes() == data.tobytes()
+        assert got_gen.bit_generator.state == want_gen.bit_generator.state
 
     def test_rejects_tiny_n(self):
         with pytest.raises(ValidationError):

@@ -34,7 +34,7 @@ from repro.gossip.message_engine import (
     weak_dispatcher,
 )
 from repro.gossip.partnering import make_strategy, strategy_names
-from repro.gossip.vector import EstimatesWorkspace, PopulationStore, _estimates_into
+from repro.gossip.vector import PopulationStore, _estimates_into
 from repro.network.faultplan import named_plan, plan_names
 from repro.network.overlay import Overlay
 from repro.network.topology import gnutella_like
@@ -58,12 +58,7 @@ class _PerNodeStore(NodeStore):
             total += mx + mw
         return total
 
-    def estimates(
-        self,
-        rows: Optional[Sequence[int]] = None,
-        *,
-        workspace: Optional[EstimatesWorkspace] = None,
-    ) -> np.ndarray:
+    def estimates(self, rows: Optional[Sequence[int]] = None) -> np.ndarray:
         nodes = range(self.n) if rows is None else rows
         return NodeVector.estimates_matrix([self.row(node) for node in nodes], self.n)
 
@@ -405,14 +400,33 @@ class TestStoreRows:
         for node in range(5):
             store.row(node).reset(node, {(node + 1) % 5: 1.0}, {node: 0.2}, n=5)
             ref.append(store.row(node).copy())
-        outbox, sizes = store.halve([1, 3, 4])
+        outbox, known = store.halve([1, 3, 4])
+        sizes = []
         for k, node in enumerate([1, 3, 4]):
             sent = ref[node].halve()
             assert outbox[k, :5].tobytes() == sent._x.tobytes()
             assert outbox[k, 5:].tobytes() == sent._w.tobytes()
             assert store.x[node].tobytes() == ref[node]._x.tobytes()
-            assert sizes[k] == sent.payload_size()
+            sizes.append(sent.payload_size())
+        assert known == sum(sizes)
         assert store.w[0, 0] == 1.0  # a non-sender keeps its whole vector
+
+    def test_halve_total_is_the_summed_payload_sizes(self):
+        # rows holding x mass only, w mass only, both, nothing, and ids
+        # whose x and w both carry mass (counted once)
+        store, oracle = PopulationStore(6), NodeStore(6)
+        store.x[0, [1, 4]] = [0.3, 0.7]
+        store.w[1, [0, 2, 5]] = [1.0, 0.5, 0.25]
+        store.x[2, [0, 3]], store.w[2, [3, 4]] = [0.2, 0.4], [1.0, 2.0]
+        store.x[4, :], store.w[4, :] = 0.5, 0.5
+        store.x[5, 5] = 5e-324  # halves to zero: the sent half does not carry it
+        oracle.xw[:] = store.xw
+        for rows in ([0, 1, 2, 3, 4, 5], [1, 3, 5], [2]):
+            _, known = store.halve(rows)
+            sizes = [oracle.row(node).halve().payload_size() for node in rows]
+            assert known == sum(sizes)
+            assert store.xw.tobytes() == oracle.xw.tobytes()
+        assert sizes == [3]  # row 2 knows ids 0, 3 and 4
 
     def test_halve_row_matches_per_node_halve(self):
         store = NodeStore(5)
@@ -516,16 +530,57 @@ class TestKernelPins:
         assert np.isnan(got[0, 1]) and not np.signbit(got[0, 1])  # 0 / 0
         assert got[0, 2] == 0.0 and got[2, 5] == 0.0  # 0 / w and x / inf
 
-    def test_estimates_into_a_workspace_slot(self):
+    def test_estimate_rows_read_blocks_of_the_estimate_matrix(self):
         rng = np.random.default_rng(3)
         store = PopulationStore(7)
         store.x[:], store.w[:] = self._mass(rng, (7, 7)), self._mass(rng, (7, 7))
-        ws = EstimatesWorkspace()
-        ws.slot(9, 9).fill(5.0)  # a stale, larger slot
-        ws.slot(1, 1)
-        got = store.estimates([1, 4, 6], workspace=ws)
-        want = three_pass_estimates(store.x[[1, 4, 6]], store.w[[1, 4, 6]], np.empty((3, 7)))
-        assert got.tobytes() == want.tobytes()
+        rows = np.array([1, 4, 5, 6])
+        want = three_pass_estimates(store.x[rows], store.w[rows], np.empty((4, 7)))
+        live, frozen = store.estimate_rows(rows), store.frozen_estimate_rows(rows)
+        for sel in (slice(0, 4), slice(1, 3), slice(2, 9), slice(0, 4, 2), [3, 0], [2]):
+            assert live[sel].tobytes() == want[sel].tobytes()
+            assert frozen[sel].tobytes() == want[sel].tobytes()
+        # freezing carries over the slices a live view of the store read
+        live = store.estimate_rows(rows)
+        block = live[1:3]
+        carried = store.frozen_estimate_rows(rows, live)
+        assert carried[1:3] is block
+        assert carried[0:4].tobytes() == want.tobytes()
+
+    _CHANGES = {
+        "halve-all": lambda s: s.halve(np.arange(6)),
+        "halve-some": lambda s: s.halve([1, 4]),
+        "halve-row": lambda s: s.halve_row(2),
+        "merge": lambda s: s.merge(np.array([3, 0]), np.full((2, 12), 0.5), np.arange(2)),
+        "merge-row": lambda s: s.merge_row(5, np.full(12, 0.25)),
+        "rescale": lambda s: s.rescale(np.array([0, 4]), 3.0),
+        "reset": lambda s: s.reset(
+            np.arange(6), sparse.csr_matrix(np.ones((6, 6)) - np.eye(6)), np.full(6, 0.2)
+        ),
+    }
+
+    @pytest.mark.parametrize("change", sorted(_CHANGES))
+    def test_a_frozen_view_outlives_the_next_store_changes(self, change):
+        # A whole-store halve moves the store to the spare buffer and any
+        # other change copies first: the frozen view reads the state it
+        # froze, twice over (the second freeze reuses the spare buffer),
+        # and the store changes exactly as one with no view does.
+        rng = np.random.default_rng(7)
+        store, plain = PopulationStore(6), PopulationStore(6)
+        store.xw[:] = plain.xw[:] = self._mass(rng, (6, 12))
+        rows = np.array([0, 2, 3, 5])
+        for _ in range(2):
+            want = three_pass_estimates(store.x[rows], store.w[rows], np.empty((4, 6)))
+            before = store.xw.copy()
+            frozen = store.frozen_estimate_rows(rows)
+            self._CHANGES[change](store)
+            self._CHANGES[change](plain)
+            assert store.xw.tobytes() == plain.xw.tobytes()
+            assert store.x.base is store.xw and store.w.base is store.xw
+            # halving leaves estimates as they were: compare the frozen mass too
+            assert frozen._xw.tobytes() == before.tobytes()
+            assert frozen[0:4].tobytes() == want.tobytes()
+            assert frozen[[3, 1]].tobytes() == want[[3, 1]].tobytes()
 
     @pytest.mark.parametrize(
         "cur_ids, prev_ids",
@@ -624,10 +679,10 @@ class TestKernelPins:
         rng = np.random.default_rng(6)
         whole, rowwise = PopulationStore(5), PopulationStore(5)
         whole.xw[:] = rowwise.xw[:] = self._mass(rng, (5, 10))
-        out_all, sizes_all = whole.halve(np.arange(5))
+        out_all, known_all = whole.halve(np.arange(5))
         parts = [rowwise.halve([node]) for node in range(5)]
         assert out_all.tobytes() == np.vstack([out for out, _ in parts]).tobytes()
-        assert sizes_all.tolist() == [int(size[0]) for _, size in parts]
+        assert known_all == sum(known for _, known in parts)
         assert whole.xw.tobytes() == rowwise.xw.tobytes()
         out_all[0, 0] = 9.0  # the outbox is fresh, not the store
         assert whole.xw[0, 0] != 9.0

@@ -35,8 +35,8 @@ class TestExactness:
     def test_messages_accounted(self, random_S):
         engine = StructuredAggregationEngine(random_S.n)
         v = np.full(random_S.n, 1.0 / random_S.n)
-        engine.run_cycle(random_S, v)
-        assert engine.messages == random_S.n * engine.rounds_per_cycle
+        res = engine.run_cycle(random_S, v)
+        assert res.messages_sent == random_S.n * engine.rounds_per_cycle
 
     def test_faster_than_unstructured(self, random_S):
         n = random_S.n

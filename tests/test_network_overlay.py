@@ -138,6 +138,38 @@ class TestPartnerSampling:
                     break
         assert rejected == {"self", "dead"}
 
+    @pytest.mark.parametrize("dead", [(), (5,)], ids=["all-alive", "after-leave"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_partners_replay_the_raw_stream(self, dead, seed):
+        # With every node alive no liveness gather runs and only
+        # self-picks are rejected; after a leave dead picks are too.
+        def build():
+            ov = Overlay(random_graph(8, rng=2), rng=seed)
+            for node in dead:
+                ov.leave(node)
+            return ov
+
+        batched, successive = build(), build()
+        nodes = batched.alive_nodes().repeat(12)
+        before = batched._rng.bit_generator.state
+        picks = batched.random_partners(nodes)
+        assert picks.tolist() == [successive.random_partner(int(v)) for v in nodes]
+        assert batched._rng.bit_generator.state == successive._rng.bit_generator.state
+        # replay the raw stream: the kinds of pick the walk above rejected
+        clone = np.random.Generator(np.random.PCG64())
+        clone.bit_generator.state = before
+        stream = iter(clone.integers(8, size=50 * nodes.size).tolist())
+        rejected = set()
+        for node in nodes.tolist():
+            for pick in stream:
+                if pick == node:
+                    rejected.add("self")
+                elif pick in dead:
+                    rejected.add("dead")
+                else:
+                    break
+        assert rejected == ({"self", "dead"} if dead else {"self"})
+
     def test_random_partners_matches_at_scale(self):
         batched = Overlay(random_graph(128, rng=2), rng=3)
         successive = Overlay(random_graph(128, rng=2), rng=3)

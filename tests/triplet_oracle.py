@@ -251,6 +251,12 @@ class NodeStore(PopulationStore):
             tv = self._views[node] = NodeVector._view(self.x[node], self.w[node])
         return tv
 
+    def frozen_estimate_rows(self, rows: np.ndarray, live=None):
+        # the row views write past the store's methods: freeze by copying now
+        view = super().frozen_estimate_rows(rows, live)
+        self._settle()
+        return view
+
     def reset(self, rows: np.ndarray, S: sparse.csr_matrix, v: np.ndarray) -> None:
         local = csr_rows(S)
         prior = {i: float(v[i]) for i in range(self.n)}

@@ -90,14 +90,19 @@ lines += [
     "`PartnerStrategy.partners` draws every partner (the global sampler",
     "via `Overlay.random_partners`, the same RNG stream as per-node",
     "`random_partner` calls), `PopulationStore.halve` halves all senders",
-    "into a fresh outbox, `Transport.send_many` sends the round as one",
-    "`Simulator.call_batch_in` heap entry, and the arrivals merge into",
+    "into a fresh outbox and counts the round's known ids in one total,",
+    "`Transport.send_many` sends the round as one",
+    "`Simulator.call_batch_in` heap entry and counts that total as its",
+    "bytes (exact also when messages drop: `send` counts a message's",
+    "bytes before its drop checks), and the arrivals merge into",
     "the store in arrival order as one `csc_matvecs` scatter-add, the",
-    "sync engine's step kernel (`PopulationStore.merge`). Per-round",
-    "estimates are one divide into an `EstimatesWorkspace`'s two",
-    "alternating output slots, the convergence check runs over blocks",
-    "of 32 rows and stops at the first failing block, and held mass and",
-    "the armed sanitizer's checks are row reductions over the store.",
+    "sync engine's step kernel (`PopulationStore.merge`). The",
+    "convergence check runs over blocks of 4 rows doubling up to 32 and",
+    "stops at the first failing block; it divides only the rows it",
+    "reads (`PopulationStore.estimate_rows`; the previous window's come",
+    "from the buffer the store left when the round halved it), and held",
+    "mass and the armed sanitizer's checks are row reductions over the",
+    "store.",
     "Results are bitwise those of the node-by-node protocol.",
     "`Simulator.call_at`/`call_in` push `(when, seq, fn, args)` heap",
     "entries and return `None`; Poisson wakes and membership control",
