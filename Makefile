@@ -117,8 +117,9 @@ chaos-smoke:
 sweep:
 	PYTHONPATH=src $(PYTHON) -m repro.cli run fig3 --quick --workers 2
 
+# Run every example script against the checkout's src/ (each < 60 s).
 examples:
-	@for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done
+	@for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src $(PYTHON) $$f || exit 1; done
 
 # Regenerate every paper table/figure at smoke scale (fast sanity pass).
 experiments:

@@ -154,7 +154,6 @@ class SourceFile:
 
     def __init__(self, path: str, text: str):
         self.path = str(path)
-        self.text = text
         self.lines: List[str] = text.splitlines()
         self.tree: ast.Module = ast.parse(text, filename=self.path)
         #: 1-based line -> the comment token on that line, if any

@@ -20,6 +20,12 @@ from repro.trust.matrix import TrustMatrix, as_csr
 
 __all__ = ["CentralizedEigenvector"]
 
+#: L1 convergence tolerance of power iteration
+_TOL = 1e-12
+
+#: power-iteration budget
+_MAX_ITER = 100_000
+
 #: largest L1 distance between the power-iteration and ARPACK vectors
 #: that :meth:`CentralizedEigenvector.compute` accepts
 _CHECK_TOL = 1e-6
@@ -39,26 +45,15 @@ class CentralizedEigenvector:
     ----------
     S:
         The row-stochastic trust matrix.
-    tol:
-        L1 convergence tolerance of power iteration.
-    max_iter:
-        Iteration budget.
+
+    Power iteration stops at an L1 step below ``_TOL`` and gives up
+    after ``_MAX_ITER`` iterations.
     """
 
-    def __init__(
-        self,
-        S: Union[TrustMatrix, sparse.spmatrix, np.ndarray],
-        *,
-        tol: float = 1e-12,
-        max_iter: int = 100_000,
-    ):
+    def __init__(self, S: Union[TrustMatrix, sparse.spmatrix, np.ndarray]):
         self._S = as_csr(S)
         if self._S.shape[0] != self._S.shape[1]:
             raise ValidationError(f"matrix must be square, got {self._S.shape}")
-        if not tol > 0:
-            raise ValidationError(f"tol must be > 0, got {tol}")
-        self.tol = float(tol)
-        self.max_iter = int(max_iter)
         self._ST = self._S.T.tocsr()
 
     @property
@@ -77,7 +72,7 @@ class CentralizedEigenvector:
         """
         n = self.n
         v = np.full(n, 1.0 / n)
-        for it in range(1, self.max_iter + 1):
+        for it in range(1, _MAX_ITER + 1):
             v_new = 0.5 * (v + self._ST @ v)
             total = v_new.sum()
             if total <= 0:
@@ -87,11 +82,11 @@ class CentralizedEigenvector:
             v_new /= total
             resid = float(np.abs(v_new - v).sum())
             v = v_new
-            if resid < self.tol:
+            if resid < _TOL:
                 return _EigResult(vector=v, iterations=it, residual=resid)
         raise ConvergenceError(
-            f"power iteration did not reach tol={self.tol} in {self.max_iter} iters",
-            steps=self.max_iter,
+            f"power iteration did not reach tol={_TOL} in {_MAX_ITER} iters",
+            steps=_MAX_ITER,
             residual=resid,
         )
 
@@ -147,4 +142,4 @@ class CentralizedEigenvector:
         return result.vector
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"CentralizedEigenvector(n={self.n}, tol={self.tol})"
+        return f"CentralizedEigenvector(n={self.n})"

@@ -17,7 +17,7 @@ Two variants:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -35,6 +35,10 @@ _TOL = 1e-10
 
 #: iteration budget
 _MAX_ITER = 10_000
+
+#: the static pre-trusted peer ids (EigenTrust's P); empty degrades P
+#: to uniform
+_PRETRUSTED: Tuple[int, ...] = ()
 
 #: Chord identifier width of the score managers' ring
 _RING_BITS = 32
@@ -60,29 +64,26 @@ class EigenTrust:
     ----------
     S:
         Row-stochastic trust matrix.
-    pretrusted:
-        The static pre-trusted peer ids (EigenTrust's P).  Empty set
-        degrades P to uniform.
     a:
         Pre-trust mixing weight (EigenTrust's ``a``; analogous to the
         paper's greedy factor).
 
-    Iterates until successive vectors differ by less than ``_TOL`` in
-    L1, within ``_MAX_ITER`` iterations.
+    P is uniform over the pre-trusted peers ``_PRETRUSTED`` (all peers
+    when empty).  Iterates until successive vectors differ by less than
+    ``_TOL`` in L1, within ``_MAX_ITER`` iterations.
     """
 
     def __init__(
         self,
         S: Union[TrustMatrix, sparse.spmatrix, np.ndarray],
         *,
-        pretrusted: Iterable[int] = (),
         a: float = 0.15,
     ):
         self._S = as_csr(S)
         self.n = self._S.shape[0]
         check_in_range("a", a, low=0.0, high=1.0, high_inclusive=False)
         self.a = float(a)
-        self._P = PretrustVector(self.n, pretrusted)
+        self._P = PretrustVector(self.n, _PRETRUSTED)
         self._ST = self._S.T.tocsr()
 
     def compute(self) -> EigenTrustResult:
@@ -119,11 +120,10 @@ class DistributedEigenTrust(EigenTrust):
         self,
         S: Union[TrustMatrix, sparse.spmatrix, np.ndarray],
         *,
-        pretrusted: Iterable[int] = (),
         a: float = 0.15,
         replicas: int = 3,
     ):
-        super().__init__(S, pretrusted=pretrusted, a=a)
+        super().__init__(S, a=a)
         if replicas < 1:
             raise ValidationError(f"replicas must be >= 1, got {replicas}")
         self.replicas = int(replicas)

@@ -37,6 +37,9 @@ _TOL = 1e-10
 #: iteration budget
 _MAX_ITER = 10_000
 
+#: fraction of peers selected as power nodes
+_POWER_FRACTION = 0.01
+
 
 @dataclass
 class PowerTrustResult:
@@ -59,13 +62,13 @@ class PowerTrust:
         Row-stochastic trust matrix.
     alpha:
         Greedy factor (paper default 0.15).
-    power_fraction:
-        Fraction of peers selected as power nodes (default 1%).
     lookahead:
         Enable the look-ahead random walk (iterate on ``S @ S``).
     ring_bits:
         Chord identifier width for the overhead model (None disables
         DHT accounting entirely — pure-math mode).
+
+    ``_POWER_FRACTION`` (1%) of the peers become power nodes.
     """
 
     def __init__(
@@ -73,17 +76,15 @@ class PowerTrust:
         S: Union[TrustMatrix, sparse.spmatrix, np.ndarray],
         *,
         alpha: float = 0.15,
-        power_fraction: float = 0.01,
         lookahead: bool = True,
         ring_bits: Optional[int] = 32,
     ):
         self._S = as_csr(S)
         self.n = self._S.shape[0]
         check_in_range("alpha", alpha, low=0.0, high=1.0, high_inclusive=False)
-        check_in_range("power_fraction", power_fraction, low=0.0, high=1.0)
         self.alpha = float(alpha)
         self.lookahead = bool(lookahead)
-        q = max(1, int(self.n * power_fraction)) if alpha > 0 else 0
+        q = max(1, int(self.n * _POWER_FRACTION)) if alpha > 0 else 0
         self._selector = PowerNodeSelector(self.n, q)
         self._ring = ChordRing(range(self.n), bits=ring_bits) if ring_bits else None
         mat = (self._S @ self._S).tocsr() if self.lookahead else self._S

@@ -7,14 +7,12 @@ peers of the moment — the PowerTrust insight being that feedback in real
 systems is power-law distributed, so a small head of nodes carries most
 of the system's trust information and is worth weighting.
 
-The selector ranks by current reputation, takes the top ``q``, and can
-optionally exclude known-departed peers (a power node that left the
-overlay must not keep collecting greedy mass).
+The selector ranks by current reputation and takes the top ``q``.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional
+from typing import FrozenSet
 
 import numpy as np
 
@@ -49,26 +47,19 @@ class PowerNodeSelector:
         self._current: FrozenSet[int] = frozenset()
         #: how many selection rounds have run
         self.rounds = 0
-        #: how many nodes changed between the last two selections
-        self.last_turnover = 0
 
     @property
     def current(self) -> FrozenSet[int]:
         """Power nodes from the latest selection round."""
         return self._current
 
-    def select(
-        self, reputation: np.ndarray, *, alive: Optional[np.ndarray] = None
-    ) -> FrozenSet[int]:
+    def select(self, reputation: np.ndarray) -> FrozenSet[int]:
         """Re-select power nodes from a reputation vector.
 
         Parameters
         ----------
         reputation:
             Current global reputation estimates, length n.
-        alive:
-            Optional boolean liveness mask; departed peers are never
-            selected.
 
         Returns
         -------
@@ -80,18 +71,11 @@ class PowerNodeSelector:
         if self.q == 0:
             new: FrozenSet[int] = frozenset()
         else:
-            scores = v.copy()
-            if alive is not None:
-                mask = np.asarray(alive, dtype=bool)
-                if mask.shape != (self.n,):
-                    raise ValidationError(f"alive mask must have shape ({self.n},)")
-                scores = np.where(mask, scores, -np.inf)
             # argsort is ascending; ties broken by lower node id for
             # determinism (stable sort on (-score, id)).
-            order = np.lexsort((np.arange(self.n), -scores))
-            top = [int(i) for i in order[: self.q] if np.isfinite(scores[i])]
+            order = np.lexsort((np.arange(self.n), -v))
+            top = [int(i) for i in order[: self.q] if np.isfinite(v[i])]
             new = frozenset(top)
-        self.last_turnover = len(new.symmetric_difference(self._current))
         self._current = new
         self.rounds += 1
         return new

@@ -33,6 +33,12 @@ _BISECT_TOL = 1e-10
 #: bisection step budget
 _BISECT_STEPS = 200
 
+#: largest number of feedbacks any single node issues (§6.1)
+_D_MAX = 200
+
+#: average feedback count across nodes (§6.1)
+_D_AVG = 20.0
+
 
 def powerlaw_weights(n: int, exponent: float) -> np.ndarray:
     """Unnormalized power-law rank weights ``w_i = i ** -exponent``.
@@ -149,33 +155,20 @@ class BoundedZipf:
 class FeedbackCountDistribution(BoundedZipf):
     """Feedback-count distribution of §6.1: bounded power law.
 
-    The paper fixes the maximum feedback amount ``d_max = 200`` and the
-    average ``d_avg = 20``; the exponent is whatever bounded-Zipf
-    exponent realizes that mean.
-
-    Parameters
-    ----------
-    d_max:
-        Largest number of feedbacks any single node issues.
-    d_avg:
-        Target average feedback count across nodes.
+    The paper fixes the maximum feedback amount ``d_max = 200``
+    (``_D_MAX``) and the average ``d_avg = 20`` (``_D_AVG``); the
+    exponent is whatever bounded-Zipf exponent realizes that mean.
     """
 
-    def __init__(self, d_max: int = 200, d_avg: float = 20.0):
-        if d_max < 1:
-            raise ValidationError(f"d_max must be >= 1, got {d_max}")
-        check_in_range("d_avg", d_avg, low=1.0, high=float(d_max), low_inclusive=False)
-        exponent = solve_zipf_exponent_for_mean(float(d_avg), int(d_max))
-        super().__init__(exponent, int(d_max))
-        self.d_max = int(d_max)
-        self.d_avg = float(d_avg)
+    def __init__(self) -> None:
+        super().__init__(solve_zipf_exponent_for_mean(_D_AVG, _D_MAX), _D_MAX)
 
     def sample_counts(self, n_nodes: int, rng: SeedLike = None) -> np.ndarray:
-        """Feedback counts for ``n_nodes`` peers, each in ``{1..d_max}``."""
+        """Feedback counts for ``n_nodes`` peers, each in ``{1..kmax}``."""
         return self.sample(n_nodes, rng)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"FeedbackCountDistribution(d_max={self.d_max}, d_avg={self.d_avg}, "
+            f"FeedbackCountDistribution(d_max={self.kmax}, "
             f"exponent={self.exponent:.4f})"
         )

@@ -12,58 +12,49 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_in_range
 
 __all__ = ["TwoSegmentZipf"]
+
+#: Zipf exponent of the popular head (paper: 0.63)
+_HEAD_EXPONENT = 0.63
+
+#: Zipf exponent of the tail (paper: 1.24)
+_TAIL_EXPONENT = 1.24
+
+#: last rank of the head segment (paper: 250)
+_BREAK_RANK = 250
 
 
 class TwoSegmentZipf:
     """Piecewise Zipf over ranks ``1..n`` with a break at ``break_rank``.
 
-    ``weight(r) = r ** -head_exponent`` for ``r <= break_rank`` and
-    ``c * r ** -tail_exponent`` beyond, with ``c`` chosen so the two
-    segments meet continuously at the break.
+    ``weight(r) = r ** -_HEAD_EXPONENT`` for ``r <= break_rank`` and
+    ``c * r ** -_TAIL_EXPONENT`` beyond, with ``c`` chosen so the two
+    segments meet continuously at the break.  ``break_rank`` is
+    ``_BREAK_RANK`` clipped to ``n``.
 
     Parameters
     ----------
     n:
         Total number of ranks (distinct queries).
-    head_exponent:
-        Zipf exponent of the popular head (paper: 0.63).
-    tail_exponent:
-        Zipf exponent of the tail (paper: 1.24).
-    break_rank:
-        Last rank of the head segment (paper: 250).
     """
 
-    def __init__(
-        self,
-        n: int,
-        head_exponent: float = 0.63,
-        tail_exponent: float = 1.24,
-        break_rank: int = 250,
-    ):
+    def __init__(self, n: int):
         if n < 1:
             raise ValidationError(f"n must be >= 1, got {n}")
-        check_in_range("head_exponent", head_exponent, low=0.0)
-        check_in_range("tail_exponent", tail_exponent, low=0.0)
-        if break_rank < 1:
-            raise ValidationError(f"break_rank must be >= 1, got {break_rank}")
         self.n = int(n)
-        self.head_exponent = float(head_exponent)
-        self.tail_exponent = float(tail_exponent)
-        self.break_rank = min(int(break_rank), self.n)
+        self.break_rank = min(_BREAK_RANK, self.n)
 
         ranks = np.arange(1, self.n + 1, dtype=np.float64)
         weights = np.empty(self.n, dtype=np.float64)
         head = ranks[: self.break_rank]
-        weights[: self.break_rank] = head**-self.head_exponent
+        weights[: self.break_rank] = head**-_HEAD_EXPONENT
         if self.break_rank < self.n:
             # Continuity constant: both forms agree at the break rank.
             b = float(self.break_rank)
-            c = (b**-self.head_exponent) / (b**-self.tail_exponent)
+            c = (b**-_HEAD_EXPONENT) / (b**-_TAIL_EXPONENT)
             tail = ranks[self.break_rank :]
-            weights[self.break_rank :] = c * tail**-self.tail_exponent
+            weights[self.break_rank :] = c * tail**-_TAIL_EXPONENT
         self._pmf = weights / weights.sum()
         self._cdf = np.cumsum(self._pmf)
         self._cdf[-1] = 1.0
@@ -83,6 +74,5 @@ class TwoSegmentZipf:
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"TwoSegmentZipf(n={self.n}, head={self.head_exponent}, "
-            f"tail={self.tail_exponent}, break_rank={self.break_rank})"
+            f"TwoSegmentZipf(n={self.n}, break_rank={self.break_rank})"
         )

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Mapping, Optional, Sequence
+from typing import Any, Callable, List, Mapping, Sequence
 
 from repro.errors import ExperimentError
 from repro.metrics.telemetry import Stopwatch
@@ -49,6 +49,10 @@ __all__ = [
     "SweepReport",
     "run_sweep",
 ]
+
+#: worker tasks per worker process: small enough chunks to balance
+#: load, large enough to amortize submission overhead
+_TASKS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -154,12 +158,7 @@ def _chunk(points: Sequence[SweepPoint], size: int) -> List[List[SweepPoint]]:
     return [list(points[i : i + size]) for i in range(0, len(points), size)]
 
 
-def run_sweep(
-    points: Sequence[SweepPoint],
-    *,
-    workers: int = 1,
-    chunk_size: Optional[int] = None,
-) -> SweepReport:
+def run_sweep(points: Sequence[SweepPoint], *, workers: int = 1) -> SweepReport:
     """Execute every sweep point; return ordered outcomes and totals.
 
     Parameters
@@ -173,10 +172,11 @@ def run_sweep(
         many workers.  Results are identical either way (each point's
         randomness is a pure function of its seed); only wall time
         changes.
-    chunk_size:
-        Points per worker task.  Defaults to spreading the sweep over
-        ``4 * workers`` tasks (bounded below by 1) — small enough to
-        balance load, large enough to amortize submission overhead.
+
+    The pool spreads the sweep over ``_TASKS_PER_WORKER * workers``
+    tasks (at least one point each) and starts no more processes than
+    there are tasks.  The report's ``workers`` counts the processes
+    that ran points: 1 inline, else the pool's size.
     """
     if workers < 1:
         raise ExperimentError(f"workers must be >= 1, got {workers}")
@@ -184,24 +184,13 @@ def run_sweep(
     watch = Stopwatch()
     if workers == 1 or len(points) <= 1:
         outcomes = [point.execute() for point in points]
-        return SweepReport(
-            outcomes=outcomes,
-            workers=1 if workers == 1 else workers,
-            wall_time=watch.elapsed(),
-        )
-    if chunk_size is None:
-        chunk_size = max(1, len(points) // (4 * workers))
-    elif chunk_size < 1:
-        raise ExperimentError(f"chunk_size must be >= 1, got {chunk_size}")
-    chunks = _chunk(points, chunk_size)
+        return SweepReport(outcomes=outcomes, workers=1, wall_time=watch.elapsed())
+    chunks = _chunk(points, max(1, len(points) // (_TASKS_PER_WORKER * workers)))
+    processes = min(workers, len(chunks))
     outcomes = []
-    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+    with ProcessPoolExecutor(max_workers=processes) as pool:
         # executor.map returns results in submission order regardless of
         # completion order — the ordered-collection guarantee.
         for chunk_outcomes in pool.map(_execute_chunk, chunks):
             outcomes.extend(chunk_outcomes)
-    return SweepReport(
-        outcomes=outcomes,
-        workers=workers,
-        wall_time=watch.elapsed(),
-    )
+    return SweepReport(outcomes=outcomes, workers=processes, wall_time=watch.elapsed())

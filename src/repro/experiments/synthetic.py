@@ -18,8 +18,6 @@ hundred MB instead of gigabytes of list overhead.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 from scipy import sparse
 
@@ -35,12 +33,7 @@ __all__ = ["synthetic_trust_matrix"]
 _BLOCK_ROWS = 65_536
 
 
-def synthetic_trust_matrix(
-    n: int,
-    *,
-    feedback_dist: Optional[FeedbackCountDistribution] = None,
-    rng: SeedLike = None,
-) -> TrustMatrix:
+def synthetic_trust_matrix(n: int, *, rng: SeedLike = None) -> TrustMatrix:
     """A power-law-feedback trust matrix over ``n`` honest peers.
 
     Each rater ``i`` draws its feedback count ``d_i`` from the bounded
@@ -50,8 +43,7 @@ def synthetic_trust_matrix(
     if n < 2:
         raise ValidationError(f"n must be >= 2, got {n}")
     gen = as_generator(rng)
-    dist = feedback_dist or FeedbackCountDistribution()
-    counts = np.minimum(dist.sample_counts(n, gen), n - 1)
+    counts = np.minimum(FeedbackCountDistribution().sample_counts(n, gen), n - 1)
     total = int(counts.sum())
     indptr64 = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr64[1:])

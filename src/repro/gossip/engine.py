@@ -106,10 +106,6 @@ _FULL_MODE_LIMIT = 1500
 #: step loop switches to per-step checks (Algorithm 1's granularity)
 _FINE_FACTOR = 8.0
 
-#: above this many B elements, run_cycle's column statistics run over
-#: row blocks and sum in float64 instead of one-shot reductions
-_BLOCKED_STATS_LIMIT = 1 << 24
-
 #: elements per estimate/residual row tile (~1 MiB of float64): the
 #: check's row tiles are ``_TILE_ELEMENTS // p`` rows high (results do
 #: not depend on it)
@@ -547,24 +543,12 @@ class SynchronousGossipEngine(CycleEngine):
         """Per-column mean of the estimates, plus node disagreement.
 
         ``B`` is finite: a cycle ends only once W is positive
-        everywhere.  Small matrices take one-shot reductions.  Past
-        ``_BLOCKED_STATS_LIMIT`` elements the reductions run over row
-        blocks and the column sums accumulate in float64.
+        everywhere.  The column sums accumulate in float64 whatever
+        ``B``'s dtype: a float32 sum down 10^6 rows drifts by ~1e-4
+        relative, the scale of epsilon.
         """
-        n, p = B.shape
-        if n * p <= _BLOCKED_STATS_LIMIT:
-            spread = B.max(axis=0) - B.min(axis=0)
-            return B.mean(axis=0), float(spread.max())
-        blk = max(1, (1 << 20) // max(p, 1))
-        sums = np.zeros(p, dtype=np.float64)
-        col_max = np.full(p, -np.inf)
-        col_min = np.full(p, np.inf)
-        for lo in range(0, n, blk):
-            tile = B[lo : min(lo + blk, n)]
-            sums += tile.sum(axis=0, dtype=np.float64)
-            np.maximum(col_max, tile.max(axis=0), out=col_max)
-            np.minimum(col_min, tile.min(axis=0), out=col_min)
-        return sums / n, float((col_max - col_min).max())
+        spread = B.max(axis=0) - B.min(axis=0)
+        return B.mean(axis=0, dtype=np.float64), float(spread.max())
 
     # -- step loop ---------------------------------------------------------
 

@@ -103,7 +103,7 @@ from repro.network.overlay import Overlay
 from repro.network.transport import Message, Transport
 from repro.sim.engine import Simulator
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_in_range, check_positive
+from repro.utils.validation import check_in_range
 
 __all__ = [
     "MessageGossipResult",
@@ -651,13 +651,6 @@ class AsyncMessageGossipEngine(MessageGossipEngine):
     sim, transport, overlay, epsilon, partnering:
         As for :class:`MessageGossipEngine`; ``epsilon`` applies between
         consecutive check windows.
-    mean_interval:
-        Mean of each node's exponential gossip interval (one "round" of
-        wall-clock corresponds to ~1 send per node).  Convergence checks
-        run every ``2 * mean_interval`` of simulated time, so a check
-        window spans ~2 sends per node.
-    max_time:
-        Simulated-time budget per cycle.
     mass_restore_budget:
         Self-healing threshold on ``mass_lost_fraction`` measured at
         the window boundary (``None`` disables the guard).  Because mass
@@ -671,6 +664,13 @@ class AsyncMessageGossipEngine(MessageGossipEngine):
 
     name = "async"
     _in_flight = True
+    #: mean of each node's exponential gossip interval (one "round" of
+    #: wall-clock corresponds to ~1 send per node); convergence checks
+    #: run every ``2 * mean_interval`` of simulated time, so a check
+    #: window spans ~2 sends per node
+    mean_interval = 1.0
+    #: simulated-time budget per cycle
+    max_time = 2000.0
 
     def __init__(
         self,
@@ -679,17 +679,10 @@ class AsyncMessageGossipEngine(MessageGossipEngine):
         overlay: Overlay,
         *,
         epsilon: float = 1e-4,
-        mean_interval: float = 1.0,
-        max_time: float = 2000.0,
         partnering: Optional[PartnerStrategy] = None,
         mass_restore_budget: Optional[float] = None,
         rng: SeedLike = None,
     ) -> None:
-        check_positive("mean_interval", mean_interval)
-        check_positive("max_time", max_time)
-        self.mean_interval = float(mean_interval)
-        self.check_interval = 2.0 * self.mean_interval
-        self.max_time = float(max_time)
         #: gossip halves sent this cycle
         self.sends = 0
         self._deadline = 0.0
@@ -708,7 +701,7 @@ class AsyncMessageGossipEngine(MessageGossipEngine):
         start = self.sim.now
         if start >= self._deadline:
             return False
-        span = min(self.check_interval, self._deadline - start)
+        span = min(2.0 * self.mean_interval, self._deadline - start)
         rng = self._rng
         n = self.overlay.n
         wakes = int(rng.poisson(n * span / self.mean_interval))

@@ -57,7 +57,6 @@ from repro.network.reliability import ReliableTransport
 from repro.network.transport import Message, Transport
 from repro.sim.engine import Simulator
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_positive
 
 __all__ = [
     "ViewHealth",
@@ -313,9 +312,9 @@ class NeighborSampler(PartnerStrategy):
 class BrahmsMembership(PartnerStrategy):
     """Brahms-style push/pull view maintenance with history samplers.
 
-    Each node keeps a view of ``view_size`` peers.  Every ``interval``
-    it *pushes* its id to ``alpha``·l random view members and *pulls*
-    the views of ``beta``·l others; at the next tick the view is
+    Each node keeps a view of ``view_size`` (l) peers.  Every
+    ``interval`` it *pushes* its id to ``alpha``·l random view members
+    and *pulls* the views of ``beta``·l others; at the next tick the view is
     recomputed as a blend of pushed ids, pulled ids, and the outputs of
     ``sampler_slots`` min-wise **history samplers** — uniform samples
     over every id ever observed, the component that resists targeted
@@ -331,33 +330,19 @@ class BrahmsMembership(PartnerStrategy):
     """
 
     name = "brahms"
+    #: peers per view (l)
+    view_size = 8
+    #: push and pull shares of the view; the remainder (``1 - alpha -
+    #: beta``) is the history samplers' share
+    alpha = 0.45
+    beta = 0.45
+    #: simulated time between membership ticks
+    interval = 4.0
+    #: min-wise history samplers per node
+    sampler_slots = 8
 
-    def __init__(
-        self,
-        *,
-        view_size: int = 8,
-        alpha: float = 0.45,
-        beta: float = 0.45,
-        interval: float = 4.0,
-        sampler_slots: int = 8,
-        rng: SeedLike = None,
-    ) -> None:
+    def __init__(self, *, rng: SeedLike = None) -> None:
         super().__init__(rng)
-        if view_size < 2:
-            raise ValidationError(f"view_size must be >= 2, got {view_size}")
-        if not 0.0 < alpha < 1.0 or not 0.0 < beta < 1.0 or alpha + beta >= 1.0:
-            raise ValidationError(
-                f"need 0 < alpha, beta and alpha + beta < 1 "
-                f"(the remainder is the history share), got {alpha}, {beta}"
-            )
-        check_positive("interval", interval)
-        if sampler_slots < 1:
-            raise ValidationError(f"sampler_slots must be >= 1, got {sampler_slots}")
-        self.view_size = int(view_size)
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.interval = float(interval)
-        self.sampler_slots = int(sampler_slots)
         self.views: Dict[int, List[int]] = {}
         self._push_buf: Dict[int, Set[int]] = {}
         self._pull_buf: Dict[int, Set[int]] = {}

@@ -22,6 +22,10 @@ __all__ = ["render_chart"]
 
 _GLYPHS = "*+ox#@%&"
 
+#: plot-area size in characters (excluding axes and labels)
+_WIDTH = 64
+_HEIGHT = 16
+
 
 def _transform(value: float, lo: float, hi: float, log: bool) -> float:
     """Map value to [0, 1] under the chosen axis scale."""
@@ -35,8 +39,6 @@ def _transform(value: float, lo: float, hi: float, log: bool) -> float:
 def render_chart(
     series: Sequence[Series],
     *,
-    width: int = 64,
-    height: int = 16,
     log_x: bool = False,
     log_y: bool = False,
     title: str = "",
@@ -48,9 +50,8 @@ def render_chart(
     Parameters
     ----------
     series:
-        The curves to plot (at least one non-empty).
-    width, height:
-        Plot-area size in characters (excluding axes/labels).
+        The curves to plot (at least one non-empty), on a plot area of
+        ``_WIDTH`` x ``_HEIGHT`` characters.
     log_x, log_y:
         Logarithmic axes (all plotted values must then be > 0).
     title, x_label, y_label:
@@ -61,8 +62,7 @@ def render_chart(
     str
         The chart, ready to print.
     """
-    if width < 8 or height < 4:
-        raise ValidationError(f"chart must be at least 8x4, got {width}x{height}")
+    width, height = _WIDTH, _HEIGHT
     populated = [s for s in series if len(s) > 0]
     if not populated:
         raise ValidationError("nothing to plot: all series are empty")

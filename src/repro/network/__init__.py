@@ -8,15 +8,12 @@
 * :mod:`repro.network.transport` — message transport on the DES with
   latency, loss, and link-failure injection.
 * :mod:`repro.network.churn` — peer join/leave dynamics.
-* :mod:`repro.network.flooding` — TTL-bounded flooding search (the
-  unstructured query primitive).
 * :mod:`repro.network.dht` — a Chord-like DHT ring used by the
   structured baselines (EigenTrust/PowerTrust) and the §7 extension.
 """
 
 from repro.network.churn import ChurnModel
 from repro.network.dht import ChordRing
-from repro.network.flooding import FloodSearch
 from repro.network.overlay import Overlay
 from repro.network.topology import Topology, gnutella_like, powerlaw_graph, random_graph, small_world_graph
 from repro.network.transport import LinkFailureModel, Message, Transport
@@ -32,6 +29,5 @@ __all__ = [
     "Message",
     "LinkFailureModel",
     "ChurnModel",
-    "FloodSearch",
     "ChordRing",
 ]

@@ -54,6 +54,9 @@ __all__ = [
     "plan_names",
 ]
 
+#: crash bursts never push the live population below this floor
+_MIN_ALIVE = 2
+
 
 @dataclass(frozen=True)
 class CrashBurst:
@@ -128,24 +131,15 @@ class FaultPlan:
         The fault events, in any order (each carries its own times).
     rng:
         Seed material for every random choice the plan makes.
-    min_alive:
-        Crash bursts never push the live population below this floor.
+
+    Crash bursts never push the live population below ``_MIN_ALIVE``.
     """
 
-    def __init__(
-        self,
-        events: List[FaultEvent],
-        *,
-        rng: SeedLike = None,
-        min_alive: int = 2,
-    ) -> None:
+    def __init__(self, events: List[FaultEvent], *, rng: SeedLike = None) -> None:
         for ev in events:
             _validate_event(ev)
-        if min_alive < 2:
-            raise ValidationError(f"min_alive must be >= 2, got {min_alive}")
         self.events: Tuple[FaultEvent, ...] = tuple(events)
         self._rng = as_generator(rng)
-        self.min_alive = int(min_alive)
         #: chronological (time, kind, detail) records of applied faults
         self.log: List[Tuple[float, str, str]] = []
         self.crashes = 0
@@ -164,24 +158,21 @@ class FaultPlan:
         transport: Transport,
         overlay: Overlay,
         *,
-        on_crash: Optional[Callable[[int], None]] = None,
         on_rejoin: Optional[Callable[[int], None]] = None,
     ) -> None:
         """Install every event's callbacks on the simulator clock.
 
-        ``on_crash`` / ``on_rejoin`` are notified per node after the
-        overlay change is applied — the hook engines/strategies use to
-        flush state or re-bootstrap membership.  A plan instance can be
-        scheduled once (its log and counters are per-run).
+        ``on_rejoin`` is notified per node after a crashed node rejoins
+        the overlay — the hook strategies use to re-bootstrap
+        membership.  A plan instance can be scheduled once (its log and
+        counters are per-run).
         """
         if self._scheduled:
             raise ValidationError("this FaultPlan is already scheduled; build a new one")
         self._scheduled = True
         for ev in self.events:
             if isinstance(ev, CrashBurst):
-                sim.call_at(
-                    ev.at, self._fire_crash, sim, overlay, ev, on_crash, on_rejoin
-                )
+                sim.call_at(ev.at, self._fire_crash, sim, overlay, ev, on_rejoin)
             elif isinstance(ev, LinkFlap):
                 self._schedule_flaps(sim, transport, overlay, ev)
             elif isinstance(ev, Partition):
@@ -197,12 +188,11 @@ class FaultPlan:
         sim: Simulator,
         overlay: Overlay,
         ev: CrashBurst,
-        on_crash: Optional[Callable[[int], None]],
         on_rejoin: Optional[Callable[[int], None]],
     ) -> None:
         live = [int(v) for v in overlay.alive_nodes().tolist()]
         want = ev.count if ev.count > 0 else int(round(ev.fraction * len(live)))
-        budget = max(0, len(live) - self.min_alive)
+        budget = max(0, len(live) - _MIN_ALIVE)
         k = min(want, budget)
         if k <= 0:
             return
@@ -211,8 +201,6 @@ class FaultPlan:
         for node in victims:
             overlay.leave(node)
             self.crashes += 1
-            if on_crash is not None:
-                on_crash(node)
             if ev.rejoin_after is not None:
                 sim.call_in(ev.rejoin_after, self._fire_rejoin, overlay, node, on_rejoin)
         self.log.append((sim.now, "crash", f"{k} nodes: {victims[:8]}..."))

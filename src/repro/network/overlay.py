@@ -15,11 +15,14 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.errors import NetworkError, UnknownNodeError, ValidationError
+from repro.errors import NetworkError, UnknownNodeError
 from repro.network.topology import Topology
 from repro.utils.rng import SeedLike, as_generator
 
 __all__ = ["Overlay"]
+
+#: random live peers a rejoining node wires to (its host-cache bootstrap)
+_JOIN_DEGREE = 3
 
 
 class Overlay:
@@ -81,31 +84,23 @@ class Overlay:
         self._alive[node] = False
         self._alive_count -= 1
 
-    def join(self, node: int, wire_to: Optional[Sequence[int]] = None, degree: int = 3) -> None:
-        """Re-admit ``node``; wire it to given peers or to random live ones.
+    def join(self, node: int) -> None:
+        """Re-admit ``node`` and wire it to random live peers.
 
         A rejoining peer keeps its old edges (to whichever endpoints are
-        live) and additionally wires to ``degree`` random live peers if
-        ``wire_to`` is not given — modelling bootstrap via a host cache.
+        live) and additionally wires to ``_JOIN_DEGREE`` random live
+        peers — modelling bootstrap via a host cache.
         """
         self._check(node)
         if self._alive[node]:
             raise NetworkError(f"node {node} is already alive")
         self._alive[node] = True
         self._alive_count += 1
-        if wire_to is None:
-            live = [v for v in self.alive_nodes().tolist() if v != node]
-            if live:
-                k = min(degree, len(live))
-                wire_to = self._rng.choice(live, size=k, replace=False).tolist()
-            else:
-                wire_to = []
-        for peer in wire_to:
-            self._check(peer)
-            if peer == node:
-                raise ValidationError("cannot wire a node to itself")
-            if not self._alive[peer]:
-                raise NetworkError(f"cannot wire to departed node {peer}")
+        live = [v for v in self.alive_nodes().tolist() if v != node]
+        if not live:
+            return
+        k = min(_JOIN_DEGREE, len(live))
+        for peer in self._rng.choice(live, size=k, replace=False).tolist():
             self._adj[node].add(peer)
             self._adj[peer].add(node)
 
@@ -117,10 +112,6 @@ class Overlay:
         if live_only:
             return tuple(sorted(v for v in self._adj[node] if self._alive[v]))
         return tuple(sorted(self._adj[node]))
-
-    def degree(self, node: int) -> int:
-        """Number of live neighbors of ``node``."""
-        return len(self.neighbors(node, live_only=True))
 
     def random_partner(self, node: int, *, neighbors_only: bool = False) -> Optional[int]:
         """Sample a gossip partner for ``node``.

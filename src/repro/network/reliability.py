@@ -14,7 +14,7 @@ with exactly that contract:
 * every reliable send is wrapped in an envelope carrying a message id;
   the receiver acks the id back to the sender;
 * a missing ack after ``ack_timeout`` triggers a resend, with the
-  timeout stretched by ``backoff`` per attempt, up to ``max_retries``
+  timeout stretched by ``_BACKOFF`` per attempt, up to ``_MAX_RETRIES``
   resends;
 * after the last attempt times out the wrapper *gives up* and reports
   the destination to the ``on_give_up`` callback — the suspicion signal
@@ -33,9 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Set
 
-from repro.errors import ValidationError
 from repro.network.transport import Message, Transport
-from repro.utils.validation import check_positive
 
 __all__ = ["ReliableEnvelope", "ReliableTransport"]
 
@@ -43,6 +41,17 @@ __all__ = ["ReliableEnvelope", "ReliableTransport"]
 RELIABLE_KIND = "reliable"
 #: transport message kind of an acknowledgement
 ACK_KIND = "ack"
+
+#: the ack timeout in round trips (a round trip is 2x max latency = 3x
+#: mean); one round trip or less would make every send retry spuriously
+_ACK_TIMEOUT_ROUND_TRIPS = 2.0
+
+#: resend budget per message (0 = a single attempt, then give up)
+_MAX_RETRIES = 2
+
+#: multiplicative timeout stretch per attempt (attempt k waits
+#: ``ack_timeout * _BACKOFF**k``)
+_BACKOFF = 2.0
 
 
 @dataclass(frozen=True)
@@ -75,16 +84,8 @@ class ReliableTransport:
     Parameters
     ----------
     transport:
-        The underlying (lossy, failing) transport.
-    ack_timeout:
-        Simulated time to wait for an ack before resending; must exceed
-        one round trip (2x max latency = 3x mean) or every send would
-        spuriously retry.
-    max_retries:
-        Resend budget per message (0 = a single attempt, then give up).
-    backoff:
-        Multiplicative timeout stretch per attempt (attempt k waits
-        ``ack_timeout * backoff**k``).
+        The underlying (lossy, failing) transport.  The ack timeout is
+        ``_ACK_TIMEOUT_ROUND_TRIPS`` of its round trips.
     on_deliver:
         Callback ``(msg, kind, payload)`` invoked for every reliable
         payload that arrives (``msg`` is the transport message, so
@@ -99,30 +100,13 @@ class ReliableTransport:
         self,
         transport: Transport,
         *,
-        ack_timeout: Optional[float] = None,
-        max_retries: int = 2,
-        backoff: float = 2.0,
         on_deliver: Optional[Callable[[Message, str, Any], None]] = None,
         on_give_up: Optional[Callable[[int, int, str], None]] = None,
     ) -> None:
-        min_rtt = 3.0 * transport.latency
-        if ack_timeout is None:
-            ack_timeout = max(2.0 * min_rtt, 1e-9)
-        check_positive("ack_timeout", ack_timeout)
-        if transport.latency > 0 and ack_timeout <= min_rtt:
-            raise ValidationError(
-                f"ack_timeout={ack_timeout} must exceed one round trip "
-                f"({min_rtt}) or every send retries spuriously"
-            )
-        if max_retries < 0:
-            raise ValidationError(f"max_retries must be >= 0, got {max_retries}")
-        if backoff < 1.0:
-            raise ValidationError(f"backoff must be >= 1.0, got {backoff}")
         self.transport = transport
         self.sim = transport.sim
-        self.ack_timeout = float(ack_timeout)
-        self.max_retries = int(max_retries)
-        self.backoff = float(backoff)
+        #: simulated time to wait for an ack before the first resend
+        self.ack_timeout = max(_ACK_TIMEOUT_ROUND_TRIPS * 3.0 * transport.latency, 1e-9)
         self.on_deliver = on_deliver
         self.on_give_up = on_give_up
         self._next_id = 0
@@ -133,7 +117,6 @@ class ReliableTransport:
         self.acked = 0
         self.gave_up = 0
         self.acks_sent = 0
-        self.duplicates = 0
         self._delivered_ids: Set[int] = set()
 
     # -- sending -----------------------------------------------------------
@@ -165,14 +148,14 @@ class ReliableTransport:
         self.transport.send(
             entry.src, entry.dst, envelope, kind=RELIABLE_KIND, size=entry.size
         )
-        delay = self.ack_timeout * (self.backoff ** entry.attempt)
+        delay = self.ack_timeout * (_BACKOFF ** entry.attempt)
         self.sim.call_in(delay, self._check_ack, msg_id, entry.attempt)
 
     def _check_ack(self, msg_id: int, attempt: int) -> None:
         entry = self._pending.get(msg_id)
         if entry is None or entry.attempt != attempt:
             return  # acked meanwhile, or a newer attempt owns the timer
-        if entry.attempt >= self.max_retries:
+        if entry.attempt >= _MAX_RETRIES:
             del self._pending[msg_id]
             self.gave_up += 1
             if self.on_give_up is not None:
@@ -204,7 +187,6 @@ class ReliableTransport:
         self.transport.send(msg.dst, msg.src, envelope.msg_id, kind=ACK_KIND, size=8)
         self.acks_sent += 1
         if envelope.msg_id in self._delivered_ids:
-            self.duplicates += 1
             return True  # retransmit of an already-delivered payload
         self._delivered_ids.add(envelope.msg_id)
         if self.on_deliver is not None:

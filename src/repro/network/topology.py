@@ -10,8 +10,7 @@ conductance, and these three families bracket the interesting range).
 All generators return a :class:`Topology` — an immutable undirected
 simple graph over nodes ``0..n-1`` — and guarantee connectivity by
 patching any stray components with random bridge edges (gossip mixing
-and flooding both presuppose one component; the paper's overlays are
-connected).
+presupposes one component; the paper's overlays are connected).
 """
 
 from __future__ import annotations
@@ -31,6 +30,9 @@ __all__ = [
     "small_world_graph",
     "gnutella_like",
 ]
+
+#: average degree of the paper's Gnutella-like overlay
+_GNUTELLA_DEGREE = 6
 
 
 class Topology:
@@ -69,10 +71,6 @@ class Topology:
     def neighbors(self, node: int) -> Tuple[int, ...]:
         """Sorted neighbor ids of ``node``."""
         return self._adj[node]
-
-    def degree(self, node: int) -> int:
-        """Degree of ``node``."""
-        return len(self._adj[node])
 
     def degrees(self) -> np.ndarray:
         """Degree of every node as an int array."""
@@ -228,11 +226,10 @@ def small_world_graph(n: int, k: int = 6, beta: float = 0.1, rng: SeedLike = Non
     return Topology(n, final)
 
 
-def gnutella_like(n: int, avg_degree: int = 6, rng: SeedLike = None) -> Topology:
+def gnutella_like(n: int, *, rng: SeedLike = None) -> Topology:
     """The paper's default overlay: flat, unstructured, power-law degrees.
 
-    Built as Barabási–Albert with ``m = avg_degree // 2`` (BA average
-    degree is ``2m``).
+    Built as Barabási–Albert with ``m = _GNUTELLA_DEGREE // 2`` (BA
+    average degree is ``2m``).
     """
-    m = max(1, avg_degree // 2)
-    return powerlaw_graph(n, m=m, rng=rng)
+    return powerlaw_graph(n, m=max(1, _GNUTELLA_DEGREE // 2), rng=rng)

@@ -285,12 +285,9 @@ class Transport:
         self.sim.call_batch_in(delays, self._deliver_many, queued, src, dst, payload, deliver)
         return int(delays.size)
 
-    def fail_link(self, u: int, v: int, duration: Optional[float] = None) -> None:
-        """Fail link ``{u, v}``, auto-healing after ``duration`` if given."""
+    def fail_link(self, u: int, v: int) -> None:
+        """Fail link ``{u, v}`` (``links.heal`` brings it back)."""
         self.links.fail(u, v)
-        if duration is not None:
-            check_non_negative("duration", duration)
-            self.sim.call_in(duration, self.links.heal, u, v)
 
     def _deliver(self, msg: Message) -> None:
         # A link that failed (or a partition that formed) while this

@@ -30,11 +30,16 @@ __all__ = [
     "reputation_inverse_rate",
 ]
 
-#: default authentic-service probability of an honest peer
+#: authentic-service probability of an honest peer
 HONEST_QUALITY = 0.95
-#: default authentic-service probability of a malicious peer ("cheat
-#: during transactions", §6.1)
+#: authentic-service probability of a malicious peer ("cheat during
+#: transactions", §6.1)
 MALICIOUS_QUALITY = 0.2
+
+#: inauthentic-response rate of a peer holding the uniform score 1/n
+_BASE_RATE = 0.05
+#: inauthentic-response rate ceiling
+_RATE_CAP = 0.95
 
 
 @dataclass
@@ -68,8 +73,6 @@ class PeerPopulation:
         malicious_fraction: float = 0.0,
         collusive: bool = False,
         group_size: int = 0,
-        honest_quality: float = HONEST_QUALITY,
-        malicious_quality: float = MALICIOUS_QUALITY,
         rng: SeedLike = None,
     ) -> "PeerPopulation":
         """Sample a population.
@@ -86,26 +89,25 @@ class PeerPopulation:
             otherwise they act independently.
         group_size:
             Peers per collusion group (required when ``collusive``).
-        honest_quality, malicious_quality:
-            Authentic-service probabilities per class.
+
+        Honest peers serve authentic files with probability
+        ``HONEST_QUALITY``, malicious ones with ``MALICIOUS_QUALITY``.
         """
         if n < 1:
             raise ValidationError(f"n must be >= 1, got {n}")
         check_probability("malicious_fraction", malicious_fraction)
-        check_probability("honest_quality", honest_quality)
-        check_probability("malicious_quality", malicious_quality)
         if collusive and group_size < 2:
             raise ValidationError(
                 f"collusive populations need group_size >= 2, got {group_size}"
             )
         gen = as_generator(rng)
         classes = np.full(n, PeerClass.HONEST, dtype=object)
-        quality = np.full(n, float(honest_quality))
+        quality = np.full(n, HONEST_QUALITY)
         group = np.full(n, -1, dtype=np.int64)
         m = int(round(n * malicious_fraction))
         if m > 0:
             bad = gen.choice(n, size=m, replace=False)
-            quality[bad] = float(malicious_quality)
+            quality[bad] = MALICIOUS_QUALITY
             if collusive:
                 classes[bad] = PeerClass.MALICIOUS_COLLUSIVE
                 for g, start in enumerate(range(0, m, group_size)):
@@ -181,26 +183,22 @@ def rate_transaction(
     return outcome
 
 
-def reputation_inverse_rate(
-    reputation: np.ndarray, *, base: float = 0.05, cap: float = 0.95
-) -> np.ndarray:
+def reputation_inverse_rate(reputation: np.ndarray) -> np.ndarray:
     """Inauthentic-response rate inversely proportional to reputation (§6.4).
 
     "Every node has a rate to respond a query with inauthentic files.
     For simplicity, this rate is modeled inversely proportional to
     node's global reputation."  The uniform score ``1/n`` maps to the
-    ``base`` rate, lower scores scale up proportionally, and the result
-    is capped at ``cap`` (a peer nobody trusts serves junk almost
+    ``_BASE_RATE``, lower scores scale up proportionally, and the result
+    is capped at ``_RATE_CAP`` (a peer nobody trusts serves junk almost
     always, not with probability > 1).
     """
     v = np.asarray(reputation, dtype=np.float64)
     if v.ndim != 1:
         raise ValidationError(f"reputation must be 1-D, got shape {v.shape}")
-    check_probability("base", base)
-    check_probability("cap", cap)
     n = v.shape[0]
     uniform = 1.0 / n
     with np.errstate(divide="ignore"):
-        rate = base * uniform / np.where(v > 0, v, np.inf)
-    rate[v <= 0] = cap
-    return np.minimum(rate, cap)
+        rate = _BASE_RATE * uniform / np.where(v > 0, v, np.inf)
+    rate[v <= 0] = _RATE_CAP
+    return np.minimum(rate, _RATE_CAP)

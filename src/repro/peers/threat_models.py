@@ -28,6 +28,9 @@ from repro.utils.rng import SeedLike, as_generator
 
 __all__ = ["ThreatScenario", "build_independent_scenario", "build_collusive_scenario"]
 
+#: fabricated mutual transactions per ordered colluder pair
+_COLLUSION_BOOST = 5
+
 
 @dataclass
 class ThreatScenario:
@@ -47,18 +50,13 @@ class ThreatScenario:
         return self.population.n
 
 
-def _generate(
-    population: PeerPopulation,
-    rng: SeedLike,
-    *,
-    collusion_boost: int = 5,
-) -> ThreatScenario:
+def _generate(population: PeerPopulation, rng: SeedLike) -> ThreatScenario:
     """Run the shared transaction stream and build both ledgers.
 
     Each rater's transaction count comes from the paper's feedback-count
     power law (d_max = 200, d_avg = 20).
 
-    ``collusion_boost`` extra mutual transactions per collusion pair
+    ``_COLLUSION_BOOST`` extra mutual transactions per collusion pair
     model the "rate ... very high" boosting — colluders don't merely lie
     about real downloads, they fabricate volume between themselves.
     """
@@ -80,14 +78,14 @@ def _generate(
             )
             tx += 1
     # Fabricated intra-group boosting (attacked ledger only).
-    if population.group_count() > 0 and collusion_boost > 0:
+    if population.group_count() > 0 and _COLLUSION_BOOST > 0:
         for g in range(population.group_count()):
             members = np.flatnonzero(population.group == g)
             for a in members.tolist():
                 for b in members.tolist():
                     if a == b:
                         continue
-                    for _ in range(collusion_boost):
+                    for _ in range(_COLLUSION_BOOST):
                         attacked.record_transaction(
                             a, b, TransactionOutcome.AUTHENTIC
                         )
@@ -130,7 +128,6 @@ def build_collusive_scenario(
     malicious_fraction: float,
     group_size: int,
     *,
-    collusion_boost: int = 5,
     rng: SeedLike = None,
 ) -> ThreatScenario:
     """Collusive threat model (§6.1): groups boosting each other.
@@ -143,8 +140,6 @@ def build_collusive_scenario(
         Total fraction of collusive peers (paper: 5% and 10%).
     group_size:
         Peers per collusion group (Fig. 4(b) sweeps this).
-    collusion_boost:
-        Fabricated mutual transactions per ordered colluder pair.
     """
     if group_size < 2:
         raise ValidationError(f"group_size must be >= 2, got {group_size}")
@@ -156,4 +151,4 @@ def build_collusive_scenario(
         group_size=group_size,
         rng=gen,
     )
-    return _generate(population, gen, collusion_boost=collusion_boost)
+    return _generate(population, gen)

@@ -10,8 +10,8 @@ positives, both measurable via :meth:`BloomReputationStore.report`.
 Brackets are geometric: reputation scores are power-law distributed
 (most mass on few peers), so equal-width linear brackets would put
 almost every peer in bracket 0.  The top bracket edge is the maximum
-observed score; the bottom edge is ``min_score`` (scores below it share
-the lowest bracket).
+observed score; the bottom edge is ``_MIN_SCORE`` (scores below it
+share the lowest bracket).
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ __all__ = ["StorageReport", "BloomReputationStore"]
 
 #: per-bracket Bloom false-positive target
 _ERROR_RATE = 0.01
+
+#: lower edge of the lowest bracket (scores are probabilities of
+#: magnitude ~1/n; this covers n up to 10^9)
+_MIN_SCORE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,24 +70,13 @@ class BloomReputationStore:
     bracket_bits:
         ``b``; the store uses ``2^b`` geometric brackets, each one a
         Bloom filter sized for a ``_ERROR_RATE`` false-positive rate.
-    min_score:
-        Lower edge of the lowest bracket (scores are probabilities of
-        magnitude ~1/n; the default covers n up to 10^9).
     """
 
-    def __init__(
-        self,
-        bracket_bits: int = 5,
-        *,
-        min_score: float = 1e-9,
-    ):
+    def __init__(self, bracket_bits: int = 5):
         if not 1 <= bracket_bits <= 16:
             raise ValidationError(f"bracket_bits must be in [1, 16], got {bracket_bits}")
-        if not min_score > 0:
-            raise ValidationError(f"min_score must be > 0, got {min_score}")
         self.bracket_bits = int(bracket_bits)
         self.brackets = 1 << self.bracket_bits
-        self.min_score = float(min_score)
         self._filters: List[BloomFilter] = []
         self._edges: Optional[np.ndarray] = None
         self._stored: Dict[int, float] = {}  # kept only for report(); not "used" by lookups
@@ -107,10 +100,10 @@ class BloomReputationStore:
         if np.any(v < 0):
             raise ValidationError("reputation scores are non-negative")
         top = float(v.max())
-        if top <= self.min_score:
-            top = self.min_score * 10.0
-        # Geometric edges from min_score to top, brackets+1 edges.
-        edges = np.geomspace(self.min_score, top, self.brackets + 1)
+        if top <= _MIN_SCORE:
+            top = _MIN_SCORE * 10.0
+        # Geometric edges from _MIN_SCORE to top, brackets+1 edges.
+        edges = np.geomspace(_MIN_SCORE, top, self.brackets + 1)
         assignment = self._bracket_of(v, edges=edges)
         per_bracket = np.bincount(assignment, minlength=self.brackets)
         filters = [
@@ -143,7 +136,7 @@ class BloomReputationStore:
         Probes brackets from the highest down — high-reputation lookups
         are the common case in peer selection — and returns the
         geometric midpoint of the first bracket whose filter claims the
-        id.  Returns ``min_score`` if no bracket matches (cannot happen
+        id.  Returns ``_MIN_SCORE`` if no bracket matches (cannot happen
         for stored ids: Bloom filters have no false negatives).
         """
         if self._edges is None:
@@ -151,7 +144,7 @@ class BloomReputationStore:
         for b in range(self.brackets - 1, -1, -1):
             if node in self._filters[b]:
                 return self.representative(b)
-        return self.min_score
+        return _MIN_SCORE
 
     def representative(self, bracket: int) -> float:
         """Geometric midpoint score of a bracket."""

@@ -7,8 +7,7 @@ distribution is the global reputation vector.
 
 Dangling rows — peers that issued no (positive) feedback — would break
 stochasticity.  Following EigenTrust practice (which the paper inherits),
-such rows are replaced by a fallback distribution: uniform ``1/n`` by
-default, or the pre-trust/power-node distribution when one is supplied.
+such rows are replaced by the uniform distribution ``1/n``.
 """
 
 from __future__ import annotations
@@ -122,28 +121,16 @@ class TrustMatrix:
         return cls(S, _validated=True)
 
     @classmethod
-    def from_dense_raw(
-        cls, raw: np.ndarray, *, fallback: Optional[np.ndarray] = None
-    ) -> "TrustMatrix":
+    def from_dense_raw(cls, raw: np.ndarray) -> "TrustMatrix":
         """Normalize a dense raw score matrix ``R`` into ``S`` (Eq. 1)."""
         R = check_square_matrix("raw trust matrix", raw)
         if np.any(R < 0):
             raise ValidationError("raw local scores must be non-negative")
         np.fill_diagonal(R, 0.0)  # self-scores are meaningless and excluded
         n = R.shape[0]
-        fb = cls._fallback(n, fallback)
         sums = R.sum(axis=1, keepdims=True)
-        S = np.where(sums > 0, R / np.where(sums > 0, sums, 1.0), fb)
+        S = np.where(sums > 0, R / np.where(sums > 0, sums, 1.0), np.full(n, 1.0 / n))
         return cls(sparse.csr_matrix(S), _validated=True)
-
-    @staticmethod
-    def _fallback(n: int, fallback: Optional[np.ndarray]) -> np.ndarray:
-        if fallback is None:
-            return np.full(n, 1.0 / n)
-        fb = check_vector("fallback", fallback, size=n)
-        if np.any(fb < 0) or not np.isclose(fb.sum(), 1.0, atol=1e-8):
-            raise ValidationError("fallback must be a probability distribution")
-        return fb
 
     # -- accessors -----------------------------------------------------------
 
@@ -182,20 +169,14 @@ class TrustMatrix:
 
     # -- incremental updates -------------------------------------------------
 
-    def apply_row_deltas(
-        self,
-        raw_rows: Mapping[int, Mapping[int, float]],
-        *,
-        fallback: Optional[np.ndarray] = None,
-    ) -> None:
+    def apply_row_deltas(self, raw_rows: Mapping[int, Mapping[int, float]]) -> None:
         """Replace the given rows of ``S`` with re-normalized raw scores.
 
         ``raw_rows`` maps ``rater -> {ratee: r_ij > 0}`` — the row-level
         delta format emitted by
         :meth:`~repro.trust.feedback.FeedbackLedger.drain_dirty`.  Each
         row is normalized per Eq. 1 (an empty/zero row becomes the
-        ``fallback`` distribution, uniform by default, exactly as in
-        :meth:`from_ledger`) and spliced into the CSR in one flat pass;
+        uniform distribution, exactly as in :meth:`from_ledger`) and spliced into the CSR in one flat pass;
         untouched rows are copied wholesale.
 
         A materialized transpose is refreshed from the new CSR (one
@@ -210,9 +191,6 @@ class TrustMatrix:
         n = self.n
         if not raw_rows:
             return
-        fb = self._fallback(n, fallback)
-        fb_nz = np.flatnonzero(fb > 0)
-        fb_vals = fb[fb_nz]
         # Normalize every delta row first (validating as we go) so a bad
         # row cannot leave the matrix half-patched.
         norm: Dict[int, Dict[int, float]] = {}
@@ -232,8 +210,8 @@ class TrustMatrix:
             if total > 0:
                 norm[int(i)] = {int(j): r / total for j, r in row.items() if r > 0}
             else:
-                # Dangling row: EigenTrust fallback distribution.
-                norm[int(i)] = {int(j): float(v) for j, v in zip(fb_nz, fb_vals)}
+                # Dangling row: EigenTrust's uniform fallback.
+                norm[int(i)] = dict.fromkeys(range(n), 1.0 / n)
 
         csr = self._S
         counts = np.diff(csr.indptr).astype(np.int64)

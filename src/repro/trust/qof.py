@@ -40,6 +40,10 @@ __all__ = ["QofResult", "feedback_quality", "QofWeightedAggregation"]
 #: :func:`feedback_quality` exponent of :class:`QofWeightedAggregation`
 _SHARPNESS = 2.0
 
+#: floor on :class:`QofWeightedAggregation` vote weights, so no rater is
+#: erased entirely (keeps the chain irreducible)
+_MIN_WEIGHT = 0.05
+
 
 def feedback_quality(
     S: TrustMatrix, reputation: np.ndarray, *, sharpness: float = 1.0
@@ -122,11 +126,9 @@ class QofWeightedAggregation:
         Aggregation parameters; ``alpha``/power nodes compose normally.
     rounds:
         QoF refresh rounds (2-3 suffice; the alternation settles fast).
-    min_weight:
-        Floor on vote weights so no rater is erased entirely (keeps the
-        chain irreducible).
 
-    Feedback quality is computed with ``sharpness=_SHARPNESS``.
+    Feedback quality is computed with ``sharpness=_SHARPNESS``; vote
+    weights are floored at ``_MIN_WEIGHT``.
     """
 
     def __init__(
@@ -134,14 +136,11 @@ class QofWeightedAggregation:
         config: Optional["GossipTrustConfig"] = None,
         *,
         rounds: int = 3,
-        min_weight: float = 0.05,
     ) -> None:
         if rounds < 1:
             raise ValidationError(f"rounds must be >= 1, got {rounds}")
-        check_in_range("min_weight", min_weight, low=0.0, high=1.0)
         self.config = config
         self.rounds = int(rounds)
-        self.min_weight = float(min_weight)
 
     def run(
         self, S: TrustMatrix, *, reference: Optional[np.ndarray] = None
@@ -170,7 +169,7 @@ class QofWeightedAggregation:
         for _round in range(1, self.rounds + 1):
             qof = np.maximum(
                 feedback_quality(S, judge, sharpness=_SHARPNESS),
-                self.min_weight,
+                _MIN_WEIGHT,
             )
             v = self._weighted_fixed_point(S, qof, cfg)
             trajectory.append(v.copy())

@@ -61,7 +61,6 @@ class RngStreams:
             self._root = np.random.SeedSequence(seed)
             self._seed_repr = seed
         self._streams: Dict[str, np.random.Generator] = {}
-        self._spawn_count = 0
 
     @property
     def seed(self) -> Optional[int]:
@@ -78,7 +77,6 @@ class RngStreams:
         if name not in self._streams:
             (child,) = self._root.spawn(1)
             self._streams[name] = np.random.default_rng(child)
-            self._spawn_count += 1
         return self._streams[name]
 
     def names(self) -> Iterable[str]:

@@ -28,6 +28,9 @@ __all__ = ["FileCatalog"]
 #: copy-count power-law exponent (the paper's popularity rate phi)
 _PHI = 1.2
 
+#: average copies per file (scales total placement volume)
+_MEAN_COPIES = 5.0
+
 
 class FileCatalog:
     """Files, their copy counts, and the file -> owners index.
@@ -38,27 +41,16 @@ class FileCatalog:
         Catalog size (paper: > 100_000).
     n_peers:
         Number of peers to place copies on.
-    mean_copies:
-        Average copies per file (scales total placement volume).
 
     Copy counts follow the power law with exponent ``_PHI`` (paper:
-    1.2); placement is weighted by the default Saroiu ownership model.
+    1.2), ``_MEAN_COPIES`` per file on average; placement is weighted by the default Saroiu ownership model.
     """
 
-    def __init__(
-        self,
-        n_files: int,
-        n_peers: int,
-        *,
-        mean_copies: float = 5.0,
-        rng: SeedLike = None,
-    ):
+    def __init__(self, n_files: int, n_peers: int, *, rng: SeedLike = None):
         if n_files < 1:
             raise ValidationError(f"n_files must be >= 1, got {n_files}")
         if n_peers < 1:
             raise ValidationError(f"n_peers must be >= 1, got {n_peers}")
-        if mean_copies < 1:
-            raise ValidationError(f"mean_copies must be >= 1, got {mean_copies}")
         gen = as_generator(rng)
         self.n_files = int(n_files)
         self.n_peers = int(n_peers)
@@ -66,7 +58,7 @@ class FileCatalog:
         # Copy counts: proportional to rank^-phi, scaled to the target
         # mean, floored at one copy so every file exists somewhere.
         weights = powerlaw_weights(self.n_files, _PHI)
-        scale = mean_copies * self.n_files / weights.sum()
+        scale = _MEAN_COPIES * self.n_files / weights.sum()
         copies = np.maximum(1, np.round(scale * weights)).astype(np.int64)
         # No file can have more copies than peers (one copy per owner).
         np.minimum(copies, self.n_peers, out=copies)

@@ -20,8 +20,6 @@ import numpy as np
 
 from repro.baselines.notrust import SelectionPolicy
 from repro.core.config import GossipTrustConfig
-from repro.network.flooding import FloodSearch
-from repro.network.overlay import Overlay
 from repro.core.gossiptrust import GossipTrust
 from repro.errors import ValidationError
 from repro.peers.behavior import PeerPopulation, rate_transaction, reputation_inverse_rate
@@ -85,15 +83,10 @@ class FileSharingSimulation:
         ``"reputation"`` — rate inversely proportional to current global
         reputation (§6.4's stated model; self-consistent across
         refreshes).
-    overlay:
-        Optional live overlay.  When given, queries are resolved by
-        TTL-bounded *flooding* over it (the Gnutella primitive) instead
-        of the whole-network owner index — responders are then only the
-        owners reachable within ``flood_ttl`` hops, and queries can fail
-        for reachability reasons.  The paper floods "over the entire
-        P2P network", which the default (index) mode models exactly.
-    flood_ttl:
-        Hop budget for flood mode.
+
+    Queries resolve through the whole-network owner index: the paper
+    floods each query "over the entire P2P network", so every live
+    owner responds.
     """
 
     def __init__(
@@ -106,8 +99,6 @@ class FileSharingSimulation:
         config: Optional[GossipTrustConfig] = None,
         inauthentic_model: str = "class",
         use_gossip: bool = True,
-        overlay: Optional["Overlay"] = None,
-        flood_ttl: int = 7,
         rng: SeedLike = None,
     ):
         if catalog.n_peers != population.n:
@@ -135,14 +126,6 @@ class FileSharingSimulation:
         self._reputation = np.full(n, 1.0 / n)
         self._alive = np.ones(n, dtype=bool)
         self._rates = self._compute_rates()
-        if overlay is not None and overlay.n != n:
-            raise ValidationError(
-                f"overlay size ({overlay.n}) != population ({n})"
-            )
-        self.overlay = overlay
-        self._flood = (
-            FloodSearch(overlay, default_ttl=flood_ttl) if overlay is not None else None
-        )
         # Power nodes persist across refreshes ("identified ... for the
         # next round of reputation updating", §3).  The carried-over set
         # anchors the greedy mixing on the previous round's most
@@ -173,7 +156,8 @@ class FileSharingSimulation:
         windows: List[float] = []
         for q in self._queries.take(total_queries):
             window_size += 1
-            owners = self._resolve(q.file_rank, q.requester)
+            owners = self.catalog.owners_alive(q.file_rank, self._alive)
+            owners = owners[owners != q.requester]
             if owners.size == 0:
                 unresolved += 1
             else:
@@ -206,22 +190,6 @@ class FileSharingSimulation:
             unresolved=unresolved,
             refreshes=refreshes,
             gossip_steps=gossip_steps,
-        )
-
-    def _resolve(self, file_rank: int, requester: int) -> np.ndarray:
-        """Owners reachable for this query (index or flood mode)."""
-        if self._flood is None:
-            owners = self.catalog.owners_alive(file_rank, self._alive)
-            return owners[owners != requester]
-        if not self.overlay.is_alive(requester):
-            # A departed peer issues no flood; the query goes nowhere.
-            return np.empty(0, dtype=np.int64)
-        owner_set = set(
-            self.catalog.owners_alive(file_rank, self.overlay.alive_mask()).tolist()
-        )
-        result = self._flood.query(requester, match=lambda v: v in owner_set)
-        return np.asarray(
-            sorted(r for r in result.responders if r != requester), dtype=np.int64
         )
 
     def _refresh(self) -> int:

@@ -22,9 +22,17 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.types import TransactionOutcome
-from repro.utils.validation import check_positive
 
 __all__ = ["ObjectReputation"]
+
+#: prior authenticity belief for unseen versions
+_PRIOR = 0.5
+
+#: Laplace smoothing mass; an unvoted version scores ``_PRIOR``
+_PRIOR_WEIGHT = 1.0
+
+#: lowest score :meth:`ObjectReputation.validate` accepts as authentic
+_VALID_THRESHOLD = 0.5
 
 
 class ObjectReputation:
@@ -36,34 +44,20 @@ class ObjectReputation:
         Catalog size (1-based popularity ranks, like the catalog).
     versions_per_file:
         Version ids run ``0 .. versions_per_file - 1`` for every file.
-    prior_weight:
-        Laplace smoothing mass; an unvoted version scores the neutral
-        ``prior`` below.
-    prior:
-        Prior authenticity belief for unseen versions.
+
+    Scores are smoothed by ``_PRIOR_WEIGHT`` votes of the neutral prior
+    ``_PRIOR``.
     """
 
-    def __init__(
-        self,
-        n_files: int,
-        versions_per_file: int = 3,
-        *,
-        prior_weight: float = 1.0,
-        prior: float = 0.5,
-    ):
+    def __init__(self, n_files: int, versions_per_file: int = 3):
         if n_files < 1:
             raise ValidationError(f"n_files must be >= 1, got {n_files}")
         if versions_per_file < 1:
             raise ValidationError(
                 f"versions_per_file must be >= 1, got {versions_per_file}"
             )
-        check_positive("prior_weight", prior_weight)
-        if not 0.0 <= prior <= 1.0:
-            raise ValidationError(f"prior must be in [0, 1], got {prior}")
         self.n_files = int(n_files)
         self.versions_per_file = int(versions_per_file)
-        self.prior_weight = float(prior_weight)
-        self.prior = float(prior)
         # (file, version) -> [weighted authentic votes, weighted total]
         self._votes: Dict[Tuple[int, int], np.ndarray] = {}
         self.votes_cast = 0
@@ -110,7 +104,7 @@ class ObjectReputation:
         key = self._check(file_rank, version)
         auth, total = self._votes.get(key, (0.0, 0.0))
         return float(
-            (auth + self.prior * self.prior_weight) / (total + self.prior_weight)
+            (auth + _PRIOR * _PRIOR_WEIGHT) / (total + _PRIOR_WEIGHT)
         )
 
     def best_version(self, file_rank: int) -> int:
@@ -121,11 +115,9 @@ class ObjectReputation:
         ]
         return int(np.argmax(scores))
 
-    def validate(self, file_rank: int, version: int, *, threshold: float = 0.5) -> bool:
+    def validate(self, file_rank: int, version: int) -> bool:
         """Pre-download check: is this version believed authentic?"""
-        if not 0.0 <= threshold <= 1.0:
-            raise ValidationError(f"threshold must be in [0, 1], got {threshold}")
-        return bool(self.score(file_rank, version) >= threshold)
+        return bool(self.score(file_rank, version) >= _VALID_THRESHOLD)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -10,7 +10,7 @@ and what makes popular files both well-replicated and hot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.distributions.query import TwoSegmentZipf
 from repro.errors import ValidationError
@@ -36,7 +36,8 @@ class QueryStream:
 
     "At each time step, a query is randomly generated at a peer and
     completely executed before the next query step."  The requester is
-    uniform over peers; the file follows the two-segment Zipf.
+    uniform over peers; the file follows the two-segment Zipf (the
+    paper's 0.63/1.24 split at rank 250).
 
     Parameters
     ----------
@@ -44,30 +45,16 @@ class QueryStream:
         Peers that can issue queries.
     n_files:
         Catalog size (ranks 1..n_files).
-    popularity:
-        Optional custom popularity distribution (defaults to the paper's
-        0.63/1.24 split at rank 250).
     """
 
-    def __init__(
-        self,
-        n_peers: int,
-        n_files: int,
-        *,
-        popularity: Optional[TwoSegmentZipf] = None,
-        rng: SeedLike = None,
-    ):
+    def __init__(self, n_peers: int, n_files: int, *, rng: SeedLike = None):
         if n_peers < 1:
             raise ValidationError(f"n_peers must be >= 1, got {n_peers}")
         if n_files < 1:
             raise ValidationError(f"n_files must be >= 1, got {n_files}")
         self.n_peers = int(n_peers)
         self.n_files = int(n_files)
-        self.popularity = popularity or TwoSegmentZipf(self.n_files)
-        if self.popularity.n != self.n_files:
-            raise ValidationError(
-                f"popularity covers {self.popularity.n} ranks, catalog has {self.n_files}"
-            )
+        self.popularity = TwoSegmentZipf(self.n_files)
         self._rng = as_generator(rng)
         self.issued = 0
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines import centralized
 from repro.baselines.centralized import CentralizedEigenvector
 from repro.errors import ConvergenceError, ValidationError
 
@@ -35,10 +36,11 @@ class TestPowerIteration:
         assert res.iterations > 0
         assert res.residual < 1e-12
 
-    def test_budget_exhaustion(self, random_S):
-        ce = CentralizedEigenvector(random_S, tol=1e-15, max_iter=2)
+    def test_budget_exhaustion(self, random_S, monkeypatch):
+        monkeypatch.setattr(centralized, "_TOL", 1e-15)
+        monkeypatch.setattr(centralized, "_MAX_ITER", 2)
         with pytest.raises(ConvergenceError):
-            ce.power_iteration()
+            CentralizedEigenvector(random_S).power_iteration()
 
 
 class TestCrossCheck:
@@ -70,7 +72,3 @@ class TestValidation:
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError):
             CentralizedEigenvector(np.ones((2, 3)))
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValidationError):
-            CentralizedEigenvector(np.eye(2), tol=0.0)

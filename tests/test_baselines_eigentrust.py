@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines import eigentrust
 from repro.baselines.centralized import CentralizedEigenvector
 from repro.baselines.eigentrust import DistributedEigenTrust, EigenTrust
 from repro.errors import ValidationError
@@ -14,18 +15,20 @@ class TestBasicEigenTrust:
         oracle = CentralizedEigenvector(random_S).compute()
         assert np.allclose(res.vector, oracle, atol=1e-6)
 
-    def test_pretrust_mixing_fixed_point(self, random_S):
+    def test_pretrust_mixing_fixed_point(self, random_S, monkeypatch):
         pre = [0, 1]
-        res = EigenTrust(random_S, pretrusted=pre, a=0.2).compute()
+        monkeypatch.setattr(eigentrust, "_PRETRUSTED", tuple(pre))
+        res = EigenTrust(random_S, a=0.2).compute()
         v = res.vector
         P = np.zeros(random_S.n)
         P[pre] = 0.5
         expected = 0.8 * random_S.aggregate(v) + 0.2 * P
         assert np.allclose(v, expected, atol=1e-8)
 
-    def test_pretrusted_peers_gain_score(self, random_S):
+    def test_pretrusted_peers_gain_score(self, random_S, monkeypatch):
         plain = EigenTrust(random_S, a=1e-12).compute().vector
-        boosted = EigenTrust(random_S, pretrusted=[3], a=0.3).compute().vector
+        monkeypatch.setattr(eigentrust, "_PRETRUSTED", (3,))
+        boosted = EigenTrust(random_S, a=0.3).compute().vector
         assert boosted[3] > plain[3]
 
     def test_converged_flag_and_iterations(self, random_S):
@@ -39,11 +42,10 @@ class TestBasicEigenTrust:
 
 
 class TestDistributedEigenTrust:
-    def test_same_fixed_point_as_basic(self, random_S):
-        basic = EigenTrust(random_S, pretrusted=[0], a=0.1).compute()
-        dist = DistributedEigenTrust(
-            random_S, pretrusted=[0], a=0.1, replicas=2
-        ).compute()
+    def test_same_fixed_point_as_basic(self, random_S, monkeypatch):
+        monkeypatch.setattr(eigentrust, "_PRETRUSTED", (0,))
+        basic = EigenTrust(random_S, a=0.1).compute()
+        dist = DistributedEigenTrust(random_S, a=0.1, replicas=2).compute()
         assert np.allclose(basic.vector, dist.vector)
 
     def test_overhead_accounting_positive(self, random_S):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines import powertrust
 from repro.baselines.powertrust import PowerTrust
 from repro.errors import ValidationError
 
@@ -14,8 +15,9 @@ class TestFixedPoint:
         assert res.vector.sum() == pytest.approx(1.0)
         assert np.all(res.vector >= -1e-12)
 
-    def test_power_nodes_reported(self, random_S):
-        res = PowerTrust(random_S, power_fraction=0.1, ring_bits=None).compute()
+    def test_power_nodes_reported(self, random_S, monkeypatch):
+        monkeypatch.setattr(powertrust, "_POWER_FRACTION", 0.1)
+        res = PowerTrust(random_S, ring_bits=None).compute()
         assert len(res.power_nodes) == max(1, int(random_S.n * 0.1))
         # Power nodes are the top of the converged ranking.
         top = set(np.argsort(-res.vector)[: len(res.power_nodes)].tolist())
@@ -53,7 +55,3 @@ class TestValidation:
     def test_rejects_bad_alpha(self, random_S):
         with pytest.raises(ValidationError):
             PowerTrust(random_S, alpha=1.0)
-
-    def test_rejects_bad_power_fraction(self, random_S):
-        with pytest.raises(ValidationError):
-            PowerTrust(random_S, power_fraction=2.0)

@@ -22,23 +22,12 @@ class TestSelection:
         sel = PowerNodeSelector(4, 0)
         assert sel.select(np.ones(4) / 4) == frozenset()
 
-    def test_alive_mask_excludes_departed(self):
-        sel = PowerNodeSelector(4, 2)
-        alive = np.array([True, False, True, True])
-        chosen = sel.select(np.array([0.1, 0.9, 0.3, 0.2]), alive=alive)
-        assert 1 not in chosen
-        assert chosen == frozenset({2, 3})
-
-    def test_all_dead_yields_empty(self):
-        sel = PowerNodeSelector(3, 2)
-        chosen = sel.select(np.ones(3) / 3, alive=np.zeros(3, dtype=bool))
-        assert chosen == frozenset()
-
     def test_turnover_tracking(self):
         sel = PowerNodeSelector(4, 2)
-        sel.select(np.array([0.4, 0.3, 0.2, 0.1]))
-        sel.select(np.array([0.1, 0.2, 0.3, 0.4]))
-        assert sel.last_turnover == 4  # {0,1} -> {2,3}
+        first = sel.select(np.array([0.4, 0.3, 0.2, 0.1]))
+        second = sel.select(np.array([0.1, 0.2, 0.3, 0.4]))
+        assert len(first ^ second) == 4  # {0,1} -> {2,3}
+        assert sel.current == second
         assert sel.rounds == 2
 
     def test_deterministic_across_calls(self):
@@ -73,5 +62,3 @@ class TestValidation:
         sel = PowerNodeSelector(3, 1)
         with pytest.raises(ValidationError):
             sel.select(np.ones(4) / 4)
-        with pytest.raises(ValidationError):
-            sel.select(np.ones(3) / 3, alive=np.ones(4, dtype=bool))

@@ -84,8 +84,7 @@ class TestBoundedZipf:
 class TestFeedbackCountDistribution:
     def test_paper_defaults(self):
         dist = FeedbackCountDistribution()
-        assert dist.d_max == 200
-        assert dist.d_avg == 20.0
+        assert dist.kmax == 200
         assert dist.mean == pytest.approx(20.0, rel=1e-6)
 
     def test_counts_bounded_by_d_max(self, rng):
@@ -100,9 +99,3 @@ class TestFeedbackCountDistribution:
     def test_heavy_tail_exists(self, rng):
         counts = FeedbackCountDistribution().sample_counts(50_000, rng)
         assert (counts > 100).sum() > 0  # tail reaches near d_max
-
-    def test_rejects_inconsistent_parameters(self):
-        with pytest.raises(ValidationError):
-            FeedbackCountDistribution(d_max=10, d_avg=10.0)
-        with pytest.raises(ValidationError):
-            FeedbackCountDistribution(d_max=0)

@@ -10,21 +10,18 @@ from repro.errors import ValidationError
 class TestConstruction:
     def test_paper_defaults(self):
         d = TwoSegmentZipf(10_000)
-        assert d.head_exponent == 0.63
-        assert d.tail_exponent == 1.24
+        pmf = d.pmf
         assert d.break_rank == 250
+        assert pmf[1] / pmf[0] == pytest.approx(2**-0.63, rel=1e-12)
+        assert pmf[501] / pmf[500] == pytest.approx((502 / 501) ** -1.24, rel=1e-12)
 
     def test_break_rank_clipped_to_n(self):
-        d = TwoSegmentZipf(100, break_rank=250)
+        d = TwoSegmentZipf(100)
         assert d.break_rank == 100
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValidationError):
             TwoSegmentZipf(0)
-        with pytest.raises(ValidationError):
-            TwoSegmentZipf(10, head_exponent=-1.0)
-        with pytest.raises(ValidationError):
-            TwoSegmentZipf(10, break_rank=0)
 
 
 class TestPmf:
@@ -36,12 +33,11 @@ class TestPmf:
         assert np.all(np.diff(pmf) <= 1e-18)
 
     def test_continuous_at_break(self):
-        d = TwoSegmentZipf(1000, break_rank=250)
-        pmf = d.pmf
+        pmf = TwoSegmentZipf(1000).pmf
         # No spike: the ratio across the break matches the tail exponent,
         # not a discontinuity.
         ratio = pmf[250] / pmf[249]
-        expected = (251 / 250) ** -d.tail_exponent
+        expected = (251 / 250) ** -1.24
         assert ratio == pytest.approx(expected, rel=1e-9)
 
     def test_tail_steeper_than_head(self):

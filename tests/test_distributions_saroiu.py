@@ -3,42 +3,32 @@
 import numpy as np
 import pytest
 
+from repro.distributions import saroiu
 from repro.distributions.saroiu import SaroiuFileOwnership
 from repro.errors import ValidationError
 
 
 class TestConstruction:
     def test_defaults(self):
-        d = SaroiuFileOwnership()
-        assert d.free_rider_fraction == 0.25
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValidationError):
-            SaroiuFileOwnership(free_rider_fraction=1.5)
-        with pytest.raises(ValidationError):
-            SaroiuFileOwnership(shape=0.0)
-        with pytest.raises(ValidationError):
-            SaroiuFileOwnership(min_files=0)
-        with pytest.raises(ValidationError):
-            SaroiuFileOwnership(min_files=10, max_files=5)
+        assert saroiu._FREE_RIDER_FRACTION == 0.25
+        assert (saroiu._SHAPE, saroiu._MIN_FILES, saroiu._MAX_FILES) == (1.2, 1, 10_000)
 
 
 class TestSampling:
-    def test_counts_in_bounds(self, rng):
-        d = SaroiuFileOwnership(min_files=1, max_files=1000)
-        counts = d.sample_counts(20_000, rng)
+    def test_counts_in_bounds(self, rng, monkeypatch):
+        monkeypatch.setattr(saroiu, "_MAX_FILES", 1000)
+        counts = SaroiuFileOwnership().sample_counts(20_000, rng)
         sharing = counts[counts > 0]
         assert sharing.min() >= 1
         assert sharing.max() <= 1000
 
     def test_free_rider_fraction_realized(self, rng):
-        d = SaroiuFileOwnership(free_rider_fraction=0.25)
-        counts = d.sample_counts(50_000, rng)
+        counts = SaroiuFileOwnership().sample_counts(50_000, rng)
         assert (counts == 0).mean() == pytest.approx(0.25, abs=0.01)
 
-    def test_no_free_riders_when_fraction_zero(self, rng):
-        d = SaroiuFileOwnership(free_rider_fraction=0.0)
-        counts = d.sample_counts(5000, rng)
+    def test_no_free_riders_when_fraction_zero(self, rng, monkeypatch):
+        monkeypatch.setattr(saroiu, "_FREE_RIDER_FRACTION", 0.0)
+        counts = SaroiuFileOwnership().sample_counts(5000, rng)
         assert (counts == 0).sum() == 0
 
     def test_skew_median_well_below_mean(self, rng):

@@ -11,6 +11,7 @@ excluded: they carry wall-time summaries that legitimately differ).
 import pytest
 
 from repro.errors import ExperimentError
+from repro.experiments import runner
 from repro.experiments.fig3_gossip_steps import run_fig3
 from repro.experiments.runner import SweepOutcome, SweepPoint, SweepReport, run_sweep
 from repro.experiments.table3_errors import run_table3
@@ -55,9 +56,11 @@ class TestRunSweep:
         assert run_sweep(points, workers=3).values() == run_sweep(points).values()
 
     @pytest.mark.parametrize("chunk_size", [1, 2, 5, 100])
-    def test_explicit_chunk_size_keeps_order(self, chunk_size):
+    def test_explicit_chunk_size_keeps_order(self, chunk_size, monkeypatch):
+        chunk = runner._chunk
+        monkeypatch.setattr(runner, "_chunk", lambda points, _size: chunk(points, chunk_size))
         points = _points(_square_point, 7)
-        report = run_sweep(points, workers=2, chunk_size=chunk_size)
+        report = run_sweep(points, workers=2)
         assert report.values() == [s * s for s in range(7)]
 
     def test_empty_sweep(self):
@@ -70,11 +73,15 @@ class TestRunSweep:
         report = run_sweep(_points(_square_point, 1), workers=8)
         assert report.values() == [0]
 
+    @pytest.mark.parametrize("count, workers, used", [(1, 2, 1), (3, 4, 3)])
+    def test_reports_the_processes_it_used(self, count, workers, used):
+        report = run_sweep(_points(_square_point, count), workers=workers)
+        assert report.workers == used
+        assert f"{used} worker(s)" in report.summary_line()
+
     def test_workers_validation(self):
         with pytest.raises(ExperimentError):
             run_sweep(_points(_square_point, 2), workers=0)
-        with pytest.raises(ExperimentError):
-            run_sweep(_points(_square_point, 2), workers=2, chunk_size=0)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_point_errors_propagate(self, workers):

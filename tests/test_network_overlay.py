@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import NetworkError, UnknownNodeError, ValidationError
+from repro.errors import NetworkError, UnknownNodeError
 from repro.network.overlay import Overlay
 from repro.network.topology import Topology, random_graph
 
@@ -36,7 +36,7 @@ class TestMembership:
 
     def test_join_restores_with_old_edges(self, line_overlay):
         line_overlay.leave(1)
-        line_overlay.join(1, wire_to=[])
+        line_overlay.join(1)
         assert line_overlay.is_alive(1)
         # Old edges to live endpoints come back.
         assert 0 in line_overlay.neighbors(1)
@@ -49,19 +49,21 @@ class TestMembership:
     def test_join_wires_to_random_live_peers(self):
         ov = Overlay(Topology(10, [(i, (i + 1) % 10) for i in range(10)]), rng=1)
         ov.leave(5)
-        ov.join(5, degree=3)
-        assert ov.degree(5) >= 3  # old ring edges plus bootstrap wiring
+        ov.join(5)
+        assert len(ov.neighbors(5)) >= 3  # old ring edges plus bootstrap wiring
 
     def test_join_rejects_wiring_to_departed(self, line_overlay):
         line_overlay.leave(0)
         line_overlay.leave(1)
-        with pytest.raises(NetworkError):
-            line_overlay.join(1, wire_to=[0])
+        line_overlay.join(1)
+        # bootstrap wiring draws from the live peers {2, 3} only
+        assert line_overlay.neighbors(1) == (2, 3)
+        assert line_overlay.neighbors(1, live_only=False) == (0, 2, 3)
 
     def test_join_rejects_self_wire(self, line_overlay):
         line_overlay.leave(1)
-        with pytest.raises(ValidationError):
-            line_overlay.join(1, wire_to=[1])
+        line_overlay.join(1)
+        assert 1 not in line_overlay.neighbors(1, live_only=False)
 
 
 class TestNeighbors:
@@ -70,11 +72,6 @@ class TestNeighbors:
         line_overlay.leave(2)
         assert line_overlay.neighbors(1) == (0,)
         assert line_overlay.neighbors(1, live_only=False) == (0, 2)
-
-    def test_degree(self, line_overlay):
-        assert line_overlay.degree(1) == 2
-        line_overlay.leave(0)
-        assert line_overlay.degree(1) == 1
 
 
 class TestPartnerSampling:

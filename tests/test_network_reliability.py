@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ValidationError
+from repro.network import reliability
 from repro.network.reliability import (
     ACK_KIND,
     RELIABLE_KIND,
@@ -13,7 +13,7 @@ from repro.network.transport import Message, Transport
 from repro.sim.engine import Simulator
 
 
-def build(loss=0.0, latency=0.5, seed=0, **kwargs):
+def build(loss=0.0, latency=0.5, seed=0):
     sim = Simulator()
     transport = Transport(sim, latency=latency, loss_rate=loss, rng=seed)
     delivered = []
@@ -22,7 +22,6 @@ def build(loss=0.0, latency=0.5, seed=0, **kwargs):
         transport,
         on_deliver=lambda msg, kind, payload: delivered.append((msg.src, msg.dst, kind, payload)),
         on_give_up=lambda src, dst, kind: suspected.append((src, dst, kind)),
-        **kwargs,
     )
     # Route everything (envelopes at dst, acks back at src) into the wrapper.
     for node in range(16):
@@ -31,29 +30,11 @@ def build(loss=0.0, latency=0.5, seed=0, **kwargs):
 
 
 class TestValidation:
-    def test_ack_timeout_must_exceed_round_trip(self):
-        sim = Simulator()
-        transport = Transport(sim, latency=1.0)
-        with pytest.raises(ValidationError, match="round trip"):
-            ReliableTransport(transport, ack_timeout=1.0)
-
     def test_default_timeout_covers_round_trip(self):
         sim = Simulator()
         transport = Transport(sim, latency=1.0)
         r = ReliableTransport(transport)
         assert r.ack_timeout > 3.0 * transport.latency
-
-    def test_negative_retries_rejected(self):
-        sim = Simulator()
-        transport = Transport(sim, latency=0.1)
-        with pytest.raises(ValidationError, match="max_retries"):
-            ReliableTransport(transport, max_retries=-1)
-
-    def test_backoff_below_one_rejected(self):
-        sim = Simulator()
-        transport = Transport(sim, latency=0.1)
-        with pytest.raises(ValidationError, match="backoff"):
-            ReliableTransport(transport, backoff=0.5)
 
 
 class TestHappyPath:
@@ -84,7 +65,7 @@ class TestHappyPath:
 
 class TestRetry:
     def test_total_loss_exhausts_retries_and_suspects(self):
-        sim, _tr, reliable, delivered, suspected = build(loss=1.0, max_retries=2)
+        sim, _tr, reliable, delivered, suspected = build(loss=1.0)
         reliable.send(0, 1, None, kind="probe")
         sim.run()
         assert delivered == []
@@ -93,15 +74,17 @@ class TestRetry:
         assert suspected == [(0, 1, "probe")]
         assert reliable.pending_count == 0
 
-    def test_zero_retries_gives_up_after_one_attempt(self):
-        sim, _tr, reliable, _, suspected = build(loss=1.0, max_retries=0)
+    def test_zero_retries_gives_up_after_one_attempt(self, monkeypatch):
+        monkeypatch.setattr(reliability, "_MAX_RETRIES", 0)
+        sim, _tr, reliable, _, suspected = build(loss=1.0)
         reliable.send(0, 1, None, kind="probe")
         sim.run()
         assert reliable.retries == 0
         assert suspected == [(0, 1, "probe")]
 
-    def test_lossy_link_eventually_delivers(self):
-        sim, _tr, reliable, delivered, _ = build(loss=0.5, seed=7, max_retries=5)
+    def test_lossy_link_eventually_delivers(self, monkeypatch):
+        monkeypatch.setattr(reliability, "_MAX_RETRIES", 5)
+        sim, _tr, reliable, delivered, _ = build(loss=0.5, seed=7)
         for i in range(12):
             reliable.send(0, 1, i, kind="data")
         sim.run()
@@ -110,7 +93,7 @@ class TestRetry:
         assert reliable.retries > 0
 
     def test_backoff_stretches_each_wait(self):
-        sim, _tr, reliable, _, _ = build(loss=1.0, max_retries=2, backoff=2.0)
+        sim, _tr, reliable, _, _ = build(loss=1.0)
         reliable.send(0, 1, None)
         t0 = sim.now
         sim.run()
@@ -133,7 +116,6 @@ class TestDedup:
         assert reliable.handle(msg) is True
         assert reliable.handle(msg) is True
         assert len(delivered) == 1
-        assert reliable.duplicates == 1
         assert reliable.acks_sent == 2  # duplicate still re-acked
 
     def test_late_retransmit_of_older_id_still_delivers_once_each(self):
@@ -143,7 +125,7 @@ class TestDedup:
         reliable.handle(self._envelope_msg(2001, payload="new"))
         reliable.handle(self._envelope_msg(2000, payload="old"))
         assert [p for (_, _, _, p) in delivered] == ["new", "old"]
-        assert reliable.duplicates == 0
+        assert reliable.acks_sent == 2
 
     def test_stray_ack_is_consumed_silently(self):
         sim, _tr, reliable, _, _ = build()
@@ -152,9 +134,10 @@ class TestDedup:
 
 
 class TestTimerOwnership:
-    def test_stale_timer_does_not_double_retry(self):
+    def test_stale_timer_does_not_double_retry(self, monkeypatch):
         """An old attempt's timer firing after a resend must be a no-op."""
-        sim, _tr, reliable, _, suspected = build(loss=1.0, max_retries=3)
+        monkeypatch.setattr(reliability, "_MAX_RETRIES", 3)
+        sim, _tr, reliable, _, suspected = build(loss=1.0)
         reliable.send(0, 1, None)
         sim.run()
         # Exactly max_retries resends, one give-up — no timer raced.

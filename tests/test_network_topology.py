@@ -31,7 +31,7 @@ class TestTopology:
         assert t.n == 4
         assert len(list(t.edges())) == 3
         assert t.neighbors(1) == (0, 2)
-        assert t.degree(0) == 1
+        assert t.degrees()[0] == 1
         assert 3 in t.neighbors(2) and 2 in t.neighbors(3)
         assert 3 not in t.neighbors(0)
 
@@ -146,7 +146,7 @@ class TestSmallWorld:
 
 class TestGnutellaLike:
     def test_connected_power_law(self):
-        t = gnutella_like(1000, avg_degree=6, rng=8)
+        t = gnutella_like(1000, rng=8)
         assert nx.is_connected(to_nx(t))
         assert t.degrees().mean() == pytest.approx(6.0, rel=0.2)
 

@@ -115,7 +115,8 @@ class TestLinkFailures:
         sim, tr = net
         got = []
         tr.register(1, lambda m: got.append(m))
-        tr.fail_link(0, 1, duration=5.0)
+        tr.fail_link(0, 1)
+        sim.call_in(5.0, tr.links.heal, 0, 1)
         tr.send(0, 1, "early")  # dropped
         sim.run(until=6.0)
         tr.send(0, 1, "late")  # delivered

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro.peers import behavior
 from repro.peers.behavior import (
     PeerPopulation,
     rate_transaction,
@@ -44,10 +45,10 @@ class TestBuild:
         sizes = [(pop.group == g).sum() for g in range(pop.group_count())]
         assert sorted(sizes) == [2, 4, 4]
 
-    def test_quality_assignment(self):
-        pop = PeerPopulation.build(
-            100, malicious_fraction=0.3, honest_quality=0.9, malicious_quality=0.1, rng=5
-        )
+    def test_quality_assignment(self, monkeypatch):
+        monkeypatch.setattr(behavior, "HONEST_QUALITY", 0.9)
+        monkeypatch.setattr(behavior, "MALICIOUS_QUALITY", 0.1)
+        pop = PeerPopulation.build(100, malicious_fraction=0.3, rng=5)
         assert np.all(pop.quality[pop.malicious_nodes()] == 0.1)
         assert np.all(pop.quality[pop.honest_nodes()] == 0.9)
 
@@ -69,8 +70,9 @@ class TestServe:
         assert pop.serve(0, rng) is TransactionOutcome.AUTHENTIC
         assert pop.serve(1, rng) is TransactionOutcome.INAUTHENTIC
 
-    def test_statistical_quality(self, rng):
-        pop = PeerPopulation.build(1, honest_quality=0.7, rng=0)
+    def test_statistical_quality(self, rng, monkeypatch):
+        monkeypatch.setattr(behavior, "HONEST_QUALITY", 0.7)
+        pop = PeerPopulation.build(1, rng=0)
         hits = sum(
             pop.serve(0, rng) is TransactionOutcome.AUTHENTIC for _ in range(5000)
         )
@@ -114,20 +116,23 @@ class TestRating:
 
 class TestReputationInverseRate:
     def test_uniform_reputation_gives_base_rate(self):
-        rate = reputation_inverse_rate(np.full(10, 0.1), base=0.05)
+        rate = reputation_inverse_rate(np.full(10, 0.1))
         assert np.allclose(rate, 0.05)
 
-    def test_inversely_proportional(self):
+    def test_inversely_proportional(self, monkeypatch):
+        monkeypatch.setattr(behavior, "_BASE_RATE", 0.08)
         v = np.array([0.4, 0.2, 0.2, 0.2])
-        rate = reputation_inverse_rate(v, base=0.08)
+        rate = reputation_inverse_rate(v)
         assert rate[1] == pytest.approx(2 * rate[0])
 
-    def test_zero_reputation_capped(self):
-        rate = reputation_inverse_rate(np.array([0.5, 0.0]), cap=0.9)
+    def test_zero_reputation_capped(self, monkeypatch):
+        monkeypatch.setattr(behavior, "_RATE_CAP", 0.9)
+        rate = reputation_inverse_rate(np.array([0.5, 0.0]))
         assert rate[1] == 0.9
 
-    def test_cap_applies(self):
-        rate = reputation_inverse_rate(np.array([1e-9, 1.0]), base=0.5, cap=0.95)
+    def test_cap_applies(self, monkeypatch):
+        monkeypatch.setattr(behavior, "_BASE_RATE", 0.5)
+        rate = reputation_inverse_rate(np.array([1e-9, 1.0]))
         assert rate[0] == 0.95
 
     def test_rejects_bad_shapes(self):

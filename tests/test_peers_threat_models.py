@@ -6,6 +6,7 @@ import pytest
 from repro.core.aggregation import exact_global_reputation
 from repro.core.config import GossipTrustConfig
 from repro.errors import ValidationError
+from repro.peers import threat_models
 from repro.peers.threat_models import (
     build_collusive_scenario,
     build_independent_scenario,
@@ -59,9 +60,11 @@ class TestCollusive:
         bad = sc.population.malicious_nodes()
         assert u[bad].sum() > 2 * v[bad].sum()
 
-    def test_boost_volume_scales_with_parameter(self):
-        lo = build_collusive_scenario(80, 0.1, group_size=4, collusion_boost=1, rng=2)
-        hi = build_collusive_scenario(80, 0.1, group_size=4, collusion_boost=8, rng=2)
+    def test_boost_volume_scales_with_parameter(self, monkeypatch):
+        monkeypatch.setattr(threat_models, "_COLLUSION_BOOST", 1)
+        lo = build_collusive_scenario(80, 0.1, group_size=4, rng=2)
+        monkeypatch.setattr(threat_models, "_COLLUSION_BOOST", 8)
+        hi = build_collusive_scenario(80, 0.1, group_size=4, rng=2)
         assert hi.transactions > lo.transactions
 
     def test_rejects_tiny_group(self):

@@ -12,18 +12,22 @@ checked on generated instances rather than examples:
 * distribution samplers stay within their declared supports.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.distributions import query
 from repro.distributions.powerlaw import BoundedZipf
 from repro.distributions.query import TwoSegmentZipf
 from repro.gossip.convergence import average_relative_error
 from repro.gossip.pushsum import push_sum_step
 from tests.triplet_oracle import NodeVector
 from repro.network.dht import ChordRing
+from repro.storage import reputation_store
 from repro.storage.bloom import BloomFilter
 from repro.trust.matrix import TrustMatrix
 
@@ -176,7 +180,8 @@ class TestDistributionProperties:
         seed=st.integers(0, 2**16),
     )
     def test_two_segment_zipf_support(self, n, break_rank, seed):
-        d = TwoSegmentZipf(n, break_rank=break_rank)
+        with mock.patch.object(query, "_BREAK_RANK", break_rank):
+            d = TwoSegmentZipf(n)
         ranks = d.sample_ranks(100, seed)
         assert ranks.min() >= 1 and ranks.max() <= n
 
@@ -219,12 +224,11 @@ class TestBloomStoreProperties:
         scores = scores / scores.sum()
         store = BloomReputationStore(bracket_bits=bits)
         store.build(scores)
-        ratio = (max(scores.max(), store.min_score * 10) / store.min_score) ** (
-            1.0 / (1 << bits)
-        )
+        floor = reputation_store._MIN_SCORE
+        ratio = (max(scores.max(), floor * 10) / floor) ** (1.0 / (1 << bits))
         for node in range(n):
             got = store.lookup(node)
-            truth = max(scores[node], store.min_score)
+            truth = max(scores[node], floor)
             # Within one bracket of truth, up to Bloom false positives
             # promoting to a higher bracket (never demoting below-1):
             assert got >= truth / (ratio * 2)

@@ -1,4 +1,4 @@
-"""Every top-level function and class, and every class member, has a caller.
+"""Every name, option and stored attribute in the package has a user.
 
 A name that only tests reach runs in no experiment, engine, service or
 benchmark, yet it still costs reading, typing and upkeep.  This test
@@ -12,16 +12,23 @@ re-export: both keep a name alive without using it.  Tests never count.
 
 Members match by name alone: ``obj.run(...)`` anywhere reaches every
 method called ``run``.
+
+The same holds one level down.  A defaulted parameter of a public
+function, method or constructor must be set by some call outside the
+tests (a test that needs another value monkeypatches a module
+constant), and every ``self.<attr>`` the package stores must be read
+somewhere outside the tests.
 """
 
 import ast
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
 CALLER_DIRS = ("src", "benchmarks", "tools", "examples", "perfbench")
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: names reached in a way a name reference cannot show, each with why
 #: (members as ``Class.member``)
@@ -67,16 +74,15 @@ def _definitions(path: Path) -> List[Tuple[str, str, int, int]]:
     ``Class.member`` for a method or property of any class in the file.
     """
     tree = ast.parse(path.read_text(), filename=str(path))
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defs = []
     for node in tree.body:
-        if isinstance(node, functions + (ast.ClassDef,)):
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
             defs.append((node.name, node.name, *_span(node)))
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
         for node in cls.body:
-            if isinstance(node, functions) and not (
+            if isinstance(node, _FUNCTIONS) and not (
                 node.name.startswith("__") and node.name.endswith("__")
             ):
                 defs.append((f"{cls.name}.{node.name}", node.name, *_span(node)))
@@ -127,3 +133,282 @@ def test_allowlist_names_still_exist():
     }
     assert not set(ALLOWLIST) - defined, sorted(set(ALLOWLIST) - defined)
     assert all(reason.strip() for reason in ALLOWLIST.values())
+
+
+# -- options -------------------------------------------------------------
+
+#: parameters a caller never needs to set (the seed material)
+SEED_PARAMETERS = ("rng", "seed")
+
+#: defaulted parameters only tests set, each with why (as
+#: ``function(param)``; constructors as ``Class.__init__(param)``)
+PARAMETER_ALLOWLIST = {
+    "configure(level)": "deployment setting: the operator chooses the log level",
+    "FileSharingSimulation.__init__(inauthentic_model)": (
+        "§6.4's stated rate model ('reputation'), next to the per-class default"
+    ),
+}
+
+
+def _defaulted_parameters(path: Path) -> Iterator[Tuple[str, str, str, Optional[int]]]:
+    """``(key, callee, parameter, position)`` of each defaulted parameter.
+
+    Covers public top-level functions and the public methods and
+    constructors of public classes.  ``callee`` is the name a call uses
+    (the class name for a constructor); ``position`` is the index a
+    positional argument would fill, ``None`` for a keyword-only one.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owners = [(node, None) for node in tree.body if isinstance(node, _FUNCTIONS)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            owners.extend((node, cls) for node in cls.body if isinstance(node, _FUNCTIONS))
+    for fn, cls in owners:
+        if fn.name.startswith("_") and not (cls and fn.name == "__init__"):
+            continue
+        key = fn.name if cls is None else f"{cls.name}.{fn.name}"
+        callee = cls.name if cls and fn.name == "__init__" else fn.name
+        static = any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list
+        )
+        bound = 0 if cls is None or static else 1
+        args = fn.args.posonlyargs + fn.args.args
+        first_default = len(args) - len(fn.args.defaults)
+        for i, arg in enumerate(args[first_default:], start=first_default):
+            if arg.arg not in SEED_PARAMETERS:
+                yield key, callee, arg.arg, i - bound
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None and arg.arg not in SEED_PARAMETERS:
+                yield key, callee, arg.arg, None
+
+
+def _callee(call: ast.Call) -> Optional[str]:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _written_keys(fn: ast.AST, name: str) -> Set[str]:
+    """Keywords ``fn`` writes into its dict ``name``: ``name.update(k=...)``, ``name["k"] = ...``."""
+    keys = set()
+    for node in ast.walk(fn):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "update"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == name
+        ):
+            keys.update(k.arg for k in node.keywords if k.arg)
+        elif (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == name
+            and isinstance(node.slice, ast.Constant)
+        ):
+            keys.add(node.slice.value)
+    return keys
+
+
+def _tables(tree: ast.Module) -> Dict[str, List[str]]:
+    """Module-level ``{key: callable}`` dicts: table name -> callable names."""
+    tables = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict):
+            target = node.target if isinstance(node, ast.AnnAssign) else node.targets[0]
+            values = node.value.values
+            if isinstance(target, ast.Name) and values and all(
+                isinstance(v, ast.Name) for v in values
+            ):
+                tables[target.id] = [v.id for v in values]
+    return tables
+
+
+def _setting_calls(path: Path) -> Iterator[Tuple[str, ast.Call, Optional[Set[str]]]]:
+    """``(callee, call, keywords)`` for every call in ``path``.
+
+    ``keywords`` is ``None`` for a plain call, whose arguments set what
+    they name or fill.  Two kinds of call reach a callee they do not
+    name:
+
+    * ``super().__init__(...)`` in a class calls its bases' constructors
+      (``DistributedEigenTrust`` forwards ``a`` to ``EigenTrust``);
+    * a call through a local bound from a module-level table of
+      callables (``cls = _ENGINES[name]``, then ``cls(*args, **kwargs)``)
+      calls each of them, and sets only the keywords the function
+      writes into the splatted dict (``make_engine`` fills ``dtype``,
+      ``max_steps``, ``partnering`` and ``mass_restore_budget`` from
+      the config).
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and _callee(call):
+            yield _callee(call), call, None
+    tables = _tables(tree)
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        bases = [b.id for b in cls.bases if isinstance(b, ast.Name)]
+        for call in ast.walk(cls):
+            if (
+                isinstance(call, ast.Call)
+                and _callee(call) == "__init__"
+                and isinstance(call.func.value, ast.Call)
+                and _callee(call.func.value) == "super"
+            ):
+                for base in bases:
+                    yield base, call, None
+    for fn in ast.walk(tree):
+        if not isinstance(fn, _FUNCTIONS):
+            continue
+        dispatch = {
+            node.targets[0].id: tables[node.value.value.id]
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Subscript)
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id in tables
+        }
+        for call in ast.walk(fn):
+            if isinstance(call, ast.Call) and _callee(call) in dispatch:
+                keys = {k.arg for k in call.keywords if k.arg}
+                for k in call.keywords:
+                    if k.arg is None and isinstance(k.value, ast.Name):
+                        keys |= _written_keys(fn, k.value.id)
+                for target in dispatch[_callee(call)]:
+                    yield target, call, keys
+
+
+def _sets(call: ast.Call, keywords: Optional[Set[str]], param: str, position) -> bool:
+    """Whether ``call`` sets ``param``; a ``*``/``**`` splat may set anything."""
+    if keywords is not None:
+        return param in keywords
+    if any(k.arg == param or k.arg is None for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and position < len(call.args)
+
+
+def _runner_names() -> Set[str]:
+    """The experiment runners, whose every keyword the CLI's ``--set`` reaches."""
+    tree = ast.parse((PACKAGE / "experiments" / "registry.py").read_text())
+    runners = set()
+    for node in tree.body:
+        target = node.target if isinstance(node, ast.AnnAssign) else None
+        if isinstance(target, ast.Name) and target.id == "_RUNNERS":
+            for value in node.value.values:
+                runners.add(value.elts[0].id)
+    return runners
+
+
+def _unset_parameters() -> List[str]:
+    calls: Dict[str, List[Tuple[ast.Call, Optional[Set[str]]]]] = defaultdict(list)
+    for folder in CALLER_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for callee, call, keywords in _setting_calls(path):
+                calls[callee].append((call, keywords))
+    runners = _runner_names()
+    unset = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for key, callee, param, position in _defaulted_parameters(path):
+            label = f"{key}({param})"
+            if label in PARAMETER_ALLOWLIST or key in runners:
+                continue
+            if not any(_sets(c, kw, param, position) for c, kw in calls[callee]):
+                unset.append(f"{path.relative_to(ROOT)}::{label}")
+    return unset
+
+
+def test_every_defaulted_parameter_has_a_caller_outside_tests():
+    unset = _unset_parameters()
+    assert not unset, (
+        "defaulted parameters no call outside tests sets; make each a module "
+        "constant (tests monkeypatch it), delete it with the path it selects, "
+        "or allowlist it with a reason: " + ", ".join(unset)
+    )
+
+
+def test_parameter_allowlist_entries_still_exist():
+    defined = {
+        f"{key}({param})"
+        for path in PACKAGE.rglob("*.py")
+        for key, _, param, _ in _defaulted_parameters(path)
+    }
+    assert not set(PARAMETER_ALLOWLIST) - defined, sorted(set(PARAMETER_ALLOWLIST) - defined)
+    assert all(reason.strip() for reason in PARAMETER_ALLOWLIST.values())
+
+
+# -- stored attributes ---------------------------------------------------
+
+#: attributes stored for a reader outside the package's callers, each
+#: with why (as ``Class.attr``)
+ATTRIBUTE_ALLOWLIST = {
+    "ConvergenceError.residual": "exception payload: read by whoever catches the error",
+    "InvariantViolation.invariant": "exception payload: read by whoever catches the error",
+}
+
+
+def _stored_attributes(path: Path) -> Iterator[Tuple[str, str]]:
+    """``(Class.attr, attr)`` for each ``self.<attr>`` a class stores."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        seen = set()
+        for fn in cls.body:
+            if not isinstance(fn, _FUNCTIONS):
+                continue
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                    and node.attr not in seen
+                ):
+                    seen.add(node.attr)
+                    yield f"{cls.name}.{node.attr}", node.attr
+
+
+def _loaded_names() -> Set[str]:
+    """Every attribute name read anywhere outside the tests."""
+    loaded = set()
+    for folder in CALLER_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+                elif (
+                    isinstance(node, ast.Call)
+                    and _callee(node) in ("getattr", "hasattr")
+                    and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant)
+                ):
+                    loaded.add(node.args[1].value)
+    return loaded
+
+
+def test_every_stored_attribute_is_read_outside_tests():
+    loaded = _loaded_names()
+    unread = [
+        f"{path.relative_to(ROOT)}::{key}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for key, attr in _stored_attributes(path)
+        if attr not in loaded and key not in ATTRIBUTE_ALLOWLIST
+    ]
+    assert not unread, (
+        "attributes stored in src/repro but read only by tests (or not at all); "
+        "delete them, read them, or allowlist them with a reason: " + ", ".join(unread)
+    )
+
+
+def test_attribute_allowlist_entries_still_exist():
+    stored = {key for path in PACKAGE.rglob("*.py") for key, _ in _stored_attributes(path)}
+    assert not set(ATTRIBUTE_ALLOWLIST) - stored, sorted(set(ATTRIBUTE_ALLOWLIST) - stored)
+    assert all(reason.strip() for reason in ATTRIBUTE_ALLOWLIST.values())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro.storage import reputation_store
 from repro.storage.reputation_store import BloomReputationStore
 
 
@@ -18,11 +19,11 @@ class TestBuildAndLookup:
         store = BloomReputationStore(bracket_bits=6)
         store.build(scores)
         # Geometric brackets: retrieved score within one bracket ratio.
-        edges_ratio = (scores.max() / store.min_score) ** (1.0 / 64)
+        edges_ratio = (scores.max() / reputation_store._MIN_SCORE) ** (1.0 / 64)
         for node in range(0, 200, 17):
             got = store.lookup(node)
             truth = scores[node]
-            if truth >= store.min_score:
+            if truth >= reputation_store._MIN_SCORE:
                 assert got / truth < edges_ratio * 2
                 assert truth / got < edges_ratio * 2
 
@@ -100,8 +101,6 @@ class TestValidation:
             BloomReputationStore(bracket_bits=0)
         with pytest.raises(ValidationError):
             BloomReputationStore(bracket_bits=17)
-        with pytest.raises(ValidationError):
-            BloomReputationStore(min_score=0.0)
 
     def test_build_rejects_bad_vectors(self):
         store = BloomReputationStore()
@@ -116,7 +115,8 @@ class TestValidation:
         with pytest.raises(ValidationError):
             store.representative(8)
 
-    def test_degenerate_all_tiny_scores(self):
-        store = BloomReputationStore(min_score=1e-3)
+    def test_degenerate_all_tiny_scores(self, monkeypatch):
+        monkeypatch.setattr(reputation_store, "_MIN_SCORE", 1e-3)
+        store = BloomReputationStore()
         store.build(np.full(10, 1e-6))
         assert store.lookup(0) > 0

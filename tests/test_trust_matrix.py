@@ -22,11 +22,6 @@ class TestFromDenseRaw:
         S = TrustMatrix.from_dense_raw(small_raw)
         assert S.row(3).tolist() == pytest.approx([0.25] * 4)
 
-    def test_dangling_row_custom_fallback(self, small_raw):
-        fb = np.array([0.0, 0.0, 0.0, 1.0])
-        S = TrustMatrix.from_dense_raw(small_raw, fallback=fb)
-        assert S.row(3).tolist() == pytest.approx([0.0, 0.0, 0.0, 1.0])
-
     def test_diagonal_zeroed(self):
         raw = np.array([[5.0, 1.0], [1.0, 5.0]])
         S = TrustMatrix.from_dense_raw(raw)
@@ -36,10 +31,6 @@ class TestFromDenseRaw:
     def test_negative_raw_rejected(self):
         with pytest.raises(ValidationError):
             TrustMatrix.from_dense_raw(np.array([[0.0, -1.0], [1.0, 0.0]]))
-
-    def test_bad_fallback_rejected(self, small_raw):
-        with pytest.raises(ValidationError):
-            TrustMatrix.from_dense_raw(small_raw, fallback=np.array([0.5, 0.5, 0.5, 0.5]))
 
 
 class TestFromLedger:
@@ -167,11 +158,6 @@ class TestApplyRowDeltas:
     def test_empty_delta_row_gets_uniform_fallback(self, small_S):
         small_S.apply_row_deltas({1: {}})
         assert small_S.row(1).tolist() == pytest.approx([0.25] * 4)
-
-    def test_empty_delta_row_custom_fallback(self, small_S):
-        fb = np.array([0.0, 0.0, 0.0, 1.0])
-        small_S.apply_row_deltas({1: {}}, fallback=fb)
-        assert small_S.row(1).tolist() == pytest.approx([0.0, 0.0, 0.0, 1.0])
 
     def test_no_deltas_is_a_noop(self, small_S):
         before = small_S.dense()

@@ -114,5 +114,3 @@ class TestQofWeightedAggregation:
     def test_validation(self):
         with pytest.raises(ValidationError):
             QofWeightedAggregation(rounds=0)
-        with pytest.raises(ValidationError):
-            QofWeightedAggregation(min_weight=1.5)

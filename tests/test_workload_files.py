@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro.workload import files
 from repro.workload.files import FileCatalog
 
 
@@ -22,14 +23,17 @@ class TestCopies:
         tail = np.mean([catalog.owners(f).size for f in range(1981, 2001)])
         assert head > 3 * tail
 
-    def test_copies_bounded_by_peers(self):
-        cat = FileCatalog(50, 10, mean_copies=30.0, rng=1)
+    def test_copies_bounded_by_peers(self, monkeypatch):
+        monkeypatch.setattr(files, "_MEAN_COPIES", 30.0)
+        cat = FileCatalog(50, 10, rng=1)
         for f in range(1, 51):
             assert cat.owners(f).size <= 10
 
-    def test_total_copies_scales_with_mean(self):
-        lo = FileCatalog(500, 200, mean_copies=2.0, rng=2)
-        hi = FileCatalog(500, 200, mean_copies=8.0, rng=2)
+    def test_total_copies_scales_with_mean(self, monkeypatch):
+        monkeypatch.setattr(files, "_MEAN_COPIES", 2.0)
+        lo = FileCatalog(500, 200, rng=2)
+        monkeypatch.setattr(files, "_MEAN_COPIES", 8.0)
+        hi = FileCatalog(500, 200, rng=2)
         assert hi.total_copies > 2 * lo.total_copies
 
 
@@ -74,8 +78,6 @@ class TestValidation:
             FileCatalog(0, 10)
         with pytest.raises(ValidationError):
             FileCatalog(10, 0)
-        with pytest.raises(ValidationError):
-            FileCatalog(10, 10, mean_copies=0.5)
 
     def test_deterministic(self):
         a = FileCatalog(100, 20, rng=5)

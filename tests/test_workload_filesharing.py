@@ -102,53 +102,3 @@ class TestValidation:
         sim, _pop = make_sim()
         with pytest.raises(ValidationError):
             sim.run(0)
-
-
-class TestFloodMode:
-    def make_flood_sim(self, ttl=3):
-        from repro.network.overlay import Overlay
-        from repro.network.topology import gnutella_like
-
-        n = 60
-        pop = PeerPopulation.build(n, malicious_fraction=0.2, rng=0)
-        cat = FileCatalog(800, n, rng=1)
-        overlay = Overlay(gnutella_like(n, rng=2), rng=3)
-        cfg = GossipTrustConfig(n=n, engine_mode="probe", seed=3)
-        sim = FileSharingSimulation(
-            pop, cat, ReputationSelector(n, rng=2), refresh_interval=200,
-            config=cfg, overlay=overlay, flood_ttl=ttl, rng=4,
-        )
-        return sim, overlay
-
-    def test_flood_mode_runs(self):
-        sim, _overlay = self.make_flood_sim()
-        res = sim.run(400)
-        assert 0.0 <= res.success_rate <= 1.0
-
-    def test_small_ttl_loses_responders(self):
-        wide, _ = self.make_flood_sim(ttl=7)
-        narrow, _ = self.make_flood_sim(ttl=1)
-        r_wide = wide.run(400)
-        r_narrow = narrow.run(400)
-        assert r_narrow.unresolved >= r_wide.unresolved
-
-    def test_departed_owners_unreachable(self):
-        sim, overlay = self.make_flood_sim(ttl=7)
-        # Cut the requesters off from everything except themselves.
-        for node in overlay.alive_nodes().tolist()[1:]:
-            if overlay.alive_count > 2:
-                overlay.leave(node)
-        res = sim.run(100)
-        # Almost every query now fails: either the requester departed,
-        # or the two survivors rarely own the requested file.
-        assert res.unresolved >= 90
-
-    def test_overlay_size_mismatch_rejected(self):
-        from repro.network.overlay import Overlay
-        from repro.network.topology import gnutella_like
-
-        pop = PeerPopulation.build(10, rng=0)
-        cat = FileCatalog(50, 10, rng=1)
-        overlay = Overlay(gnutella_like(20, rng=2))
-        with pytest.raises(ValidationError):
-            FileSharingSimulation(pop, cat, NoTrustSelector(), overlay=overlay)

@@ -84,11 +84,3 @@ class TestValidation:
             ObjectReputation(0)
         with pytest.raises(ValidationError):
             ObjectReputation(5, versions_per_file=0)
-        with pytest.raises(ValidationError):
-            ObjectReputation(5, prior=1.5)
-        with pytest.raises(ValidationError):
-            ObjectReputation(5, prior_weight=0.0)
-
-    def test_validate_threshold_bounds(self, obj):
-        with pytest.raises(ValidationError):
-            obj.validate(1, 0, threshold=2.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.distributions.query import TwoSegmentZipf
+from repro.distributions import query
 from repro.errors import ValidationError
 from repro.workload.queries import QueryStream
 
@@ -33,15 +33,14 @@ class TestGeneration:
         ranks = np.array([q.file_rank for q in qs.take(20_000)])
         assert (ranks <= 250).mean() > (ranks > 4000).mean()
 
-    def test_custom_popularity(self):
-        pop = TwoSegmentZipf(100, head_exponent=2.0, tail_exponent=2.0, break_rank=10)
-        qs = QueryStream(5, 100, popularity=pop, rng=4)
+    def test_custom_popularity(self, monkeypatch):
+        monkeypatch.setattr(query, "_HEAD_EXPONENT", 2.0)
+        monkeypatch.setattr(query, "_TAIL_EXPONENT", 2.0)
+        monkeypatch.setattr(query, "_BREAK_RANK", 10)
+        qs = QueryStream(5, 100, rng=4)
         ranks = [q.file_rank for q in qs.take(1000)]
         assert max(ranks) <= 100
-
-    def test_popularity_size_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            QueryStream(5, 100, popularity=TwoSegmentZipf(50))
+        assert ranks.count(1) > 500  # p(1) = 1 / sum(r**-2) ~ 0.61
 
     def test_deterministic(self):
         a = [q.file_rank for q in QueryStream(5, 100, rng=9).take(50)]
