@@ -28,7 +28,7 @@ every node halves its whole vector each step, so within ~log2(n) steps
 every node holds mass for every column, and the epsilon criterion
 cannot fire before W is positive everywhere — a converged cycle is
 dense for most of its steps.  At cycle start X0 and W0 are scattered
-into three ``(n, width)`` slot arrays per column block (current X,
+into three ``(n, width)`` slot arrays per column tile (current X,
 current W, step output), allocated once per workspace and reused across
 cycles.  A step is sort-free: the output starts as the halved kept
 share (``np.multiply(X, 0.5, out=Y)``), then ``csc_matvecs`` scatters
@@ -39,24 +39,28 @@ visited in ascending order, so each receiver sums its kept half first
 and then its inbound halves by ascending sender.
 
 Columns are independent, so any column split and any loop order over
-(column block, step) computes bitwise the same values.  The loop runs
+(column tile, step) computes bitwise the same values.  The loop runs
 one **check window** (the steps up to the next convergence check, at
 most ``check_every``) at a time, and each stepping thread owns one
 contiguous **column block** (:func:`step_threads` blocks: one per
 usable core, on a process-wide pool of ``cores - 1`` threads plus the
-calling thread).  Per window the calling thread draws the window's
-partner targets.  Then one task per block steps it through the whole
-window back to back and computes the block's share of the convergence
-check: its estimates ``X / W`` into the persistent ``prev`` buffer and
-the residual maximum of every row tile of ``_TILE_ELEMENTS / p`` rows.
-The scatters and divides release the GIL, so the blocks step on
-separate cores.  The calling thread then combines the maxima in
-row-tile order, so the worst residual, the fine-phase trigger and the
-stop step do not depend on the block count.
+calling thread).  Each block is cut into **column tiles** whose three
+slots fit ``_TILE_BYTES`` (a share of a core's L2), as long as every
+tile keeps ``_MIN_TILE_COLUMNS`` columns (:func:`_block_tiles`; any
+n >= 10^5 probe cycle keeps one tile per block).  Per window the
+calling thread draws the window's partner targets.  Then one task per
+block takes its tiles in turn: each tile runs the whole window back to
+back from cache, then its share of the convergence check — its
+estimates ``X / W`` into its persistent ``prev`` and the residual
+maximum of every row tile of ``_TILE_ELEMENTS / p`` rows.  The scatters
+and divides release the GIL, so the blocks step on separate cores.  The
+calling thread then combines the maxima in row-tile order, so the worst
+residual, the fine-phase trigger and the stop step do not depend on the
+block or tile count.
 
 With probe-mode column selection the working set is ``4 * n * p``
-elements (three slots plus ``prev``) regardless of n — ~0.2 GiB at
-n = 10^5, p = 64, float64; ``dtype="float32"`` halves it for the
+elements (three slots plus ``prev`` per tile) regardless of n — ~0.2 GiB
+at n = 10^5, p = 64, float64; ``dtype="float32"`` halves it for the
 n = 10^6 tier.
 
 Partner draws come from one RNG stream (a Generator fills a ``(k, n)``
@@ -120,6 +124,17 @@ _MIN_SHARD_COLUMNS = 16
 #: stay on the calling thread (results do not depend on it)
 _MIN_SHARD_ELEMENTS = 1 << 16
 
+#: bytes of one column tile's three ``(n, w)`` slots: a tile this size
+#: steps a whole check window inside one core's L2 (2 MiB per core on
+#: the reference VM) instead of streaming its slots through L3 every
+#: step (results do not depend on it)
+_TILE_BYTES = 1 << 20
+
+#: fewest columns per column tile: a block is cut into tiles only while
+#: every tile keeps this many, below which per-call overhead outweighs
+#: the cache gain (results do not depend on it)
+_MIN_TILE_COLUMNS = 32
+
 
 def _usable_cores() -> int:
     """CPUs this process may run on: its affinity mask where known."""
@@ -141,6 +156,20 @@ def step_threads(n: int, p: int) -> int:
         1,
         min(_usable_cores(), p // _MIN_SHARD_COLUMNS, n * p // _MIN_SHARD_ELEMENTS),
     )
+
+
+def _block_tiles(n: int, width: int, itemsize: int) -> int:
+    """The column tiles one ``width``-column block of ``n`` rows is cut into.
+
+    As many as keep each tile's three slots within ``_TILE_BYTES``, but
+    only while every tile keeps ``_MIN_TILE_COLUMNS`` columns: a block
+    whose budget width is narrower than that (any n >= 10^5 probe
+    cycle) stays one tile.
+    """
+    fit = _TILE_BYTES // (3 * n * itemsize)
+    if fit < _MIN_TILE_COLUMNS:
+        return 1
+    return max(1, min(-(-width // fit), width // _MIN_TILE_COLUMNS))
 
 
 _pool: Optional[ThreadPoolExecutor] = None
@@ -210,13 +239,13 @@ class _TargetStream:
 
 
 class _CheckScratch(NamedTuple):
-    """One block's convergence-check tiles (flat, reshaped per use)."""
+    """One block's convergence-check buffers (flat, reshaped per use)."""
 
-    #: estimate tile
+    #: estimates
     x: np.ndarray
-    #: residual numerator tile
+    #: residual numerators
     num: np.ndarray
-    #: residual denominator tile
+    #: residual denominators
     den: np.ndarray
 
 
@@ -225,32 +254,38 @@ class SparseWorkspace:
 
     The ``p`` probe columns are split into ``blocks`` contiguous,
     near-equal column ranges (``bounds[i] : bounds[i + 1]``), one per
-    stepping thread (block 0 on the calling thread), each stepped
-    independently: because the mixing matrix acts on rows, a step over
-    a column subset computes bitwise the same values as the same
-    columns of the unsplit step.  Every block owns three ``(n, width)``
-    slot arrays in ``dense`` (current X, current W, step output — the
-    output slot is always the one whose contents just died), allocated
-    here and reused across cycles; each cycle scatters its X0 and W0
-    into them.
+    stepping thread (block 0 on the calling thread), and each block
+    into near-equal **column tiles** (:func:`_block_tiles`: as many as
+    keep a tile's three slots within ``_TILE_BYTES``, only while every
+    tile keeps ``_MIN_TILE_COLUMNS`` columns).  ``tile_bounds`` holds
+    the ``tiles + 1`` column bounds of all tiles in column order and
+    ``block_tiles[b]`` the tile indices of block ``b``.  Because the
+    mixing matrix acts on rows, a step over a column subset computes
+    bitwise the same values as the same columns of the unsplit step.
+    Every tile owns three ``(n, width)`` slot arrays in ``dense``
+    (current X, current W, step output — the output slot is always the
+    one whose contents just died) and its own contiguous ``(n, width)``
+    ``prev``, the previous estimate of the convergence check, all
+    allocated here and reused across cycles; each cycle scatters its X0
+    and W0 into the slots.
 
     The dense step's ``A`` is in CSC form with the constant column
     pointer ``cptr = arange(n + 1)`` and the constant value vector
-    ``half`` (0.5 per sender).  Beyond the slots the only dense (n, p)
-    array is ``prev``, the persistent previous estimate of the
-    convergence check; the check itself runs over ``blk``-row tiles,
-    each block in its own :class:`_CheckScratch`, and leaves every
-    block's row-tile residual maxima in its ``tile_max`` row (``w_pos``
-    flags the blocks whose W is positive everywhere).  The workspace
-    therefore holds ``4 * n * p`` state elements plus
-    ``O(n + blk * p)`` regardless of how long the cycle runs.  ``blk``
-    derives from the *full* probe width ``p`` whatever the block count,
-    so every block count walks identical row tiles.
+    ``half`` (0.5 per sender).  The check runs over ``blk``-row tiles:
+    each block's tiles share the block's :class:`_CheckScratch` of
+    ``blk * width`` elements (a narrower tile checks several row tiles
+    per call), and every tile leaves its row-tile residual maxima in its
+    ``tile_max`` row (``w_pos`` flags the tiles whose W is positive
+    everywhere).  The workspace therefore holds ``4 * n * p`` state
+    elements plus ``O(n + blk * p)`` regardless of how long the cycle
+    runs.  ``blk`` derives from the *full* probe width ``p`` whatever
+    the block and tile counts, so every split walks identical row tiles.
     """
 
     __slots__ = (
-        "n", "p", "dtype", "blocks", "bounds", "dense", "w_pos",
-        "half", "cptr", "prev", "blk", "tile_max", "scratch", "valid",
+        "n", "p", "dtype", "blocks", "bounds", "tiles", "tile_bounds",
+        "block_tiles", "dense", "prev", "w_pos", "half", "cptr", "blk",
+        "tile_max", "scratch", "valid",
     )
 
     def __init__(
@@ -267,27 +302,37 @@ class SparseWorkspace:
         self.bounds = tuple(
             self.p * i // self.blocks for i in range(self.blocks + 1)
         )
-        widths = [hi - lo for lo, hi in zip(self.bounds, self.bounds[1:])]
-        #: per-block slot arrays [X, W, out]; pages are first touched
-        #: when a cycle scatters its X0 and W0 into them
+        tile_bounds = [0]
+        block_tiles = []
+        for lo, hi in zip(self.bounds, self.bounds[1:]):
+            k = _block_tiles(self.n, hi - lo, self.dtype.itemsize)
+            first = len(tile_bounds) - 1
+            tile_bounds += [lo + (hi - lo) * (i + 1) // k for i in range(k)]
+            block_tiles.append(range(first, first + k))
+        self.tile_bounds = tuple(tile_bounds)
+        self.block_tiles = tuple(block_tiles)
+        self.tiles = len(tile_bounds) - 1
+        widths = [hi - lo for lo, hi in zip(tile_bounds, tile_bounds[1:])]
+        #: per-tile slot arrays [X, W, out] and previous estimates; pages
+        #: are first touched when a cycle writes them
         self.dense = [
             [np.empty((self.n, w), self.dtype) for _ in range(3)] for w in widths
         ]
-        #: per-cycle flags: block ``b``'s W was positive at a check
+        self.prev = [np.empty((self.n, w), self.dtype) for w in widths]
+        #: per-cycle flags: tile ``t``'s W was positive at a check
         #: (sticky: W's values stay positive once they are)
-        self.w_pos: List[bool] = [False] * self.blocks
+        self.w_pos: List[bool] = [False] * self.tiles
         self.half = np.full(self.n, 0.5, self.dtype)
         self.cptr = np.arange(self.n + 1, dtype=np.int64)
-        self.prev = np.empty((self.n, self.p), self.dtype)
         self.blk = max(1, min(self.n, _TILE_ELEMENTS // max(self.p, 1)))
-        self.tile_max = np.empty((self.blocks, -(-self.n // self.blk)), np.float64)
+        self.tile_max = np.empty((self.tiles, -(-self.n // self.blk)), np.float64)
         self.scratch = tuple(
             _CheckScratch(
-                x=np.empty(self.blk * w, self.dtype),
-                num=np.empty(self.blk * w, self.dtype),
-                den=np.empty(self.blk * w, self.dtype),
+                x=np.empty(self.blk * (hi - lo), self.dtype),
+                num=np.empty(self.blk * (hi - lo), self.dtype),
+                den=np.empty(self.blk * (hi - lo), self.dtype),
             )
-            for w in widths
+            for lo, hi in zip(self.bounds, self.bounds[1:])
         )
         self.valid = True
 
@@ -307,11 +352,13 @@ class SparseWorkspace:
         """Mark the buffers dead and drop the slot arrays."""
         self.valid = False
         self.dense = []
+        self.prev = []
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"SparseWorkspace(n={self.n}, p={self.p}, "
-            f"dtype={self.dtype.name}, blocks={self.blocks}, valid={self.valid})"
+            f"dtype={self.dtype.name}, blocks={self.blocks}, "
+            f"tiles={self.tiles}, valid={self.valid})"
         )
 
 
@@ -345,10 +392,11 @@ class SynchronousGossipEngine(CycleEngine):
     :func:`step_threads` thread: one per usable core while each keeps
     ``_MIN_SHARD_COLUMNS`` columns and ``_MIN_SHARD_ELEMENTS`` entries,
     on a process-wide pool of ``cores - 1`` threads plus the calling
-    thread.  Results are invariant in the block count: column subsets
-    of a row-acting step are bitwise the same values, and the partner
-    draws, the sanitizer and the combination of the check stay on the
-    calling thread.
+    thread.  Each block is stepped in L2-sized column tiles
+    (:func:`_block_tiles`).  Results are invariant in the block and
+    tile counts: column subsets of a row-acting step are bitwise the
+    same values, and the partner draws, the sanitizer and the
+    combination of the check stay on the calling thread.
     """
 
     name = "sync"
@@ -445,12 +493,12 @@ class SynchronousGossipEngine(CycleEngine):
             W0 = W0.astype(self._dtype)
         phases["setup"] += watch.restart()
 
-        steps, B = self._gossip(X0, W0, phases=phases)
+        steps, estimates = self._gossip(X0, W0, phases=phases)
         # The interval covers workspace acquisition too; the step loop
         # reports that share separately as the "alloc" phase.
         phases["kernel"] = max(0.0, watch.restart() - phases.get("alloc", 0.0))
 
-        col_means, disagreement = self._column_stats(B)
+        col_means, disagreement = self._column_stats(estimates)
 
         if self.mode == "full":
             v_next = np.asarray(col_means, dtype=np.float64)
@@ -539,16 +587,20 @@ class SynchronousGossipEngine(CycleEngine):
         return np.sort(np.asarray(cols, dtype=np.int64))
 
     @staticmethod
-    def _column_stats(B: np.ndarray) -> Tuple[np.ndarray, float]:
+    def _column_stats(tiles: Sequence[np.ndarray]) -> Tuple[np.ndarray, float]:
         """Per-column mean of the estimates, plus node disagreement.
 
-        ``B`` is finite: a cycle ends only once W is positive
-        everywhere.  The column sums accumulate in float64 whatever
-        ``B``'s dtype: a float32 sum down 10^6 rows drifts by ~1e-4
-        relative, the scale of epsilon.
+        ``tiles`` are the estimates' contiguous column tiles in column
+        order, reduced tile by tile; each is finite (a cycle ends only
+        once W is positive everywhere).  The column sums accumulate in
+        float64 whatever the dtype: a float32 sum down 10^6 rows drifts
+        by ~1e-4 relative, the scale of epsilon.  A tile of two or more
+        columns sums each column row by row, so any such split gives
+        the unsplit sums bitwise (NumPy sums a lone column pairwise).
         """
-        spread = B.max(axis=0) - B.min(axis=0)
-        return B.mean(axis=0, dtype=np.float64), float(spread.max())
+        means = np.concatenate([B.mean(axis=0, dtype=np.float64) for B in tiles])
+        spread = max(float((B.max(axis=0) - B.min(axis=0)).max()) for B in tiles)
+        return means, spread
 
     # -- step loop ---------------------------------------------------------
 
@@ -558,19 +610,20 @@ class SynchronousGossipEngine(CycleEngine):
         Ws: sparse.csr_matrix,
         *,
         phases: Optional[Dict[str, float]] = None,
-    ) -> Tuple[int, np.ndarray]:
+    ) -> Tuple[int, List[np.ndarray]]:
         """Step loop: one check window at a time, one column block per thread.
 
-        Each block's X0 and W0 columns are scattered into its dense
-        slots first (zeroed, then the CSR values added).  A window is
-        the run of steps up to the next convergence check, capped at
-        ``check_every`` steps and at the step budget.  Per window the
-        calling thread draws the window's targets; one pool round trip
-        then covers the window (:meth:`_step_window`): each block steps
-        through all of the window's steps (:meth:`_dense_step`) and, on
-        a check step, computes its check share.  Slots rotate by index
-        arithmetic: after ``s`` steps X lives at slot ``(-s) % 3``, W at
-        ``(1 - s) % 3``.
+        Each tile's X0 and W0 columns are scattered into its dense slots
+        first (zeroed, then written from one CSC copy of each).
+        A window is the run of steps up to the next convergence check,
+        capped at ``check_every`` steps and at the step budget.  Per
+        window the calling thread draws the window's targets; one pool
+        round trip then covers the window (:meth:`_step_window`): each
+        block takes its tiles in turn, and each tile steps through all
+        of the window's steps (:meth:`_dense_step`) and, on a check
+        step, computes its check share while its slots are still in
+        cache.  Slots rotate by index arithmetic: after ``s`` steps X
+        lives at slot ``(-s) % 3``, W at ``(1 - s) % 3``.
 
         The check fires every ``check_every`` steps, per step once a
         residual comes within ``_FINE_FACTOR`` of epsilon, and compares
@@ -580,10 +633,10 @@ class SynchronousGossipEngine(CycleEngine):
         (:meth:`_worst_residual`) stay on the calling thread, so step
         counts are invariant in the block count too.
 
-        Returns ``(steps, B)`` where ``B`` is the persistent (n, p)
-        estimate buffer — the only dense (n, p) array the cycle touches
-        besides the slots.  Raises :class:`ConvergenceError` when the
-        step budget runs out first.
+        Returns ``(steps, prev)`` where ``prev`` is the tiles' persistent
+        ``(n, width)`` estimate buffers in column order — the only dense
+        state the cycle touches besides the slots.  Raises
+        :class:`ConvergenceError` when the step budget runs out first.
         """
         n = self.n
         p = Xs.shape[1]
@@ -592,13 +645,11 @@ class SynchronousGossipEngine(CycleEngine):
         ws = self._acquire_sparse_workspace(p)
         if phases is not None:
             phases["alloc"] = phases.get("alloc", 0.0) + alloc_watch.elapsed()
-        ws.w_pos = [False] * ws.blocks
+        ws.w_pos = [False] * ws.tiles
         cores = _usable_cores()
         pool = _step_pool(cores - 1) if ws.blocks > 1 and cores > 1 else None
-        for b, dense in enumerate(ws.dense):
-            lo, hi = ws.bounds[b], ws.bounds[b + 1]
-            Xs[:, lo:hi].toarray(out=dense[0])
-            Ws[:, lo:hi].toarray(out=dense[1])
+        for slot, start in enumerate((Xs, Ws)):
+            self._scatter_tiles(ws, start.tocsc(), slot)
         stream = _TargetStream(self._rng, n, k)
         san = self.sanitizer
         # Push-sum conservation references (column sums are invariant
@@ -633,7 +684,8 @@ class SynchronousGossipEngine(CycleEngine):
             if not all(ws.w_pos):
                 continue
             if san is not None:
-                san.check_finite("estimates x/w", ws.prev, step=step)
+                for prev in ws.prev:
+                    san.check_finite("estimates x/w", prev, step=step)
             if have_prev:
                 worst, all_below = self._worst_residual(ws)
                 if all_below:
@@ -648,6 +700,23 @@ class SynchronousGossipEngine(CycleEngine):
             f"(epsilon={self.epsilon})",
             steps=self.max_steps,
         )
+
+    @staticmethod
+    def _scatter_tiles(ws: SparseWorkspace, start: sparse.csc_matrix, slot: int) -> None:
+        """Write ``start``'s columns into slot ``slot`` of every tile.
+
+        Each tile's columns are one contiguous run of the CSC arrays,
+        scattered into the zeroed slot (X0 and W0 hold no duplicate
+        entries: a product and a column selection of the identity).
+        """
+        indptr = start.indptr
+        cols = np.repeat(np.arange(start.shape[1]), np.diff(indptr))
+        for t, dense in enumerate(ws.dense):
+            lo, hi = ws.tile_bounds[t], ws.tile_bounds[t + 1]
+            a, b = indptr[lo], indptr[hi]
+            out = dense[slot]
+            out.fill(0)
+            out[start.indices[a:b], cols[a:b] - lo] = start.data[a:b]
 
     def _next_check(self, step: int, fine: bool) -> int:
         """The next step (> ``step``) on which a convergence check fires.
@@ -672,9 +741,9 @@ class SynchronousGossipEngine(CycleEngine):
     ) -> None:
         """One window of every block: blocks 1.. on ``pool``, 0 on this thread.
 
-        Each block writes only its own slot arrays, flag, ``prev``
-        columns, ``tile_max`` row and check scratch, while ``targets``
-        stays read-only.  After block 0 this thread also steps every
+        Each block writes only its own tiles' slot arrays, flags,
+        ``prev`` and ``tile_max`` rows, and its check scratch, while
+        ``targets`` stays read-only.  After block 0 this thread also steps every
         block no pool thread has taken yet (a cancelled future never
         runs), so a descheduled pool thread cannot stall the window.
         The taken futures resolve in submission order, all of them
@@ -709,7 +778,7 @@ class SynchronousGossipEngine(CycleEngine):
             self.invalidate_workspace()
             raise
 
-    # hot: one block's window — its steps, then its check share
+    # hot: one block's window — tile by tile, its steps, then its check share
     def _step_group(
         self,
         ws: SparseWorkspace,
@@ -721,19 +790,21 @@ class SynchronousGossipEngine(CycleEngine):
     ) -> None:
         """Step block ``g`` through the window (a pool thread for ``g > 0``).
 
-        The block runs all of the window's steps back to back, then, on
-        a check window, its check share (:meth:`_check_block`).
+        Tile by tile, the block runs all of the window's steps back to
+        back, then, on a check window, the tile's check share
+        (:meth:`_check_tile`) while its slots are still in cache.
         """
-        for t, row in enumerate(targets):
-            self._dense_step(ws, g, step0 + t, row)
-        if check:
-            self._check_block(ws, g, step0 + len(targets), scan)
+        for t in ws.block_tiles[g]:
+            for s, row in enumerate(targets):
+                self._dense_step(ws, t, step0 + s, row)
+            if check:
+                self._check_tile(ws, g, t, step0 + len(targets), scan)
 
-    # hot: one block step — kept halves, then a sort-free csc_matvecs scatter
+    # hot: one tile step — kept halves, then a sort-free csc_matvecs scatter
     def _dense_step(
-        self, ws: SparseWorkspace, b: int, step: int, targets: np.ndarray
+        self, ws: SparseWorkspace, t: int, step: int, targets: np.ndarray
     ) -> None:
-        """Step ``step + 1`` of block ``b``: ``M @ X`` and ``M @ W``, dense.
+        """Step ``step + 1`` of tile ``t``: ``M @ X`` and ``M @ W``, dense.
 
         Each output starts as the halved kept share, then
         ``csc_matvecs`` adds ``0.5 * X[j]`` into row ``targets[j]`` for
@@ -746,7 +817,7 @@ class SynchronousGossipEngine(CycleEngine):
         ``(1 - step) % 3``; the new X goes into the third slot, the new
         W into the slot X vacated.
         """
-        dense = ws.dense[b]
+        dense = ws.dense[t]
         n = ws.n
         ps = dense[0].shape[1]
         x_old = dense[(-step) % 3]
@@ -763,76 +834,86 @@ class SynchronousGossipEngine(CycleEngine):
 
     @staticmethod
     def _slot_mass(ws: SparseWorkspace, slot: int) -> float:
-        """Total mass of slot ``slot`` across blocks."""
+        """Total mass of slot ``slot`` across tiles."""
         return sum(float(dense[slot].sum()) for dense in ws.dense)
 
-    # hot: estimate tile — divide straight out of the slots
+    # hot: estimates — divide straight out of the slots
     def _estimate_tile(
         self,
         ws: SparseWorkspace,
-        b: int,
+        t: int,
         xslot: int,
         wslot: int,
         lo: int,
         hi: int,
         xt: np.ndarray,
     ) -> None:
-        """Estimates ``X / W`` of rows ``[lo, hi)`` of block ``b`` into ``xt``."""
-        dense = ws.dense[b]
+        """Estimates ``X / W`` of rows ``[lo, hi)`` of tile ``t`` into ``xt``."""
+        dense = ws.dense[t]
         np.divide(dense[xslot][lo:hi], dense[wslot][lo:hi], out=xt)
 
-    # hot: a block's check share — W gate, estimates into prev, residual maxima
-    def _check_block(
-        self, ws: SparseWorkspace, b: int, step: int, scan: bool
+    # hot: a tile's check share — W gate, estimates into prev, residual maxima
+    def _check_tile(
+        self, ws: SparseWorkspace, b: int, t: int, step: int, scan: bool
     ) -> None:
-        """Block ``b``'s share of the check after ``step`` steps.
+        """Tile ``t``'s (of block ``b``) share of the check after ``step`` steps.
 
-        Until the block's W is positive everywhere (``w_pos``, sticky)
-        it does nothing.  Then it writes the block's estimates into its
-        ``prev`` columns, row tile by row tile, and with ``scan`` (a
-        previous estimate exists) first stores each row tile's largest
-        relative change, with the ``REL_FLOOR`` guard, in
-        ``tile_max[b]``.  Every row tile is scanned; the early exit of
-        the epsilon comparison happens in :meth:`_worst_residual`.
+        Until the tile's W is positive everywhere (``w_pos``, sticky)
+        it does nothing.  Then it writes the tile's estimates into its
+        ``prev``, and with ``scan`` (a previous estimate exists) first
+        stores each ``blk``-row tile's largest relative change, with the
+        ``REL_FLOOR`` guard, in ``tile_max[t]``.  A tile narrower than
+        its block covers as many whole row tiles per pass as the block's
+        scratch holds and splits their maxima by reshape.  Every row
+        tile is scanned; the early exit of the epsilon comparison
+        happens in :meth:`_worst_residual`.
         """
         xslot = (-step) % 3
         wslot = (1 - step) % 3
-        if not ws.w_pos[b]:
-            ws.w_pos[b] = float(ws.dense[b][wslot].min()) > 0.0
-            if not ws.w_pos[b]:
+        if not ws.w_pos[t]:
+            ws.w_pos[t] = float(ws.dense[t][wslot].min()) > 0.0
+            if not ws.w_pos[t]:
                 return
         n = ws.n
         blk = ws.blk
-        c0, c1 = ws.bounds[b], ws.bounds[b + 1]
-        pc = c1 - c0
-        maxima = ws.tile_max[b]
+        prev = ws.prev[t]
+        pc = prev.shape[1]
+        maxima = ws.tile_max[t]
         scratch = ws.scratch[b]
-        for r, lo in enumerate(range(0, n, blk)):
-            hi = min(lo + blk, n)
+        rows = blk * (scratch.x.size // (blk * pc))  # whole row tiles per pass
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
             m = hi - lo
             xt = scratch.x[: m * pc].reshape(m, pc)
-            self._estimate_tile(ws, b, xslot, wslot, lo, hi, xt)
-            psub = ws.prev[lo:hi, c0:c1]
+            self._estimate_tile(ws, t, xslot, wslot, lo, hi, xt)
+            psub = prev[lo:hi]
             if scan:
-                num = scratch.num[: m * pc].reshape(m, pc)
+                flat = scratch.num[: m * pc]
+                num = flat.reshape(m, pc)
                 den = scratch.den[: m * pc].reshape(m, pc)
                 np.subtract(xt, psub, out=num)
                 np.abs(num, out=num)
                 np.maximum(psub, REL_FLOOR, out=den)
                 num /= den
-                maxima[r] = num.max()
+                r, full = lo // blk, m // blk
+                if full:  # whole row tiles, one maximum each
+                    flat[: full * blk * pc].reshape(full, -1).max(
+                        axis=1, out=maxima[r : r + full]
+                    )
+                if m > full * blk:  # the last, shorter row tile
+                    maxima[r + full] = flat[full * blk * pc :].max()
             psub[...] = xt
 
     def _worst_residual(self, ws: SparseWorkspace) -> Tuple[float, bool]:
-        """Combine the blocks' residual maxima: ``(worst, all_below)``.
+        """Combine the tiles' residual maxima: ``(worst, all_below)``.
 
-        Row tile by row tile, ``worst`` takes the largest of the blocks'
-        maxima (in block order, so a NaN maximum is skipped as a serial
-        scan skips it) and freezes at the first row tile that lifts it
-        past epsilon.  That is the scan order of one serial blocked
-        check over the unsplit columns, so the worst residual, the
-        fine-phase trigger and the stop step do not depend on the block
-        count.
+        Row tile by row tile, ``worst`` takes the largest of the column
+        tiles' maxima (in column order, so a NaN maximum is skipped as a
+        serial scan skips it) and freezes at the first row tile that
+        lifts it past epsilon.  That is the scan order of one serial
+        blocked check over the unsplit columns, so the worst residual,
+        the fine-phase trigger and the stop step do not depend on the
+        block or tile count.
         """
         eps = self.epsilon
         worst = 0.0

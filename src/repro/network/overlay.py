@@ -64,13 +64,9 @@ class Overlay:
         """Array of live node ids, ascending."""
         return np.flatnonzero(self._alive)
 
-    def alive_mask(self) -> np.ndarray:
-        """Boolean liveness mask indexed by node id (copy)."""
-        return self._alive.copy()
-
     @property
     def alive_view(self) -> np.ndarray:
-        """The overlay's own liveness mask, without :meth:`alive_mask`'s copy.
+        """The overlay's own boolean liveness mask, indexed by node id.
 
         It changes as nodes leave and join; callers must not write it.
         """

@@ -15,8 +15,9 @@ A *batch* (:meth:`Simulator.call_batch_in`) schedules many timed items
 under one callback — a message round in one heap entry.  It reserves one
 sequence number per item, in item order, and sits in the heap under its
 earliest ``(when, seq)``.  When it pops, the callback receives the
-longest run of items that fire before the next heap entry, ``until``
-and ``max_events``; the rest go back into the heap.  Each item counts
+longest run of items that fire before the next heap entry and
+``until`` (:meth:`Simulator.step` fires one); the rest go back into
+the heap.  Each item counts
 as one event, so a batch fires exactly as its items would one call
 apiece — provided the callback schedules nothing, which is checked.
 """
@@ -140,11 +141,10 @@ class Simulator:
 
     # -- execution -----------------------------------------------------
 
-    def _fire_batch(self, batch: _Batch, until: Optional[float], budget: Optional[int]) -> int:
-        """Fire the items of a popped batch that come before the next entry.
+    def _fire_batch(self, batch: _Batch, until: Optional[float]) -> None:
+        """Fire a popped batch's items up to the next entry and ``until``.
 
-        Fires at most ``budget`` items and none after ``until``; pushes
-        the rest back under their earliest key.  Returns the fired count.
+        The rest go back into the heap.
         """
         pos = batch.pos
         when = batch.when[pos:]
@@ -158,21 +158,24 @@ class Simulator:
             count = lo + int(batch.seq[pos + lo : pos + hi].searchsorted(next_seq))
         if until is not None:
             count = min(count, int(when.searchsorted(until, "right")))
-        if budget is not None:
-            count = min(count, budget)
+        self._fire_items(batch, count)
+
+    def _fire_items(self, batch: _Batch, count: int) -> None:
+        """Fire a popped batch's next ``count`` items; push the rest back."""
+        pos = batch.pos
+        queue = self._queue
         end = pos + count
         if end < batch.when.size:
             batch.pos = end
             heapq.heappush(
                 queue, (float(batch.when[end]), int(batch.seq[end]), _Batch, batch)
             )
-        self._now = float(when[count - 1])
+        self._now = float(batch.when[end - 1])
         self._event_count += count
         seq = self._seq
         batch.fn(batch.items[pos:end], *batch.args)
         if self._seq != seq:
             raise SimulationError("a batch callback must not schedule events")
-        return count
 
     def step(self) -> bool:
         """Fire the single next event.  Returns False if the queue is empty."""
@@ -180,15 +183,15 @@ class Simulator:
             return False
         when, _seq, fn, args = heapq.heappop(self._queue)
         if fn is _Batch:
-            self._fire_batch(args, None, 1)
+            self._fire_items(args, 1)
             return True
         self._now = when
         self._event_count += 1
         fn(*args)
         return True
 
-    def run(self, until: Optional[float] = None, *, max_events: Optional[int] = None) -> None:
-        """Run until the queue drains, time ``until``, or ``max_events`` fire.
+    def run(self, until: Optional[float] = None) -> None:
+        """Run until the queue drains or time ``until``.
 
         ``until`` is inclusive: events scheduled exactly at ``until`` do
         fire, and the clock is advanced to ``until`` on return even if
@@ -199,22 +202,17 @@ class Simulator:
         self._running = True
         queue = self._queue
         pop = heapq.heappop
-        fired = 0
         try:
             while queue:
                 if until is not None and queue[0][0] > until:
                     break
-                if max_events is not None and fired >= max_events:
-                    break
                 when, _seq, fn, args = pop(queue)
                 if fn is _Batch:
-                    budget = None if max_events is None else max_events - fired
-                    fired += self._fire_batch(args, until, budget)
+                    self._fire_batch(args, until)
                     continue
                 self._now = when
                 self._event_count += 1
                 fn(*args)
-                fired += 1
             if until is not None and self._now < until:
                 self._now = until
         finally:

@@ -3,20 +3,25 @@
 Hash family: double hashing over two independent 64-bit digests of the
 item (Kirsch-Mitzenmacher), which provably preserves the asymptotic
 false-positive rate of ``k`` independent hashes while costing two
-hashes per operation.
+hashes per operation.  The digests do not depend on the filter, so one
+:func:`digests` call serves a probe of many filters
+(:meth:`BloomFilter.contains_digests`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Hashable, Iterable, Tuple
+from typing import Hashable, Iterable, Iterator, Tuple
 
 import numpy as np
 
 from repro.errors import BloomCapacityError, ValidationError
 
-__all__ = ["optimal_parameters", "BloomFilter"]
+__all__ = ["optimal_parameters", "digests", "BloomFilter"]
+
+#: the double-hashing sums wrap at 64 bits
+_MASK64 = (1 << 64) - 1
 
 
 def optimal_parameters(capacity: int, error_rate: float) -> Tuple[int, int]:
@@ -33,7 +38,7 @@ def optimal_parameters(capacity: int, error_rate: float) -> Tuple[int, int]:
     return m, k
 
 
-def _digests(item: Hashable) -> Tuple[int, int]:
+def digests(item: Hashable) -> Tuple[int, int]:
     """Two independent 64-bit digests of ``item`` (stable across runs)."""
     raw = repr(item).encode()
     d = hashlib.sha256(raw).digest()
@@ -56,10 +61,10 @@ class BloomFilter:
         self._bits = np.zeros(self.m, dtype=bool)
         self.count = 0
 
-    def _positions(self, item: Hashable) -> np.ndarray:
-        h1, h2 = _digests(item)
-        idx = (h1 + h2 * np.arange(self.k, dtype=np.uint64)) % np.uint64(self.m)
-        return idx.astype(np.int64)
+    def _positions(self, h1: int, h2: int) -> Iterator[int]:
+        """The ``k`` bit positions of the item whose digests are ``(h1, h2)``."""
+        m = self.m
+        return (((h1 + i * h2) & _MASK64) % m for i in range(self.k))
 
     def add(self, item: Hashable) -> None:
         """Insert an item.  Raises :class:`BloomCapacityError` past capacity."""
@@ -67,7 +72,7 @@ class BloomFilter:
             raise BloomCapacityError(
                 f"bloom filter sized for {self.capacity} items is full"
             )
-        self._bits[self._positions(item)] = True
+        self._bits[list(self._positions(*digests(item)))] = True
         self.count += 1
 
     def update(self, items: Iterable[Hashable]) -> None:
@@ -76,7 +81,15 @@ class BloomFilter:
             self.add(item)
 
     def __contains__(self, item: Hashable) -> bool:
-        return bool(self._bits[self._positions(item)].all())
+        return self.contains_digests(*digests(item))
+
+    def contains_digests(self, h1: int, h2: int) -> bool:
+        """Whether the item whose :func:`digests` are ``(h1, h2)`` may be in.
+
+        Stops at the first clear bit.
+        """
+        bits = self._bits
+        return all(bits[i] for i in self._positions(h1, h2))
 
     # -- accounting --------------------------------------------------------
 

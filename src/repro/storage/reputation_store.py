@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.storage.bloom import BloomFilter
+from repro.storage.bloom import BloomFilter, digests
 
 __all__ = ["StorageReport", "BloomReputationStore"]
 
@@ -141,10 +141,16 @@ class BloomReputationStore:
         """
         if self._edges is None:
             raise ValidationError("store is empty; call build() first")
+        b = self._claiming_bracket(node)
+        return _MIN_SCORE if b is None else self.representative(b)
+
+    def _claiming_bracket(self, node: int) -> Optional[int]:
+        """The highest bracket whose filter claims ``node``, hashed once."""
+        h1, h2 = digests(node)
         for b in range(self.brackets - 1, -1, -1):
-            if node in self._filters[b]:
-                return self.representative(b)
-        return _MIN_SCORE
+            if self._filters[b].contains_digests(h1, h2):
+                return b
+        return None
 
     def representative(self, bracket: int) -> float:
         """Geometric midpoint score of a bracket."""
@@ -190,14 +196,10 @@ class BloomReputationStore:
         )
         for node in sorted(self._stored):
             truth = self._stored[node]
-            got = self.lookup(node)
+            found_bracket = self._claiming_bracket(node)
+            got = _MIN_SCORE if found_bracket is None else self.representative(found_bracket)
             if truth > 0:
                 rels.append(abs(got - truth) / truth)
-            found_bracket = None
-            for b in range(self.brackets - 1, -1, -1):
-                if node in self._filters[b]:
-                    found_bracket = b
-                    break
             if found_bracket != int(true_brackets[node]):
                 misbrackets += 1
         rel_arr = np.asarray(rels) if rels else np.zeros(1)

@@ -142,15 +142,11 @@ class QofWeightedAggregation:
         self.config = config
         self.rounds = int(rounds)
 
-    def run(
-        self, S: TrustMatrix, *, reference: Optional[np.ndarray] = None
-    ) -> QofResult:
+    def run(self, S: TrustMatrix) -> QofResult:
         """Run the alternation on a trust matrix.
 
-        ``reference`` optionally seeds the first QoF computation with an
-        externally trusted consensus (e.g. power-node-anchored scores
-        from a previous round); by default the alternation bootstraps
-        from its own round-0 aggregation.
+        The first QoF computation judges feedback against the
+        alternation's own round-0 aggregation.
         """
         # Imported here: repro.core depends on repro.trust, so a
         # module-level import would be circular.
@@ -165,7 +161,7 @@ class QofWeightedAggregation:
         v = exact_global_reputation(S, cfg, raise_on_budget=False).vector
         trajectory.append(v.copy())
         qof = np.ones(n)
-        judge = reference if reference is not None else v
+        judge = v
         for _round in range(1, self.rounds + 1):
             qof = np.maximum(
                 feedback_quality(S, judge, sharpness=_SHARPNESS),

@@ -90,12 +90,6 @@ class FileCatalog:
         self._check_rank(file_rank)
         return self._owners[file_rank - 1].copy()
 
-    def owners_alive(self, file_rank: int, alive_mask: np.ndarray) -> np.ndarray:
-        """Owner ids filtered by a liveness mask."""
-        self._check_rank(file_rank)
-        own = self._owners[file_rank - 1]
-        return own[alive_mask[own]]
-
     @property
     def total_copies(self) -> int:
         """Total placed copies across all files."""

@@ -124,7 +124,6 @@ class FileSharingSimulation:
         self._outcome_rng = self._streams.get("outcomes")
         self.ledger = FeedbackLedger(n)
         self._reputation = np.full(n, 1.0 / n)
-        self._alive = np.ones(n, dtype=bool)
         self._rates = self._compute_rates()
         # Power nodes persist across refreshes ("identified ... for the
         # next round of reputation updating", §3).  The carried-over set
@@ -156,7 +155,7 @@ class FileSharingSimulation:
         windows: List[float] = []
         for q in self._queries.take(total_queries):
             window_size += 1
-            owners = self.catalog.owners_alive(q.file_rank, self._alive)
+            owners = self.catalog.owners(q.file_rank)
             owners = owners[owners != q.requester]
             if owners.size == 0:
                 unresolved += 1

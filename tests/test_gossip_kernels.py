@@ -9,8 +9,8 @@ mixing-matrix sequence: identical step counts at per-step checks,
 matching results up to floating-point accumulation order.
 
 Everything the engine varies internally — column-block (thread)
-count, workspace reuse, check-tile height — must be *bitwise*
-invisible in the results.
+count, column-tile count, workspace reuse, check-tile height — must be
+*bitwise* invisible in the results.
 """
 
 import os
@@ -65,6 +65,18 @@ def _pin_cores(monkeypatch, cores):
     monkeypatch.setattr(engine_mod, "_usable_cores", lambda: cores)
     monkeypatch.setattr(engine_mod, "_MIN_SHARD_COLUMNS", 1)
     monkeypatch.setattr(engine_mod, "_MIN_SHARD_ELEMENTS", 1)
+
+
+def _pin_tiles(monkeypatch, n, width, tiles, dtype="float64"):
+    """Make the engine cut each ``width``-column block into ``tiles`` tiles.
+
+    Shrinks the tile budget to ``ceil(width / tiles)`` columns of ``n``
+    rows and the tile floor to 2 columns (NumPy sums a lone column
+    pairwise, so one-column tiles would not reduce row by row).
+    """
+    fit = -(-width // tiles)
+    monkeypatch.setattr(engine_mod, "_TILE_BYTES", 3 * n * np.dtype(dtype).itemsize * fit)
+    monkeypatch.setattr(engine_mod, "_MIN_TILE_COLUMNS", 2)
 
 
 def _cadence(monkeypatch, k):
@@ -439,20 +451,58 @@ class TestShardedSparseKernel:
     def test_one_block_per_thread(self, dtype, monkeypatch):
         """On 2 cores a 64-column n = 10^5 probe workspace holds 2
         column blocks of 32 columns, one per stepping thread, whatever
-        the state size."""
+        the state size; no 32-column tile fits the L2 budget there, so
+        each block is one tile with its own slot triple and ``prev``."""
         monkeypatch.setattr(engine_mod, "_usable_cores", lambda: 2)
         eng = SynchronousGossipEngine(10**5, mode="probe", dtype=dtype)
         ws = eng._acquire_sparse_workspace(64)  # np.empty: pages untouched
         assert ws.blocks == engine_mod.step_threads(10**5, 64) == 2
         assert ws.bounds == (0, 32, 64)
+        assert ws.tiles == 2 and ws.tile_bounds == ws.bounds
+        assert ws.block_tiles == (range(0, 1), range(1, 2))
         assert [[d.shape for d in dense] for dense in ws.dense] == [
             [(10**5, 32)] * 3
         ] * 2
+        assert [prev.shape for prev in ws.prev] == [(10**5, 32)] * 2
         assert [c.x.size for c in ws.scratch] == [ws.blk * 32] * 2
 
+    @pytest.mark.parametrize(
+        "n, width, itemsize, tiles",
+        [
+            (1000, 500, 8, 12),  # n = 1000 full on 2 cores: ~42-column tiles
+            (1000, 1000, 8, 24),  # ... on one core
+            (1000, 500, 4, 6),  # float32: ~83-column tiles
+            (1000, 40, 8, 1),  # a second tile would keep < 32 columns
+            (5000, 32, 8, 1),  # budget width 8 < 32: never tiled
+            (10**5, 32, 8, 1),
+            (10**5, 64, 4, 1),
+        ],
+    )
+    def test_block_tiles_fit_the_budget(self, n, width, itemsize, tiles):
+        assert engine_mod._block_tiles(n, width, itemsize) == tiles
+        if tiles > 1:
+            widest = -(-width // tiles)
+            assert 3 * n * widest * itemsize <= engine_mod._TILE_BYTES
+            assert width // tiles >= engine_mod._MIN_TILE_COLUMNS
+
+    def test_paper_operating_point_layout(self, monkeypatch):
+        """n = 1000 full mode on 2 cores: 2 blocks of 500 columns, each
+        cut into 12 tiles of 41 or 42 columns whose slots fit the budget."""
+        monkeypatch.setattr(engine_mod, "_usable_cores", lambda: 2)
+        eng = SynchronousGossipEngine(1000, mode="full")
+        ws = eng._acquire_sparse_workspace(1000)
+        assert ws.blocks == 2 and ws.tiles == 24
+        assert ws.block_tiles == (range(0, 12), range(12, 24))
+        assert ws.tile_bounds[12] == 500
+        widths = np.diff(ws.tile_bounds)
+        assert set(widths.tolist()) == {41, 42}
+        for dense, prev in zip(ws.dense, ws.prev):
+            assert sum(d.nbytes for d in dense) <= engine_mod._TILE_BYTES
+            assert prev.shape == dense[0].shape and prev.flags.c_contiguous
+
     def test_worst_residual_freezes_at_first_row_tile_over_epsilon(self):
-        """The blocks' row-tile maxima combine as one serial blocked scan:
-        row by row, the largest over the blocks (a NaN maximum skipped),
+        """The tiles' row-tile maxima combine as one serial blocked scan:
+        row by row, the largest over the tiles (a NaN maximum skipped),
         stopping at the first row tile that lifts the worst past
         epsilon — later rows do not raise it."""
         from types import SimpleNamespace
@@ -472,17 +522,43 @@ class TestShardedSparseKernel:
                 SynchronousGossipEngine(8, **{option: 2})
 
 
+def _workspace_bytes(ws):
+    """Bytes of every array a workspace holds, in lists and tuples too."""
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                yield from arrays(item)
+
+    return sum(
+        a.nbytes for name in type(ws).__slots__ for a in arrays(getattr(ws, name))
+    )
+
+
+def _model_extra(ws, n, p, itemsize):
+    """The memory model's O(n + blk * p) beyond the ``4 * n * p`` state."""
+    return (
+        n * itemsize  # half
+        + (n + 1) * 8  # cptr
+        + ws.tile_max.nbytes  # tiles * ceil(n / blk) float64 maxima
+        + 3 * ws.blk * p * itemsize  # check scratch, blk rows per block
+    )
+
+
 class TestDenseHandoff:
-    """Every block steps in its three dense slots from step 0: X0 and W0
+    """Every tile steps in its three dense slots from step 0: X0 and W0
     are scattered into them at cycle start, and the workspace holds
-    nothing else of size (n, p) but ``prev``."""
+    nothing else of size (n, p) but the tiles' ``prev``."""
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_workspace_bytes_follow_the_memory_model(self, dtype, monkeypatch):
         """After a probe cycle the workspace's arrays take
-        ``4 * n * p * itemsize`` bytes (one slot triple per block plus
-        ``prev``) plus only O(n + blk * p): the constant CSC pointer and
-        values, the row-tile maxima and the per-block check scratch."""
+        ``4 * n * p * itemsize`` bytes (one slot triple and one ``prev``
+        per tile; here one tile per block) plus only O(n + blk * p): the
+        constant CSC pointer and values, the row-tile maxima and the
+        per-block check scratch."""
         n, p = 2000, SynchronousGossipEngine.probe_columns
         S, v = _instance(n)
         _pin_cores(monkeypatch, 3)
@@ -493,30 +569,43 @@ class TestDenseHandoff:
         assert eng.run_cycle(S, v).converged
         ws = eng.sparse_workspace
         itemsize = np.dtype(dtype).itemsize
-
-        def arrays(value):
-            if isinstance(value, np.ndarray):
-                yield value
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    yield from arrays(item)
-
-        total = sum(
-            a.nbytes for name in type(ws).__slots__
-            for a in arrays(getattr(ws, name))
-        )
-        extra = (
-            n * itemsize  # half
-            + (n + 1) * 8  # cptr
-            + ws.tile_max.nbytes  # blocks * ceil(n / blk) float64 maxima
-            + 3 * ws.blk * p * itemsize  # check scratch, blk rows per block
-        )
-        assert ws.blocks == len(ws.dense) == len(ws.scratch) == 3
+        assert ws.blocks == ws.tiles == len(ws.dense) == len(ws.prev) == 3
+        assert len(ws.scratch) == 3
         assert ws.tile_max.size == ws.blocks * -(-n // ws.blk)
-        assert total == 4 * n * p * itemsize + extra
-        for b, dense in enumerate(ws.dense):
+        assert _workspace_bytes(ws) == 4 * n * p * itemsize + _model_extra(
+            ws, n, p, itemsize
+        )
+        for b, (dense, prev) in enumerate(zip(ws.dense, ws.prev)):
             shape = (n, ws.bounds[b + 1] - ws.bounds[b])
             assert [d.shape for d in dense] == [shape] * 3
+            assert prev.shape == shape
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_tiled_workspace_bytes_follow_the_memory_model(self, dtype, monkeypatch):
+        """Column tiles add no state: a full-mode cycle cut into 2 blocks
+        of 5 tiles takes the same ``4 * n * p`` plus O(n + blk * p), the
+        check scratch still sized per block."""
+        n = 300
+        S, v = _instance(n)
+        _pin_cores(monkeypatch, 2)
+        _pin_tiles(monkeypatch, n, 150, 5, dtype)
+        eng = make_engine(
+            "sync", n=n, rng=RngStreams(SEED), epsilon=EPSILON,
+            mode="full", dtype=dtype,
+        )
+        assert eng.run_cycle(S, v).converged
+        ws = eng.sparse_workspace
+        itemsize = np.dtype(dtype).itemsize
+        assert ws.blocks == len(ws.scratch) == 2
+        assert ws.tiles == len(ws.dense) == len(ws.prev) == 10
+        assert ws.tile_max.size == ws.tiles * -(-n // ws.blk)
+        assert _workspace_bytes(ws) == 4 * n * n * itemsize + _model_extra(
+            ws, n, n, itemsize
+        )
+        for t, (dense, prev) in enumerate(zip(ws.dense, ws.prev)):
+            shape = (n, ws.tile_bounds[t + 1] - ws.tile_bounds[t])
+            assert [d.shape for d in dense] == [shape] * 3
+            assert prev.shape == shape
 
     def test_handoff_full_mode_and_sanitizer(self, monkeypatch):
         """Full mode exercises the mass/nonnegativity sanitizer checks
@@ -633,9 +722,9 @@ class TestThreadedShards:
             draws[0] += 1
             return next_targets(self)
 
-        def poisoned(self, ws, si, xslot, wslot, lo, hi, xt, *args):
-            estimate_tile(self, ws, si, xslot, wslot, lo, hi, xt, *args)
-            if draws[0] >= 20 and si == ws.blocks - 1:
+        def poisoned(self, ws, t, xslot, wslot, lo, hi, xt, *args):
+            estimate_tile(self, ws, t, xslot, wslot, lo, hi, xt, *args)
+            if draws[0] >= 20 and t == ws.tiles - 1:
                 xt[-1, -1] = np.nan
 
         monkeypatch.setattr(engine_mod._TargetStream, "next", counted)
@@ -747,6 +836,45 @@ class TestThreadedShards:
         assert res.converged and np.isfinite(res.gossip_error)
         assert eng.sparse_workspace.blocks == 2
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("mode", ["full", "probe"])
+    def test_column_tile_invariance(self, mode, dtype, monkeypatch):
+        """1, 2 and 5 column tiles per block, on 1 and 2 blocks, with the
+        sanitizer armed, land on bitwise-equal warm cycles.  n = 251
+        leaves uneven tiles: full mode's last tile on one block is 51
+        columns to the others' 50.  Check row tiles of 16 rows make a
+        narrow tile check several per pass, the last one short."""
+        n = 251
+        S, v = _instance(n)
+        p = n if mode == "full" else SynchronousGossipEngine.probe_columns
+        monkeypatch.setattr(engine_mod, "_TILE_ELEMENTS", 16 * p)
+        runs = {}
+        for cores in (1, 2):
+            _pin_cores(monkeypatch, cores)
+            for tiles in (1, 2, 5):
+                _pin_tiles(monkeypatch, n, -(-p // cores), tiles, dtype)
+                eng = make_engine(
+                    "sync", n=n, rng=RngStreams(SEED), epsilon=EPSILON,
+                    mode=mode, dtype=dtype,
+                )
+                san = eng.arm_sanitizer()
+                vc, results = v, []
+                for _ in range(2):
+                    results.append(eng.run_cycle(S, vc))
+                    vc = results[-1].v_next / results[-1].v_next.sum()
+                ws = eng.sparse_workspace
+                assert ws.blocks == cores and ws.tiles == cores * tiles
+                assert san.checks > 0
+                runs[cores, tiles] = results
+        widths = np.diff(ws.tile_bounds)
+        assert widths.min() < widths.max()  # the tiles are uneven
+        for key, got_run in runs.items():
+            for got, want in zip(got_run, runs[1, 1]):
+                assert got.converged and got.steps == want.steps, key
+                np.testing.assert_array_equal(got.v_next, want.v_next)
+                assert got.gossip_error == want.gossip_error
+                assert got.node_disagreement == want.node_disagreement
+
     def test_sweep_workers_after_threaded_parent_cycle(self):
         """A forked sweep worker gets a pool of its own: after the parent
         has stepped threads, ``run_sweep(workers=2)`` over sync-engine
@@ -816,18 +944,22 @@ class TestColumnStats:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("shape", [(1000, 64), (300, 300)])
     def test_finite_fast_path_is_bitwise(self, shape, dtype):
+        """One tile or uneven column tiles: the unsplit answer, bitwise."""
         B = np.random.default_rng(SEED).random(shape).astype(dtype) + 0.5
-        means, spread = SynchronousGossipEngine._column_stats(B)
         want_means, want_spread = self._nan_path(B)
-        assert means.dtype == want_means.dtype
-        np.testing.assert_array_equal(means, want_means)
-        assert spread == want_spread
+        cuts = (0, 2, 13, shape[1] // 2, shape[1])
+        split = [np.ascontiguousarray(B[:, lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        for tiles in ([B], split):
+            means, spread = SynchronousGossipEngine._column_stats(tiles)
+            assert means.dtype == want_means.dtype
+            np.testing.assert_array_equal(means, want_means)
+            assert spread == want_spread
 
     def test_float32_means_accumulate_in_float64(self):
         # The float32 values summed in float64: a float32 accumulator
         # down 10^6 rows drifts by ~1e-4 relative, the scale of epsilon.
         B = (np.random.default_rng(SEED).random((200_000, 8)) + 0.5).astype(np.float32)
-        means, spread = SynchronousGossipEngine._column_stats(B)
+        means, spread = SynchronousGossipEngine._column_stats([B])
         want = B.astype(np.float64).mean(axis=0)
         assert means.dtype == np.float64
         np.testing.assert_allclose(means, want, rtol=1e-12)

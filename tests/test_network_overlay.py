@@ -212,7 +212,3 @@ class TestLiveSubgraph:
         assert 1 not in sub.neighbors(0)
         assert 3 in sub.neighbors(2)
 
-    def test_alive_mask_copy_semantics(self, line_overlay):
-        mask = line_overlay.alive_mask()
-        mask[0] = False
-        assert line_overlay.is_alive(0)

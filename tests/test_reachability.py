@@ -228,12 +228,33 @@ def _tables(tree: ast.Module) -> Dict[str, List[str]]:
     return tables
 
 
-def _setting_calls(path: Path) -> Iterator[Tuple[str, ast.Call, Optional[Set[str]]]]:
-    """``(callee, call, keywords)`` for every call in ``path``.
+def _own_splats(tree: ast.Module) -> Dict[int, str]:
+    """Calls that forward their enclosing function's own ``**`` parameter.
+
+    Maps ``id(call)`` to that function's name: in ``def f(x, **kwargs)``,
+    ``g(a=1, **kwargs)`` passes ``g`` only what ``f``'s callers pass ``f``.
+    """
+    splats = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, _FUNCTIONS) and fn.args.kwarg is not None:
+            name = fn.args.kwarg.arg
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call) and any(
+                    k.arg is None and isinstance(k.value, ast.Name) and k.value.id == name
+                    for k in call.keywords
+                ):
+                    splats[id(call)] = fn.name
+    return splats
+
+
+def _setting_calls(path: Path) -> Iterator[Tuple[str, ast.Call, Optional[Set[str]], Optional[str]]]:
+    """``(callee, call, keywords, forwarder)`` for every call in ``path``.
 
     ``keywords`` is ``None`` for a plain call, whose arguments set what
-    they name or fill.  Two kinds of call reach a callee they do not
-    name:
+    they name or fill.  ``forwarder`` names the enclosing function when
+    the call splats that function's own ``**`` parameter (see
+    :func:`_forwarded_keywords`), else it is ``None``.  Two kinds of call
+    reach a callee they do not name:
 
     * ``super().__init__(...)`` in a class calls its bases' constructors
       (``DistributedEigenTrust`` forwards ``a`` to ``EigenTrust``);
@@ -245,9 +266,10 @@ def _setting_calls(path: Path) -> Iterator[Tuple[str, ast.Call, Optional[Set[str
       the config).
     """
     tree = ast.parse(path.read_text(), filename=str(path))
+    splats = _own_splats(tree)
     for call in ast.walk(tree):
         if isinstance(call, ast.Call) and _callee(call):
-            yield _callee(call), call, None
+            yield _callee(call), call, None, splats.get(id(call))
     tables = _tables(tree)
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
@@ -261,7 +283,7 @@ def _setting_calls(path: Path) -> Iterator[Tuple[str, ast.Call, Optional[Set[str
                 and _callee(call.func.value) == "super"
             ):
                 for base in bases:
-                    yield base, call, None
+                    yield base, call, None, None
     for fn in ast.walk(tree):
         if not isinstance(fn, _FUNCTIONS):
             continue
@@ -281,13 +303,45 @@ def _setting_calls(path: Path) -> Iterator[Tuple[str, ast.Call, Optional[Set[str
                     if k.arg is None and isinstance(k.value, ast.Name):
                         keys |= _written_keys(fn, k.value.id)
                 for target in dispatch[_callee(call)]:
-                    yield target, call, keys
+                    yield target, call, keys, None
+
+
+def _forwarded_keywords(
+    calls: Dict[str, List[Tuple[ast.Call, Optional[Set[str]]]]], call: ast.Call, fn: str
+) -> Optional[Set[str]]:
+    """The keywords ``call`` sets by splatting ``fn``'s own ``**`` parameter.
+
+    Those ``fn``'s callers pass: its own keywords plus every keyword of a
+    call that names ``fn`` or hands ``fn`` itself to a runner
+    (``timed(_run_marked, system, v0=...)`` in perfbench).  ``None``
+    (anything) when such a call splats a ``**`` dict of its own.
+    """
+    keys = {k.arg for k in call.keywords if k.arg}
+    for callee_calls in calls.values():
+        for caller, _ in callee_calls:
+            if _callee(caller) != fn and not any(
+                isinstance(a, ast.Name) and a.id == fn for a in caller.args
+            ):
+                continue
+            if any(k.arg is None for k in caller.keywords):
+                return None
+            keys |= {k.arg for k in caller.keywords if k.arg}
+    return keys
 
 
 def _sets(call: ast.Call, keywords: Optional[Set[str]], param: str, position) -> bool:
-    """Whether ``call`` sets ``param``; a ``*``/``**`` splat may set anything."""
+    """Whether ``call`` sets ``param``; a ``*``/``**`` splat may set anything.
+
+    With ``keywords`` known, the call sets those and what its leading
+    non-starred positional arguments fill.
+    """
     if keywords is not None:
-        return param in keywords
+        leading = 0
+        for arg in call.args:
+            if isinstance(arg, ast.Starred):
+                break
+            leading += 1
+        return param in keywords or (position is not None and position < leading)
     if any(k.arg == param or k.arg is None for k in call.keywords):
         return True
     if any(isinstance(a, ast.Starred) for a in call.args):
@@ -309,10 +363,16 @@ def _runner_names() -> Set[str]:
 
 def _unset_parameters() -> List[str]:
     calls: Dict[str, List[Tuple[ast.Call, Optional[Set[str]]]]] = defaultdict(list)
+    forwarding = []
     for folder in CALLER_DIRS:
         for path in sorted((ROOT / folder).rglob("*.py")):
-            for callee, call, keywords in _setting_calls(path):
-                calls[callee].append((call, keywords))
+            for callee, call, keywords, forwarder in _setting_calls(path):
+                if forwarder is None:
+                    calls[callee].append((call, keywords))
+                else:
+                    forwarding.append((callee, call, forwarder))
+    for callee, call, forwarder in forwarding:
+        calls[callee].append((call, _forwarded_keywords(calls, call, forwarder)))
     runners = _runner_names()
     unset = []
     for path in sorted(PACKAGE.rglob("*.py")):

@@ -68,13 +68,6 @@ class TestRun:
         assert fired == ["at2", "at5"]
         assert sim.now == 10.0  # clock advances to `until` even when idle
 
-    def test_run_with_max_events(self):
-        sim = Simulator()
-        for i in range(10):
-            sim.call_in(float(i), lambda: None)
-        sim.run(max_events=3)
-        assert sim.events_processed == 3
-
     def test_step_returns_false_on_empty_queue(self):
         assert Simulator().step() is False
 
@@ -162,12 +155,6 @@ class TestBatch:
             assert batched[1] == until
         batched, oracle = self._both(lambda sim: (sim.run(until=1.0), sim.run()))
         assert batched == oracle
-
-    @pytest.mark.parametrize("limit", [1, 2, 4, 6, 12])
-    def test_max_events(self, limit):
-        batched, oracle = self._both(lambda sim: sim.run(max_events=limit))
-        assert batched == oracle
-        assert batched[2] == limit
 
     def test_step_and_peek(self):
         def stepped(sim):

@@ -1,5 +1,7 @@
 """Bracketed Bloom reputation store."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,44 @@ class TestBuildAndLookup:
         store.build(scores)
         rep = store.representative(0)
         assert store._edges[0] <= rep <= store._edges[1]
+
+    def test_lookups_hash_once_and_answer_as_per_filter_hashing(self, scores, monkeypatch):
+        """One digest per lookup; every answer, false positives included,
+        is the one re-hashing the id in each filter with uint64 NumPy
+        arithmetic gives, over the same filter bits."""
+
+        def positions(f, item):
+            d = hashlib.sha256(repr(item).encode()).digest()
+            h1 = int.from_bytes(d[:8], "big")
+            h2 = int.from_bytes(d[8:16], "big") | 1
+            idx = (h1 + h2 * np.arange(f.k, dtype=np.uint64)) % np.uint64(f.m)
+            return idx.astype(np.int64)
+
+        store = BloomReputationStore(bracket_bits=5)
+        store.build(scores)
+        bracket = store._bracket_of(scores)
+        for b, f in enumerate(store._filters):
+            bits = np.zeros(f.m, dtype=bool)
+            for node in np.flatnonzero(bracket == b).tolist():
+                bits[positions(f, node)] = True
+            np.testing.assert_array_equal(f._bits, bits)
+        calls = []
+        real = reputation_store.digests
+        monkeypatch.setattr(
+            reputation_store, "digests", lambda item: calls.append(item) or real(item)
+        )
+        false_positives = 0
+        for node in range(2000):  # ids 200.. are stored nowhere
+            want = reputation_store._MIN_SCORE
+            for b in range(store.brackets - 1, -1, -1):
+                f = store._filters[b]
+                if f._bits[positions(f, node)].all():
+                    want = store.representative(b)
+                    false_positives += node >= 200
+                    break
+            assert store.lookup(node) == want
+        assert calls == list(range(2000))
+        assert false_positives > 0  # the comparison covers wrong brackets too
 
     def test_rebuild_replaces_contents(self, scores):
         store = BloomReputationStore()

@@ -105,12 +105,6 @@ class TestQofWeightedAggregation:
             qof_vals.append(rms_relative_error(v, res.reputation, cap=10.0))
         assert np.mean(qof_vals) < np.mean(plain_vals)
 
-    def test_reference_seeding_accepted(self, random_S):
-        cfg = GossipTrustConfig(n=random_S.n, alpha=0.0)
-        ref = np.full(random_S.n, 1.0 / random_S.n)
-        res = QofWeightedAggregation(cfg, rounds=1).run(random_S, reference=ref)
-        assert res.reputation.shape == (random_S.n,)
-
     def test_validation(self):
         with pytest.raises(ValidationError):
             QofWeightedAggregation(rounds=0)

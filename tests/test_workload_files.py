@@ -49,14 +49,6 @@ class TestOwnership:
         a[:] = -1
         assert catalog.owners(1).min() >= 0
 
-    def test_owners_alive_filters(self, catalog):
-        own = catalog.owners(1)
-        mask = np.ones(100, dtype=bool)
-        mask[own[0]] = False
-        alive = catalog.owners_alive(1, mask)
-        assert own[0] not in alive
-        assert alive.size == own.size - 1
-
     def test_placement_skewed_toward_sharers(self, catalog):
         # Free riders (zero Saroiu weight) own nothing.
         owned_by = np.zeros(100, dtype=int)
