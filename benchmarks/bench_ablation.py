@@ -27,15 +27,6 @@ from repro.sim.engine import Simulator
 from repro.utils.rng import RngStreams
 
 
-def _rows(S):
-    csr = S.sparse()
-    return [
-        dict(zip(csr.indices[csr.indptr[i]:csr.indptr[i+1]].tolist(),
-                 csr.data[csr.indptr[i]:csr.indptr[i+1]].tolist()))
-        for i in range(S.n)
-    ]
-
-
 def test_ablation_probe_vs_full_agreement(benchmark):
     """Probe mode is a measurement substitution, not a protocol change."""
     n = 600
@@ -139,7 +130,6 @@ def test_ablation_topology_family(benchmark, save_result):
     n = 64
     streams = RngStreams(7)
     S = synthetic_trust_matrix(n, rng=streams.get("m"))
-    rows = _rows(S)
     v = np.full(n, 1.0 / n)
 
     def run_on(topo, seed, neighbors_only=True):
@@ -151,7 +141,7 @@ def test_ablation_topology_family(benchmark, save_result):
             partnering=NeighborSampler() if neighbors_only else None,
             rng=seed + 3, max_rounds=800,
         )
-        return engine.run_cycle(rows, v).steps
+        return engine.run_cycle(S, v).steps
 
     def run():
         families = {
@@ -197,7 +187,6 @@ def test_ablation_partner_scope(benchmark):
     n = 64
     streams = RngStreams(3)
     S = synthetic_trust_matrix(n, rng=streams.get("m"))
-    rows = _rows(S)
     v = np.full(n, 1.0 / n)
 
     def run_mode(neighbors_only, seed):
@@ -209,7 +198,7 @@ def test_ablation_partner_scope(benchmark):
             partnering=NeighborSampler() if neighbors_only else None,
             rng=seed + 3, max_rounds=400,
         )
-        return engine.run_cycle(rows, v)
+        return engine.run_cycle(S, v)
 
     def run():
         glob = [run_mode(False, s).steps for s in (10, 20, 30)]
@@ -234,7 +223,6 @@ def test_ablation_async_vs_sync_gossip(benchmark):
     n = 48
     streams = RngStreams(5)
     S = synthetic_trust_matrix(n, rng=streams.get("m"))
-    rows = _rows(S)
     v = np.full(n, 1.0 / n)
 
     def sync_rounds(seed):
@@ -244,7 +232,7 @@ def test_ablation_async_vs_sync_gossip(benchmark):
         engine = MessageGossipEngine(
             sim, transport, overlay, epsilon=1e-5, round_interval=1.0, rng=seed + 3
         )
-        return engine.run_cycle(rows, v).steps
+        return engine.run_cycle(S, v).steps
 
     def async_rounds(seed):
         sim = Simulator()
@@ -253,7 +241,7 @@ def test_ablation_async_vs_sync_gossip(benchmark):
         engine = AsyncMessageGossipEngine(
             sim, transport, overlay, epsilon=1e-5, rng=seed + 3
         )
-        res = engine.run_cycle(rows, v)
+        res = engine.run_cycle(S, v)
         assert res.converged
         return res.steps
 

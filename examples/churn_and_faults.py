@@ -9,6 +9,9 @@ fault-tolerance claims (§7): push-sum needs no error recovery because
 lost messages remove x- and w-mass together, leaving the surviving
 ratios approximately right.
 
+Link failures and churn are :class:`~repro.network.faultplan.FaultPlan`
+events on the simulator clock; message loss is the transport's rate.
+
 Run:  python examples/churn_and_faults.py
 """
 
@@ -16,7 +19,7 @@ import numpy as np
 
 from repro.experiments.synthetic import synthetic_trust_matrix
 from repro.gossip.message_engine import MessageGossipEngine
-from repro.network.churn import ChurnModel
+from repro.network.faultplan import CrashBurst, FaultPlan, LinkFlap
 from repro.network.overlay import Overlay
 from repro.network.topology import gnutella_like
 from repro.network.transport import Transport
@@ -24,6 +27,10 @@ from repro.sim.engine import Simulator
 from repro.utils.rng import RngStreams
 
 N = 96
+ROUND_INTERVAL = 2.0
+MAX_ROUNDS = 300
+#: simulated time the cycle's round budget spans
+BUDGET = ROUND_INTERVAL * MAX_ROUNDS
 
 
 def run_cycle(label: str, *, loss=0.0, failed_links=0, churn=False, seed=0):
@@ -33,35 +40,32 @@ def run_cycle(label: str, *, loss=0.0, failed_links=0, churn=False, seed=0):
     topo = gnutella_like(N, rng=streams.get("topo"))
     overlay = Overlay(topo, rng=streams.get("overlay"))
     transport = Transport(sim, latency=1.0, loss_rate=loss, rng=streams.get("net"))
-
-    if failed_links:
-        edges = list(topo.edges())
-        gen = streams.get("failures")
-        for idx in gen.choice(len(edges), size=failed_links, replace=False):
-            u, v = edges[int(idx)]
-            transport.fail_link(u, v)
-
-    if churn:
-        model = ChurnModel(
-            sim, overlay, mean_session=60.0, mean_offline=25.0, min_alive=N // 2,
-            rng=streams.get("churn"),
-        )
-        model.start()
-
     engine = MessageGossipEngine(
-        sim, transport, overlay, epsilon=1e-4, round_interval=2.0,
-        max_rounds=300, rng=streams.get("gossip"),
+        sim, transport, overlay, epsilon=1e-4, round_interval=ROUND_INTERVAL,
+        max_rounds=MAX_ROUNDS, rng=streams.get("gossip"),
     )
-    csr = S.sparse()
-    rows = [
-        dict(zip(csr.indices[csr.indptr[i]:csr.indptr[i+1]].tolist(),
-                 csr.data[csr.indptr[i]:csr.indptr[i+1]].tolist()))
-        for i in range(N)
-    ]
-    res = engine.run_cycle(rows, np.full(N, 1.0 / N))
+
+    events = []
+    if failed_links:
+        # One flap that stays down for half its period: a cut that
+        # outlasts the cycle.
+        events.append(LinkFlap(start=0.0, count=failed_links, period=4 * BUDGET, cycles=1))
+    if churn:
+        # Active churn: every 10 time units 5% of the live peers crash,
+        # and each comes back 25 time units later.
+        events += [
+            CrashBurst(at=t, fraction=0.05, rejoin_after=25.0)
+            for t in (5.0, 15.0, 25.0, 35.0, 45.0)
+        ]
+    plan = FaultPlan(events, rng=streams.get("failures"))
+    plan.schedule(sim, transport, overlay, on_rejoin=engine.partnering.node_joined)
+
+    res = engine.run_cycle(S, np.full(N, 1.0 / N))
+    faults = plan.summary()
     print(
         f"{label:<28} rounds={res.steps:<4} sent={res.messages_sent:<6} "
         f"dropped={res.messages_dropped:<5} mass_lost={res.mass_lost_fraction:6.1%} "
+        f"crashes={faults['crashes']:<3} rejoins={faults['rejoins']:<3} "
         f"gossip_error={res.gossip_error:.2e}"
     )
     return res

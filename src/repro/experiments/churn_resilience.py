@@ -1,12 +1,15 @@
 """Churn resilience — partner strategies under scripted chaos.
 
-The fault-tolerance experiment injects faults once at setup under the
-omniscient global partner sampler.  This sweep runs the full robustness
-stack instead: every partner strategy (global oracle, neighbors-only,
-Brahms) on both DES engines under scripted
+The fault-tolerance experiment sweeps one fault axis at a time (a
+constant loss rate, a static link cut, staggered single crashes) under
+the omniscient global partner sampler.  This sweep runs the full
+robustness stack instead: every partner strategy (global oracle,
+neighbors-only, Brahms) on both DES engines under the named
 :class:`~repro.network.faultplan.FaultPlan` scenarios — crash bursts
 with rejoin, a mid-run partition that heals, a loss ramp — with the
-engine-level mass-restoration guard armed.
+engine-level mass-restoration guard armed.  Both experiments gossip on
+the same substrate
+(:func:`~repro.experiments.synthetic.des_substrate`).
 
 Per (engine x strategy x plan) cell it reports:
 
@@ -39,15 +42,10 @@ from repro.core.config import GossipTrustConfig
 from repro.errors import ExperimentError
 from repro.experiments.base import ExperimentResult, mean_std, seed_range
 from repro.experiments.runner import SweepPoint, run_sweep
-from repro.experiments.synthetic import synthetic_trust_matrix
+from repro.experiments.synthetic import des_substrate
 from repro.gossip.factory import make_engine
 from repro.metrics.reporting import Series, TextTable
 from repro.network.faultplan import named_plan, plan_names
-from repro.network.overlay import Overlay
-from repro.network.topology import gnutella_like
-from repro.network.transport import Transport
-from repro.sim.engine import Simulator
-from repro.utils.rng import RngStreams
 
 __all__ = ["run_churn_resilience"]
 
@@ -74,12 +72,7 @@ def _resilience_point(
 
     Returns a flat metric tuple (see ``_METRICS`` for the order).
     """
-    streams = RngStreams(seed)
-    S = synthetic_trust_matrix(n, rng=streams.get("matrix"))
-    sim = Simulator()
-    topo = gnutella_like(n, rng=streams.get("topology"))
-    overlay = Overlay(topo, rng=streams.get("overlay"))
-    transport = Transport(sim, latency=1.0, loss_rate=0.0, rng=streams.get("net"))
+    streams, S, sim, overlay, transport = des_substrate(n, seed, loss_rate=0.0)
     config = GossipTrustConfig(
         n=n, partner_strategy=strategy, mass_restore_budget=mass_restore_budget
     )

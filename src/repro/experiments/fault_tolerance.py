@@ -4,116 +4,67 @@
 "adaptive to peer dynamics".  This experiment quantifies those claims on
 the message-level engine: one gossiped aggregation cycle under
 
-* independent message loss at rates 0..30%,
-* a fraction of failed overlay links,
-* mid-cycle peer departures,
+* independent message loss at rates 0..30% (the transport's constant
+  loss rate),
+* a fraction ``f`` of failed overlay links: one
+  :class:`~repro.network.faultplan.LinkFlap` that cuts ``int(f·|E|)``
+  random topology links at t = 0 and never heals inside the cycle,
+* ``d`` mid-cycle peer departures: ``d``
+  :class:`~repro.network.faultplan.CrashBurst` events of one node each,
+  one round apart from round 2 on,
 
-reporting the gossip error and round count per condition.  The expected
-shape: push-sum loses (x, w) mass *proportionally* when messages drop,
-so the converged ratio degrades gracefully — errors stay orders of
-magnitude below the score scale even at heavy loss.
+reporting the gossip error and round count per condition as a median
+[IQR] over seeds.  The expected shape: push-sum loses (x, w) mass
+*proportionally* when messages drop, so the converged ratio degrades
+gracefully rather than diverging.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import GossipTrustConfig
 from repro.errors import ExperimentError
-from repro.experiments.base import ExperimentResult, mean_std, seed_range
+from repro.experiments.base import ExperimentResult, seed_range
 from repro.experiments.runner import SweepPoint, run_sweep
-from repro.experiments.synthetic import synthetic_trust_matrix
-from repro.gossip.base import GossipCycleResult
+from repro.experiments.synthetic import des_substrate
 from repro.gossip.factory import make_engine
-from repro.metrics.reporting import Series, TextTable
+from repro.gossip.message_engine import AsyncMessageGossipEngine
+from repro.metrics.reporting import Series, TextTable, percentile
 from repro.metrics.telemetry import CycleRecord, CycleTelemetry
-from repro.network.overlay import Overlay
-from repro.network.topology import gnutella_like
-from repro.network.transport import Transport
-from repro.sim.engine import Simulator
-from repro.utils.rng import RngStreams
+from repro.network.faultplan import CrashBurst, FaultEvent, FaultPlan, LinkFlap
 
 __all__ = ["run_fault_tolerance"]
 
 DEFAULT_LOSS_RATES = (0.0, 0.05, 0.10, 0.20, 0.30)
 
+#: the round clock's pacing and budget; the Poisson clock runs to its
+#: own ``max_time``, and departures are paced in rounds on either clock
+_ROUND_INTERVAL = 2.0
+_MAX_ROUNDS = 300
 
-def _one_cycle(
-    n: int,
-    seed: int,
-    *,
-    loss_rate: float = 0.0,
-    failed_link_fraction: float = 0.0,
-    departures: int = 0,
-    epsilon: float = 1e-4,
-    engine: str = "message",
-    round_interval: float = 2.0,
-    telemetry: Optional[CycleTelemetry] = None,
-) -> "GossipCycleResult":
-    """Run one message-level cycle under the given fault injection.
+#: the link cut is one flap that stays down for half its period: twice
+#: the longer of the two clocks' budgets, so it never heals in a cycle
+_CUT_PERIOD = 4.0 * max(_MAX_ROUNDS * _ROUND_INTERVAL, AsyncMessageGossipEngine.max_time)
 
-    ``round_interval`` and the 300-round budget are the round clock's
-    (``"message"``); the Poisson clock (``"async"``) runs to its own
-    ``max_time`` default.  Departures are scheduled in units of
-    ``round_interval`` on either clock.
+
+def _fault_events(fault: str, level: float, n_edges: int) -> List[FaultEvent]:
+    """The fault-plan events of one axis level over ``n_edges`` links.
+
+    ``link/f`` is one flap cutting ``int(f·n_edges)`` links at t = 0;
+    ``churn/d`` is ``d`` one-node crashes, one round apart from round 2.
+    ``loss`` has no events: its level is the transport's loss rate.
     """
-    streams = RngStreams(seed)
-    S = synthetic_trust_matrix(n, rng=streams.get("matrix"))
-    sim = Simulator()
-    topo = gnutella_like(n, rng=streams.get("topology"))
-    overlay = Overlay(topo, rng=streams.get("overlay"))
-    transport = Transport(sim, latency=1.0, loss_rate=loss_rate, rng=streams.get("net"))
-    if failed_link_fraction > 0:
-        gen = streams.get("failures")
-        edges = list(topo.edges())
-        k = int(len(edges) * failed_link_fraction)
-        for idx in gen.choice(len(edges), size=k, replace=False):
-            u, v = edges[int(idx)]
-            transport.fail_link(u, v)
-    clock: Dict[str, float] = (
-        {"round_interval": round_interval, "max_rounds": 300}
-        if engine == "message"
-        else {}
-    )
-    eng = make_engine(
-        engine,
-        GossipTrustConfig(n=n, epsilon=epsilon),
-        rng=streams,
-        sim=sim,
-        transport=transport,
-        overlay=overlay,
-        **clock,
-    )
-    if departures > 0:
-        gen = streams.get("churn")
-        victims = gen.choice(n, size=departures, replace=False)
-        # Depart mid-cycle: one leave per round, starting two rounds in.
-        # Scheduled in units of round_interval so changing the pacing
-        # keeps churn aligned with cycle progress (hard-coded absolute
-        # times would silently shift where in the cycle churn lands).
-        for i, victim in enumerate(victims.tolist()):
-            sim.call_in(
-                round_interval * (2 + i), _leave_if_alive, overlay, int(victim)
-            )
-    v = np.full(n, 1.0 / n)
-    if telemetry is not None:
-        return telemetry.timed(1, eng, S, v)
-    return eng.run_cycle(S, v)
-
-
-def _leave_if_alive(overlay: Overlay, node: int) -> None:
-    if overlay.is_alive(node) and overlay.alive_count > 2:
-        overlay.leave(node)
-
-
-#: fault axis name -> how a sweep level maps onto ``_one_cycle`` kwargs
-_FAULT_AXES = {
-    "loss": lambda level: {"loss_rate": float(level)},
-    "link": lambda level: {"failed_link_fraction": float(level)},
-    "churn": lambda level: {"departures": int(level)},
-}
+    if fault == "loss":
+        return []
+    if fault == "link":
+        k = int(n_edges * level)
+        return [LinkFlap(start=0.0, count=k, period=_CUT_PERIOD, cycles=1)] if k else []
+    if fault == "churn":
+        return [CrashBurst(at=_ROUND_INTERVAL * (2 + i), count=1) for i in range(int(level))]
+    raise ExperimentError(f"unknown fault axis {fault!r}")
 
 
 def _fault_point(
@@ -123,12 +74,32 @@ def _fault_point(
 
     Returns ``((gossip_error, rounds, mass_lost), records)``.
     """
-    if fault not in _FAULT_AXES:
-        raise ExperimentError(f"unknown fault axis {fault!r}")
-    telemetry = CycleTelemetry()
-    res = _one_cycle(
-        n, seed, engine=engine, telemetry=telemetry, **_FAULT_AXES[fault](level)
+    streams, S, sim, overlay, transport = des_substrate(
+        n, seed, loss_rate=float(level) if fault == "loss" else 0.0
     )
+    events = _fault_events(fault, level, sum(1 for _ in overlay.live_subgraph().edges()))
+    if events:
+        # The plan draws from "failures" before the engine spawns its
+        # own streams, and the run to t = 0 puts a link cut in force
+        # before round 1 sends.
+        FaultPlan(events, rng=streams.get("failures")).schedule(sim, transport, overlay)
+        sim.run(until=sim.now)
+    clock = (
+        {"round_interval": _ROUND_INTERVAL, "max_rounds": _MAX_ROUNDS}
+        if engine == "message"
+        else {}
+    )
+    eng = make_engine(
+        engine,
+        GossipTrustConfig(n=n, epsilon=1e-4),
+        rng=streams,
+        sim=sim,
+        transport=transport,
+        overlay=overlay,
+        **clock,
+    )
+    telemetry = CycleTelemetry()
+    res = telemetry.timed(1, eng, S, np.full(n, 1.0 / n))
     return (
         (res.gossip_error, float(res.steps), res.mass_lost_fraction),
         telemetry.records,
@@ -141,7 +112,7 @@ def run_fault_tolerance(
     loss_rates: Sequence[float] = DEFAULT_LOSS_RATES,
     link_failure_fractions: Sequence[float] = (0.0, 0.1, 0.2),
     departure_counts: Sequence[int] = (0, 8, 16),
-    repeats: int = 3,
+    repeats: int = 10,
     engine: str = "message",
     workers: int = 1,
 ) -> ExperimentResult:
@@ -150,10 +121,16 @@ def run_fault_tolerance(
     ``engine`` may be ``"message"`` (synchronized rounds) or ``"async"``
     (per-node Poisson clocks) — both run real messages on the DES.
     ``workers`` fans the (fault, level, seed) points over processes.
+    Each cell's ``data`` entry is its median gossip error over the
+    ``repeats`` seeds; ``<cell>/q1``, ``<cell>/q3`` hold the quartiles
+    and ``<cell>/seeds`` the per-seed errors.
     """
     table = TextTable(
-        ["fault", "level", "gossip_error", "rounds", "mass_lost"],
-        title=f"Fault tolerance of one gossiped cycle (n={n}, {engine} engine)",
+        ["fault", "level", "error_median", "error_q1", "error_q3", "rounds", "mass_lost"],
+        title=(
+            f"Fault tolerance of one gossiped cycle (n={n}, {engine} engine, "
+            f"median [IQR] over {repeats} seeds)"
+        ),
         float_fmt=".3g",
     )
     loss_series = Series(label="message loss")
@@ -189,11 +166,16 @@ def run_fault_tolerance(
                 rounds.append(steps)
                 lost.append(mass)
                 telemetry.records.extend(records)
-            m_err, _ = mean_std(errs)
-            table.add_row([fault, level, m_err, mean_std(rounds)[0], mean_std(lost)[0]])
-            series.add(level, m_err)
+            med, q1, q3 = (percentile(errs, q) for q in (50.0, 25.0, 75.0))
+            table.add_row(
+                [fault, level, med, q1, q3, percentile(rounds, 50.0), percentile(lost, 50.0)]
+            )
+            series.add(level, med)
             key = f"{fault}/{level}" if fault == "churn" else f"{fault}/{level:g}"
-            raw[key] = m_err
+            raw[key] = med
+            raw[f"{key}/q1"] = q1
+            raw[f"{key}/q3"] = q3
+            raw[f"{key}/seeds"] = errs
 
     return ExperimentResult(
         experiment_id="fault",
@@ -202,6 +184,10 @@ def run_fault_tolerance(
         series=[loss_series, link_series, churn_series],
         data=raw,
         notes=[
+            "Faults are FaultPlan events: link/f is one LinkFlap cutting "
+            "int(f*|E|) topology links at t=0 for the whole cycle; churn/d is "
+            "d one-node CrashBursts, one round apart from round 2; loss/q is "
+            "the transport's constant loss rate.",
             "Gossip partners are sampled globally (the paper's default); "
             "link failures therefore thin random pairs rather than cut the flood tree.",
             f"engine={engine!r} via make_engine.",

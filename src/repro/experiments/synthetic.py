@@ -14,19 +14,29 @@ or dense intermediate anywhere.  Peak construction memory is the CSR
 output plus O(_BLOCK_ROWS * d_avg) transients, which is what lets the
 n = 10^6 benchmark tier build its ~2 * 10^7-edge matrix in a few
 hundred MB instead of gigabytes of list overhead.
+
+:func:`des_substrate` wraps such a matrix with the seeded overlay,
+simulator and transport that the message-level fault experiments
+gossip on.
 """
 
 from __future__ import annotations
+
+from typing import Tuple
 
 import numpy as np
 from scipy import sparse
 
 from repro.distributions.powerlaw import FeedbackCountDistribution
 from repro.errors import ValidationError
+from repro.network.overlay import Overlay
+from repro.network.topology import gnutella_like
+from repro.network.transport import Transport
+from repro.sim.engine import Simulator
 from repro.trust.matrix import TrustMatrix
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import RngStreams, SeedLike, as_generator
 
-__all__ = ["synthetic_trust_matrix"]
+__all__ = ["synthetic_trust_matrix", "des_substrate"]
 
 #: rows filled per streaming block (~1.3M draws at d_avg = 20); it
 #: changes memory traffic only, never the distribution
@@ -103,3 +113,23 @@ def synthetic_trust_matrix(n: int, *, rng: SeedLike = None) -> TrustMatrix:
         (data, indices, indptr64.astype(idx_dt, copy=False)), shape=(n, n)
     )
     return TrustMatrix(raw, _validated=True)
+
+
+def des_substrate(
+    n: int, seed: int, *, loss_rate: float
+) -> Tuple[RngStreams, TrustMatrix, Simulator, Overlay, Transport]:
+    """The seeded substrate a message-level fault experiment gossips on.
+
+    Returns ``(streams, S, sim, overlay, transport)``: a synthetic trust
+    matrix and an overlay on a Gnutella-like topology, on a fresh
+    simulator, with a unit-latency transport at ``loss_rate``.  The
+    streams are spawned in this order, so the engine and fault plan a
+    caller builds next draw from the same positions every time.
+    """
+    streams = RngStreams(seed)
+    S = synthetic_trust_matrix(n, rng=streams.get("matrix"))
+    sim = Simulator()
+    topo = gnutella_like(n, rng=streams.get("topology"))
+    overlay = Overlay(topo, rng=streams.get("overlay"))
+    transport = Transport(sim, latency=1.0, loss_rate=loss_rate, rng=streams.get("net"))
+    return streams, S, sim, overlay, transport

@@ -30,14 +30,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, Mapping, Optional, Sequence, Union
+from typing import ClassVar, Dict, Optional, Union
 
 import numpy as np
 from scipy import sparse
 
 from repro.analysis.sanitizer import InvariantSanitizer
 from repro.errors import ValidationError
-from repro.trust.matrix import TrustMatrix, as_csr, rows_to_csr
+from repro.trust.matrix import TrustMatrix, as_csr
 
 try:  # the C kernels behind scipy's CSC matrix-times-dense products
     from scipy.sparse._sparsetools import csc_matvec as _csc_matvec
@@ -149,33 +149,19 @@ class CycleEngine(ABC):
         return sanitizer
 
 
-def coerce_csr(
-    S: Union[TrustInput, Sequence[Mapping[int, float]]], n: int
-) -> sparse.csr_matrix:
+def coerce_csr(S: TrustInput, n: int) -> sparse.csr_matrix:
     """Coerce any accepted matrix form to an (n, n) CSR matrix.
 
-    A sequence of per-node row mappings ``{j: s_ij}`` is assembled by
-    :func:`~repro.trust.matrix.rows_to_csr`; every other form goes
-    through :func:`~repro.trust.matrix.as_csr`.
+    The form is taken to CSR by :func:`~repro.trust.matrix.as_csr`; a
+    shape other than ``(n, n)`` raises.
     """
-    if (
-        not isinstance(S, (TrustMatrix, np.ndarray))
-        and not sparse.issparse(S)
-        and all(isinstance(r, Mapping) for r in S)
-    ):
-        mat = rows_to_csr(S, n)
-    else:
-        mat = as_csr(S)
+    mat = as_csr(S)
     if mat.shape != (n, n):
         raise ValidationError(f"matrix shape {mat.shape} does not match engine n={n}")
     return mat
 
 
-def exact_aggregate(
-    S: Union[TrustInput, Sequence[Mapping[int, float]]],
-    v: np.ndarray,
-    n: int,
-) -> np.ndarray:
+def exact_aggregate(S: TrustInput, v: np.ndarray, n: int) -> np.ndarray:
     """Exact one-cycle aggregation ``S^T @ v`` as a sparse matvec.
 
     The oracle every engine measures its gossip error against.  A

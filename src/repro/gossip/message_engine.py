@@ -83,7 +83,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, ClassVar, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, ClassVar, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -466,20 +466,15 @@ class MessageGossipEngine(CycleEngine):
         """Let every message in flight land (3x the mean latency)."""
         self.sim.run(until=self.sim.now + 3.0 * max(self.transport.latency, 1e-9))
 
-    def run_cycle(
-        self,
-        S: Union[TrustInput, Sequence[Mapping[int, float]]],
-        v_prior: np.ndarray,
-    ) -> MessageGossipResult:
+    def run_cycle(self, S: TrustInput, v_prior: np.ndarray) -> MessageGossipResult:
         """Execute one full aggregation cycle and return its outcome.
 
         Parameters
         ----------
         S:
             The trust matrix — a :class:`~repro.trust.matrix.TrustMatrix`
-            (its CSR is used as is), a raw array/sparse matrix, or a
-            per-node sequence of sparse rows ``{j: s_ij}``.  It is taken
-            to CSR once (:func:`~repro.gossip.base.coerce_csr`), which
+            (its CSR is used as is) or a raw array/sparse matrix.  It is
+            taken to CSR once (:func:`~repro.gossip.base.coerce_csr`), which
             feeds both the exact oracle and cycle initialization.
         v_prior:
             Previous-cycle reputation vector ``V(t-1)`` (dense, length n).

@@ -6,13 +6,16 @@
 * :mod:`repro.network.overlay` — live overlay state: membership,
   neighbor tables, and partner sampling for gossip.
 * :mod:`repro.network.transport` — message transport on the DES with
-  latency, loss, and link-failure injection.
-* :mod:`repro.network.churn` — peer join/leave dynamics.
+  latency, loss, link failures and partitions.
+* :mod:`repro.network.faultplan` — seeded fault schedules (crash
+  bursts, link flaps, partitions, loss ramps): how experiments and
+  examples inject faults on a run's clock.
+* :mod:`repro.network.reliability` — acknowledged probes with retries
+  for the partner strategies' failure detection.
 * :mod:`repro.network.dht` — a Chord-like DHT ring used by the
   structured baselines (EigenTrust/PowerTrust) and the §7 extension.
 """
 
-from repro.network.churn import ChurnModel
 from repro.network.dht import ChordRing
 from repro.network.overlay import Overlay
 from repro.network.topology import Topology, gnutella_like, powerlaw_graph, random_graph, small_world_graph
@@ -28,6 +31,5 @@ __all__ = [
     "Transport",
     "Message",
     "LinkFailureModel",
-    "ChurnModel",
     "ChordRing",
 ]

@@ -1,13 +1,18 @@
 """Scripted fault injection — declarative, seeded chaos schedules.
 
-The fault-tolerance experiment injects each fault once, at setup.  Real
-failures *arrive over time*: a rack crashes mid-cycle, a link flaps for
-a minute, the network splits and later heals, loss climbs during a
-congestion event and recedes.  A :class:`FaultPlan` scripts exactly
-that: a list of declarative fault events, compiled onto the simulator
-clock by :meth:`FaultPlan.schedule`, with every random choice (victims,
-flapping links, partition assignment) drawn from the plan's own seeded
-generator so a chaos run replays bit-for-bit.
+Real failures *arrive over time*: a rack crashes mid-cycle, a link
+flaps for a minute, the network splits and later heals, loss climbs
+during a congestion event and recedes.  A :class:`FaultPlan` scripts
+exactly that: a list of declarative fault events, compiled onto the
+simulator clock by :meth:`FaultPlan.schedule`, with every random choice
+(victims, flapping links, partition assignment) drawn from the plan's
+own seeded generator so a chaos run replays bit-for-bit.
+
+It is the one fault vocabulary of the experiments and examples.  The
+fault-tolerance experiment cuts links with a single :class:`LinkFlap`
+whose period outlasts the cycle, and removes peers with one-node
+:class:`CrashBurst` events a round apart; the resilience experiment
+runs the named scenarios (:func:`named_plan`).
 
 Event types
 -----------
@@ -28,8 +33,7 @@ Event types
 
 All events are applied through the public Simulator/Transport/Overlay
 APIs; nothing here reaches into engine state.  The plan records an
-event log (time, kind, detail) plus counters, which the resilience
-experiment folds into its per-strategy report.
+event log (time, kind, detail) plus counters (:meth:`FaultPlan.summary`).
 """
 
 from __future__ import annotations

@@ -285,10 +285,6 @@ class Transport:
         self.sim.call_batch_in(delays, self._deliver_many, queued, src, dst, payload, deliver)
         return int(delays.size)
 
-    def fail_link(self, u: int, v: int) -> None:
-        """Fail link ``{u, v}`` (``links.heal`` brings it back)."""
-        self.links.fail(u, v)
-
     def _deliver(self, msg: Message) -> None:
         # A link that failed (or a partition that formed) while this
         # message was in flight takes it down too.

@@ -5,9 +5,8 @@ A small, dependency-free DES kernel:
 calls with a deterministic tie-break (same-time calls fire in schedule
 order), plus batches of timed items under one callback.
 
-The message-level gossip engine, churn model, fault plans and transport
-layer all run on this kernel; the vectorized engines bypass it
-entirely.
+The message-level gossip engine, fault plans and transport layer all
+run on this kernel; the vectorized engines bypass it entirely.
 """
 
 from repro.sim.engine import Simulator

@@ -12,7 +12,7 @@ such rows are replaced by the uniform distribution ``1/n``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -22,33 +22,7 @@ from repro.errors import ValidationError
 from repro.trust.feedback import FeedbackLedger
 from repro.utils.validation import check_square_matrix, check_vector
 
-__all__ = ["TrustMatrix", "as_csr", "rows_to_csr"]
-
-
-def rows_to_csr(rows: Iterable[Dict[int, float]], n: int) -> sparse.csr_matrix:
-    """Assemble an ``(n, n)`` CSR matrix from per-node sparse rows.
-
-    Builds the CSR triple directly (counts -> indptr, then one flat
-    pass over the row dicts) without an intermediate COO/LIL stage, so
-    an engine given ``{j: s_ij}`` rows turns them into a matvec-ready
-    matrix once per cycle.
-    """
-    rows = list(rows)
-    if len(rows) != n:
-        raise ValidationError(f"need one row mapping per node: {len(rows)} != {n}")
-    counts = np.fromiter((len(r) for r in rows), dtype=np.int64, count=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    nnz = int(indptr[-1])
-    indices = np.fromiter(
-        (j for r in rows for j in r), dtype=np.int64, count=nnz
-    )
-    data = np.fromiter(
-        (val for r in rows for val in r.values()), dtype=np.float64, count=nnz
-    )
-    mat = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
-    mat.sort_indices()
-    return mat
+__all__ = ["TrustMatrix", "as_csr"]
 
 
 class TrustMatrix:

@@ -326,7 +326,7 @@ class TestFaultInjection:
 
         eng = _message_engine_with(negate_w)
         eng.arm_sanitizer()
-        S = [{(i + 1) % N: 1.0} for i in range(N)]
+        S = np.roll(np.eye(N), 1, axis=1)  # node i trusts only node i + 1
         with pytest.raises(InvariantViolation) as exc:
             eng.run_cycle(S, np.full(N, 1.0 / N))
         err = exc.value
@@ -341,7 +341,7 @@ class TestFaultInjection:
 
         eng = _message_engine_with(poison)
         eng.arm_sanitizer()
-        S = [{(i + 1) % N: 1.0} for i in range(N)]
+        S = np.roll(np.eye(N), 1, axis=1)  # node i trusts only node i + 1
         with pytest.raises(InvariantViolation) as exc:
             eng.run_cycle(S, np.full(N, 1.0 / N))
         assert exc.value.invariant == "finite"
@@ -356,7 +356,7 @@ class TestFaultInjection:
 
         eng = _message_engine_with(duplicate)
         eng.arm_sanitizer()
-        S = [{(i + 1) % N: 1.0} for i in range(N)]
+        S = np.roll(np.eye(N), 1, axis=1)  # node i trusts only node i + 1
         with pytest.raises(InvariantViolation) as exc:
             eng.run_cycle(S, np.full(N, 1.0 / N))
         assert exc.value.invariant == "mass-conservation"

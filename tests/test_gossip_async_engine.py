@@ -22,29 +22,22 @@ def build(n=24, loss=0.0, seed=0, **kwargs):
     return sim, overlay, transport, engine
 
 
-def rows_and_prior(n, seed=0):
+def matrix_and_prior(n, seed=0):
     rng = np.random.default_rng(seed)
     raw = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
     np.fill_diagonal(raw, 0)
     for i in range(n):
         if raw[i].sum() == 0:
             raw[i, (i + 1) % n] = 1.0
-    S = TrustMatrix.from_dense_raw(raw)
-    csr = S.sparse()
-    rows = [
-        dict(zip(csr.indices[csr.indptr[i]:csr.indptr[i+1]].tolist(),
-                 csr.data[csr.indptr[i]:csr.indptr[i+1]].tolist()))
-        for i in range(n)
-    ]
-    return rows, np.full(n, 1.0 / n)
+    return TrustMatrix.from_dense_raw(raw).sparse(), np.full(n, 1.0 / n)
 
 
 class TestAsyncConvergence:
     def test_converges_to_exact_product(self):
         n = 24
         _sim, _ov, _tr, engine = build(n, epsilon=1e-6)
-        rows, v = rows_and_prior(n)
-        res = engine.run_cycle(rows, v)
+        S, v = matrix_and_prior(n)
+        res = engine.run_cycle(S, v)
         assert res.converged
         assert res.gossip_error < 1e-3
         assert np.allclose(res.v_next, res.exact, rtol=1e-2, atol=1e-6)
@@ -54,9 +47,9 @@ class TestAsyncConvergence:
         from repro.gossip.message_engine import MessageGossipEngine
 
         n = 24
-        rows, v = rows_and_prior(n)
+        S, v = matrix_and_prior(n)
         _sim, _ov, _tr, async_engine = build(n, epsilon=1e-6)
-        async_rounds = async_engine.run_cycle(rows, v).steps
+        async_rounds = async_engine.run_cycle(S, v).steps
 
         sim = Simulator()
         overlay = Overlay(random_graph(n, rng=0), rng=1)
@@ -64,21 +57,21 @@ class TestAsyncConvergence:
         sync_engine = MessageGossipEngine(
             sim, transport, overlay, epsilon=1e-6, round_interval=1.0, rng=3
         )
-        sync_rounds = sync_engine.run_cycle(rows, v).steps
+        sync_rounds = sync_engine.run_cycle(S, v).steps
         assert async_rounds < 4 * sync_rounds  # same order, coarser detector
 
     def test_mass_conserved_without_faults(self):
         n = 16
         _sim, _ov, _tr, engine = build(n)
-        rows, v = rows_and_prior(n)
-        res = engine.run_cycle(rows, v)
+        S, v = matrix_and_prior(n)
+        res = engine.run_cycle(S, v)
         assert res.mass_lost_fraction == pytest.approx(0.0, abs=1e-9)
 
     def test_survives_message_loss(self):
         n = 24
         _sim, _ov, _tr, engine = build(n, loss=0.1)
-        rows, v = rows_and_prior(n)
-        res = engine.run_cycle(rows, v)
+        S, v = matrix_and_prior(n)
+        res = engine.run_cycle(S, v)
         assert np.all(np.isfinite(res.v_next))
         assert res.messages_dropped > 0
 
@@ -86,8 +79,8 @@ class TestAsyncConvergence:
         n = 16
         monkeypatch.setattr(AsyncMessageGossipEngine, "max_time", 30.0)
         sim, _ov, _tr, engine = build(n, epsilon=1e-15)
-        rows, v = rows_and_prior(n)
-        res = engine.run_cycle(rows, v)
+        S, v = matrix_and_prior(n)
+        res = engine.run_cycle(S, v)
         assert not res.converged
         assert sim.now <= 31.0
 
@@ -97,7 +90,7 @@ class TestAsyncValidation:
         n = 8
         _sim, _ov, _tr, engine = build(n)
         with pytest.raises(ValidationError):
-            engine.run_cycle([{}] * (n - 1), np.full(n, 1.0 / n))
+            engine.run_cycle(matrix_and_prior(n - 1)[0], np.full(n, 1.0 / n))
 
     def test_constructor_validation(self):
         sim = Simulator()

@@ -29,28 +29,22 @@ def build(n=24, loss=0.0, seed=0, epsilon=1e-5, **engine_kwargs):
     return sim, overlay, transport, engine
 
 
-def rows_and_prior(n, seed=0):
+def matrix_and_prior(n, seed=0):
     rng = np.random.default_rng(seed)
     raw = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
     np.fill_diagonal(raw, 0)
     for i in range(n):
         if raw[i].sum() == 0:
             raw[i, (i + 1) % n] = 1.0
-    S = TrustMatrix.from_dense_raw(raw)
-    csr = S.sparse()
-    rows = []
-    for i in range(n):
-        s, e = csr.indptr[i], csr.indptr[i + 1]
-        rows.append(dict(zip(csr.indices[s:e].tolist(), csr.data[s:e].tolist())))
-    return rows, np.full(n, 1.0 / n)
+    return TrustMatrix.from_dense_raw(raw).sparse(), np.full(n, 1.0 / n)
 
 
 class TestLossless:
     def test_converges_to_exact_product(self):
         n = 24
         _sim, _ov, _tr, engine = build(n)
-        rows, v = rows_and_prior(n)
-        res = engine.run_cycle(rows, v)
+        S, v = matrix_and_prior(n)
+        res = engine.run_cycle(S, v)
         assert res.converged
         assert res.gossip_error < 1e-3
         assert np.allclose(res.v_next, res.exact, rtol=1e-2, atol=1e-6)
@@ -58,15 +52,15 @@ class TestLossless:
     def test_no_mass_lost_without_faults(self):
         n = 16
         _sim, _ov, _tr, engine = build(n)
-        rows, v = rows_and_prior(n)
-        res = engine.run_cycle(rows, v)
+        S, v = matrix_and_prior(n)
+        res = engine.run_cycle(S, v)
         assert res.mass_lost_fraction == pytest.approx(0.0, abs=1e-9)
 
     def test_all_nodes_agree(self):
         n = 16
         _sim, _ov, _tr, engine = build(n, epsilon=1e-7)
-        rows, v = rows_and_prior(n)
-        res = engine.run_cycle(rows, v)
+        S, v = matrix_and_prior(n)
+        res = engine.run_cycle(S, v)
         finite = np.where(np.isfinite(res.node_estimates), res.node_estimates, np.nan)
         spread = np.nanmax(finite, axis=0) - np.nanmin(finite, axis=0)
         assert np.nanmax(spread) < 1e-4
@@ -74,8 +68,8 @@ class TestLossless:
     def test_message_accounting(self):
         n = 12
         _sim, _ov, tr, engine = build(n)
-        rows, v = rows_and_prior(n)
-        res = engine.run_cycle(rows, v)
+        S, v = matrix_and_prior(n)
+        res = engine.run_cycle(S, v)
         # One message per live node per round.
         assert res.messages_sent == n * res.steps
         assert res.messages_dropped == 0
@@ -85,8 +79,8 @@ class TestFaults:
     def test_loss_costs_accuracy_but_not_validity(self):
         n = 24
         _sim, _ov, _tr, engine = build(n, loss=0.1)
-        rows, v = rows_and_prior(n)
-        res = engine.run_cycle(rows, v)
+        S, v = matrix_and_prior(n)
+        res = engine.run_cycle(S, v)
         assert res.messages_dropped > 0
         assert res.mass_lost_fraction > 0
         assert np.all(np.isfinite(res.v_next))
@@ -98,16 +92,16 @@ class TestFaults:
         losses = {}
         for rate in (0.05, 0.3):
             _sim, _ov, _tr, engine = build(n, loss=rate)
-            rows, v = rows_and_prior(n)
-            losses[rate] = engine.run_cycle(rows, v).mass_lost_fraction
+            S, v = matrix_and_prior(n)
+            losses[rate] = engine.run_cycle(S, v).mass_lost_fraction
         assert losses[0.3] > losses[0.05]
 
     def test_departed_node_mass_vanishes_gracefully(self):
         n = 16
         sim, overlay, _tr, engine = build(n)
-        rows, v = rows_and_prior(n)
+        S, v = matrix_and_prior(n)
         sim.call_in(2.5, overlay.leave, 3)
-        res = engine.run_cycle(rows, v)
+        res = engine.run_cycle(S, v)
         assert 3 not in res.live_nodes.tolist()
         assert np.all(np.isfinite(res.v_next))
 
@@ -135,8 +129,8 @@ class TestMassLossLaw:
         gaps, sigmas = [], []
         for seed in self.SEEDS:
             _sim, _ov, _tr, engine = build(n, loss=q, seed=seed)
-            rows, v = rows_and_prior(n, seed=seed)
-            res = engine.run_cycle(rows, v)
+            S, v = matrix_and_prior(n, seed=seed)
+            res = engine.run_cycle(S, v)
             kept = (1.0 - q / 2.0) ** res.steps
             sigma = kept * np.sqrt(res.steps * q * (1.0 - q) / (4.0 * n)) / (1.0 - q / 2.0)
             gap = res.mass_lost_fraction - (1.0 - kept)
@@ -171,8 +165,8 @@ class TestArmedRowChecks:
         engine.arm_sanitizer()
         for node in (0, 1):  # held row k is node k + 2, so ids != positions
             overlay.leave(node)
-        rows, v = rows_and_prior(n)
-        return engine.run_cycle(rows, v)
+        S, v = matrix_and_prior(n)
+        return engine.run_cycle(S, v)
 
     def test_nan_x_names_its_node(self):
         def poison(store):
@@ -214,15 +208,15 @@ class TestConfiguration:
         n = 8
         _sim, _ov, _tr, engine = build(n)
         with pytest.raises(ValidationError):
-            engine.run_cycle([{}] * (n - 1), np.full(n, 1.0 / n))
+            engine.run_cycle(matrix_and_prior(n - 1)[0], np.full(n, 1.0 / n))
 
     def test_budget_returns_best_effort(self):
         # The one ending of a spent round budget: the cycle's estimates,
         # marked unconverged, never an error.
         n = 16
         _sim, _ov, _tr, engine = build(n, epsilon=1e-12, max_rounds=2)
-        rows, v = rows_and_prior(n)
-        res = engine.run_cycle(rows, v)
+        S, v = matrix_and_prior(n)
+        res = engine.run_cycle(S, v)
         assert not res.converged
         assert res.steps == 2
         assert np.all(np.isfinite(res.v_next))
@@ -230,8 +224,8 @@ class TestConfiguration:
     def test_neighbors_only_mode_converges(self):
         n = 24
         _sim, _ov, _tr, engine = build(n, partnering=NeighborSampler())
-        rows, v = rows_and_prior(n)
-        res = engine.run_cycle(rows, v)
+        S, v = matrix_and_prior(n)
+        res = engine.run_cycle(S, v)
         assert res.converged
         assert res.gossip_error < 0.05
 
@@ -371,8 +365,8 @@ class TestLifetime:
 
     def test_message_for_a_collected_engine_is_dropped(self):
         sim, overlay, transport, engine = build(8)
-        rows, v = rows_and_prior(8)
-        engine.run_cycle(rows, v)
+        S, v = matrix_and_prior(8)
+        engine.run_cycle(S, v)
         delivered = transport.delivered
         transport.send(0, 1, None, kind="gossip")
         del engine

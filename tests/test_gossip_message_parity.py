@@ -225,7 +225,7 @@ def _link_fails_mid_flight(sim, transport, overlay, engine):
         for u in range(5):
             for v in range(N):
                 if u != v:
-                    transport.fail_link(u, v)
+                    transport.links.fail(u, v)
                     sim.call_in(0.3, transport.links.heal, u, v)
 
     sim.call_at(4.95, fail)

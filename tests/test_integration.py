@@ -9,7 +9,7 @@ from repro.experiments.synthetic import synthetic_trust_matrix
 from repro.gossip.engine import SynchronousGossipEngine
 from repro.gossip.message_engine import MessageGossipEngine
 from repro.metrics.errors import kendall_tau, rank_overlap
-from repro.network.churn import ChurnModel
+from repro.network.faultplan import CrashBurst, FaultPlan
 from repro.network.overlay import Overlay
 from repro.network.topology import gnutella_like, random_graph
 from repro.network.transport import Transport
@@ -81,16 +81,19 @@ class TestChurnIntegration:
             gnutella_like(n, rng=streams.get("topo")), rng=streams.get("ov")
         )
         transport = Transport(sim, latency=0.4, rng=streams.get("net"))
-        churn = ChurnModel(
-            sim, overlay, mean_session=40.0, mean_offline=15.0, min_alive=20,
-            rng=streams.get("churn"),
-        )
-        churn.start()
         engine = MessageGossipEngine(
             sim, transport, overlay, epsilon=1e-4, round_interval=1.0,
             max_rounds=200, rng=streams.get("msg"),
         )
+        # A tenth of the live peers crash every 7 time units, mid-round,
+        # and each rejoins 15 time units later.
+        churn = FaultPlan(
+            [CrashBurst(at=t + 0.5, fraction=0.1, rejoin_after=15.0) for t in range(3, 60, 7)],
+            rng=streams.get("churn"),
+        )
+        churn.schedule(sim, transport, overlay, on_rejoin=engine.partnering.node_joined)
         res = engine.run_cycle(S, np.full(n, 1.0 / n))
+        assert churn.crashes > 0 and churn.rejoins > 0
         assert np.all(np.isfinite(res.v_next))
         # Gossip still lands in the neighborhood of the exact product.
         live = res.live_nodes

@@ -1,8 +1,13 @@
 """Scripted fault plans: validation, firing, counters, determinism."""
 
+import numpy as np
 import pytest
 
+from repro.analysis.sanitizer import set_sanitize_enabled
+from repro.core.config import GossipTrustConfig
 from repro.errors import ValidationError
+from repro.experiments.synthetic import synthetic_trust_matrix
+from repro.gossip.factory import make_engine
 from repro.network import faultplan
 from repro.network.faultplan import (
     CrashBurst,
@@ -17,6 +22,7 @@ from repro.network.overlay import Overlay
 from repro.network.topology import random_graph
 from repro.network.transport import Transport
 from repro.sim.engine import Simulator
+from repro.utils.rng import RngStreams
 
 
 def build(n=20, seed=0, loss=0.0):
@@ -218,3 +224,48 @@ class TestDeterminism:
                 v for v in range(40) if not overlay.is_alive(v)
             ))
         assert picks[0] != picks[1]
+
+
+class TestRejoinUnderArmedSanitizer:
+    """Crash-and-rejoin bursts must survive a sanitized cycle.
+
+    A rejoin mid-cycle re-inserts a node while gossip mass is moving;
+    the engine's bounded invariant (mass never created) must hold and
+    the converged estimates must stay finite and non-negative.
+    """
+
+    @pytest.mark.parametrize("strategy", ["global", "neighbors", "brahms"])
+    def test_rejoins_mid_cycle_keep_estimates_finite(self, strategy):
+        n = 32
+        streams = RngStreams(7)
+        S = synthetic_trust_matrix(n, rng=streams.get("matrix"))
+        sim = Simulator()
+        overlay = Overlay(random_graph(n, rng=0), rng=streams.get("overlay"))
+        transport = Transport(sim, latency=0.5, rng=streams.get("net"))
+        config = GossipTrustConfig(
+            n=n, partner_strategy=strategy, mass_restore_budget=0.25
+        )
+        eng = make_engine(
+            "message",
+            config,
+            rng=streams,
+            sim=sim,
+            transport=transport,
+            overlay=overlay,
+            round_interval=1.0,
+            max_rounds=120,
+        )
+        plan = FaultPlan(
+            [CrashBurst(at=t + 0.3, fraction=0.1, rejoin_after=10.0) for t in range(2, 40, 6)],
+            rng=streams.get("churn"),
+        )
+        plan.schedule(sim, transport, overlay, on_rejoin=eng.partnering.node_joined)
+        set_sanitize_enabled(True)
+        try:
+            res = eng.run_cycle(S, np.full(n, 1.0 / n))
+        finally:
+            set_sanitize_enabled(None)
+        assert plan.rejoins > 0  # the cycle really saw nodes come back
+        assert np.all(np.isfinite(res.v_next))
+        assert np.all(res.v_next >= 0.0)
+        assert res.gossip_error < 1.0

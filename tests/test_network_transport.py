@@ -97,7 +97,7 @@ class TestLinkFailures:
         sim, tr = net
         tr.register(0, lambda m: None)
         tr.register(1, lambda m: None)
-        tr.fail_link(0, 1)
+        tr.links.fail(0, 1)
         assert tr.send(0, 1, "a") is False
         assert tr.send(1, 0, "b") is False
         assert tr.dropped_link == 2
@@ -106,7 +106,7 @@ class TestLinkFailures:
         sim, tr = net
         got = []
         tr.register(2, lambda m: got.append(m))
-        tr.fail_link(0, 1)
+        tr.links.fail(0, 1)
         tr.send(0, 2, "ok")
         sim.run()
         assert len(got) == 1
@@ -115,7 +115,7 @@ class TestLinkFailures:
         sim, tr = net
         got = []
         tr.register(1, lambda m: got.append(m))
-        tr.fail_link(0, 1)
+        tr.links.fail(0, 1)
         sim.call_in(5.0, tr.links.heal, 0, 1)
         tr.send(0, 1, "early")  # dropped
         sim.run(until=6.0)

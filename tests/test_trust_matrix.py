@@ -7,7 +7,6 @@ from scipy import sparse
 from repro.errors import ValidationError
 from repro.trust.feedback import FeedbackLedger
 from repro.trust.matrix import TrustMatrix
-from tests.triplet_oracle import csr_rows
 
 
 class TestFromDenseRaw:
@@ -100,31 +99,6 @@ class TestOperations:
 
     def test_nnz(self, small_S):
         assert small_S.nnz >= 7  # 7 raw entries + fallback row
-
-
-class TestRowsToCsr:
-    def test_roundtrips_sparse_rows(self, small_S):
-        from repro.trust.matrix import rows_to_csr
-
-        n = small_S.n
-        back = rows_to_csr(csr_rows(small_S.sparse()), n)
-        assert (back != small_S.sparse()).nnz == 0
-
-    def test_unsorted_row_keys_are_canonicalized(self):
-        from repro.trust.matrix import rows_to_csr
-
-        rows = [{2: 0.5, 0: 0.5}, {}, {1: 1.0}]
-        mat = rows_to_csr(rows, 3)
-        assert mat.has_sorted_indices
-        expected = np.array([[0.5, 0.0, 0.5], [0, 0, 0], [0, 1.0, 0]])
-        np.testing.assert_array_equal(mat.toarray(), expected)
-
-    def test_row_count_must_match(self):
-        from repro.errors import ValidationError
-        from repro.trust.matrix import rows_to_csr
-
-        with pytest.raises(ValidationError):
-            rows_to_csr([{0: 1.0}], 2)
 
 
 class TestApplyRowDeltas:
