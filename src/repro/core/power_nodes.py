@@ -48,11 +48,6 @@ class PowerNodeSelector:
         #: how many selection rounds have run
         self.rounds = 0
 
-    @property
-    def current(self) -> FrozenSet[int]:
-        """Power nodes from the latest selection round."""
-        return self._current
-
     def select(self, reputation: np.ndarray) -> FrozenSet[int]:
         """Re-select power nodes from a reputation vector.
 

@@ -67,6 +67,11 @@ def _fault_events(fault: str, level: float, n_edges: int) -> List[FaultEvent]:
     raise ExperimentError(f"unknown fault axis {fault!r}")
 
 
+def _cycle(fault: str, level: float) -> Tuple[str, float]:
+    """The cycle a cell runs: level 0 of every axis is one fault-free cycle."""
+    return (fault, level) if level else ("loss", 0.0)
+
+
 def _fault_point(
     *, seed: int, n: int, fault: str, level: float, engine: str
 ) -> Tuple[Tuple[float, float, float], List[CycleRecord]]:
@@ -123,7 +128,8 @@ def run_fault_tolerance(
     ``workers`` fans the (fault, level, seed) points over processes.
     Each cell's ``data`` entry is its median gossip error over the
     ``repeats`` seeds; ``<cell>/q1``, ``<cell>/q3`` hold the quartiles
-    and ``<cell>/seeds`` the per-seed errors.
+    and ``<cell>/seeds`` the per-seed errors.  Level 0 of every axis is
+    the same fault-free cycle: it runs once and fills each such cell.
     """
     table = TextTable(
         ["fault", "level", "error_median", "error_q1", "error_q3", "rounds", "mass_lost"],
@@ -144,6 +150,9 @@ def run_fault_tolerance(
         ("link", link_series, list(link_failure_fractions)),
         ("churn", churn_series, list(departure_counts)),
     ]
+    cycles = list(
+        dict.fromkeys(_cycle(fault, level) for fault, _, levels in axes for level in levels)
+    )
     points = [
         SweepPoint(
             fn=_fault_point,
@@ -151,21 +160,22 @@ def run_fault_tolerance(
             seed=seed,
             label=f"{fault}/{level:g}/s{seed}",
         )
-        for fault, _, levels in axes
-        for level in levels
+        for fault, level in cycles
         for seed in seed_range(repeats)
     ]
     report = run_sweep(points, workers=workers)
     values = iter(report.values())
+    runs = {cycle: [next(values) for _ in seed_range(repeats)] for cycle in cycles}
+    for seeds in runs.values():
+        for _, records in seeds:
+            telemetry.records.extend(records)
     for fault, series, levels in axes:
         for level in levels:
             errs, rounds, lost = [], [], []
-            for _ in seed_range(repeats):
-                (err, steps, mass), records = next(values)
+            for (err, steps, mass), _ in runs[_cycle(fault, level)]:
                 errs.append(err)
                 rounds.append(steps)
                 lost.append(mass)
-                telemetry.records.extend(records)
             med, q1, q3 = (percentile(errs, q) for q in (50.0, 25.0, 75.0))
             table.add_row(
                 [fault, level, med, q1, q3, percentile(rounds, 50.0), percentile(lost, 50.0)]

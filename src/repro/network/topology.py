@@ -72,10 +72,6 @@ class Topology:
         """Sorted neighbor ids of ``node``."""
         return self._adj[node]
 
-    def degrees(self) -> np.ndarray:
-        """Degree of every node as an int array."""
-        return np.fromiter((len(a) for a in self._adj), dtype=np.int64, count=self._n)
-
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Iterate undirected edges once each, as ``(u, v)`` with ``u < v``."""
         for u, neigh in enumerate(self._adj):

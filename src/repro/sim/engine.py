@@ -16,10 +16,9 @@ under one callback — a message round in one heap entry.  It reserves one
 sequence number per item, in item order, and sits in the heap under its
 earliest ``(when, seq)``.  When it pops, the callback receives the
 longest run of items that fire before the next heap entry and
-``until`` (:meth:`Simulator.step` fires one); the rest go back into
-the heap.  Each item counts
-as one event, so a batch fires exactly as its items would one call
-apiece — provided the callback schedules nothing, which is checked.
+``until``; the rest go back into the heap.  Each item counts as one
+event, so a batch fires exactly as its items would one call apiece —
+provided the callback schedules nothing, which is checked.
 """
 
 from __future__ import annotations
@@ -176,19 +175,6 @@ class Simulator:
         batch.fn(batch.items[pos:end], *batch.args)
         if self._seq != seq:
             raise SimulationError("a batch callback must not schedule events")
-
-    def step(self) -> bool:
-        """Fire the single next event.  Returns False if the queue is empty."""
-        if not self._queue:
-            return False
-        when, _seq, fn, args = heapq.heappop(self._queue)
-        if fn is _Batch:
-            self._fire_items(args, 1)
-            return True
-        self._now = when
-        self._event_count += 1
-        fn(*args)
-        return True
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or time ``until``.

@@ -26,7 +26,7 @@ from repro.storage.bloom import BloomFilter, digests
 
 __all__ = ["StorageReport", "BloomReputationStore"]
 
-#: per-bracket Bloom false-positive target
+#: false-positive target of one lookup, across every filter it probes
 _ERROR_RATE = 0.01
 
 #: lower edge of the lowest bracket (scores are probabilities of
@@ -69,7 +69,9 @@ class BloomReputationStore:
     ----------
     bracket_bits:
         ``b``; the store uses ``2^b`` geometric brackets, each one a
-        Bloom filter sized for a ``_ERROR_RATE`` false-positive rate.
+        Bloom filter sized for a ``_ERROR_RATE / (2^b - 1)``
+        false-positive rate, so a whole lookup stays within
+        ``_ERROR_RATE``.
     """
 
     def __init__(self, bracket_bits: int = 5):
@@ -106,8 +108,11 @@ class BloomReputationStore:
         edges = np.geomspace(_MIN_SCORE, top, self.brackets + 1)
         assignment = self._bracket_of(v, edges=edges)
         per_bracket = np.bincount(assignment, minlength=self.brackets)
+        # A lookup probes at most ``brackets - 1`` filters above a node's
+        # own; the union bound splits the error target among them.
+        error_rate = _ERROR_RATE / (self.brackets - 1)
         filters = [
-            BloomFilter(max(8, int(per_bracket[b]) * 2), _ERROR_RATE)
+            BloomFilter(max(8, int(per_bracket[b]) * 2), error_rate)
             for b in range(self.brackets)
         ]
         stored: Dict[int, float] = {}

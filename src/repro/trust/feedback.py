@@ -23,7 +23,7 @@ so the normalized matrix is patched instead of rebuilt.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, Set, Tuple
+from typing import Dict, Iterator, Set, Tuple
 
 from repro.errors import ValidationError
 from repro.types import TransactionOutcome
@@ -106,10 +106,6 @@ class FeedbackLedger:
                     yield (rater, ratee, score)
 
     # -- dirty-row delta tracking ------------------------------------------
-
-    def dirty_rows(self) -> FrozenSet[int]:
-        """Rater rows mutated since the last :meth:`drain_dirty` call."""
-        return frozenset(self._dirty)
 
     def clear_dirty(self) -> None:
         """Forget all dirty marks without emitting deltas.

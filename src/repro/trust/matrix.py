@@ -229,18 +229,6 @@ class TrustMatrix:
         # every epoch); never materialize one that was not yet needed.
         self._ST = patched.T.tocsr() if self._ST is not None else None
 
-    def entry(self, i: int, j: int) -> float:
-        """``s_ij``."""
-        return float(self._S[i, j])
-
-    def row(self, i: int) -> np.ndarray:
-        """Dense row ``i`` of ``S`` — node i's outbound normalized scores."""
-        return np.asarray(self._S.getrow(i).todense()).ravel()
-
-    def column(self, j: int) -> np.ndarray:
-        """Dense column ``j`` of ``S`` — all normalized scores about node j."""
-        return np.asarray(self._transpose().getrow(j).todense()).ravel()
-
     # -- the aggregation primitive -------------------------------------------
 
     def aggregate(self, v: np.ndarray) -> np.ndarray:

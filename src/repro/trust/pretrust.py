@@ -57,11 +57,6 @@ class PretrustVector:
         return v
 
     @property
-    def members(self) -> FrozenSet[int]:
-        """The distinguished node ids."""
-        return self._members
-
-    @property
     def vector(self) -> np.ndarray:
         """The probability vector ``P`` (copy)."""
         return self._vector.copy()

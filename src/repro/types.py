@@ -63,7 +63,3 @@ class ReputationVector:
         """The ``k`` highest-reputation node ids, best first."""
         ranked = sorted(self.scores, key=lambda nid: (-self.scores[nid], nid))
         return tuple(ranked[:k])
-
-    def total(self) -> float:
-        """Sum of all scores (should be ~1.0 for a normalized vector)."""
-        return float(sum(self.scores.values()))

@@ -14,7 +14,7 @@ Every stochastic component in the library draws from a
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -78,10 +78,6 @@ class RngStreams:
             (child,) = self._root.spawn(1)
             self._streams[name] = np.random.default_rng(child)
         return self._streams[name]
-
-    def names(self) -> Iterable[str]:
-        """Names of all streams spawned so far."""
-        return tuple(self._streams)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RngStreams(seed={self._seed_repr!r}, spawned={sorted(self._streams)})"

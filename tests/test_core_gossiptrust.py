@@ -56,7 +56,7 @@ class TestRun:
             random_S, GossipTrustConfig(n=random_S.n, seed=5)
         ).run()
         rep = result.reputation()
-        assert rep.total() == pytest.approx(1.0)
+        assert sum(rep.scores.values()) == pytest.approx(1.0)
         assert rep.top(1)[0] == int(np.argmax(result.vector))
 
     def test_budget_raises(self, random_S):

@@ -126,6 +126,25 @@ class TestRunFaultTolerance:
             assert res.data[f"{key}/q1"] <= res.data[key] <= res.data[f"{key}/q3"]
         assert res.data["loss/0"] < res.data["loss/0.2"]
 
+    def test_fault_free_cycle_runs_once_for_every_axis(self, monkeypatch):
+        calls = []
+
+        def point(**kwargs):
+            calls.append((kwargs["fault"], kwargs["level"], kwargs["seed"]))
+            return (0.01 * kwargs["seed"], 10.0, 0.0), []
+
+        monkeypatch.setattr(ft, "_fault_point", point)
+        res = ft.run_fault_tolerance(
+            n=16,
+            loss_rates=(0.0,),
+            link_failure_fractions=(0.0, 0.1),
+            departure_counts=(0,),
+            repeats=2,
+        )
+        assert calls == [("loss", 0.0, 0), ("loss", 0.0, 1), ("link", 0.1, 0), ("link", 0.1, 1)]
+        for key in ("loss/0", "link/0", "churn/0"):
+            assert res.data[f"{key}/seeds"] == [0.0, 0.01]
+
     def test_unknown_axis_raises(self):
         with pytest.raises(ExperimentError, match="unknown fault axis"):
             ft._fault_events("meteor", 1.0, 311)

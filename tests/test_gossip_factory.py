@@ -52,7 +52,7 @@ class TestMakeEngine:
         result."""
         rng = RngStreams(0)
         make_engine(name, GossipTrustConfig(n=24, partner_strategy="brahms"), rng=rng)
-        assert tuple(rng.names()) == streams
+        assert tuple(rng._streams) == streams
 
     def test_seed_like_rng_accepted(self):
         a = make_engine("sync", n=10, rng=5, epsilon=1e-6)

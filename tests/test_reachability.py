@@ -4,14 +4,24 @@ A name that only tests reach runs in no experiment, engine, service or
 benchmark, yet it still costs reading, typing and upkeep.  This test
 parses the package with :mod:`ast` and requires each top-level ``def``
 and ``class`` and each method and property defined in a class body
-(dunder methods excepted: the language calls them) to be referenced by
-name from some file under ``src/``, ``benchmarks/``, ``tools/``,
-``examples/`` or ``perfbench/``.  A reference inside the definition
-itself does not count, and neither does a package ``__init__``
-re-export: both keep a name alive without using it.  Tests never count.
+(dunder methods excepted: the language calls them) to be reached from
+some file under ``src/``, ``benchmarks/``, ``tools/``, ``examples/`` or
+``perfbench/``.  A top-level name is reached by any reference to it.
+A reference inside the definition itself does not count, and neither
+does a package ``__init__`` re-export: both keep a name alive without
+using it.  Tests never count.
 
-Members match by name alone: ``obj.run(...)`` anywhere reaches every
-method called ``run``.
+Members are matched through the project call graph
+(:class:`~repro.analysis.callgraph.ProjectIndex`, the resolver behind
+GT005–GT008).  A member ``C.m`` is reached by a call the index resolves
+to ``C.m`` or to ``m`` on a base class of ``C`` (``rule.check(src)``
+in ``linter.py`` resolves to ``Rule.check`` and so reaches every rule's
+``check``); by a call it cannot
+resolve, or one in module-level code, that names ``m``; by a bound
+method ``x.m`` passed as a call argument; by ``getattr``/``hasattr``
+with the string ``"m"``; and, for a property, by any load of ``x.m``.
+A local variable named ``m``, a call resolved to ``m`` on an unrelated
+class, or a non-call load such as ``sel.step`` reaches nothing.
 
 The same holds one level down.  A defaulted parameter of a public
 function, method or constructor must be set by some call outside the
@@ -23,7 +33,12 @@ somewhere outside the tests.
 import ast
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+
+import pytest
+
+from repro.analysis.callgraph import FunctionInfo, ProjectIndex, module_name_for
+from repro.analysis.linter import SourceFile
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
@@ -39,6 +54,10 @@ ALLOWLIST = {
     "LinkFailureModel.partitioned": "observation seam: tests read whether a partition is active",
     "ReliableTransport.pending_count": "observation seam: tests count unacked sends",
     "ChordRing.ring_id": "observation seam: tests place keys and nodes on the ring",
+    "ChordRing.owner": (
+        "reference implementation: the successor rule computed directly, which "
+        "the routing tests compare Chord lookups against"
+    ),
     "SynchronousGossipEngine.sparse_workspace": (
         "observation seam: tests check the workspace's lifetime, blocks and footprint"
     ),
@@ -89,9 +108,13 @@ def _definitions(path: Path) -> List[Tuple[str, str, int, int]]:
     return defs
 
 
-def _unreached(members: bool) -> List[str]:
-    """Unreached top-level names, or with ``members`` unreached class members."""
-    refs: Dict[str, Set[Tuple[Path, int]]] = defaultdict(set)
+#: name -> the ``(file, line)`` places that reach it
+Refs = Dict[str, Set[Tuple[Path, int]]]
+
+
+def _unreached() -> List[str]:
+    """Top-level names no file outside the tests references."""
+    refs: Refs = defaultdict(set)
     for folder in CALLER_DIRS:
         for path in sorted((ROOT / folder).rglob("*.py")):
             for name, line in _references(path):
@@ -99,13 +122,122 @@ def _unreached(members: bool) -> List[str]:
     unreached = []
     for path in sorted(PACKAGE.rglob("*.py")):
         for key, name, first, last in _definitions(path):
-            if key in ALLOWLIST or ("." in key) != members:
+            if key in ALLOWLIST or "." in key:
                 continue
             if all(
                 where == path and first <= line <= last
                 for where, line in refs.get(name, ())
             ):
                 unreached.append(f"{path.relative_to(ROOT)}::{key}")
+    return unreached
+
+
+def _member_references(
+    index: ProjectIndex, files: Dict[Path, SourceFile]
+) -> Tuple[Refs, Refs, Refs]:
+    """Where each member is reached: ``(resolved, named, loaded)``.
+
+    ``resolved`` maps a project qname to the calls the index resolves to
+    it; ``named`` maps a method name to unresolved or module-level calls
+    of that name, bound methods passed as arguments that the index
+    cannot resolve, and ``getattr``/``hasattr`` strings; ``loaded`` maps
+    an attribute name to its loads (what reaches a property).
+    """
+    owners = {id(info.node): info for info in index.functions.values()}
+    resolved: Refs = defaultdict(set)
+    named: Refs = defaultdict(set)
+    loaded: Refs = defaultdict(set)
+
+    def visit(node: ast.AST, info: Optional[FunctionInfo], path: Path) -> None:
+        if isinstance(node, _FUNCTIONS):
+            info = owners.get(id(node))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loaded[node.attr].add((path, node.lineno))
+        elif isinstance(node, ast.Call):
+            where = (path, node.lineno)
+            targets = [node.func] + [
+                arg for arg in (*node.args, *(k.value for k in node.keywords))
+                if isinstance(arg, ast.Attribute)
+            ]
+            for target in targets:
+                qname = index.resolve_call(target, info) if info else None
+                if qname is not None:
+                    resolved[qname].add(where)
+                elif isinstance(target, ast.Attribute):
+                    named[target.attr].add(where)
+            if (
+                _callee(node) in ("getattr", "hasattr")
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                named[node.args[1].value].add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, info, path)
+
+    for path, src in files.items():
+        visit(src.tree, None, path)
+    return resolved, named, loaded
+
+
+def _ancestors(index: ProjectIndex) -> Dict[str, List[str]]:
+    """Class qname -> the qnames of its project base classes, transitively."""
+    bases: Dict[str, List[str]] = {}
+    for mod in index.modules.values():
+        for cls in mod.src.tree.body:
+            if isinstance(cls, ast.ClassDef):
+                bases[f"{mod.name}.{cls.name}"] = [
+                    f"{mod.name}.{b.id}" if b.id in mod.classes else mod.imports.get(b.id, "")
+                    for b in cls.bases
+                    if isinstance(b, ast.Name)
+                ]
+
+    def walk(qname: str) -> List[str]:
+        out = []
+        for base in bases.get(qname, ()):
+            if base in bases:
+                out += [base] + walk(base)
+        return out
+
+    return {qname: walk(qname) for qname in bases}
+
+
+def _unreached_members(package: Path, callers: Sequence[Path]) -> List[str]:
+    """Class members of ``package`` no code under ``callers`` reaches.
+
+    ``package`` is a ``src/<name>`` directory under one of ``callers``;
+    keys are reported relative to the directory above ``src``.
+    """
+    root = package.parents[1]
+    files = {
+        path: SourceFile(path.relative_to(root).as_posix(), path.read_text())
+        for folder in callers
+        for path in sorted(folder.rglob("*.py"))
+    }
+    index = ProjectIndex(list(files.values()))
+    resolved, named, loaded = _member_references(index, files)
+    ancestors = _ancestors(index)
+    unreached = []
+    for path in sorted(package.rglob("*.py")):
+        module = module_name_for(path.relative_to(root).as_posix())
+        properties = {
+            (cls.name, fn.name)
+            for cls in ast.walk(files[path].tree)
+            if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, _FUNCTIONS)
+            and any(isinstance(d, ast.Name) and d.id == "property" for d in fn.decorator_list)
+        }
+        for key, name, first, last in _definitions(path):
+            if key in ALLOWLIST or "." not in key:
+                continue
+            cls = f"{module}.{key.split('.')[0]}"
+            refs = set(named.get(name, ()))
+            for owner in [cls] + ancestors.get(cls, []):
+                refs |= resolved.get(f"{owner}.{name}", set())
+            if (key.split(".")[0], name) in properties:
+                refs |= loaded.get(name, set())
+            if all(where == path and first <= line <= last for where, line in refs):
+                unreached.append(f"{path.relative_to(root)}::{key}")
     return unreached
 
 
@@ -118,13 +250,97 @@ def _message(unreached: List[str]) -> str:
 
 
 def test_every_top_level_name_has_a_caller_outside_tests():
-    unreached = _unreached(members=False)
+    unreached = _unreached()
     assert not unreached, _message(unreached)
 
 
 def test_every_class_member_has_a_caller_outside_tests():
-    unreached = _unreached(members=True)
+    unreached = _unreached_members(PACKAGE, [ROOT / folder for folder in CALLER_DIRS])
     assert not unreached, _message(unreached)
+
+
+#: a package whose members each exercise one matching rule
+_FIXTURE = {
+    "src/repro/shapes.py": """
+class Base:
+    def check(self):
+        return 0
+
+    def check_all(self):
+        return self.check()
+
+
+class Child(Base):
+    def check(self):
+        return 1
+
+    def total(self):
+        return 2
+
+    def step(self):
+        return 3
+
+    def run(self):
+        return 4
+
+    def heal(self):
+        return 5
+
+    @property
+    def size(self):
+        return 6
+
+
+class Other:
+    def run(self):
+        return 7
+
+    def go(self):
+        return self.run()
+""",
+    "tools/use.py": """
+from repro.shapes import Base, Child, Other
+
+
+def main(sim, sel):
+    child = Child()
+    total = Base.check_all(child)
+    sim.call_in(1.0, child.heal)
+    width = child.size
+    stride = sel.step
+    return Other.go(Other()) + total + width + stride
+""",
+}
+
+
+@pytest.fixture(scope="module")
+def fixture_unreached(tmp_path_factory) -> List[str]:
+    root = tmp_path_factory.mktemp("tree")
+    for name, text in _FIXTURE.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text.lstrip())
+    return _unreached_members(root / "src" / "repro", [root / "src", root / "tools"])
+
+
+@pytest.mark.parametrize(
+    "member, flagged",
+    [
+        ("Child.total", True),  # only a local variable is called ``total``
+        ("Child.run", True),  # ``self.run()`` resolves to ``Other.run``
+        ("Child.step", True),  # ``sel.step`` is a load, not a call
+        ("Child.check", False),  # ``self.check()`` in ``Base`` dispatches here
+        ("Child.heal", False),  # passed as a bound method
+        ("Child.size", False),  # a property: any load reads it
+    ],
+)
+def test_member_rule_on_a_fixture_tree(fixture_unreached, member, flagged):
+    assert (f"src/repro/shapes.py::{member}" in fixture_unreached) == flagged
+
+
+def test_member_rule_flags_only_the_fixture_cases(fixture_unreached):
+    assert sorted(fixture_unreached) == [
+        f"src/repro/shapes.py::Child.{m}" for m in ("run", "step", "total")
+    ]
 
 
 def test_allowlist_names_still_exist():

@@ -68,9 +68,6 @@ class TestRun:
         assert fired == ["at2", "at5"]
         assert sim.now == 10.0  # clock advances to `until` even when idle
 
-    def test_step_returns_false_on_empty_queue(self):
-        assert Simulator().step() is False
-
     def test_peek(self):
         sim = Simulator()
         assert sim.peek() == float("inf")
@@ -159,7 +156,8 @@ class TestBatch:
     def test_step_and_peek(self):
         def stepped(sim):
             peeks = []
-            while sim.step():
+            while sim.peek() < float("inf"):
+                sim.run(until=sim.peek())
                 peeks.append((sim.now, sim.events_processed, sim.peek()))
             sim.peeks = peeks
 
@@ -171,7 +169,7 @@ class TestBatch:
             stepped(sim)
             logs.append((log, sim.peeks))
         assert logs[0] == logs[1]
-        assert len(logs[0][1]) == len(self.DELAYS) + len(self.CALLS)
+        assert len(logs[0][1]) == len({*self.DELAYS, *(t for t, _ in self.CALLS)})
 
     def test_items_come_in_firing_order(self):
         sim, got = Simulator(), []

@@ -91,12 +91,12 @@ class TestViews:
 
 class TestDirtyRows:
     def test_fresh_ledger_has_no_dirty_rows(self, ledger):
-        assert ledger.dirty_rows() == frozenset()
+        assert ledger.drain_dirty() == {}
 
     def test_every_mutator_marks_its_rater(self, ledger):
         ledger.record_transaction(0, 1, TransactionOutcome.AUTHENTIC)
         ledger.set_score(2, 3, 1.5)
-        assert ledger.dirty_rows() == frozenset({0, 2})
+        assert set(ledger.drain_dirty()) == {0, 2}
 
     def test_reads_do_not_mark_dirty(self, ledger):
         ledger.set_score(0, 1, 1.0)
@@ -104,7 +104,7 @@ class TestDirtyRows:
         ledger.score(0, 1)
         ledger.row(0)
         list(ledger.nonzero_pairs())
-        assert ledger.dirty_rows() == frozenset()
+        assert ledger.drain_dirty() == {}
 
     def test_drain_emits_current_clamped_rows_and_resets(self, ledger):
         ledger.set_score(0, 1, 2.0)
@@ -112,7 +112,6 @@ class TestDirtyRows:
         ledger.record_transaction(3, 0, TransactionOutcome.INAUTHENTIC)  # clamps to 0
         deltas = ledger.drain_dirty()
         assert deltas == {0: {1: 2.0, 2: 1.0}, 3: {}}
-        assert ledger.dirty_rows() == frozenset()
         assert ledger.drain_dirty() == {}
 
     def test_drain_is_sorted_by_rater(self, ledger):
@@ -123,7 +122,6 @@ class TestDirtyRows:
     def test_clear_dirty_forgets_without_emitting(self, ledger):
         ledger.set_score(0, 1, 1.0)
         ledger.clear_dirty()
-        assert ledger.dirty_rows() == frozenset()
         assert ledger.drain_dirty() == {}
         # The score itself survives; only the dirty mark is dropped.
         assert ledger.score(0, 1) == 1.0
@@ -138,4 +136,4 @@ class TestDirtyRows:
         ledger.set_score(0, 1, 1.0)
         ledger.drain_dirty()
         ledger.set_score(0, 1, 1.5)
-        assert ledger.dirty_rows() == frozenset({0})
+        assert list(ledger.drain_dirty()) == [0]

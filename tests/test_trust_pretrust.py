@@ -18,7 +18,7 @@ class TestConstruction:
 
     def test_members_frozen(self):
         p = PretrustVector(5, [0, 2])
-        assert p.members == frozenset({0, 2})
+        assert np.flatnonzero(p.vector).tolist() == [0, 2]
 
     def test_out_of_range_member_rejected(self):
         with pytest.raises(ValidationError):

@@ -31,10 +31,6 @@ class TestReputationVector:
         v = ReputationVector(scores={0: 1.0})
         assert v.top(10) == (0,)
 
-    def test_total(self):
-        v = ReputationVector(scores={0: 0.25, 1: 0.75})
-        assert v.total() == pytest.approx(1.0)
-
 
 def test_peer_class_values_are_stable():
     # These strings appear in reports; renames are breaking changes.

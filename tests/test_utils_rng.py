@@ -63,12 +63,6 @@ class TestRngStreams:
         assert RngStreams(11).seed == 11
         assert RngStreams(None).seed is None
 
-    def test_names_tracks_spawned(self):
-        streams = RngStreams(0)
-        streams.get("z")
-        streams.get("a")
-        assert set(streams.names()) == {"z", "a"}
-
     def test_generator_seed_source(self):
         streams = RngStreams(np.random.default_rng(4))
         assert streams.seed is None
